@@ -113,13 +113,106 @@ pub fn solve_weighted(
     weights: &HashMap<NodeId, Ratio>,
 ) -> Result<VolumeAssignment, DagSolveError> {
     let vnorms = vnorm::compute_weighted(dag, weights)?;
-    // Fig. 4, lines 8-11: give the most loaded node the machine maximum.
+    Ok(verdict(dag, machine, &vnorms)?.assign(vnorms))
+}
+
+/// DAGSolve's decision on a Vnorm table, before any volume is
+/// computed: the capacity scale and the smallest transfer it yields.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// Nanoliters per Vnorm unit.
+    pub scale_nl: Ratio,
+    /// The smallest live-edge transfer in nl, if any edges exist.
+    pub min_edge: Option<(EdgeId, Ratio)>,
+    /// Present iff that transfer is below the least count.
+    pub underflow: Option<Underflow>,
+}
+
+impl Verdict {
+    /// The per-node and per-edge volumes in nl: every Vnorm of
+    /// `vnorms` (the table the verdict was read from) times the scale.
+    pub fn volumes(&self, vnorms: &VnormTable) -> (Vec<Ratio>, Vec<Ratio>) {
+        let scale = |vs: &[Ratio]| vs.iter().map(|&v| v * self.scale_nl).collect();
+        (scale(&vnorms.node), scale(&vnorms.edge))
+    }
+
+    /// The full assignment [`Verdict::volumes`] builds.
+    pub fn assign(self, vnorms: VnormTable) -> VolumeAssignment {
+        let (node_volumes_nl, edge_volumes_nl) = self.volumes(&vnorms);
+        VolumeAssignment {
+            vnorms,
+            scale_nl: self.scale_nl,
+            node_volumes_nl,
+            edge_volumes_nl,
+            min_edge: self.min_edge,
+            underflow: self.underflow,
+        }
+    }
+}
+
+/// Reads DAGSolve's verdict off a Vnorm table of `dag` (Fig. 4, lines
+/// 8–11, and the least-count check): the most loaded node gets the
+/// machine's capacity, so the scale is capacity / max load, and the
+/// smallest transfer is the smallest live non-excess edge Vnorm times
+/// that scale. Costs one scan of the table and no volume vectors; the
+/// Fig. 6 hierarchy and the incremental replanner decide every round
+/// through it, and [`Verdict::assign`] builds the volumes only for the
+/// assignment they return.
+///
+/// # Errors
+///
+/// [`DagSolveError::ZeroDemand`] when no node carries a positive load.
+pub fn verdict(
+    dag: &Dag,
+    machine: &Machine,
+    vnorms: &VnormTable,
+) -> Result<Verdict, DagSolveError> {
     let max_load = vnorms.max_load();
     if !max_load.is_positive() {
         return Err(DagSolveError::ZeroDemand);
     }
-    let scale = machine.max_capacity_nl() / max_load;
-    Ok(dispense(dag, machine, vnorms, scale))
+    let scale_nl = machine.max_capacity_nl() / max_load;
+    // A positive scale keeps the order of transfers, so the smallest
+    // Vnorm edge is the smallest transfer.
+    let min_edge = min_transfer(dag, &vnorms.edge).map(|(e, v)| (e, v * scale_nl));
+    Ok(Verdict {
+        scale_nl,
+        underflow: underflow(machine, min_edge),
+        min_edge,
+    })
+}
+
+/// The smallest of `values` (indexed by edge id) over live edges that
+/// do not feed an excess node, first in edge-id order on ties.
+///
+/// Transfers into excess nodes are discards of surplus fluid; the
+/// paper meters only productive transfers, so the minimum-volume check
+/// skips them (they are large by construction anyway). Live edges are
+/// exactly those the nodes list as in-edges.
+fn min_transfer(dag: &Dag, values: &[Ratio]) -> Option<(EdgeId, Ratio)> {
+    let mut min: Option<(EdgeId, Ratio)> = None;
+    for n in dag.node_ids() {
+        if dag.node(n).kind == NodeKind::Excess {
+            continue;
+        }
+        for &e in dag.in_edges(n) {
+            let v = values[e.index()];
+            if min.is_none_or(|(me, m)| v < m || (v == m && e < me)) {
+                min = Some((e, v));
+            }
+        }
+    }
+    min
+}
+
+fn underflow(machine: &Machine, min_edge: Option<(EdgeId, Ratio)>) -> Option<Underflow> {
+    min_edge.and_then(|(e, v)| {
+        (v < machine.least_count_nl()).then(|| Underflow {
+            edge: e,
+            volume_nl: v,
+            least_count_nl: machine.least_count_nl(),
+        })
+    })
 }
 
 /// Runs DAGSolve in the *minimum-output* mode of §3.5 (independent
@@ -201,38 +294,15 @@ pub(crate) fn dispense(
     vnorms: VnormTable,
     scale_nl: Ratio,
 ) -> VolumeAssignment {
-    let node_volumes_nl: Vec<Ratio> = vnorms.node.iter().map(|&v| v * scale_nl).collect();
     let edge_volumes_nl: Vec<Ratio> = vnorms.edge.iter().map(|&v| v * scale_nl).collect();
-    let mut min_edge: Option<(EdgeId, Ratio)> = None;
-    for e in dag.edge_ids() {
-        if !dag.edge_is_live(e) {
-            continue;
-        }
-        // Transfers into excess nodes are discards of surplus fluid; the
-        // paper meters only productive transfers, so the minimum-volume
-        // check skips them (they are large by construction anyway).
-        if dag.node(dag.edge(e).dst).kind == NodeKind::Excess {
-            continue;
-        }
-        let v = edge_volumes_nl[e.index()];
-        if min_edge.is_none_or(|(_, m)| v < m) {
-            min_edge = Some((e, v));
-        }
-    }
-    let underflow = min_edge.and_then(|(e, v)| {
-        (v < machine.least_count_nl()).then(|| Underflow {
-            edge: e,
-            volume_nl: v,
-            least_count_nl: machine.least_count_nl(),
-        })
-    });
+    let min_edge = min_transfer(dag, &edge_volumes_nl);
     VolumeAssignment {
+        node_volumes_nl: vnorms.node.iter().map(|&v| v * scale_nl).collect(),
+        edge_volumes_nl,
         vnorms,
         scale_nl,
-        node_volumes_nl,
-        edge_volumes_nl,
         min_edge,
-        underflow,
+        underflow: underflow(machine, min_edge),
     }
 }
 

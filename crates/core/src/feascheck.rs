@@ -24,13 +24,15 @@
 //! [`crate::manage_volumes`] consults this check before every LP
 //! fallback, which removes the dominant cost of compiling assays whose
 //! LPs are infeasible (the enzyme-family DAGs spend ~80% of a cold
-//! compile proving two infeasibilities the hard way). The incremental
-//! replanner reuses the table across edits by recomputing only the
-//! dirty backward slice.
+//! compile proving two infeasibilities the hard way). The hierarchy
+//! analyzes the DAG in full once and then carries the table across its
+//! rewrite rounds with [`recompute`], as the incremental replanner
+//! carries it across edits.
 
 use aqua_dag::{Dag, NodeId, NodeKind, Ratio};
 
 use crate::machine::Machine;
+use crate::vnorm::Pending;
 
 /// Result of analyzing a DAG's LP feasibility structure.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,34 +116,44 @@ pub fn analyze(dag: &Dag, machine: &Machine) -> Analysis {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unsupported;
 
-/// Recomputes the table entries for `nodes` (which must be given in
-/// reverse topological order and must contain every node whose
-/// downstream bounds changed). Entries outside `nodes` are reused.
+/// Brings `table` up to date after `dag` changed at `seeds`, and
+/// returns how many nodes it re-evaluated.
+///
+/// The contract is [`crate::vnorm::recompute_weighted`]'s: `table` is
+/// exact for the graph before the change, `seeds` holds every node
+/// whose own structure changed plus the in-edge sources of every node
+/// whose in-edges changed, and `topo_pos` orders the changed graph. A
+/// node's bound depends only on its own edges and its consumers' lower
+/// bounds, so the walk re-evaluates a node's producers only when its
+/// lower bound moved, and the result equals [`analyze`]'s table.
 ///
 /// # Errors
 ///
-/// Returns [`Unsupported`] under the same conditions as [`analyze`];
-/// callers must then discard the table and fall back to a full
-/// recompile.
+/// Returns [`Unsupported`] exactly when [`analyze`] would; the table is
+/// then partially updated and must be discarded.
 pub fn recompute(
     table: &mut DemandTable,
     dag: &Dag,
     machine: &Machine,
-    nodes: &[NodeId],
-) -> Result<(), Unsupported> {
-    for &id in nodes {
-        match node_bounds(dag, machine, id, &table.lb)? {
-            Some((lb, cap)) => {
-                table.lb[id.index()] = lb;
-                table.cap[id.index()] = cap;
-            }
-            None => {
-                table.lb[id.index()] = Ratio::ZERO;
-                table.cap[id.index()] = None;
+    seeds: &[NodeId],
+    topo_pos: &[usize],
+) -> Result<usize, Unsupported> {
+    table.lb.resize(dag.num_nodes(), Ratio::ZERO);
+    table.cap.resize(dag.num_nodes(), None);
+    let mut pending = Pending::new(dag.num_nodes(), topo_pos, seeds);
+    let mut evaluated = 0;
+    while let Some(id) = pending.pop() {
+        evaluated += 1;
+        let (lb, cap) = node_bounds(dag, machine, id, &table.lb)?.unwrap_or((Ratio::ZERO, None));
+        table.cap[id.index()] = cap;
+        if table.lb[id.index()] != lb {
+            table.lb[id.index()] = lb;
+            for &e in dag.in_edges(id) {
+                pending.push(dag.edge(e).src);
             }
         }
     }
-    Ok(())
+    Ok(evaluated)
 }
 
 /// Computes one node's `(lower bound, ceiling)` from its own structure
@@ -424,8 +436,9 @@ mod tests {
 
     #[test]
     fn table_recompute_matches_fresh_analysis() {
-        // Change a fraction, recompute only the backward slice, and
-        // compare against analyzing the edited DAG from scratch.
+        // Change a fraction, update from the edit's seeds (the mix and
+        // its producers), and compare against analyzing the edited DAG
+        // from scratch.
         let machine = Machine::paper_default();
         let mut d = figure2();
         let l = d.find_node("L").unwrap();
@@ -437,22 +450,11 @@ mod tests {
         let partner = d.in_edges(l)[1];
         d.set_edge_fraction(e, r(3, 4));
         d.set_edge_fraction(partner, r(1, 4));
-        let dirty: Vec<NodeId> = {
-            let slice = d.backward_slice(l);
-            let order = d.topological_order().unwrap();
-            let mut rev: Vec<NodeId> = order
-                .iter()
-                .rev()
-                .copied()
-                .filter(|n| slice.contains(n))
-                .collect();
-            if !rev.contains(&l) {
-                rev.insert(0, l);
-            }
-            rev
-        };
+        let mut seeds = vec![l];
+        seeds.extend(d.in_edges(l).iter().map(|&e| d.edge(e).src));
+        let pos = d.topo_positions().unwrap();
         let mut patched = table;
-        recompute(&mut patched, &d, &machine, &dirty).unwrap();
+        recompute(&mut patched, &d, &machine, &seeds, &pos).unwrap();
         match analyze(&d, &machine) {
             Analysis::Unproven(fresh) | Analysis::Proven(fresh) => assert_eq!(patched, fresh),
             other => panic!("{other:?}"),

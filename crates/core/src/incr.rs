@@ -1,4 +1,4 @@
-//! Incremental recompilation: trace recording and dirty-slice replay.
+//! Incremental recompilation: trace recording and seeded replay.
 //!
 //! A push-mode session edits an already-compiled assay — one mix ratio,
 //! one output weight — and wants the new plan without paying for a cold
@@ -6,18 +6,21 @@
 //! incremental result must be **byte-identical** to a cold compile of
 //! the edited DAG, so the replay never *approximates* the hierarchy; it
 //! re-verifies the recorded decision trace against the edited graph and
-//! recomputes only the dirty slice of each table. Any decision that no
-//! longer holds (an underflow disappears, the LP stops being provably
-//! infeasible, a mix crosses the extreme-ratio threshold, a replication
-//! stops being blocked) is a *divergence*: the caller discards the
-//! trace and recompiles cold.
+//! updates each recorded table from the edit's seeds with the same
+//! seeded updates the hierarchy carries its tables with
+//! ([`vnorm::recompute_weighted`], [`feascheck::recompute`]), reading
+//! each round's verdict through the same [`dagsolve::verdict`]. Any
+//! decision that no longer holds (an underflow disappears, the LP stops
+//! being provably infeasible, a mix crosses the extreme-ratio
+//! threshold, a replication stops being blocked) is a *divergence*: the
+//! caller discards the trace and recompiles cold.
 //!
 //! Recording happens inside the real [`crate::manage_volumes`] loop —
 //! there is no shadow interpreter to drift out of sync. Two trace
 //! shapes replay:
 //!
 //! - **Shape A**: round 0 DAGSolve solved outright. Replay is one
-//!   dirty-slice Vnorm pass plus a full-table rescan for the scale.
+//!   seeded Vnorm update plus the verdict's scan of the table.
 //! - **Shape B**: every round underflowed, was proven LP-infeasible by
 //!   the exact pre-check, and cascaded all extreme mixes cleanly, until
 //!   replication was blocked by machine resources. Replay re-verifies
@@ -29,10 +32,10 @@
 
 use std::collections::HashMap;
 
-use aqua_dag::{Dag, EdgeId, NodeId, NodeKind, Ratio};
+use aqua_dag::{Dag, EdgeId, NodeId, Ratio};
 
 use crate::cascade::CascadeInfo;
-use crate::dagsolve::VolumeAssignment;
+use crate::dagsolve;
 use crate::feascheck::{self, DemandTable};
 use crate::hierarchy::{manage_volumes_impl, ManagedOutcome, VolumeManagerOptions};
 use crate::machine::Machine;
@@ -155,10 +158,10 @@ impl Recording {
         self.replayable = false;
     }
 
-    pub(crate) fn on_dagsolve(&mut self, sol: &VolumeAssignment) {
+    pub(crate) fn on_dagsolve(&mut self, vnorms: &VnormTable, underflow: bool) {
         if let Some(r) = self.cur() {
-            r.vnorms = Some(sol.vnorms.clone());
-            r.underflow = sol.underflow.is_some();
+            r.vnorms = Some(vnorms.clone());
+            r.underflow = underflow;
         }
     }
 
@@ -329,8 +332,9 @@ impl IncrSolver {
     /// node names (and orders cascade log lines and replication
     /// tie-breaks) exactly as a cold compile of the edited DAG would.
     ///
-    /// Returns the number of dirty nodes alongside the outcome so
-    /// callers can report slice sizes.
+    /// Returns the size of the edit's dirty slice (the touched node's
+    /// backward slice, largest over the replayed rounds) alongside the
+    /// outcome so callers can report it.
     ///
     /// # Errors
     ///
@@ -368,6 +372,15 @@ impl IncrSolver {
         let mut underflow_vols: Vec<Ratio> = Vec::with_capacity(nrounds);
         let mut solved: Option<(Vec<Ratio>, Vec<Ratio>)> = None;
         let mut slice_len = 0usize;
+        // A fraction edit changes the touched mix's in-edges, so its
+        // producers are seeds too; a weight edit changes one leaf.
+        let seeds = |dag: &Dag| -> Vec<NodeId> {
+            let mut seeds = vec![touched];
+            if changes.is_some() {
+                seeds.extend(dag.in_edges(touched).iter().map(|&e| dag.edge(e).src));
+            }
+            seeds
+        };
 
         for r in 0..nrounds {
             if self.topo[r].is_none() {
@@ -383,46 +396,29 @@ impl IncrSolver {
                     round.dag.set_edge_fraction(e, f);
                 }
             }
-            let pos = self.topo[r].as_ref().expect("cached above");
-            let slice = round.dag.dirty_slice(touched, pos);
-            slice_len = slice_len.max(slice.len());
+            let pos = self.topo[r].as_deref().expect("cached above");
+            let seeds = seeds(&round.dag);
+            // Reported as the edit's dirty slice on the wire; the update
+            // itself re-evaluates only what moved inside it.
+            slice_len = slice_len.max(round.dag.backward_slice(touched).len());
             let table = round.vnorms.as_mut().expect("replayable trace");
-            vnorm::recompute_weighted(table, &round.dag, &self.weights, &slice)
+            vnorm::recompute_weighted(table, &round.dag, &self.weights, &seeds, pos)
                 .map_err(|_| Divergence("vnorm-error"))?;
 
-            // Forward dispensing verdict on the updated table.
-            let max_load = table.max_load();
-            if !max_load.is_positive() {
-                return Err(Divergence("zero-demand"));
-            }
-            let scale = self.machine.max_capacity_nl() / max_load;
-            let mut min_w: Option<Ratio> = None;
-            for e in round.dag.edge_ids() {
-                if !round.dag.edge_is_live(e) {
-                    continue;
-                }
-                if round.dag.node(round.dag.edge(e).dst).kind == NodeKind::Excess {
-                    continue;
-                }
-                let v = table.edge[e.index()];
-                if min_w.is_none_or(|m| v < m) {
-                    min_w = Some(v);
-                }
-            }
-            let min_vol = min_w.map(|w| w * scale);
-            let underflows = min_vol.is_some_and(|v| v < self.machine.least_count_nl());
-            if underflows != round.underflow {
+            // The same DAGSolve verdict a cold compile reads.
+            let verdict = dagsolve::verdict(&round.dag, &self.machine, table)
+                .map_err(|_| Divergence("zero-demand"))?;
+            if verdict.underflow.is_some() != round.underflow {
                 return Err(Divergence("underflow-flipped"));
             }
-            if underflows {
-                underflow_vols.push(min_vol.expect("underflowing edge exists"));
-            } else {
-                // Shape A's single round; Shape B rounds always
-                // underflow, checked just above.
-                let node_volumes_nl = table.node.iter().map(|&v| v * scale).collect();
-                let edge_volumes_nl = table.edge.iter().map(|&v| v * scale).collect();
-                solved = Some((node_volumes_nl, edge_volumes_nl));
-                break;
+            match verdict.underflow {
+                Some(under) => underflow_vols.push(under.volume_nl),
+                None => {
+                    // Shape A's single round; Shape B rounds always
+                    // underflow, checked just above.
+                    solved = Some(verdict.volumes(table));
+                    break;
+                }
             }
 
             if changes.is_some() {
@@ -430,7 +426,7 @@ impl IncrSolver {
                 // or a cold compile would run the simplex. (Weight edits
                 // skip this: the demand reduction is weight-free.)
                 let demand = round.demand.as_mut().expect("replayable trace");
-                feascheck::recompute(demand, &round.dag, &self.machine, &slice)
+                feascheck::recompute(demand, &round.dag, &self.machine, &seeds, pos)
                     .map_err(|_| Divergence("feascheck-unsupported"))?;
                 if !demand.infeasible() {
                     return Err(Divergence("lp-not-proven"));
@@ -475,10 +471,10 @@ impl IncrSolver {
         // its replication is still blocked by the same resource.
         let last = nrounds - 1;
         if changes.is_some() {
-            let pos = self.topo[last].as_ref().expect("cached above");
-            let slice = self.rec.rounds[last].dag.dirty_slice(touched, pos);
+            let fdag = &self.rec.rounds[last].dag;
+            let pos = self.topo[last].as_deref().expect("cached above");
             let ftable = self.rec.final_vnorms.as_mut().expect("replayable trace");
-            vnorm::recompute_weighted(ftable, &self.rec.rounds[last].dag, &HashMap::new(), &slice)
+            vnorm::recompute_weighted(ftable, fdag, &HashMap::new(), &seeds(fdag), pos)
                 .map_err(|_| Divergence("vnorm-error"))?;
         }
         let cold = self.cold_positions(base_to_cur);

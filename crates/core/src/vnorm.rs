@@ -14,11 +14,11 @@
 //! * excess handling — cascading's discard edges take a fixed share of
 //!   the *producer's* output, so `V = useful / (1 - discard_share)`.
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
 
-use aqua_dag::{Dag, DagError, NodeId, NodeKind, Ratio};
+use aqua_dag::{Dag, DagError, EdgeId, NodeId, NodeKind, Ratio};
 use aqua_rational::RatioError;
 
 /// Per-node and per-edge relative volumes computed by the backward pass.
@@ -135,188 +135,190 @@ pub fn compute_weighted(
 ) -> Result<VnormTable, VnormError> {
     dag.validate()?;
     let order = dag.topological_order()?;
-    let mut node_v = vec![Ratio::ZERO; dag.num_nodes()];
-    let mut edge_v = vec![Ratio::ZERO; dag.num_edges()];
-
+    let mut table = VnormTable {
+        node: vec![Ratio::ZERO; dag.num_nodes()],
+        edge: vec![Ratio::ZERO; dag.num_edges()],
+        load: vec![Ratio::ZERO; dag.num_nodes()],
+    };
     let mut leaves = 0usize;
     for &id in order.iter().rev() {
-        let node = dag.node(id);
-        if node.kind == NodeKind::Excess {
-            continue; // assigned by its producer, below
-        }
-        let outs = dag.out_edges(id);
-        if outs.is_empty() {
-            if node.kind.is_source() {
-                // An input nobody uses: load nothing.
-                node_v[id.index()] = Ratio::ZERO;
-                continue;
-            }
-            // Leaf: pinned by weight (default 1).
-            node_v[id.index()] = weights.get(&id).copied().unwrap_or(Ratio::ONE);
+        if eval_node(&mut table, dag, weights, id, |_| {})? {
             leaves += 1;
-        } else {
-            // Fig. 4, line 5 — plus the excess refinement of §3.4.1.
-            let mut useful = Ratio::ZERO;
-            let mut discard_share = Ratio::ZERO;
-            for &e in outs {
-                let edge = dag.edge(e);
-                if dag.node(edge.dst).kind == NodeKind::Excess {
-                    discard_share = discard_share.checked_add(edge.fraction)?;
-                } else {
-                    useful = useful.checked_add(edge_v[e.index()])?;
-                }
-            }
-            if discard_share >= Ratio::ONE {
-                return Err(VnormError::ExcessShareTooLarge {
-                    node: node.name.clone(),
-                });
-            }
-            let total = useful.checked_div(Ratio::ONE.checked_sub(discard_share)?)?;
-            node_v[id.index()] = total;
-            for &e in outs {
-                let edge = dag.edge(e);
-                if dag.node(edge.dst).kind == NodeKind::Excess {
-                    let v = edge.fraction.checked_mul(total)?;
-                    edge_v[e.index()] = v;
-                    node_v[edge.dst.index()] = v;
-                }
-            }
-        }
-        // Fig. 4, line 7: propagate demand to in-edges, adjusted for the
-        // node's output-to-input relation.
-        let demand = match &node.kind {
-            NodeKind::Separate { fraction: Some(f) } => node_v[id.index()].checked_div(*f)?,
-            NodeKind::Separate { fraction: None } => {
-                if !outs.is_empty() {
-                    return Err(VnormError::UnknownVolumeInterior {
-                        node: node.name.clone(),
-                    });
-                }
-                // As a partition sink, the unknown node's *input* is what
-                // gets normalized; demand equals its pinned Vnorm.
-                node_v[id.index()]
-            }
-            _ => node_v[id.index()],
-        };
-        for &e in dag.in_edges(id) {
-            edge_v[e.index()] = dag.edge(e).fraction.checked_mul(demand)?;
         }
     }
     if leaves == 0 {
         return Err(VnormError::NoOutputs);
     }
-
-    // Loads: what capacity must hold at each node.
-    let mut load = vec![Ratio::ZERO; dag.num_nodes()];
     for id in dag.node_ids() {
-        let in_sum = Ratio::checked_sum(dag.in_edges(id).iter().map(|&e| edge_v[e.index()]))?;
-        load[id.index()] = in_sum.max(node_v[id.index()]);
+        refresh_load(&mut table, dag, id)?;
     }
-
-    Ok(VnormTable {
-        node: node_v,
-        edge: edge_v,
-        load,
-    })
+    Ok(table)
 }
 
-/// Recomputes the table entries for `nodes` (which must be given in
-/// reverse topological order and must contain every node whose own
-/// Vnorm could have changed — for a ratio or output-weight edit, the
-/// backward slice of the edited node). Entries outside `nodes` are
-/// reused; the loads of the touched nodes and of their excess
-/// consumers are refreshed.
+/// Evaluates one node from its consumers' final edge Vnorms: the node's
+/// own Vnorm, its excess out-edges and their sinks, and its in-edges.
+/// `moved` sees every in-edge whose Vnorm changed. Returns whether the
+/// node is a leaf.
+fn eval_node(
+    table: &mut VnormTable,
+    dag: &Dag,
+    weights: &HashMap<NodeId, Ratio>,
+    id: NodeId,
+    mut moved: impl FnMut(EdgeId),
+) -> Result<bool, VnormError> {
+    let node = dag.node(id);
+    if node.kind == NodeKind::Excess {
+        return Ok(false); // assigned by its producer, below
+    }
+    let outs = dag.out_edges(id);
+    let leaf = outs.is_empty();
+    if leaf {
+        if node.kind.is_source() {
+            // An input nobody uses: load nothing.
+            table.node[id.index()] = Ratio::ZERO;
+            return Ok(false);
+        }
+        // Leaf: pinned by weight (default 1).
+        table.node[id.index()] = weights.get(&id).copied().unwrap_or(Ratio::ONE);
+    } else {
+        // Fig. 4, line 5 — plus the excess refinement of §3.4.1.
+        let mut useful = Ratio::ZERO;
+        let mut discard_share = Ratio::ZERO;
+        for &e in outs {
+            let edge = dag.edge(e);
+            if dag.node(edge.dst).kind == NodeKind::Excess {
+                discard_share = discard_share.checked_add(edge.fraction)?;
+            } else {
+                useful = useful.checked_add(table.edge[e.index()])?;
+            }
+        }
+        if discard_share >= Ratio::ONE {
+            return Err(VnormError::ExcessShareTooLarge {
+                node: node.name.clone(),
+            });
+        }
+        let total = useful.checked_div(Ratio::ONE.checked_sub(discard_share)?)?;
+        table.node[id.index()] = total;
+        for &e in outs {
+            let edge = dag.edge(e);
+            if dag.node(edge.dst).kind == NodeKind::Excess {
+                let v = edge.fraction.checked_mul(total)?;
+                table.edge[e.index()] = v;
+                table.node[edge.dst.index()] = v;
+            }
+        }
+    }
+    // Fig. 4, line 7: propagate demand to in-edges, adjusted for the
+    // node's output-to-input relation.
+    let demand = match &node.kind {
+        NodeKind::Separate { fraction: Some(f) } => table.node[id.index()].checked_div(*f)?,
+        NodeKind::Separate { fraction: None } => {
+            if !leaf {
+                return Err(VnormError::UnknownVolumeInterior {
+                    node: node.name.clone(),
+                });
+            }
+            // As a partition sink, the unknown node's *input* is what
+            // gets normalized; demand equals its pinned Vnorm.
+            table.node[id.index()]
+        }
+        _ => table.node[id.index()],
+    };
+    for &e in dag.in_edges(id) {
+        let v = dag.edge(e).fraction.checked_mul(demand)?;
+        if table.edge[e.index()] != v {
+            table.edge[e.index()] = v;
+            moved(e);
+        }
+    }
+    Ok(leaf)
+}
+
+/// Loads: what capacity must hold at each node.
+fn refresh_load(table: &mut VnormTable, dag: &Dag, id: NodeId) -> Result<(), VnormError> {
+    let in_sum = Ratio::checked_sum(dag.in_edges(id).iter().map(|&e| table.edge[e.index()]))?;
+    table.load[id.index()] = in_sum.max(table.node[id.index()]);
+    Ok(())
+}
+
+/// Brings `table` up to date after `dag` changed at `seeds`, and
+/// returns how many nodes it re-evaluated.
 ///
-/// This is the incremental replanner's workhorse: on a dirty slice of
-/// `k` nodes it does `O(k + adjacent edges)` exact-rational work
-/// instead of re-walking the whole DAG.
+/// `table` must be exact for the graph before the change, and `seeds`
+/// must hold every node whose own inputs changed: a node with new
+/// fractions or a new output weight, a node the change created, and
+/// every node that gained or lost an out-edge (for a rewrite: its
+/// target, the nodes it created, and their in-edge sources). The
+/// update walks reverse topological order (`topo_pos` from
+/// [`Dag::topo_positions`] on the changed graph) outward from the
+/// seeds and re-evaluates a node's producers only through in-edges
+/// whose Vnorm moved, so the work is proportional to what changed, not
+/// to the DAG. The result equals [`compute_weighted`] on the changed
+/// graph: every value comes from one local rule over the node's
+/// consumers, and a node none of whose inputs moved keeps its value.
 ///
 /// # Errors
 ///
-/// Same conditions as [`compute_weighted`] (excluding validation,
-/// which the caller already holds); on error the table is partially
-/// updated and must be discarded.
+/// Same conditions as [`compute_weighted`]'s pass (the caller already
+/// holds validation and the topological order), reported for the same
+/// node; the table is then partially updated and must be discarded.
 pub fn recompute_weighted(
     table: &mut VnormTable,
     dag: &Dag,
     weights: &HashMap<NodeId, Ratio>,
-    nodes: &[NodeId],
-) -> Result<(), VnormError> {
-    let node_v = &mut table.node;
-    let edge_v = &mut table.edge;
-    for &id in nodes {
-        let node = dag.node(id);
-        if node.kind == NodeKind::Excess {
-            continue; // assigned by its producer
-        }
-        let outs = dag.out_edges(id);
-        if outs.is_empty() {
-            if node.kind.is_source() {
-                node_v[id.index()] = Ratio::ZERO;
-                continue;
-            }
-            node_v[id.index()] = weights.get(&id).copied().unwrap_or(Ratio::ONE);
-        } else {
-            let mut useful = Ratio::ZERO;
-            let mut discard_share = Ratio::ZERO;
-            for &e in outs {
-                let edge = dag.edge(e);
-                if dag.node(edge.dst).kind == NodeKind::Excess {
-                    discard_share = discard_share.checked_add(edge.fraction)?;
-                } else {
-                    useful = useful.checked_add(edge_v[e.index()])?;
-                }
-            }
-            if discard_share >= Ratio::ONE {
-                return Err(VnormError::ExcessShareTooLarge {
-                    node: node.name.clone(),
-                });
-            }
-            let total = useful.checked_div(Ratio::ONE.checked_sub(discard_share)?)?;
-            node_v[id.index()] = total;
-            for &e in outs {
-                let edge = dag.edge(e);
-                if dag.node(edge.dst).kind == NodeKind::Excess {
-                    let v = edge.fraction.checked_mul(total)?;
-                    edge_v[e.index()] = v;
-                    node_v[edge.dst.index()] = v;
-                }
-            }
-        }
-        let demand = match &node.kind {
-            NodeKind::Separate { fraction: Some(f) } => node_v[id.index()].checked_div(*f)?,
-            NodeKind::Separate { fraction: None } => {
-                if !outs.is_empty() {
-                    return Err(VnormError::UnknownVolumeInterior {
-                        node: node.name.clone(),
-                    });
-                }
-                node_v[id.index()]
-            }
-            _ => node_v[id.index()],
-        };
-        for &e in dag.in_edges(id) {
-            edge_v[e.index()] = dag.edge(e).fraction.checked_mul(demand)?;
-        }
-    }
-    // Refresh the loads of everything whose node or in-edge values the
-    // pass above could have touched: the slice itself, plus the excess
-    // consumers of slice nodes (their Vnorm is producer-assigned).
-    let mut affected: Vec<NodeId> = Vec::with_capacity(nodes.len());
-    for &id in nodes {
-        affected.push(id);
+    seeds: &[NodeId],
+    topo_pos: &[usize],
+) -> Result<usize, VnormError> {
+    table.node.resize(dag.num_nodes(), Ratio::ZERO);
+    table.load.resize(dag.num_nodes(), Ratio::ZERO);
+    table.edge.resize(dag.num_edges(), Ratio::ZERO);
+    let mut pending = Pending::new(dag.num_nodes(), topo_pos, seeds);
+    let mut evaluated = 0;
+    while let Some(id) = pending.pop() {
+        evaluated += 1;
+        eval_node(table, dag, weights, id, |e| pending.push(dag.edge(e).src))?;
+        refresh_load(table, dag, id)?;
         for &e in dag.out_edges(id) {
             let dst = dag.edge(e).dst;
             if dag.node(dst).kind == NodeKind::Excess {
-                affected.push(dst);
+                refresh_load(table, dag, dst)?;
             }
         }
     }
-    for t in affected {
-        let in_sum = Ratio::checked_sum(dag.in_edges(t).iter().map(|&e| table.edge[e.index()]))?;
-        table.load[t.index()] = in_sum.max(table.node[t.index()]);
+    Ok(evaluated)
+}
+
+/// A reverse-topological worklist: pops the queued node with the
+/// highest topological position, so every node comes out after all
+/// its queued consumers, and never queues a node twice.
+pub(crate) struct Pending<'a> {
+    heap: BinaryHeap<(usize, NodeId)>,
+    queued: Vec<bool>,
+    topo_pos: &'a [usize],
+}
+
+impl<'a> Pending<'a> {
+    pub(crate) fn new(nodes: usize, topo_pos: &'a [usize], seeds: &[NodeId]) -> Pending<'a> {
+        let mut pending = Pending {
+            heap: BinaryHeap::with_capacity(seeds.len()),
+            queued: vec![false; nodes],
+            topo_pos,
+        };
+        for &id in seeds {
+            pending.push(id);
+        }
+        pending
     }
-    Ok(())
+
+    pub(crate) fn push(&mut self, id: NodeId) {
+        if !std::mem::replace(&mut self.queued[id.index()], true) {
+            self.heap.push((self.topo_pos[id.index()], id));
+        }
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<NodeId> {
+        self.heap.pop().map(|(_, id)| id)
+    }
 }
 
 #[cfg(test)]
@@ -457,10 +459,17 @@ mod tests {
         assert!(matches!(compute(&d), Err(VnormError::NoOutputs)));
     }
 
-    /// Edits an in-edge fraction pair and recomputes only the dirty
-    /// slice: the table must match a fresh full pass exactly.
+    /// The seeds of a ratio edit at `node`: the mix and its producers.
+    fn ratio_edit_seeds(d: &Dag, node: NodeId) -> Vec<NodeId> {
+        let mut seeds = vec![node];
+        seeds.extend(d.in_edges(node).iter().map(|&e| d.edge(e).src));
+        seeds
+    }
+
+    /// Edits an in-edge fraction pair and updates from the edit's
+    /// seeds: the table must match a fresh full pass exactly.
     #[test]
-    fn recompute_on_dirty_slice_matches_fresh_pass() {
+    fn seeded_update_after_a_ratio_edit_matches_fresh_pass() {
         let mut d = Dag::new();
         let a = d.add_input("A");
         let b = d.add_input("B");
@@ -478,22 +487,18 @@ mod tests {
         d.set_edge_fraction(ins[0], r(3, 5));
         d.set_edge_fraction(ins[1], r(2, 5));
 
-        // Dirty slice: K and its ancestors, in reverse topological order.
-        let order = d.topological_order().unwrap();
-        let mut pos = vec![0usize; d.num_nodes()];
-        for (i, id) in order.iter().enumerate() {
-            pos[id.index()] = i;
-        }
-        let mut slice = d.backward_slice(k);
-        slice.sort_by_key(|id| std::cmp::Reverse(pos[id.index()]));
-        recompute_weighted(&mut table, &d, &HashMap::new(), &slice).unwrap();
-
+        let pos = d.topo_positions().unwrap();
+        let seeds = ratio_edit_seeds(&d, k);
+        let evaluated = recompute_weighted(&mut table, &d, &HashMap::new(), &seeds, &pos).unwrap();
         assert_eq!(table, compute(&d).unwrap());
+        // K's own Vnorm did not move, so only K and its producers A, B
+        // were re-evaluated.
+        assert_eq!(evaluated, 3);
     }
 
-    /// Weight edits are a dirty slice seeded at the output leaf.
+    /// A weight edit is seeded at the output leaf alone.
     #[test]
-    fn recompute_applies_weight_changes() {
+    fn seeded_update_applies_weight_changes() {
         let mut d = Dag::new();
         let a = d.add_input("A");
         let p1 = d.add_process("p1", "incubate", a);
@@ -503,14 +508,14 @@ mod tests {
         let mut table = compute(&d).unwrap();
         let mut w = HashMap::new();
         w.insert(o1, Ratio::from_int(3));
-        // Reverse-topo slice of o1: o1, p1, a.
-        recompute_weighted(&mut table, &d, &w, &[o1, p1, a]).unwrap();
+        let pos = d.topo_positions().unwrap();
+        recompute_weighted(&mut table, &d, &w, &[o1], &pos).unwrap();
         assert_eq!(table, compute_weighted(&d, &w).unwrap());
     }
 
-    /// Recompute refreshes producer-assigned excess consumers too.
+    /// The update refreshes producer-assigned excess consumers too.
     #[test]
-    fn recompute_updates_excess_consumers() {
+    fn seeded_update_refreshes_excess_consumers() {
         let mut d = Dag::new();
         let a = d.add_input("A");
         let b = d.add_input("B");
@@ -522,8 +527,36 @@ mod tests {
         let ins: Vec<_> = d.in_edges(c).to_vec();
         d.set_edge_fraction(ins[0], r(1, 5));
         d.set_edge_fraction(ins[1], r(4, 5));
-        // Reverse-topo slice of C: C, C', then the inputs.
-        recompute_weighted(&mut table, &d, &HashMap::new(), &[c, c1, b, a]).unwrap();
+        let pos = d.topo_positions().unwrap();
+        let seeds = ratio_edit_seeds(&d, c);
+        recompute_weighted(&mut table, &d, &HashMap::new(), &seeds, &pos).unwrap();
+        assert_eq!(table, compute(&d).unwrap());
+    }
+
+    /// A rewrite grows the DAG: the update takes in the new nodes and
+    /// edges from the rewrite's seeds, and equals a full pass.
+    #[test]
+    fn seeded_update_after_a_cascade_matches_fresh_pass() {
+        let machine = crate::Machine::paper_default();
+        let mut d = Dag::new();
+        let a = d.add_input("A");
+        let b = d.add_input("B");
+        let m = d.add_mix("mx", &[(a, 1), (b, 1999)], 0).unwrap();
+        let n = d.add_mix("n", &[(m, 1), (b, 1)], 0).unwrap();
+        d.add_output("o", n);
+        let mut table = compute(&d).unwrap();
+        let before = d.num_nodes();
+        crate::cascade::apply_cascade(&mut d, m, &machine).unwrap();
+        let mut seeds: Vec<NodeId> = std::iter::once(m)
+            .chain(d.node_ids().skip(before))
+            .collect();
+        let sources: Vec<NodeId> = seeds
+            .iter()
+            .flat_map(|&s| d.in_edges(s).iter().map(|&e| d.edge(e).src))
+            .collect();
+        seeds.extend(sources);
+        let pos = d.topo_positions().unwrap();
+        recompute_weighted(&mut table, &d, &HashMap::new(), &seeds, &pos).unwrap();
         assert_eq!(table, compute(&d).unwrap());
     }
 

@@ -1,14 +1,13 @@
-//! In-place assay edits and dirty slices for incremental replanning.
+//! In-place assay edits for incremental replanning.
 //!
 //! A push-mode session retains its DAG across edits; each edit is
 //! *diffed* against the retained graph ([`set_mix_ratio`] returns only
 //! the edges whose fraction actually changed) and the downstream
-//! replanner recomputes just the dirty backward slice in reverse
-//! topological order ([`Dag::dirty_slice`]). Structural edits that
+//! replanner re-evaluates only what the edit changed, in reverse
+//! topological order ([`Dag::topo_positions`]). Structural edits that
 //! cannot be expressed in place (removing a node from the append-only
 //! arena) rebuild via [`rebuild_without`] with a stable id remap.
 
-use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
 
@@ -180,18 +179,6 @@ impl Dag {
         }
         Ok(pos)
     }
-
-    /// The dirty slice of an edit at `target`: every node whose Vnorm
-    /// an upstream-propagating recompute must revisit — the backward
-    /// slice of `target`, including it — sorted into *reverse*
-    /// topological order using `topo_pos` (from [`Dag::topo_positions`]
-    /// on this graph). The order is deterministic: ties are impossible
-    /// because positions are a permutation.
-    pub fn dirty_slice(&self, target: NodeId, topo_pos: &[usize]) -> Vec<NodeId> {
-        let mut slice = self.backward_slice(target);
-        slice.sort_by_key(|id| Reverse(topo_pos[id.index()]));
-        slice
-    }
 }
 
 #[cfg(test)]
@@ -269,22 +256,5 @@ mod tests {
             rebuild_without(&d, m),
             Err(EditError::HasConsumers { .. })
         ));
-    }
-
-    #[test]
-    fn dirty_slice_is_reverse_topological() {
-        let mut d = Dag::new();
-        let a = d.add_input("A");
-        let b = d.add_input("B");
-        let k = d.add_mix("K", &[(a, 1), (b, 1)], 0).unwrap();
-        let m = d.add_mix("M", &[(k, 1), (b, 1)], 0).unwrap();
-        d.add_output("o", m);
-        let pos = d.topo_positions().unwrap();
-        let slice = d.dirty_slice(m, &pos);
-        assert_eq!(slice.len(), 4);
-        assert_eq!(slice[0], m);
-        for w in slice.windows(2) {
-            assert!(pos[w[0].index()] > pos[w[1].index()]);
-        }
     }
 }

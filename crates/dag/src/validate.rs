@@ -5,7 +5,7 @@ use std::fmt;
 
 use aqua_rational::Ratio;
 
-use crate::graph::{Dag, NodeId, NodeKind};
+use crate::graph::{Dag, EdgeId, NodeId, NodeKind};
 
 /// Structural error in an assay DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,18 +102,50 @@ impl Dag {
             self.validate_node(id)?;
         }
         for eid in self.edge_ids() {
-            if !self.edge_is_live(eid) {
-                continue;
-            }
-            let e = self.edge(eid);
-            if !e.fraction.is_positive() {
-                return Err(DagError::NonPositiveFraction {
-                    src: self.node(e.src).name.clone(),
-                    dst: self.node(e.dst).name.clone(),
-                });
+            if self.edge_is_live(eid) {
+                self.validate_edge(eid)?;
             }
         }
         Ok(())
+    }
+
+    /// [`Dag::validate`]'s node and edge checks for `nodes` and their
+    /// in-edges only (cycles are [`Dag::topological_order`]'s job). For
+    /// a graph that passed [`Dag::validate`] and then changed only at
+    /// `nodes` — new nodes, new or re-pointed in-edges, new fractions —
+    /// this returns exactly what a full validation would: the checks
+    /// run in the same order (nodes by id, then edges by id), and every
+    /// other node and edge still passes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found.
+    pub fn validate_nodes(&self, nodes: &[NodeId]) -> Result<(), DagError> {
+        let mut nodes = nodes.to_vec();
+        nodes.sort_unstable();
+        nodes.dedup();
+        for &id in &nodes {
+            self.validate_node(id)?;
+        }
+        let mut edges: Vec<EdgeId> = nodes
+            .iter()
+            .flat_map(|&id| self.in_edges(id).iter().copied())
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        edges.into_iter().try_for_each(|e| self.validate_edge(e))
+    }
+
+    fn validate_edge(&self, eid: EdgeId) -> Result<(), DagError> {
+        let e = self.edge(eid);
+        if e.fraction.is_positive() {
+            Ok(())
+        } else {
+            Err(DagError::NonPositiveFraction {
+                src: self.node(e.src).name.clone(),
+                dst: self.node(e.dst).name.clone(),
+            })
+        }
     }
 
     fn validate_node(&self, id: NodeId) -> Result<(), DagError> {
@@ -245,6 +277,46 @@ mod tests {
             .unwrap();
         d.add_output("o", m2);
         assert!(d.validate().is_ok());
+    }
+
+    /// After a valid graph changes at some nodes, checking just those
+    /// reports what a full validation reports, in the same order.
+    #[test]
+    fn validating_changed_nodes_matches_a_full_validation() {
+        let mut d = Dag::new();
+        let a = d.add_input("A");
+        let b = d.add_input("B");
+        let k = d.add_mix("K", &[(a, 1), (b, 4)], 0).unwrap();
+        let m = d.add_mix("M", &[(k, 1), (b, 1)], 0).unwrap();
+        d.add_output("o", m);
+        assert_eq!(d.validate_nodes(&[m, k]), Ok(()));
+        // Break M's fractions and add a process with two inputs.
+        let ins = d.in_edges(m).to_vec();
+        d.set_edge_fraction(ins[0], Ratio::ZERO);
+        let c = d.add_input("C");
+        let p = d.add_node("p", NodeKind::Process { op: "x".into() });
+        let extra = d.add_edge(c, p, Ratio::ONE);
+        d.add_edge(k, p, Ratio::ONE);
+        d.add_output("o2", p);
+        let changed = [p, m, c, k];
+        for _ in 0..3 {
+            let full = d.validate();
+            assert!(full.is_err());
+            assert_eq!(d.validate_nodes(&changed), full);
+            // Repair the first violation; the next one surfaces.
+            match full {
+                Err(DagError::FractionsNotNormalized { .. }) => {
+                    d.set_edge_fraction(ins[1], Ratio::ONE);
+                }
+                Err(DagError::BadInDegree { .. }) => {
+                    d.cut_edge(extra);
+                }
+                other => assert!(
+                    matches!(other, Err(DagError::NonPositiveFraction { .. })),
+                    "{other:?}"
+                ),
+            }
+        }
     }
 
     #[test]

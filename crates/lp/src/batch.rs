@@ -125,8 +125,12 @@ where
             let steals = &steals;
             scope.spawn(move || loop {
                 // Own deque first (LIFO), then steal (FIFO) round-robin
-                // starting from the next worker.
-                let task = lock(&queues[w]).pop_back().or_else(|| {
+                // starting from the next worker. The own pop is a
+                // statement of its own so its guard drops before any
+                // other deque is locked: two workers stealing from each
+                // other while holding their own locks would deadlock.
+                let own = lock(&queues[w]).pop_back();
+                let task = own.or_else(|| {
                     (1..threads)
                         .map(|k| (w + k) % threads)
                         .find_map(|v| lock(&queues[v]).pop_front())
@@ -299,6 +303,28 @@ mod tests {
                 assert_eq!(a.stats.iterations, b.stats.iterations);
             }
         }
+    }
+
+    /// Two workers that run dry at once both steal. Each must drop the
+    /// lock on its own deque before locking another's, or they wait on
+    /// each other forever. Many short rounds at 2 and 8 threads make
+    /// that overlap near-certain; the watchdog turns a hang into a
+    /// failure instead of a stalled test run.
+    #[test]
+    fn concurrent_steals_never_deadlock() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for threads in [2usize, 8] {
+                for round in 0..2_000usize {
+                    let out = run_parallel_threads(16, threads, |i| i + round);
+                    assert_eq!(out[15], 15 + round);
+                }
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("work-stealing pool deadlocked (or panicked)");
     }
 
     #[test]

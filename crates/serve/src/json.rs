@@ -181,12 +181,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one full UTF-8 scalar from the source slice.
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the whole run up to the next quote or escape. Both
+                // are ASCII, so they never occur inside a multi-byte UTF-8
+                // sequence and the run ends on a character boundary; each
+                // byte is validated once, keeping the parse linear.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
                     .map_err(|_| "non-utf8 string".to_owned())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -298,6 +303,31 @@ mod tests {
         let v = parse(r#""a\"b\\c\ndA""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
         assert_eq!(quote("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+    }
+
+    /// A string near the 1 MiB request-line cap parses in time linear in
+    /// its length, and escapes and multi-byte characters between the
+    /// unescaped runs still decode exactly.
+    #[test]
+    fn megabyte_strings_parse_linearly_and_round_trip() {
+        let piece = "plain ascii, \u{e9}t\u{e9} \u{6f22}\u{5b57} \u{1f980} \"quoted\" back\\slash\ttab\nline\u{1}";
+        let mut s = String::new();
+        while s.len() < 1 << 20 {
+            s.push_str(piece);
+        }
+        let started = std::time::Instant::now();
+        let parsed = parse(&quote(&s)).unwrap();
+        assert_eq!(parsed.as_str(), Some(s.as_str()));
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(10),
+            "1 MiB string took {:?}",
+            started.elapsed()
+        );
+        let v = parse(r#""\u00e9\u6f22x\"\\\/\b\f\r\t\n\u0001 é🦀""#).unwrap();
+        assert_eq!(
+            v.as_str(),
+            Some("\u{e9}\u{6f22}x\"\\/\u{8}\u{c}\r\t\n\u{1} \u{e9}\u{1f980}")
+        );
     }
 
     #[test]

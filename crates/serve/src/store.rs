@@ -44,8 +44,13 @@ pub struct StoreConfig {
     pub dir: PathBuf,
     /// Rotate the active segment once it grows past this many bytes.
     pub segment_bytes: u64,
-    /// Auto-compact when the directory holds more than this many
-    /// segments at rotation time (`0` disables auto-compaction).
+    /// Auto-compact once the directory holds more than this many
+    /// segments *and* compaction can reclaim something: stale-era
+    /// segments, torn, undecodable or duplicate records found at open,
+    /// or over twice the segments the live records need (`0` disables
+    /// auto-compaction). Appends alone never trigger it: deduplicated
+    /// appends leave no dead bytes, so rewriting the live set would
+    /// only copy it.
     pub compact_segments: usize,
     /// `fsync` after every append. Off by default: the store is a warm
     /// cache, not a system of record, and a torn tail only costs a
@@ -96,6 +101,11 @@ pub struct PlanStore {
     config: StoreConfig,
     log: SegmentLog,
     index: HashMap<u128, RecordSpan>,
+    /// Framed bytes of the indexed records.
+    live_bytes: u64,
+    /// Whether the segments hold bytes outside the live records (found
+    /// at open; cleared by [`PlanStore::compact`]).
+    dead_data: bool,
 }
 
 /// Renders one payload: `[enc_len u32][key 16B][enc][plan]` (the log
@@ -151,6 +161,7 @@ impl PlanStore {
         let (log, recovered, mut report) = SegmentLog::open(config.log_config())?;
         let mut records: Vec<Record> = Vec::new();
         let mut index: HashMap<u128, RecordSpan> = HashMap::new();
+        let mut dead_data = report.stale_segments > 0 || report.torn_records > 0;
         for item in recovered {
             let Some(record) = decode_payload(&item.payload) else {
                 // CRC-valid but semantically undecodable: drop it, but
@@ -162,10 +173,19 @@ impl PlanStore {
             // copy for rehydration; bytes are identical by construction.
             if index.insert(record.key, item.span).is_none() {
                 records.push(record);
+            } else {
+                dead_data = true;
             }
         }
         report.records = records.len();
-        let store = PlanStore { config, log, index };
+        let live_bytes = index.values().map(|span| span.len).sum();
+        let store = PlanStore {
+            config,
+            log,
+            index,
+            live_bytes,
+            dead_data,
+        };
         Ok((store, records, report))
     }
 
@@ -181,12 +201,23 @@ impl PlanStore {
         }
         let span = self.log.append(&encode_payload(key, encoding, plan))?;
         self.index.insert(key, span);
+        self.live_bytes += span.len;
         if self.config.compact_segments > 0
             && self.log.segment_count() > self.config.compact_segments
+            && self.compaction_reclaims()
         {
             self.compact()?;
         }
         Ok(true)
+    }
+
+    /// Whether [`PlanStore::compact`] would free anything: dead bytes
+    /// on disk, or far more segments than the live records fill (after
+    /// `segment_bytes` grew between runs). The factor of two keeps a
+    /// freshly compacted store from qualifying again as it grows.
+    fn compaction_reclaims(&self) -> bool {
+        let needed = self.live_bytes / self.config.segment_bytes.max(1) + 1;
+        self.dead_data || self.log.segment_count() as u64 > 2 * needed
     }
 
     /// Rewrites every live record into fresh segments and deletes the
@@ -204,6 +235,8 @@ impl PlanStore {
             live.push(self.log.read(self.index[&key])?);
         }
         let spans = self.log.compact(&live)?;
+        self.live_bytes = spans.iter().map(|span| span.len).sum();
+        self.dead_data = false;
         self.index = keys.iter().copied().zip(spans).collect();
         Ok(keys.len())
     }
@@ -331,6 +364,73 @@ mod tests {
             let expect = format!("{{\"p\":{}}}", r.key);
             assert_eq!(&*r.plan, expect.as_str());
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Past the segment threshold, appends of new keys leave nothing to
+    /// reclaim, so auto-compaction must not rewrite the live set on
+    /// every append: each record moves a bounded number of times.
+    #[test]
+    fn auto_compaction_does_not_rewrite_on_every_append() {
+        let dir = tmp_dir("no-thrash");
+        let mut cfg = StoreConfig::at(&dir);
+        cfg.segment_bytes = 128;
+        cfg.compact_segments = 4;
+        let (mut store, _, _) = PlanStore::open(cfg).unwrap();
+        let mut spans: Vec<RecordSpan> = Vec::new();
+        let mut moves = Vec::new();
+        for k in 0..400u128 {
+            store
+                .append(k, format!("enc-{k}").as_bytes(), &format!("{{\"p\":{k}}}"))
+                .unwrap();
+            spans.push(store.locate(k).unwrap());
+            moves.push(0usize);
+            for (j, span) in spans.iter_mut().enumerate() {
+                let now = store.locate(j as u128).unwrap();
+                if now != *span {
+                    moves[j] += 1;
+                    *span = now;
+                }
+            }
+        }
+        assert!(store.segment_count() > 100, "rotation must have happened");
+        let worst = moves.iter().copied().max().unwrap();
+        assert!(worst <= 1, "a record was rewritten {worst} times");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Dead data found at open (here a stale-era segment) still makes
+    /// the store compact once it passes the threshold, and only once.
+    #[test]
+    fn auto_compaction_reclaims_stale_segments_once() {
+        let dir = tmp_dir("reclaim");
+        fs::create_dir_all(&dir).unwrap();
+        let stale = dir.join("seg-000000.log");
+        fs::write(&stale, b"\x10\x00\x00\x00aqlog1 old/v0!!\n").unwrap();
+        let mut cfg = StoreConfig::at(&dir);
+        cfg.segment_bytes = 128;
+        cfg.compact_segments = 4;
+        let (mut store, _, report) = PlanStore::open(cfg.clone()).unwrap();
+        assert_eq!(report.stale_segments, 1);
+        let mut first_moved = 0;
+        let first = |store: &PlanStore| store.locate(0);
+        store.append(0, b"enc-0", "{\"p\":0}").unwrap();
+        let mut at = first(&store);
+        for k in 1..200u128 {
+            store
+                .append(k, format!("enc-{k}").as_bytes(), &format!("{{\"p\":{k}}}"))
+                .unwrap();
+            if first(&store) != at {
+                first_moved += 1;
+                at = first(&store);
+            }
+        }
+        assert!(!stale.exists(), "the stale segment was reclaimed");
+        assert_eq!(first_moved, 1, "compacted exactly once");
+        drop(store);
+        let (_, records, report) = PlanStore::open(cfg).unwrap();
+        assert_eq!(records.len(), 200);
+        assert_eq!(report.stale_segments, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

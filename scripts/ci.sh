@@ -5,6 +5,11 @@
 #   1. formatting            (cargo fmt --check)
 #   2. lints, deny warnings  (cargo clippy --workspace --all-targets)
 #   3. tier-1 build + tests  (cargo build --release && cargo test -q)
+#      + every crate's unit and integration tests (cargo test
+#        --workspace: the hierarchy, Vnorm, feascheck and pool unit
+#        tests, and aqua-serve's golden_protocol, cache_differential,
+#        session_protocol and invalidation byte-identity suites),
+#        timeout-guarded like the stress step: a hang is a deadlock
 #   4. rustdoc, deny warnings (cargo doc --no-deps)
 #   5. property suites       (cargo test --features proptests)
 #   6. LP backend smoke test (bench_lp --quick: sparse/dense/auto
@@ -73,6 +78,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> workspace tests: cargo test -q --release --workspace (timeout-guarded)"
+timeout 900 cargo test -q --release --workspace
 
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
