@@ -1,12 +1,12 @@
 //! Micro-benchmarks of the LP substrate itself: the two-phase bounded
 //! simplex on random dense LPs of growing size, on both the sparse
-//! revised backend (default) and the dense tableau fallback.
+//! revised simplex (the solver) and the dense tableau (its oracle).
 //!
 //! Uses the in-repo harness (`aqua_bench::harness`) instead of
 //! criterion, which is unavailable offline.
 
 use aqua_bench::harness::{report, time};
-use aqua_lp::{solve_with, Model, Sense, SimplexConfig, SolverBackend};
+use aqua_lp::{solve_dense, solve_with, Model, Sense, SimplexConfig, SolveOutput};
 use aqua_rational::rng::XorShift64Star;
 use std::hint::black_box;
 
@@ -33,20 +33,16 @@ fn random_lp(seed: u64, nvars: usize, nrows: usize) -> Model {
     m
 }
 
+type Solve = fn(&Model, &SimplexConfig) -> SolveOutput;
+
 fn main() {
     for (nvars, nrows) in [(10, 10), (40, 40), (100, 100), (200, 150)] {
         let model = random_lp(7, nvars, nrows);
-        for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-            let config = SimplexConfig {
-                backend,
-                ..SimplexConfig::default()
-            };
-            let m = time(
-                &format!("simplex/{backend:?}/{nvars}v_{nrows}r"),
-                2,
-                10,
-                || black_box(solve_with(black_box(&model), &config)),
-            );
+        for (name, solve) in [("Sparse", solve_with as Solve), ("Dense", solve_dense)] {
+            let config = SimplexConfig::default();
+            let m = time(&format!("simplex/{name}/{nvars}v_{nrows}r"), 2, 10, || {
+                black_box(solve(black_box(&model), &config))
+            });
             report(&m);
         }
     }

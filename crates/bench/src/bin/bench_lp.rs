@@ -1,30 +1,26 @@
-//! Times the LP solver's sparse (revised simplex) backend against the
-//! dense tableau backend — and the `Auto` dispatcher against both — on
-//! the paper's assays, and writes the results to `BENCH_lp.json` at the
-//! repo root.
+//! Times the LP solver's sparse revised simplex against the dense
+//! tableau oracle on the paper's assays, and writes the results to
+//! `BENCH_lp.json` at the repo root.
 //!
 //! Usage: `cargo run --release --bin bench_lp [--quick] [--out PATH]
 //! [--obs TRACE_PATH]`
 //!
 //! `--obs` attaches a recording observability sink: pivot/eta-refactor
-//! counters and phase spans from every solve are exported as a Chrome
-//! trace-event JSON (load it at `chrome://tracing` or Perfetto) and a
-//! text summary is printed at exit.
+//! counters and phase spans from every sparse solve are exported as a
+//! Chrome trace-event JSON (load it at `chrome://tracing` or Perfetto)
+//! and a text summary is printed at exit.
 //!
 //! Four cases are measured, each as formulated by `lpform` (glycomics
 //! is solved per partition, like the paper's four-partition runs):
 //! the Figure 2 running example, Glucose, Glycomics, and Enzyme10.
-//! Every case is solved once per backend outside the timed region to
+//! Every case is solved once per solver outside the timed region to
 //! check agreement (identical status, |Δobjective| <= 1e-6), then
 //! timed with warmup + N iterations (median/p95, see `harness`).
 //!
-//! The `bench_lp/v2` schema adds per-case `*_backend_chosen` (what
-//! `SolverBackend::Auto` resolved to), `*_pivots` (simplex iterations
-//! under the default devex pricing), an `*_auto_within_floor` check
-//! (Auto's median within 1.1x of the better concrete backend — the
-//! no-regression floor `scripts/ci.sh` enforces), and an `ilp_par_*`
-//! section timing the deterministic parallel branch-and-bound at 1
-//! vs 8 threads. `enzyme10_lp_status` (formerly `enzyme10_status`)
+//! The `bench_lp/v3` schema records per case `*_agree`, `*_max_dobj`,
+//! `*_lp_status`, `*_pivots` (sparse simplex iterations under the
+//! default devex pricing) and `*_speedup` (dense median over sparse
+//! median), plus `host_cpus` and `agree_all`. `enzyme10_lp_status`
 //! records that the raw enzyme10 RVol LP is *expectedly* infeasible:
 //! the extreme dilution chain outruns the machine span, which is
 //! exactly what triggers the paper's Fig. 6 cascade/replication
@@ -35,16 +31,12 @@
 
 use aqua_bench::harness::{self, Extra, Measurement};
 use aqua_bench::{benchmark_dag, Benchmark};
-use aqua_lp::{solve_ilp, solve_with, IlpConfig, Model, SimplexConfig, SolverBackend, Status};
+use aqua_lp::{solve_dense, solve_with, Model, SimplexConfig, SolveOutput, Status};
 use aqua_volume::lpform::{self, LpOptions};
 use aqua_volume::{unknown, Machine};
 
-/// Objective agreement tolerance between the two backends.
+/// Objective agreement tolerance between the two solvers.
 const OBJ_TOL: f64 = 1e-6;
-
-/// Auto must land within this factor of the better concrete backend
-/// (`scripts/ci.sh` re-checks the recorded booleans).
-const AUTO_FLOOR: f64 = 1.1;
 
 struct Case {
     name: &'static str,
@@ -52,56 +44,44 @@ struct Case {
     models: Vec<Model>,
 }
 
-fn config(backend: SolverBackend, obs: &aqua_obs::Obs) -> SimplexConfig {
-    SimplexConfig {
-        backend,
-        obs: obs.clone(),
-        ..SimplexConfig::default()
-    }
+#[derive(Clone, Copy)]
+enum Solver {
+    Sparse,
+    Dense,
 }
 
-/// Solves every model of a case with one backend; returns per-model
-/// (status kind, objective) where the objective is NaN unless optimal.
+/// Solves every model of a case with one solver; returns per-model
+/// (status kind, objective, pivots) where the objective is NaN unless
+/// optimal.
 fn solve_case(
     case: &Case,
-    backend: SolverBackend,
-    obs: &aqua_obs::Obs,
-) -> Vec<(&'static str, f64)> {
-    let config = config(backend, obs);
+    solver: Solver,
+    config: &SimplexConfig,
+) -> Vec<(&'static str, f64, u64)> {
     case.models
         .iter()
-        .map(|m| match solve_with(m, &config).status {
-            Status::Optimal(sol) => ("optimal", sol.objective),
-            Status::Infeasible => ("infeasible", f64::NAN),
-            Status::Unbounded => ("unbounded", f64::NAN),
-            Status::IterationLimit => ("iteration-limit", f64::NAN),
+        .map(|m| {
+            let SolveOutput { status, stats } = match solver {
+                Solver::Sparse => solve_with(m, config),
+                Solver::Dense => solve_dense(m, config),
+            };
+            let (kind, obj) = match status {
+                Status::Optimal(sol) => ("optimal", sol.objective),
+                Status::Infeasible => ("infeasible", f64::NAN),
+                Status::Unbounded => ("unbounded", f64::NAN),
+                Status::IterationLimit => ("iteration-limit", f64::NAN),
+            };
+            (kind, obj, stats.iterations)
         })
         .collect()
 }
 
-/// One untimed Auto pass: which backend each model resolved to (distinct
-/// values, comma-joined) and total simplex pivots under devex pricing.
-fn auto_probe(case: &Case, obs: &aqua_obs::Obs) -> (String, u64) {
-    let config = config(SolverBackend::Auto, obs);
-    let mut chosen: Vec<&'static str> = Vec::new();
-    let mut pivots = 0u64;
-    for m in &case.models {
-        let out = solve_with(m, &config);
-        pivots += out.stats.iterations;
-        let name = match out.stats.backend_chosen {
-            SolverBackend::Sparse => "sparse",
-            _ => "dense",
-        };
-        if !chosen.contains(&name) {
-            chosen.push(name);
-        }
-    }
-    (chosen.join(","), pivots)
-}
-
 /// Largest |Δobjective| across a case's models, or None if the two
-/// backends disagree on any model's status.
-fn agreement(sparse: &[(&'static str, f64)], dense: &[(&'static str, f64)]) -> Option<f64> {
+/// solvers disagree on any model's status.
+fn agreement(
+    sparse: &[(&'static str, f64, u64)],
+    dense: &[(&'static str, f64, u64)],
+) -> Option<f64> {
     let mut max_delta = 0.0f64;
     for (s, d) in sparse.iter().zip(dense) {
         if s.0 != d.0 {
@@ -152,6 +132,10 @@ fn main() {
         build_case("enzyme10", &benchmark_dag(Benchmark::EnzymeN(10)), &machine),
     ];
 
+    let config = SimplexConfig {
+        obs,
+        ..SimplexConfig::default()
+    };
     println!(
         "bench_lp: sparse vs dense simplex ({} mode)\n",
         if quick { "quick" } else { "full" }
@@ -160,12 +144,11 @@ fn main() {
     let mut measurements: Vec<Measurement> = Vec::new();
     let mut extras: Vec<(String, Extra)> = vec![("quick".into(), Extra::Bool(quick))];
     let mut agree_all = true;
-    let mut auto_floor_ok = true;
 
     for case in &cases {
         // Reference solves (untimed) for the agreement check.
-        let ref_sparse = solve_case(case, SolverBackend::Sparse, &obs);
-        let ref_dense = solve_case(case, SolverBackend::Dense, &obs);
+        let ref_sparse = solve_case(case, Solver::Sparse, &config);
+        let ref_dense = solve_case(case, Solver::Dense, &config);
         let delta = agreement(&ref_sparse, &ref_dense);
         let agree = delta.is_some_and(|d| d <= OBJ_TOL);
         agree_all &= agree;
@@ -178,7 +161,7 @@ fn main() {
                 d,
                 if agree { "agree" } else { "DISAGREE" }
             ),
-            None => println!("{:<12} backends DISAGREE on status", case.name),
+            None => println!("{:<12} solvers DISAGREE on status", case.name),
         }
         extras.push((format!("{}_agree", case.name), Extra::Bool(agree)));
         if let Some(d) = delta {
@@ -187,196 +170,86 @@ fn main() {
                 Extra::Num(format!("{d:e}")),
             ));
         }
-        // `*_lp_status` (v2 rename from `*_status`): the status of the
-        // *raw LP formulation*. Enzyme10's is expectedly "infeasible" —
-        // the signal that sends the hierarchy into the Fig. 6
-        // cascade/replication escalation, not a solver failure.
+        // `*_lp_status`: the status of the *raw LP formulation*.
+        // Enzyme10's is expectedly "infeasible" — the signal that sends
+        // the hierarchy into the Fig. 6 cascade/replication escalation,
+        // not a solver failure.
         extras.push((
             format!("{}_lp_status", case.name),
             Extra::Str(ref_sparse.iter().map(|s| s.0).collect::<Vec<_>>().join(",")),
         ));
-        let (chosen, pivots) = auto_probe(case, &obs);
-        extras.push((format!("{}_backend_chosen", case.name), Extra::Str(chosen)));
+        let pivots: u64 = ref_sparse.iter().map(|s| s.2).sum();
         extras.push((
             format!("{}_pivots", case.name),
             Extra::Num(pivots.to_string()),
         ));
 
-        // Auto is timed before dense on purpose: the dense enzyme10
-        // tableau is hundreds of MB, and timing Auto right after it
-        // would charge the cache-refill cost to Auto.
-        let mut case_medians = [0u128; 3];
-        let mut case_mins = [0u128; 3];
-        for (slot, backend, bname) in [
-            (0usize, SolverBackend::Sparse, "sparse"),
-            (2, SolverBackend::Auto, "auto"),
-            (1, SolverBackend::Dense, "dense"),
+        let mut medians = [0u128; 2];
+        for (slot, solver, sname) in [
+            (0usize, Solver::Sparse, "sparse"),
+            (1, Solver::Dense, "dense"),
         ] {
-            let (warmup, iters) = iteration_plan(case.name, backend, quick);
+            let (warmup, iters) = iteration_plan(case.name, solver, quick);
             // The small cases solve in single-digit microseconds —
             // below the resolution a busy host can time one call at.
             // Batch `reps` solves per timed iteration and normalize, so
             // each sample is comfortably above timer/scheduler noise;
-            // backend ratios are unaffected (all share the batching).
+            // solver ratios are unaffected (both share the batching).
             let reps: u128 = if case.name == "enzyme10" { 1 } else { 32 };
-            let label = format!("{}/{bname}", case.name);
+            let label = format!("{}/{sname}", case.name);
             let mut m = harness::time(&label, warmup, iters, || {
                 for _ in 1..reps {
-                    std::hint::black_box(solve_case(case, backend, &obs));
+                    std::hint::black_box(solve_case(case, solver, &config));
                 }
-                solve_case(case, backend, &obs)
+                solve_case(case, solver, &config)
             });
             m.min_ns /= reps;
             m.mean_ns /= reps;
             m.median_ns /= reps;
             m.p95_ns /= reps;
             harness::report(&m);
-            case_medians[slot] = m.median_ns;
-            case_mins[slot] = m.min_ns;
+            medians[slot] = m.median_ns;
             measurements.push(m);
         }
-        let speedup = case_medians[1] as f64 / case_medians[0].max(1) as f64;
-        // The floor check is a *paired* measurement: alternate the
-        // better concrete backend and Auto back-to-back and take the
-        // median of per-pair ratios. Slow host phases (this often runs
-        // on a busy single-core container) hit both sides of a pair
-        // equally and cancel, which block timing cannot do — block
-        // minima were observed to jitter past the 10% margin even
-        // though Auto runs the identical solve.
-        let better_backend = if case_mins[0] <= case_mins[1] {
-            SolverBackend::Sparse
-        } else {
-            SolverBackend::Dense
-        };
-        let reps = if case.name == "enzyme10" { 1 } else { 16 };
-        let pairs = if quick { 11 } else { 21 };
-        let timed = |backend: SolverBackend| {
-            let t = std::time::Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(solve_case(case, backend, &obs));
-            }
-            t.elapsed().as_nanos().max(1)
-        };
-        let mut ratios: Vec<f64> = (0..pairs)
-            .map(|_| {
-                let base = timed(better_backend);
-                let auto = timed(SolverBackend::Auto);
-                auto as f64 / base as f64
-            })
-            .collect();
-        ratios.sort_by(f64::total_cmp);
-        let auto_ratio = ratios[pairs / 2];
-        let within = auto_ratio <= AUTO_FLOOR;
-        auto_floor_ok &= within;
-        println!(
-            "{:<12} sparse speedup: {speedup:.2}x, auto/better: {auto_ratio:.2}x ({})\n",
-            case.name,
-            if within { "within floor" } else { "FLOOR MISS" }
-        );
+        let speedup = medians[1] as f64 / medians[0].max(1) as f64;
+        println!("{:<12} sparse speedup: {speedup:.2}x\n", case.name);
         extras.push((
             format!("{}_speedup", case.name),
             Extra::Num(format!("{speedup:.3}")),
         ));
-        extras.push((
-            format!("{}_auto_ratio", case.name),
-            Extra::Num(format!("{auto_ratio:.3}")),
-        ));
-        extras.push((
-            format!("{}_auto_within_floor", case.name),
-            Extra::Bool(within),
-        ));
     }
 
-    // Deterministic parallel branch-and-bound: the same budgeted IVol
-    // search at 1 vs 8 threads (fixed sync width, so the searches are
-    // node-for-node identical) — the speedup is pure relaxation-solve
-    // parallelism. `host_cpus` qualifies the number: on a single-core
-    // host the 8-thread run can only measure scheduling overhead, so
-    // the enforced invariant is node-count agreement, never speedup.
+    // `host_cpus` qualifies every timing: all solves run on one thread.
     let host_cpus = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     extras.push(("host_cpus".into(), Extra::Num(host_cpus.to_string())));
-    let ivol = lpform::build(
-        &benchmark_dag(Benchmark::Glucose),
-        &machine,
-        &LpOptions::ivol(),
-    );
-    let ilp_cfg = |threads: usize| IlpConfig {
-        max_nodes: if quick { 200 } else { 2_000 },
-        time_budget: std::time::Duration::from_secs(if quick { 2 } else { 20 }),
-        threads,
-        sync_width: 8,
-        simplex: SimplexConfig {
-            obs: obs.clone(),
-            ..SimplexConfig::default()
-        },
-        ..IlpConfig::default()
-    };
-    let (ilp_warm, ilp_iters) = if quick { (0, 1) } else { (1, 3) };
-    let mut nodes_by_threads = Vec::new();
-    let mut ilp_medians = Vec::new();
-    for threads in [1usize, 8] {
-        let cfg = ilp_cfg(threads);
-        let m = harness::time(&format!("ilp_par/t{threads}"), ilp_warm, ilp_iters, || {
-            solve_ilp(&ivol.model, &cfg)
-        });
-        harness::report(&m);
-        let probe = solve_ilp(&ivol.model, &cfg);
-        nodes_by_threads.push(probe.stats.nodes);
-        ilp_medians.push(m.median_ns);
-        measurements.push(m);
-    }
-    let nodes_agree = nodes_by_threads.windows(2).all(|w| w[0] == w[1]);
-    agree_all &= nodes_agree;
-    let ilp_speedup = ilp_medians[0] as f64 / ilp_medians[1].max(1) as f64;
-    println!(
-        "ilp_par       nodes {} ({}), 8-thread speedup: {ilp_speedup:.2}x\n",
-        nodes_by_threads[0],
-        if nodes_agree {
-            "thread-invariant"
-        } else {
-            "NODE COUNT DIVERGES"
-        }
-    );
-    extras.push((
-        "ilp_par_nodes".into(),
-        Extra::Num(nodes_by_threads[0].to_string()),
-    ));
-    extras.push(("ilp_par_nodes_agree".into(), Extra::Bool(nodes_agree)));
-    extras.push((
-        "ilp_par_speedup".into(),
-        Extra::Num(format!("{ilp_speedup:.3}")),
-    ));
-
     extras.push(("agree_all".into(), Extra::Bool(agree_all)));
-    extras.push(("auto_floor_ok".into(), Extra::Bool(auto_floor_ok)));
-    let json = harness::to_json("bench_lp/v2", &measurements, &extras);
+    let json = harness::to_json("bench_lp/v3", &measurements, &extras);
     std::fs::write(&out_path, &json).expect("write BENCH_lp.json");
     println!("wrote {out_path}");
     if let Some((path, sink)) = obs_out {
         harness::write_obs_trace(&path, &sink);
     }
     if !agree_all {
-        eprintln!("error: backend disagreement (see above)");
+        eprintln!("error: sparse/dense disagreement (see above)");
         std::process::exit(1);
     }
 }
 
-/// (warmup, timed iterations) per case and backend.
+/// (warmup, timed iterations) per case and solver.
 ///
 /// Enzyme10 is the expensive case (~1 s per dense solve; the paper's
 /// Enzyme10 LP took >20 minutes on its hardware), so it gets fewer
 /// iterations; everything else is microseconds and gets a proper
 /// median over several runs.
-fn iteration_plan(case: &str, backend: SolverBackend, quick: bool) -> (usize, usize) {
+fn iteration_plan(case: &str, solver: Solver, quick: bool) -> (usize, usize) {
     let slow = case == "enzyme10";
-    match (slow, backend, quick) {
-        (true, SolverBackend::Dense, true) => (0, 1),
-        (true, _, true) => (0, 2),
-        (true, SolverBackend::Dense, false) => (1, 3),
-        // Auto resolves enzyme10 to sparse; give both the sparse plan.
-        (true, _, false) => (1, 5),
+    match (slow, solver, quick) {
+        (true, Solver::Dense, true) => (0, 1),
+        (true, Solver::Sparse, true) => (0, 2),
+        (true, Solver::Dense, false) => (1, 3),
+        (true, Solver::Sparse, false) => (1, 5),
         // The small cases are microseconds each: lots of iterations are
         // nearly free and keep the min/median stable on noisy hosts.
         (false, _, true) => (2, 25),

@@ -13,6 +13,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use aqua_obs::export::quote;
+
 /// One measured benchmark case.
 #[derive(Debug, Clone)]
 pub struct Measurement {
@@ -129,17 +131,17 @@ pub enum Extra {
 pub fn to_json(schema: &str, measurements: &[Measurement], extras: &[(String, Extra)]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{}\",", escape(schema));
+    let _ = writeln!(out, "  \"schema\": {},", quote(schema));
     for (k, v) in extras {
         match v {
             Extra::Num(n) => {
-                let _ = writeln!(out, "  \"{}\": {},", escape(k), n);
+                let _ = writeln!(out, "  {}: {},", quote(k), n);
             }
             Extra::Str(s) => {
-                let _ = writeln!(out, "  \"{}\": \"{}\",", escape(k), escape(s));
+                let _ = writeln!(out, "  {}: {},", quote(k), quote(s));
             }
             Extra::Bool(b) => {
-                let _ = writeln!(out, "  \"{}\": {},", escape(k), b);
+                let _ = writeln!(out, "  {}: {},", quote(k), b);
             }
         }
     }
@@ -147,8 +149,8 @@ pub fn to_json(schema: &str, measurements: &[Measurement], extras: &[(String, Ex
     for (i, m) in measurements.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"name\": \"{}\", \"iters\": {}, \"min_ns\": {}, \"mean_ns\": {}, \"median_ns\": {}, \"p95_ns\": {}}}",
-            escape(&m.name),
+            "    {{\"name\": {}, \"iters\": {}, \"min_ns\": {}, \"mean_ns\": {}, \"median_ns\": {}, \"p95_ns\": {}}}",
+            quote(&m.name),
             m.iters,
             m.min_ns,
             m.mean_ns,
@@ -208,22 +210,6 @@ pub fn write_obs_trace(path: &str, sink: &aqua_obs::MemorySink) {
     std::fs::write(path, &trace).expect("write obs trace");
     println!("\n{}", aqua_obs::export::text_summary(sink));
     println!("wrote obs trace to {path}");
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,26 +1,18 @@
-//! Differential tests: the sparse revised-simplex backend must agree
-//! with the dense tableau backend on every assay formulation and on a
-//! battery of seeded random models.
+//! Differential tests: the sparse revised simplex must agree with the
+//! dense tableau oracle on every assay formulation and on a battery of
+//! seeded random models.
 //!
 //! Agreement means identical status, objectives within 1e-6, and a
 //! primal-feasible solution (bounds + constraints within tolerance).
 
 use aqua_bench::{benchmark_dag, Benchmark};
-use aqua_lp::{solve_with, Model, SimplexConfig, SolverBackend, Status};
+use aqua_lp::{solve_dense, solve_with, Model, SimplexConfig, Status};
 use aqua_rational::rng::XorShift64Star;
 use aqua_volume::lpform::{self, LpOptions};
 use aqua_volume::{unknown, Machine};
 
 const OBJ_TOL: f64 = 1e-6;
 const FEAS_TOL: f64 = 1e-6;
-
-fn solve(model: &Model, backend: SolverBackend) -> Status {
-    let config = SimplexConfig {
-        backend,
-        ..SimplexConfig::default()
-    };
-    solve_with(model, &config).status
-}
 
 /// Asserts the point satisfies every bound and constraint of `model`.
 fn assert_feasible(model: &Model, values: &[f64], context: &str) {
@@ -47,10 +39,10 @@ fn assert_feasible(model: &Model, values: &[f64], context: &str) {
     }
 }
 
-/// Solves with both backends and checks full agreement.
+/// Solves with both solvers and checks full agreement.
 fn differential(model: &Model, context: &str) {
-    let sparse = solve(model, SolverBackend::Sparse);
-    let dense = solve(model, SolverBackend::Dense);
+    let sparse = solve_with(model, &SimplexConfig::default()).status;
+    let dense = solve_dense(model, &SimplexConfig::default()).status;
     match (&sparse, &dense) {
         (Status::Optimal(s), Status::Optimal(d)) => {
             assert!(

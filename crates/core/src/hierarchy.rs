@@ -756,54 +756,6 @@ pub fn replan_with_observations(
     }
 }
 
-/// Runs the Figure 6 hierarchy on many independent assays in parallel
-/// (one task per DAG on [`aqua_lp::batch`]'s work-stealing pool).
-///
-/// Results are in input order and identical to calling
-/// [`manage_volumes`] sequentially on each DAG — the hierarchy is a
-/// pure function of its inputs, so parallelism affects wall time only.
-///
-/// # Examples
-///
-/// ```
-/// use aqua_dag::Dag;
-/// use aqua_volume::{solve_assays_parallel, Machine, VolumeManagerOptions};
-///
-/// let dags: Vec<Dag> = (0..3)
-///     .map(|k| {
-///         let mut d = Dag::new();
-///         let a = d.add_input("A");
-///         let b = d.add_input("B");
-///         let m = d.add_mix("mx", &[(a, 1), (b, k + 1)], 0).unwrap();
-///         d.add_process("s", "sense.OD", m);
-///         d
-///     })
-///     .collect();
-/// let outs = solve_assays_parallel(&dags, &Machine::paper_default(), &Default::default());
-/// assert!(outs.iter().all(|o| o.is_solved()));
-/// ```
-pub fn solve_assays_parallel(
-    dags: &[Dag],
-    machine: &Machine,
-    opts: &VolumeManagerOptions,
-) -> Vec<ManagedOutcome> {
-    aqua_lp::batch::run_parallel(dags.len(), |i| manage_volumes(&dags[i], machine, opts))
-}
-
-/// [`solve_assays_parallel`] with an explicit worker-thread count.
-/// Results are in input order and identical for every `threads` value;
-/// the determinism tests pin exactly this across 1, 2, and 8 workers.
-pub fn solve_assays_parallel_threads(
-    dags: &[Dag],
-    machine: &Machine,
-    opts: &VolumeManagerOptions,
-    threads: usize,
-) -> Vec<ManagedOutcome> {
-    aqua_lp::batch::run_parallel_threads(dags.len(), threads, |i| {
-        manage_volumes(&dags[i], machine, opts)
-    })
-}
-
 /// Converts an LP float (nl) to an exact ratio via milli-least-count
 /// quantization; only used for reporting source loads.
 fn float_to_ratio_nl(v: f64) -> Ratio {
@@ -955,9 +907,14 @@ mod parallel_tests {
             .collect();
         let machine = Machine::paper_default();
         let opts = VolumeManagerOptions::default();
-        let baseline = solve_assays_parallel_threads(&dags, &machine, &opts, 1);
+        let solve = |threads: usize| {
+            aqua_lp::batch::run_parallel_threads(dags.len(), threads, |i| {
+                manage_volumes(&dags[i], &machine, &opts)
+            })
+        };
+        let baseline = solve(1);
         for threads in [2usize, 8] {
-            let run = solve_assays_parallel_threads(&dags, &machine, &opts, threads);
+            let run = solve(threads);
             assert_eq!(run.len(), baseline.len());
             for (i, (a, b)) in baseline.iter().zip(&run).enumerate() {
                 match (a, b) {

@@ -72,8 +72,7 @@ pub mod vnorm;
 
 pub use dagsolve::{DagSolveError, VolumeAssignment};
 pub use hierarchy::{
-    manage_volumes, replan_with_observations, solve_assays_parallel, solve_assays_parallel_threads,
-    ManagedOutcome, Method, VolumeManagerOptions,
+    manage_volumes, replan_with_observations, ManagedOutcome, Method, VolumeManagerOptions,
 };
 pub use incr::{compile_with_trace, Divergence, IncrEdit, IncrSolver, Recording, ReplayOutcome};
 pub use machine::Machine;

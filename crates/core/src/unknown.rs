@@ -309,7 +309,7 @@ pub fn partition(dag: &Dag, machine: &Machine) -> Result<PartitionPlan, Partitio
 
     // --- Compile-time Vnorms per partition: each partition's table
     // depends only on its own local DAG, so the (potentially many)
-    // computations fan out across the work-stealing pool. ---
+    // computations fan out across the batch pool. ---
     let tables =
         aqua_lp::batch::run_parallel(partitions.len(), |i| vnorm::compute(&partitions[i].dag));
     for (part, table) in partitions.iter_mut().zip(tables) {

@@ -243,7 +243,10 @@ impl Cx {
             } => {
                 let lo = self.eval(from)?;
                 let hi = self.eval(to)?;
-                if hi - lo > 1_000_000 {
+                // `checked_sub`: bounds near `i64::MIN`/`MAX` would
+                // otherwise wrap negative, pass the cap, and start a
+                // loop of ~2^63 iterations.
+                if hi.checked_sub(lo).is_none_or(|span| span > 1_000_000) {
                     return Err(LangError::new(*span, "loop trip count is absurd"));
                 }
                 for i in lo..=hi {
@@ -753,6 +756,32 @@ mod while_tests {
         )
         .unwrap();
         assert_eq!(f.ops.len(), 1);
+    }
+
+    /// `hi - lo` overflows `i64` here; the loop must be rejected at
+    /// once, not wrap around into ~2^63 iterations (or panic in debug).
+    #[test]
+    fn overflowing_for_trip_count_is_rejected() {
+        for (from, to) in [
+            ("0 - 9223372036854775807 - 1", "1"),
+            ("9223372036854775807", "0 - 2"),
+            ("0 - 9223372036854775807", "9223372036854775807"),
+        ] {
+            let src = format!(
+                "ASSAY f START
+                 fluid A, B;
+                 VAR temp;
+                 FOR i FROM {from} TO {to} START
+                   temp = 1;
+                 ENDFOR
+                 MIX A AND B FOR 5;
+                 END"
+            );
+            let started = std::time::Instant::now();
+            let err = compile_to_flat_ast(&parse(&src).unwrap()).unwrap_err();
+            assert!(err.message.contains("absurd"), "{from}..{to}: {err}");
+            assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        }
     }
 
     #[test]

@@ -1,25 +1,24 @@
-//! Parallel batch solving on a from-scratch work-stealing thread pool.
+//! An index-ordered parallel map over independent tasks.
 //!
-//! The volume-management pipeline produces many *independent* LPs — one
-//! per assay in a suite, one per partition of a DAG with unknown
-//! volumes, one per branch-and-bound subtree. This module fans such
-//! batches out across OS threads with plain `std::thread::scope` (no
-//! external runtime):
+//! The volume-management pipeline produces batches of *independent*
+//! work — one compile per queued plan request, one Vnorm table per
+//! partition of a DAG with unknown volumes. This module fans such a
+//! batch out across OS threads with plain `std::thread::scope` (no
+//! external runtime), using the same claim loop as
+//! `aqua_sim::batch_exec` and `aqua_sim::replay`:
 //!
-//! * each worker owns a deque of task indices, seeded round-robin;
-//! * a worker pops its own deque LIFO (cache-warm) and, when empty,
-//!   steals FIFO from the other workers (oldest task first, the classic
-//!   work-stealing discipline);
-//! * results land in per-task slots, so the output order always matches
-//!   the input order regardless of which thread ran what.
+//! * one shared atomic counter hands out task indices; each worker
+//!   claims the next index until the counter passes the end;
+//! * each result lands in its own per-index slot, so the output order
+//!   always matches the input order regardless of which thread ran what.
 //!
-//! Determinism: every task computes a pure function of its input model,
-//! so scheduling order affects wall time only, never results.
+//! Determinism: every task computes a pure function of its index, so
+//! scheduling order affects wall time only, never results.
 //!
 //! # Examples
 //!
 //! ```
-//! use aqua_lp::{batch, Model, Sense};
+//! use aqua_lp::{batch, solve, Model, Sense};
 //!
 //! let models: Vec<Model> = (1..=4)
 //!     .map(|k| {
@@ -29,7 +28,7 @@
 //!         m
 //!     })
 //!     .collect();
-//! let outs = batch::solve_all(&models);
+//! let outs = batch::run_parallel(models.len(), |i| solve(&models[i]));
 //! let objs: Vec<f64> = outs
 //!     .iter()
 //!     .map(|o| o.status.solution().unwrap().objective)
@@ -37,19 +36,11 @@
 //! assert_eq!(objs, vec![1.0, 2.0, 3.0, 4.0]);
 //! ```
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use crate::ilp::{solve_ilp, IlpConfig, IlpOutcome};
-use crate::model::Model;
-use crate::simplex::{solve_with, SimplexConfig, SolveOutput};
-
 /// Runs `f(0..n)` across the available cores and returns the results in
-/// index order. The building block under [`solve_all`]; exposed so
-/// other crates can parallelize their own independent per-item work
-/// (e.g. per-partition volume normalization) on the same pool
-/// discipline.
+/// index order.
 pub fn run_parallel<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -62,148 +53,75 @@ where
 }
 
 /// [`run_parallel`] with an explicit worker-thread count (clamped to
-/// `[1, n]`). Results are in input order and identical for every
-/// `threads` value — the determinism tests pin exactly this: the pool
-/// writes each result into its own per-index slot, so scheduling can
-/// only change wall time, never placement.
+/// `[1, n]`; one worker runs inline on the caller's thread). Results
+/// are in input order and identical for every `threads` value — the
+/// determinism tests pin exactly this: each result goes into its own
+/// per-index slot, so scheduling can only change wall time, never
+/// placement.
+///
+/// # Panics
+///
+/// If `f` panics, the panic reaches the caller once every worker has
+/// stopped.
 pub fn run_parallel_threads<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_parallel_threads_counted(n, threads, f).0
-}
-
-/// Scheduling statistics from one pool run. Observability only: steal
-/// counts depend on OS scheduling and vary run to run, but the results
-/// they accompany never do.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PoolStats {
-    /// Worker threads actually spawned (after clamping to `[1, n]`).
-    pub workers: usize,
-    /// Tasks a worker took from another worker's deque rather than its
-    /// own. Zero on the sequential (`threads <= 1`) path.
-    pub steals: u64,
-}
-
-/// [`run_parallel_threads`] that also reports pool scheduling
-/// statistics. The parallel branch-and-bound rounds in
-/// [`solve_ilp`] use this to expose
-/// `ilp.par.steals` without perturbing results.
-pub fn run_parallel_threads_counted<T, F>(n: usize, threads: usize, f: F) -> (Vec<T>, PoolStats)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n == 0 {
-        return (Vec::new(), PoolStats::default());
+    let workers = threads.clamp(1, n.max(1));
+    if workers == 1 {
+        return (0..n).map(f).collect();
     }
-    let threads = threads.clamp(1, n);
-    if threads <= 1 {
-        let out = (0..n).map(f).collect();
-        return (
-            out,
-            PoolStats {
-                workers: 1,
-                steals: 0,
-            },
-        );
-    }
-
-    // Per-worker deques, seeded round-robin.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((0..n).filter(|i| i % threads == w).collect()))
-        .collect();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let steals = AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let queues = &queues;
-            let slots = &slots;
-            let f = &f;
-            let steals = &steals;
-            scope.spawn(move || loop {
-                // Own deque first (LIFO), then steal (FIFO) round-robin
-                // starting from the next worker. The own pop is a
-                // statement of its own so its guard drops before any
-                // other deque is locked: two workers stealing from each
-                // other while holding their own locks would deadlock.
-                let own = lock(&queues[w]).pop_back();
-                let task = own.or_else(|| {
-                    (1..threads)
-                        .map(|k| (w + k) % threads)
-                        .find_map(|v| lock(&queues[v]).pop_front())
-                        .inspect(|_| {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                        })
-                });
-                match task {
-                    Some(i) => {
-                        let out = f(i);
-                        *lock(&slots[i]) = Some(out);
-                    }
-                    // No new tasks are ever produced, so globally-empty
-                    // deques mean this worker is done.
-                    None => break,
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let out = f(i);
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
             });
         }
     });
-
-    let out = slots
+    slots
         .into_iter()
-        .map(|s| {
-            s.into_inner()
+        .map(|slot| {
+            slot.into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
-                .expect("every task index was queued exactly once")
+                .expect("every task index was claimed exactly once")
         })
-        .collect();
-    (
-        out,
-        PoolStats {
-            workers: threads,
-            steals: steals.into_inner(),
-        },
-    )
-}
-
-/// Poison-proof lock: a panicking worker must not turn every later
-/// `lock()` into a second panic — the scope already propagates the
-/// original one, and the queued indices/results remain valid data.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Solves every model with the default configuration, in parallel.
-/// Results are in input order, identical to a sequential
-/// [`crate::solve`] per model.
-pub fn solve_all(models: &[Model]) -> Vec<SolveOutput> {
-    solve_all_with(models, &SimplexConfig::default())
-}
-
-/// Solves every model with an explicit configuration, in parallel.
-pub fn solve_all_with(models: &[Model], config: &SimplexConfig) -> Vec<SolveOutput> {
-    run_parallel(models.len(), |i| solve_with(&models[i], config))
-}
-
-/// Solves every model as an ILP, in parallel. Each branch-and-bound
-/// search runs sequentially within its task (warm starts flow parent to
-/// child inside one search, which is inherently serial); parallelism is
-/// across models.
-pub fn solve_ilp_all(models: &[Model], config: &IlpConfig) -> Vec<IlpOutcome> {
-    run_parallel(models.len(), |i| solve_ilp(&models[i], config))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Sense;
-    use crate::simplex::Status;
+    use crate::ilp::{solve_ilp, IlpConfig, IlpStatus};
+    use crate::model::{Model, Sense};
+    use crate::simplex::{solve, solve_with, SimplexConfig, SolveOutput, Status};
+    use std::time::Duration;
+
+    /// Runs `body` on its own thread and fails if it does not finish
+    /// within `secs`: a hang becomes a test failure instead of a stalled
+    /// run.
+    fn within(secs: u64, what: &str, body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(secs))
+            .unwrap_or_else(|_| panic!("{what} hung (or panicked)"));
+    }
 
     #[test]
     fn empty_batch() {
-        assert!(solve_all(&[]).is_empty());
+        assert!(run_parallel(0, |i| i).is_empty());
+        assert!(run_parallel_threads(0, 8, |i| i).is_empty());
     }
 
     #[test]
@@ -220,7 +138,7 @@ mod tests {
                 m
             })
             .collect();
-        let outs = solve_all(&models);
+        let outs = run_parallel_threads(models.len(), 4, |i| solve(&models[i]));
         assert_eq!(outs.len(), 64);
         for (k, out) in outs.iter().enumerate() {
             let s = out.status.solution().unwrap();
@@ -244,9 +162,9 @@ mod tests {
                 m
             })
             .collect();
-        let par = solve_all(&models);
+        let par = run_parallel(models.len(), |i| solve(&models[i]));
         for (m, out) in models.iter().zip(&par) {
-            let seq = crate::simplex::solve_with(m, &SimplexConfig::default());
+            let seq = solve_with(m, &SimplexConfig::default());
             let (a, b) = match (&out.status, &seq.status) {
                 (Status::Optimal(a), Status::Optimal(b)) => (a, b),
                 other => panic!("status mismatch: {other:?}"),
@@ -266,7 +184,7 @@ mod tests {
     /// Determinism across thread counts: the same batch solved with 1,
     /// 2, and 8 workers must return bit-identical solutions in input
     /// order. Guards the per-index result slots against any future
-    /// "optimization" that would let work stealing permute results.
+    /// "optimization" that would let scheduling permute results.
     #[test]
     fn batch_is_bit_identical_across_thread_counts() {
         let models: Vec<Model> = (0..24)
@@ -305,26 +223,54 @@ mod tests {
         }
     }
 
-    /// Two workers that run dry at once both steal. Each must drop the
-    /// lock on its own deque before locking another's, or they wait on
-    /// each other forever. Many short rounds at 2 and 8 threads make
-    /// that overlap near-certain; the watchdog turns a hang into a
-    /// failure instead of a stalled test run.
+    /// Many short batches at 2 and 8 threads, so workers often find the
+    /// counter exhausted at the same moment; the watchdog turns a hang
+    /// into a failure instead of a stalled test run.
     #[test]
-    fn concurrent_steals_never_deadlock() {
-        let (done, finished) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+    fn concurrent_claims_never_hang() {
+        within(60, "claim-counter pool", || {
             for threads in [2usize, 8] {
                 for round in 0..2_000usize {
                     let out = run_parallel_threads(16, threads, |i| i + round);
                     assert_eq!(out[15], 15 + round);
                 }
             }
-            let _ = done.send(());
         });
-        finished
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("work-stealing pool deadlocked (or panicked)");
+    }
+
+    /// A panicking task reaches the caller as a panic, and only after
+    /// every worker has stopped. With more than one worker, task 0 waits
+    /// until task 5 has panicked, so it is provably still running when
+    /// the panic happens; the caller must not see the panic before it
+    /// (and every other unclaimed task) has finished.
+    #[test]
+    fn task_panic_reaches_caller_after_workers_stop() {
+        use std::sync::atomic::AtomicBool;
+        within(60, "panicking batch", || {
+            for threads in [1usize, 2, 8] {
+                let panicked = AtomicBool::new(false);
+                let finished = AtomicUsize::new(0);
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_parallel_threads(32, threads, |i| {
+                        if i == 5 {
+                            panicked.store(true, Ordering::SeqCst);
+                            panic!("task 5 fails");
+                        }
+                        if i == 0 && threads > 1 {
+                            while !panicked.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    })
+                }));
+                assert!(caught.is_err(), "{threads} threads: panic was swallowed");
+                // Inline, the panic stops the loop at task 5; with
+                // workers, the survivors drain every other task first.
+                let expect = if threads == 1 { 5 } else { 31 };
+                assert_eq!(finished.load(Ordering::SeqCst), expect, "{threads} threads");
+            }
+        });
     }
 
     #[test]
@@ -338,13 +284,13 @@ mod tests {
                 m
             })
             .collect();
-        let outs = solve_ilp_all(&models, &IlpConfig::default());
+        let outs = run_parallel_threads(models.len(), 2, |i| {
+            solve_ilp(&models[i], &IlpConfig::default())
+        });
         let expect = [2.0, 3.0, 3.0, 4.0]; // floor((5+k)/2)
         for (k, out) in outs.iter().enumerate() {
             match &out.status {
-                crate::ilp::IlpStatus::Optimal(s) => {
-                    assert!((s.objective - expect[k]).abs() < 1e-6)
-                }
+                IlpStatus::Optimal(s) => assert!((s.objective - expect[k]).abs() < 1e-6),
                 other => panic!("unexpected {other:?}"),
             }
         }

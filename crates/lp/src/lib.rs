@@ -8,18 +8,17 @@
 //! * [`Model`] — an LP/ILP model builder (variables with bounds,
 //!   `<=`/`>=`/`=` constraints, maximize/minimize objective);
 //! * [`solve`] — a two-phase primal simplex with bounded variables,
-//!   Bland's anti-cycling rule, and single-variable-row presolve. Two
-//!   backends share that pipeline: the default sparse *revised* simplex
-//!   (CSC storage + product-form eta basis, [`SolverBackend::Sparse`])
-//!   and the original dense tableau ([`SolverBackend::Dense`]), kept as
-//!   fallback and differential-testing oracle;
-//! * [`solve_ilp`] — branch-and-bound integer programming on top of the
-//!   relaxation, with node- and time-budgets (the paper's ILP "ran for
-//!   hours"; budgets turn that into a reportable outcome). On the sparse
-//!   backend every child node is warm-started from its parent's optimal
-//!   basis via a bounded-variable dual simplex;
-//! * [`batch`] — parallel batch solving of independent models on a
-//!   from-scratch work-stealing thread pool.
+//!   Bland's anti-cycling rule, and single-variable-row presolve, run as
+//!   a sparse *revised* simplex (CSC storage + product-form eta basis).
+//!   The original dense tableau stays behind [`solve_dense`] as the
+//!   differential-testing oracle;
+//! * [`solve_ilp`] — sequential best-first branch-and-bound integer
+//!   programming on top of the relaxation, with node- and time-budgets
+//!   (the paper's ILP "ran for hours"; budgets turn that into a
+//!   reportable outcome). Every child node is warm-started from its
+//!   parent's optimal basis via a bounded-variable dual simplex;
+//! * [`batch`] — an index-ordered parallel map over independent tasks
+//!   (one compile per queued request, one Vnorm table per partition).
 //!
 //! # Examples
 //!
@@ -56,8 +55,8 @@ pub use expr::LinExpr;
 pub use ilp::{solve_ilp, IlpConfig, IlpOutcome, IlpStats, IlpStatus};
 pub use model::{Constraint, ConstraintSense, Model, ModelError, Sense, VarId};
 pub use simplex::{
-    solve, solve_with, solve_with_warm, PricingRule, SimplexConfig, SolveOutput, SolveStats,
-    SolverBackend, Status,
+    solve, solve_dense, solve_with, solve_with_warm, PricingRule, SimplexConfig, SolveOutput,
+    SolveStats, Status,
 };
 pub use solution::Solution;
 pub use sparse::WarmStart;

@@ -1,19 +1,14 @@
 //! Two-phase primal simplex with bounded variables.
 //!
-//! Two interchangeable backends share one standardization pipeline;
-//! the default [`SolverBackend::Auto`] picks between them per model
-//! from the would-be tableau size (see
-//! [`SolverBackend::DENSE_CELL_LIMIT`]):
+//! [`solve_with`] runs the sparse revised simplex of [`crate::sparse`]:
+//! CSC column storage, a product-form eta basis with periodic
+//! refactorization, devex pricing ([`PricingRule::Devex`]), and warm
+//! starts for branch-and-bound. Work per iteration is proportional to
+//! the basis/eta sizes rather than to `rows x cols`.
 //!
-//! * [`SolverBackend::Sparse`] — the revised simplex of
-//!   [`crate::sparse`]: CSC column storage, a product-form eta basis
-//!   with periodic refactorization, devex pricing
-//!   ([`PricingRule::Devex`]), and warm starts for branch-and-bound.
-//!   Work per iteration is proportional to the basis/eta sizes rather
-//!   than to `rows x cols`.
-//! * [`SolverBackend::Dense`] — the original dense-tableau
-//!   implementation, kept as a fallback and as the differential-testing
-//!   oracle for the sparse backend.
+//! [`solve_dense`] runs the original dense tableau over the same
+//! standardization pipeline. No production path calls it: it is the
+//! differential-testing oracle for the sparse solver.
 //!
 //! Shared pipeline:
 //!
@@ -25,8 +20,8 @@
 //! 2. **Standardization** — every variable is shifted/mirrored/split to
 //!    an internal variable with bounds `[0, u]` (`u` possibly infinite);
 //!    every constraint becomes an equality via a slack. (The dense
-//!    backend additionally sign-normalizes rows so the right-hand side
-//!    is nonnegative; the sparse backend keeps rows as formulated so the
+//!    tableau additionally sign-normalizes rows so the right-hand side
+//!    is nonnegative; the sparse solver keeps rows as formulated so the
 //!    matrix is bound-independent and can be reused across warm starts.)
 //! 3. **Phase 1** — artificial variables are added where a slack cannot
 //!    serve as the initial basis and `sum(artificials)` is minimized;
@@ -42,66 +37,9 @@ use crate::model::{ConstraintSense, Model, Sense};
 use crate::solution::Solution;
 use crate::sparse::WarmStart;
 
-/// Which simplex implementation [`solve_with`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SolverBackend {
-    /// Pick per model: dense for small tableaus (where the revised
-    /// method's eta/BTRAN overhead loses to a cache-friendly dense
-    /// sweep), sparse beyond [`SolverBackend::DENSE_CELL_LIMIT`]
-    /// tableau cells. The decision is a pure function of the model, so
-    /// solves stay deterministic.
-    #[default]
-    Auto,
-    /// Sparse revised simplex (CSC storage + product-form eta basis).
-    Sparse,
-    /// Dense tableau; the original implementation, kept as a fallback
-    /// and differential-testing oracle.
-    Dense,
-}
-
-impl SolverBackend {
-    /// `Auto` switches to sparse when the dense tableau would exceed
-    /// this many cells (`rows x (structural + slack)` after the cheap
-    /// row scan; presolve-folded single-variable rows excluded).
-    ///
-    /// Calibrated on the enzyme cascade family (see EXPERIMENTS.md):
-    /// enzyme1 (~600 cells) and enzyme2 (~10k cells) solve 1.4-2x
-    /// faster dense, enzyme3 (~82k cells) is already 1.5x faster
-    /// sparse, and the gap widens monotonically from there (enzyme6,
-    /// ~4.2M cells, is 3.4x; enzyme10, ~86M cells, is >10x and beyond
-    /// dense memory comfort). The paper's small assays (fig2 ~84
-    /// cells, glucose ~2.1k, glycomics partitions of similar size) all
-    /// land safely on the dense side.
-    pub const DENSE_CELL_LIMIT: usize = 32_768;
-
-    /// Resolves `Auto` against a concrete model; `Sparse`/`Dense` pass
-    /// through unchanged.
-    pub fn resolve_for(self, model: &Model) -> SolverBackend {
-        match self {
-            SolverBackend::Auto => {
-                let mut rows = 0usize;
-                for c in model.constraints() {
-                    // Single-variable rows fold into bounds in presolve
-                    // and never reach either backend.
-                    if c.expr.terms().len() >= 2 {
-                        rows += 1;
-                    }
-                }
-                let cols = model.num_vars() + rows;
-                if rows.saturating_mul(cols) > SolverBackend::DENSE_CELL_LIMIT {
-                    SolverBackend::Sparse
-                } else {
-                    SolverBackend::Dense
-                }
-            }
-            other => other,
-        }
-    }
-}
-
-/// Entering-variable pricing rule for the sparse backend. The dense
-/// backend always prices by Dantzig's rule — it is the differential
-/// oracle, so its pivot sequence stays put.
+/// Entering-variable pricing rule for the sparse solver. The dense
+/// oracle ([`solve_dense`]) always prices by Dantzig's rule, so its
+/// pivot sequence stays put.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PricingRule {
     /// Devex reference weights (Forrest-Goldfarb) with candidate-list
@@ -125,13 +63,11 @@ pub struct SimplexConfig {
     /// Iterations without objective progress before switching to Bland's
     /// rule.
     pub stall_limit: u64,
-    /// Which simplex implementation to run.
-    pub backend: SolverBackend,
-    /// Entering-variable pricing for the sparse backend.
+    /// Entering-variable pricing for the sparse solver.
     pub pricing: PricingRule,
     /// Instrumentation handle: spans (`lp.solve`, `lp.phase1`,
     /// `lp.phase2`) and counters (`lp.pivots`, `lp.eta_refactors`,
-    /// `lp.backend_chosen.*`, `lp.pricing.*`). Off by default — the
+    /// `lp.backend_chosen.sparse`, `lp.pricing.*`). Off by default — the
     /// default handle records nothing.
     pub obs: aqua_obs::Obs,
 }
@@ -142,7 +78,6 @@ impl Default for SimplexConfig {
             tol: 1e-7,
             max_iters: None,
             stall_limit: 256,
-            backend: SolverBackend::default(),
             pricing: PricingRule::default(),
             obs: aqua_obs::Obs::default(),
         }
@@ -169,10 +104,6 @@ pub struct SolveStats {
     pub cols: usize,
     /// Single-variable constraints folded into bounds by presolve.
     pub folded_constraints: usize,
-    /// The backend that actually ran (`Auto` resolved per model).
-    /// Stays `Auto` on early exits that never reach a backend
-    /// (validation failures).
-    pub backend_chosen: SolverBackend,
 }
 
 /// Termination status of the LP solver.
@@ -237,9 +168,8 @@ pub fn solve_with(model: &Model, config: &SimplexConfig) -> SolveOutput {
 /// branch-and-bound case: costs and coefficients unchanged, variable
 /// bounds only tightened).
 ///
-/// Returns the outcome plus, when the solve ended [`Status::Optimal`] on
-/// the sparse backend, an opaque [`WarmStart`] capturing the optimal
-/// basis for reuse. The dense backend ignores `warm` and returns `None`.
+/// Returns the outcome plus, when the solve ended [`Status::Optimal`],
+/// an opaque [`WarmStart`] capturing the optimal basis for reuse.
 ///
 /// An incompatible warm start (different model shape) is detected and
 /// ignored — the solve falls back to a cold start, never to a wrong
@@ -250,39 +180,38 @@ pub fn solve_with_warm(
     warm: Option<&WarmStart>,
 ) -> (SolveOutput, Option<WarmStart>) {
     if model.validate().is_err() {
-        let out = SolveOutput {
-            status: Status::Infeasible,
-            stats: SolveStats::default(),
-        };
-        return (out, None);
+        return (infeasible(), None);
     }
     let span = config.obs.span("lp.solve");
-    let resolved = config.backend.resolve_for(model);
-    let (mut out, ws) = match resolved {
-        SolverBackend::Sparse => crate::sparse::solve_sparse(model, config, warm),
-        SolverBackend::Dense => (solve_dense(model, config), None),
-        SolverBackend::Auto => unreachable!("resolve_for never returns Auto"),
-    };
-    out.stats.backend_chosen = resolved;
-    config.obs.add(
-        match resolved {
-            SolverBackend::Sparse => "lp.backend_chosen.sparse",
-            _ => "lp.backend_chosen.dense",
-        },
-        1,
-    );
+    let (out, ws) = crate::sparse::solve_sparse(model, config, warm);
+    config.obs.add("lp.backend_chosen.sparse", 1);
     config.obs.add("lp.pivots", out.stats.iterations);
     span.end();
     (out, ws)
 }
 
-fn solve_dense(model: &Model, config: &SimplexConfig) -> SolveOutput {
+/// Solves a model on the dense tableau, the differential-testing oracle
+/// for [`solve_with`]. It shares presolve and standardization with the
+/// sparse solver but always prices by Dantzig's rule (ignoring
+/// [`SimplexConfig::pricing`]) and adds no counters; only its phase
+/// spans reach `config.obs`. Validation failures report
+/// [`Status::Infeasible`], as in [`solve`].
+pub fn solve_dense(model: &Model, config: &SimplexConfig) -> SolveOutput {
+    if model.validate().is_err() {
+        return infeasible();
+    }
     match Tableau::build(model, config) {
         Ok(mut t) => t.run(model),
-        Err(BuildVerdict::Infeasible) => SolveOutput {
-            status: Status::Infeasible,
-            stats: SolveStats::default(),
-        },
+        Err(BuildVerdict::Infeasible) => infeasible(),
+    }
+}
+
+/// The zero-work [`Status::Infeasible`] outcome: the model failed
+/// validation, or presolve already proved it infeasible.
+fn infeasible() -> SolveOutput {
+    SolveOutput {
+        status: Status::Infeasible,
+        stats: SolveStats::default(),
     }
 }
 
@@ -564,7 +493,6 @@ impl Tableau {
             rows: m_rows,
             cols: pre_art_cols,
             folded_constraints: folded,
-            backend_chosen: SolverBackend::Dense,
         };
 
         Ok(Tableau {
@@ -899,6 +827,27 @@ pub(crate) enum IterEnd {
 mod tests {
     use super::*;
     use crate::model::{Model, Sense};
+
+    /// Every test model goes through both solvers: the sparse one is
+    /// what callers get, the dense tableau is its oracle.
+    fn solve(m: &Model) -> SolveOutput {
+        let sparse = super::solve(m);
+        let dense = solve_dense(m, &SimplexConfig::default());
+        match (&sparse.status, &dense.status) {
+            (Status::Optimal(a), Status::Optimal(b)) => assert!(
+                (a.objective - b.objective).abs() < 1e-6 * (1.0 + b.objective.abs()),
+                "sparse {} vs dense {}",
+                a.objective,
+                b.objective
+            ),
+            (a, b) => assert_eq!(
+                std::mem::discriminant(a),
+                std::mem::discriminant(b),
+                "sparse {a:?} vs dense {b:?}"
+            ),
+        }
+        sparse
+    }
 
     fn optimal(out: &SolveOutput) -> &Solution {
         match &out.status {

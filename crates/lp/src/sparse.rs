@@ -30,7 +30,7 @@ use crate::basis::EtaBasis;
 use crate::model::{ConstraintSense, Model};
 use crate::simplex::{
     better_leaving, build_var_maps, internal_costs, presolve, BuildVerdict, ColStatus, IterEnd,
-    PricingRule, SimplexConfig, SolveOutput, SolveStats, SolverBackend, Status, VarMap,
+    PricingRule, SimplexConfig, SolveOutput, SolveStats, Status, VarMap,
 };
 use crate::solution::Solution;
 
@@ -261,7 +261,6 @@ impl<'a> Revised<'a> {
             rows: m,
             cols: art_start,
             folded_constraints: std.folded,
-            backend_chosen: SolverBackend::Sparse,
         };
         Revised {
             std,
@@ -1114,14 +1113,7 @@ enum DualEnd {
 mod tests {
     use super::*;
     use crate::model::Sense;
-    use crate::simplex::{solve_with, solve_with_warm, SolverBackend};
-
-    fn sparse_config() -> SimplexConfig {
-        SimplexConfig {
-            backend: SolverBackend::Sparse,
-            ..SimplexConfig::default()
-        }
-    }
+    use crate::simplex::{solve_with, solve_with_warm};
 
     fn optimal(out: &SolveOutput) -> &Solution {
         match &out.status {
@@ -1149,7 +1141,7 @@ mod tests {
         m.add_le("c1", [(x, 1.0)], 4.0);
         m.add_le("c2", [(y, 2.0)], 12.0);
         m.add_le("c3", [(x, 3.0), (y, 2.0)], 18.0);
-        let out = solve_with(&m, &sparse_config());
+        let out = solve_with(&m, &SimplexConfig::default());
         let s = optimal(&out);
         assert!((s.objective - 36.0).abs() < 1e-6);
     }
@@ -1163,7 +1155,7 @@ mod tests {
         m.set_objective([(x, 2.0), (y, 1.0)]);
         m.add_le("cap", [(x, 1.0), (y, 1.0)], 10.0);
         m.add_le("gap", [(x, 1.0), (y, -1.0)], 4.0);
-        let (out, warm) = solve_with_warm(&m, &sparse_config(), None);
+        let (out, warm) = solve_with_warm(&m, &SimplexConfig::default(), None);
         let parent_obj = optimal(&out).objective;
         assert!((parent_obj - 17.0).abs() < 1e-6, "obj={parent_obj}");
         let warm = warm.expect("optimal solve yields a warm start");
@@ -1171,8 +1163,8 @@ mod tests {
         // Child: tighten x <= 5 (as branch-and-bound would).
         let mut child = m.clone();
         child.tighten_bounds(x, f64::NEG_INFINITY, 5.0);
-        let (warm_out, _) = solve_with_warm(&child, &sparse_config(), Some(&warm));
-        let (cold_out, _) = solve_with_warm(&child, &sparse_config(), None);
+        let (warm_out, _) = solve_with_warm(&child, &SimplexConfig::default(), Some(&warm));
+        let (cold_out, _) = solve_with_warm(&child, &SimplexConfig::default(), None);
         let wobj = optimal(&warm_out).objective;
         let cobj = optimal(&cold_out).objective;
         assert!((wobj - cobj).abs() < 1e-6, "warm {wobj} vs cold {cobj}");
@@ -1186,12 +1178,12 @@ mod tests {
         let y = m.add_var("y", 0.0, 10.0);
         m.set_objective([(x, 1.0), (y, 1.0)]);
         m.add_ge("floor", [(x, 1.0), (y, 1.0)], 8.0);
-        let (_, warm) = solve_with_warm(&m, &sparse_config(), None);
+        let (_, warm) = solve_with_warm(&m, &SimplexConfig::default(), None);
         let warm = warm.expect("warm start");
         let mut child = m.clone();
         child.tighten_bounds(x, f64::NEG_INFINITY, 2.0);
         child.tighten_bounds(y, f64::NEG_INFINITY, 2.0);
-        let (out, _) = solve_with_warm(&child, &sparse_config(), Some(&warm));
+        let (out, _) = solve_with_warm(&child, &SimplexConfig::default(), Some(&warm));
         assert!(matches!(out.status, Status::Infeasible), "{:?}", out.status);
     }
 
@@ -1201,7 +1193,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 4.0);
         m.set_objective([(x, 1.0)]);
         m.add_le("c", [(x, 2.0)], 6.0);
-        let (_, warm) = solve_with_warm(&m, &sparse_config(), None);
+        let (_, warm) = solve_with_warm(&m, &SimplexConfig::default(), None);
         let warm = warm.expect("warm start");
 
         // A structurally different model: the stale basis must be ignored.
@@ -1210,7 +1202,7 @@ mod tests {
         let b = other.add_var("b", 0.0, 4.0);
         other.set_objective([(a, 1.0), (b, 1.0)]);
         other.add_le("c", [(a, 1.0), (b, 1.0)], 5.0);
-        let (out, _) = solve_with_warm(&other, &sparse_config(), Some(&warm));
+        let (out, _) = solve_with_warm(&other, &SimplexConfig::default(), Some(&warm));
         assert!((optimal(&out).objective - 5.0).abs() < 1e-6);
     }
 
@@ -1230,7 +1222,7 @@ mod tests {
                 2.0,
             );
         }
-        let out = solve_with(&m, &sparse_config());
+        let out = solve_with(&m, &SimplexConfig::default());
         let s = optimal(&out);
         assert!(s.is_feasible_for(&m, 1e-6));
     }

@@ -2,23 +2,23 @@
 //! simplex: highly degenerate vertices force zero-length ratio-test
 //! steps, so these only terminate because stall detection switches
 //! pricing to Bland's rule (smallest-index entering/leaving), which is
-//! cycle-free. The dense backend serves as the reference.
+//! cycle-free. The dense tableau serves as the reference.
 
-use aqua_lp::{solve_with, Model, Sense, SimplexConfig, SolverBackend, Status};
+use aqua_lp::{solve, solve_dense, Model, Sense, SimplexConfig, SolveOutput, Status};
 
-fn solve(m: &Model, backend: SolverBackend) -> aqua_lp::SolveOutput {
-    let config = SimplexConfig {
-        backend,
-        ..SimplexConfig::default()
-    };
-    solve_with(m, &config)
+fn objective(label: &str, out: SolveOutput) -> f64 {
+    match out.status {
+        Status::Optimal(sol) => sol.objective,
+        other => panic!("{label} not optimal: {other:?}"),
+    }
 }
 
-fn optimal_objective(m: &Model, backend: SolverBackend) -> f64 {
-    match solve(m, backend).status {
-        Status::Optimal(sol) => sol.objective,
-        other => panic!("{backend:?} not optimal: {other:?}"),
-    }
+fn sparse_objective(m: &Model) -> f64 {
+    objective("sparse", solve(m))
+}
+
+fn dense_objective(m: &Model) -> f64 {
+    objective("dense", solve_dense(m, &SimplexConfig::default()))
 }
 
 /// Beale's classic cycling example: Dantzig pricing with a naive tie
@@ -34,14 +34,16 @@ fn beale_cycling_example_terminates() {
     m.add_le("r1", [(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)], 0.0);
     m.add_le("r2", [(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)], 0.0);
     m.add_le("r3", [(x3, 1.0)], 1.0);
-    for backend in [SolverBackend::Sparse, SolverBackend::Dense] {
-        let obj = optimal_objective(&m, backend);
-        assert!((obj - (-0.05)).abs() < 1e-9, "{backend:?}: {obj}");
+    for (label, obj) in [
+        ("sparse", sparse_objective(&m)),
+        ("dense", dense_objective(&m)),
+    ] {
+        assert!((obj - (-0.05)).abs() < 1e-9, "{label}: {obj}");
     }
 }
 
 /// A transportation-style LP with massively redundant equalities: every
-/// basic feasible solution is degenerate. Both backends must terminate
+/// basic feasible solution is degenerate. Both solvers must terminate
 /// and agree.
 #[test]
 fn redundant_equalities_stay_finite_and_agree() {
@@ -66,8 +68,8 @@ fn redundant_equalities_stay_finite_and_agree() {
         .map(|(i, &v)| (v, ((i / n + i % n) % 3) as f64))
         .collect();
     m.set_objective(obj);
-    let sparse = optimal_objective(&m, SolverBackend::Sparse);
-    let dense = optimal_objective(&m, SolverBackend::Dense);
+    let sparse = sparse_objective(&m);
+    let dense = dense_objective(&m);
     assert!(
         (sparse - dense).abs() < 1e-6,
         "sparse {sparse} dense {dense}"
@@ -94,8 +96,8 @@ fn zero_rhs_degeneracy_matches_dense() {
     m.add_le("b", [(y, 1.0), (z, -1.0)], 0.0);
     m.add_le("c", [(x, 1.0), (y, 1.0), (z, -2.0)], 0.0);
     m.add_le("cap", [(x, 1.0), (y, 1.0), (z, 1.0)], 9.0);
-    let sparse = optimal_objective(&m, SolverBackend::Sparse);
-    let dense = optimal_objective(&m, SolverBackend::Dense);
+    let sparse = sparse_objective(&m);
+    let dense = dense_objective(&m);
     assert!((sparse - dense).abs() < 1e-9);
     assert!((sparse - 9.0).abs() < 1e-9, "x=y=z=3 is optimal: {sparse}");
 }

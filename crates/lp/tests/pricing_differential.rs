@@ -1,9 +1,8 @@
-//! Seeded differential tests for the pricing rules and the automatic
-//! backend dispatch.
+//! Seeded differential tests for the pricing rules.
 //!
 //! The sparse revised simplex defaults to devex pricing with a
-//! candidate-list scan; the dense tableau keeps pure Dantzig pricing as
-//! the differential oracle. Pricing picks the *path* across vertices,
+//! candidate-list scan; the dense tableau ([`aqua_lp::solve_dense`])
+//! keeps pure Dantzig pricing as the differential oracle. Pricing picks the *path* across vertices,
 //! not the destination: every rule must land on the same optimal
 //! objective (alternative optima permitting, which is why comparisons
 //! are on objectives within 1e-6 and on status classes, never on raw
@@ -11,13 +10,13 @@
 //! run and every machine sees the same model family.
 
 use aqua_lp::{
-    solve_with, Model, PricingRule, Sense, SimplexConfig, SolveOutput, SolverBackend, Status,
+    solve_dense, solve_with, Model, PricingRule, Sense, SimplexConfig, SolveOutput, Status,
 };
 use aqua_rational::rng::XorShift64Star;
 
 /// A random bounded LP: finite variable bounds guarantee the objective
 /// is bounded, so the only status split is Optimal vs Infeasible — and
-/// both backends must agree on which.
+/// both solvers must agree on which.
 fn random_model(seed: u64) -> Model {
     let mut rng = XorShift64Star::new(seed);
     let nvars = 4 + rng.index(12);
@@ -65,11 +64,10 @@ fn random_model(seed: u64) -> Model {
     m
 }
 
-fn solve(m: &Model, backend: SolverBackend, pricing: PricingRule) -> SolveOutput {
+fn solve(m: &Model, pricing: PricingRule) -> SolveOutput {
     solve_with(
         m,
         &SimplexConfig {
-            backend,
             pricing,
             ..SimplexConfig::default()
         },
@@ -94,88 +92,25 @@ fn assert_agree(seed: u64, label: &str, a: &SolveOutput, b: &SolveOutput, tol: f
 }
 
 /// Devex + candidate-list pricing must reach the same optimum as the
-/// Dantzig rule on the same (sparse) backend, across a seeded family.
+/// Dantzig rule on the same (sparse) solver, across a seeded family.
 #[test]
 fn devex_matches_dantzig_on_sparse() {
     for seed in 0..120u64 {
         let m = random_model(seed);
-        let devex = solve(&m, SolverBackend::Sparse, PricingRule::Devex);
-        let dantzig = solve(&m, SolverBackend::Sparse, PricingRule::Dantzig);
+        let devex = solve(&m, PricingRule::Devex);
+        let dantzig = solve(&m, PricingRule::Dantzig);
         assert_agree(seed, "devex vs dantzig", &devex, &dantzig, 1e-6);
     }
 }
 
-/// The default configuration (Auto backend, devex pricing) must agree
+/// The default configuration (sparse solver, devex pricing) must agree
 /// with the dense Dantzig tableau — the end-to-end oracle check.
 #[test]
 fn default_config_matches_dense_oracle() {
     for seed in 0..120u64 {
         let m = random_model(seed);
-        let auto = solve_with(&m, &SimplexConfig::default());
-        let dense = solve(&m, SolverBackend::Dense, PricingRule::Dantzig);
-        assert_agree(seed, "auto vs dense", &auto, &dense, 1e-6);
+        let sparse = solve_with(&m, &SimplexConfig::default());
+        let dense = solve_dense(&m, &SimplexConfig::default());
+        assert_agree(seed, "sparse vs dense", &sparse, &dense, 1e-6);
     }
-}
-
-/// Auto is pure dispatch: its result must be byte-identical to whichever
-/// concrete backend it resolves to, and the resolution must be recorded
-/// in the stats.
-#[test]
-fn auto_is_identical_to_resolved_backend() {
-    for seed in 0..60u64 {
-        let m = random_model(seed);
-        let auto = solve_with(&m, &SimplexConfig::default());
-        let resolved = SolverBackend::Auto.resolve_for(&m);
-        assert_eq!(auto.stats.backend_chosen, resolved, "seed {seed}");
-        let direct = solve_with(
-            &m,
-            &SimplexConfig {
-                backend: resolved,
-                ..SimplexConfig::default()
-            },
-        );
-        match (&auto.status, &direct.status) {
-            (Status::Optimal(a), Status::Optimal(b)) => {
-                assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "seed {seed}");
-                for (va, vb) in a.values.iter().zip(&b.values) {
-                    assert_eq!(va.to_bits(), vb.to_bits(), "seed {seed}");
-                }
-            }
-            (Status::Infeasible, Status::Infeasible) => {}
-            other => panic!("seed {seed}: {other:?}"),
-        }
-        assert_eq!(
-            auto.stats.iterations, direct.stats.iterations,
-            "seed {seed}"
-        );
-    }
-}
-
-/// Models big enough to cross [`SolverBackend::DENSE_CELL_LIMIT`] must
-/// resolve to the sparse backend, small ones to dense — and both sides
-/// of the threshold still agree with a forced dense solve.
-#[test]
-fn auto_threshold_picks_both_backends() {
-    // Small: a handful of rows/cols lands well under the cell limit.
-    let small = random_model(7);
-    assert_eq!(
-        SolverBackend::Auto.resolve_for(&small),
-        SolverBackend::Dense
-    );
-
-    // Large: a block-diagonal chain with enough rows x cols to exceed
-    // the dense cell limit while staying quick to solve.
-    let mut big = Model::new(Sense::Maximize);
-    let vars: Vec<_> = (0..260)
-        .map(|i| big.add_var(format!("x{i}"), 0.0, 4.0))
-        .collect();
-    big.set_objective(vars.iter().map(|&v| (v, 1.0)));
-    for (i, w) in vars.windows(2).enumerate() {
-        big.add_le(format!("pair{i}"), [(w[0], 1.0), (w[1], 1.0)], 5.0);
-    }
-    assert_eq!(SolverBackend::Auto.resolve_for(&big), SolverBackend::Sparse);
-
-    let auto = solve_with(&big, &SimplexConfig::default());
-    let dense = solve(&big, SolverBackend::Dense, PricingRule::Dantzig);
-    assert_agree(0, "threshold big model", &auto, &dense, 1e-6);
 }

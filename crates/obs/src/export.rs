@@ -10,6 +10,8 @@
 //! sorted by (start, thread, name) and numbers are formatted with a
 //! fixed precision.
 
+use std::fmt::Write as _;
+
 use crate::{HistogramSummary, MemorySink, SpanEvent};
 
 /// Renders the sink as Chrome trace-event JSON.
@@ -45,9 +47,9 @@ pub fn chrome_trace(sink: &MemorySink) -> String {
         let dur = ns_to_us(s.dur_ns);
         last_end_us = last_end_us.max(ts + dur);
         out.push_str(&format!(
-            "\n  {{\"name\": \"{}\", \"cat\": \"aqua\", \"ph\": \"X\", \
+            "\n  {{\"name\": {}, \"cat\": \"aqua\", \"ph\": \"X\", \
              \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}}}",
-            escape(s.name),
+            quote(s.name),
             fmt_us(ts),
             fmt_us(dur),
             s.tid
@@ -61,9 +63,9 @@ pub fn chrome_trace(sink: &MemorySink) -> String {
         }
         first = false;
         out.push_str(&format!(
-            "\n  {{\"name\": \"{}\", \"cat\": \"aqua\", \"ph\": \"C\", \
+            "\n  {{\"name\": {}, \"cat\": \"aqua\", \"ph\": \"C\", \
              \"ts\": {}, \"pid\": 1, \"tid\": 1, \"args\": {{\"value\": {}}}}}",
-            escape(name),
+            quote(name),
             fmt_us(last_end_us),
             value
         ));
@@ -143,8 +145,8 @@ impl ObsReport {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "\"{}\": {{\"count\": {}, \"total_ns\": {}}}",
-                escape(&p.name),
+                "{}: {{\"count\": {}, \"total_ns\": {}}}",
+                quote(&p.name),
                 p.count,
                 p.total_ns
             ));
@@ -154,7 +156,7 @@ impl ObsReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": {}", escape(name), value));
+            out.push_str(&format!("{}: {}", quote(name), value));
         }
         out.push_str("}, \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -162,8 +164,8 @@ impl ObsReport {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "\"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}}}",
-                escape(name),
+                "{}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}}}",
+                quote(name),
                 h.count,
                 h.sum,
                 h.min,
@@ -239,8 +241,15 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Renders a string as a JSON string literal, quotes included: `"` and
+/// `\` are backslash-escaped, `\n` `\r` `\t` use their short forms,
+/// every other C0 control becomes `\u00XX`, and everything else
+/// (DEL and non-ASCII included) is written as is. The one JSON string
+/// writer of the workspace; `aqua-serve` re-exports it as
+/// `aqua_serve::json::quote`.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -248,10 +257,13 @@ fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -295,8 +307,32 @@ mod tests {
         assert_eq!(report.phases[1].count, 1);
     }
 
+    /// Each row: input, exact literal. Covers the two backslash
+    /// escapes, the three short control forms, the `\u00XX` form at
+    /// both ends of the C0 range, DEL (0x7f, not a JSON control), and
+    /// multi-byte UTF-8 passed through untouched.
     #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn quote_table() {
+        let table: &[(&str, &str)] = &[
+            ("", r#""""#),
+            ("plain", r#""plain""#),
+            ("a\"b", r#""a\"b""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("line\nfeed", r#""line\nfeed""#),
+            ("carriage\rreturn", r#""carriage\rreturn""#),
+            ("tab\there", r#""tab\there""#),
+            ("\u{0}", r#""\u0000""#),
+            ("\u{1}\u{8}\u{b}\u{c}", r#""\u0001\u0008\u000b\u000c""#),
+            ("\u{1f}", r#""\u001f""#),
+            (" ", r#"" ""#),
+            ("\u{7f}", "\"\u{7f}\""),
+            (
+                "\u{e9}t\u{e9} \u{6f22}\u{5b57} \u{1f980}",
+                "\"\u{e9}t\u{e9} \u{6f22}\u{5b57} \u{1f980}\"",
+            ),
+        ];
+        for (input, expect) in table {
+            assert_eq!(quote(input), *expect, "input {input:?}");
+        }
     }
 }

@@ -7,8 +7,6 @@
 //! ([`Value::Int`]) and float ([`Value::Float`]) forms so request ids
 //! and deadlines round-trip exactly.
 
-use std::fmt::Write as _;
-
 /// A parsed JSON value. Object member order is preserved (the parser
 /// never reorders), which keeps error messages and tests predictable.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,26 +250,9 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-/// Renders a string as a JSON string literal (quotes included).
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// Renders a string as a JSON string literal (quotes included); the
+/// workspace's single JSON string writer, defined in `aqua-obs`.
+pub use aqua_obs::export::quote;
 
 #[cfg(test)]
 mod tests {

@@ -14,7 +14,7 @@
 //!   shards, each owning its own LRU + single-flight + batcher;
 //! * [`service`] — single-flight admission, bounded queues with typed
 //!   `Overloaded`/`Timeout`/`Shedding` rejections, per-tenant quotas,
-//!   and per-worker batchers feeding `aqua_lp::batch`'s work-stealing
+//!   and per-worker batchers feeding `aqua_lp::batch`'s claim-counter
 //!   pool;
 //! * [`store`] — a disk-backed content-addressed plan store (CRC-guarded
 //!   append-only segment log with torn-tail recovery and compaction)

@@ -24,7 +24,7 @@
 //!    [`ServeError::Overloaded`] instead of building unbounded backlog.
 //! 6. **Batched solve** — each worker's batcher drains up to
 //!    `max_batch` queued jobs and fans them out on `aqua_lp::batch`'s
-//!    work-stealing pool, appends the results to the persistent plan
+//!    claim-counter pool, appends the results to the persistent plan
 //!    store (when configured), then publishes cache-first so later
 //!    requests hit before the in-flight entry is retired.
 //! 7. **Deadlines** — every request carries a deadline, clamped to
@@ -1036,7 +1036,7 @@ impl Drop for Service {
 }
 
 /// One worker's batcher: drains up to `max_batch` jobs per flush and
-/// fans them out on the work-stealing pool. Results are appended to the
+/// fans them out on the claim-counter pool. Results are appended to the
 /// persistent store (when configured), published cache-first, then the
 /// in-flight entry is retired, then waiters are woken — so at every
 /// instant a request either hits the cache or finds the flight.

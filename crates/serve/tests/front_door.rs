@@ -1,6 +1,6 @@
-//! Regression tests for the three front-door bugs: the
-//! `deadline_ms`-overflow panic, the accept loop dying on transient
-//! errors, and unbounded request lines.
+//! Regression tests for the front-door bugs: the `deadline_ms`-overflow
+//! panic, the accept loop dying on transient errors, unbounded request
+//! lines, and the `FOR`-loop trip count that overflowed into a hang.
 //!
 //! Each test exercises the hostile input that used to take the service
 //! (or one of its threads) down, then proves the connection/service
@@ -175,6 +175,48 @@ fn invalid_utf8_line_gets_bad_request_and_connection_continues() {
         Some("bad_request")
     );
     assert_eq!(parse(lines[1]).get("ok"), Some(&Value::Bool(true)));
+}
+
+/// A `FOR` loop whose `TO - FROM` overflows `i64` used to wrap into a
+/// ~2^63-iteration loop (release) or panic (debug) on the request's own
+/// thread. Both compile entry points — plain `src` requests and
+/// `session.register` — must answer `bad_request` promptly; the
+/// watchdog turns a pinned core into a failure instead of a hang.
+#[test]
+fn overflowing_for_loop_gets_bad_request() {
+    let src = "
+ASSAY wrap START
+fluid A, B;
+VAR temp;
+FOR i FROM 0 - 9223372036854775807 - 1 TO 1 START
+  temp = 1;
+ENDFOR
+MIX A AND B FOR 5;
+END
+";
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let svc = Service::new(ServiceConfig::default());
+        let responses = [
+            svc.handle_line(&format!("{{\"id\":1,\"src\":{}}}", quote(src))),
+            svc.handle_line(&format!(
+                "{{\"id\":2,\"cmd\":\"session.register\",\"src\":{}}}",
+                quote(src)
+            )),
+            svc.handle_line(&format!("{{\"id\":3,\"src\":{}}}", quote(TINY))),
+        ];
+        let _ = done.send(responses);
+    });
+    let [plain, session, after] = finished
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("the overflowing loop hung (or panicked) the request thread");
+    for resp in [&plain, &session] {
+        let v = parse(resp);
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{resp}");
+        assert_eq!(v.get("error").and_then(Value::as_str), Some("bad_request"));
+        assert!(resp.contains("loop trip count is absurd"), "{resp}");
+    }
+    assert_eq!(parse(&after).get("ok"), Some(&Value::Bool(true)), "{after}");
 }
 
 /// Tenant quotas shed over-limit tenants with the typed `shedding`

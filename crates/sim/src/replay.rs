@@ -16,8 +16,7 @@
 //!   divergent or partial descriptor — recovery replays exactly the
 //!   intact prefix.
 //! * [`replay`] — the fleet engine: replays a descriptor list across a
-//!   work-stealing worker pool (the `batch_exec` claim-next-index
-//!   pattern), computing a per-run [`run_digest`] and rolling the fleet
+//!   worker pool (the `batch_exec` claim-next-index pattern), computing a per-run [`run_digest`] and rolling the fleet
 //!   up into a [`FleetReport`] whose `aggregate_digest` is
 //!   **order-invariant**, hence identical at any thread count.
 //!

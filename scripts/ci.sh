@@ -5,6 +5,9 @@
 #   1. formatting            (cargo fmt --check)
 #   2. lints, deny warnings  (cargo clippy --workspace --all-targets)
 #   3. tier-1 build + tests  (cargo build --release && cargo test -q)
+#      + the repository benchmark's build (perfbench, --locked: fails
+#        when a public item it uses goes away or an inter-crate
+#        dependency list drifts from perfbench/Cargo.lock)
 #      + every crate's unit and integration tests (cargo test
 #        --workspace: the hierarchy, Vnorm, feascheck and pool unit
 #        tests, and aqua-serve's golden_protocol, cache_differential,
@@ -12,11 +15,8 @@
 #        timeout-guarded like the stress step: a hang is a deadlock
 #   4. rustdoc, deny warnings (cargo doc --no-deps)
 #   5. property suites       (cargo test --features proptests)
-#   6. LP backend smoke test (bench_lp --quick: sparse/dense/auto
-#      agreement, thread-invariant parallel B&B node counts, and the
-#      Auto dispatch floor — Auto within 1.1x of the better backend on
-#      every assay; retried once because the floor is a wall-clock
-#      measurement on a possibly-noisy host)
+#   6. LP smoke test         (bench_lp --quick: the sparse simplex
+#      agrees with the dense tableau oracle on every assay)
 #      + obs smoke: --obs must produce a non-empty Chrome trace
 #   7. fault-recovery smoke  (fault_sweep --quick: 100% recovery at rate 0)
 #   8. serve stress suite    (8 threads x 200 requests, deadlock-guarded
@@ -36,8 +36,8 @@
 #  11. exec bench smoke      (bench_exec --quick: makespan-floor gate —
 #      scheduled <= sequential on enzyme10 and the batch — plus
 #      thread-invariant batch digests and full fault recovery; the
-#      floor is retried once like the auto-floor gate since the run
-#      shares the host with whatever else CI is doing)
+#      run is retried once since it shares the host with whatever
+#      else CI is doing)
 #  12. replay suites          (replay_differential: recorded digests
 #      reproduce at 1/2/8 threads, fault-free and faulted;
 #      replay_log_recovery: a damaged descriptor log never replays a
@@ -79,6 +79,9 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> repository benchmark builds against today's crates (--locked)"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> workspace tests: cargo test -q --release --workspace (timeout-guarded)"
 timeout 900 cargo test -q --release --workspace
 
@@ -92,26 +95,11 @@ cargo test -q --release --features proptests --test fault_properties
 # historical counterexample deterministically.
 cargo test -q --release --features proptests --test regression_corpus
 
-echo "==> bench_lp --quick (backend agreement + auto floor + obs smoke test)"
-# The binary exits nonzero on backend disagreement or divergent parallel
-# B&B node counts. The Auto-dispatch floor (auto_ratio <= 1.1x of the
-# better backend per assay) is a wall-clock measurement, so one retry is
-# allowed before it fails the gate: a single miss on a loaded host is
-# noise, two in a row is a dispatch regression.
-run_bench_lp() {
-  timeout 600 cargo run --release -p aqua-bench --bin bench_lp -- --quick \
-    --out target/BENCH_lp.quick.json --obs target/obs_trace.quick.json
-}
-run_bench_lp
-if ! grep -q '"auto_floor_ok": true' target/BENCH_lp.quick.json; then
-  echo "warn: Auto missed the 1.1x floor; retrying once" >&2
-  run_bench_lp
-  grep -q '"auto_floor_ok": true' target/BENCH_lp.quick.json || {
-    echo "error: Auto missed the 1.1x dispatch floor twice" >&2
-    exit 1
-  }
-fi
-grep -q '"ilp_par_nodes_agree": true' target/BENCH_lp.quick.json
+echo "==> bench_lp --quick (sparse/dense agreement + obs smoke test)"
+# The binary exits nonzero when the sparse simplex and the dense oracle
+# disagree on any assay's status or objective.
+timeout 600 cargo run --release -p aqua-bench --bin bench_lp -- --quick \
+  --out target/BENCH_lp.quick.json --obs target/obs_trace.quick.json
 # The trace must exist, be non-trivial, and carry trace events: an empty
 # or malformed trace means the obs wiring regressed silently.
 test -s target/obs_trace.quick.json
@@ -157,8 +145,7 @@ echo "==> bench_exec --quick (makespan floor + thread-invariant digests)"
 # sequential baseline, batch digests differ across 1/2/8 threads, or a
 # faulted instance is left unrecovered. The makespan floor is
 # deterministic (simulated seconds), but the run itself shares the host
-# with the rest of CI, so like the auto-floor gate it gets one retry
-# before failing the build.
+# with the rest of CI, so it gets one retry before failing the build.
 run_bench_exec() {
   timeout 600 cargo run --release -p aqua-bench --bin bench_exec -- --quick \
     --out target/BENCH_exec.quick.json

@@ -1,13 +1,14 @@
 //! Differential tests for the LP stack on real assay formulations: the
-//! default configuration (Auto backend selection + devex pricing) must
-//! reproduce exactly what the dense Dantzig tableau — the differential
-//! oracle — computes on the four paper assays and on seeded synthetic
-//! DAGs. Objectives are compared within 1e-6 (alternative optima can
+//! default configuration (sparse solver + devex pricing) must reproduce
+//! exactly what the dense Dantzig tableau — the differential oracle —
+//! computes on the four paper assays and on seeded synthetic DAGs.
+//! Objectives are compared within 1e-6 (alternative optima can
 //! legitimately move vertex coordinates; the optimum value cannot).
+//! The IVol branch-and-bound search on glucose is pinned as well.
 
 use aqua_assays::synthetic::{layered_dag, LayeredConfig};
 use aqua_assays::{figure2, Benchmark};
-use aqua_lp::{PricingRule, SimplexConfig, SolverBackend, Status};
+use aqua_lp::{IlpConfig, IlpStatus, PricingRule, SimplexConfig, Status};
 use aqua_volume::lpform::{self, LpOptions};
 use aqua_volume::unknown;
 use aqua_volume::Machine;
@@ -17,31 +18,19 @@ fn dag_of(b: Benchmark) -> aqua_dag::Dag {
     aqua_compiler::lower_to_dag(&flat).unwrap().0
 }
 
-fn config(backend: SolverBackend, pricing: PricingRule) -> SimplexConfig {
-    SimplexConfig {
-        backend,
-        pricing,
-        ..SimplexConfig::default()
-    }
-}
-
-/// Solves the model under every (backend, pricing) combination and
-/// checks they agree with the dense Dantzig oracle; returns the oracle
-/// objective if optimal, `None` if all agree the model is infeasible.
+/// Solves the model under every pricing rule and checks they agree with
+/// the dense Dantzig oracle; returns the oracle objective if optimal,
+/// `None` if all agree the model is infeasible.
 fn assert_all_rules_agree(label: &str, model: &aqua_lp::Model) -> Option<f64> {
-    let oracle = aqua_lp::solve_with(model, &config(SolverBackend::Dense, PricingRule::Dantzig));
+    let oracle = aqua_lp::solve_dense(model, &SimplexConfig::default());
     let candidates = [
+        ("default", SimplexConfig::default()),
         (
-            "auto-devex",
-            config(SolverBackend::Auto, PricingRule::Devex),
-        ),
-        (
-            "sparse-devex",
-            config(SolverBackend::Sparse, PricingRule::Devex),
-        ),
-        (
-            "sparse-dantzig",
-            config(SolverBackend::Sparse, PricingRule::Dantzig),
+            "dantzig",
+            SimplexConfig {
+                pricing: PricingRule::Dantzig,
+                ..SimplexConfig::default()
+            },
         ),
     ];
     match oracle.status {
@@ -73,11 +62,11 @@ fn assert_all_rules_agree(label: &str, model: &aqua_lp::Model) -> Option<f64> {
     }
 }
 
-/// The four paper assays, solved under every pricing/backend rule. The
+/// The four paper assays, solved under every pricing rule. The
 /// objectives double as goldens (they also live in BENCH_lp.json and
 /// tests/paper_numbers.rs); the point here is that the *default* path
-/// the hierarchy now takes — Auto dispatch, devex pricing — cannot
-/// drift from the oracle on the exact models the paper cares about.
+/// the hierarchy takes — sparse solver, devex pricing — cannot drift
+/// from the oracle on the exact models the paper cares about.
 #[test]
 fn paper_assays_agree_across_rules() {
     let machine = Machine::paper_default();
@@ -109,23 +98,55 @@ fn paper_assays_agree_across_rules() {
     assert!(assert_all_rules_agree("enzyme10", &form.model).is_none());
 }
 
-/// Auto must resolve to the calibrated backend on the paper assays:
-/// small formulations stay on the dense tableau, enzyme10-sized ones go
-/// sparse.
+/// Glucose's IVol model under a 200-node budget: node and iteration
+/// counts, the incumbent objective and every incumbent value are pinned
+/// bit for bit, so any change to node selection, branching, pruning or
+/// the warm-started relaxation solves shows up here.
 #[test]
-fn paper_assays_resolve_to_expected_backend() {
-    let machine = Machine::paper_default();
-    let opts = LpOptions::rvol();
-    let resolve = |dag: &aqua_dag::Dag| {
-        let form = lpform::build(dag, &machine, &opts);
-        SolverBackend::Auto.resolve_for(&form.model)
+fn glucose_ivol_search_is_pinned() {
+    let form = lpform::build(
+        &dag_of(Benchmark::Glucose),
+        &Machine::paper_default(),
+        &LpOptions::ivol(),
+    );
+    let out = aqua_lp::solve_ilp(
+        &form.model,
+        &IlpConfig {
+            max_nodes: 200,
+            time_budget: std::time::Duration::from_secs(3600),
+            ..IlpConfig::default()
+        },
+    );
+    assert_eq!(out.stats.nodes, 200);
+    assert_eq!(out.stats.simplex_iterations, 2271);
+    let incumbent = match &out.status {
+        IlpStatus::BudgetExhausted { incumbent: Some(s) } => s,
+        other => panic!("expected the node budget to stop the search: {other:?}"),
     };
-    let (fig2, _) = figure2::dag();
-    assert_eq!(resolve(&fig2), SolverBackend::Dense);
-    assert_eq!(resolve(&dag_of(Benchmark::Glucose)), SolverBackend::Dense);
+    assert_eq!(incumbent.objective.to_bits(), 0x4097_a400_0000_0000); // 1513
+    let values: Vec<u64> = incumbent.values.iter().map(|v| v.to_bits()).collect();
     assert_eq!(
-        resolve(&dag_of(Benchmark::EnzymeN(10))),
-        SolverBackend::Sparse
+        values,
+        [
+            0x4063_6000_0000_0000,
+            0x4063_6000_0000_0000,
+            0x4073_6000_0000_0000,
+            0x4059_8000_0000_0000,
+            0x4069_8000_0000_0000,
+            0x4073_2000_0000_0000,
+            0x404c_0000_0000_0000,
+            0x406c_0000_0000_0000,
+            0x4071_8000_0000_0000,
+            0x403f_0000_0000_0000,
+            0x406f_0000_0000_0000,
+            0x4071_7000_0000_0000,
+            0x4065_2000_0000_0002,
+            0x4065_2000_0000_0002,
+            0x4075_2000_0000_0002,
+            0x4075_8000_0000_0000,
+            0x408f_4000_0000_0000,
+            0x4065_2000_0000_0002,
+        ]
     );
 }
 
@@ -146,7 +167,7 @@ fn synthetic_assays_agree_across_rules() {
             optimal += 1;
         }
     }
-    // Bigger instances cross into sparse territory.
+    // Bigger instances: wider layers, more fan-in.
     let big = LayeredConfig {
         inputs: 6,
         layers: 5,
