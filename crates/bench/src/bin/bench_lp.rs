@@ -10,21 +10,28 @@
 //! Chrome trace-event JSON (load it at `chrome://tracing` or Perfetto)
 //! and a text summary is printed at exit.
 //!
-//! Four cases are measured, each as formulated by `lpform` (glycomics
+//! Five cases are measured, each as formulated by `lpform` (glycomics
 //! is solved per partition, like the paper's four-partition runs):
-//! the Figure 2 running example, Glucose, Glycomics, and Enzyme10.
-//! Every case is solved once per solver outside the timed region to
-//! check agreement (identical status, |Δobjective| <= 1e-6), then
-//! timed with warmup + N iterations (median/p95, see `harness`).
+//! the Figure 2 running example, Glucose, Glycomics, Enzyme10, and
+//! Enzyme4 after its rewrites. Every case is solved once per solver
+//! outside the timed region to check agreement (identical status,
+//! |Δobjective| <= 1e-6), then timed with warmup + N iterations
+//! (median/p95, see `harness`).
 //!
-//! The `bench_lp/v3` schema records per case `*_agree`, `*_max_dobj`,
+//! The `bench_lp/v4` schema records per case `*_agree`, `*_max_dobj`,
 //! `*_lp_status`, `*_pivots` (sparse simplex iterations under the
 //! default devex pricing) and `*_speedup` (dense median over sparse
 //! median), plus `host_cpus` and `agree_all`. `enzyme10_lp_status`
 //! records that the raw enzyme10 RVol LP is *expectedly* infeasible:
 //! the extreme dilution chain outruns the machine span, which is
 //! exactly what triggers the paper's Fig. 6 cascade/replication
-//! escalation (pinned in tests/paper_numbers.rs).
+//! escalation (pinned in tests/paper_numbers.rs). The hierarchy's exact
+//! precheck proves that without the simplex, so the row times an LP
+//! the compiler never solves. `enzyme4_rewritten` is one it does: the
+//! RVol LP of enzyme4 on the paper machine after the cascades and
+//! replications of Fig. 6, whose solution the hierarchy accepts (plan
+//! status `solved/LP (after rewrites)`; its pivots are pinned in
+//! tests/lp_differential.rs).
 //!
 //! `--quick` drops iteration counts to a smoke-test level for CI; use
 //! the default mode to regenerate the committed `BENCH_lp.json`.
@@ -33,7 +40,7 @@ use aqua_bench::harness::{self, Extra, Measurement};
 use aqua_bench::{benchmark_dag, Benchmark};
 use aqua_lp::{solve_dense, solve_with, Model, SimplexConfig, SolveOutput, Status};
 use aqua_volume::lpform::{self, LpOptions};
-use aqua_volume::{unknown, Machine};
+use aqua_volume::{manage_volumes, unknown, Machine, ManagedOutcome, Method, VolumeManagerOptions};
 
 /// Objective agreement tolerance between the two solvers.
 const OBJ_TOL: f64 = 1e-6;
@@ -108,6 +115,21 @@ fn build_case(name: &'static str, dag: &aqua_dag::Dag, machine: &Machine) -> Cas
     Case { name, models }
 }
 
+/// The DAG whose LP solution the Fig. 6 hierarchy accepts for the
+/// enzyme assay with `n` dilutions: the original DAG after every
+/// cascade and replication the hierarchy applied.
+fn rewritten_dag(n: u32, machine: &Machine) -> aqua_dag::Dag {
+    let dag = benchmark_dag(Benchmark::EnzymeN(n));
+    match manage_volumes(&dag, machine, &VolumeManagerOptions::default()) {
+        ManagedOutcome::Solved { dag, volumes, .. }
+            if volumes.method == Method::LpAfterRewrites =>
+        {
+            dag
+        }
+        other => panic!("enzyme{n} no longer solves by LP after rewrites: {other:?}"),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -130,6 +152,7 @@ fn main() {
         build_case("glucose", &benchmark_dag(Benchmark::Glucose), &machine),
         build_case("glycomics", &benchmark_dag(Benchmark::Glycomics), &machine),
         build_case("enzyme10", &benchmark_dag(Benchmark::EnzymeN(10)), &machine),
+        build_case("enzyme4_rewritten", &rewritten_dag(4, &machine), &machine),
     ];
 
     let config = SimplexConfig {
@@ -195,7 +218,7 @@ fn main() {
             // Batch `reps` solves per timed iteration and normalize, so
             // each sample is comfortably above timer/scheduler noise;
             // solver ratios are unaffected (both share the batching).
-            let reps: u128 = if case.name == "enzyme10" { 1 } else { 32 };
+            let reps: u128 = if is_slow(case.name) { 1 } else { 32 };
             let label = format!("{}/{sname}", case.name);
             let mut m = harness::time(&label, warmup, iters, || {
                 for _ in 1..reps {
@@ -225,7 +248,7 @@ fn main() {
         .unwrap_or(1);
     extras.push(("host_cpus".into(), Extra::Num(host_cpus.to_string())));
     extras.push(("agree_all".into(), Extra::Bool(agree_all)));
-    let json = harness::to_json("bench_lp/v3", &measurements, &extras);
+    let json = harness::to_json("bench_lp/v4", &measurements, &extras);
     std::fs::write(&out_path, &json).expect("write BENCH_lp.json");
     println!("wrote {out_path}");
     if let Some((path, sink)) = obs_out {
@@ -237,15 +260,18 @@ fn main() {
     }
 }
 
+/// The enzyme cases: about a second per dense solve (the paper's
+/// Enzyme10 LP took >20 minutes on its hardware), milliseconds sparse.
+fn is_slow(case: &str) -> bool {
+    case.starts_with("enzyme")
+}
+
 /// (warmup, timed iterations) per case and solver.
 ///
-/// Enzyme10 is the expensive case (~1 s per dense solve; the paper's
-/// Enzyme10 LP took >20 minutes on its hardware), so it gets fewer
-/// iterations; everything else is microseconds and gets a proper
-/// median over several runs.
+/// The slow cases get fewer iterations; everything else is
+/// microseconds and gets a proper median over several runs.
 fn iteration_plan(case: &str, solver: Solver, quick: bool) -> (usize, usize) {
-    let slow = case == "enzyme10";
-    match (slow, solver, quick) {
+    match (is_slow(case), solver, quick) {
         (true, Solver::Dense, true) => (0, 1),
         (true, Solver::Sparse, true) => (0, 2),
         (true, Solver::Dense, false) => (1, 3),

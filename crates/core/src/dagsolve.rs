@@ -7,6 +7,7 @@ use std::error::Error;
 use std::fmt;
 
 use aqua_dag::{Dag, EdgeId, NodeId, NodeKind, Ratio};
+use aqua_rational::RatioError;
 
 use crate::machine::Machine;
 use crate::vnorm::{self, VnormError, VnormTable};
@@ -113,7 +114,7 @@ pub fn solve_weighted(
     weights: &HashMap<NodeId, Ratio>,
 ) -> Result<VolumeAssignment, DagSolveError> {
     let vnorms = vnorm::compute_weighted(dag, weights)?;
-    Ok(verdict(dag, machine, &vnorms)?.assign(vnorms))
+    verdict(dag, machine, &vnorms)?.assign(vnorms)
 }
 
 /// DAGSolve's decision on a Vnorm table, before any volume is
@@ -131,23 +132,40 @@ pub struct Verdict {
 impl Verdict {
     /// The per-node and per-edge volumes in nl: every Vnorm of
     /// `vnorms` (the table the verdict was read from) times the scale.
-    pub fn volumes(&self, vnorms: &VnormTable) -> (Vec<Ratio>, Vec<Ratio>) {
-        let scale = |vs: &[Ratio]| vs.iter().map(|&v| v * self.scale_nl).collect();
-        (scale(&vnorms.node), scale(&vnorms.edge))
+    ///
+    /// # Errors
+    ///
+    /// [`DagSolveError::Vnorm`] with [`VnormError::Arithmetic`] when a
+    /// volume does not fit in `i128`.
+    pub fn volumes(&self, vnorms: &VnormTable) -> Result<(Vec<Ratio>, Vec<Ratio>), DagSolveError> {
+        let scale = |vs: &[Ratio]| -> Result<Vec<Ratio>, DagSolveError> {
+            vs.iter()
+                .map(|&v| v.checked_mul(self.scale_nl).map_err(arithmetic))
+                .collect()
+        };
+        Ok((scale(&vnorms.node)?, scale(&vnorms.edge)?))
     }
 
     /// The full assignment [`Verdict::volumes`] builds.
-    pub fn assign(self, vnorms: VnormTable) -> VolumeAssignment {
-        let (node_volumes_nl, edge_volumes_nl) = self.volumes(&vnorms);
-        VolumeAssignment {
+    ///
+    /// # Errors
+    ///
+    /// See [`Verdict::volumes`].
+    pub fn assign(self, vnorms: VnormTable) -> Result<VolumeAssignment, DagSolveError> {
+        let (node_volumes_nl, edge_volumes_nl) = self.volumes(&vnorms)?;
+        Ok(VolumeAssignment {
             vnorms,
             scale_nl: self.scale_nl,
             node_volumes_nl,
             edge_volumes_nl,
             min_edge: self.min_edge,
             underflow: self.underflow,
-        }
+        })
     }
+}
+
+fn arithmetic(e: RatioError) -> DagSolveError {
+    DagSolveError::Vnorm(VnormError::Arithmetic(e))
 }
 
 /// Reads DAGSolve's verdict off a Vnorm table of `dag` (Fig. 4, lines
@@ -161,7 +179,9 @@ impl Verdict {
 ///
 /// # Errors
 ///
-/// [`DagSolveError::ZeroDemand`] when no node carries a positive load.
+/// [`DagSolveError::ZeroDemand`] when no node carries a positive load,
+/// and [`DagSolveError::Vnorm`] with [`VnormError::Arithmetic`] when the
+/// scale or the smallest transfer does not fit in `i128`.
 pub fn verdict(
     dag: &Dag,
     machine: &Machine,
@@ -171,10 +191,16 @@ pub fn verdict(
     if !max_load.is_positive() {
         return Err(DagSolveError::ZeroDemand);
     }
-    let scale_nl = machine.max_capacity_nl() / max_load;
+    let scale_nl = machine
+        .max_capacity_nl()
+        .checked_div(max_load)
+        .map_err(arithmetic)?;
     // A positive scale keeps the order of transfers, so the smallest
     // Vnorm edge is the smallest transfer.
-    let min_edge = min_transfer(dag, &vnorms.edge).map(|(e, v)| (e, v * scale_nl));
+    let min_edge = match min_transfer(dag, &vnorms.edge) {
+        Some((e, v)) => Some((e, v.checked_mul(scale_nl).map_err(arithmetic)?)),
+        None => None,
+    };
     Ok(Verdict {
         scale_nl,
         underflow: underflow(machine, min_edge),

@@ -203,18 +203,27 @@ pub(crate) fn manage_volumes_impl(
             // Every DAGSolve attempt reads one Vnorm table: a full
             // backward pass in round 0, a seeded update after rewrites.
             opts.obs.add("vol.vnorm_passes", 1);
+            // A verdict without underflow is the answer: its volumes are
+            // part of the read (an overflow there is a DAGSolve error).
             tables
                 .vnorms(&work, &opts.output_weights)
                 .map_err(DagSolveError::from)
-                .and_then(|t| dagsolve::verdict(&work, machine, t))
+                .and_then(|t| {
+                    let v = dagsolve::verdict(&work, machine, t)?;
+                    let volumes = match v.underflow {
+                        None => Some(v.volumes(t)?),
+                        Some(_) => None,
+                    };
+                    Ok((v, volumes))
+                })
         };
         match verdict {
-            Ok(v) => {
+            Ok((v, volumes)) => {
                 if let Some(r) = rec.as_deref_mut() {
                     r.on_dagsolve(tables.weighted(), v.underflow.is_some());
                 }
-                match &v.underflow {
-                    None => {
+                match (&v.underflow, volumes) {
+                    (None, Some((node_volumes_nl, edge_volumes_nl))) => {
                         if let Some(r) = rec.as_deref_mut() {
                             r.on_solved(round);
                         }
@@ -224,7 +233,6 @@ pub(crate) fn manage_volumes_impl(
                         } else {
                             Method::DagSolve
                         };
-                        let (node_volumes_nl, edge_volumes_nl) = v.volumes(tables.weighted());
                         return ManagedOutcome::Solved {
                             volumes: ManagedVolumes {
                                 edge_volumes_nl,
@@ -235,13 +243,14 @@ pub(crate) fn manage_volumes_impl(
                             log,
                         };
                     }
-                    Some(under) => {
+                    (Some(under), _) => {
                         log.push(format!(
                             "round {round}: DAGSolve underflowed ({})",
                             under.volume_nl
                         ));
                         best = Some(v);
                     }
+                    (None, None) => unreachable!("volumes are read with every solved verdict"),
                 }
             }
             Err(e) => {
@@ -498,7 +507,7 @@ pub(crate) fn manage_volumes_impl(
     opts.obs.add("vol.escalations", 1);
     log.push("falling back to run-time regeneration".into());
     ManagedOutcome::NeedsRegeneration {
-        best_effort: best.and_then(|v| Some(v.assign(tables.weighted.table.take()?))),
+        best_effort: best.and_then(|v| v.assign(tables.weighted.table.take()?).ok()),
         dag: work,
         log,
     }

@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use aqua_dag::{Dag, EdgeId, NodeId, Ratio};
 
 use crate::cascade::CascadeInfo;
-use crate::dagsolve;
+use crate::dagsolve::{self, DagSolveError};
 use crate::feascheck::{self, DemandTable};
 use crate::hierarchy::{manage_volumes_impl, ManagedOutcome, VolumeManagerOptions};
 use crate::machine::Machine;
@@ -286,6 +286,14 @@ pub enum ReplayOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Divergence(pub &'static str);
 
+/// The divergence for a DAGSolve verdict the replay cannot read.
+fn diverged(e: DagSolveError) -> Divergence {
+    Divergence(match e {
+        DagSolveError::ZeroDemand => "zero-demand",
+        _ => "verdict-arithmetic",
+    })
+}
+
 /// Replays edits against a recorded trace.
 ///
 /// The solver owns the trace and mutates it as edits apply, so a
@@ -406,8 +414,7 @@ impl IncrSolver {
                 .map_err(|_| Divergence("vnorm-error"))?;
 
             // The same DAGSolve verdict a cold compile reads.
-            let verdict = dagsolve::verdict(&round.dag, &self.machine, table)
-                .map_err(|_| Divergence("zero-demand"))?;
+            let verdict = dagsolve::verdict(&round.dag, &self.machine, table).map_err(diverged)?;
             if verdict.underflow.is_some() != round.underflow {
                 return Err(Divergence("underflow-flipped"));
             }
@@ -416,7 +423,7 @@ impl IncrSolver {
                 None => {
                     // Shape A's single round; Shape B rounds always
                     // underflow, checked just above.
-                    solved = Some(verdict.volumes(table));
+                    solved = Some(verdict.volumes(table).map_err(diverged)?);
                     break;
                 }
             }

@@ -496,12 +496,19 @@ fn node_totals(dag: &Dag, edge_volumes_nl: &[Ratio]) -> Vec<Ratio> {
     node_volumes_nl
 }
 
+/// The error recorded for a mix input whose exact relative error does
+/// not fit in `i128`: above every error that does, so the assignment
+/// counts as beyond the paper's tolerance.
+const UNREPRESENTABLE_ERROR: Ratio = Ratio::from_int(i128::MAX);
+
 /// (max, mean) relative mix-ratio error across all mix-node inputs of
-/// an edge table — the §4.2 metric.
+/// an edge table — the §4.2 metric. An input whose error does not fit
+/// in `i128` counts as [`UNREPRESENTABLE_ERROR`]; a sum of errors that
+/// overflows saturates the mean at the max, which it never exceeds.
 fn ratio_errors(dag: &Dag, edge_volumes_nl: &[Ratio]) -> (Ratio, Ratio) {
     let node_volumes_nl = node_totals(dag, edge_volumes_nl);
     let mut max_err = Ratio::ZERO;
-    let mut total_err = Ratio::ZERO;
+    let mut total_err = Some(Ratio::ZERO);
     let mut samples: i128 = 0;
     for id in dag.node_ids() {
         if !matches!(dag.node(id).kind, NodeKind::Mix { .. }) {
@@ -513,17 +520,22 @@ fn ratio_errors(dag: &Dag, edge_volumes_nl: &[Ratio]) -> (Ratio, Ratio) {
         }
         for &e in dag.in_edges(id) {
             let spec = dag.edge(e).fraction;
-            let got = edge_volumes_nl[e.index()] / total;
-            let err = (got - spec).abs() / spec;
+            let err = edge_volumes_nl[e.index()]
+                .checked_div(total)
+                .and_then(|got| got.checked_sub(spec))
+                .and_then(|diff| diff.abs().checked_div(spec))
+                .unwrap_or(UNREPRESENTABLE_ERROR);
             max_err = max_err.max(err);
-            total_err += err;
+            total_err = total_err.and_then(|t| t.checked_add(err).ok());
             samples += 1;
         }
     }
-    let mean = if samples > 0 {
-        total_err / Ratio::from_int(samples)
-    } else {
-        Ratio::ZERO
+    let mean = match total_err {
+        _ if samples == 0 => Ratio::ZERO,
+        Some(total) => total
+            .checked_div(Ratio::from_int(samples))
+            .unwrap_or(max_err),
+        None => max_err,
     };
     (max_err, mean)
 }

@@ -22,6 +22,9 @@
 //! `r` — making the rebuilt eta product exactly the inverse of the
 //! reordered heading.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// One elementary pivot matrix, stored sparsely.
 #[derive(Debug, Clone)]
 struct Eta {
@@ -134,6 +137,10 @@ impl EtaBasis {
     /// O(1) instead of O(m). A cold-start ± unit basis (all slacks and
     /// artificials) therefore refactorizes in O(m) instead of O(m^2).
     ///
+    /// The other columns are eliminated over their nonzero patterns
+    /// ([`EtaBasis::eliminate`]); debug and test builds check every eta
+    /// against the dense elimination it replaces.
+    ///
     /// On success the product of the recorded etas is exactly the
     /// inverse of the (reordered) basis; callers must recompute any
     /// cached basic values afterwards.
@@ -143,6 +150,54 @@ impl EtaBasis {
         col: C,
         nnz: N,
     ) -> Result<(), SingularBasis>
+    where
+        C: Fn(usize, &mut dyn FnMut(usize, f64)),
+        N: Fn(usize) -> usize,
+    {
+        #[cfg(any(test, debug_assertions))]
+        let oracle = {
+            let mut dense = EtaBasis::new(self.m);
+            let mut heading = basic.to_vec();
+            let verdict = dense.peel(&heading, &col, &nnz).and_then(|mut peeled| {
+                dense.eliminate_dense(&mut peeled, &col)?;
+                heading.copy_from_slice(&peeled.new_basic);
+                Ok(())
+            });
+            (dense, heading, verdict)
+        };
+        let mut peeled = self.peel(basic, &col, &nnz)?;
+        let verdict = self.eliminate(&mut peeled, &col);
+        if verdict.is_ok() {
+            basic.copy_from_slice(&peeled.new_basic);
+            self.base = self.etas.len();
+        }
+        #[cfg(any(test, debug_assertions))]
+        {
+            let (dense, heading, dense_verdict) = oracle;
+            assert_eq!(
+                verdict.is_ok(),
+                dense_verdict.is_ok(),
+                "refactor verdicts differ"
+            );
+            if verdict.is_ok() {
+                assert_eq!(basic, &heading[..], "refactor headings differ");
+                assert_eq!(
+                    self.etas.len(),
+                    dense.etas.len(),
+                    "refactor eta counts differ"
+                );
+                for (k, (a, b)) in self.etas.iter().zip(&dense.etas).enumerate() {
+                    assert!(a.same_bits(b), "eta {k} differs: {a:?} vs {b:?}");
+                }
+            }
+        }
+        verdict
+    }
+
+    /// Clears the file and records the singleton columns of `basic`;
+    /// returns the other columns, sparsest first, with the rows they
+    /// left unpivoted.
+    fn peel<C, N>(&mut self, basic: &[usize], col: &C, nnz: &N) -> Result<Peeled, SingularBasis>
     where
         C: Fn(usize, &mut dyn FnMut(usize, f64)),
         N: Fn(usize) -> usize,
@@ -158,7 +213,7 @@ impl EtaBasis {
         let mut pivoted = vec![false; self.m];
         let mut new_basic = vec![usize::MAX; self.m];
 
-        // Fast path: peel the leading singleton (and empty) columns.
+        // Peel the leading singleton (and empty) columns.
         let mut split = order.len();
         for (idx, &k) in order.iter().enumerate() {
             let j = basic[k];
@@ -185,17 +240,129 @@ impl EtaBasis {
             pivoted[r] = true;
             new_basic[r] = j;
         }
+        Ok(Peeled {
+            cols: order[split..].iter().map(|&k| basic[k]).collect(),
+            pivoted,
+            new_basic,
+        })
+    }
 
+    /// Eliminates the peeled columns in order, each over its nonzero
+    /// pattern instead of all `m` rows, with the dense elimination's
+    /// exact arithmetic:
+    ///
+    /// * the FTRAN applies only the etas whose pivot row is in the
+    ///   pattern, in eta order (a heap), which is the order the dense
+    ///   FTRAN applies them in; the dense one skips every other eta,
+    ///   because its pivot entry is zero. Each eta of the file pivots a
+    ///   distinct row, so a row that joins the pattern brings at most
+    ///   one eta, and one older than the eta being applied has been
+    ///   skipped already;
+    /// * the pivot is the largest |x| over the pattern's unpivoted
+    ///   rows, ties to the smallest row, starting from the smallest
+    ///   unpivoted row as the dense scan does (rows outside the pattern
+    ///   are zero, so they never win);
+    /// * the eta is recorded from the pattern sorted by row, and only
+    ///   the pattern is zeroed afterwards.
+    fn eliminate<C>(&mut self, peeled: &mut Peeled, col: &C) -> Result<(), SingularBasis>
+    where
+        C: Fn(usize, &mut dyn FnMut(usize, f64)),
+    {
         let mut x = vec![0.0; self.m];
-        for &k in &order[split..] {
-            let j = basic[k];
+        let mut in_pattern = vec![false; self.m];
+        let mut pattern: Vec<usize> = Vec::new();
+        let mut eta_of_row = vec![usize::MAX; self.m];
+        for (e, eta) in self.etas.iter().enumerate() {
+            eta_of_row[eta.row] = e;
+        }
+        let mut due: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+        let mut first_free = 0;
+        for &j in &peeled.cols {
+            col(j, &mut |r, v| {
+                if !in_pattern[r] {
+                    in_pattern[r] = true;
+                    pattern.push(r);
+                }
+                x[r] += v;
+            });
+            due.extend(
+                pattern
+                    .iter()
+                    .filter(|&&r| eta_of_row[r] != usize::MAX)
+                    .map(|&r| Reverse(eta_of_row[r])),
+            );
+            while let Some(Reverse(e)) = due.pop() {
+                let eta = &self.etas[e];
+                let xr = x[eta.row];
+                if xr == 0.0 {
+                    continue;
+                }
+                let p = xr / eta.pivot;
+                x[eta.row] = p;
+                for &(i, v) in &eta.others {
+                    x[i] -= v * p;
+                    if !in_pattern[i] {
+                        in_pattern[i] = true;
+                        pattern.push(i);
+                        if eta_of_row[i] != usize::MAX && eta_of_row[i] > e {
+                            due.push(Reverse(eta_of_row[i]));
+                        }
+                    }
+                }
+            }
+            pattern.sort_unstable();
+            while peeled.pivoted[first_free] {
+                first_free += 1;
+            }
+            let mut p = first_free;
+            for &i in &pattern {
+                if !peeled.pivoted[i] && x[i].abs() > x[p].abs() {
+                    p = i;
+                }
+            }
+            if x[p].abs() < SINGULAR_TOL {
+                return Err(SingularBasis);
+            }
+            let others = pattern
+                .iter()
+                .filter(|&&i| i != p && x[i].abs() > DROP_TOL)
+                .map(|&i| (i, x[i]))
+                .collect();
+            eta_of_row[p] = self.etas.len();
+            self.etas.push(Eta {
+                row: p,
+                pivot: x[p],
+                others,
+            });
+            for &i in &pattern {
+                x[i] = 0.0;
+                in_pattern[i] = false;
+            }
+            pattern.clear();
+            peeled.pivoted[p] = true;
+            peeled.new_basic[p] = j;
+        }
+        Ok(())
+    }
+
+    /// The dense elimination [`EtaBasis::eliminate`] replaces: zero all
+    /// `m` rows, scatter, FTRAN through the whole file, scan every row
+    /// for the pivot, record the eta from every row. Kept as the debug
+    /// and test oracle of every refactorization.
+    #[cfg(any(test, debug_assertions))]
+    fn eliminate_dense<C>(&mut self, peeled: &mut Peeled, col: &C) -> Result<(), SingularBasis>
+    where
+        C: Fn(usize, &mut dyn FnMut(usize, f64)),
+    {
+        let mut x = vec![0.0; self.m];
+        for &j in &peeled.cols {
             x.iter_mut().for_each(|v| *v = 0.0);
             col(j, &mut |r, v| x[r] += v);
             self.ftran(&mut x);
             // Largest available pivot; ties by smallest row.
             let mut best: Option<usize> = None;
             for (i, &v) in x.iter().enumerate() {
-                if !pivoted[i] && best.is_none_or(|b| v.abs() > x[b].abs()) {
+                if !peeled.pivoted[i] && best.is_none_or(|b| v.abs() > x[b].abs()) {
                     best = Some(i);
                 }
             }
@@ -204,12 +371,33 @@ impl EtaBasis {
                 return Err(SingularBasis);
             }
             self.push(p, &x);
-            pivoted[p] = true;
-            new_basic[p] = j;
+            peeled.pivoted[p] = true;
+            peeled.new_basic[p] = j;
         }
-        basic.copy_from_slice(&new_basic);
-        self.base = self.etas.len();
         Ok(())
+    }
+}
+
+/// A refactorization after its singleton peel: the columns left to
+/// eliminate, in pivot order, and the rows and heading so far.
+struct Peeled {
+    cols: Vec<usize>,
+    pivoted: Vec<bool>,
+    new_basic: Vec<usize>,
+}
+
+#[cfg(any(test, debug_assertions))]
+impl Eta {
+    /// Same row, same pivot bits, same off-pivot rows and bits.
+    fn same_bits(&self, other: &Eta) -> bool {
+        self.row == other.row
+            && self.pivot.to_bits() == other.pivot.to_bits()
+            && self.others.len() == other.others.len()
+            && self
+                .others
+                .iter()
+                .zip(&other.others)
+                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
     }
 }
 
@@ -352,5 +540,49 @@ mod tests {
         // Two singleton columns on the same row.
         let dup = |_: usize, f: &mut dyn FnMut(usize, f64)| f(0, 1.0);
         assert!(basis.refactor(&mut basic, dup, |_| 1).is_err());
+    }
+
+    #[test]
+    fn sparse_elimination_matches_dense_on_random_bases() {
+        // Seeded sparse bases with fill-in, ties and singleton columns;
+        // `refactor` itself checks every eta against the dense
+        // elimination in test builds, and FTRAN must invert the result.
+        let mut rng = aqua_rational::rng::XorShift64Star::new(0xE7A5);
+        for trial in 0..200 {
+            let m = 2 + rng.index(40);
+            let mut cols: Vec<Vec<(usize, f64)>> = (0..m)
+                .map(|j| {
+                    let mut c = vec![(j, [1.0, -2.0, 0.5][rng.index(3)])];
+                    for _ in 0..rng.index(4) {
+                        let r = rng.index(m);
+                        if c.iter().all(|&(i, _)| i != r) {
+                            c.push((r, [1.0, -1.0, 3.0, 0.25][rng.index(4)]));
+                        }
+                    }
+                    c.sort_by_key(|&(i, _)| i);
+                    c
+                })
+                .collect();
+            if trial % 7 == 0 {
+                cols[0] = cols[m - 1].clone(); // singular
+            }
+            let col = |j: usize, f: &mut dyn FnMut(usize, f64)| {
+                cols[j].iter().for_each(|&(i, v)| f(i, v));
+            };
+            let mut basis = EtaBasis::new(m);
+            let mut basic: Vec<usize> = (0..m).collect();
+            if basis.refactor(&mut basic, col, |j| cols[j].len()).is_err() {
+                continue;
+            }
+            for (r, &j) in basic.iter().enumerate() {
+                let mut x = vec![0.0; m];
+                col(j, &mut |i, v| x[i] += v);
+                basis.ftran(&mut x);
+                for (i, &xi) in x.iter().enumerate() {
+                    let want = if i == r { 1.0 } else { 0.0 };
+                    assert!((xi - want).abs() < 1e-9, "trial {trial}: column {j}");
+                }
+            }
+        }
     }
 }

@@ -94,6 +94,11 @@ pub enum ModelError {
         /// Where the NaN was found.
         context: String,
     },
+    /// A coefficient of the objective or of a constraint is infinite.
+    InfiniteCoefficient {
+        /// Where the coefficient was found.
+        context: String,
+    },
     /// A [`VarId`] does not belong to this model.
     UnknownVariable {
         /// The stray id's index.
@@ -108,6 +113,9 @@ impl fmt::Display for ModelError {
                 write!(f, "variable `{var}` has inverted bounds [{lb}, {ub}]")
             }
             ModelError::NotANumber { context } => write!(f, "NaN encountered in {context}"),
+            ModelError::InfiniteCoefficient { context } => {
+                write!(f, "infinite coefficient in {context}")
+            }
             ModelError::UnknownVariable { index } => {
                 write!(f, "variable id x{index} does not belong to this model")
             }
@@ -307,8 +315,8 @@ impl Model {
             .collect()
     }
 
-    /// Checks structural sanity: bounds ordered, no NaNs, all variable ids
-    /// in range.
+    /// Checks structural sanity: bounds ordered, no NaNs, finite
+    /// coefficients, all variable ids in range.
     ///
     /// # Errors
     ///
@@ -335,6 +343,11 @@ impl Model {
                 }
                 if c.is_nan() {
                     return Err(ModelError::NotANumber {
+                        context: what.to_owned(),
+                    });
+                }
+                if c.is_infinite() {
+                    return Err(ModelError::InfiniteCoefficient {
                         context: what.to_owned(),
                     });
                 }
@@ -444,6 +457,24 @@ mod tests {
         let x = m.add_var("x", 0.0, 1.0);
         m.add_le("c", [(x, f64::NAN)], 1.0);
         assert!(matches!(m.validate(), Err(ModelError::NotANumber { .. })));
+    }
+
+    #[test]
+    fn validate_catches_infinite_coefficients() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", 0.0, f64::INFINITY);
+        m.add_le("c", [(x, f64::NEG_INFINITY)], 1.0);
+        assert!(matches!(
+            m.validate(),
+            Err(ModelError::InfiniteCoefficient { .. })
+        ));
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", 0.0, 1.0);
+        m.set_objective([(x, f64::INFINITY)]);
+        assert!(matches!(
+            m.validate(),
+            Err(ModelError::InfiniteCoefficient { .. })
+        ));
     }
 
     #[test]

@@ -137,10 +137,10 @@ impl Status {
 
 /// Solves a model with the default configuration.
 ///
-/// The model is validated first; structural errors (NaN, inverted
-/// bounds) are reported as [`Status::Infeasible`] with zero iterations —
-/// callers that need the distinction should call [`Model::validate`]
-/// themselves.
+/// The model is validated first; structural errors (NaN, infinite
+/// coefficients, inverted bounds) are reported as [`Status::Infeasible`]
+/// with zero iterations — callers that need the distinction should call
+/// [`Model::validate`] themselves.
 ///
 /// # Examples
 ///

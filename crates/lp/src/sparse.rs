@@ -87,6 +87,43 @@ impl CscMatrix {
     }
 }
 
+/// Compressed sparse row matrix.
+#[derive(Debug, Clone)]
+pub(crate) struct CsrMatrix {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl CsrMatrix {
+    /// Builds from `(col, row, value)` triplets already in row order;
+    /// columns within a row keep their triplet order.
+    fn from_row_major(rows: usize, triplets: &[(usize, usize, f64)]) -> CsrMatrix {
+        let mut row_ptr = vec![0usize; rows + 1];
+        for &(_, r, _) in triplets {
+            row_ptr[r + 1] += 1;
+        }
+        for r in 0..rows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        debug_assert!(triplets.windows(2).all(|w| w[0].1 <= w[1].1));
+        CsrMatrix {
+            row_ptr,
+            col_idx: triplets.iter().map(|t| t.0).collect(),
+            vals: triplets.iter().map(|t| t.2).collect(),
+        }
+    }
+
+    /// Nonzeros of row `i` as `(col, value)` pairs.
+    fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let range = self.row_ptr[i]..self.row_ptr[i + 1];
+        self.col_idx[range.clone()]
+            .iter()
+            .copied()
+            .zip(self.vals[range].iter().copied())
+    }
+}
+
 // ---------------------------------------------------------------------
 // Standard form (shared presolve + mapping, bound-independent matrix)
 // ---------------------------------------------------------------------
@@ -101,6 +138,8 @@ pub(crate) struct Standardized {
     /// Total columns including the `m` virtual artificials.
     ncols: usize,
     csc: CscMatrix,
+    /// The same matrix row by row; see [`Revised::pivot_row`].
+    rows: CsrMatrix,
     /// Right-hand side after offset shifting. *Signed* — rows are not
     /// normalized.
     b: Vec<f64>,
@@ -156,12 +195,14 @@ impl Standardized {
             upper.push(if s != 0.0 { f64::INFINITY } else { 0.0 });
         }
         let csc = CscMatrix::from_triplets(art_start, &triplets);
+        let rows = CsrMatrix::from_row_major(m, &triplets);
         let cost = internal_costs(model, &var_maps, art_start);
         Ok(Standardized {
             m,
             art_start,
             ncols: art_start + m,
             csc,
+            rows,
             b,
             upper,
             cost,
@@ -300,6 +341,49 @@ impl<'a> Revised<'a> {
         }
     }
 
+    /// Row `rho` of `B^-1 A`: calls `f(j, alpha_j)` once for every
+    /// column a nonzero of `rho` reaches, in no fixed column order, where
+    /// `alpha_j = rho . a_j` has the bits `col_dot(j, rho)` gives it
+    /// whenever it is nonzero (columns not reached have `alpha_j = 0`).
+    ///
+    /// The row-wise copy is scattered from `rho`'s nonzero rows in
+    /// ascending row order. That is the order `CscMatrix::col` sums each
+    /// column in, because [`Standardized::build`] emits its triplets row
+    /// by row, and a skipped zero row only adds a zero term, which can
+    /// change at most the sign of a zero sum: every coefficient is finite
+    /// ([`Model::validate`](crate::Model::validate)), so no `0 * inf`
+    /// term is dropped.
+    fn pivot_row(&self, rho: &[f64], scratch: &mut PivotRow, mut f: impl FnMut(usize, f64)) {
+        let PivotRow { alpha, seen, cols } = scratch;
+        for (i, &ri) in rho.iter().enumerate() {
+            if ri == 0.0 {
+                continue;
+            }
+            let art = self.std.art_start + i;
+            for (j, v) in self.std.rows.row(i).chain([(art, self.art_sign[i])]) {
+                if !seen[j] {
+                    seen[j] = true;
+                    cols.push(j);
+                }
+                alpha[j] += v * ri;
+            }
+        }
+        // Debug and test builds check every column against the sweep
+        // this replaces.
+        #[cfg(any(test, debug_assertions))]
+        for j in 0..self.ncols {
+            let (swept, scattered) = (self.col_dot(j, rho), if seen[j] { alpha[j] } else { 0.0 });
+            assert!(
+                swept.to_bits() == scattered.to_bits() || (swept == 0.0 && scattered == 0.0),
+                "alpha_{j}: column sweep {swept:e}, row scatter {scattered:e}"
+            );
+        }
+        for j in cols.drain(..) {
+            seen[j] = false;
+            f(j, std::mem::take(&mut alpha[j]));
+        }
+    }
+
     // --- basis maintenance ---
 
     fn refactor(&mut self) -> Result<(), ()> {
@@ -359,15 +443,19 @@ impl<'a> Revised<'a> {
             .unwrap_or(50_000 + 50 * (self.m as u64 + self.std.art_start as u64))
     }
 
-    /// Phase objective `sum(costs_j * x_j)` at the current point.
-    fn phase_objective(&self, costs: &[f64]) -> f64 {
+    /// Phase objective `sum(costs_j * x_j)` at the current point, where
+    /// `priced` lists the columns of nonzero cost in ascending order
+    /// ([`priced_columns`]). A nonbasic column sits at a finite bound, so
+    /// a zero-cost one adds a zero term, which can change at most the
+    /// sign of a zero sum.
+    fn phase_objective(&self, costs: &[f64], priced: &[usize]) -> f64 {
         let mut obj = 0.0;
         for r in 0..self.m {
             obj += costs[self.basic[r]] * self.beta[r];
         }
-        for (j, &cost) in costs.iter().enumerate() {
+        for &j in priced {
             if self.status[j] == ColStatus::AtUpper {
-                obj += cost * self.upper[j];
+                obj += costs[j] * self.upper[j];
             }
         }
         obj
@@ -391,6 +479,7 @@ impl<'a> Revised<'a> {
         let mut best_obj = f64::INFINITY;
         let mut y = vec![0.0; self.m];
         let mut w = vec![0.0; self.m];
+        let priced = priced_columns(costs);
         loop {
             if local_iters >= cap {
                 return IterEnd::IterationLimit;
@@ -517,7 +606,7 @@ impl<'a> Revised<'a> {
             }
 
             // --- Stall detection -> Bland's rule ---
-            let obj = self.phase_objective(costs);
+            let obj = self.phase_objective(costs, &priced);
             if obj < best_obj - 1e-10 * (1.0 + best_obj.abs()) {
                 best_obj = obj;
                 stall = 0;
@@ -638,6 +727,8 @@ impl<'a> Revised<'a> {
         let mut best_obj = f64::INFINITY;
         let mut w = vec![0.0; self.m];
         let mut rho = vec![0.0; self.m];
+        let mut row = PivotRow::new(self.ncols);
+        let priced = priced_columns(costs);
         let mut d = self.compute_reduced_costs(costs);
         let mut weights = vec![1.0f64; self.ncols];
         let mut cands: Vec<usize> = Vec::new();
@@ -745,22 +836,19 @@ impl<'a> Revised<'a> {
                     let alpha_q = w[r];
                     let theta_d = d[jin] / alpha_q;
                     let wq = weights[jin];
-                    for j in 0..self.ncols {
-                        if j == jin {
-                            continue;
-                        }
-                        let alpha = self.col_dot(j, &rho);
-                        if alpha == 0.0 {
-                            continue;
+                    let status = &self.status;
+                    self.pivot_row(&rho, &mut row, |j, alpha| {
+                        if j == jin || alpha == 0.0 {
+                            return;
                         }
                         d[j] -= theta_d * alpha;
-                        if self.status[j] != ColStatus::Basic {
+                        if status[j] != ColStatus::Basic {
                             let grow = (alpha / alpha_q) * (alpha / alpha_q) * wq;
                             if grow > weights[j] {
                                 weights[j] = grow;
                             }
                         }
-                    }
+                    });
                     d[jin] = 0.0;
 
                     let t = tmax;
@@ -800,7 +888,7 @@ impl<'a> Revised<'a> {
             }
 
             // --- Stall detection -> Bland's rule ---
-            let obj = self.phase_objective(costs);
+            let obj = self.phase_objective(costs, &priced);
             if obj < best_obj - 1e-10 * (1.0 + best_obj.abs()) {
                 best_obj = obj;
                 stall = 0;
@@ -866,7 +954,7 @@ impl<'a> Revised<'a> {
                 }
                 IterEnd::IterationLimit => return self.finish(Status::IterationLimit),
             }
-            let infeas = self.phase_objective(&phase1_cost);
+            let infeas = self.phase_objective(&phase1_cost, &priced_columns(&phase1_cost));
             if infeas > tol * (1.0 + self.m as f64) {
                 return self.finish(Status::Infeasible);
             }
@@ -1099,6 +1187,28 @@ impl<'a> Revised<'a> {
         SolveOutput {
             status,
             stats: self.stats.clone(),
+        }
+    }
+}
+
+/// The columns of nonzero cost, ascending.
+fn priced_columns(costs: &[f64]) -> Vec<usize> {
+    (0..costs.len()).filter(|&j| costs[j] != 0.0).collect()
+}
+
+/// Scratch space of [`Revised::pivot_row`], zero and empty between calls.
+struct PivotRow {
+    alpha: Vec<f64>,
+    seen: Vec<bool>,
+    cols: Vec<usize>,
+}
+
+impl PivotRow {
+    fn new(ncols: usize) -> PivotRow {
+        PivotRow {
+            alpha: vec![0.0; ncols],
+            seen: vec![false; ncols],
+            cols: Vec::new(),
         }
     }
 }

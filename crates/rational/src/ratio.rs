@@ -43,6 +43,33 @@ fn gcd(mut a: i128, mut b: i128) -> i128 {
     a
 }
 
+/// Stein's binary GCD: shifts and subtractions, no division (the
+/// `i128` `%` of [`gcd`] is a library call on x86-64, not an
+/// instruction).
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `x` as an `i64`, if it fits: the operand range of the 64-bit paths,
+/// on which no `i128` intermediate of the general paths can overflow.
+fn narrow(x: i128) -> Option<i64> {
+    i64::try_from(x).ok()
+}
+
 impl Ratio {
     /// The additive identity, `0/1`.
     pub const ZERO: Ratio = Ratio { numer: 0, denom: 1 };
@@ -73,6 +100,17 @@ impl Ratio {
             // `abs`/negation below would overflow; such extremes never
             // arise from sane assays, so reject rather than special-case.
             return Err(RatioError::Overflow);
+        }
+        if let (Ok(un), Ok(ud)) = (
+            u64::try_from(numer.unsigned_abs()),
+            u64::try_from(denom.unsigned_abs()),
+        ) {
+            let g = gcd_u64(un, ud);
+            let n = i128::from(un / g);
+            return Ok(Ratio {
+                numer: if (numer < 0) != (denom < 0) { -n } else { n },
+                denom: i128::from(ud / g),
+            });
         }
         let (mut n, mut d) = (numer, denom);
         if d < 0 {
@@ -136,6 +174,14 @@ impl Ratio {
     ///
     /// Returns [`RatioError::Overflow`] if any intermediate exceeds `i128`.
     pub fn checked_add(self, rhs: Ratio) -> Result<Ratio> {
+        if let (Some(a), Some(b), Some(c), Some(d)) = (
+            narrow(self.numer),
+            narrow(self.denom),
+            narrow(rhs.numer),
+            narrow(rhs.denom),
+        ) {
+            return Ok(add64(a, b as u64, c, d as u64));
+        }
         // a/b + c/d = (a*(l/b) + c*(l/d)) / l with l = lcm(b, d); using the
         // lcm keeps intermediates as small as possible.
         let g = gcd(self.denom, rhs.denom);
@@ -169,6 +215,14 @@ impl Ratio {
     ///
     /// Returns [`RatioError::Overflow`] if any intermediate exceeds `i128`.
     pub fn checked_mul(self, rhs: Ratio) -> Result<Ratio> {
+        if let (Some(a), Some(b), Some(c), Some(d)) = (
+            narrow(self.numer),
+            narrow(self.denom),
+            narrow(rhs.numer),
+            narrow(rhs.denom),
+        ) {
+            return Ok(mul64(a, b as u64, c, d as u64));
+        }
         // Cross-reduce before multiplying to keep intermediates small.
         let g1 = gcd(self.numer, rhs.denom);
         let g2 = gcd(rhs.numer, self.denom);
@@ -317,6 +371,44 @@ impl Ratio {
             acc = acc.checked_add(r)?;
         }
         Ok(acc)
+    }
+}
+
+/// `a/b + c/d` for reduced operands that fit in `i64` (`b, d > 0`),
+/// where no intermediate of the general path can overflow `i128`.
+/// With `g = gcd(b, d)`, the lcm is `(b/g)·d` and the unreduced sum
+/// `t = a·(d/g) + c·(b/g)` shares no factor with `b/g` or `d/g`, so
+/// `gcd(t, lcm) = gcd(t, g)` (Knuth, TAOCP §4.5.1): the reduction
+/// needs one GCD of a 64-bit value instead of one over the wide lcm.
+fn add64(a: i64, b: u64, c: i64, d: u64) -> Ratio {
+    let g = gcd_u64(b, d);
+    let (bg, dg) = (b / g, d / g);
+    let t = i128::from(a) * i128::from(dg) + i128::from(c) * i128::from(bg);
+    let g2 = match u64::try_from(t.unsigned_abs()) {
+        _ if g == 1 => 1,
+        Ok(t) => gcd_u64(t % g, g),
+        Err(_) => gcd_u64((t.unsigned_abs() % u128::from(g)) as u64, g),
+    };
+    Ratio {
+        numer: t / i128::from(g2),
+        denom: i128::from(bg) * i128::from(d / g2),
+    }
+}
+
+/// `(a/b)·(c/d)` for reduced operands that fit in `i64` (`b, d > 0`):
+/// the cross-reduced products are coprime, so they are the result, and
+/// under 2^126 in magnitude.
+fn mul64(a: i64, b: u64, c: i64, d: u64) -> Ratio {
+    if a == 0 || c == 0 {
+        return Ratio::ZERO;
+    }
+    let (ua, uc) = (a.unsigned_abs(), c.unsigned_abs());
+    let g1 = gcd_u64(ua, d);
+    let g2 = gcd_u64(uc, b);
+    let n = (u128::from(ua / g1) * u128::from(uc / g2)) as i128;
+    Ratio {
+        numer: if (a < 0) != (c < 0) { -n } else { n },
+        denom: (u128::from(b / g2) * u128::from(d / g1)) as i128,
     }
 }
 
@@ -539,5 +631,124 @@ mod tests {
     #[test]
     fn default_is_zero() {
         assert_eq!(Ratio::default(), Ratio::ZERO);
+    }
+}
+
+/// The arithmetic as it stood before the 64-bit paths: Euclid's GCD in
+/// `i128` everywhere. A seeded differential pins the fast paths to it,
+/// `Ok` value for value and `Err` for `Err`. (`cmp`, `floor`, `ceil`
+/// and `round` have no 64-bit path, so they need no copy here.)
+#[cfg(test)]
+mod reference {
+    use super::{gcd, Ratio, RatioError, Result};
+
+    pub fn new(numer: i128, denom: i128) -> Result<Ratio> {
+        if denom == 0 {
+            return Err(RatioError::ZeroDenominator);
+        }
+        if denom == i128::MIN || numer == i128::MIN {
+            return Err(RatioError::Overflow);
+        }
+        let (mut n, mut d) = (numer, denom);
+        if d < 0 {
+            n = -n;
+            d = -d;
+        }
+        let g = gcd(n, d);
+        if g > 1 {
+            n /= g;
+            d /= g;
+        }
+        Ok(Ratio { numer: n, denom: d })
+    }
+
+    pub fn add(x: Ratio, y: Ratio) -> Result<Ratio> {
+        let g = gcd(x.denom, y.denom);
+        let l = (x.denom / g)
+            .checked_mul(y.denom)
+            .ok_or(RatioError::Overflow)?;
+        let left = x
+            .numer
+            .checked_mul(l / x.denom)
+            .ok_or(RatioError::Overflow)?;
+        let right = y
+            .numer
+            .checked_mul(l / y.denom)
+            .ok_or(RatioError::Overflow)?;
+        new(left.checked_add(right).ok_or(RatioError::Overflow)?, l)
+    }
+
+    pub fn mul(x: Ratio, y: Ratio) -> Result<Ratio> {
+        let g1 = gcd(x.numer, y.denom);
+        let g2 = gcd(y.numer, x.denom);
+        let n = (x.numer / g1)
+            .checked_mul(y.numer / g2)
+            .ok_or(RatioError::Overflow)?;
+        let d = (x.denom / g2)
+            .checked_mul(y.denom / g1)
+            .ok_or(RatioError::Overflow)?;
+        new(n, d)
+    }
+
+    pub fn recip(x: Ratio) -> Result<Ratio> {
+        new(x.denom, x.numer)
+    }
+
+    pub fn div(x: Ratio, y: Ratio) -> Result<Ratio> {
+        if y.numer == 0 {
+            return Err(RatioError::ZeroDenominator);
+        }
+        mul(x, recip(y)?)
+    }
+}
+
+#[cfg(test)]
+mod differential {
+    use super::{reference, Ratio};
+    use crate::rng::XorShift64Star;
+
+    /// Components clustered where the 64-bit paths switch on and off:
+    /// around 0, ±2^31, ±2^62, ±2^63, ±2^64 and `i128::MAX`, plus small
+    /// and full-width random values.
+    fn component(rng: &mut XorShift64Star) -> i128 {
+        const ANCHORS: [i128; 7] = [0, 1 << 31, 1 << 62, 1 << 63, 1 << 64, 1 << 100, i128::MAX];
+        let v = match rng.index(4) {
+            0 => {
+                let anchor = ANCHORS[rng.index(ANCHORS.len())];
+                anchor.saturating_add(rng.range_u64(0, 8) as i128 - 4)
+            }
+            1 => rng.range_u64(0, 2000) as i128,
+            2 => (rng.next_u64() >> rng.index(64)) as i128,
+            _ => ((rng.next_u64() as i128) << 64 | rng.next_u64() as i128) >> rng.index(127),
+        };
+        if rng.index(2) == 0 {
+            -v
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    fn fast_paths_match_the_i128_reference() {
+        let mut rng = XorShift64Star::new(0x64B1_7FA5);
+        let mut pool = vec![Ratio::ZERO, Ratio::ONE];
+        for _ in 0..20_000 {
+            let (n, d) = (component(&mut rng), component(&mut rng));
+            let got = Ratio::new(n, d);
+            assert_eq!(got, reference::new(n, d), "new({n}, {d})");
+            if let Ok(r) = got {
+                pool.push(r);
+            }
+        }
+        for _ in 0..200_000 {
+            let x = pool[rng.index(pool.len())];
+            let y = pool[rng.index(pool.len())];
+            assert_eq!(x.checked_add(y), reference::add(x, y), "{x:?} + {y:?}");
+            let neg = reference::new(-y.numer, y.denom).unwrap();
+            assert_eq!(x.checked_sub(y), reference::add(x, neg), "{x:?} - {y:?}");
+            assert_eq!(x.checked_mul(y), reference::mul(x, y), "{x:?} * {y:?}");
+            assert_eq!(x.checked_div(y), reference::div(x, y), "{x:?} / {y:?}");
+            assert_eq!(x.checked_recip(), reference::recip(x), "1 / {x:?}");
+        }
     }
 }

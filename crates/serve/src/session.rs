@@ -346,7 +346,14 @@ fn compile_full(
     obs: &Obs,
 ) -> Result<CompiledSession, String> {
     let base = canon::canonicalize(&dag, &weights, &machine).map_err(|e| e.to_string())?;
-    let (plan, rec) = plan::compile_plan_traced(&base, &machine, obs);
+    let (plan, solver) = compile_base(&base, &machine, obs);
+    Ok(pin(base, plan, solver, dag, weights, machine))
+}
+
+/// The plan of canonical form `base`, and the replay solver when its
+/// trace is replayable: the costly step of a cold compile.
+fn compile_base(base: &Canon, machine: &Machine, obs: &Obs) -> (String, Option<IncrSolver>) {
+    let (plan, rec) = plan::compile_plan_traced(base, machine, obs);
     let solver = rec.and_then(|rec| {
         let solver_weights: HashMap<NodeId, Ratio> = base
             .weights
@@ -355,6 +362,19 @@ fn compile_full(
             .collect();
         IncrSolver::new(machine.clone(), solver_weights, rec)
     });
+    (plan, solver)
+}
+
+/// Pins `plan` and `solver`, compiled from `base`, the canonical form
+/// of `(dag, weights, machine)`, into a fresh [`Session`].
+fn pin(
+    base: Canon,
+    plan: String,
+    solver: Option<IncrSolver>,
+    dag: Dag,
+    weights: HashMap<NodeId, u64>,
+    machine: Machine,
+) -> CompiledSession {
     let base_ids: Vec<NodeId> = base.dag.node_ids().collect();
     let base_edge_ids: Vec<EdgeId> = base.dag.edge_ids().collect();
     let mut base_inv = vec![0usize; dag.num_nodes()];
@@ -380,7 +400,7 @@ fn compile_full(
             key: base.key,
         }),
     );
-    Ok((
+    (
         Session {
             machine,
             dag,
@@ -400,7 +420,7 @@ fn compile_full(
         encoding,
         plan,
         names,
-    ))
+    )
 }
 
 impl Session {
@@ -528,53 +548,61 @@ fn parts_field(dag: &Dag, v: Option<&Value>, what: &str) -> Result<Vec<(NodeId, 
 /// Applies one parsed edit, preferring the dirty-slice replay and
 /// falling back to a cold compile (with a typed cause) when the edit —
 /// or the trace — cannot support it. Session state is only committed
-/// on success.
+/// on success: ratio and output-volume edits are applied to the
+/// session's DAG and weights in place, and [`replan_or_undo`] takes
+/// them back if the replan does not succeed.
 fn apply_edit(s: &mut Session, edit: SessionEdit, obs: &Obs) -> Result<Edited, String> {
     match edit {
         SessionEdit::SetRatio { node, parts } => {
-            let mut dag = s.dag.clone();
-            let changed = set_mix_ratio(&mut dag, node, &parts).map_err(|e| e.to_string())?;
+            let before: Vec<(EdgeId, Ratio)> = s
+                .dag
+                .in_edges(node)
+                .iter()
+                .map(|&e| (e, s.dag.edge(e).fraction))
+                .collect();
+            // Validates before it writes: an error leaves the DAG as is.
+            let changed = set_mix_ratio(&mut s.dag, node, &parts).map_err(|e| e.to_string())?;
             if changed.is_empty() {
                 return Ok(noop_response(s));
             }
-            // Lift the client-space edge edits into the base canonical
-            // namespace the trace was recorded in.
-            let mut base_changes = Vec::with_capacity(changed.len());
-            for &(e, f) in &changed {
-                match s.base.edge_perm.get(e.index()).copied().flatten() {
-                    Some(be) => base_changes.push((s.base_edge_ids[be], f)),
-                    None => return full_recompile(s, dag, None, None, "divergence", obs),
+            replan_or_undo(s, Prior::Fractions(before), |s| {
+                // Lift the client-space edge edits into the base
+                // canonical namespace the trace was recorded in.
+                let lifted: Option<Vec<(EdgeId, Ratio)>> = changed
+                    .iter()
+                    .map(|&(e, f)| {
+                        let be = s.base.edge_perm.get(e.index()).copied().flatten()?;
+                        Some((s.base_edge_ids[be], f))
+                    })
+                    .collect();
+                match lifted {
+                    Some(changes) => {
+                        let node = s.base_ids[s.base.node_perm[node.index()]];
+                        replay_or_recompile(s, IncrEdit::Fractions { node, changes }, obs)
+                    }
+                    None => full_recompile(s, None, None, None, "divergence", obs),
                 }
-            }
-            let base_node = s.base_ids[s.base.node_perm[node.index()]];
-            let edit = IncrEdit::Fractions {
-                node: base_node,
-                changes: base_changes,
-            };
-            replay_or_recompile(s, dag, edit, obs)
+            })
         }
         SessionEdit::SetOutputVolume { node, weight } => {
             if s.weights.get(&node).copied().unwrap_or(0) == weight {
                 return Ok(noop_response(s));
             }
-            let mut weights = s.weights.clone();
-            weights.insert(node, weight);
-            let base_node = s.base_ids[s.base.node_perm[node.index()]];
             let edit = IncrEdit::Weight {
-                node: base_node,
+                node: s.base_ids[s.base.node_perm[node.index()]],
                 weight: Ratio::from_int(weight as i128),
             };
-            let dag = s.dag.clone();
-            s.weights = weights;
-            replay_or_recompile(s, dag, edit, obs)
+            let before = s.weights.insert(node, weight);
+            replan_or_undo(s, Prior::Weight(node, before), |s| {
+                replay_or_recompile(s, edit, obs)
+            })
         }
         SessionEdit::SetMachine(machine) => {
             // Machine parameters shape every recorded decision (least
             // count, capacity, unit inventory): always a typed full
             // recompile (the paper's feasibility checks are not
             // machine-monotone, so no slice is sound).
-            let dag = s.dag.clone();
-            full_recompile(s, dag, None, Some(machine), "machine_parameter", obs)
+            full_recompile(s, None, None, Some(machine), "machine_parameter", obs)
         }
         SessionEdit::AddNode(new_node) => {
             let mut dag = s.dag.clone();
@@ -601,7 +629,7 @@ fn apply_edit(s: &mut Session, edit: SessionEdit, obs: &Obs) -> Result<Edited, S
                     }
                 }
             }
-            full_recompile(s, dag, Some(weights), None, "structural", obs)
+            full_recompile(s, Some(dag), Some(weights), None, "structural", obs)
         }
         SessionEdit::RemoveNode { node } => {
             let (dag, remap) =
@@ -612,7 +640,7 @@ fn apply_edit(s: &mut Session, edit: SessionEdit, obs: &Obs) -> Result<Edited, S
                     weights.insert(new_id, w);
                 }
             }
-            full_recompile(s, dag, Some(weights), None, "structural", obs)
+            full_recompile(s, Some(dag), Some(weights), None, "structural", obs)
         }
     }
 }
@@ -631,17 +659,62 @@ fn noop_response(s: &Session) -> Edited {
     }
 }
 
+/// What an in-place edit overwrote: the in-edge fractions of a mix, or
+/// an output's weight (`None`: it had none).
+enum Prior {
+    Fractions(Vec<(EdgeId, Ratio)>),
+    Weight(NodeId, Option<u64>),
+}
+
+/// Replans a session whose DAG or weights already carry an edit, and
+/// puts `prior` back unless `replan` returns `Ok`. That holds on unwind
+/// too, where the replay solver is also dropped, since a replay can
+/// unwind halfway through rewriting its stored rounds: the session lock
+/// recovers from poisoning, so a session outlives a panicking edit, and
+/// its DAG, weights and trace must still describe its plan and key.
+fn replan_or_undo(
+    s: &mut Session,
+    prior: Prior,
+    replan: impl FnOnce(&mut Session) -> Result<Edited, String>,
+) -> Result<Edited, String> {
+    struct Undo<'a>(&'a mut Session, Option<Prior>);
+    impl Drop for Undo<'_> {
+        fn drop(&mut self) {
+            let s = &mut *self.0;
+            match self.1.take() {
+                None => return,
+                Some(Prior::Fractions(fractions)) => {
+                    for (e, f) in fractions {
+                        s.dag.set_edge_fraction(e, f);
+                    }
+                }
+                Some(Prior::Weight(node, Some(w))) => {
+                    s.weights.insert(node, w);
+                }
+                Some(Prior::Weight(node, None)) => {
+                    s.weights.remove(&node);
+                }
+            }
+            if std::thread::panicking() {
+                s.solver = None;
+            }
+        }
+    }
+    let mut undo = Undo(s, Some(prior));
+    let edited = replan(undo.0);
+    if edited.is_ok() {
+        undo.1 = None;
+    }
+    edited
+}
+
 /// Tries the dirty-slice replay for `edit` (already lifted to base
 /// space); on divergence — or with no retained trace — recompiles cold.
-/// `dag` is the edited client DAG, not yet committed to the session.
-fn replay_or_recompile(
-    s: &mut Session,
-    dag: Dag,
-    edit: IncrEdit,
-    obs: &Obs,
-) -> Result<Edited, String> {
+/// The session's DAG and weights already carry the edit; everything
+/// else still describes the state before it.
+fn replay_or_recompile(s: &mut Session, edit: IncrEdit, obs: &Obs) -> Result<Edited, String> {
     if s.solver.is_none() {
-        return full_recompile(s, dag, None, None, "no_trace", obs);
+        return full_recompile(s, None, None, None, "no_trace", obs);
     }
     // Re-derive the canonical mapping of the *edited* DAG: fractions
     // and weights participate in canonical ordering, so node ranks can
@@ -649,7 +722,7 @@ fn replay_or_recompile(
     // short-circuits re-canonicalization when the state was seen
     // before (exact value compare, so the bytes cannot differ).
     let _span = obs.span("incr.replay");
-    let state = CanonState::of(&dag, &s.weights);
+    let state = CanonState::of(&s.dag, &s.weights);
     let cur = match s.memo.lookup(&state) {
         Some(hit) => {
             obs.add("incr.canon.hit", 1);
@@ -658,7 +731,7 @@ fn replay_or_recompile(
         None => {
             obs.add("incr.canon.miss", 1);
             let canon_span = obs.span("incr.canon");
-            let computed = match canon::canonicalize_mapped(&dag, &s.weights, &s.machine) {
+            let computed = match canon::canonicalize_mapped(&s.dag, &s.weights, &s.machine) {
                 Ok(cur) => Arc::new(cur),
                 Err(e) => return Err(e.to_string()),
             };
@@ -681,11 +754,10 @@ fn replay_or_recompile(
             obs.add("incr.fast_path", 1);
             obs.record("incr.slice_nodes", slice as u64);
             let render_span = obs.span("incr.render");
-            let rendered = render_replay(s, &dag, &cur, outcome);
+            let rendered = render_replay(s, &cur, outcome);
             let plan: Arc<str> = Arc::from(rendered);
             let delta = render_delta(&s.plan, &plan);
             render_span.end();
-            s.dag = dag;
             s.key = cur.key;
             s.encoding = Arc::clone(&cur.encoding);
             s.plan = Arc::clone(&plan);
@@ -713,16 +785,17 @@ fn replay_or_recompile(
             // The solver mutated its stored rounds before diverging;
             // it is poisoned by contract.
             s.solver = None;
-            full_recompile(s, dag, None, None, "divergence", obs)
+            full_recompile(s, None, None, None, "divergence", obs)
         }
     }
 }
 
 /// Renders a successful replay outcome as plan bytes, byte-identical
-/// to a cold compile of `dag`: the replay's base-space volumes are
-/// permuted into the edited DAG's canonical namespace and pushed
-/// through the shared [`plan::render_outcome`] path.
-fn render_replay(s: &Session, dag: &Dag, cur: &Canon, outcome: ReplayOutcome) -> String {
+/// to a cold compile of the session's (edited) DAG: the replay's
+/// base-space volumes are permuted into its canonical namespace and
+/// pushed through the shared [`plan::render_outcome`] path.
+fn render_replay(s: &Session, cur: &Canon, outcome: ReplayOutcome) -> String {
+    let dag = &s.dag;
     match outcome {
         ReplayOutcome::Blocked { reason, log } => {
             let outcome = ManagedOutcome::ResourcesExceeded { reason, log };
@@ -793,11 +866,14 @@ fn build_canonical_dag(dag: &Dag, cur: &Canon) -> Dag {
 }
 
 /// Cold-compiles the session's edited state and re-pins everything
-/// (canonical form, plan, trace). `cause` names why the fast path was
-/// unavailable; it travels back to the client in the response.
+/// (canonical form, plan, trace). `dag` replaces the session's DAG; with
+/// `None` the session's own DAG (already edited in place) is compiled,
+/// and it stays in the session if the compile fails or unwinds. `cause`
+/// names why the fast path was unavailable; it travels back to the
+/// client in the response.
 fn full_recompile(
     s: &mut Session,
-    dag: Dag,
+    dag: Option<Dag>,
     weights: Option<HashMap<NodeId, u64>>,
     machine: Option<Machine>,
     cause: &'static str,
@@ -806,7 +882,13 @@ fn full_recompile(
     obs.add("incr.full_recompile", 1);
     let weights = weights.unwrap_or_else(|| s.weights.clone());
     let machine = machine.unwrap_or_else(|| s.machine.clone());
-    let (session, key, encoding, plan, _names) = compile_full(dag, weights, machine, obs)?;
+    let base = canon::canonicalize(dag.as_ref().unwrap_or(&s.dag), &weights, &machine)
+        .map_err(|e| e.to_string())?;
+    let (plan, solver) = compile_base(&base, &machine, obs);
+    // The session's own DAG moves only once the compile has returned,
+    // so a compile that unwinds leaves it in place.
+    let dag = dag.unwrap_or_else(|| std::mem::take(&mut s.dag));
+    let (session, key, encoding, plan, _names) = pin(base, plan, solver, dag, weights, machine);
     // Full recompiles always carry the fresh plan whole: the client
     // may be resynchronizing after a structural or machine change and
     // a member-wise patch against its old plan buys nothing.
@@ -976,6 +1058,86 @@ mod tests {
         let delta = render_delta(old, new);
         assert_eq!(delta, format!("{{\"full\":{new}}}"));
         assert_eq!(apply_delta(old, &delta).unwrap(), new);
+    }
+
+    /// A session over `m = MIX A AND B IN RATIOS 1 : 4`.
+    fn tiny_session() -> Session {
+        let src = "ASSAY tiny START\nfluid A, B, m;\nVAR Result[1];\n\
+                   m = MIX A AND B IN RATIOS 1 : 4 FOR 10;\n\
+                   SENSE OPTICAL it INTO Result[1];\nEND\n";
+        let flat = aqua_lang::compile_to_flat(src).unwrap();
+        let (dag, map) = aqua_compiler::lower_to_dag(&flat).unwrap();
+        let machine = Machine::paper_default();
+        compile_full(dag, map.output_weights, machine, &Obs::off())
+            .unwrap()
+            .0
+    }
+
+    #[test]
+    fn an_edit_whose_replan_fails_or_unwinds_is_taken_back() {
+        let mut s = tiny_session();
+        let fractions = |s: &Session| -> Vec<Ratio> {
+            s.dag.edge_ids().map(|e| s.dag.edge(e).fraction).collect()
+        };
+        let registered = (fractions(&s), s.weights.clone(), Arc::clone(&s.plan));
+        let [a, b, m] = ["A", "B", "m"].map(|n| s.dag.find_node(n).unwrap());
+        let before: Vec<(EdgeId, Ratio)> = s
+            .dag
+            .in_edges(m)
+            .iter()
+            .map(|&e| (e, s.dag.edge(e).fraction))
+            .collect();
+        let parts = [(a, 1), (b, 9)];
+
+        set_mix_ratio(&mut s.dag, m, &parts).unwrap();
+        let failed = replan_or_undo(&mut s, Prior::Fractions(before.clone()), |_| {
+            Err("replan failed".to_owned())
+        });
+        assert!(failed.is_err());
+        assert_eq!(fractions(&s), registered.0);
+        assert!(s.solver.is_some(), "an error keeps the trace");
+
+        // A weight edit on a node without a weight, then on one with.
+        for had in [None, Some(3)] {
+            if let Some(w) = had {
+                s.weights.insert(m, w);
+            }
+            let expected = s.weights.clone();
+            let old = s.weights.insert(m, 7);
+            let failed = replan_or_undo(&mut s, Prior::Weight(m, old), |_| {
+                Err("replan failed".to_owned())
+            });
+            assert!(failed.is_err());
+            assert_eq!(s.weights, expected);
+        }
+        s.weights.remove(&m);
+        assert_eq!(s.weights, registered.1);
+
+        set_mix_ratio(&mut s.dag, m, &parts).unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            replan_or_undo(&mut s, Prior::Fractions(before), |_| {
+                panic!("replan unwinds")
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(fractions(&s), registered.0);
+        assert!(s.solver.is_none(), "an unwind drops the trace");
+        assert_eq!(s.plan, registered.2);
+
+        // The session still plans its next edit as a cold compile does.
+        let edit = SessionEdit::SetRatio {
+            node: m,
+            parts: parts.to_vec(),
+        };
+        let edited = apply_edit(&mut s, edit, &Obs::off()).unwrap();
+        assert_eq!(edited.cause, Some("no_trace"));
+        let cold = compile_full(
+            s.dag.clone(),
+            s.weights.clone(),
+            s.machine.clone(),
+            &Obs::off(),
+        );
+        assert_eq!(edited.plan, cold.unwrap().3);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Regression tests for the front-door bugs: the `deadline_ms`-overflow
 //! panic, the accept loop dying on transient errors, unbounded request
-//! lines, and the `FOR`-loop trip count that overflowed into a hang.
+//! lines, the `FOR`-loop trip count that overflowed into a hang, and the
+//! `i128` overflow in plan rounding that killed a shard's batcher.
 //!
 //! Each test exercises the hostile input that used to take the service
 //! (or one of its threads) down, then proves the connection/service
@@ -217,6 +218,56 @@ END
         assert!(resp.contains("loop trip count is absurd"), "{resp}");
     }
     assert_eq!(parse(&after).get("ok"), Some(&Value::Bool(true)), "{after}");
+}
+
+/// An assay whose LP solution rounds to mix-ratio errors beyond `i128`
+/// used to panic the shard's batcher thread in the rounding's error
+/// sum: the client waited out its whole deadline for a `timeout`, and
+/// every later request on that shard did too. Now the unrepresentable
+/// error escalates like any other broken ratio, the request gets its
+/// plan well inside the deadline, and the next request is served.
+#[test]
+fn overflowing_ratio_error_gets_a_plan() {
+    let src = "
+ASSAY overflow START
+fluid in0, in1, in2, m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12;
+VAR R[64];
+m0 = MIX in1 AND in2 IN RATIOS 8 : 457 FOR 10;
+m1 = MIX in2 AND in0 IN RATIOS 17 : 523 FOR 10;
+m2 = MIX in2 AND in0 IN RATIOS 27 : 434 FOR 10;
+m3 = MIX in0 AND m0 IN RATIOS 9 : 100 FOR 10;
+m4 = MIX m1 AND in2 IN RATIOS 37 : 547 FOR 10;
+m5 = MIX in2 AND m4 IN RATIOS 13 : 927 FOR 10;
+m6 = MIX in1 AND m1 IN RATIOS 22 : 877 FOR 10;
+m7 = MIX m0 AND in0 IN RATIOS 22 : 259 FOR 10;
+m8 = MIX m0 AND m1 IN RATIOS 4 : 103 FOR 10;
+m9 = MIX m3 AND m6 IN RATIOS 1 : 29 FOR 10;
+m10 = MIX m3 AND in2 IN RATIOS 20 : 771 FOR 10;
+m11 = MIX m0 AND m5 IN RATIOS 15 : 599 FOR 10;
+m12 = MIX in2 AND m2 IN RATIOS 21 : 500 FOR 10;
+SENSE OPTICAL m7 INTO R[1];
+SENSE OPTICAL m8 INTO R[2];
+SENSE OPTICAL m9 INTO R[3];
+SENSE OPTICAL m10 INTO R[4];
+SENSE OPTICAL m11 INTO R[5];
+SENSE OPTICAL m12 INTO R[6];
+END
+";
+    let svc = Service::new(ServiceConfig::default());
+    let deadline = std::time::Duration::from_secs(20);
+    let start = std::time::Instant::now();
+    let resp = svc.handle_line(&format!(
+        "{{\"id\":1,\"src\":{},\"deadline_ms\":{}}}",
+        quote(src),
+        deadline.as_millis()
+    ));
+    assert!(start.elapsed() < deadline / 2, "took {:?}", start.elapsed());
+    assert_eq!(parse(&resp).get("ok"), Some(&Value::Bool(true)), "{resp}");
+    let resp = svc.handle_line(&format!(
+        "{{\"id\":2,\"src\":{}}}",
+        quote(aqua_assays::glucose::SOURCE)
+    ));
+    assert_eq!(parse(&resp).get("ok"), Some(&Value::Bool(true)), "{resp}");
 }
 
 /// Tenant quotas shed over-limit tenants with the typed `shedding`

@@ -95,6 +95,50 @@ fn noop_edit_returns_empty_delta_and_same_key() {
     assert_eq!(last_member(&line, "delta"), "{\"replace\":{}}");
 }
 
+/// Ratio edits are applied to the session's DAG in place, and
+/// `set_mix_ratio` validates before it writes: an edit it rejects (a
+/// zero part, a repeated input, parts whose sum overflows) leaves
+/// nothing behind. Re-sending the registered ratio is still a no-op
+/// under the registered key, and the next valid edit still patches the
+/// registered plan into the cold compile. (An edit whose replan fails
+/// or unwinds is taken back by `replan_or_undo`; its unit test covers
+/// that path.)
+#[test]
+fn failed_edit_leaves_the_session_untouched() {
+    let svc = service();
+    let (sid, plan) = register(&svc, TINY);
+    let edit = |id: u32, parts: &str| {
+        svc.handle_line(&format!(
+            "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"{sid}\",\
+             \"edit\":{{\"set_ratio\":{{\"node\":\"m\",\"parts\":{parts}}}}}}}"
+        ))
+    };
+    let key = |line: &str| {
+        let v = aqua_serve::json::parse(line).unwrap();
+        v.get("key").unwrap().as_str().unwrap().to_owned()
+    };
+    let registered = key(&edit(2, "[[\"A\",1],[\"B\",4]]"));
+    for (id, bad) in [
+        (3, "[[\"A\",1],[\"B\",0]]"),
+        (4, "[[\"A\",1],[\"A\",9]]"),
+        (5, "[[\"A\",18446744073709551615],[\"B\",9]]"),
+    ] {
+        let line = edit(id, bad);
+        assert!(line.contains("\"ok\":false"), "{bad}: {line}");
+        let again = edit(id + 10, "[[\"A\",1],[\"B\",4]]");
+        assert_eq!(
+            last_member(&again, "delta"),
+            "{\"replace\":{}}",
+            "after {bad}"
+        );
+        assert_eq!(key(&again), registered, "after {bad}");
+    }
+    let line = edit(20, "[[\"A\",1],[\"B\",9]]");
+    assert!(line.contains("\"ok\":true"), "{line}");
+    let edited = apply_delta(&plan, last_member(&line, "delta")).expect("delta applies");
+    assert_eq!(edited, cold_plan(TINY_EDITED, ""));
+}
+
 #[test]
 fn machine_edit_is_a_typed_full_recompile() {
     let svc = service();

@@ -8,6 +8,11 @@
 #      + the repository benchmark's build (perfbench, --locked: fails
 #        when a public item it uses goes away or an inter-crate
 #        dependency list drifts from perfbench/Cargo.lock)
+#      + the benchmark's correctness checks: one 1-second run of each
+#        workload (cold, serve, exec) must end on "correct":true — the
+#        status table, warm = cold, delta-chained session plans = cold
+#        compiles, exec conservation, and equal batch digests at 1 and
+#        2 threads
 #      + every crate's unit and integration tests (cargo test
 #        --workspace: the hierarchy, Vnorm, feascheck and pool unit
 #        tests, and aqua-serve's golden_protocol, cache_differential,
@@ -81,6 +86,23 @@ cargo test -q
 
 echo "==> repository benchmark builds against today's crates (--locked)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
+echo "==> repository benchmark correctness checks (1 s per workload)"
+# A failed check prints to stderr, sets "correct":false on the run's
+# last line and exits nonzero; timings at 1 s mean nothing, only the
+# checks count.
+for workload in cold serve exec; do
+  result=$(timeout 300 cargo run --release --offline --locked --quiet \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  case "$result" in
+    *'"correct":true'*) ;;
+    *)
+      echo "error: the $workload workload failed its correctness checks: $result" >&2
+      exit 1
+      ;;
+  esac
+done
 
 echo "==> workspace tests: cargo test -q --release --workspace (timeout-guarded)"
 timeout 900 cargo test -q --release --workspace
