@@ -286,7 +286,7 @@ fn run_restart(cases: &[Case], machine: &Machine, iters: usize, warmup: usize) -
         }));
     }
     samples_ns.sort_unstable();
-    let no_recompiles = sink.counter("serve.plan.compiles") == 0;
+    let no_recompiles = sink.snapshot().counter("serve.plan.compiles") == 0;
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
     RestartOutcome {

@@ -11,9 +11,11 @@
 //! is flat on purpose so `jq`-free scripts can grep it.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use aqua_obs::export::quote;
+use aqua_obs::fleet::FleetSink;
 
 /// One measured benchmark case.
 #[derive(Debug, Clone)]
@@ -183,12 +185,7 @@ pub fn obs_path_from_args(args: &[String]) -> Option<String> {
 /// Builds a recording observability handle when `--obs` was given, or
 /// the no-op handle otherwise. Returns the sink alongside so the caller
 /// can export it with [`write_obs_trace`] at exit.
-pub fn obs_from_args(
-    args: &[String],
-) -> (
-    aqua_obs::Obs,
-    Option<(String, std::sync::Arc<aqua_obs::MemorySink>)>,
-) {
+pub fn obs_from_args(args: &[String]) -> (aqua_obs::Obs, Option<(String, Arc<FleetSink>)>) {
     match obs_path_from_args(args) {
         Some(path) => {
             let (obs, sink) = aqua_obs::Obs::recording();
@@ -205,10 +202,10 @@ pub fn obs_from_args(
 ///
 /// Panics if the trace file cannot be written (benchmark binaries treat
 /// that as fatal, like their `--out` writes).
-pub fn write_obs_trace(path: &str, sink: &aqua_obs::MemorySink) {
+pub fn write_obs_trace(path: &str, sink: &FleetSink) {
     let trace = aqua_obs::export::chrome_trace(sink);
     std::fs::write(path, &trace).expect("write obs trace");
-    println!("\n{}", aqua_obs::export::text_summary(sink));
+    println!("\n{}", aqua_obs::export::text_summary(&sink.snapshot()));
     println!("wrote obs trace to {path}");
 }
 

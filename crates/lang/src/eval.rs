@@ -8,7 +8,9 @@ use crate::ast::*;
 use crate::diag::{LangError, Span};
 use crate::flat::{FlatAssay, FlatFluid, FlatOp, FluidId};
 
-/// Safety valve against accidental unroll explosions.
+/// Safety valve against accidental unroll explosions: the cap on the
+/// fluid ops an assay emits, and on the loop iterations one evaluation
+/// runs (an op-free loop nest emits nothing but can still run for days).
 const MAX_OPS: usize = 2_000_000;
 
 /// Unrolls and constant-folds a parsed assay.
@@ -17,7 +19,7 @@ const MAX_OPS: usize = 2_000_000;
 ///
 /// Returns [`LangError`] for undeclared fluids/vars, non-constant loop
 /// bounds, zero-total mix ratios, out-of-range array indices, or unroll
-/// explosions.
+/// explosions (more than `MAX_OPS` ops or loop iterations).
 pub fn compile_to_flat_ast(assay: &Assay) -> Result<FlatAssay, LangError> {
     let mut cx = Cx {
         flat: FlatAssay {
@@ -30,6 +32,7 @@ pub fn compile_to_flat_ast(assay: &Assay) -> Result<FlatAssay, LangError> {
         var_decls: HashMap::new(),
         bindings: HashMap::new(),
         it: None,
+        iterations: 0,
     };
     for (name, len) in &assay.fluids {
         cx.fluid_decls.insert(name.clone(), *len);
@@ -51,12 +54,27 @@ struct Cx {
     bindings: HashMap<String, FluidId>,
     /// The previous statement's product.
     it: Option<FluidId>,
+    /// Loop iterations charged so far: each `FOR`'s trip count when it
+    /// starts, each `WHILE` iteration as it runs.
+    iterations: usize,
 }
 
 impl Cx {
     fn run_block(&mut self, body: &[Stmt]) -> Result<(), LangError> {
         for stmt in body {
             self.run_stmt(stmt)?;
+        }
+        Ok(())
+    }
+
+    /// Charges `n` loop iterations to the evaluation-wide budget.
+    fn charge(&mut self, n: usize, span: Span) -> Result<(), LangError> {
+        self.iterations = self.iterations.saturating_add(n);
+        if self.iterations > MAX_OPS {
+            return Err(LangError::new(
+                span,
+                format!("assay runs more than {MAX_OPS} loop iterations"),
+            ));
         }
         Ok(())
     }
@@ -246,9 +264,11 @@ impl Cx {
                 // `checked_sub`: bounds near `i64::MIN`/`MAX` would
                 // otherwise wrap negative, pass the cap, and start a
                 // loop of ~2^63 iterations.
-                if hi.checked_sub(lo).is_none_or(|span| span > 1_000_000) {
-                    return Err(LangError::new(*span, "loop trip count is absurd"));
-                }
+                let trips = match hi.checked_sub(lo) {
+                    Some(d) if d <= 1_000_000 => usize::try_from(d + 1).unwrap_or(0),
+                    _ => return Err(LangError::new(*span, "loop trip count is absurd")),
+                };
+                self.charge(trips, *span)?;
                 for i in lo..=hi {
                     self.scalars.insert((var.clone(), Vec::new()), i);
                     self.run_block(body)?;
@@ -273,10 +293,12 @@ impl Cx {
                         return Err(LangError::new(
                             *span,
                             format!(
-                                "WHILE condition still holds after the declared bound of                                  {bound} iterations — the §3.5 hint is wrong"
+                                "WHILE condition still holds after the declared bound of \
+                                 {bound} iterations — the §3.5 hint is wrong"
                             ),
                         ));
                     }
+                    self.charge(1, *span)?;
                     self.run_block(body)?;
                     iterations += 1;
                 }
@@ -735,7 +757,11 @@ mod while_tests {
             .unwrap(),
         )
         .unwrap_err();
-        assert!(err.message.contains("hint is wrong"), "{err}");
+        assert_eq!(
+            err.message,
+            "WHILE condition still holds after the declared bound of 3 iterations \
+             — the §3.5 hint is wrong"
+        );
     }
 
     #[test]
@@ -782,6 +808,74 @@ mod while_tests {
             assert!(err.message.contains("absurd"), "{from}..{to}: {err}");
             assert!(started.elapsed() < std::time::Duration::from_secs(5));
         }
+    }
+
+    /// One evaluation runs at most `MAX_OPS` loop iterations, whether
+    /// or not they emit ops: the inner loop's first start takes the
+    /// nest past the budget, so it is rejected before that loop runs.
+    #[test]
+    fn a_nest_over_the_iteration_budget_is_rejected_at_once() {
+        let src = "ASSAY nest START
+                   fluid A, B;
+                   VAR x;
+                   FOR i FROM 1 TO 1000000 START
+                     FOR j FROM 0 TO 1000000 START
+                       x = j;
+                     ENDFOR
+                   ENDFOR
+                   MIX A AND B FOR 5;
+                   END";
+        let started = std::time::Instant::now();
+        let err = compile_to_flat_ast(&parse(src).unwrap()).unwrap_err();
+        assert_eq!(err.message, "assay runs more than 2000000 loop iterations");
+        assert_eq!(err.span.line, 5, "charged where the inner loop starts");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_nest_under_the_iteration_budget_still_evaluates() {
+        let src = "ASSAY nest START
+             fluid A, B;
+             VAR n;
+             n = 0;
+             FOR i FROM 1 TO 100 START
+               FOR j FROM 1 TO 100 START
+                 MIX A AND B FOR 5;
+               ENDFOR
+             ENDFOR
+             WHILE n < 1000 BOUND 1000 START
+               n = n + 1;
+             ENDWHILE
+             END";
+        let f = compile_to_flat_ast(&parse(src).unwrap()).unwrap();
+        assert_eq!(f.ops.len(), 100 * 100);
+    }
+
+    /// The two `FOR` starts charge exactly the budget; the first
+    /// `WHILE` iteration, charged as it runs, goes past it.
+    #[test]
+    fn while_iterations_are_charged_as_they_run() {
+        let err = compile_to_flat_ast(
+            &parse(
+                "ASSAY w START
+                 fluid A, B;
+                 VAR n;
+                 FOR i FROM 1 TO 1000000 START
+                   FOR j FROM 1 TO 1000000 START
+                     n = 0;
+                     WHILE n < 1 BOUND 5 START
+                       n = n + 1;
+                     ENDWHILE
+                   ENDFOR
+                 ENDFOR
+                 MIX A AND B FOR 5;
+                 END",
+            )
+            .unwrap(),
+        )
+        .unwrap_err();
+        assert_eq!(err.message, "assay runs more than 2000000 loop iterations");
+        assert_eq!(err.span.line, 7);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Exporters for a recorded [`MemorySink`]: Chrome trace-event JSON,
-//! a compact text summary, and the aggregated [`ObsReport`].
+//! Exporters for a [`FleetSink`]: Chrome trace-event JSON from its
+//! span ring, and a compact text summary of a [`FleetSnapshot`].
 //!
 //! The Chrome format is the Trace Event Format consumed by
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): a
@@ -7,42 +7,57 @@
 //! microsecond timestamps, plus one counter (`"ph": "C"`) event per
 //! recorded counter so operation totals ride along in the same file.
 //! Output is deterministic for a deterministic recording: events are
-//! sorted by (start, thread, name) and numbers are formatted with a
-//! fixed precision.
+//! sorted by (start, thread, name), thread ids are renumbered densely
+//! from 1 in order of first appearance, and numbers are formatted with
+//! a fixed precision.
 
 use std::fmt::Write as _;
 
-use crate::{HistogramSummary, MemorySink, SpanEvent};
+use crate::fleet::{FleetSink, FleetSnapshot};
 
-/// Renders the sink as Chrome trace-event JSON.
+/// Renders the sink's span ring and counters as Chrome trace-event
+/// JSON. Span events the full ring turned away are reported as one
+/// more counter, `obs.spans_dropped`, present only when nonzero.
 ///
 /// # Examples
 ///
 /// ```
-/// use aqua_obs::{export, FakeClock, MemorySink, Obs};
+/// use aqua_obs::fleet::FleetSink;
+/// use aqua_obs::{export, FakeClock, Obs};
 /// use std::sync::Arc;
 ///
-/// let sink = Arc::new(MemorySink::new());
+/// let sink = Arc::new(FleetSink::new());
 /// let obs = Obs::with_sink_and_clock(sink.clone(), Arc::new(FakeClock::new(1_000)));
 /// obs.span("lp.solve").end();
 /// let json = export::chrome_trace(&sink);
 /// assert!(json.contains("\"traceEvents\""));
 /// assert!(json.contains("\"lp.solve\""));
 /// ```
-pub fn chrome_trace(sink: &MemorySink) -> String {
-    let mut spans = sink.spans();
-    spans.sort_by(|a, b| (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name)));
-    let counters = sink.counters();
+pub fn chrome_trace(sink: &FleetSink) -> String {
+    let (spans, dropped) = sink.span_events();
+    let mut counters: Vec<(&str, u64)> = sink.snapshot().counters.into_iter().collect();
+    if dropped > 0 {
+        counters.push(("obs.spans_dropped", dropped));
+    }
 
     let mut out = String::with_capacity(256 + spans.len() * 96 + counters.len() * 96);
     out.push_str("{\"traceEvents\": [");
     let mut first = true;
     let mut last_end_us = 0.0f64;
+    // Recording threads, in order of first appearance: dense id - 1.
+    let mut threads: Vec<u64> = Vec::new();
     for s in &spans {
         if !first {
             out.push(',');
         }
         first = false;
+        let tid = match threads.iter().position(|&t| t == s.tid) {
+            Some(i) => i + 1,
+            None => {
+                threads.push(s.tid);
+                threads.len()
+            }
+        };
         let ts = ns_to_us(s.start_ns);
         let dur = ns_to_us(s.dur_ns);
         last_end_us = last_end_us.max(ts + dur);
@@ -52,7 +67,7 @@ pub fn chrome_trace(sink: &MemorySink) -> String {
             quote(s.name),
             fmt_us(ts),
             fmt_us(dur),
-            s.tid
+            tid
         ));
     }
     // Counters appear once, at the end of the timeline, as Chrome "C"
@@ -74,143 +89,35 @@ pub fn chrome_trace(sink: &MemorySink) -> String {
     out
 }
 
-/// Per-span-name aggregate used by [`ObsReport`] and the text summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseSummary {
-    /// Span name.
-    pub name: String,
-    /// Number of completed spans with this name.
-    pub count: u64,
-    /// Total wall time across them, in ns.
-    pub total_ns: u64,
-}
-
-/// Aggregated view of one recording: per-phase wall time, operation
-/// counters, and histogram summaries — the structure the bench
-/// binaries serialize into `BENCH_obs.json`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ObsReport {
-    /// Per-phase aggregates, sorted by name.
-    pub phases: Vec<PhaseSummary>,
-    /// Counters, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Histogram summaries, sorted by name.
-    pub histograms: Vec<(String, HistogramSummary)>,
-}
-
-impl ObsReport {
-    /// Aggregates a sink into a report. An empty sink yields an empty
-    /// report (no phantom entries).
-    pub fn from_sink(sink: &MemorySink) -> ObsReport {
-        let mut by_name: std::collections::BTreeMap<&'static str, (u64, u64)> =
-            std::collections::BTreeMap::new();
-        for s in sink.spans() {
-            let entry = by_name.entry(s.name).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 = entry.1.saturating_add(s.dur_ns);
-        }
-        ObsReport {
-            phases: by_name
-                .into_iter()
-                .map(|(name, (count, total_ns))| PhaseSummary {
-                    name: name.to_owned(),
-                    count,
-                    total_ns,
-                })
-                .collect(),
-            counters: sink
-                .counters()
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect(),
-            histograms: sink
-                .histograms()
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect(),
-        }
-    }
-
-    /// Whether the report carries no data at all.
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty() && self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Serializes the report as one JSON object (no trailing newline),
-    /// suitable for embedding as a value inside a larger document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"phases\": {");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{}: {{\"count\": {}, \"total_ns\": {}}}",
-                quote(&p.name),
-                p.count,
-                p.total_ns
-            ));
-        }
-        out.push_str("}, \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", quote(name), value));
-        }
-        out.push_str("}, \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}}}",
-                quote(name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.mean()
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-/// Renders the sink as a compact human-readable summary: one line per
-/// phase (count, total time), then counters, then histograms.
-pub fn text_summary(sink: &MemorySink) -> String {
-    let report = ObsReport::from_sink(sink);
+/// Renders a snapshot as a compact human-readable summary: one line
+/// per span name (count, total time), then counters, then histograms
+/// (count, mean, p50, p99, max in the histogram's own unit).
+pub fn text_summary(snap: &FleetSnapshot) -> String {
     let mut out = String::new();
-    if !report.phases.is_empty() {
+    if !snap.spans.is_empty() {
         out.push_str("phases:\n");
-        for p in &report.phases {
-            out.push_str(&format!(
-                "  {:<28} x{:<6} {}\n",
-                p.name,
-                p.count,
-                fmt_ns(p.total_ns)
-            ));
+        for (name, s) in &snap.spans {
+            let _ = writeln!(out, "  {name:<28} x{:<6} {}", s.count, fmt_ns(s.total_ns));
         }
     }
-    if !report.counters.is_empty() {
+    if !snap.counters.is_empty() {
         out.push_str("counters:\n");
-        for (name, value) in &report.counters {
-            out.push_str(&format!("  {name:<28} {value}\n"));
+        for (name, value) in &snap.counters {
+            let _ = writeln!(out, "  {name:<28} {value}");
         }
     }
-    if !report.histograms.is_empty() {
+    if !snap.hists.is_empty() {
         out.push_str("histograms:\n");
-        for (name, h) in &report.histograms {
-            out.push_str(&format!(
-                "  {:<28} n={} mean={} min={} max={}\n",
-                name,
-                h.count,
-                fmt_ns(h.mean()),
-                fmt_ns(h.min),
-                fmt_ns(h.max)
-            ));
+        for (name, h) in &snap.hists {
+            let _ = writeln!(
+                out,
+                "  {name:<28} n={} mean={} p50={} p99={} max={}",
+                h.count(),
+                h.mean(),
+                h.quantile_permille(500),
+                h.quantile_permille(990),
+                h.max()
+            );
         }
     }
     if out.is_empty() {
@@ -267,44 +174,72 @@ pub fn quote(s: &str) -> String {
     out
 }
 
-/// Exposed for the sorted-event invariant; see golden tests.
-#[doc(hidden)]
-pub fn sorted_spans(sink: &MemorySink) -> Vec<SpanEvent> {
-    let mut spans = sink.spans();
-    spans.sort_by(|a, b| (a.start_ns, a.tid, a.name).cmp(&(b.start_ns, b.tid, b.name)));
-    spans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FakeClock, Obs};
+    use crate::fleet::SPAN_RING;
+    use crate::{FakeClock, Obs, Sink};
     use std::sync::Arc;
 
     #[test]
     fn empty_sink_exports_an_empty_but_valid_trace() {
-        let sink = MemorySink::new();
+        let sink = FleetSink::new();
         let json = chrome_trace(&sink);
-        assert!(json.starts_with("{\"traceEvents\": ["));
-        assert!(json.trim_end().ends_with("\"displayTimeUnit\": \"ms\"}"));
-        assert!(ObsReport::from_sink(&sink).is_empty());
-        assert_eq!(text_summary(&sink), "(no observability data recorded)\n");
+        assert_eq!(
+            json,
+            "{\"traceEvents\": [\n], \"displayTimeUnit\": \"ms\"}\n"
+        );
+        assert_eq!(
+            text_summary(&sink.snapshot()),
+            "(no observability data recorded)\n"
+        );
     }
 
     #[test]
-    fn report_aggregates_spans_by_name() {
-        let sink = Arc::new(MemorySink::new());
+    fn summary_aggregates_spans_by_name() {
+        let sink = Arc::new(FleetSink::new());
         let obs = Obs::with_sink_and_clock(sink.clone(), Arc::new(FakeClock::new(10)));
         obs.span("a").end();
         obs.span("a").end();
         obs.span("b").end();
-        let report = ObsReport::from_sink(&sink);
-        assert_eq!(report.phases.len(), 2);
-        assert_eq!(report.phases[0].name, "a");
-        assert_eq!(report.phases[0].count, 2);
-        assert_eq!(report.phases[0].total_ns, 20);
-        assert_eq!(report.phases[1].name, "b");
-        assert_eq!(report.phases[1].count, 1);
+        obs.record("h", 7);
+        assert_eq!(
+            text_summary(&sink.snapshot()),
+            "phases:\n  a                            x2      20 ns\n  \
+             b                            x1      10 ns\nhistograms:\n  \
+             h                            n=1 mean=7 p50=7 p99=7 max=7\n"
+        );
+    }
+
+    #[test]
+    fn threads_are_numbered_densely_in_order_of_first_appearance() {
+        let sink = Arc::new(FleetSink::new());
+        let obs = Obs::with_sink_and_clock(sink.clone(), Arc::new(FakeClock::new(1_000)));
+        obs.span("main").end(); // 0..1 us on this thread
+        let worker = obs.clone();
+        std::thread::spawn(move || worker.span("worker").end()) // 2..3 us
+            .join()
+            .unwrap();
+        obs.span("main").end(); // 4..5 us
+        let json = chrome_trace(&sink);
+        let tids: Vec<&str> = json.matches("\"tid\": 2").collect();
+        assert_eq!(tids.len(), 1, "{json}");
+        assert!(json.contains("\"name\": \"worker\", \"cat\": \"aqua\", \"ph\": \"X\", \"ts\": 2.000, \"dur\": 1.000, \"pid\": 1, \"tid\": 2}"));
+    }
+
+    #[test]
+    fn a_full_ring_counts_what_it_turns_away() {
+        let sink = FleetSink::new();
+        for i in 0..SPAN_RING as u64 + 3 {
+            sink.span("s", i, 1, 1);
+        }
+        let (events, dropped) = sink.span_events();
+        assert_eq!((events.len(), dropped), (SPAN_RING, 3));
+        assert_eq!(sink.snapshot().spans["s"].count, SPAN_RING as u64 + 3);
+        assert!(chrome_trace(&sink).contains("{\"name\": \"obs.spans_dropped\", \"cat\": \"aqua\", \"ph\": \"C\", \"ts\": 65.536, \"pid\": 1, \"tid\": 1, \"args\": {\"value\": 3}}"));
+        sink.reset();
+        assert_eq!(sink.span_events().1, 0);
+        assert!(sink.span_events().0.is_empty());
     }
 
     /// Each row: input, exact literal. Covers the two backslash

@@ -1,14 +1,16 @@
-//! Fleet-scale aggregation: a lock-sharded [`Sink`] that rolls up
-//! counters, span totals, and mergeable log-bucketed histograms from
-//! many concurrent runs into one deterministic snapshot.
+//! The workspace's one recording [`Sink`]: lock-sharded aggregates of
+//! counters, span totals and mergeable log-bucketed histograms, plus a
+//! bounded ring of span events for Chrome traces.
 //!
-//! [`MemorySink`](crate::MemorySink) keeps every span event — perfect
-//! for a single traced run, hopeless for a million. [`FleetSink`]
-//! instead keeps *aggregates only*, sharded across independent mutexes
-//! so replay worker threads almost never contend:
+//! [`FleetSink`] shards its state across independent mutexes, one per
+//! thread sequence number modulo 16, so worker threads almost never
+//! contend:
 //!
 //! * **counters** — summed per name;
-//! * **spans** — collapsed to `(count, total_ns)` per name;
+//! * **spans** — collapsed to `(count, total_ns)` per name, and the
+//!   first [`SPAN_RING`] span events kept whole for
+//!   [`export::chrome_trace`](crate::export::chrome_trace); later
+//!   events are counted as dropped, not stored;
 //! * **histograms** — [`BucketHistogram`]: log-bucketed (8 sub-buckets
 //!   per octave, ≤ 12.5 % relative bucket width), count/sum-exact, and
 //!   **mergeable** — merging shard histograms is associative and
@@ -21,12 +23,11 @@
 //! snapshots of equal aggregate state render identical bytes — the
 //! property the serve tier's `obs.snapshot` wire test pins.
 
-use std::collections::hash_map::RandomState;
 use std::collections::BTreeMap;
-use std::hash::BuildHasher;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use crate::Sink;
+use crate::{thread_seq, Sink};
 
 /// Sub-bucket resolution: 2^3 = 8 sub-buckets per power of two, so any
 /// recorded value lands in a bucket whose width is at most 1/8 of the
@@ -194,11 +195,25 @@ pub struct SpanStats {
     pub total_ns: u64,
 }
 
+/// One span event kept in the ring. Field order is the trace's sort
+/// order: start, then thread, then name.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct SpanEvent {
+    pub(crate) start_ns: u64,
+    pub(crate) tid: u64,
+    pub(crate) name: &'static str,
+    pub(crate) dur_ns: u64,
+}
+
 #[derive(Default)]
 struct Shard {
     counters: BTreeMap<&'static str, u64>,
     spans: BTreeMap<&'static str, SpanStats>,
     hists: BTreeMap<&'static str, BucketHistogram>,
+    /// This shard's part of the span ring.
+    events: Vec<SpanEvent>,
+    /// Span events this shard saw after the ring filled.
+    dropped: u64,
 }
 
 impl Shard {
@@ -221,25 +236,32 @@ impl Shard {
 /// below this, so each worker thread effectively owns a shard.
 const SHARDS: usize = 16;
 
-/// A lock-sharded aggregate-only [`Sink`] for fleet-scale replay.
+/// Span events the ring keeps per sink (about 2.5 MiB when full). It
+/// holds every `--obs` run of the bench binaries; the largest, a full
+/// `bench_lp --obs`, records about 52,000.
+pub const SPAN_RING: usize = 1 << 16;
+
+/// The lock-sharded [`Sink`]: aggregates for `obs.snapshot` and fleet
+/// replay, and a bounded span ring for Chrome traces.
 ///
-/// Each calling thread hashes to one of 16 independently locked
-/// aggregate maps; [`FleetSink::snapshot`] merges them. Because the
-/// histogram merge is order-invariant and counters are sums, a snapshot
-/// taken after N runs is identical regardless of how many threads
-/// executed them or in what order.
+/// Each calling thread maps, by its sequence number, to one of 16
+/// independently locked shards; [`FleetSink::snapshot`] merges them.
+/// Because the histogram merge is order-invariant and counters are
+/// sums, a snapshot taken after N runs is identical regardless of how
+/// many threads executed them or in what order.
 pub struct FleetSink {
     shards: [Mutex<Shard>; SHARDS],
-    /// Fixed-seed hasher so a given thread maps to a stable shard for
-    /// the sink's lifetime.
-    hasher: RandomState,
+    /// Ring slots claimed so far, across shards. `Relaxed` suffices:
+    /// the count publishes no data, each event is written under its
+    /// shard's lock.
+    claimed: AtomicUsize,
 }
 
 impl Default for FleetSink {
     fn default() -> FleetSink {
         FleetSink {
             shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            hasher: RandomState::new(),
+            claimed: AtomicUsize::new(0),
         }
     }
 }
@@ -251,8 +273,21 @@ impl FleetSink {
     }
 
     fn shard(&self) -> &Mutex<Shard> {
-        let h = self.hasher.hash_one(std::thread::current().id());
-        &self.shards[(h % SHARDS as u64) as usize]
+        &self.shards[(thread_seq() % SHARDS as u64) as usize]
+    }
+
+    /// The ring's span events in trace order, and how many span events
+    /// arrived after it filled.
+    pub(crate) fn span_events(&self) -> (Vec<SpanEvent>, u64) {
+        let mut events = Vec::new();
+        let mut dropped = 0;
+        for shard in &self.shards {
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            events.extend_from_slice(&shard.events);
+            dropped += shard.dropped;
+        }
+        events.sort_unstable();
+        (events, dropped)
     }
 
     /// Merges every shard into one deterministic snapshot. The live
@@ -269,20 +304,35 @@ impl FleetSink {
         snap
     }
 
-    /// Clears every shard back to empty.
+    /// Clears every shard, the span ring included, back to empty.
     pub fn reset(&self) {
         for shard in &self.shards {
             *shard.lock().unwrap_or_else(PoisonError::into_inner) = Shard::default();
         }
+        self.claimed.store(0, Ordering::Relaxed);
     }
 }
 
 impl Sink for FleetSink {
-    fn span(&self, name: &'static str, _start_ns: u64, dur_ns: u64, _tid: u64) {
+    fn span(&self, name: &'static str, start_ns: u64, dur_ns: u64, tid: u64) {
         let mut shard = self.shard().lock().unwrap_or_else(PoisonError::into_inner);
         let slot = shard.spans.entry(name).or_default();
         slot.count += 1;
         slot.total_ns = slot.total_ns.saturating_add(dur_ns);
+        // Once the ring is full the load alone answers, so recording
+        // threads stop writing the shared claim counter.
+        if self.claimed.load(Ordering::Relaxed) < SPAN_RING
+            && self.claimed.fetch_add(1, Ordering::Relaxed) < SPAN_RING
+        {
+            shard.events.push(SpanEvent {
+                start_ns,
+                tid,
+                name,
+                dur_ns,
+            });
+        } else {
+            shard.dropped += 1;
+        }
     }
 
     fn add(&self, name: &'static str, delta: u64) {

@@ -23,9 +23,11 @@
 //! bit-stable in tests ([`FakeClock`]); production uses a monotonic
 //! [`std::time::Instant`] anchor.
 //!
-//! The [`export`] module renders a recorded [`MemorySink`] as Chrome
-//! trace-event JSON (load it in `chrome://tracing` or Perfetto), as a
-//! compact text summary, or as an aggregated [`export::ObsReport`].
+//! One sink records: [`FleetSink`] keeps lock-sharded aggregates
+//! (counters, span totals, quantile histograms) plus a bounded ring of
+//! span events. The [`export`] module renders its ring as Chrome
+//! trace-event JSON (load it in `chrome://tracing` or Perfetto) and its
+//! [`FleetSnapshot`](fleet::FleetSnapshot) as a compact text summary.
 //!
 //! # Examples
 //!
@@ -37,8 +39,9 @@
 //!     let _solve = obs.span("lp.solve");
 //!     obs.add("lp.pivots", 42);
 //! }
-//! assert_eq!(sink.counter("lp.pivots"), 42);
-//! assert_eq!(sink.spans().len(), 1);
+//! let snap = sink.snapshot();
+//! assert_eq!(snap.counter("lp.pivots"), 42);
+//! assert_eq!(snap.spans["lp.solve"].count, 1);
 //!
 //! // The default handle is off: nothing is recorded, nothing is kept.
 //! let off = Obs::default();
@@ -51,13 +54,12 @@
 pub mod export;
 pub mod fleet;
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::ThreadId;
+use std::sync::Arc;
 use std::time::Instant;
+
+use crate::fleet::FleetSink;
 
 /// A source of monotonic nanosecond timestamps.
 ///
@@ -129,8 +131,9 @@ impl Clock for FakeClock {
 /// [`Sink::add`] while holding no other locks, and the batch pool emits
 /// spans from many worker threads at once.
 pub trait Sink: Send + Sync {
-    /// A completed span: `name` ran on logical thread `tid` from
-    /// `start_ns` for `dur_ns`.
+    /// A completed span: `name` ran from `start_ns` for `dur_ns` on
+    /// the thread whose process-wide sequence number is `tid` (1 for
+    /// the first thread that recorded, 2 for the next, …).
     fn span(&self, name: &'static str, start_ns: u64, dur_ns: u64, tid: u64);
     /// Adds `delta` to the counter `name`.
     fn add(&self, name: &'static str, delta: u64);
@@ -141,20 +144,16 @@ pub trait Sink: Send + Sync {
 struct Inner {
     sink: Arc<dyn Sink>,
     clock: Arc<dyn Clock>,
-    /// Small dense thread ids for trace export (OS ids are opaque).
-    tids: Mutex<(HashMap<ThreadId, u64>, u64)>,
 }
 
-impl Inner {
-    fn tid(&self) -> u64 {
-        let mut guard = self.tids.lock().unwrap_or_else(PoisonError::into_inner);
-        let (map, next) = &mut *guard;
-        *map.entry(std::thread::current().id()).or_insert_with(|| {
-            let id = *next;
-            *next += 1;
-            id
-        })
-    }
+/// The calling thread's process-wide sequence number: 1 for the first
+/// thread that asks, 2 for the next, and so on. Read from a
+/// thread-local, so span drops and [`FleetSink`] shard picks take no
+/// process-wide lock.
+pub(crate) fn thread_seq() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local!(static SEQ: u64 = NEXT.fetch_add(1, Ordering::Relaxed));
+    SEQ.with(|seq| *seq)
 }
 
 /// The instrumentation handle threaded through configuration structs.
@@ -181,11 +180,11 @@ impl Obs {
         Obs { inner: None }
     }
 
-    /// A recording handle backed by a fresh in-memory sink and the
+    /// A recording handle backed by a fresh [`FleetSink`] and the
     /// monotonic production clock. Returns the handle and the sink to
     /// read results from.
-    pub fn recording() -> (Obs, Arc<MemorySink>) {
-        let sink = Arc::new(MemorySink::new());
+    pub fn recording() -> (Obs, Arc<FleetSink>) {
+        let sink = Arc::new(FleetSink::new());
         (Obs::with_sink(sink.clone()), sink)
     }
 
@@ -199,11 +198,7 @@ impl Obs {
     /// [`FakeClock`] here for deterministic trace output).
     pub fn with_sink_and_clock(sink: Arc<dyn Sink>, clock: Arc<dyn Clock>) -> Obs {
         Obs {
-            inner: Some(Arc::new(Inner {
-                sink,
-                clock,
-                tids: Mutex::new((HashMap::new(), 1)),
-            })),
+            inner: Some(Arc::new(Inner { sink, clock })),
         }
     }
 
@@ -259,166 +254,32 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((inner, name, start_ns)) = self.state.take() {
             let end_ns = inner.clock.now_ns();
-            let tid = inner.tid();
-            inner
-                .sink
-                .span(name, start_ns, end_ns.saturating_sub(start_ns), tid);
-        }
-    }
-}
-
-/// One completed span as stored by [`MemorySink`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Span name (static taxonomy, e.g. `lp.solve`).
-    pub name: &'static str,
-    /// Start timestamp in ns (clock origin).
-    pub start_ns: u64,
-    /// Duration in ns.
-    pub dur_ns: u64,
-    /// Dense logical thread id (1-based, assigned in first-use order).
-    pub tid: u64,
-}
-
-/// Aggregated histogram state: count, sum, and extremes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HistogramSummary {
-    /// Number of recorded observations.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation (0 when empty).
-    pub max: u64,
-}
-
-impl HistogramSummary {
-    fn observe(&mut self, value: u64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Mean observation, rounded down (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// An in-memory [`Sink`] accumulating spans, counters, and histograms
-/// for later export.
-#[derive(Default)]
-pub struct MemorySink {
-    spans: Mutex<Vec<SpanEvent>>,
-    counters: Mutex<BTreeMap<&'static str, u64>>,
-    hists: Mutex<BTreeMap<&'static str, HistogramSummary>>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> MemorySink {
-        MemorySink::default()
-    }
-
-    /// All recorded spans, in completion order.
-    pub fn spans(&self) -> Vec<SpanEvent> {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-
-    /// One counter's value (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// All histograms, sorted by name.
-    pub fn histograms(&self) -> Vec<(&'static str, HistogramSummary)> {
-        self.hists
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-
-    /// Whether nothing at all was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_empty()
-            && self
-                .counters
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_empty()
-            && self
-                .hists
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_empty()
-    }
-}
-
-impl Sink for MemorySink {
-    fn span(&self, name: &'static str, start_ns: u64, dur_ns: u64, tid: u64) {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(SpanEvent {
+            inner.sink.span(
                 name,
                 start_ns,
-                dur_ns,
-                tid,
-            });
-    }
-
-    fn add(&self, name: &'static str, delta: u64) {
-        *self
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(name)
-            .or_insert(0) += delta;
-    }
-
-    fn record(&self, name: &'static str, value: u64) {
-        self.hists
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(name)
-            .or_default()
-            .observe(value);
+                end_ns.saturating_sub(start_ns),
+                thread_seq(),
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Keeps every span event, in completion order.
+    #[derive(Default)]
+    struct Log(Mutex<Vec<(&'static str, u64, u64, u64)>>);
+
+    impl Sink for Log {
+        fn span(&self, name: &'static str, start_ns: u64, dur_ns: u64, tid: u64) {
+            self.0.lock().unwrap().push((name, start_ns, dur_ns, tid));
+        }
+        fn add(&self, _: &'static str, _: u64) {}
+        fn record(&self, _: &'static str, _: u64) {}
+    }
 
     #[test]
     fn off_handle_records_nothing() {
@@ -436,22 +297,24 @@ mod tests {
         // The no-op path and a live sink must be fully independent:
         // instrument through an off handle while a sink exists, and the
         // sink stays empty (nothing leaks through globals).
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(FleetSink::new());
         let off = Obs::default();
         {
             let _s = off.span("vol.manage");
             off.add("ilp.nodes", 3);
             off.record("h", 9);
         }
-        assert!(sink.is_empty());
-        assert_eq!(sink.counter("ilp.nodes"), 0);
-        assert!(sink.spans().is_empty());
-        assert!(sink.histograms().is_empty());
+        let snap = sink.snapshot();
+        assert!(snap.counters.is_empty() && snap.spans.is_empty() && snap.hists.is_empty());
+        assert_eq!(
+            export::chrome_trace(&sink),
+            export::chrome_trace(&FleetSink::new())
+        );
     }
 
     #[test]
     fn spans_nest_and_report_in_completion_order() {
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(Log::default());
         let obs = Obs::with_sink_and_clock(sink.clone(), Arc::new(FakeClock::new(100)));
         {
             let _outer = obs.span("outer");
@@ -459,17 +322,13 @@ mod tests {
                 let _inner = obs.span("inner");
             }
         }
-        let spans = sink.spans();
-        assert_eq!(spans.len(), 2);
-        // Inner closes first.
-        assert_eq!(spans[0].name, "inner");
-        assert_eq!(spans[1].name, "outer");
-        // FakeClock(100): outer starts at 0, inner at 100, inner ends at
-        // 200, outer at 300.
-        assert_eq!(spans[0].start_ns, 100);
-        assert_eq!(spans[0].dur_ns, 100);
-        assert_eq!(spans[1].start_ns, 0);
-        assert_eq!(spans[1].dur_ns, 300);
+        // Inner closes first. FakeClock(100): outer starts at 0, inner
+        // at 100, inner ends at 200, outer at 300.
+        let tid = thread_seq();
+        assert_eq!(
+            *sink.0.lock().unwrap(),
+            [("inner", 100, 100, tid), ("outer", 0, 300, tid)]
+        );
     }
 
     #[test]
@@ -479,29 +338,21 @@ mod tests {
         obs.add("lp.pivots", 4);
         obs.record("lat", 10);
         obs.record("lat", 30);
-        assert_eq!(sink.counter("lp.pivots"), 7);
-        let hists = sink.histograms();
-        assert_eq!(hists.len(), 1);
-        let (name, h) = hists[0];
-        assert_eq!(name, "lat");
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 40);
-        assert_eq!(h.min, 10);
-        assert_eq!(h.max, 30);
-        assert_eq!(h.mean(), 20);
+        let snap = sink.snapshot();
+        assert_eq!(snap.counter("lp.pivots"), 7);
+        assert_eq!(snap.hists.len(), 1);
+        let h = snap.hist("lat").expect("recorded");
+        assert_eq!(
+            (h.count(), h.sum(), h.min(), h.max(), h.mean()),
+            (2, 40, 10, 30, 20)
+        );
     }
 
     #[test]
-    fn tids_are_dense_and_stable_per_thread() {
-        let (obs, sink) = Obs::recording();
-        {
-            let _a = obs.span("a");
-        }
-        {
-            let _b = obs.span("b");
-        }
-        let spans = sink.spans();
-        assert_eq!(spans[0].tid, spans[1].tid);
-        assert_eq!(spans[0].tid, 1);
+    fn thread_seqs_are_stable_per_thread_and_distinct_across_threads() {
+        let here = thread_seq();
+        assert_eq!(here, thread_seq());
+        let there = std::thread::spawn(thread_seq).join().unwrap();
+        assert_ne!(here, there);
     }
 }

@@ -4,13 +4,14 @@
 
 use std::sync::Arc;
 
-use aqua_obs::export::{chrome_trace, ObsReport};
-use aqua_obs::{FakeClock, MemorySink, Obs};
+use aqua_obs::export::{chrome_trace, text_summary};
+use aqua_obs::fleet::FleetSink;
+use aqua_obs::{FakeClock, Obs};
 
 /// A fixed single-threaded recording: nested solve spans plus two
 /// counters, driven by a 1 µs-step fake clock.
-fn deterministic_recording() -> Arc<MemorySink> {
-    let sink = Arc::new(MemorySink::new());
+fn deterministic_recording() -> Arc<FleetSink> {
+    let sink = Arc::new(FleetSink::new());
     let obs = Obs::with_sink_and_clock(sink.clone(), Arc::new(FakeClock::new(1_000)));
     {
         let _manage = obs.span("vol.manage"); // starts at 0 ns
@@ -45,23 +46,8 @@ fn chrome_trace_is_byte_stable_under_a_fake_clock() {
 }
 
 #[test]
-fn report_json_is_byte_stable_under_a_fake_clock() {
-    let sink = deterministic_recording();
-    let report = ObsReport::from_sink(&sink);
-    assert_eq!(
-        report.to_json(),
-        "{\"phases\": {\
-         \"lp.solve\": {\"count\": 1, \"total_ns\": 1000}, \
-         \"vol.dagsolve\": {\"count\": 1, \"total_ns\": 1000}, \
-         \"vol.manage\": {\"count\": 1, \"total_ns\": 5000}}, \
-         \"counters\": {\"ilp.nodes\": 3, \"lp.pivots\": 12}, \
-         \"histograms\": {}}"
-    );
-}
-
-#[test]
-fn no_op_sink_records_nothing_and_report_stays_empty() {
-    let sink = Arc::new(MemorySink::new());
+fn no_op_sink_records_nothing() {
+    let sink = Arc::new(FleetSink::new());
     // Drive a full instrumentation workload through an OFF handle while
     // the sink exists: nothing may reach it.
     let off = Obs::off();
@@ -70,10 +56,12 @@ fn no_op_sink_records_nothing_and_report_stays_empty() {
         off.add("lp.pivots", 1);
         off.record("sim.instr_ns", 42);
     }
-    assert!(sink.is_empty());
-    let report = ObsReport::from_sink(&sink);
-    assert!(report.is_empty());
-    assert!(report.phases.is_empty());
-    assert!(report.counters.is_empty());
-    assert!(report.histograms.is_empty());
+    assert_eq!(
+        text_summary(&sink.snapshot()),
+        "(no observability data recorded)\n"
+    );
+    assert_eq!(
+        chrome_trace(&sink),
+        "{\"traceEvents\": [\n], \"displayTimeUnit\": \"ms\"}\n"
+    );
 }

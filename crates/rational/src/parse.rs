@@ -140,7 +140,12 @@ impl FromStr for Ratio {
             });
         }
         let n: i128 = s.parse().map_err(|_| ParseRatioError::syntax(s))?;
-        Ok(Ratio::from_int(n))
+        // `Ratio::new`, not `from_int`: it rejects `i128::MIN`, whose
+        // negation overflows.
+        Ratio::new(n, 1).map_err(|e| ParseRatioError {
+            input: s.to_owned(),
+            reason: Reason::Arithmetic(e),
+        })
     }
 }
 
@@ -181,6 +186,26 @@ mod tests {
         for bad in ["", "abc", "1/0", "1//2", "1.2.3", "1/2/3", "0x10"] {
             assert!(bad.parse::<Ratio>().is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn i128_min_is_rejected_with_overflow() {
+        use crate::RatioError;
+        use std::error::Error;
+        for min in [
+            "-170141183460469231731687303715884105728",
+            "-170141183460469231731687303715884105728.0",
+            "-170141183460469231731687303715884105728/1",
+        ] {
+            let e = min.parse::<Ratio>().unwrap_err();
+            let source = e.source().and_then(|s| s.downcast_ref::<RatioError>());
+            assert_eq!(source, Some(&RatioError::Overflow), "{min}");
+        }
+        let v = "-170141183460469231731687303715884105727"
+            .parse::<Ratio>()
+            .unwrap();
+        assert_eq!(v, Ratio::from_int(i128::MIN + 1));
+        assert_eq!(v.abs(), Ratio::from_int(i128::MAX));
     }
 
     #[test]

@@ -357,8 +357,7 @@ mod tests {
 
     #[test]
     fn compiles_counter_is_bumped() {
-        let sink = std::sync::Arc::new(aqua_obs::MemorySink::new());
-        let obs = Obs::with_sink(sink.clone());
+        let (obs, sink) = Obs::recording();
         let mut d = Dag::new();
         let a = d.add_input("A");
         let b = d.add_input("B");
@@ -366,6 +365,6 @@ mod tests {
         d.add_process("s", "sense.OD", m);
         let machine = Machine::paper_default();
         compile_plan(&canon_of(&d, &machine), &machine, &obs);
-        assert_eq!(sink.counter("serve.plan.compiles"), 1);
+        assert_eq!(sink.snapshot().counter("serve.plan.compiles"), 1);
     }
 }

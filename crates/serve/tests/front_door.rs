@@ -1,7 +1,8 @@
 //! Regression tests for the front-door bugs: the `deadline_ms`-overflow
 //! panic, the accept loop dying on transient errors, unbounded request
-//! lines, the `FOR`-loop trip count that overflowed into a hang, and the
-//! `i128` overflow in plan rounding that killed a shard's batcher.
+//! lines, the `FOR`-loop trip count that overflowed into a hang, the
+//! op-free loop nest that ran for days, and the `i128` overflow in plan
+//! rounding that killed a shard's batcher.
 //!
 //! Each test exercises the hostile input that used to take the service
 //! (or one of its threads) down, then proves the connection/service
@@ -218,6 +219,59 @@ END
         assert!(resp.contains("loop trip count is absurd"), "{resp}");
     }
     assert_eq!(parse(&after).get("ok"), Some(&Value::Bool(true)), "{after}");
+}
+
+/// A loop nest of 1e6 x 1e6 iterations that emits no fluid op passed
+/// both the per-loop trip cap and the op cap, and parsing runs on the
+/// request thread before any deadline: one such line pinned the stdin
+/// front for days. Now the nest goes past the evaluation-wide loop
+/// budget (2e6 iterations) when its inner loop starts a second time, as
+/// a plain `src` request and as `session.register`, and the glucose
+/// line behind it is served. Each request runs the one inner loop it
+/// was charged for: about 0.8 s in a release build, the 5 s limit here;
+/// unoptimized builds run it about four times slower.
+#[test]
+fn op_free_loop_nest_gets_bad_request_and_the_front_moves_on() {
+    let src = "
+ASSAY nest START
+fluid A, B;
+VAR x;
+FOR i FROM 1 TO 1000000 START
+  FOR j FROM 1 TO 1000000 START
+    x = j;
+  ENDFOR
+ENDFOR
+MIX A AND B FOR 5;
+END
+";
+    let input = format!(
+        "{{\"id\":1,\"src\":{src}}}\n\
+         {{\"id\":2,\"cmd\":\"session.register\",\"src\":{src}}}\n\
+         {{\"id\":3,\"src\":{glucose}}}\n",
+        src = quote(src),
+        glucose = quote(aqua_assays::glucose::SOURCE)
+    );
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let svc = Service::new(ServiceConfig::default());
+        let mut out = Vec::new();
+        serve_lines(&svc, input.as_bytes(), &mut out).expect("serve");
+        let _ = done.send(String::from_utf8(out).expect("utf8 responses"));
+    });
+    let limit_s = if cfg!(debug_assertions) { 30 } else { 5 };
+    let text = finished
+        .recv_timeout(std::time::Duration::from_secs(limit_s))
+        .expect("the loop nest held the front past its limit");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "{text}");
+    for resp in &lines[..2] {
+        let v = parse(resp);
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{resp}");
+        assert_eq!(v.get("error").and_then(Value::as_str), Some("bad_request"));
+        assert!(resp.contains("loop iterations"), "{resp}");
+    }
+    let glucose = parse(lines[2]);
+    assert_eq!(glucose.get("ok"), Some(&Value::Bool(true)), "{}", lines[2]);
 }
 
 /// An assay whose LP solution rounds to mix-ratio errors beyond `i128`

@@ -22,7 +22,8 @@
 #   5. property suites       (cargo test --features proptests)
 #   6. LP smoke test         (bench_lp --quick: the sparse simplex
 #      agrees with the dense tableau oracle on every assay)
-#      + obs smoke: --obs must produce a non-empty Chrome trace
+#      + obs smoke: --obs must produce a non-empty Chrome trace that
+#        dropped no span events
 #   7. fault-recovery smoke  (fault_sweep --quick: 100% recovery at rate 0)
 #   8. serve stress suite    (8 threads x 200 requests, deadlock-guarded
 #      by `timeout`: a hang is a bug, not a slow test)
@@ -123,10 +124,16 @@ echo "==> bench_lp --quick (sparse/dense agreement + obs smoke test)"
 timeout 600 cargo run --release -p aqua-bench --bin bench_lp -- --quick \
   --out target/BENCH_lp.quick.json --obs target/obs_trace.quick.json
 # The trace must exist, be non-trivial, and carry trace events: an empty
-# or malformed trace means the obs wiring regressed silently.
+# or malformed trace means the obs wiring regressed silently. It must
+# also hold every span: a trace reporting obs.spans_dropped outgrew the
+# sink's span ring.
 test -s target/obs_trace.quick.json
 grep -q '"traceEvents"' target/obs_trace.quick.json
 grep -q '"lp.solve"' target/obs_trace.quick.json
+if grep -q '"obs.spans_dropped"' target/obs_trace.quick.json; then
+  echo "error: the bench_lp --obs trace dropped span events" >&2
+  exit 1
+fi
 
 echo "==> fault_sweep --quick (recovery ladder smoke test)"
 cargo run --release -p aqua-bench --bin fault_sweep -- --quick --out target/BENCH_fault.quick.json

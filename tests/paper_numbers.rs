@@ -272,15 +272,8 @@ fn enzyme10_escalation_path_is_pinned() {
         "{log:?}"
     );
 
-    let report = aqua_obs::export::ObsReport::from_sink(&sink);
-    let counter = |name: &str| {
-        report
-            .counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
+    let snap = sink.snapshot();
+    let counter = |name: &str| snap.counter(name);
     // 21 cascades: Diluted_{Inhibitor,Enzyme,Substrate}[4..=10].
     assert_eq!(counter("vol.cascade_rewrites"), 21);
     // Two LP fallback attempts (round 0 and round 1); both verdicts
@@ -298,18 +291,26 @@ fn enzyme10_escalation_path_is_pinned() {
 #[test]
 fn dagsolve_beats_lp_with_growing_gap() {
     let machine = Machine::paper_default();
+    // Each side's time is the median of 11 interleaved repetitions, so a
+    // burst of load from the binary's other test threads lands on both
+    // sides alike and moves neither median.
     let time_pair = |b: Benchmark| {
         let dag = dag_of(b);
-        let t0 = std::time::Instant::now();
-        for _ in 0..5 {
+        let (mut ds, mut lp) = (Vec::new(), Vec::new());
+        for _ in 0..11 {
+            let t0 = std::time::Instant::now();
             let _ = dagsolve::solve(&dag, &machine);
+            ds.push(t0.elapsed().as_secs_f64());
+            let t0 = std::time::Instant::now();
+            let form = lpform::build(&dag, &machine, &LpOptions::rvol());
+            let _ = aqua_lp::solve(&form.model);
+            lp.push(t0.elapsed().as_secs_f64());
         }
-        let ds = t0.elapsed().as_secs_f64() / 5.0;
-        let t0 = std::time::Instant::now();
-        let form = lpform::build(&dag, &machine, &LpOptions::rvol());
-        let _ = aqua_lp::solve(&form.model);
-        let lp = t0.elapsed().as_secs_f64();
-        (ds, lp)
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
+        (median(ds), median(lp))
     };
     let (ds_e, lp_e) = time_pair(Benchmark::Enzyme);
     assert!(
