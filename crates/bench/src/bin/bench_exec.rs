@@ -143,6 +143,12 @@ fn main() {
         .compile(&machine)
         .expect("enzyme10 compiles");
     let opts = SchedOptions { obs: obs.clone() };
+    // Every executor reports to the harness sink, so an `--obs` trace
+    // holds one `sim.run` span per run.
+    let exec_config = || ExecConfig {
+        obs: obs.clone(),
+        ..ExecConfig::default()
+    };
     measurements.push(harness::time("enzyme10/plan", warmup, iters, || {
         plan(&out, &machine, &opts)
     }));
@@ -151,11 +157,11 @@ fn main() {
         .validate()
         .unwrap_or_else(|e| panic!("enzyme10 schedule invalid: {e}"));
     measurements.push(harness::time("enzyme10/replay", warmup, iters, || {
-        Executor::new(&machine, ExecConfig::default())
+        Executor::new(&machine, exec_config())
             .run_scheduled(&out, &sched)
             .expect("enzyme10 replays")
     }));
-    let run = Executor::new(&machine, ExecConfig::default())
+    let run = Executor::new(&machine, exec_config())
         .run_scheduled(&out, &sched)
         .expect("enzyme10 replays");
     assert_eq!(
@@ -218,7 +224,7 @@ fn main() {
         cases.iter().map(|c| c.name).collect::<Vec<_>>().join(", ")
     );
     let run_fleet = |threads: usize| -> BatchReport {
-        let jobs = build_jobs(&cases, per_case, |_| ExecConfig::default());
+        let jobs = build_jobs(&cases, per_case, |_| exec_config());
         run_batch(
             &fleet,
             &jobs,
@@ -282,7 +288,7 @@ fn main() {
     let fault_jobs = build_jobs(&cases, per_case, |i| ExecConfig {
         faults: FaultPlan::uniform(0xBEEF ^ i as u64, 0.05),
         recover: true,
-        ..ExecConfig::default()
+        ..exec_config()
     });
     let faulted = run_batch(
         &fleet,

@@ -593,8 +593,9 @@ impl<'a> Emitter<'a> {
                 let (temp_c, seconds) = self
                     .map
                     .process_details
-                    .get(&node)
+                    .get(node.index())
                     .copied()
+                    .flatten()
                     .unwrap_or((37, 0));
                 let instr = if op == "concentrate" {
                     Instr::Concentrate {
@@ -616,7 +617,12 @@ impl<'a> Emitter<'a> {
                 let sep = WetLoc::Separator(1, SepPort::Main);
                 self.evict_unit(sep)?;
                 self.evict_unit(WetLoc::Separator(1, SepPort::Out1))?;
-                let (matrix, pusher, kind, seconds) = match self.map.separate_details.get(&node) {
+                let (matrix, pusher, kind, seconds) = match self
+                    .map
+                    .separate_details
+                    .get(node.index())
+                    .and_then(Option::as_ref)
+                {
                     Some((m, u, k, s)) => (m.clone(), u.clone(), *k, *s),
                     None => (
                         "matrix".to_owned(),
@@ -736,7 +742,12 @@ impl<'a> Emitter<'a> {
             );
         }
         self.consume(src);
-        let (mode, target) = match self.map.sense_details.get(&node) {
+        let (mode, target) = match self
+            .map
+            .sense_details
+            .get(node.index())
+            .and_then(Option::as_ref)
+        {
             Some((m, t)) => (*m, t.clone()),
             None => (SenseMode::Optical, self.dag.node(node).name.clone()),
         };

@@ -20,22 +20,19 @@ use aqua_lang::{FlatAssay, FlatOp, FluidId, SenseMode, SepKind};
 
 use crate::error::CompileError;
 
-/// Mapping between flat-assay entities and DAG nodes.
+/// Side tables codegen reads beside the DAG. The per-node tables are
+/// vectors indexed by node id and cover the lowered DAG's nodes, so
+/// nodes a later rewrite adds read as `None` through `get`.
 #[derive(Debug, Clone, Default)]
 pub struct DagMap {
-    /// DAG node producing each fluid instance (inputs map to their
-    /// input node). Waste streams map to `None`.
-    pub fluid_node: HashMap<FluidId, NodeId>,
-    /// DAG node for each op index (the consuming/producing operation
-    /// node; `Sense` ops map to their leaf node).
-    pub op_node: HashMap<usize, NodeId>,
-    /// For separation nodes: (matrix fluid name, pusher fluid name,
-    /// separation kind, duration seconds) needed at codegen.
-    pub separate_details: HashMap<NodeId, (String, String, SepKind, u64)>,
-    /// For sense leaves: (modality, result-slot label).
-    pub sense_details: HashMap<NodeId, (SenseMode, String)>,
-    /// For incubate/concentrate process nodes: (temperature C, seconds).
-    pub process_details: HashMap<NodeId, (i64, u64)>,
+    /// For separation nodes, by node index: (matrix fluid name, pusher
+    /// fluid name, separation kind, duration seconds) needed at codegen.
+    pub separate_details: Vec<Option<(String, String, SepKind, u64)>>,
+    /// For sense leaves, by node index: (modality, result-slot label).
+    pub sense_details: Vec<Option<(SenseMode, String)>>,
+    /// For incubate/concentrate process nodes, by node index:
+    /// (temperature C, seconds).
+    pub process_details: Vec<Option<(i64, u64)>>,
     /// Relative production weights of explicit `OUTPUT` nodes (the
     /// paper's `Va:Vb:Vc` output proportions).
     pub output_weights: HashMap<NodeId, u64>,
@@ -48,26 +45,43 @@ pub struct DagMap {
 /// Returns [`CompileError::WasteUsed`] if the assay consumes a waste
 /// stream, or [`CompileError::Dag`]-level issues for degenerate mixes.
 pub fn lower_to_dag(flat: &FlatAssay) -> Result<(Dag, DagMap), CompileError> {
-    let mut dag = Dag::new();
-    let mut map = DagMap::default();
+    let inputs = flat.inputs();
+    // Every op lowers to exactly one node, after the inputs, and one
+    // in-edge per consumed fluid.
+    let nodes = inputs.len() + flat.ops.len();
+    let edges = flat
+        .ops
+        .iter()
+        .map(|op| match op {
+            FlatOp::Mix { parts, .. } => parts.len(),
+            _ => 1,
+        })
+        .sum();
+    let mut dag = Dag::with_capacity(nodes, edges);
+    // The node producing each fluid instance, by fluid index (inputs map
+    // to their input node); waste streams stay `None`.
+    let mut fluid_node: Vec<Option<NodeId>> = vec![None; flat.fluids.len()];
+    let mut map = DagMap {
+        separate_details: vec![None; nodes],
+        sense_details: vec![None; nodes],
+        process_details: vec![None; nodes],
+        output_weights: HashMap::new(),
+    };
     let mut waste_fluids: Vec<FluidId> = Vec::new();
 
     // Inputs first (so input node ids are dense and stable).
-    for id in flat.inputs() {
+    for id in inputs {
         let n = dag.add_input(flat.fluid(id).name.clone());
-        map.fluid_node.insert(id, n);
+        fluid_node[id.index()] = Some(n);
     }
 
-    let node_of = |map: &DagMap, fluid: FluidId| -> Result<NodeId, CompileError> {
-        map.fluid_node
-            .get(&fluid)
-            .copied()
-            .ok_or_else(|| CompileError::WasteUsed {
-                fluid: flat.fluid(fluid).name.clone(),
-            })
+    let node_of = |fluid_node: &[Option<NodeId>], fluid: FluidId| -> Result<NodeId, CompileError> {
+        fluid_node[fluid.index()].ok_or_else(|| CompileError::WasteUsed {
+            fluid: flat.fluid(fluid).name.clone(),
+        })
     };
 
-    for (idx, op) in flat.ops.iter().enumerate() {
+    for op in &flat.ops {
         match op {
             FlatOp::Mix {
                 out,
@@ -76,7 +90,7 @@ pub fn lower_to_dag(flat: &FlatAssay) -> Result<(Dag, DagMap), CompileError> {
             } => {
                 let mut srcs = Vec::with_capacity(parts.len());
                 for (f, r) in parts {
-                    srcs.push((node_of(&map, *f)?, *r));
+                    srcs.push((node_of(&fluid_node, *f)?, *r));
                 }
                 let n = dag
                     .add_mix_exact(flat.fluid(*out).name.clone(), &srcs, *seconds)
@@ -86,8 +100,7 @@ pub fn lower_to_dag(flat: &FlatAssay) -> Result<(Dag, DagMap), CompileError> {
                             flat.fluid(*out).name
                         ))
                     })?;
-                map.fluid_node.insert(*out, n);
-                map.op_node.insert(idx, n);
+                fluid_node[out.index()] = Some(n);
             }
             FlatOp::Incubate {
                 out,
@@ -95,11 +108,10 @@ pub fn lower_to_dag(flat: &FlatAssay) -> Result<(Dag, DagMap), CompileError> {
                 temp_c,
                 seconds,
             } => {
-                let src = node_of(&map, *input)?;
+                let src = node_of(&fluid_node, *input)?;
                 let n = dag.add_process(flat.fluid(*out).name.clone(), "incubate", src);
-                map.process_details.insert(n, (*temp_c, *seconds));
-                map.fluid_node.insert(*out, n);
-                map.op_node.insert(idx, n);
+                map.process_details[n.index()] = Some((*temp_c, *seconds));
+                fluid_node[out.index()] = Some(n);
             }
             FlatOp::Concentrate {
                 out,
@@ -107,11 +119,10 @@ pub fn lower_to_dag(flat: &FlatAssay) -> Result<(Dag, DagMap), CompileError> {
                 temp_c,
                 seconds,
             } => {
-                let src = node_of(&map, *input)?;
+                let src = node_of(&fluid_node, *input)?;
                 let n = dag.add_process(flat.fluid(*out).name.clone(), "concentrate", src);
-                map.process_details.insert(n, (*temp_c, *seconds));
-                map.fluid_node.insert(*out, n);
-                map.op_node.insert(idx, n);
+                map.process_details[n.index()] = Some((*temp_c, *seconds));
+                fluid_node[out.index()] = Some(n);
             }
             FlatOp::Separate {
                 out,
@@ -123,44 +134,43 @@ pub fn lower_to_dag(flat: &FlatAssay) -> Result<(Dag, DagMap), CompileError> {
                 seconds,
                 yield_hint,
             } => {
-                let src = node_of(&map, *input)?;
+                let src = node_of(&fluid_node, *input)?;
                 let n = dag.add_separate(flat.fluid(*out).name.clone(), src, *yield_hint);
-                map.separate_details
-                    .insert(n, (matrix.clone(), using.clone(), *kind, *seconds));
-                map.fluid_node.insert(*out, n);
-                map.op_node.insert(idx, n);
+                map.separate_details[n.index()] =
+                    Some((matrix.clone(), using.clone(), *kind, *seconds));
+                fluid_node[out.index()] = Some(n);
                 waste_fluids.push(*waste);
             }
             FlatOp::Output { input, weight } => {
-                let src = node_of(&map, *input)?;
+                let src = node_of(&fluid_node, *input)?;
                 let n = dag.add_output(format!("out_{}", flat.fluid(*input).name), src);
                 map.output_weights.insert(n, *weight);
-                map.op_node.insert(idx, n);
             }
             FlatOp::Sense {
                 input,
                 mode,
                 target,
             } => {
-                let src = node_of(&map, *input)?;
+                let src = node_of(&fluid_node, *input)?;
                 let opname = match mode {
                     SenseMode::Optical => "sense.OD",
                     SenseMode::Fluorescence => "sense.FL",
                 };
                 let n = dag.add_process(target.clone(), opname, src);
-                map.sense_details.insert(n, (*mode, target.clone()));
-                map.op_node.insert(idx, n);
+                map.sense_details[n.index()] = Some((*mode, target.clone()));
             }
         }
     }
 
     // Waste streams must stay dead ends.
-    let counts = flat.use_counts();
-    for w in waste_fluids {
-        if counts[w.index()] > 0 {
-            return Err(CompileError::WasteUsed {
-                fluid: flat.fluid(w).name.clone(),
-            });
+    if !waste_fluids.is_empty() {
+        let counts = flat.use_counts();
+        for w in waste_fluids {
+            if counts[w.index()] > 0 {
+                return Err(CompileError::WasteUsed {
+                    fluid: flat.fluid(w).name.clone(),
+                });
+            }
         }
     }
 
@@ -227,13 +237,13 @@ mod tests {
         let sep = d.find_node("eff").unwrap();
         assert_eq!(d.node(sep).kind, NodeKind::Separate { fraction: None });
         assert_eq!(
-            m.separate_details[&sep],
-            (
+            m.separate_details[sep.index()],
+            Some((
                 "lectin".to_string(),
                 "buf".to_string(),
                 SepKind::Affinity,
                 30
-            )
+            ))
         );
         // The matrix fluid is not a DAG node.
         assert!(d.find_node("lectin").is_none());
@@ -302,6 +312,6 @@ mod tests {
             .node_ids()
             .find(|&n| matches!(&d.node(n).kind, NodeKind::Process { op } if op == "incubate"))
             .unwrap();
-        assert_eq!(m.process_details[&inc], (37, 300));
+        assert_eq!(m.process_details[inc.index()], Some((37, 300)));
     }
 }

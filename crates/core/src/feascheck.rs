@@ -171,18 +171,9 @@ fn node_bounds(
     let span = machine.span();
     let is_source = node.kind.is_source();
 
-    let live_in: Vec<_> = dag
-        .in_edges(id)
-        .iter()
-        .copied()
-        .filter(|&e| dag.edge_is_live(e))
-        .collect();
-    let live_out: Vec<_> = dag
-        .out_edges(id)
-        .iter()
-        .copied()
-        .filter(|&e| dag.edge_is_live(e))
-        .collect();
+    // Every edge a node lists is live (see `Dag::edge_is_live`).
+    let live_in = dag.in_edges(id);
+    let live_out = dag.out_edges(id);
 
     if node.kind == NodeKind::Excess {
         // An excess sink's inflow is fixed by its producer's excess
@@ -223,7 +214,7 @@ fn node_bounds(
     if !live_in.is_empty() {
         let mut frac_sum = Ratio::ZERO;
         let mut min_frac: Option<Ratio> = None;
-        for &e in &live_in {
+        for &e in live_in {
             let f = dag.edge(e).fraction;
             if !f.is_positive() {
                 return Err(Unsupported);
@@ -239,7 +230,7 @@ fn node_bounds(
     let mut useful = Ratio::ZERO;
     let mut discard_share = Ratio::ZERO;
     let mut excess_cap: Option<Ratio> = None;
-    for &e in &live_out {
+    for &e in live_out {
         let edge = dag.edge(e);
         if dag.node(edge.dst).kind == NodeKind::Excess {
             let share = edge.fraction;
@@ -258,11 +249,9 @@ fn node_bounds(
             let dst = edge.dst;
             let mut dst_sum = Ratio::ZERO;
             for &de in dag.in_edges(dst) {
-                if dag.edge_is_live(de) {
-                    dst_sum = dst_sum
-                        .checked_add(dag.edge(de).fraction)
-                        .map_err(|_| Unsupported)?;
-                }
+                dst_sum = dst_sum
+                    .checked_add(dag.edge(de).fraction)
+                    .map_err(|_| Unsupported)?;
             }
             if !dst_sum.is_positive() {
                 return Err(Unsupported);

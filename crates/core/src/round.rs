@@ -407,12 +407,7 @@ pub fn round_apportioned(
     let mut underflows = Vec::new();
 
     for id in dag.node_ids() {
-        let ins: Vec<_> = dag
-            .in_edges(id)
-            .iter()
-            .copied()
-            .filter(|&e| dag.edge_is_live(e))
-            .collect();
+        let ins = dag.in_edges(id);
         if ins.is_empty() {
             continue;
         }

@@ -131,7 +131,7 @@ pub fn set_mix_ratio(
 ///
 /// Returns [`EditError::HasConsumers`] if the node has live out-edges.
 pub fn rebuild_without(dag: &Dag, node: NodeId) -> Result<(Dag, Vec<Option<NodeId>>), EditError> {
-    if dag.out_edges(node).iter().any(|&e| dag.edge_is_live(e)) {
+    if !dag.out_edges(node).is_empty() {
         return Err(EditError::HasConsumers {
             node: dag.node(node).name.clone(),
         });

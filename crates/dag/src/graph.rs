@@ -131,6 +131,15 @@ impl Dag {
         Dag::default()
     }
 
+    /// Creates an empty DAG with room for `nodes` nodes and `edges`
+    /// edges, for builders that know the final size.
+    pub fn with_capacity(nodes: usize, edges: usize) -> Dag {
+        Dag {
+            nodes: Vec::with_capacity(nodes),
+            edges: Vec::with_capacity(edges),
+        }
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
@@ -304,9 +313,17 @@ impl Dag {
     }
 
     /// Whether an edge is still attached (not cut).
+    ///
+    /// [`Dag::add_edge`], [`Dag::redirect_edge_src`] and
+    /// [`Dag::cut_edge`] are the only mutators of the adjacency lists,
+    /// and each keeps an edge in both its source's out-list and its
+    /// destination's in-list or in neither. So every edge a node lists
+    /// is live, and this scans the destination's in-list, which is
+    /// bounded by a mix's arity, not the source's out-list, which grows
+    /// with its uses.
     pub fn edge_is_live(&self, edge: EdgeId) -> bool {
         let e = &self.edges[edge.0];
-        self.nodes[e.src.0].out_edges.contains(&edge)
+        self.nodes[e.dst.0].in_edges.contains(&edge)
     }
 }
 
@@ -367,6 +384,52 @@ mod tests {
         assert_eq!(d.num_uses(a), 0);
         assert!(d.in_edges(p).is_empty());
         assert!(!d.edge_is_live(e));
+    }
+
+    /// Seeded random add/redirect/cut scripts: after every step, an
+    /// edge is live exactly when its source lists it as an out-edge and
+    /// exactly when its destination lists it as an in-edge, and every
+    /// listed edge is live.
+    #[test]
+    fn liveness_matches_both_adjacency_lists_under_random_edits() {
+        use aqua_rational::rng::XorShift64Star;
+        for seed in 1..=32u64 {
+            let mut rng = XorShift64Star::new(seed);
+            let mut d = Dag::new();
+            let n = 2 + rng.index(12);
+            let nodes: Vec<NodeId> = (0..n)
+                .map(|i| d.add_node(format!("v{i}"), NodeKind::Mix { seconds: 0 }))
+                .collect();
+            for _ in 0..300 {
+                let live: Vec<EdgeId> = d.edge_ids().filter(|&e| d.edge_is_live(e)).collect();
+                match rng.index(5) {
+                    0 | 1 => {
+                        let (a, b) = (nodes[rng.index(n)], nodes[rng.index(n)]);
+                        d.add_edge(a, b, Ratio::ONE);
+                    }
+                    // Redirecting needs a live id (a cut id is stale).
+                    2 if !live.is_empty() => {
+                        d.redirect_edge_src(live[rng.index(live.len())], nodes[rng.index(n)]);
+                    }
+                    3 if d.num_edges() > 0 => {
+                        d.cut_edge(EdgeId(rng.index(d.num_edges())));
+                    }
+                    _ => {}
+                }
+                for e in d.edge_ids() {
+                    let edge = d.edge(e);
+                    let in_out = d.out_edges(edge.src).contains(&e);
+                    let in_in = d.in_edges(edge.dst).contains(&e);
+                    assert_eq!(d.edge_is_live(e), in_out, "seed {seed}, {e}");
+                    assert_eq!(d.edge_is_live(e), in_in, "seed {seed}, {e}");
+                }
+                for id in d.node_ids() {
+                    for &e in d.in_edges(id).iter().chain(d.out_edges(id)) {
+                        assert!(d.edge_is_live(e), "seed {seed}: {id} lists dead {e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

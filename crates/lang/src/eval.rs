@@ -1,6 +1,23 @@
 //! Constant evaluation and loop unrolling: AST -> [`FlatAssay`].
+//!
+//! Evaluation runs in two passes. [`Resolver`] walks the AST once and
+//! gives every name a dense slot: one per scalar name (`VAR`s, loop
+//! variables, any other name an expression reads or assigns) and one
+//! per fluid name, declared or not. The unroller then runs the resolved
+//! program: a loop iteration reads and writes scalars by slot and finds
+//! fluid instances in per-slot tables keyed by the evaluated indices, so
+//! it clones and hashes no name. An instance's name is rendered once,
+//! when the instance is created.
+//!
+//! Resolving never fails: a name that is an error to use (an undeclared
+//! fluid, an unassigned variable) gets a slot like any other, and the
+//! error is raised only if evaluation reaches it. So a bad reference in
+//! an untaken branch or a zero-trip loop still compiles, and every
+//! error keeps its message, span and order.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::ops::Deref;
 
 use aqua_rational::Ratio;
 
@@ -21,37 +38,441 @@ const MAX_OPS: usize = 2_000_000;
 /// bounds, zero-total mix ratios, out-of-range array indices, or unroll
 /// explosions (more than `MAX_OPS` ops or loop iterations).
 pub fn compile_to_flat_ast(assay: &Assay) -> Result<FlatAssay, LangError> {
+    let mut names = Resolver::default();
+    for (name, len) in &assay.fluids {
+        // A later declaration of the same name wins.
+        let slot = names.fluid(name);
+        names.fluids[slot].decl = Some(*len);
+    }
+    for (name, _) in &assay.vars {
+        let slot = names.scalar(name);
+        names.var_declared[slot] = true;
+    }
+    let body = names.block(&assay.body);
     let mut cx = Cx {
+        fluids: &names.fluids,
         flat: FlatAssay {
             name: assay.name.clone(),
             fluids: Vec::new(),
             ops: Vec::new(),
         },
-        scalars: HashMap::new(),
-        fluid_decls: HashMap::new(),
-        var_decls: HashMap::new(),
-        bindings: HashMap::new(),
+        scalars: vec![None; names.var_declared.len()],
+        indexed_scalars: vec![BTreeMap::new(); names.var_declared.len()],
+        bound: vec![None; names.fluids.len()],
+        indexed_bound: vec![BTreeMap::new(); names.fluids.len()],
         it: None,
         iterations: 0,
     };
-    for (name, len) in &assay.fluids {
-        cx.fluid_decls.insert(name.clone(), *len);
-    }
-    for (name, dims) in &assay.vars {
-        cx.var_decls.insert(name.clone(), dims.clone());
-    }
-    cx.run_block(&assay.body)?;
+    cx.run_block(&body)?;
     Ok(cx.flat)
 }
 
-struct Cx {
+/// One fluid name of the assay.
+struct FluidName<'a> {
+    name: &'a str,
+    /// The name's `fluid` declaration: `Some(len)` with its array length
+    /// if any, `None` for a name no declaration mentions.
+    decl: Option<Option<u64>>,
+}
+
+/// A scalar expression with its names resolved to slots.
+enum RExpr<'a> {
+    Int(u64, Span),
+    Var {
+        slot: usize,
+        name: &'a str,
+        indices: Vec<RExpr<'a>>,
+        span: Span,
+    },
+    Binary {
+        op: BinOp,
+        lhs: Box<RExpr<'a>>,
+        rhs: Box<RExpr<'a>>,
+        span: Span,
+    },
+}
+
+impl RExpr<'_> {
+    fn span(&self) -> Span {
+        match self {
+            RExpr::Int(_, span) | RExpr::Var { span, .. } | RExpr::Binary { span, .. } => *span,
+        }
+    }
+}
+
+/// A reference to a named fluid (`name[i]...`).
+struct RFluid<'a> {
+    slot: usize,
+    indices: Vec<RExpr<'a>>,
+    span: Span,
+}
+
+/// A fluid a statement consumes: the previous product (`it`, whose
+/// indices, if any, are never evaluated) or a named fluid.
+enum Use<'a> {
+    It(Span),
+    Named(RFluid<'a>),
+}
+
+/// A `SENSE` target: rendered as text, never read.
+enum Target<'a> {
+    Var {
+        name: &'a str,
+        indices: Vec<RExpr<'a>>,
+    },
+    NotAVar(Span),
+}
+
+/// A statement with its names resolved; mirrors [`Stmt`].
+enum RStmt<'a> {
+    Assign {
+        slot: usize,
+        name: &'a str,
+        declared: bool,
+        indices: Vec<RExpr<'a>>,
+        value: RExpr<'a>,
+        span: Span,
+    },
+    Mix {
+        dst: Option<RFluid<'a>>,
+        fluids: Vec<Use<'a>>,
+        ratios: Vec<RExpr<'a>>,
+        seconds: RExpr<'a>,
+        span: Span,
+    },
+    /// `INCUBATE` or `CONCENTRATE`.
+    Heat {
+        concentrate: bool,
+        fluid: Use<'a>,
+        temp: RExpr<'a>,
+        seconds: RExpr<'a>,
+        span: Span,
+    },
+    Separate {
+        kind: SepKind,
+        src: Use<'a>,
+        matrix: &'a str,
+        using: &'a str,
+        seconds: RExpr<'a>,
+        effluent: RFluid<'a>,
+        waste: RFluid<'a>,
+        yield_hint: Option<(u64, u64)>,
+        span: Span,
+    },
+    Sense {
+        mode: SenseMode,
+        fluid: Use<'a>,
+        target: Target<'a>,
+        span: Span,
+    },
+    Output {
+        fluid: Use<'a>,
+        weight: Option<RExpr<'a>>,
+        span: Span,
+    },
+    For {
+        slot: usize,
+        from: RExpr<'a>,
+        to: RExpr<'a>,
+        body: Vec<RStmt<'a>>,
+        span: Span,
+    },
+    While {
+        lhs: RExpr<'a>,
+        op: CmpOp,
+        rhs: RExpr<'a>,
+        bound: RExpr<'a>,
+        body: Vec<RStmt<'a>>,
+        span: Span,
+    },
+    If {
+        lhs: RExpr<'a>,
+        op: CmpOp,
+        rhs: RExpr<'a>,
+        then_body: Vec<RStmt<'a>>,
+        else_body: Vec<RStmt<'a>>,
+        span: Span,
+    },
+}
+
+impl RStmt<'_> {
+    fn span(&self) -> Span {
+        match self {
+            RStmt::Assign { span, .. }
+            | RStmt::Mix { span, .. }
+            | RStmt::Heat { span, .. }
+            | RStmt::Separate { span, .. }
+            | RStmt::Sense { span, .. }
+            | RStmt::Output { span, .. }
+            | RStmt::For { span, .. }
+            | RStmt::While { span, .. }
+            | RStmt::If { span, .. } => *span,
+        }
+    }
+}
+
+/// The once-per-evaluation pass that maps names to slots.
+#[derive(Default)]
+struct Resolver<'a> {
+    scalar_slots: HashMap<&'a str, usize>,
+    /// Per scalar slot: whether a `VAR` declaration names it.
+    var_declared: Vec<bool>,
+    fluid_slots: HashMap<&'a str, usize>,
+    fluids: Vec<FluidName<'a>>,
+}
+
+impl<'a> Resolver<'a> {
+    fn scalar(&mut self, name: &'a str) -> usize {
+        let next = self.var_declared.len();
+        let slot = *self.scalar_slots.entry(name).or_insert(next);
+        if slot == next {
+            self.var_declared.push(false);
+        }
+        slot
+    }
+
+    fn fluid(&mut self, name: &'a str) -> usize {
+        let next = self.fluids.len();
+        let slot = *self.fluid_slots.entry(name).or_insert(next);
+        if slot == next {
+            self.fluids.push(FluidName { name, decl: None });
+        }
+        slot
+    }
+
+    fn exprs(&mut self, es: &'a [Expr]) -> Vec<RExpr<'a>> {
+        es.iter().map(|e| self.expr(e)).collect()
+    }
+
+    fn expr(&mut self, e: &'a Expr) -> RExpr<'a> {
+        match e {
+            Expr::Int(v, span) => RExpr::Int(*v, *span),
+            Expr::Var(name, indices, span) => RExpr::Var {
+                slot: self.scalar(name),
+                name,
+                indices: self.exprs(indices),
+                span: *span,
+            },
+            Expr::Binary { op, lhs, rhs, span } => RExpr::Binary {
+                op: *op,
+                lhs: Box::new(self.expr(lhs)),
+                rhs: Box::new(self.expr(rhs)),
+                span: *span,
+            },
+        }
+    }
+
+    fn named(&mut self, f: &'a FluidExpr) -> RFluid<'a> {
+        RFluid {
+            slot: self.fluid(&f.name),
+            indices: self.exprs(&f.indices),
+            span: f.span,
+        }
+    }
+
+    fn fluid_use(&mut self, f: &'a FluidExpr) -> Use<'a> {
+        if f.name == "it" {
+            Use::It(f.span)
+        } else {
+            Use::Named(self.named(f))
+        }
+    }
+
+    fn block(&mut self, body: &'a [Stmt]) -> Vec<RStmt<'a>> {
+        body.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn stmt(&mut self, stmt: &'a Stmt) -> RStmt<'a> {
+        match stmt {
+            Stmt::Assign {
+                var,
+                indices,
+                value,
+                span,
+            } => {
+                let slot = self.scalar(var);
+                RStmt::Assign {
+                    slot,
+                    name: var,
+                    declared: self.var_declared[slot],
+                    indices: self.exprs(indices),
+                    value: self.expr(value),
+                    span: *span,
+                }
+            }
+            Stmt::Mix {
+                dst,
+                fluids,
+                ratios,
+                seconds,
+                span,
+            } => RStmt::Mix {
+                dst: dst.as_ref().map(|d| self.named(d)),
+                fluids: fluids.iter().map(|f| self.fluid_use(f)).collect(),
+                ratios: self.exprs(ratios),
+                seconds: self.expr(seconds),
+                span: *span,
+            },
+            Stmt::Incubate {
+                fluid,
+                temp,
+                seconds,
+                span,
+            }
+            | Stmt::Concentrate {
+                fluid,
+                temp,
+                seconds,
+                span,
+            } => RStmt::Heat {
+                concentrate: matches!(stmt, Stmt::Concentrate { .. }),
+                fluid: self.fluid_use(fluid),
+                temp: self.expr(temp),
+                seconds: self.expr(seconds),
+                span: *span,
+            },
+            Stmt::Separate {
+                kind,
+                src,
+                matrix,
+                using,
+                seconds,
+                effluent,
+                waste,
+                yield_hint,
+                span,
+            } => RStmt::Separate {
+                kind: *kind,
+                src: self.fluid_use(src),
+                matrix,
+                using,
+                seconds: self.expr(seconds),
+                effluent: self.named(effluent),
+                waste: self.named(waste),
+                yield_hint: *yield_hint,
+                span: *span,
+            },
+            Stmt::Sense {
+                mode,
+                fluid,
+                target,
+                span,
+            } => RStmt::Sense {
+                mode: *mode,
+                fluid: self.fluid_use(fluid),
+                target: match target {
+                    Expr::Var(name, indices, _) => Target::Var {
+                        name,
+                        indices: self.exprs(indices),
+                    },
+                    other => Target::NotAVar(other.span()),
+                },
+                span: *span,
+            },
+            Stmt::Output {
+                fluid,
+                weight,
+                span,
+            } => RStmt::Output {
+                fluid: self.fluid_use(fluid),
+                weight: weight.as_ref().map(|w| self.expr(w)),
+                span: *span,
+            },
+            Stmt::For {
+                var,
+                from,
+                to,
+                body,
+                span,
+            } => RStmt::For {
+                slot: self.scalar(var),
+                from: self.expr(from),
+                to: self.expr(to),
+                body: self.block(body),
+                span: *span,
+            },
+            Stmt::While {
+                lhs,
+                op,
+                rhs,
+                bound,
+                body,
+                span,
+            } => RStmt::While {
+                lhs: self.expr(lhs),
+                op: *op,
+                rhs: self.expr(rhs),
+                bound: self.expr(bound),
+                body: self.block(body),
+                span: *span,
+            },
+            Stmt::If {
+                lhs,
+                op,
+                rhs,
+                then_body,
+                else_body,
+                span,
+            } => RStmt::If {
+                lhs: self.expr(lhs),
+                op: *op,
+                rhs: self.expr(rhs),
+                then_body: self.block(then_body),
+                else_body: self.block(else_body),
+                span: *span,
+            },
+        }
+    }
+}
+
+/// Evaluated array indices: up to four inline, more on the heap.
+enum Indices {
+    Inline([i64; 4], usize),
+    Heap(Vec<i64>),
+}
+
+impl Deref for Indices {
+    type Target = [i64];
+
+    fn deref(&self) -> &[i64] {
+        match self {
+            Indices::Inline(values, len) => &values[..*len],
+            Indices::Heap(values) => values,
+        }
+    }
+}
+
+/// Renders `name[i][j]...`, the name of one array element.
+fn element_name(name: &str, idx: &[i64]) -> String {
+    let mut out = String::with_capacity(name.len() + 6 * idx.len());
+    out.push_str(name);
+    for &v in idx {
+        let _ = write!(out, "[{v}]");
+    }
+    out
+}
+
+/// Sets `map[idx] = value`, allocating a key only for a new entry.
+fn set_indexed<V>(map: &mut BTreeMap<Box<[i64]>, V>, idx: &[i64], value: V) {
+    match map.get_mut(idx) {
+        Some(slot) => *slot = value,
+        None => {
+            map.insert(idx.into(), value);
+        }
+    }
+}
+
+struct Cx<'p, 'a> {
+    fluids: &'p [FluidName<'a>],
     flat: FlatAssay,
-    /// Scalar environment: name + indices -> value.
-    scalars: HashMap<(String, Vec<i64>), i64>,
-    fluid_decls: HashMap<String, Option<u64>>,
-    var_decls: HashMap<String, Vec<u64>>,
-    /// Current binding of each concrete fluid name to its instance.
-    bindings: HashMap<String, FluidId>,
+    /// Each scalar slot's unindexed value.
+    scalars: Vec<Option<i64>>,
+    /// Each scalar slot's indexed values, by evaluated indices.
+    indexed_scalars: Vec<BTreeMap<Box<[i64]>, i64>>,
+    /// The instance each fluid slot's unindexed name is bound to.
+    bound: Vec<Option<FluidId>>,
+    /// The instances each fluid slot's indexed names are bound to.
+    indexed_bound: Vec<BTreeMap<Box<[i64]>, FluidId>>,
     /// The previous statement's product.
     it: Option<FluidId>,
     /// Loop iterations charged so far: each `FOR`'s trip count when it
@@ -59,8 +480,8 @@ struct Cx {
     iterations: usize,
 }
 
-impl Cx {
-    fn run_block(&mut self, body: &[Stmt]) -> Result<(), LangError> {
+impl Cx<'_, '_> {
+    fn run_block(&mut self, body: &[RStmt]) -> Result<(), LangError> {
         for stmt in body {
             self.run_stmt(stmt)?;
         }
@@ -79,7 +500,7 @@ impl Cx {
         Ok(())
     }
 
-    fn run_stmt(&mut self, stmt: &Stmt) -> Result<(), LangError> {
+    fn run_stmt(&mut self, stmt: &RStmt) -> Result<(), LangError> {
         if self.flat.ops.len() > MAX_OPS {
             return Err(LangError::new(
                 stmt.span(),
@@ -87,21 +508,27 @@ impl Cx {
             ));
         }
         match stmt {
-            Stmt::Assign {
-                var,
+            RStmt::Assign {
+                slot,
+                name,
+                declared,
                 indices,
                 value,
                 span,
             } => {
-                if !self.var_decls.contains_key(var) {
-                    return Err(LangError::new(*span, format!("undeclared VAR `{var}`")));
+                if !declared {
+                    return Err(LangError::new(*span, format!("undeclared VAR `{name}`")));
                 }
-                let idx = self.eval_indices(indices)?;
+                let idx = self.eval_indices(indices, |_| Ok(()))?;
                 let v = self.eval(value)?;
-                self.scalars.insert((var.clone(), idx), v);
+                if idx.is_empty() {
+                    self.scalars[*slot] = Some(v);
+                } else {
+                    set_indexed(&mut self.indexed_scalars[*slot], &idx, v);
+                }
                 Ok(())
             }
-            Stmt::Mix {
+            RStmt::Mix {
                 dst,
                 fluids,
                 ratios,
@@ -132,7 +559,7 @@ impl Cx {
                 // fluid is not a use).
                 parts.retain(|(_, r)| r.is_positive());
                 let seconds = self.eval_seconds(seconds)?;
-                let out = self.produce(dst.as_ref(), "mix", *span)?;
+                let out = self.produce(dst.as_ref(), "mix@", *span)?;
                 self.flat.ops.push(FlatOp::Mix {
                     out,
                     parts,
@@ -140,13 +567,8 @@ impl Cx {
                 });
                 Ok(())
             }
-            Stmt::Incubate {
-                fluid,
-                temp,
-                seconds,
-                span,
-            }
-            | Stmt::Concentrate {
+            RStmt::Heat {
+                concentrate,
                 fluid,
                 temp,
                 seconds,
@@ -157,31 +579,29 @@ impl Cx {
                 let seconds = self.eval_seconds(seconds)?;
                 // The product rebinds the source name (incubating `x`
                 // yields the new `x`) and becomes `it`.
-                let rebind = if fluid.name == "it" {
-                    None
-                } else {
-                    Some(fluid.clone())
+                let rebind = match fluid {
+                    Use::It(_) => None,
+                    Use::Named(f) => Some(f),
                 };
-                let out = self.produce(rebind.as_ref(), "incubate", *span)?;
-                let op = if matches!(stmt, Stmt::Incubate { .. }) {
-                    FlatOp::Incubate {
-                        out,
-                        input,
-                        temp_c,
-                        seconds,
-                    }
-                } else {
+                let out = self.produce(rebind, "incubate@", *span)?;
+                self.flat.ops.push(if *concentrate {
                     FlatOp::Concentrate {
                         out,
                         input,
                         temp_c,
                         seconds,
                     }
-                };
-                self.flat.ops.push(op);
+                } else {
+                    FlatOp::Incubate {
+                        out,
+                        input,
+                        temp_c,
+                        seconds,
+                    }
+                });
                 Ok(())
             }
-            Stmt::Separate {
+            RStmt::Separate {
                 kind,
                 src,
                 matrix,
@@ -194,9 +614,11 @@ impl Cx {
             } => {
                 let input = self.use_fluid(src)?;
                 let seconds = self.eval_seconds(seconds)?;
-                let out = self.produce(Some(effluent), "separate", *span)?;
-                let waste_id = self.fresh_fluid(&self.resolve_name(waste)?, false);
-                self.bindings.insert(self.resolve_name(waste)?, waste_id);
+                let out = self.produce(Some(effluent), "separate@", *span)?;
+                let idx = self.fluid_indices(waste)?;
+                let name = element_name(self.fluids[waste.slot].name, &idx);
+                let waste_id = self.fresh_fluid(name, false);
+                self.bind(waste.slot, &idx, waste_id);
                 let yield_hint = match yield_hint {
                     Some((p, q)) => Some(
                         Ratio::new(*p as i128, *q as i128)
@@ -209,21 +631,28 @@ impl Cx {
                     waste: waste_id,
                     input,
                     kind: *kind,
-                    matrix: matrix.clone(),
-                    using: using.clone(),
+                    matrix: (*matrix).to_owned(),
+                    using: (*using).to_owned(),
                     seconds,
                     yield_hint,
                 });
                 Ok(())
             }
-            Stmt::Sense {
+            RStmt::Sense {
                 mode,
                 fluid,
                 target,
                 span: _,
             } => {
                 let input = self.use_fluid(fluid)?;
-                let target = self.render_target(target)?;
+                let target = match target {
+                    Target::Var { name, indices } => {
+                        element_name(name, &self.eval_indices(indices, |_| Ok(()))?)
+                    }
+                    Target::NotAVar(span) => {
+                        return Err(LangError::new(*span, "SENSE target must be a variable"))
+                    }
+                };
                 self.flat.ops.push(FlatOp::Sense {
                     input,
                     mode: *mode,
@@ -231,7 +660,7 @@ impl Cx {
                 });
                 Ok(())
             }
-            Stmt::Output {
+            RStmt::Output {
                 fluid,
                 weight,
                 span,
@@ -252,8 +681,8 @@ impl Cx {
                 self.flat.ops.push(FlatOp::Output { input, weight });
                 Ok(())
             }
-            Stmt::For {
-                var,
+            RStmt::For {
+                slot,
                 from,
                 to,
                 body,
@@ -270,12 +699,12 @@ impl Cx {
                 };
                 self.charge(trips, *span)?;
                 for i in lo..=hi {
-                    self.scalars.insert((var.clone(), Vec::new()), i);
+                    self.scalars[*slot] = Some(i);
                     self.run_block(body)?;
                 }
                 Ok(())
             }
-            Stmt::While {
+            RStmt::While {
                 lhs,
                 op,
                 rhs,
@@ -304,7 +733,7 @@ impl Cx {
                 }
                 Ok(())
             }
-            Stmt::If {
+            RStmt::If {
                 lhs,
                 op,
                 rhs,
@@ -312,9 +741,7 @@ impl Cx {
                 else_body,
                 span: _,
             } => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                if self.eval_cond2(l, *op, r) {
+                if self.eval_cond(lhs, *op, rhs)? {
                     self.run_block(then_body)
                 } else {
                     self.run_block(else_body)
@@ -323,143 +750,164 @@ impl Cx {
         }
     }
 
-    fn eval_cond(&self, lhs: &Expr, op: CmpOp, rhs: &Expr) -> Result<bool, LangError> {
+    fn eval_cond(&self, lhs: &RExpr, op: CmpOp, rhs: &RExpr) -> Result<bool, LangError> {
         let l = self.eval(lhs)?;
         let r = self.eval(rhs)?;
-        Ok(self.eval_cond2(l, op, r))
-    }
-
-    fn eval_cond2(&self, l: i64, op: CmpOp, r: i64) -> bool {
-        match op {
+        Ok(match op {
             CmpOp::Lt => l < r,
             CmpOp::Le => l <= r,
             CmpOp::Gt => l > r,
             CmpOp::Ge => l >= r,
             CmpOp::Eq => l == r,
             CmpOp::Ne => l != r,
-        }
+        })
     }
 
-    /// Resolves a fluid expression to the concrete instance consumed.
-    fn use_fluid(&mut self, f: &FluidExpr) -> Result<FluidId, LangError> {
-        if f.name == "it" {
-            return self
-                .it
-                .ok_or_else(|| LangError::new(f.span, "`it` used before any product exists"));
-        }
-        let key = self.resolve_name(f)?;
-        if let Some(&id) = self.bindings.get(&key) {
+    /// Resolves a fluid use to the concrete instance consumed.
+    fn use_fluid(&mut self, f: &Use) -> Result<FluidId, LangError> {
+        let f = match f {
+            Use::It(span) => {
+                return self
+                    .it
+                    .ok_or_else(|| LangError::new(*span, "`it` used before any product exists"))
+            }
+            Use::Named(f) => f,
+        };
+        let idx = self.fluid_indices(f)?;
+        let bound = if idx.is_empty() {
+            self.bound[f.slot]
+        } else {
+            self.indexed_bound[f.slot].get(&*idx).copied()
+        };
+        if let Some(id) = bound {
             return Ok(id);
         }
         // First use of a declared, never-produced fluid: an external
         // input.
-        let base_declared = self.fluid_decls.contains_key(&f.name);
-        if !base_declared {
+        let fluids = self.fluids;
+        let decl = &fluids[f.slot];
+        if decl.decl.is_none() {
             return Err(LangError::new(
                 f.span,
-                format!("undeclared fluid `{}`", f.name),
+                format!("undeclared fluid `{}`", decl.name),
             ));
         }
-        let id = self.fresh_fluid(&key, true);
-        self.bindings.insert(key, id);
+        let id = self.fresh_fluid(element_name(decl.name, &idx), true);
+        self.bind(f.slot, &idx, id);
         Ok(id)
     }
 
     /// Creates the product instance of an operation and updates `it` /
-    /// the destination binding.
+    /// the destination binding. An unnamed product is called
+    /// `{label}{op index}`, e.g. `mix@14`.
     fn produce(
         &mut self,
-        dst: Option<&FluidExpr>,
-        what: &str,
+        dst: Option<&RFluid>,
+        label: &str,
         span: Span,
     ) -> Result<FluidId, LangError> {
         let id = match dst {
             Some(d) => {
-                let key = self.resolve_name(d)?;
-                if !self.fluid_decls.contains_key(&d.name) {
+                let idx = self.fluid_indices(d)?;
+                let fluids = self.fluids;
+                let decl = &fluids[d.slot];
+                if decl.decl.is_none() {
                     return Err(LangError::new(
                         span,
-                        format!("undeclared fluid `{}`", d.name),
+                        format!("undeclared fluid `{}`", decl.name),
                     ));
                 }
-                let id = self.fresh_fluid(&key, false);
-                self.bindings.insert(key, id);
+                let id = self.fresh_fluid(element_name(decl.name, &idx), false);
+                self.bind(d.slot, &idx, id);
                 id
             }
-            None => self.fresh_fluid(&format!("{}@{}", what, self.flat.ops.len()), false),
+            None => {
+                let mut name = String::with_capacity(label.len() + 7);
+                let _ = write!(name, "{label}{}", self.flat.ops.len());
+                self.fresh_fluid(name, false)
+            }
         };
         self.it = Some(id);
         Ok(id)
     }
 
-    fn fresh_fluid(&mut self, name: &str, is_input: bool) -> FluidId {
-        self.flat.fluids.push(FlatFluid {
-            name: name.to_owned(),
-            is_input,
-        });
+    fn fresh_fluid(&mut self, name: String, is_input: bool) -> FluidId {
+        self.flat.fluids.push(FlatFluid { name, is_input });
         FluidId(self.flat.fluids.len() - 1)
     }
 
-    /// Renders `name[indices]` with indices evaluated.
-    fn resolve_name(&self, f: &FluidExpr) -> Result<String, LangError> {
-        if f.indices.is_empty() {
-            return Ok(f.name.clone());
+    fn bind(&mut self, slot: usize, idx: &[i64], id: FluidId) {
+        if idx.is_empty() {
+            self.bound[slot] = Some(id);
+        } else {
+            set_indexed(&mut self.indexed_bound[slot], idx, id);
         }
-        let mut out = f.name.clone();
-        for idx in &f.indices {
-            let v = self.eval(idx)?;
-            if let Some(Some(len)) = self.fluid_decls.get(&f.name) {
-                if v < 1 || v as u64 > *len {
-                    return Err(LangError::new(
-                        f.span,
-                        format!("index {v} out of range for `{}[{len}]`", f.name),
-                    ));
-                }
-            }
-            out.push_str(&format!("[{v}]"));
-        }
-        Ok(out)
     }
 
-    fn render_target(&self, e: &Expr) -> Result<String, LangError> {
-        match e {
-            Expr::Var(name, indices, _) => {
-                let mut out = name.clone();
-                for idx in indices {
-                    out.push_str(&format!("[{}]", self.eval(idx)?));
-                }
-                Ok(out)
-            }
-            other => Err(LangError::new(
-                other.span(),
-                "SENSE target must be a variable",
+    /// Evaluates a fluid reference's indices, each checked against the
+    /// declared array length when there is one.
+    fn fluid_indices(&self, f: &RFluid) -> Result<Indices, LangError> {
+        let decl = &self.fluids[f.slot];
+        self.eval_indices(&f.indices, |v| match decl.decl {
+            Some(Some(len)) if v < 1 || v as u64 > len => Err(LangError::new(
+                f.span,
+                format!("index {v} out of range for `{}[{len}]`", decl.name),
             )),
+            _ => Ok(()),
+        })
+    }
+
+    /// Evaluates `exprs` in order, passing each value to `check` as it
+    /// is computed.
+    fn eval_indices(
+        &self,
+        exprs: &[RExpr],
+        check: impl Fn(i64) -> Result<(), LangError>,
+    ) -> Result<Indices, LangError> {
+        if exprs.len() <= 4 {
+            let mut values = [0; 4];
+            for (slot, e) in values.iter_mut().zip(exprs) {
+                *slot = self.eval(e)?;
+                check(*slot)?;
+            }
+            Ok(Indices::Inline(values, exprs.len()))
+        } else {
+            let mut values = Vec::with_capacity(exprs.len());
+            for e in exprs {
+                let v = self.eval(e)?;
+                check(v)?;
+                values.push(v);
+            }
+            Ok(Indices::Heap(values))
         }
     }
 
-    fn eval_indices(&self, indices: &[Expr]) -> Result<Vec<i64>, LangError> {
-        indices.iter().map(|e| self.eval(e)).collect()
-    }
-
-    fn eval_seconds(&self, e: &Expr) -> Result<u64, LangError> {
+    fn eval_seconds(&self, e: &RExpr) -> Result<u64, LangError> {
         let v = self.eval(e)?;
         u64::try_from(v).map_err(|_| LangError::new(e.span(), format!("negative duration {v}")))
     }
 
-    fn eval(&self, e: &Expr) -> Result<i64, LangError> {
+    fn eval(&self, e: &RExpr) -> Result<i64, LangError> {
         match e {
-            Expr::Int(v, span) => i64::try_from(*v)
+            RExpr::Int(v, span) => i64::try_from(*v)
                 .map_err(|_| LangError::new(*span, "integer literal overflows i64")),
-            Expr::Var(name, indices, span) => {
-                let idx = self.eval_indices(indices)?;
-                self.scalars
-                    .get(&(name.clone(), idx))
-                    .copied()
-                    .ok_or_else(|| {
-                        LangError::new(*span, format!("variable `{name}` read before assignment"))
-                    })
+            RExpr::Var {
+                slot,
+                name,
+                indices,
+                span,
+            } => {
+                let idx = self.eval_indices(indices, |_| Ok(()))?;
+                let value = if idx.is_empty() {
+                    self.scalars[*slot]
+                } else {
+                    self.indexed_scalars[*slot].get(&*idx).copied()
+                };
+                value.ok_or_else(|| {
+                    LangError::new(*span, format!("variable `{name}` read before assignment"))
+                })
             }
-            Expr::Binary { op, lhs, rhs, span } => {
+            RExpr::Binary { op, lhs, rhs, span } => {
                 let l = self.eval(lhs)?;
                 let r = self.eval(rhs)?;
                 let out = match op {

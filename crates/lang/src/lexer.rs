@@ -2,12 +2,12 @@
 
 use crate::diag::{LangError, Span};
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+/// A lexical token; identifiers borrow their text from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind<'a> {
     /// Keyword or identifier (keywords are case-sensitive uppercase, as
     /// in the paper's listings; `fluid` is lowercase).
-    Ident(String),
+    Ident(&'a str),
     /// Unsigned integer literal.
     Int(u64),
     /// `=`
@@ -49,10 +49,10 @@ pub enum TokenKind {
 }
 
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// What kind of token.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Where it came from.
     pub span: Span,
 }
@@ -62,7 +62,7 @@ pub struct Token {
 /// # Errors
 ///
 /// Returns [`LangError`] on stray characters or oversized integers.
-pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LangError> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
@@ -88,7 +88,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
                     i += 1;
                 }
                 tokens.push(Token {
-                    kind: TokenKind::Ident(src[start..i].to_owned()),
+                    kind: TokenKind::Ident(&src[start..i]),
                     span: Span::new(start, i, line),
                 });
             }
@@ -109,11 +109,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
                 });
             }
             _ => {
-                let two = |k: TokenKind, i: &mut usize| {
+                let two = |k: TokenKind<'static>, i: &mut usize| {
                     *i += 2;
                     k
                 };
-                let one = |k: TokenKind, i: &mut usize| {
+                let one = |k: TokenKind<'static>, i: &mut usize| {
                     *i += 1;
                     k
                 };
@@ -162,7 +162,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LangError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -172,18 +172,18 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::Equals,
-                TokenKind::Ident("MIX".into()),
-                TokenKind::Ident("Glucose".into()),
-                TokenKind::Ident("AND".into()),
-                TokenKind::Ident("Reagent".into()),
-                TokenKind::Ident("IN".into()),
-                TokenKind::Ident("RATIOS".into()),
+                TokenKind::Ident("MIX"),
+                TokenKind::Ident("Glucose"),
+                TokenKind::Ident("AND"),
+                TokenKind::Ident("Reagent"),
+                TokenKind::Ident("IN"),
+                TokenKind::Ident("RATIOS"),
                 TokenKind::Int(1),
                 TokenKind::Colon,
                 TokenKind::Int(1),
-                TokenKind::Ident("FOR".into()),
+                TokenKind::Ident("FOR"),
                 TokenKind::Int(10),
                 TokenKind::Semicolon,
             ]

@@ -4,18 +4,18 @@ use crate::ast::*;
 use crate::diag::{LangError, Span};
 use crate::lexer::{Token, TokenKind};
 
-pub(crate) fn parse_tokens(tokens: &[Token]) -> Result<Assay, LangError> {
+pub(crate) fn parse_tokens(tokens: &[Token<'_>]) -> Result<Assay, LangError> {
     let mut p = Parser { tokens, pos: 0 };
     p.parse_assay()
 }
 
 struct Parser<'a> {
-    tokens: &'a [Token],
+    tokens: &'a [Token<'a>],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
@@ -26,7 +26,7 @@ impl<'a> Parser<'a> {
             .unwrap_or_default()
     }
 
-    fn bump(&mut self) -> Option<&Token> {
+    fn bump(&mut self) -> Option<&Token<'a>> {
         let t = self.tokens.get(self.pos);
         if t.is_some() {
             self.pos += 1;
@@ -38,7 +38,7 @@ impl<'a> Parser<'a> {
         LangError::new(self.span_here(), msg)
     }
 
-    fn expect_kind(&mut self, kind: &TokenKind, what: &str) -> Result<Span, LangError> {
+    fn expect_kind(&mut self, kind: &TokenKind<'_>, what: &str) -> Result<Span, LangError> {
         match self.peek() {
             Some(t) if &t.kind == kind => {
                 let s = t.span;
@@ -56,7 +56,7 @@ impl<'a> Parser<'a> {
     fn expect_keyword(&mut self, kw: &str) -> Result<Span, LangError> {
         match self.peek() {
             Some(t) => {
-                if let TokenKind::Ident(name) = &t.kind {
+                if let TokenKind::Ident(name) = t.kind {
                     if name == kw {
                         let s = t.span;
                         self.pos += 1;
@@ -73,7 +73,7 @@ impl<'a> Parser<'a> {
     }
 
     fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token { kind: TokenKind::Ident(n), .. }) if n == kw)
+        matches!(self.peek(), Some(Token { kind: TokenKind::Ident(n), .. }) if *n == kw)
     }
 
     fn eat_keyword(&mut self, kw: &str) -> bool {
@@ -91,7 +91,7 @@ impl<'a> Parser<'a> {
                 kind: TokenKind::Ident(name),
                 span,
             }) => {
-                let out = (name.clone(), *span);
+                let out = ((*name).to_owned(), *span);
                 self.pos += 1;
                 Ok(out)
             }
@@ -593,7 +593,7 @@ impl<'a> Parser<'a> {
                     indices.push(self.parse_expr()?);
                     self.expect_kind(&TokenKind::RBracket, "`]`")?;
                 }
-                Ok(Expr::Var(name, indices, span))
+                Ok(Expr::Var(name.to_owned(), indices, span))
             }
             Some(t) => Err(LangError::new(
                 t.span,

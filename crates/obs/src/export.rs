@@ -156,22 +156,36 @@ fn fmt_ns(ns: u64) -> String {
 /// `aqua_serve::json::quote`.
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_quoted(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` as the JSON string literal [`quote`] renders,
+/// with no temporary: unescaped runs are copied whole. Every byte that
+/// needs an escape is ASCII, so it never splits a UTF-8 sequence.
+pub fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{:04x}", b);
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -268,6 +282,9 @@ mod tests {
         ];
         for (input, expect) in table {
             assert_eq!(quote(input), *expect, "input {input:?}");
+            let mut appended = String::from("[");
+            push_quoted(&mut appended, input);
+            assert_eq!(appended, format!("[{expect}"), "input {input:?}");
         }
     }
 }

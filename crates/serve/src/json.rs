@@ -7,6 +7,10 @@
 //! ([`Value::Int`]) and float ([`Value::Float`]) forms so request ids
 //! and deadlines round-trip exactly.
 
+use std::fmt::Write as _;
+
+use aqua_rational::Ratio;
+
 /// A parsed JSON value. Object member order is preserved (the parser
 /// never reorders), which keeps error messages and tests predictable.
 #[derive(Debug, Clone, PartialEq)]
@@ -254,6 +258,58 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
 /// workspace's single JSON string writer, defined in `aqua-obs`.
 pub use aqua_obs::export::quote;
 
+/// Appends a string as a JSON string literal: [`quote`] without the
+/// temporary.
+pub(crate) use aqua_obs::export::push_quoted;
+
+/// Appends the decimal digits of `v`.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `v` in decimal, as `Display` renders it; values that fit
+/// 64 bits skip the formatter.
+pub(crate) fn push_i128(out: &mut String, v: i128) {
+    match i64::try_from(v) {
+        Ok(small) => {
+            if small < 0 {
+                out.push('-');
+            }
+            push_u64(out, small.unsigned_abs());
+        }
+        Err(_) => {
+            let _ = write!(out, "{v}");
+        }
+    }
+}
+
+/// Appends `r` in its `Display` form (`n` or `n/d`), unquoted.
+pub(crate) fn push_ratio_digits(out: &mut String, r: Ratio) {
+    push_i128(out, r.numer());
+    if r.denom() != 1 {
+        out.push('/');
+        push_i128(out, r.denom());
+    }
+}
+
+/// Appends `r` as a JSON string in its `Display` form: the bytes of
+/// `quote(&r.to_string())`, with no temporaries.
+pub(crate) fn push_ratio(out: &mut String, r: Ratio) {
+    out.push('"');
+    push_ratio_digits(out, r);
+    out.push('"');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +376,50 @@ mod tests {
         assert!(parse("\"open").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("truth").is_err());
+    }
+
+    /// The digit writers render exactly what `Display` does, inside
+    /// and outside the 64-bit fast path.
+    #[test]
+    fn number_writers_match_display() {
+        let ints = [
+            0i128,
+            1,
+            -1,
+            9,
+            10,
+            1_000_000_007,
+            i64::MAX as i128,
+            i64::MIN as i128,
+            i64::MAX as i128 + 1,
+            i64::MIN as i128 - 1,
+            u64::MAX as i128,
+            i128::MAX,
+            i128::MIN + 1,
+        ];
+        for v in ints {
+            let mut out = String::new();
+            push_i128(&mut out, v);
+            assert_eq!(out, v.to_string());
+            if let Ok(u) = u64::try_from(v) {
+                out.clear();
+                push_u64(&mut out, u);
+                assert_eq!(out, u.to_string());
+            }
+        }
+        let ratios = [
+            Ratio::ZERO,
+            Ratio::ONE,
+            Ratio::new(-3, 7).unwrap(),
+            Ratio::new(1, 999).unwrap(),
+            Ratio::new(i128::MAX, 3).unwrap(),
+            Ratio::new(5, i64::MAX as i128 + 2).unwrap(),
+        ];
+        for r in ratios {
+            let mut out = String::from("x");
+            push_ratio(&mut out, r);
+            assert_eq!(out, format!("x{}", quote(&r.to_string())));
+        }
     }
 
     #[test]

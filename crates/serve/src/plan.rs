@@ -28,18 +28,35 @@ use aqua_volume::{
 };
 
 use crate::canon::Canon;
-use crate::json::quote;
+use crate::json::{push_quoted, push_ratio, push_ratio_digits, push_u64, quote};
 
-fn kind_str(kind: &NodeKind) -> String {
+/// Appends a node's kind as a JSON string: `"input"`, `"mix:30"`,
+/// `"process:incubate"`, `"separate:1/2"`, `"separate:?"`, ...
+fn push_kind(out: &mut String, kind: &NodeKind) {
     match kind {
-        NodeKind::Input => "input".to_owned(),
-        NodeKind::Mix { seconds } => format!("mix:{seconds}"),
-        NodeKind::Process { op } => format!("process:{op}"),
-        NodeKind::Separate { fraction: None } => "separate:?".to_owned(),
-        NodeKind::Separate { fraction: Some(f) } => format!("separate:{f}"),
-        NodeKind::Output => "output".to_owned(),
-        NodeKind::Excess => "excess".to_owned(),
-        NodeKind::ConstrainedInput => "constrained_input".to_owned(),
+        NodeKind::Input => out.push_str("\"input\""),
+        NodeKind::Mix { seconds } => {
+            out.push_str("\"mix:");
+            push_u64(out, *seconds);
+            out.push('"');
+        }
+        NodeKind::Process { op } => {
+            out.push_str("\"process:");
+            // The label is escaped inside the kind's one string: drop
+            // the opening quote `push_quoted` writes.
+            let open = out.len();
+            push_quoted(out, op);
+            out.remove(open);
+        }
+        NodeKind::Separate { fraction: None } => out.push_str("\"separate:?\""),
+        NodeKind::Separate { fraction: Some(f) } => {
+            out.push_str("\"separate:");
+            push_ratio_digits(out, *f);
+            out.push('"');
+        }
+        NodeKind::Output => out.push_str("\"output\""),
+        NodeKind::Excess => out.push_str("\"excess\""),
+        NodeKind::ConstrainedInput => out.push_str("\"constrained_input\""),
     }
 }
 
@@ -51,7 +68,7 @@ fn push_nodes(out: &mut String, dag: &Dag) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&quote(&kind_str(&dag.node(id).kind)));
+        push_kind(out, &dag.node(id).kind);
     }
     out.push(']');
 }
@@ -70,29 +87,30 @@ fn push_edges(out: &mut String, dag: &Dag, vols: Option<&[Ratio]>) {
         }
         first = false;
         let edge = dag.edge(e);
-        let _ = write!(
-            out,
-            "[{},{},{}",
-            edge.src.index(),
-            edge.dst.index(),
-            quote(&edge.fraction.to_string())
-        );
+        out.push('[');
+        push_u64(out, edge.src.index() as u64);
+        out.push(',');
+        push_u64(out, edge.dst.index() as u64);
+        out.push(',');
+        push_ratio(out, edge.fraction);
         if let Some(v) = vols {
             out.push(',');
-            out.push_str(&quote(&v[e.index()].to_string()));
+            push_ratio(out, v[e.index()]);
         }
         out.push(']');
     }
     out.push(']');
 }
 
-fn push_ratio_vec(out: &mut String, vols: &[Ratio]) {
+/// Renders `vols`, each mapped through `f`, as a JSON array of ratio
+/// strings.
+fn push_ratio_vec(out: &mut String, vols: &[Ratio], f: impl Fn(Ratio) -> Ratio) {
     out.push('[');
-    for (i, v) in vols.iter().enumerate() {
+    for (i, &v) in vols.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&quote(&v.to_string()));
+        push_ratio(out, f(v));
     }
     out.push(']');
 }
@@ -103,7 +121,7 @@ fn push_log(out: &mut String, log: &[String]) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&quote(line));
+        push_quoted(out, line);
     }
     out.push(']');
 }
@@ -223,6 +241,13 @@ fn compile_plan_impl(
     }
 }
 
+/// A first guess at a rendered plan's length, so the output string does
+/// not regrow a dozen times on large assays: about 40 bytes per edge
+/// triple with its volume and 40 per node (kind, volume, IVol).
+fn plan_capacity(dag: &Dag) -> usize {
+    40 * (dag.num_nodes() + dag.num_edges()) + 256
+}
+
 /// Renders a hierarchy outcome as plan JSON. This is the *only* place
 /// solved/needs-regeneration/resources-exceeded plans are rendered —
 /// cold compiles and incremental session replays both come through
@@ -233,23 +258,21 @@ pub(crate) fn render_outcome(outcome: &ManagedOutcome, machine: &Machine) -> Str
             // The hierarchy may have rewritten the DAG (cascades,
             // replicas); volumes index into the rewritten graph, so the
             // plan carries that graph, not the request's.
-            let mut out = String::from("{\"status\":\"solved\",\"method\":");
+            let mut out = String::with_capacity(plan_capacity(dag));
+            out.push_str("{\"status\":\"solved\",\"method\":");
             out.push_str(&quote(&volumes.method.to_string()));
             out.push_str(",\"nodes\":");
             push_nodes(&mut out, dag);
             out.push_str(",\"edges\":");
             push_edges(&mut out, dag, Some(&volumes.edge_volumes_nl));
             out.push_str(",\"node_volumes_nl\":");
-            push_ratio_vec(&mut out, &volumes.node_volumes_nl);
+            push_ratio_vec(&mut out, &volumes.node_volumes_nl, |v| v);
             // IVol: the loads quantized to the machine's least count —
             // what the dispensing hardware is actually told to meter.
-            let ivol: Vec<Ratio> = volumes
-                .node_volumes_nl
-                .iter()
-                .map(|v| machine.round_to_least_count(*v))
-                .collect();
             out.push_str(",\"ivol_nl\":");
-            push_ratio_vec(&mut out, &ivol);
+            push_ratio_vec(&mut out, &volumes.node_volumes_nl, |v| {
+                machine.round_to_least_count(v)
+            });
             out.push_str(",\"log\":");
             push_log(&mut out, log);
             out.push('}');
@@ -260,14 +283,15 @@ pub(crate) fn render_outcome(outcome: &ManagedOutcome, machine: &Machine) -> Str
             best_effort,
             log,
         } => {
-            let mut out = String::from("{\"status\":\"needs_regeneration\"");
+            let mut out = String::with_capacity(plan_capacity(dag));
+            out.push_str("{\"status\":\"needs_regeneration\"");
             if let Some(sol) = best_effort {
                 out.push_str(",\"best_effort\":{\"nodes\":");
                 push_nodes(&mut out, dag);
                 out.push_str(",\"edges\":");
                 push_edges(&mut out, dag, Some(&sol.edge_volumes_nl));
                 out.push_str(",\"node_volumes_nl\":");
-                push_ratio_vec(&mut out, &sol.node_volumes_nl);
+                push_ratio_vec(&mut out, &sol.node_volumes_nl, |v| v);
                 if let Some(under) = &sol.underflow {
                     let _ = write!(
                         out,

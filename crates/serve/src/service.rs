@@ -55,7 +55,7 @@ use aqua_volume::Machine;
 
 use crate::cache::ShardedLru;
 use crate::canon::{self, Canon};
-use crate::json::{self, quote, Value};
+use crate::json::{self, push_quoted, quote, Value};
 use crate::plan::compile_plan;
 use crate::session::SessionStore;
 use crate::shard::Ring;
@@ -723,11 +723,12 @@ impl Service {
                 }
             },
         };
-        let canon = match Self::canon_src(src, &machine) {
+        let mut canon = match Self::canon_src(src, &machine) {
             Ok(c) => c,
             Err(e) => return error_line(&id, &e),
         };
-        let names = canon.names.clone();
+        // The compile never reads the names; the response does.
+        let names = std::mem::take(&mut canon.names);
         match self.submit_canon_tenant(canon, machine, deadline, tenant) {
             Ok(served) => success_line_named(&id, &served, &names),
             Err(e) => error_line(&id, &e),
@@ -775,14 +776,8 @@ impl Service {
         ) {
             Ok(reg) => {
                 self.publish_session_plan(reg.key, &reg.encoding, &reg.plan);
-                let mut names = String::from("[");
-                for (i, name) in reg.names.iter().enumerate() {
-                    if i > 0 {
-                        names.push(',');
-                    }
-                    names.push_str(&quote(name));
-                }
-                names.push(']');
+                let mut names = String::new();
+                push_names(&mut names, &reg.names);
                 format!(
                     "{{\"id\":{id},\"ok\":true,\"session\":{},\"key\":\"{}\",\
                      \"names\":{names},\"plan\":{}}}",
@@ -1119,24 +1114,35 @@ fn success_line(id: &str, served: &Served) -> String {
     )
 }
 
+/// Appends `names` as a JSON array of strings.
+fn push_names(out: &mut String, names: &[String]) {
+    out.push('[');
+    for (i, name) in names.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_quoted(out, name);
+    }
+    out.push(']');
+}
+
 /// Success line with the request's `names` array (canonical node id →
 /// the request's own name for it). Attached outside the cached plan, so
 /// renamed-but-isomorphic requests share plan bytes while each client
-/// still gets its own mapping.
+/// still gets its own mapping. Written into one string sized up front.
 fn success_line_named(id: &str, served: &Served, names: &[String]) -> String {
-    let mut rendered = String::from("[");
-    for (i, name) in names.iter().enumerate() {
-        if i > 0 {
-            rendered.push(',');
-        }
-        rendered.push_str(&quote(name));
-    }
-    rendered.push(']');
-    format!(
-        "{{\"id\":{id},\"ok\":true,\"key\":\"{}\",\"names\":{rendered},\"plan\":{}}}",
-        canon::key_hex(served.key),
-        served.plan
-    )
+    let names_len: usize = names.iter().map(|n| n.len() + 3).sum();
+    let mut out = String::with_capacity(id.len() + names_len + served.plan.len() + 96);
+    out.push_str("{\"id\":");
+    out.push_str(id);
+    out.push_str(",\"ok\":true,\"key\":\"");
+    out.push_str(&canon::key_hex(served.key));
+    out.push_str("\",\"names\":");
+    push_names(&mut out, names);
+    out.push_str(",\"plan\":");
+    out.push_str(&served.plan);
+    out.push('}');
+    out
 }
 
 /// Extracts the request's tenant (same rules as the compile front

@@ -43,7 +43,8 @@
 #      scheduled <= sequential on enzyme10 and the batch — plus
 #      thread-invariant batch digests and full fault recovery; the
 #      run is retried once since it shares the host with whatever
-#      else CI is doing)
+#      else CI is doing; its --obs trace must hold sim.run spans and
+#      drop none)
 #  12. replay suites          (replay_differential: recorded digests
 #      reproduce at 1/2/8 threads, fault-free and faulted;
 #      replay_log_recovery: a damaged descriptor log never replays a
@@ -175,13 +176,23 @@ echo "==> bench_exec --quick (makespan floor + thread-invariant digests)"
 # faulted instance is left unrecovered. The makespan floor is
 # deterministic (simulated seconds), but the run itself shares the host
 # with the rest of CI, so it gets one retry before failing the build.
+# Its --obs trace must hold the executors' `sim.run` spans and no
+# obs.spans_dropped, as bench_lp's does.
 run_bench_exec() {
   timeout 600 cargo run --release -p aqua-bench --bin bench_exec -- --quick \
-    --out target/BENCH_exec.quick.json
+    --out target/BENCH_exec.quick.json --obs target/obs_exec.quick.json
 }
 if ! run_bench_exec; then
   echo "warn: bench_exec smoke failed; retrying once" >&2
   run_bench_exec
+fi
+grep -q '"sim.run"' target/obs_exec.quick.json || {
+  echo "error: the bench_exec --obs trace holds no sim.run span" >&2
+  exit 1
+}
+if grep -q '"obs.spans_dropped"' target/obs_exec.quick.json; then
+  echo "error: the bench_exec --obs trace dropped span events" >&2
+  exit 1
 fi
 grep -q '"makespan_floor_ok": true' target/BENCH_exec.quick.json || {
   echo "error: a scheduled makespan exceeded its sequential baseline" >&2
