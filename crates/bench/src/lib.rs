@@ -1,9 +1,13 @@
 //! Benchmark harness shared by the table/figure regenerator binaries
-//! and the Criterion benches.
+//! and the `bench` binary.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (§4); run them with `cargo run --release --bin
-//! <name>`:
+//! `bench` times every path the repository gates (LP oracle agreement,
+//! fault recovery, the plan service, session edits, scheduled execution,
+//! the replay soak) and writes one `bench/v1` document, `BENCH.json`;
+//! its rows are keyed `{assay}/{machine}/{path}` with the names
+//! [`assay_source`] and [`machine`] resolve. Every other binary under
+//! `src/bin/` regenerates one table or figure of the paper's evaluation
+//! (§4); run them with `cargo run --release --bin <name>`:
 //!
 //! | binary            | artifact |
 //! |-------------------|----------|
@@ -188,6 +192,73 @@ pub fn table2_row_obs(bench: Benchmark, machine: &Machine, obs: &aqua_obs::Obs) 
         lp_constraints,
         regen_count: regen.regenerations,
     }
+}
+
+/// The source of an assay by its row name: `fig2`, `glucose`,
+/// `glycomics`, or `enzyme{n}` (the enzyme assay with `n` dilutions per
+/// series; `enzyme4` is Table 2's Enzyme row).
+pub fn assay_source(name: &str) -> Option<String> {
+    match name {
+        "fig2" => Some(aqua_assays::figure2::SOURCE.to_owned()),
+        "glucose" => Some(Benchmark::Glucose.source()),
+        "glycomics" => Some(Benchmark::Glycomics.source()),
+        _ => {
+            let n = name.strip_prefix("enzyme")?.parse().ok()?;
+            Some(Benchmark::EnzymeN(n).source())
+        }
+    }
+}
+
+/// A chip by its row name:
+///
+/// * `paper` — `Machine::paper_default()` (32 reservoirs, 16 input ports);
+/// * `big` — the paper chip with 128 reservoirs and 64 input ports;
+/// * `r128` — the paper chip with 128 reservoirs (the replay soak's
+///   enzyme10 chip);
+/// * `fleet` — the batch-fleet chip hosting 32 concurrent instances
+///   (glycomics separator columns stay occupied for the whole assay,
+///   so it has one per instance).
+pub fn machine(name: &str) -> Option<Machine> {
+    let paper = Machine::paper_default();
+    match name {
+        "paper" => Some(paper),
+        "big" => Some(paper.with_reservoirs(128).with_input_ports(64)),
+        "r128" => Some(paper.with_reservoirs(128)),
+        "fleet" => Some(
+            paper
+                .with_reservoirs(512)
+                .with_input_ports(128)
+                .with_mixers(8)
+                .with_heaters(8)
+                .with_sensors(8)
+                .with_separators(16),
+        ),
+        _ => None,
+    }
+}
+
+/// The `status` member of the plan the service's front door compiles
+/// for `src` on `machine` (parse, lower, canonicalize, `compile_plan`).
+///
+/// # Panics
+///
+/// Panics if `src` does not parse, lower or canonicalize.
+pub fn plan_status(src: &str, machine: &Machine) -> String {
+    let canon = aqua_serve::Service::canon_src(src, machine).expect("assay canonicalizes");
+    let plan = aqua_serve::compile_plan(&canon, machine, &aqua_obs::Obs::off());
+    status_of(&plan).to_owned()
+}
+
+/// The `status` member of a plan document (plans render it first).
+///
+/// # Panics
+///
+/// Panics if `plan` does not open with a `status` member.
+pub fn status_of(plan: &str) -> &str {
+    let rest = plan
+        .strip_prefix("{\"status\":\"")
+        .expect("plans open with their status");
+    &rest[..rest.find('"').expect("status is a closed string")]
 }
 
 /// Formats a duration in seconds with three decimals (Table 2 style).

@@ -237,8 +237,8 @@ impl Shard {
 const SHARDS: usize = 16;
 
 /// Span events the ring keeps per sink (about 2.5 MiB when full). It
-/// holds every `--obs` run of the bench binaries; the largest, a full
-/// `bench_lp --obs`, records about 52,000.
+/// holds every `--obs` run of the `bench` binary; the largest, a full
+/// `bench --obs`, records about 52,600.
 pub const SPAN_RING: usize = 1 << 16;
 
 /// The lock-sharded [`Sink`]: aggregates for `obs.snapshot` and fleet

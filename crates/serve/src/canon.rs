@@ -561,26 +561,19 @@ fn canonicalize_impl(
 
     // --- 5. rebuild (full path only) -----------------------------------
     let (canon_dag, names, canon_weights) = if build_dag {
-        let mut canon_dag = Dag::with_capacity(n, sorted_edges.len());
-        let mut names: Vec<String> = Vec::with_capacity(n);
-        let mut new_ids: Vec<NodeId> = Vec::with_capacity(n);
-        for (new_idx, &old) in order.iter().enumerate() {
-            let node = dag.node(old);
-            names.push(node.name.clone());
-            let mut interned = String::with_capacity(8);
-            interned.push('f');
-            crate::json::push_u64(&mut interned, new_idx as u64);
-            new_ids.push(canon_dag.add_node(interned, node.kind.clone()));
-        }
-        for &(key, orig) in &sorted_edges {
-            let src = (key & 0xffff_ffff) as usize;
-            let dst = (key >> 32) as usize;
-            canon_dag.add_edge(
-                new_ids[src],
-                new_ids[dst],
-                dag.edge(orig_edges[orig as usize]).fraction,
-            );
-        }
+        let canon_dag = build_canonical_dag(
+            dag,
+            &order,
+            &old_to_new,
+            sorted_edges
+                .iter()
+                .map(|&(_, orig)| orig_edges[orig as usize]),
+        );
+        let names: Vec<String> = order
+            .iter()
+            .map(|&old| dag.node(old).name.clone())
+            .collect();
+        let new_ids: Vec<NodeId> = canon_dag.node_ids().collect();
         let mut canon_weights: HashMap<NodeId, u64> = HashMap::with_capacity(weights.len());
         for (&old, &w) in weights {
             if let Some(&new_idx) = old_to_new.get(old.index()) {
@@ -603,6 +596,37 @@ fn canonicalize_impl(
         encoding: Arc::from(buf.into_boxed_slice()),
         key,
     })
+}
+
+/// Step 5 of canonicalization: the canonical DAG of `dag`, with the
+/// nodes of `order` (canonical order) named `f0..fN` and the live
+/// `edges` in canonical edge order; `node_perm` maps a node of `dag` to
+/// its canonical index. A full [`canonicalize`] builds it once; a
+/// session rebuilds it from a mapped-only [`Canon`] when a replayed
+/// plan needs it.
+pub(crate) fn build_canonical_dag(
+    dag: &Dag,
+    order: &[NodeId],
+    node_perm: &[usize],
+    edges: impl ExactSizeIterator<Item = EdgeId>,
+) -> Dag {
+    let mut canon_dag = Dag::with_capacity(order.len(), edges.len());
+    let mut new_ids: Vec<NodeId> = Vec::with_capacity(order.len());
+    for (new_idx, &old) in order.iter().enumerate() {
+        let mut interned = String::with_capacity(8);
+        interned.push('f');
+        crate::json::push_u64(&mut interned, new_idx as u64);
+        new_ids.push(canon_dag.add_node(interned, dag.node(old).kind.clone()));
+    }
+    for e in edges {
+        let edge = dag.edge(e);
+        canon_dag.add_edge(
+            new_ids[node_perm[edge.src.index()]],
+            new_ids[node_perm[edge.dst.index()]],
+            edge.fraction,
+        );
+    }
+    canon_dag
 }
 
 #[cfg(test)]

@@ -36,8 +36,8 @@
 //!
 //! With a [`StoreConfig`] set, the service rehydrates every durable
 //! plan into the worker caches at startup, so warm-equals-cold
-//! byte-identity survives a process restart (proven end-to-end by
-//! `bench_serve`'s kill-and-restart phase).
+//! byte-identity survives a process restart (proven end-to-end by the
+//! `bench` binary's kill-and-restart phase).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;

@@ -412,22 +412,14 @@ fn pin(
             plan: Arc::clone(&plan),
             key,
             encoding: Arc::clone(&encoding),
-            solver: None,
+            solver,
             memo,
-        }
-        .with_solver(solver),
+        },
         key,
         encoding,
         plan,
         names,
     )
-}
-
-impl Session {
-    fn with_solver(mut self, solver: Option<IncrSolver>) -> Session {
-        self.solver = solver;
-        self
-    }
 }
 
 /// Parses the wire `edit` object against the session's current DAG
@@ -805,7 +797,22 @@ fn render_replay(s: &Session, cur: &Canon, outcome: ReplayOutcome) -> String {
             node_volumes_nl,
             edge_volumes_nl,
         } => {
-            let cur_dag = build_canonical_dag(dag, cur);
+            // Nodes and live edges of `dag` in the edited canonical order.
+            let mut order: Vec<NodeId> = dag.node_ids().collect();
+            for client in dag.node_ids() {
+                order[cur.node_perm[client.index()]] = client;
+            }
+            let mut edges: Vec<(usize, EdgeId)> = dag
+                .edge_ids()
+                .filter_map(|e| cur.edge_perm[e.index()].map(|idx| (idx, e)))
+                .collect();
+            edges.sort_unstable_by_key(|&(idx, _)| idx);
+            let cur_dag = canon::build_canonical_dag(
+                dag,
+                &order,
+                &cur.node_perm,
+                edges.into_iter().map(|(_, e)| e),
+            );
             let n = dag.num_nodes();
             let zero = Ratio::from_int(0);
             let mut node_vols = vec![zero; n];
@@ -832,37 +839,6 @@ fn render_replay(s: &Session, cur: &Canon, outcome: ReplayOutcome) -> String {
             plan::render_outcome(&outcome, &s.machine)
         }
     }
-}
-
-/// Rebuilds the canonical DAG of `dag` from a mapped-only [`Canon`] —
-/// the same nodes (named `f0..fN`, canonical order) and the same edge
-/// order a full `canonicalize` would produce.
-fn build_canonical_dag(dag: &Dag, cur: &Canon) -> Dag {
-    let n = dag.num_nodes();
-    let ids: Vec<NodeId> = dag.node_ids().collect();
-    let mut order = vec![0usize; n];
-    for (client, &canon_idx) in cur.node_perm.iter().enumerate() {
-        order[canon_idx] = client;
-    }
-    let mut canon_dag = Dag::new();
-    let mut new_ids = Vec::with_capacity(n);
-    for (new_idx, &client) in order.iter().enumerate() {
-        new_ids.push(canon_dag.add_node(format!("f{new_idx}"), dag.node(ids[client]).kind.clone()));
-    }
-    let mut sorted: Vec<(usize, EdgeId)> = dag
-        .edge_ids()
-        .filter_map(|e| cur.edge_perm[e.index()].map(|idx| (idx, e)))
-        .collect();
-    sorted.sort_unstable_by_key(|&(idx, _)| idx);
-    for (_, e) in sorted {
-        let edge = dag.edge(e);
-        canon_dag.add_edge(
-            new_ids[cur.node_perm[edge.src.index()]],
-            new_ids[cur.node_perm[edge.dst.index()]],
-            edge.fraction,
-        );
-    }
-    canon_dag
 }
 
 /// Cold-compiles the session's edited state and re-pins everything

@@ -13,7 +13,7 @@ use aqua_volume::Machine;
 
 /// The assay suite: the running example plus the paper benchmarks small
 /// enough to sweep every dispense index (Enzyme10 is covered by the
-/// `fault_sweep` benchmark instead).
+/// `bench` binary's fault section instead).
 fn suite() -> Vec<(&'static str, String)> {
     vec![
         ("fig2", aqua_assays::figure2::SOURCE.to_owned()),

@@ -63,10 +63,11 @@ fn assert_all_rules_agree(label: &str, model: &aqua_lp::Model) -> Option<f64> {
 }
 
 /// The four paper assays, solved under every pricing rule. The
-/// objectives double as goldens (they also live in BENCH_lp.json and
-/// tests/paper_numbers.rs); the point here is that the *default* path
-/// the hierarchy takes — sparse solver, devex pricing — cannot drift
-/// from the oracle on the exact models the paper cares about.
+/// objectives double as goldens (tests/paper_numbers.rs pins them too,
+/// and BENCH.json's LP rows record their statuses); the point here is
+/// that the *default* path the hierarchy takes — sparse solver, devex
+/// pricing — cannot drift from the oracle on the exact models the
+/// paper cares about.
 #[test]
 fn paper_assays_agree_across_rules() {
     let machine = Machine::paper_default();

@@ -194,11 +194,13 @@ fn golden_regeneration_counts() {
     assert_eq!(count(Benchmark::EnzymeN(10)), 2076);
 }
 
-/// Golden regression: the LP objective values recorded in
-/// `BENCH_lp.json` (RVol formulation, least-count units). Exact
-/// rational pipelines feed the solver, so these reproduce to within
-/// float round-off; a bigger drift means the formulation or the
-/// simplex backend changed.
+/// Golden regression: the LP objective values of the RVol formulations
+/// the `bench` binary's LP rows time (`{assay}/paper/lp-*` in
+/// `BENCH.json`, which records their statuses; the test's name predates
+/// the single bench document). Least-count units. Exact rational
+/// pipelines feed the solver, so these reproduce to within float
+/// round-off; a bigger drift means the formulation or the simplex
+/// backend changed.
 #[test]
 fn golden_lp_objectives_match_bench_lp_json() {
     let machine = Machine::paper_default();
@@ -222,7 +224,8 @@ fn golden_lp_objectives_match_bench_lp_json() {
     }
     // Enzyme10's plain RVol LP is infeasible (the extreme dilution
     // chain outruns the machine span) — the paper's motivation for
-    // cascading; BENCH_lp.json records "infeasible" for it.
+    // cascading; its `enzyme10/paper/lp-*` rows in BENCH.json record
+    // "infeasible".
     let form = lpform::build(&dag_of(Benchmark::EnzymeN(10)), &machine, &opts);
     assert!(matches!(
         aqua_lp::solve(&form.model).status,
