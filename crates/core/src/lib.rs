@@ -70,6 +70,10 @@ pub mod round;
 pub mod unknown;
 pub mod vnorm;
 
+/// The claim-counter pool, re-exported so crates above the volume
+/// layer (the simulator's batch executor) share it without a direct
+/// dependency on `aqua-lp`.
+pub use aqua_lp::batch;
 pub use dagsolve::{DagSolveError, VolumeAssignment};
 pub use hierarchy::{
     manage_volumes, replan_with_observations, ManagedOutcome, Method, VolumeManagerOptions,

@@ -4,8 +4,9 @@
 //! work — one compile per queued plan request, one Vnorm table per
 //! partition of a DAG with unknown volumes. This module fans such a
 //! batch out across OS threads with plain `std::thread::scope` (no
-//! external runtime), using the same claim loop as
-//! `aqua_sim::batch_exec` and `aqua_sim::replay`:
+//! external runtime). `aqua_sim::batch_exec` runs its instances on it
+//! (through `aqua_volume::batch`); `aqua_sim::replay` still writes the
+//! same claim loop out by hand, folding per-worker partials:
 //!
 //! * one shared atomic counter hands out task indices; each worker
 //!   claims the next index until the counter passes the end;
@@ -53,10 +54,11 @@ where
 }
 
 /// [`run_parallel`] with an explicit worker-thread count (clamped to
-/// `[1, n]`; one worker runs inline on the caller's thread). Results
-/// are in input order and identical for every `threads` value — the
-/// determinism tests pin exactly this: each result goes into its own
-/// per-index slot, so scheduling can only change wall time, never
+/// `[1, n]`). The caller's thread is one of the workers, so `threads`
+/// workers spawn `threads - 1` OS threads and one worker spawns none.
+/// Results are in input order and identical for every `threads` value
+/// — the determinism tests pin exactly this: each result goes into its
+/// own per-index slot, so scheduling can only change wall time, never
 /// placement.
 ///
 /// # Panics
@@ -74,17 +76,21 @@ where
     }
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let out = f(i);
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+    };
+    // A panic on the caller's thread unwinds out of the scope only
+    // after the spawned workers have drained the counter and stopped.
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()

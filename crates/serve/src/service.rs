@@ -277,6 +277,9 @@ struct Inner {
     store: Option<Mutex<PlanStore>>,
     tenants: Mutex<HashMap<String, TenantState>>,
     per_worker_queue: usize,
+    /// Worker threads per batch solve, resolved once at start: asking
+    /// the OS for the CPU count reads cgroup files on every call.
+    solver_threads: usize,
     shutdown: AtomicBool,
     dedups: AtomicU64,
     timeouts: AtomicU64,
@@ -397,6 +400,10 @@ impl Service {
             store,
             tenants: Mutex::new(HashMap::new()),
             per_worker_queue,
+            solver_threads: match config.solver_threads {
+                0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+                n => n,
+            },
             config,
             shutdown: AtomicBool::new(false),
             dedups: AtomicU64::new(0),
@@ -1062,15 +1069,8 @@ fn batch_loop(inner: &Inner, worker_index: usize) {
         }
         obs.add("serve.batch.flushes", 1);
         obs.record("serve.batch.size", jobs.len() as u64);
-        let threads = if inner.config.solver_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            inner.config.solver_threads
-        };
         let _span = obs.span("serve.batch.solve");
-        let plans = aqua_lp::batch::run_parallel_threads(jobs.len(), threads, |i| {
+        let plans = aqua_lp::batch::run_parallel_threads(jobs.len(), inner.solver_threads, |i| {
             compile_plan(&jobs[i].canon, &jobs[i].machine, obs)
         });
         for (job, plan) in jobs.into_iter().zip(plans) {

@@ -108,17 +108,9 @@ pub struct PlanStore {
     dead_data: bool,
 }
 
-/// Renders one payload: `[enc_len u32][key 16B][enc][plan]` (the log
-/// adds the length prefix and CRC framing).
-fn encode_payload(key: u128, encoding: &[u8], plan: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + encoding.len() + plan.len());
-    out.extend_from_slice(&(encoding.len() as u32).to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(encoding);
-    out.extend_from_slice(plan.as_bytes());
-    out
-}
-
+/// Reads one payload, `[enc_len u32][key 16B][enc][plan]` (the log
+/// adds the length prefix and CRC framing; [`PlanStore::append`] writes
+/// the four parts).
 fn decode_payload(payload: &[u8]) -> Option<Record> {
     if payload.len() < 20 {
         return None;
@@ -199,7 +191,12 @@ impl PlanStore {
         if self.index.contains_key(&key) {
             return Ok(false);
         }
-        let span = self.log.append(&encode_payload(key, encoding, plan))?;
+        let span = self.log.append_parts(&[
+            &(encoding.len() as u32).to_le_bytes(),
+            &key.to_le_bytes(),
+            encoding,
+            plan.as_bytes(),
+        ])?;
         self.index.insert(key, span);
         self.live_bytes += span.len;
         if self.config.compact_segments > 0

@@ -6,21 +6,21 @@
 //! dependency-DAG analysis; the scheduler then renames all instances'
 //! episodes onto the shared slot inventory in a single union schedule.
 //!
-//! Execution runs each instance's program-order replay on a worker
-//! pool. Replays are independent (each instance owns its chip-state
+//! Execution runs each instance's program-order replay on the shared
+//! claim-counter pool (`aqua_volume::batch`, one worker on the calling
+//! thread). Replays are independent (each instance owns its chip-state
 //! view — the union schedule proves their physical slot windows are
 //! disjoint), and results land in per-instance slots, so the batch
 //! report is **bit-identical at any thread count**: 1, 2, and 8
 //! workers produce the same digest.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use aqua_compiler::CompileOutput;
 use aqua_volume::Machine;
 
 use crate::exec::{ExecConfig, ExecError, ExecReport, Executor};
+use crate::replay::fnv1a;
 use crate::sched::{plan_jobs, InstrDag, SchedOptions, Schedule};
 
 /// One assay instance in a batch.
@@ -80,13 +80,6 @@ pub struct BatchReport {
     pub digest: u64,
 }
 
-fn fnv1a(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Runs a fleet of assay instances as one scheduled batch.
 ///
 /// # Errors
@@ -127,38 +120,15 @@ pub fn run_batch(
         },
     );
 
-    // Replay every instance on the worker pool. Each worker claims the
-    // next job index and writes its own result slot — no cross-thread
-    // data dependence, so the outcome is independent of thread count.
+    // Replay every instance on the claim-counter pool. Each result
+    // lands in its own slot — no cross-thread data dependence, so the
+    // outcome is independent of thread count.
     let n = jobs.len();
-    let slots: Vec<Mutex<Option<Result<ExecReport, ExecError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = opts.threads.max(1).min(n.max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let exec = Executor::new(machine, jobs[i].config.clone());
-                let result = exec.run_job(jobs[i].out, &schedule.jobs[i]);
-                match slots[i].lock() {
-                    Ok(mut slot) => *slot = Some(result),
-                    Err(poisoned) => *poisoned.into_inner() = Some(result),
-                }
-            });
-        }
-    });
-    let mut reports = Vec::with_capacity(n);
-    for slot in slots {
-        let result = slot
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .ok_or_else(|| ExecError::Structural("batch worker left a job unexecuted".into()))?;
-        reports.push(result?);
-    }
+    let reports = aqua_volume::batch::run_parallel_threads(n, opts.threads, |i| {
+        Executor::new(machine, jobs[i].config.clone()).run_job(jobs[i].out, &schedule.jobs[i])
+    })
+    .into_iter()
+    .collect::<Result<Vec<ExecReport>, ExecError>>()?;
 
     // Splice all observed repairs back into the union schedule.
     let repairs: Vec<&HashMap<usize, u64>> = reports.iter().map(|r| &r.repair_s).collect();

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use aqua_ais::{Instr, Picoliters, SepPort, WetLoc};
+use aqua_ais::{DryReg, Instr, Picoliters, SepPort, WetLoc};
 use aqua_compiler::{CompileOutput, PlannedVolume, VolumeResolution};
 use aqua_dag::{EdgeId, NodeId, Ratio};
 use aqua_volume::dagsolve::VolumeAssignment;
@@ -29,7 +29,7 @@ use aqua_volume::{Machine, ManagedOutcome, VolumeManagerOptions};
 use crate::fault::{
     FaultCounters, FaultKind, FaultPlan, FaultState, RecoveryCounters, RecoveryTier,
 };
-use crate::sched::{rename_instr, JobSchedule, Schedule};
+use crate::sched::{rename_loc, JobSchedule, Rename, Schedule};
 use crate::state::{ChipState, Contents};
 use crate::trace::{TraceEvent, TraceKind};
 
@@ -264,14 +264,16 @@ struct RunState<'a> {
     out: &'a CompileOutput,
     chip: ChipState,
     report: ExecReport,
+    /// Dry registers, borrowed from the program; copied into the
+    /// report at the end. Register names come from the assay text, so
+    /// they keep the default (flooding-resistant) hasher.
+    registers: HashMap<&'a DryReg, i64>,
     /// Lazy per-partition dispensing state (§3.5).
     dispensed: Vec<Option<VolumeAssignment>>,
     measurements: HashMap<(usize, NodeId), Ratio>,
     faults: FaultState,
     /// Edge volumes installed by a tier-3 whole-DAG replan, in pl.
     replanned_edges: HashMap<EdgeId, Picoliters>,
-    /// Lazily computed per-node product compositions (tier 2).
-    compositions: Option<Vec<HashMap<String, f64>>>,
     /// Cumulative unrecovered shortfall per starved source node, in pl
     /// (the tier-3 observation map).
     node_shortfall_pl: HashMap<NodeId, Picoliters>,
@@ -358,6 +360,7 @@ impl Executor {
             out,
             chip: ChipState::new(),
             report: ExecReport::default(),
+            registers: HashMap::new(),
             dispensed: match &out.resolution {
                 VolumeResolution::Partitioned(plan) => vec![None; plan.partitions.len()],
                 _ => Vec::new(),
@@ -365,7 +368,6 @@ impl Executor {
             measurements: HashMap::new(),
             faults: FaultState::new(&self.config.faults),
             replanned_edges: HashMap::new(),
-            compositions: None,
             node_shortfall_pl: HashMap::new(),
             node_regens: HashMap::new(),
             lc_pl,
@@ -373,7 +375,7 @@ impl Executor {
         };
 
         let mut spill_ptr = 0usize;
-        for (idx, orig) in out.program.instrs().iter().enumerate() {
+        for (idx, instr) in out.program.instrs().iter().enumerate() {
             // Scheduled relocations due before this instruction (stall
             // spills and leftover carries): unmetered moves of parked
             // fluid (no fault draw — the seeded per-dispense PRNG
@@ -389,14 +391,9 @@ impl Executor {
                     spill_ptr += 1;
                 }
             }
-            let renamed;
-            let instr = match sched {
-                Some(js) if !js.renames[idx].is_empty() => {
-                    renamed = rename_instr(orig, &js.renames[idx]);
-                    &renamed
-                }
-                _ => orig,
-            };
+            // Operands execute at their scheduled physical homes.
+            let renames: &[Rename] = sched.map_or(&[], |js| &js.renames[idx]);
+            let at = |loc: WetLoc| rename_loc(renames, loc);
             // Controller-side (simulation) time per instruction — only
             // sampled when a sink is attached.
             let instr_start = self.config.obs.enabled().then(std::time::Instant::now);
@@ -409,21 +406,19 @@ impl Executor {
                 Instr::Dry { op, dst, src } => {
                     let rhs = match src {
                         aqua_ais::DrySrc::Imm(v) => *v,
-                        aqua_ais::DrySrc::Reg(r) => {
-                            st.report.dry_registers.get(&r.0).copied().unwrap_or(0)
-                        }
+                        aqua_ais::DrySrc::Reg(r) => st.registers.get(r).copied().unwrap_or(0),
                     };
-                    let cur = st.report.dry_registers.get(&dst.0).copied().unwrap_or(0);
+                    let cur = st.registers.get(dst).copied().unwrap_or(0);
                     let value = match op {
                         aqua_ais::DryOp::Mov => rhs,
                         aqua_ais::DryOp::Add => cur.wrapping_add(rhs),
                         aqua_ais::DryOp::Sub => cur.wrapping_sub(rhs),
                         aqua_ais::DryOp::Mul => cur.wrapping_mul(rhs),
                     };
-                    st.report.dry_registers.insert(dst.0.clone(), value);
+                    st.registers.insert(dst, value);
                 }
                 Instr::Input { dst, port } => {
-                    self.exec_input(&mut st, idx, *dst, *port)?;
+                    self.exec_input(&mut st, idx, at(*dst), *port)?;
                 }
                 Instr::Output { port, src } => {
                     let port_idx = match port {
@@ -432,9 +427,10 @@ impl Executor {
                             return Err(ExecError::Structural(format!("bad output port {other}")))
                         }
                     };
-                    let portion = self.metered_take(&mut st, idx, *src, None)?;
+                    let src = at(*src);
+                    let portion = self.metered_take(&mut st, idx, src, None)?;
                     *st.report.collected_pl.entry(port_idx).or_insert(0) += portion.volume_pl;
-                    st.chip.clear_residue(*src, lc_pl);
+                    st.chip.clear_residue(src, lc_pl);
                 }
                 Instr::Move { dst, src, .. } | Instr::MoveAbs { dst, src, .. } => {
                     // `move-abs` carries its volume inline; it wins over
@@ -443,95 +439,50 @@ impl Executor {
                         Instr::MoveAbs { vol, .. } => Some(*vol),
                         _ => None,
                     };
-                    let portion = self.metered_take(&mut st, idx, *src, inline)?;
+                    let (src, dst) = (at(*src), at(*dst));
+                    let portion = self.metered_take(&mut st, idx, src, inline)?;
                     if self.config.record_trace {
                         st.report.trace.push(TraceEvent {
                             instr: idx,
                             what: TraceKind::Transfer {
-                                from: *src,
-                                to: *dst,
+                                from: src,
+                                to: dst,
                                 volume_pl: portion.volume_pl,
                             },
                         });
                     }
-                    self.deposit_checked(&mut st, idx, *dst, portion);
-                    st.chip.clear_residue(*src, lc_pl);
+                    self.deposit_checked(&mut st, idx, dst, portion);
+                    st.chip.clear_residue(src, lc_pl);
                 }
                 Instr::Mix { unit, .. }
                 | Instr::Incubate { unit, .. }
-                | Instr::Concentrate { unit, .. } => {
-                    // Volume-neutral wet operations.
+                | Instr::Concentrate { unit, .. }
+                | Instr::Separate { unit, .. } => {
+                    let unit = at(*unit);
                     if self.config.record_trace {
                         st.report.trace.push(TraceEvent {
                             instr: idx,
                             what: TraceKind::Operate {
-                                unit: *unit,
-                                volume_pl: st.chip.volume(*unit),
+                                unit,
+                                volume_pl: st.chip.volume(unit),
                             },
                         });
                     }
-                }
-                Instr::Separate { unit, .. } => {
-                    if self.config.record_trace {
-                        st.report.trace.push(TraceEvent {
-                            instr: idx,
-                            what: TraceKind::Operate {
-                                unit: *unit,
-                                volume_pl: st.chip.volume(*unit),
-                            },
-                        });
+                    // Mixing, incubating and concentrating are
+                    // volume-neutral; a separation splits its input.
+                    if matches!(instr, Instr::Separate { .. }) {
+                        self.separate(&mut st, idx, unit)?;
                     }
-                    let input = st.chip.take_all(*unit);
-                    // The matrix and pusher loads are flushed through
-                    // the column by the separation (they do not join
-                    // either output stream in our volume model).
-                    if let WetLoc::Separator(n, _) = unit {
-                        let matrix = st.chip.take_all(WetLoc::Separator(*n, SepPort::Matrix));
-                        let pusher = st.chip.take_all(WetLoc::Separator(*n, SepPort::Pusher));
-                        st.report.flushed_pl += matrix.volume_pl + pusher.volume_pl;
-                    }
-                    let fraction = if let Some(f) = out.volume_plan.separation_fractions.get(&idx) {
-                        *f
-                    } else {
-                        self.config.unknown_separation_yield
-                    };
-                    let out_vol = ((input.volume_pl as f64) * fraction).round() as Picoliters;
-                    let mut input = input;
-                    let effluent = input.split(out_vol.min(input.volume_pl));
-                    // Record the measurement for run-time dispensing —
-                    // through the (possibly noisy) volume sensor.
-                    if let Some(&key) = out.volume_plan.unknown_separations.get(&idx) {
-                        let nl =
-                            Ratio::new(effluent.volume_pl as i128, 1000).unwrap_or(Ratio::ZERO);
-                        let (nl, fault) = st.faults.on_measurement(nl);
-                        if let Some(kind) = fault {
-                            let reading = (nl * Ratio::from_int(1000)).round().max(0) as u64;
-                            self.trace_fault(&mut st, idx, kind, effluent.volume_pl, reading);
-                        }
-                        st.measurements.insert(key, nl);
-                    }
-                    let sep_index = match unit {
-                        WetLoc::Separator(n, _) => *n,
-                        other => {
-                            return Err(ExecError::Structural(format!("bad separator {other}")))
-                        }
-                    };
-                    st.chip
-                        .deposit(WetLoc::Separator(sep_index, SepPort::Out1), effluent);
-                    st.chip
-                        .deposit(WetLoc::Separator(sep_index, SepPort::Out2), input);
                 }
                 Instr::Sense { unit, dst, .. } => {
-                    let contents = st.chip.take_all(*unit);
+                    let contents = st.chip.take_all(at(*unit));
                     // The "reading" written to the controller register is
                     // modeled as the sensed volume in picoliters.
-                    st.report
-                        .dry_registers
-                        .insert(dst.0.clone(), contents.volume_pl as i64);
+                    st.registers.insert(dst, contents.volume_pl as i64);
                     st.report.sense_results.push(SenseResult {
                         target: dst.0.clone(),
                         volume_pl: contents.volume_pl,
-                        composition: contents.composition,
+                        composition: st.chip.named(&contents.composition),
                     });
                 }
             }
@@ -543,6 +494,9 @@ impl Executor {
             }
         }
         st.report.faults = st.faults.counters;
+        st.report.dry_registers = (st.registers.into_iter())
+            .map(|(reg, v)| (reg.0.clone(), v))
+            .collect();
         st.report.final_state = st.chip;
         self.fold_obs_counters(&st.report);
         Ok(st.report)
@@ -576,13 +530,10 @@ impl Executor {
         let WetLoc::InputPort(port_idx) = port else {
             return Err(ExecError::Structural(format!("bad input port {port}")));
         };
-        let fluid = st
-            .out
-            .volume_plan
-            .port_fluids
-            .get(&port_idx)
-            .cloned()
-            .unwrap_or_else(|| format!("ip{port_idx}"));
+        let fluid = match st.out.volume_plan.port_fluids.get(&port_idx) {
+            Some(name) => st.chip.fluid(name),
+            None => st.chip.fluid(&format!("ip{port_idx}")),
+        };
         let planned = match self.resolve(st, idx)? {
             Some(v) => v.min(st.cap_pl),
             None => st.cap_pl, // load to capacity
@@ -620,7 +571,41 @@ impl Executor {
             }
         }
         st.report.input_pl += amount;
-        self.deposit_checked(st, idx, dst, Contents::pure(&fluid, amount));
+        self.deposit_checked(st, idx, dst, Contents::pure(fluid, amount));
+        Ok(())
+    }
+
+    /// Splits the input at separator `unit` into its effluent (`out1`)
+    /// and waste (`out2`) streams. The matrix and pusher loads are
+    /// flushed through the column (they join neither stream in our
+    /// volume model).
+    fn separate(&self, st: &mut RunState, idx: usize, unit: WetLoc) -> Result<(), ExecError> {
+        let WetLoc::Separator(n, _) = unit else {
+            return Err(ExecError::Structural(format!("bad separator {unit}")));
+        };
+        let mut input = st.chip.take_all(unit);
+        let matrix = st.chip.take_all(WetLoc::Separator(n, SepPort::Matrix));
+        let pusher = st.chip.take_all(WetLoc::Separator(n, SepPort::Pusher));
+        st.report.flushed_pl += matrix.volume_pl + pusher.volume_pl;
+        let plan = &st.out.volume_plan;
+        let fraction = (plan.separation_fractions.get(&idx).copied())
+            .unwrap_or(self.config.unknown_separation_yield);
+        let out_vol = ((input.volume_pl as f64) * fraction).round() as Picoliters;
+        let effluent = input.split(out_vol.min(input.volume_pl));
+        // Record the measurement for run-time dispensing — through the
+        // (possibly noisy) volume sensor.
+        if let Some(&key) = plan.unknown_separations.get(&idx) {
+            let nl = Ratio::new(effluent.volume_pl as i128, 1000).unwrap_or(Ratio::ZERO);
+            let (nl, fault) = st.faults.on_measurement(nl);
+            if let Some(kind) = fault {
+                let reading = (nl * Ratio::from_int(1000)).round().max(0) as u64;
+                self.trace_fault(st, idx, kind, effluent.volume_pl, reading);
+            }
+            st.measurements.insert(key, nl);
+        }
+        st.chip
+            .deposit(WetLoc::Separator(n, SepPort::Out1), effluent);
+        st.chip.deposit(WetLoc::Separator(n, SepPort::Out2), input);
         Ok(())
     }
 
@@ -656,9 +641,11 @@ impl Executor {
             None | Some(PlannedVolume::All) => Ok(None),
             Some(PlannedVolume::Static(v)) => {
                 // A tier-3 replan overrides the compile-time volume.
-                if let Some(edge) = out.volume_plan.instr_edges.get(&idx) {
-                    if let Some(&pl) = st.replanned_edges.get(edge) {
-                        return Ok(Some(pl));
+                if !st.replanned_edges.is_empty() {
+                    if let Some(edge) = out.volume_plan.instr_edges.get(&idx) {
+                        if let Some(&pl) = st.replanned_edges.get(edge) {
+                            return Ok(Some(pl));
+                        }
                     }
                 }
                 Ok(Some(*v))
@@ -846,26 +833,20 @@ impl Executor {
             // least-count multiple.
             let step = st.lc_pl.max(1);
             let amount = missing.div_ceil(step) * step;
-            let comp = {
-                let comps = st
-                    .compositions
-                    .get_or_insert_with(|| crate::regen::node_compositions(&out.dag));
-                comps.get(node.index()).cloned().unwrap_or_default()
-            };
+            let (comp, slice_steps) =
+                crate::regen::slice_makeup(&out.dag, node, |name| st.chip.fluid(name));
             let refill = if comp.is_empty() {
-                Contents::pure(&out.dag.node(node).name, amount)
+                Contents::pure(st.chip.fluid(&out.dag.node(node).name), amount)
             } else {
                 Contents {
                     volume_pl: amount,
-                    composition: comp
-                        .iter()
-                        .map(|(k, f)| (k.clone(), f * amount as f64))
+                    composition: (comp.into_iter())
+                        .map(|(fluid, f)| (fluid, f * amount as f64))
                         .collect(),
                 }
             };
             st.chip.deposit(src, refill);
             st.report.recovery.regenerate += 1;
-            let slice_steps = crate::regen::backward_slice_steps(&out.dag, node);
             st.report.recovery.regen_steps += slice_steps;
             // Re-executing the backward slice costs wet time in
             // proportion to its length.

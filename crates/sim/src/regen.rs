@@ -23,6 +23,8 @@
 use aqua_dag::{Dag, NodeId, NodeKind, Ratio};
 use aqua_volume::Machine;
 
+use crate::state::{FastMap, FluidId};
+
 /// How much fluid each production step makes under the no-management
 /// baseline. The paper leaves this policy implicit; the knob makes the
 /// resulting regeneration counts' policy-sensitivity explicit.
@@ -169,47 +171,62 @@ fn produce(
     }
 }
 
-/// Composition of every node's product by original input fluid
-/// (fractions summing to 1 per reachable node), by topological
-/// propagation of edge fractions. The run-time recovery engine uses
-/// this to synthesize a regenerated fluid with the right make-up
-/// instead of re-running the whole backward slice wet.
-pub fn node_compositions(dag: &Dag) -> Vec<std::collections::HashMap<String, f64>> {
-    let mut out = vec![std::collections::HashMap::new(); dag.num_nodes()];
-    let Ok(order) = dag.topological_order() else {
-        return out;
-    };
-    for n in order {
+/// A regenerated fluid's make-up, computed over `target`'s backward
+/// slice only: its composition by original input fluid (fractions
+/// summing to 1, sorted by fluid id; empty when the node draws
+/// nothing), and the slice's size — the production steps re-executing
+/// it takes (every producing ancestor runs once, mirroring
+/// [`count_regenerations`]'s recursive policy). A source is pure
+/// itself; every other node mixes its sources' compositions by its
+/// in-edge fractions, in in-edge order. `fluid` maps a source's name to
+/// its id. The run-time recovery engine uses this to synthesize a
+/// regenerated fluid with the right make-up instead of re-running the
+/// backward slice wet.
+pub fn slice_makeup(
+    dag: &Dag,
+    target: NodeId,
+    mut fluid: impl FnMut(&str) -> FluidId,
+) -> (Vec<(FluidId, f64)>, u64) {
+    // Post-order walk: a node's composition is ready once all of its
+    // sources' are. `None` marks a node on the stack.
+    let mut done: FastMap<NodeId, Option<Vec<(FluidId, f64)>>> = FastMap::default();
+    let mut stack = vec![(target, false)];
+    while let Some((n, expanded)) = stack.pop() {
+        if !expanded {
+            if done.contains_key(&n) {
+                continue;
+            }
+            done.insert(n, None);
+            stack.push((n, true));
+            stack.extend(dag.in_edges(n).iter().map(|&e| (dag.edge(e).src, false)));
+            continue;
+        }
         let node = dag.node(n);
+        let mut comp = Vec::new();
         if node.kind.is_source() {
-            out[n.index()].insert(node.name.clone(), 1.0);
-            continue;
-        }
-        let total: f64 = dag
-            .in_edges(n)
-            .iter()
-            .map(|&e| dag.edge(e).fraction.to_f64())
-            .sum();
-        if total <= 0.0 {
-            continue;
-        }
-        let mut comp = std::collections::HashMap::new();
-        for &e in dag.in_edges(n) {
-            let share = dag.edge(e).fraction.to_f64() / total;
-            for (fluid, frac) in &out[dag.edge(e).src.index()] {
-                *comp.entry(fluid.clone()).or_insert(0.0) += frac * share;
+            comp.push((fluid(&node.name), 1.0));
+        } else {
+            let total: f64 = dag
+                .in_edges(n)
+                .iter()
+                .map(|&e| dag.edge(e).fraction.to_f64())
+                .sum();
+            if total > 0.0 {
+                for &e in dag.in_edges(n) {
+                    let share = dag.edge(e).fraction.to_f64() / total;
+                    for &(f, frac) in done[&dag.edge(e).src].iter().flatten() {
+                        match comp.binary_search_by_key(&f, |&(g, _)| g) {
+                            Ok(i) => comp[i].1 += frac * share,
+                            Err(i) => comp.insert(i, (f, 0.0 + frac * share)),
+                        }
+                    }
+                }
             }
         }
-        out[n.index()] = comp;
+        done.insert(n, Some(comp));
     }
-    out
-}
-
-/// Number of production steps a regeneration of `target` re-executes:
-/// the size of its backward slice (every producing ancestor runs once,
-/// mirroring [`count_regenerations`]'s recursive policy).
-pub fn backward_slice_steps(dag: &Dag, target: NodeId) -> u64 {
-    dag.backward_slice(target).len() as u64
+    let steps = done.len() as u64;
+    (done.remove(&target).flatten().unwrap_or_default(), steps)
 }
 
 #[cfg(test)]
@@ -337,31 +354,46 @@ mod tests {
     }
 
     #[test]
-    fn node_compositions_track_mix_ratios() {
+    fn slice_makeup_tracks_mix_ratios() {
         let mut d = Dag::new();
         let a = d.add_input("A");
         let b = d.add_input("B");
         let m = d.add_mix("m", &[(a, 1), (b, 4)], 0).unwrap();
         let mm = d.add_mix("mm", &[(m, 1), (a, 1)], 0).unwrap();
-        let comp = node_compositions(&d);
-        assert!((comp[a.index()]["A"] - 1.0).abs() < 1e-12);
-        assert!((comp[m.index()]["A"] - 0.2).abs() < 1e-12);
-        assert!((comp[m.index()]["B"] - 0.8).abs() < 1e-12);
+        let mut names: Vec<String> = Vec::new();
+        let mut makeup = |n| {
+            slice_makeup(&d, n, |name| match names.iter().position(|x| x == name) {
+                Some(i) => i as FluidId,
+                None => {
+                    names.push(name.to_owned());
+                    names.len() as FluidId - 1
+                }
+            })
+        };
+        assert_eq!(makeup(a), (vec![(0, 1.0)], 1));
+        // m interns A first (id 0), then B (id 1).
+        let (of_m, steps) = makeup(m);
+        assert_eq!(steps, 3);
+        assert!((of_m[0].1 - 0.2).abs() < 1e-12);
+        assert!((of_m[1].1 - 0.8).abs() < 1e-12);
         // mm = half m (1/10 A + 4/10 B) + half pure A.
-        assert!((comp[mm.index()]["A"] - 0.6).abs() < 1e-12);
-        assert!((comp[mm.index()]["B"] - 0.4).abs() < 1e-12);
+        let (of_mm, steps) = makeup(mm);
+        assert_eq!(steps, 4);
+        assert!((of_mm[0].1 - 0.6).abs() < 1e-12);
+        assert!((of_mm[1].1 - 0.4).abs() < 1e-12);
     }
 
     #[test]
-    fn backward_slice_steps_count_ancestors() {
+    fn slice_steps_count_ancestors() {
         let mut d = Dag::new();
         let a = d.add_input("A");
         let b = d.add_input("B");
         let m = d.add_mix("m", &[(a, 1), (b, 1)], 0).unwrap();
         let mm = d.add_mix("mm", &[(m, 1), (b, 1)], 0).unwrap();
-        assert_eq!(backward_slice_steps(&d, a), 1);
-        assert_eq!(backward_slice_steps(&d, m), 3);
-        assert_eq!(backward_slice_steps(&d, mm), 4);
+        for (n, want) in [(a, 1), (m, 3), (mm, 4)] {
+            assert_eq!(slice_makeup(&d, n, |_| 0).1, want);
+            assert_eq!(d.backward_slice(n).len() as u64, want);
+        }
     }
 
     #[test]

@@ -270,7 +270,8 @@ impl PlanSet {
     }
 }
 
-fn fnv1a(h: &mut u64, v: u64) {
+/// Folds `v`'s little-endian bytes into an FNV-1a 64 digest.
+pub(crate) fn fnv1a(h: &mut u64, v: u64) {
     for b in v.to_le_bytes() {
         *h ^= u64::from(b);
         *h = h.wrapping_mul(0x100_0000_01b3);

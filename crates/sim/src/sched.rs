@@ -55,11 +55,12 @@ use std::collections::{BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
 
-use aqua_ais::{Instr, ResourceClass, SepPort, WetLoc};
+use aqua_ais::{DryReg, DrySrc, Instr, ResourceClass, SepPort, WetLoc};
 use aqua_compiler::{CompileOutput, PlannedVolume};
 use aqua_volume::Machine;
 
 use crate::alloc::{ClassPool, SlotPool, POOLED_CLASSES};
+use crate::state::FastMap;
 
 /// Options for schedule construction.
 #[derive(Debug, Clone, Default)]
@@ -109,9 +110,9 @@ pub struct InstrDag {
     /// Instruction count (all instructions, wet and dry).
     pub len: usize,
     /// Dependence predecessors per instruction (deduplicated).
-    pub preds: Vec<Vec<u32>>,
+    pub preds: Csr<u32>,
     /// Dependence successors per instruction.
-    pub succs: Vec<Vec<u32>>,
+    pub succs: Csr<u32>,
     /// Simulated duration per instruction, seconds.
     pub dur_s: Vec<u64>,
     /// Critical-path-to-sink priority (includes own duration).
@@ -119,7 +120,7 @@ pub struct InstrDag {
     /// All episodes, in order of first touch.
     pub episodes: Vec<Episode>,
     /// Episodes touched per instruction (deduplicated, operand order).
-    pub instr_eps: Vec<Vec<u32>>,
+    pub instr_eps: Csr<u32>,
     /// Units with at least one metered-close episode: each needs a
     /// dedicated carry-home reservoir so faulted leftovers survive the
     /// episode handoff (and so every closed episode leaves its slot
@@ -129,6 +130,42 @@ pub struct InstrDag {
     pub sequential_s: u64,
     /// Longest dependence chain — the schedule's lower bound.
     pub critical_path_s: u64,
+}
+
+/// Per-node lists stored flat: node `i`'s items are
+/// `items[head[i]..head[i + 1]]`, one allocation for every node.
+#[derive(Debug, Clone, Default)]
+pub struct Csr<T> {
+    head: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// Groups `(node, item)` pairs over `n` nodes, keeping each node's
+    /// items in input order.
+    fn grouped(n: usize, pairs: impl Iterator<Item = (u32, T)> + Clone) -> Csr<T> {
+        let mut head = vec![0u32; n + 1];
+        for (node, _) in pairs.clone() {
+            head[node as usize + 1] += 1;
+        }
+        for i in 0..n {
+            head[i + 1] += head[i];
+        }
+        let mut fill = head.clone();
+        let mut items = vec![T::default(); head[n] as usize];
+        for (node, item) in pairs {
+            items[fill[node as usize] as usize] = item;
+            fill[node as usize] += 1;
+        }
+        Csr { head, items }
+    }
+}
+
+impl<T> std::ops::Index<usize> for Csr<T> {
+    type Output = [T];
+    fn index(&self, i: usize) -> &[T] {
+        &self.items[self.head[i] as usize..self.head[i + 1] as usize]
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,7 +182,9 @@ enum Effect {
     },
 }
 
-fn effects(instr: &Instr, plan: Option<&PlannedVolume>) -> Vec<(WetLoc, Effect)> {
+/// The wet operands an instruction touches (a source, then a
+/// destination), with what it does to each.
+fn effects(instr: &Instr, plan: Option<&PlannedVolume>) -> [Option<(WetLoc, Effect)>; 2] {
     // The executor drains a source with an unmetered `take_all` only
     // when the plan says so (entry absent or `All`); a planned volume
     // is metered and can leave a faulted remainder. A source-level
@@ -157,39 +196,50 @@ fn effects(instr: &Instr, plan: Option<&PlannedVolume>) -> Vec<(WetLoc, Effect)>
         _ if src_all => Effect::Empty { leftover: true },
         _ => Effect::Read,
     };
+    let pair = |a: (WetLoc, Effect), b: (WetLoc, Effect)| [Some(a), Some(b)];
     match instr {
-        Instr::Input { dst, port } => vec![(*port, Effect::Read), (*dst, Effect::Write)],
-        Instr::Output { port, src } => vec![(*src, drained(true)), (*port, Effect::Write)],
+        Instr::Input { dst, port } => pair((*port, Effect::Read), (*dst, Effect::Write)),
+        Instr::Output { port, src } => pair((*src, drained(true)), (*port, Effect::Write)),
         Instr::Move { dst, src, rel_vol } => {
-            vec![(*src, drained(rel_vol.is_none())), (*dst, Effect::Write)]
+            pair((*src, drained(rel_vol.is_none())), (*dst, Effect::Write))
         }
-        Instr::MoveAbs { dst, src, .. } => vec![(*src, Effect::Read), (*dst, Effect::Write)],
+        Instr::MoveAbs { dst, src, .. } => pair((*src, Effect::Read), (*dst, Effect::Write)),
         Instr::Mix { unit, .. }
         | Instr::Incubate { unit, .. }
         | Instr::Concentrate { unit, .. }
-        | Instr::Separate { unit, .. } => vec![(*unit, Effect::Operate)],
-        Instr::Sense { unit, .. } => vec![(*unit, Effect::Empty { leftover: false })],
-        Instr::Dry { .. } | Instr::Comment(_) => Vec::new(),
+        | Instr::Separate { unit, .. } => [Some((*unit, Effect::Operate)), None],
+        Instr::Sense { unit, .. } => [Some((*unit, Effect::Empty { leftover: false })), None],
+        Instr::Dry { .. } | Instr::Comment(_) => [None, None],
     }
 }
 
 impl InstrDag {
     /// Analyzes a compiled program: episodes, dependence edges,
-    /// durations, and critical-path priorities.
+    /// durations, and critical-path priorities. Linear but for sorting
+    /// the dependence edges (packed `pred << 32 | succ`) once.
     pub fn build(out: &CompileOutput) -> InstrDag {
+        const NONE: u32 = u32::MAX;
         let instrs = out.program.instrs();
         let n = instrs.len();
         let plan = &out.volume_plan;
 
+        // Each (class, virtual unit) gets a dense index on first touch;
+        // `units[index]` holds its open and its latest episode.
+        let mut unit_ix: FastMap<(ResourceClass, u32), usize> = FastMap::default();
+        let mut units: Vec<(u32, u32)> = Vec::new();
+        let mut carry_units: Vec<(ResourceClass, u32)> = Vec::new();
+        let mut class_counts = [0u32; 7];
+
         let mut episodes: Vec<Episode> = Vec::new();
-        let mut drains: Vec<Vec<bool>> = Vec::new(); // per episode, per touch
-        let mut instr_eps: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut open: HashMap<(ResourceClass, u32), u32> = HashMap::new();
-        let mut latest: HashMap<(ResourceClass, u32), u32> = HashMap::new();
-        let mut carry_units: BTreeSet<(ResourceClass, u32)> = BTreeSet::new();
-        let mut class_counts: HashMap<ResourceClass, u32> = HashMap::new();
-        let mut edge_set: BTreeSet<(u32, u32)> = BTreeSet::new();
-        let mut reg_last: HashMap<String, u32> = HashMap::new();
+        // Per episode: where its pure-drain suffix of touches begins.
+        let mut drain_from: Vec<usize> = Vec::new();
+        let mut instr_eps: Vec<(u32, u32)> = Vec::new();
+        let mut edges: Vec<u64> = Vec::new();
+        let edge = |a: u32, b: u32| u64::from(a) << 32 | u64::from(b);
+        // Register names come from the assay text: default hasher.
+        let mut reg_last: HashMap<&DryReg, u32> = HashMap::new();
+        let mut seps: Vec<usize> = plan.unknown_separations.keys().copied().collect();
+        seps.sort_unstable();
         let mut dur_s = vec![0u64; n];
 
         for (i, instr) in instrs.iter().enumerate() {
@@ -199,37 +249,35 @@ impl InstrDag {
             }
             // Dry-register chains (sense writes a reading; dry ALU ops
             // read and write registers): serialize touches per name.
-            let mut touch_reg = |name: &str, edge_set: &mut BTreeSet<(u32, u32)>| {
-                if let Some(&last) = reg_last.get(name) {
-                    if last != idx {
-                        edge_set.insert((last, idx));
-                    }
-                }
-                reg_last.insert(name.to_owned(), idx);
+            let regs = match instr {
+                Instr::Dry { dst, src, .. } => match src {
+                    DrySrc::Reg(r) => [Some(r), Some(dst)],
+                    DrySrc::Imm(_) => [None, Some(dst)],
+                },
+                Instr::Sense { dst, .. } => [None, Some(dst)],
+                _ => [None, None],
             };
-            match instr {
-                Instr::Sense { dst, .. } => touch_reg(&dst.0, &mut edge_set),
-                Instr::Dry { dst, src, .. } => {
-                    if let aqua_ais::DrySrc::Reg(r) = src {
-                        touch_reg(&r.0, &mut edge_set);
+            for name in regs.into_iter().flatten() {
+                if let Some(last) = reg_last.insert(name, idx) {
+                    if last != idx {
+                        edges.push(edge(last, idx));
                     }
-                    touch_reg(&dst.0, &mut edge_set);
                 }
-                _ => {}
             }
             // Run-time dispensing (§3.5) solves against the volume
             // measurements of earlier separations: conservatively
             // depend on every separation emitted before this point.
             if let Some(PlannedVolume::Runtime { .. }) = plan.get(i) {
-                for (&sep_idx, _) in plan.unknown_separations.iter() {
-                    if sep_idx < i {
-                        edge_set.insert((sep_idx as u32, idx));
-                    }
-                }
+                let before = seps.partition_point(|&sep| sep < i);
+                edges.extend(seps[..before].iter().map(|&sep| edge(sep as u32, idx)));
             }
-            for (loc, mut effect) in effects(instr, plan.get(i)) {
+            for (loc, mut effect) in effects(instr, plan.get(i)).into_iter().flatten() {
                 let class = loc.class();
-                let key = (class, loc.unit_index());
+                let fresh = units.len();
+                let unit = *unit_ix.entry((class, loc.unit_index())).or_insert(fresh);
+                if unit == fresh {
+                    units.push((NONE, NONE));
+                }
                 // A separator stays occupied by its waste stream even
                 // after an output port is drained: never close it.
                 if class == ResourceClass::Separator && matches!(effect, Effect::Empty { .. }) {
@@ -240,45 +288,44 @@ impl InstrDag {
                 if matches!(class, ResourceClass::InputPort | ResourceClass::OutputPort) {
                     effect = Effect::Read;
                 }
-                let ep = match open.get(&key) {
-                    Some(&e) => e,
-                    None => {
-                        let e = episodes.len() as u32;
-                        let prev = latest.get(&key).copied();
-                        let ord = class_counts.entry(class).or_insert(0);
-                        episodes.push(Episode {
-                            class,
-                            virt: loc.unit_index(),
-                            touches: Vec::new(),
-                            closed: false,
-                            metered_close: false,
-                            prev,
-                            class_ord: *ord,
-                            spill_from: None,
-                        });
-                        *ord += 1;
-                        drains.push(Vec::new());
-                        open.insert(key, e);
-                        latest.insert(key, e);
-                        e
-                    }
-                };
+                let (open, latest) = &mut units[unit];
+                if *open == NONE {
+                    let ord = &mut class_counts[class as usize];
+                    episodes.push(Episode {
+                        class,
+                        virt: loc.unit_index(),
+                        touches: Vec::new(),
+                        closed: false,
+                        metered_close: false,
+                        prev: (*latest != NONE).then_some(*latest),
+                        class_ord: *ord,
+                        spill_from: None,
+                    });
+                    *ord += 1;
+                    drain_from.push(0);
+                    *open = episodes.len() as u32 - 1;
+                    *latest = *open;
+                }
+                let ep = *open;
                 let epi = ep as usize;
-                if episodes[epi].touches.last() != Some(&idx) {
-                    episodes[epi].touches.push(idx);
-                    drains[epi].push(matches!(effect, Effect::Read | Effect::Empty { .. }));
-                    if let Some(&prev) = episodes[epi].touches.iter().rev().nth(1) {
-                        edge_set.insert((prev, idx));
+                let touches = &mut episodes[epi].touches;
+                if touches.last() != Some(&idx) {
+                    if let Some(&prev) = touches.last() {
+                        edges.push(edge(prev, idx));
                     }
-                    instr_eps[i].push(ep);
+                    touches.push(idx);
+                    if !matches!(effect, Effect::Read | Effect::Empty { .. }) {
+                        drain_from[epi] = touches.len();
+                    }
+                    instr_eps.push((idx, ep));
                 }
                 if let Effect::Empty { leftover } = effect {
                     episodes[epi].closed = true;
                     episodes[epi].metered_close = leftover;
                     if leftover {
-                        carry_units.insert(key);
+                        carry_units.push((class, loc.unit_index()));
                     }
-                    open.remove(&key);
+                    units[unit].0 = NONE;
                 }
             }
         }
@@ -286,7 +333,7 @@ impl InstrDag {
         // Port episodes release after their last touch (nothing is
         // stored at a port); spill windows exist only for units whose
         // parked product is purely waiting to drain.
-        for (ep, d) in episodes.iter_mut().zip(&drains) {
+        for (ep, &p) in episodes.iter_mut().zip(&drain_from) {
             if matches!(
                 ep.class,
                 ResourceClass::InputPort | ResourceClass::OutputPort
@@ -312,26 +359,24 @@ impl InstrDag {
             {
                 ep.closed = true;
                 ep.metered_close = true;
-                carry_units.insert((ep.class, ep.virt));
+                carry_units.push((ep.class, ep.virt));
             }
-            if matches!(ep.class, ResourceClass::Mixer | ResourceClass::Heater) {
-                let mut p = d.len();
-                while p > 0 && d[p - 1] {
-                    p -= 1;
-                }
-                if p >= 1 && p < d.len() {
-                    ep.spill_from = Some(p);
-                }
+            if matches!(ep.class, ResourceClass::Mixer | ResourceClass::Heater)
+                && p >= 1
+                && p < ep.touches.len()
+            {
+                ep.spill_from = Some(p);
             }
         }
 
-        let mut preds = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(a, b) in &edge_set {
-            debug_assert!(a < b, "dependence edges are forward in program order");
-            preds[b as usize].push(a);
-            succs[a as usize].push(b);
-        }
+        edges.sort_unstable();
+        edges.dedup();
+        carry_units.sort_unstable();
+        carry_units.dedup();
+        let pairs = edges.iter().map(|&e| ((e >> 32) as u32, e as u32));
+        debug_assert!(pairs.clone().all(|(a, b)| a < b), "edges run forward");
+        let preds = Csr::grouped(n, pairs.clone().map(|(a, b)| (b, a)));
+        let succs = Csr::grouped(n, pairs);
         let mut priority = vec![0u64; n];
         for i in (0..n).rev() {
             let down = succs[i].iter().map(|&s| priority[s as usize]).max();
@@ -346,8 +391,8 @@ impl InstrDag {
             dur_s,
             priority,
             episodes,
-            instr_eps,
-            carry_units: carry_units.into_iter().collect(),
+            instr_eps: Csr::grouped(n, instr_eps.into_iter()),
+            carry_units,
             sequential_s,
             critical_path_s,
         }
@@ -367,7 +412,10 @@ pub struct Rename {
     pub to: WetLoc,
 }
 
-/// Applies a rename list to one operand location.
+/// Applies a rename list to one operand location. Port operands always
+/// pass through untouched: no rename entry is ever recorded for a port
+/// class, so `input`/`output` keep their virtual port indices
+/// (port-fluid bindings and collection accounting are keyed by them).
 pub fn rename_loc(renames: &[Rename], loc: WetLoc) -> WetLoc {
     for r in renames {
         if loc.class() == r.class && loc.unit_index() == r.virt {
@@ -379,75 +427,6 @@ pub fn rename_loc(renames: &[Rename], loc: WetLoc) -> WetLoc {
         }
     }
     loc
-}
-
-/// Applies a rename list to an instruction's wet operands. Port
-/// operands always pass through untouched — no rename entry is ever
-/// recorded for a port class, so `input`/`output` keep their virtual
-/// port indices (port-fluid bindings and collection accounting are
-/// keyed by them).
-pub fn rename_instr(instr: &Instr, renames: &[Rename]) -> Instr {
-    if renames.is_empty() {
-        return instr.clone();
-    }
-    let r = |l: WetLoc| rename_loc(renames, l);
-    match instr {
-        Instr::Input { dst, port } => Instr::Input {
-            dst: r(*dst),
-            port: *port,
-        },
-        Instr::Output { port, src } => Instr::Output {
-            port: *port,
-            src: r(*src),
-        },
-        Instr::Move { dst, src, rel_vol } => Instr::Move {
-            dst: r(*dst),
-            src: r(*src),
-            rel_vol: *rel_vol,
-        },
-        Instr::MoveAbs { dst, src, vol } => Instr::MoveAbs {
-            dst: r(*dst),
-            src: r(*src),
-            vol: *vol,
-        },
-        Instr::Mix { unit, seconds } => Instr::Mix {
-            unit: r(*unit),
-            seconds: *seconds,
-        },
-        Instr::Incubate {
-            unit,
-            temp_c,
-            seconds,
-        } => Instr::Incubate {
-            unit: r(*unit),
-            temp_c: *temp_c,
-            seconds: *seconds,
-        },
-        Instr::Concentrate {
-            unit,
-            temp_c,
-            seconds,
-        } => Instr::Concentrate {
-            unit: r(*unit),
-            temp_c: *temp_c,
-            seconds: *seconds,
-        },
-        Instr::Separate {
-            unit,
-            kind,
-            seconds,
-        } => Instr::Separate {
-            unit: r(*unit),
-            kind: *kind,
-            seconds: *seconds,
-        },
-        Instr::Sense { unit, kind, dst } => Instr::Sense {
-            unit: r(*unit),
-            kind: *kind,
-            dst: dst.clone(),
-        },
-        Instr::Dry { .. } | Instr::Comment(_) => instr.clone(),
-    }
 }
 
 /// What a scheduled relocation is for.
@@ -605,35 +584,17 @@ pub struct Schedule {
     /// Scheduler statistics.
     pub stats: SchedStats,
     /// All timing constraints (dependences, slot succession, spill
-    /// latency) as `(from, to, extra_s)` over global node ids:
+    /// latency) as `(from, to, extra_s)` over global node ids (each
+    /// job's instructions in order, after the previous job's):
     /// `start[to] >= finish[from] + extra_s`.
     edges: Vec<(u32, u32, u64)>,
     /// Issue order — a topological order of the constraint graph.
     order: Vec<u32>,
     /// Slot occupancy windows.
     holds: Vec<Hold>,
-    /// Global node id of instruction 0 of each job.
-    job_offsets: Vec<u32>,
 }
 
 impl Schedule {
-    /// Global node id of `(job, instr)`.
-    pub fn global_id(&self, job: usize, instr: usize) -> u32 {
-        self.job_offsets[job] + instr as u32
-    }
-
-    fn total_nodes(&self) -> usize {
-        self.jobs.iter().map(|j| j.entries.len()).sum()
-    }
-
-    fn job_of(&self, gid: u32) -> (usize, usize) {
-        let job = match self.job_offsets.binary_search(&gid) {
-            Ok(j) => j,
-            Err(j) => j - 1,
-        };
-        (job, (gid - self.job_offsets[job]) as usize)
-    }
-
     /// Checks the schedule against its own constraints: every timing
     /// edge respected, no slot double-booked.
     ///
@@ -641,13 +602,9 @@ impl Schedule {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        let entry = |gid: u32| {
-            let (j, i) = self.job_of(gid);
-            self.jobs[j].entries[i]
-        };
+        let entries: Vec<Entry> = (self.jobs.iter()).flat_map(|j| j.entries.clone()).collect();
         for &(a, b, w) in &self.edges {
-            let ea = entry(a);
-            let eb = entry(b);
+            let (ea, eb) = (entries[a as usize], entries[b as usize]);
             if eb.start_s < ea.start_s + ea.dur_s + w {
                 return Err(format!(
                     "edge {a}->{b} violated: {} < {} + {} + {w}",
@@ -655,22 +612,18 @@ impl Schedule {
                 ));
             }
         }
-        let mut by_slot: HashMap<(ResourceClass, u32), Vec<(u64, u64)>> = HashMap::new();
-        for h in &self.holds {
-            by_slot
-                .entry((h.class, h.slot))
-                .or_default()
-                .push((h.t0, h.t1.unwrap_or(self.makespan_s)));
-        }
-        for ((class, slot), mut spans) in by_slot {
-            spans.sort_unstable();
-            for pair in spans.windows(2) {
-                if pair[1].0 < pair[0].1 {
-                    return Err(format!(
-                        "{class} slot {slot} double-booked: [{}, {}) overlaps [{}, {})",
-                        pair[0].0, pair[0].1, pair[1].0, pair[1].1
-                    ));
-                }
+        // Holds sorted by slot, then time: a double booking shows up
+        // as two neighbours on one slot that overlap.
+        let mut spans: Vec<_> = (self.holds.iter())
+            .map(|h| (h.class, h.slot, h.t0, h.t1.unwrap_or(self.makespan_s)))
+            .collect();
+        spans.sort_unstable();
+        for w in spans.windows(2) {
+            let ((class, slot, t0, t1), (next_class, next_slot, u0, u1)) = (w[0], w[1]);
+            if (class, slot) == (next_class, next_slot) && u0 < t1 {
+                return Err(format!(
+                    "{class} slot {slot} double-booked: [{t0}, {t1}) overlaps [{u0}, {u1})"
+                ));
             }
         }
         let max_finish = self
@@ -697,29 +650,34 @@ impl Schedule {
     /// edges) — so with no repairs the schedule is returned unchanged.
     /// `repairs[job]` maps program index → extra seconds.
     pub fn splice(&self, repairs: &[&HashMap<usize, u64>]) -> Splice {
-        let n = self.total_nodes();
-        let mut in_edges: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
-        for &(a, b, w) in &self.edges {
-            in_edges[b as usize].push((a, w));
+        // Planned start and repaired duration per node.
+        let mut timing: Vec<(u64, u64)> = Vec::with_capacity(self.order.len());
+        for (j, job) in self.jobs.iter().enumerate() {
+            let base = timing.len();
+            timing.extend(job.entries.iter().map(|e| (e.start_s, e.dur_s)));
+            for (&i, &extra) in repairs.get(j).into_iter().flat_map(|m| m.iter()) {
+                if i < job.entries.len() {
+                    timing[base + i].1 += extra;
+                }
+            }
         }
-        let mut start = vec![0u64; n];
+        let n = timing.len();
+        let ins = Csr::grouped(n, self.edges.iter().map(|&(a, b, w)| (b, (a, w))));
         let mut finish = vec![0u64; n];
         let mut shifted = 0u64;
         let mut makespan = self.makespan_s;
         for &gid in &self.order {
-            let (j, i) = self.job_of(gid);
-            let extra = repairs.get(j).and_then(|m| m.get(&i).copied()).unwrap_or(0);
-            let dur = self.jobs[j].entries[i].dur_s + extra;
-            let s = in_edges[gid as usize]
+            let g = gid as usize;
+            let (planned, dur) = timing[g];
+            let s = ins[g]
                 .iter()
                 .map(|&(a, w)| finish[a as usize] + w)
                 .max()
                 .unwrap_or(0)
-                .max(self.jobs[j].entries[i].start_s);
-            start[gid as usize] = s;
-            finish[gid as usize] = s + dur;
+                .max(planned);
+            finish[g] = s + dur;
             makespan = makespan.max(s + dur);
-            if s != self.jobs[j].entries[i].start_s {
+            if s != planned {
                 shifted += 1;
             }
         }
@@ -734,13 +692,11 @@ impl Schedule {
     /// the sequential executor does), used when list scheduling stalls.
     pub fn sequential(dags: &[&InstrDag], machine: &Machine) -> Schedule {
         let mut jobs = Vec::with_capacity(dags.len());
-        let mut job_offsets = Vec::with_capacity(dags.len());
         let mut edges = Vec::new();
         let mut order = Vec::new();
         let mut t = 0u64;
         let mut gid = 0u32;
         for dag in dags {
-            job_offsets.push(gid);
             let mut entries = Vec::with_capacity(dag.len);
             for i in 0..dag.len {
                 if gid > 0 {
@@ -780,7 +736,6 @@ impl Schedule {
             edges,
             order,
             holds: Vec::new(),
-            job_offsets,
         }
     }
 }
@@ -878,7 +833,7 @@ fn list_schedule(dags: &[&InstrDag], machine: &Machine) -> Result<Schedule, Sche
         .collect();
     let mut indeg: Vec<Vec<u32>> = dags
         .iter()
-        .map(|d| d.preds.iter().map(|p| p.len() as u32).collect())
+        .map(|d| (0..d.len).map(|i| d.preds[i].len() as u32).collect())
         .collect();
     let mut entries: Vec<Vec<Entry>> = dags.iter().map(|d| vec![Entry::default(); d.len]).collect();
     let mut renames: Vec<Vec<Vec<Rename>>> = dags.iter().map(|d| vec![Vec::new(); d.len]).collect();
@@ -899,8 +854,8 @@ fn list_schedule(dags: &[&InstrDag], machine: &Machine) -> Result<Schedule, Sche
     // Dependence edges, globalized.
     for (j, dag) in dags.iter().enumerate() {
         let off = job_offsets[j];
-        for (b, preds) in dag.preds.iter().enumerate() {
-            for &a in preds {
+        for b in 0..dag.len {
+            for &a in &dag.preds[b] {
                 edges.push((off + a, off + b as u32, 0));
             }
         }
@@ -1208,7 +1163,6 @@ fn list_schedule(dags: &[&InstrDag], machine: &Machine) -> Result<Schedule, Sche
         edges,
         order,
         holds,
-        job_offsets,
     })
 }
 

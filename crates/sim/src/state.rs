@@ -1,8 +1,43 @@
 //! Fluid contents of the wet datapath.
+//!
+//! Compositions are per run: the chip's fluid table names each input
+//! fluid once ([`ChipState::fluid`]), and a location holds a short
+//! vector of `(fluid id, picoliters)` sorted by id. A transfer then
+//! moves plain numbers — no name is cloned or hashed — while each fluid
+//! sees exactly the `f64` operations a map keyed by name would do:
+//! `taken = v * share; v -= taken` on a split, `0.0 + v` for a new
+//! constituent and `acc + v` for a present one on a merge.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use aqua_ais::{Picoliters, WetLoc};
+
+/// A fluid's index in its chip's fluid table.
+pub type FluidId = u32;
+
+/// A multiply-rotate hasher for keys the compiler and scheduler
+/// generate (chip locations, units, DAG nodes), never text from an
+/// assay, so SipHash's flooding resistance buys nothing there.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FastHasher(u64);
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let mixed = self.0.rotate_left(5) ^ u64::from_le_bytes(word);
+            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed through [`FastHasher`].
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// The contents of one location: total volume plus composition by
 /// original input fluid. Volumes are picoliters; composition uses `f64`
@@ -11,24 +46,19 @@ use aqua_ais::{Picoliters, WetLoc};
 pub struct Contents {
     /// Total volume in picoliters.
     pub volume_pl: Picoliters,
-    /// Volume per constituent input fluid (picoliters, fractional).
-    pub composition: HashMap<String, f64>,
+    /// Volume per constituent input fluid (picoliters, fractional),
+    /// sorted by fluid id. A constituent stays listed once merged in,
+    /// even after its share drains to zero.
+    pub composition: Vec<(FluidId, f64)>,
 }
 
 impl Contents {
-    /// A pure volume of one named fluid.
-    pub fn pure(name: &str, volume_pl: Picoliters) -> Contents {
-        let mut composition = HashMap::new();
-        composition.insert(name.to_owned(), volume_pl as f64);
+    /// A pure volume of one fluid.
+    pub fn pure(fluid: FluidId, volume_pl: Picoliters) -> Contents {
         Contents {
             volume_pl,
-            composition,
+            composition: vec![(fluid, volume_pl as f64)],
         }
-    }
-
-    /// Whether nothing is here.
-    pub fn is_empty(&self) -> bool {
-        self.volume_pl == 0
     }
 
     /// Splits off `amount` picoliters, preserving composition
@@ -43,34 +73,47 @@ impl Contents {
             return Contents::default();
         }
         let share = amount as f64 / self.volume_pl as f64;
-        let mut out = Contents {
-            volume_pl: amount,
-            composition: HashMap::new(),
-        };
-        for (k, v) in self.composition.iter_mut() {
-            let taken = *v * share;
-            *v -= taken;
-            out.composition.insert(k.clone(), taken);
-        }
+        let composition = self
+            .composition
+            .iter_mut()
+            .map(|(fluid, v)| {
+                let taken = *v * share;
+                *v -= taken;
+                (*fluid, taken)
+            })
+            .collect();
         self.volume_pl -= amount;
-        out
+        Contents {
+            volume_pl: amount,
+            composition,
+        }
     }
 
     /// Merges another portion into this location.
     pub fn merge(&mut self, other: Contents) {
         self.volume_pl += other.volume_pl;
-        for (k, v) in other.composition {
-            *self.composition.entry(k).or_insert(0.0) += v;
+        if self.composition.is_empty() {
+            self.composition = other.composition;
+            // `v + 0.0` is `0.0 + v`, a fresh constituent's sum.
+            for (_, v) in &mut self.composition {
+                *v += 0.0;
+            }
+            return;
+        }
+        for (fluid, v) in other.composition {
+            match self.composition.binary_search_by_key(&fluid, |&(f, _)| f) {
+                Ok(i) => self.composition[i].1 += v,
+                Err(i) => self.composition.insert(i, (fluid, 0.0 + v)),
+            }
         }
     }
 }
 
-/// All wet locations of the chip.
+/// All wet locations of the chip, and the run's fluid table.
 #[derive(Debug, Clone, Default)]
 pub struct ChipState {
-    contents: HashMap<WetLoc, Contents>,
-    /// Fluid collected at output ports (accumulated, never read back).
-    pub collected: HashMap<u32, Contents>,
+    fluids: Vec<String>,
+    contents: FastMap<WetLoc, Contents>,
     /// Sub-least-count residue lost in the channels (accumulated by
     /// [`ChipState::clear_residue`]), so the conservation identity
     /// `inputs = outputs + sensed + flushed + on-chip + residue` holds
@@ -84,19 +127,37 @@ impl ChipState {
         ChipState::default()
     }
 
-    /// Read-only contents at a location (empty if untouched).
-    pub fn at(&self, loc: WetLoc) -> Contents {
-        self.contents.get(&loc).cloned().unwrap_or_default()
+    /// The id of the named fluid, adding it to the table on first use.
+    pub fn fluid(&mut self, name: &str) -> FluidId {
+        let id = match self.fluids.iter().position(|f| f == name) {
+            Some(i) => i,
+            None => {
+                self.fluids.push(name.to_owned());
+                self.fluids.len() - 1
+            }
+        };
+        id as FluidId
+    }
+
+    /// A composition keyed by fluid name.
+    pub fn named(&self, composition: &[(FluidId, f64)]) -> HashMap<String, f64> {
+        composition
+            .iter()
+            .map(|&(fluid, v)| (self.fluids[fluid as usize].clone(), v))
+            .collect()
+    }
+
+    /// The composition at a location, keyed by fluid name (empty if
+    /// untouched).
+    pub fn composition(&self, loc: WetLoc) -> HashMap<String, f64> {
+        self.contents
+            .get(&loc)
+            .map_or_else(HashMap::new, |c| self.named(&c.composition))
     }
 
     /// Volume at a location.
     pub fn volume(&self, loc: WetLoc) -> Picoliters {
         self.contents.get(&loc).map_or(0, |c| c.volume_pl)
-    }
-
-    /// Mutable contents at a location.
-    pub fn at_mut(&mut self, loc: WetLoc) -> &mut Contents {
-        self.contents.entry(loc).or_default()
     }
 
     /// Takes everything at a location.
@@ -110,7 +171,9 @@ impl ChipState {
     ///
     /// Panics if more than available is requested.
     pub fn take(&mut self, loc: WetLoc, amount: Picoliters) -> Contents {
-        let c = self.at_mut(loc);
+        let Some(c) = self.contents.get_mut(&loc) else {
+            return Contents::default().split(amount);
+        };
         let out = c.split(amount);
         if c.volume_pl == 0 {
             self.contents.remove(&loc);
@@ -120,7 +183,7 @@ impl ChipState {
 
     /// Deposits a portion at a location, returning the new volume.
     pub fn deposit(&mut self, loc: WetLoc, portion: Contents) -> Picoliters {
-        let c = self.at_mut(loc);
+        let c = self.contents.entry(loc).or_default();
         c.merge(portion);
         c.volume_pl
     }
@@ -149,19 +212,92 @@ mod tests {
 
     #[test]
     fn split_preserves_proportions() {
-        let mut c = Contents::pure("A", 600);
-        c.merge(Contents::pure("B", 400));
+        let mut c = Contents::pure(0, 600);
+        c.merge(Contents::pure(1, 400));
         let taken = c.split(500);
         assert_eq!(taken.volume_pl, 500);
-        assert!((taken.composition["A"] - 300.0).abs() < 1e-9);
-        assert!((taken.composition["B"] - 200.0).abs() < 1e-9);
+        assert!((taken.composition[0].1 - 300.0).abs() < 1e-9);
+        assert!((taken.composition[1].1 - 200.0).abs() < 1e-9);
         assert_eq!(c.volume_pl, 500);
+    }
+
+    #[test]
+    fn fluid_table_names_compositions() {
+        let mut chip = ChipState::new();
+        let (b, a) = (chip.fluid("B"), chip.fluid("A"));
+        assert_eq!((b, a, chip.fluid("B")), (0, 1, 0));
+        chip.deposit(WetLoc::Mixer(1), Contents::pure(a, 100));
+        chip.deposit(WetLoc::Mixer(1), Contents::pure(b, 300));
+        let comp = chip.composition(WetLoc::Mixer(1));
+        assert_eq!((comp["A"], comp["B"]), (100.0, 300.0));
+        assert!(chip.composition(WetLoc::Mixer(2)).is_empty());
+    }
+
+    /// Random transfers among a few locations, replayed on a model that
+    /// keys compositions by name: every fluid's value is bit-identical.
+    #[test]
+    fn transfers_match_a_name_keyed_model() {
+        type Model = HashMap<String, f64>;
+        fn split(m: &mut (u64, Model), amount: u64) -> (u64, Model) {
+            if m.0 == 0 {
+                return (0, Model::new());
+            }
+            let share = amount as f64 / m.0 as f64;
+            let mut out = Model::new();
+            for (k, v) in m.1.iter_mut() {
+                let taken = *v * share;
+                *v -= taken;
+                out.insert(k.clone(), taken);
+            }
+            m.0 -= amount;
+            (amount, out)
+        }
+        fn merge(m: &mut (u64, Model), other: (u64, Model)) {
+            m.0 += other.0;
+            for (k, v) in other.1 {
+                *m.1.entry(k).or_insert(0.0) += v;
+            }
+        }
+        let names = ["water", "A", "enzyme", "B", "buffer"];
+        let mut rng = aqua_rational::rng::XorShift64Star::new(7);
+        let mut chip = ChipState::new();
+        let mut model: Vec<(u64, Model)> = vec![(0, Model::new()); 4];
+        for _ in 0..2_000 {
+            let to = rng.index(4);
+            if rng.index(3) == 0 {
+                let name = names[rng.index(names.len())];
+                let pl = rng.range_u64(1, 50_000);
+                let fluid = chip.fluid(name);
+                chip.deposit(WetLoc::Reservoir(to as u32), Contents::pure(fluid, pl));
+                merge(&mut model[to], (pl, [(name.to_owned(), pl as f64)].into()));
+            } else {
+                let from = rng.index(4);
+                let held = chip.volume(WetLoc::Reservoir(from as u32));
+                let amount = rng.range_u64(0, held);
+                let portion = chip.take(WetLoc::Reservoir(from as u32), amount);
+                chip.deposit(WetLoc::Reservoir(to as u32), portion);
+                let portion = split(&mut model[from], amount);
+                merge(&mut model[to], portion);
+            }
+        }
+        for (i, (volume, comp)) in model.iter().enumerate() {
+            let loc = WetLoc::Reservoir(i as u32);
+            assert_eq!(chip.volume(loc), *volume);
+            let got = chip.composition(loc);
+            if *volume == 0 {
+                continue;
+            }
+            assert_eq!(got.len(), comp.len(), "{loc}");
+            for (k, v) in comp {
+                assert_eq!(got[k].to_bits(), v.to_bits(), "{loc} {k}");
+            }
+        }
     }
 
     #[test]
     fn take_and_deposit_roundtrip() {
         let mut chip = ChipState::new();
-        chip.deposit(WetLoc::Reservoir(1), Contents::pure("X", 1000));
+        chip.deposit(WetLoc::Reservoir(1), Contents::pure(0, 1000));
         let portion = chip.take(WetLoc::Reservoir(1), 300);
         chip.deposit(WetLoc::Mixer(1), portion);
         assert_eq!(chip.volume(WetLoc::Reservoir(1)), 700);
@@ -171,7 +307,7 @@ mod tests {
     #[test]
     fn take_all_empties() {
         let mut chip = ChipState::new();
-        chip.deposit(WetLoc::Mixer(1), Contents::pure("X", 123));
+        chip.deposit(WetLoc::Mixer(1), Contents::pure(0, 123));
         let c = chip.take_all(WetLoc::Mixer(1));
         assert_eq!(c.volume_pl, 123);
         assert_eq!(chip.volume(WetLoc::Mixer(1)), 0);
@@ -180,12 +316,12 @@ mod tests {
     #[test]
     fn residue_is_cleared_below_least_count() {
         let mut chip = ChipState::new();
-        chip.deposit(WetLoc::Reservoir(2), Contents::pure("X", 40));
+        chip.deposit(WetLoc::Reservoir(2), Contents::pure(0, 40));
         chip.clear_residue(WetLoc::Reservoir(2), 100);
         assert_eq!(chip.volume(WetLoc::Reservoir(2)), 0);
         // Dead volume is accounted, not silently lost.
         assert_eq!(chip.residue_pl, 40);
-        chip.deposit(WetLoc::Reservoir(2), Contents::pure("X", 140));
+        chip.deposit(WetLoc::Reservoir(2), Contents::pure(0, 140));
         chip.clear_residue(WetLoc::Reservoir(2), 100);
         assert_eq!(chip.volume(WetLoc::Reservoir(2)), 140);
         assert_eq!(chip.residue_pl, 40);
@@ -194,15 +330,15 @@ mod tests {
     #[test]
     fn total_volume_sums_all_locations() {
         let mut chip = ChipState::new();
-        chip.deposit(WetLoc::Reservoir(1), Contents::pure("A", 300));
-        chip.deposit(WetLoc::Mixer(1), Contents::pure("B", 200));
+        chip.deposit(WetLoc::Reservoir(1), Contents::pure(0, 300));
+        chip.deposit(WetLoc::Mixer(1), Contents::pure(1, 200));
         assert_eq!(chip.total_volume_pl(), 500);
     }
 
     #[test]
     #[should_panic(expected = "split exceeds contents")]
     fn overdraw_panics() {
-        let mut c = Contents::pure("A", 10);
+        let mut c = Contents::pure(0, 10);
         let _ = c.split(11);
     }
 }

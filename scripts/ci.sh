@@ -15,7 +15,9 @@
 #      workload (cold, serve, exec) must end on "correct":true — the
 #      status table, warm = cold, delta-chained session plans = cold
 #      compiles, exec conservation, and equal batch digests at 1 and 2
-#      threads
+#      threads — plus one traced exec run, whose staged rerun
+#      (InstrDag::build, plan_jobs, run_job, splice one by one) must
+#      repeat run_batch's exact block
 #   6. every crate's unit and integration tests (cargo test --release
 #      --workspace), timeout-guarded: a hang is a deadlock, not a slow
 #      test. This runs, among the rest, aqua-serve's golden_protocol,
@@ -62,14 +64,15 @@ echo "==> repository benchmark correctness checks (1 s per workload)"
 # A failed check prints to stderr, sets "correct":false on the run's
 # last line and exits nonzero; timings at 1 s mean nothing, only the
 # checks count.
-for workload in cold serve exec; do
+for run in cold:0 serve:0 exec:0 exec:1; do
+  workload=${run%:*} trace=${run#*:}
   result=$(timeout 300 cargo run --release --offline --locked --quiet \
     --manifest-path perfbench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
   case "$result" in
     *'"correct":true'*) ;;
     *)
-      echo "error: the $workload workload failed its correctness checks: $result" >&2
+      echo "error: the $workload workload (trace $trace) failed its correctness checks: $result" >&2
       exit 1
       ;;
   esac
