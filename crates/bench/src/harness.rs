@@ -26,13 +26,31 @@ use aqua_obs::fleet::FleetSink;
 /// # Panics
 ///
 /// Panics if `iters == 0`.
-pub fn sample<T>(warmup: usize, iters: usize, mut f: impl FnMut() -> T) -> Vec<u128> {
+pub fn sample<T>(warmup: usize, iters: usize, f: impl FnMut() -> T) -> Vec<u128> {
+    sample_reset(warmup, iters, || {}, f)
+}
+
+/// Like [`sample`], but runs `reset` untimed before every call of `f`,
+/// warmup calls included, so each timed call starts from the state
+/// `reset` leaves.
+///
+/// # Panics
+///
+/// Panics if `iters == 0`.
+pub fn sample_reset<T>(
+    warmup: usize,
+    iters: usize,
+    mut reset: impl FnMut(),
+    mut f: impl FnMut() -> T,
+) -> Vec<u128> {
     assert!(iters > 0, "need at least one timed iteration");
     for _ in 0..warmup {
+        reset();
         std::hint::black_box(f());
     }
     let mut samples_ns: Vec<u128> = Vec::with_capacity(iters);
     for _ in 0..iters {
+        reset();
         let start = Instant::now();
         std::hint::black_box(f());
         samples_ns.push(start.elapsed().as_nanos());

@@ -35,18 +35,19 @@
 //!    either choice yields the identical canonical DAG, and in the rare
 //!    non-automorphic tie the key merely splits — a missed cache share,
 //!    never a wrong hit.)
-//! 3. **Rebuild + interning** — the DAG is rebuilt with nodes in
-//!    canonical order, fluid names interned to `f0..fN`, and edges
-//!    sorted by `(dst, src, fraction)`. The node and edge permutations
-//!    are kept on the [`Canon`] so incremental replanning can translate
-//!    between a session's client-numbered DAG and the canonical one;
-//!    the edit path skips the rebuild entirely via
-//!    `canonicalize_mapped`.
+//! 3. **Canonical edge order** — edges sorted by `(dst, src,
+//!    fraction)`. The node and edge permutations are kept on the
+//!    [`Canon`] so incremental replanning can translate between a
+//!    session's client-numbered DAG and the canonical one.
 //! 4. **Encoding + key** — the canonical structure, the output weights,
 //!    and *every* field of the machine description are serialized into
 //!    a byte string whose word-at-a-time mixing hash is the cache key.
 //!    The exact encoding is kept alongside the key so the cache can
 //!    reject true hash collisions by comparing bytes (see `cache`).
+//! 5. **Rebuild + interning** — the DAG is rebuilt with nodes in
+//!    canonical order and fluid names interned to `f0..fN`. The edit
+//!    path stops after step 4 (`canonicalize_mapped`) and runs this step
+//!    from the permutations (`Canon::complete`) only when it compiles.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -282,8 +283,8 @@ pub fn canonicalize(
 /// key, encoding, and node/edge permutations but leaves `Canon::dag`,
 /// `Canon::names`, and `Canon::weights` empty. The session edit path
 /// runs this on every push edit — the canonical DAG itself is only
-/// needed on a full recompile, and rebuilding it costs more than the
-/// rest of the pipeline combined.
+/// needed when a session compiles, and rebuilding it costs more than
+/// the rest of the pipeline combined; [`Canon::complete`] adds it then.
 pub(crate) fn canonicalize_mapped(
     dag: &Dag,
     weights: &HashMap<NodeId, u64>,
@@ -560,33 +561,17 @@ fn canonicalize_impl(
     let key = hash_words(&buf);
 
     // --- 5. rebuild (full path only) -----------------------------------
+    // The encoding moves into its long-lived `Arc` only after the
+    // rebuild's many small allocations: in the other order the `cold`
+    // benchmark's peak RSS read 178-210 MiB instead of 165-171.
     let (canon_dag, names, canon_weights) = if build_dag {
-        let canon_dag = build_canonical_dag(
-            dag,
-            &order,
-            &old_to_new,
-            sorted_edges
-                .iter()
-                .map(|&(_, orig)| orig_edges[orig as usize]),
-        );
-        let names: Vec<String> = order
+        let edges = sorted_edges
             .iter()
-            .map(|&old| dag.node(old).name.clone())
-            .collect();
-        let new_ids: Vec<NodeId> = canon_dag.node_ids().collect();
-        let mut canon_weights: HashMap<NodeId, u64> = HashMap::with_capacity(weights.len());
-        for (&old, &w) in weights {
-            if let Some(&new_idx) = old_to_new.get(old.index()) {
-                if new_idx != usize::MAX {
-                    canon_weights.insert(new_ids[new_idx], w);
-                }
-            }
-        }
-        (canon_dag, names, canon_weights)
+            .map(|&(_, orig)| orig_edges[orig as usize]);
+        rebuild(dag, weights, &order, &old_to_new, edges)
     } else {
         (Dag::new(), Vec::new(), HashMap::new())
     };
-
     Ok(Canon {
         dag: canon_dag,
         names,
@@ -598,12 +583,68 @@ fn canonicalize_impl(
     })
 }
 
-/// Step 5 of canonicalization: the canonical DAG of `dag`, with the
-/// nodes of `order` (canonical order) named `f0..fN` and the live
-/// `edges` in canonical edge order; `node_perm` maps a node of `dag` to
-/// its canonical index. A full [`canonicalize`] builds it once; a
-/// session rebuilds it from a mapped-only [`Canon`] when a replayed
-/// plan needs it.
+impl Canon {
+    /// Completes a mapping-only canonical form of `(dag, weights)` into
+    /// the one [`canonicalize`] returns: step 5 with the node order and
+    /// edge list derived from the permutations. A session completes a
+    /// mapping it already holds only when it has to compile.
+    pub(crate) fn complete(&mut self, dag: &Dag, weights: &HashMap<NodeId, u64>) {
+        let (order, edges) = canonical_order(dag, &self.node_perm, &self.edge_perm);
+        (self.dag, self.names, self.weights) =
+            rebuild(dag, weights, &order, &self.node_perm, edges);
+    }
+}
+
+/// Step 5 of canonicalization: the canonical DAG of `dag` (the nodes of
+/// `order`, in canonical order, and the live `edges` in canonical edge
+/// order), the request's names in canonical order, and the output
+/// weights re-keyed to canonical node ids.
+fn rebuild(
+    dag: &Dag,
+    weights: &HashMap<NodeId, u64>,
+    order: &[NodeId],
+    node_perm: &[usize],
+    edges: impl ExactSizeIterator<Item = EdgeId>,
+) -> (Dag, Vec<String>, HashMap<NodeId, u64>) {
+    let canon_dag = build_canonical_dag(dag, order, node_perm, edges);
+    let names = order
+        .iter()
+        .map(|&old| dag.node(old).name.clone())
+        .collect();
+    let new_ids: Vec<NodeId> = canon_dag.node_ids().collect();
+    let mut canon_weights = HashMap::with_capacity(weights.len());
+    for (&old, &w) in weights {
+        if let Some(&new_idx) = node_perm.get(old.index()) {
+            canon_weights.insert(new_ids[new_idx], w);
+        }
+    }
+    (canon_dag, names, canon_weights)
+}
+
+/// The nodes of `dag` in the canonical order of a mapping (`node_perm`,
+/// `edge_perm`), and its live edges in canonical edge order: the inputs
+/// of [`build_canonical_dag`] when only the mapping is at hand.
+pub(crate) fn canonical_order(
+    dag: &Dag,
+    node_perm: &[usize],
+    edge_perm: &[Option<usize>],
+) -> (Vec<NodeId>, impl ExactSizeIterator<Item = EdgeId>) {
+    let mut order: Vec<NodeId> = dag.node_ids().collect();
+    for old in dag.node_ids() {
+        order[node_perm[old.index()]] = old;
+    }
+    let mut edges: Vec<(usize, EdgeId)> = dag
+        .edge_ids()
+        .filter_map(|e| edge_perm[e.index()].map(|idx| (idx, e)))
+        .collect();
+    edges.sort_unstable_by_key(|&(idx, _)| idx);
+    (order, edges.into_iter().map(|(_, e)| e))
+}
+
+/// The only builder of a canonical DAG: the nodes of `order` (canonical
+/// order) named `f0..fN`, and the live `edges` in canonical edge order;
+/// `node_perm` maps a node of `dag` to its canonical index. Step 5 of a
+/// full canonicalization and a session's replayed plan build on it.
 pub(crate) fn build_canonical_dag(
     dag: &Dag,
     order: &[NodeId],

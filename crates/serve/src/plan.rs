@@ -248,6 +248,18 @@ fn plan_capacity(dag: &Dag) -> usize {
     40 * (dag.num_nodes() + dag.num_edges()) + 256
 }
 
+/// Whether a rendered plan may have come with a replayable trace.
+/// [`aqua_volume::incr`] records only two shapes: a round-0 DAGSolve,
+/// rendered `solved` with method `"DAGSolve"`, and the blocked ladder,
+/// rendered `resources_exceeded` ([`render_outcome`] writes both
+/// members first). A compile of any other plan leaves a session no
+/// solver, so a session may pin that plan from the shared cache instead
+/// of compiling it.
+pub(crate) fn may_replay(plan: &str) -> bool {
+    plan.starts_with("{\"status\":\"resources_exceeded\",")
+        || plan.starts_with("{\"status\":\"solved\",\"method\":\"DAGSolve\",")
+}
+
 /// Renders a hierarchy outcome as plan JSON. This is the *only* place
 /// solved/needs-regeneration/resources-exceeded plans are rendered —
 /// cold compiles and incremental session replays both come through
@@ -377,6 +389,78 @@ mod tests {
             crate::json::Value::Arr(parts) => assert_eq!(parts.len(), 2),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Whenever a compile keeps a replay trace, [`may_replay`] says the
+    /// plan may replay, so a session that pins a cached plan the guard
+    /// clears never drops a trace a compile would have kept.
+    #[test]
+    fn every_traced_plan_may_replay() {
+        use aqua_assays::{figure2, Benchmark};
+        use aqua_dag::NodeId;
+        use aqua_rational::rng::XorShift64Star;
+
+        let lowered = |src: &str| {
+            let flat = aqua_lang::compile_to_flat(src).expect("assay parses");
+            let (dag, map) = aqua_compiler::lower_to_dag(&flat).expect("assay lowers");
+            (dag, map.output_weights)
+        };
+        let mut cases: Vec<(Dag, HashMap<NodeId, u64>)> = [
+            figure2::SOURCE.to_owned(),
+            Benchmark::Glucose.source(),
+            Benchmark::Glycomics.source(),
+            Benchmark::Enzyme.source(),
+            Benchmark::EnzymeN(10).source(),
+        ]
+        .iter()
+        .map(|src| lowered(src))
+        .collect();
+        // Seeded ratio variants: one mix with distinct sources re-split.
+        let mut rng = XorShift64Star::new(22);
+        for n in [4, 6, 8] {
+            for _ in 0..3 {
+                let (mut dag, weights) = lowered(&Benchmark::EnzymeN(n).source());
+                let mixes: Vec<NodeId> = dag
+                    .node_ids()
+                    .filter(|&m| {
+                        let ins = dag.in_edges(m);
+                        matches!(dag.node(m).kind, NodeKind::Mix { .. })
+                            && ins.len() == 2
+                            && dag.edge(ins[0]).src != dag.edge(ins[1]).src
+                    })
+                    .collect();
+                let mix = mixes[rng.index(mixes.len())];
+                let parts: Vec<(NodeId, u64)> = dag
+                    .in_edges(mix)
+                    .iter()
+                    .map(|&e| (dag.edge(e).src, rng.range_u64(1, 9)))
+                    .collect();
+                aqua_dag::set_mix_ratio(&mut dag, mix, &parts).expect("valid ratio");
+                cases.push((dag, weights));
+            }
+        }
+        let machines = [
+            Machine::paper_default(),
+            Machine::paper_default()
+                .with_reservoirs(128)
+                .with_input_ports(64),
+        ];
+        let (mut traced, mut cleared) = (0, 0);
+        for (dag, weights) in &cases {
+            for machine in &machines {
+                let canon = canonicalize(dag, weights, machine).expect("canonicalizes");
+                let (plan, rec) = compile_plan_traced(&canon, machine, &Obs::off());
+                if rec.is_some() {
+                    traced += 1;
+                    assert!(may_replay(&plan), "traced plan not flagged: {plan:.120}");
+                }
+                cleared += usize::from(!may_replay(&plan));
+            }
+        }
+        assert!(
+            traced > 0 && cleared > 0,
+            "{traced} traced, {cleared} cleared"
+        );
     }
 
     #[test]

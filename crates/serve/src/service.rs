@@ -42,6 +42,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -187,6 +188,9 @@ pub enum ServeError {
         /// The configured per-tenant session cap.
         max: usize,
     },
+    /// The compile behind this request panicked; the service went on
+    /// serving (`serve.panics`).
+    Internal,
 }
 
 impl fmt::Display for ServeError {
@@ -208,6 +212,7 @@ impl fmt::Display for ServeError {
             ServeError::SessionQuota { max } => {
                 write!(f, "tenant already holds {max} live session(s)")
             }
+            ServeError::Internal => write!(f, "internal error while compiling the plan"),
         }
     }
 }
@@ -396,7 +401,7 @@ impl Service {
         let inner = Arc::new(Inner {
             ring,
             workers,
-            sessions: SessionStore::new(),
+            sessions: SessionStore::new(config.tenant_max_sessions),
             store,
             tenants: Mutex::new(HashMap::new()),
             per_worker_queue,
@@ -778,7 +783,7 @@ impl Service {
             dag,
             map.output_weights,
             machine,
-            self.inner.config.tenant_max_sessions,
+            &|key, encoding| self.cached_plan(key, encoding),
             self.obs(),
         ) {
             Ok(reg) => {
@@ -817,7 +822,12 @@ impl Service {
                 &ServeError::BadRequest("`session.edit` needs `edit`".to_owned()),
             );
         };
-        match self.inner.sessions.edit(sid, tenant, edit, self.obs()) {
+        let lookup = |key, encoding: &[u8]| self.cached_plan(key, encoding);
+        match self
+            .inner
+            .sessions
+            .edit(sid, tenant, edit, &lookup, self.obs())
+        {
             Ok(ed) => {
                 if ed.changed {
                     self.publish_session_plan(ed.key, &ed.encoding, &ed.plan);
@@ -862,6 +872,14 @@ impl Service {
     /// Number of live push-mode sessions across all tenants.
     pub fn session_count(&self) -> usize {
         self.inner.sessions.len()
+    }
+
+    /// The plan cached under `(key, encoding)` on the key's worker: the
+    /// sessions' read of the shared cache, counted as `serve.cache.hit`
+    /// or `serve.cache.miss` like any other lookup.
+    fn cached_plan(&self, key: u128, encoding: &[u8]) -> Option<Arc<str>> {
+        let served = self.inner.worker(key).cache.get(key, encoding)?;
+        Some(served.plan)
     }
 
     /// Publishes a session-compiled plan into the shared cache (and the
@@ -1041,7 +1059,10 @@ impl Drop for Service {
 /// fans them out on the claim-counter pool. Results are appended to the
 /// persistent store (when configured), published cache-first, then the
 /// in-flight entry is retired, then waiters are woken — so at every
-/// instant a request either hits the cache or finds the flight.
+/// instant a request either hits the cache or finds the flight. A
+/// compile that panics fails only its own flight, with
+/// [`ServeError::Internal`]: its in-flight entry is retired, the panic
+/// is counted (`serve.panics`) and the batcher keeps draining.
 fn batch_loop(inner: &Inner, worker_index: usize) {
     let obs = &inner.config.obs;
     let worker = &inner.workers[worker_index];
@@ -1071,9 +1092,24 @@ fn batch_loop(inner: &Inner, worker_index: usize) {
         obs.record("serve.batch.size", jobs.len() as u64);
         let _span = obs.span("serve.batch.solve");
         let plans = aqua_lp::batch::run_parallel_threads(jobs.len(), inner.solver_threads, |i| {
-            compile_plan(&jobs[i].canon, &jobs[i].machine, obs)
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(test)]
+                tests::panic_if_armed(jobs[i].canon.key);
+                compile_plan(&jobs[i].canon, &jobs[i].machine, obs)
+            }))
+            .ok()
         });
         for (job, plan) in jobs.into_iter().zip(plans) {
+            let Some(plan) = plan else {
+                obs.add("serve.panics", 1);
+                worker
+                    .inflight
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove(&job.canon.key);
+                job.flight.complete(Err(ServeError::Internal));
+                continue;
+            };
             if let Some(store) = &inner.store {
                 let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
                 match store.append(job.canon.key, &job.canon.encoding, &plan) {
@@ -1171,6 +1207,7 @@ pub(crate) fn error_line(id: &str, error: &ServeError) -> String {
         ServeError::Store(_) => "store",
         ServeError::UnknownSession => "unknown_session",
         ServeError::SessionQuota { .. } => "session_quota",
+        ServeError::Internal => "internal",
     };
     format!(
         "{{\"id\":{id},\"ok\":false,\"error\":\"{tag}\",\"message\":{}}}",
@@ -1298,6 +1335,58 @@ END
 
     fn service(config: ServiceConfig) -> Service {
         Service::new(config)
+    }
+
+    /// Canonical keys whose compile panics in the batcher.
+    static ARMED: Mutex<Vec<u128>> = Mutex::new(Vec::new());
+
+    pub(super) fn panic_if_armed(key: u128) {
+        if ARMED
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains(&key)
+        {
+            panic!("armed compile panic");
+        }
+    }
+
+    #[test]
+    fn a_panicking_compile_fails_its_request_and_the_shard_keeps_draining() {
+        // An assay no other test compiles, so arming its key touches no
+        // other test's service.
+        let armed_src = TINY.replace("1 : 4", "1 : 61");
+        let (obs, sink) = Obs::recording();
+        let svc = service(ServiceConfig {
+            worker_shards: 1,
+            obs,
+            ..ServiceConfig::default()
+        });
+        let machine = Machine::paper_default();
+        let armed = Service::canon_src(&armed_src, &machine).unwrap();
+        ARMED
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(armed.key);
+        // The waiter gets `internal` from the flight, not a timeout.
+        let deadline = Some(Duration::from_secs(600));
+        assert_eq!(
+            svc.submit_canon(armed, machine.clone(), deadline)
+                .unwrap_err(),
+            ServeError::Internal
+        );
+        assert!(svc.inner.workers[0]
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty());
+        let line = svc.handle_line(&format!("{{\"id\":1,\"src\":{}}}", quote(&armed_src)));
+        assert!(line.contains("\"error\":\"internal\""), "{line}");
+        // The shard's batcher survived: the next miss compiles.
+        let next = svc.submit_src(TINY, &machine, deadline).unwrap();
+        assert!(next.plan.starts_with("{\"status\":\"solved\""));
+        let snap = sink.snapshot();
+        assert_eq!(snap.counter("serve.panics"), 2);
+        assert_eq!(snap.counter("serve.plan.compiles"), 1);
     }
 
     fn total_hits(svc: &Service) -> u64 {

@@ -16,6 +16,13 @@
 //! a cold compile *inside the session* and say so with a typed
 //! `"cause"`; the client still gets a correct plan either way.
 //!
+//! Every session compile (a register or a fallback) first looks its
+//! canonical key and encoding up in the shared plan cache. A cached plan
+//! that cannot have come with a replayable trace (`plan::may_replay`)
+//! is pinned as is: a compile would produce the same bytes and leave
+//! the session no solver either, so editors revisiting a state skip the
+//! Fig. 6 hierarchy entirely.
+//!
 //! Session state is pinned here, not in the plan LRU: cache pressure
 //! from other tenants can evict a session's plan bytes from the shared
 //! cache without ever forcing the session down the full-recompile path.
@@ -46,7 +53,9 @@ struct Session {
     dag: Dag,
     /// Client-space output weights.
     weights: HashMap<NodeId, u64>,
-    /// Canonical form at the last full compile (full: dag + perms).
+    /// Canonical form at the last compile (full: dag + perms); the
+    /// solver's base when there is one. A plan reused from the shared
+    /// cache leaves it as it was, since a reuse never keeps a solver.
     base: Canon,
     /// Base-canonical index → node id in `base.dag`.
     base_ids: Vec<NodeId>,
@@ -120,9 +129,10 @@ struct CanonMemo {
 const CANON_MEMO_CAPACITY: usize = 4;
 
 impl CanonMemo {
-    fn new() -> CanonMemo {
+    /// A memo holding one state's mapping.
+    fn primed(state: CanonState, canon: Arc<Canon>) -> CanonMemo {
         CanonMemo {
-            entries: Vec::new(),
+            entries: vec![(state, canon)],
         }
     }
 
@@ -215,24 +225,32 @@ pub(crate) struct Edited {
     pub changed: bool,
 }
 
+/// A session's read of the shared plan cache: the plan cached under
+/// `(key, encoding)`, if any. Edits call it under their session's lock,
+/// which is always taken before a cache shard's lock, never after.
+pub(crate) type Lookup<'a> = &'a dyn Fn(u128, &[u8]) -> Option<Arc<str>>;
+
+/// Registry slot: owning tenant + the session behind its own lock.
+type SessionSlot = (String, Arc<Mutex<Session>>);
+
 /// The session registry: id → session, with per-tenant quotas.
 ///
 /// The registry lock is held only for lookup/insert/remove; each
 /// session carries its own lock for the (milliseconds-long) edit work,
 /// so concurrent sessions never serialize on one mutex.
-/// Registry slot: owning tenant + the session behind its own lock.
-type SessionSlot = (String, Arc<Mutex<Session>>);
-
 pub(crate) struct SessionStore {
     sessions: Mutex<HashMap<String, SessionSlot>>,
     next: AtomicU64,
+    /// Live sessions one tenant may hold.
+    max_per_tenant: usize,
 }
 
 impl SessionStore {
-    pub(crate) fn new() -> SessionStore {
+    pub(crate) fn new(max_per_tenant: usize) -> SessionStore {
         SessionStore {
             sessions: Mutex::new(HashMap::new()),
             next: AtomicU64::new(0),
+            max_per_tenant,
         }
     }
 
@@ -245,16 +263,18 @@ impl SessionStore {
     }
 
     /// Registers `dag` (+ client-space `weights`) under `tenant` and
-    /// compiles it cold, retaining the trace when replayable.
+    /// compiles it cold, retaining the trace when replayable, unless
+    /// `lookup` holds a plan it may reuse.
     pub(crate) fn register(
         &self,
         tenant: &str,
         dag: Dag,
         weights: HashMap<NodeId, u64>,
         machine: Machine,
-        max_per_tenant: usize,
+        lookup: Lookup,
         obs: &Obs,
     ) -> Result<Registered, ServeError> {
+        let max_per_tenant = self.max_per_tenant;
         {
             let sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
             let held = sessions.values().filter(|(t, _)| t == tenant).count();
@@ -266,7 +286,7 @@ impl SessionStore {
             }
         }
         let (session, key, encoding, plan, names) =
-            compile_full(dag, weights, machine, obs).map_err(ServeError::BadRequest)?;
+            compile_full(dag, weights, machine, lookup, obs).map_err(ServeError::BadRequest)?;
         let id = format!("s{}", self.next.fetch_add(1, Ordering::Relaxed) + 1);
         {
             // Re-check under the lock: two racing registers both passed
@@ -295,12 +315,14 @@ impl SessionStore {
     }
 
     /// Applies one edit to session `id`, replanning incrementally when
-    /// the retained trace allows it.
+    /// the retained trace allows it; a fallback pins a plan `lookup`
+    /// holds for the edited state when it may.
     pub(crate) fn edit(
         &self,
         id: &str,
         tenant: &str,
         edit: &Value,
+        lookup: Lookup,
         obs: &Obs,
     ) -> Result<Edited, ServeError> {
         let session = self.lookup(id, tenant)?;
@@ -308,7 +330,7 @@ impl SessionStore {
         obs.add("serve.session.edits", 1);
         let parsed =
             parse_edit(&session.dag, &session.machine, edit).map_err(ServeError::BadRequest)?;
-        apply_edit(&mut session, parsed, obs).map_err(ServeError::BadRequest)
+        apply_edit(&mut session, parsed, lookup, obs).map_err(ServeError::BadRequest)
     }
 
     /// Closes session `id`, dropping its pinned state.
@@ -337,22 +359,37 @@ impl SessionStore {
 /// `(key, encoding, plan, names)` quadruple the wire layer returns.
 type CompiledSession = (Session, u128, Arc<[u8]>, Arc<str>, Vec<String>);
 
-/// Cold-compiles `(dag, weights, machine)` into a fresh [`Session`],
-/// retaining the trace when replayable.
+/// Canonicalizes `(dag, weights, machine)` and pins its plan into a
+/// fresh [`Session`]: the shared cache's plan when it is reusable
+/// ([`reusable`]), else a cold compile that retains the trace when
+/// replayable.
 fn compile_full(
     dag: Dag,
     weights: HashMap<NodeId, u64>,
     machine: Machine,
+    lookup: Lookup,
     obs: &Obs,
 ) -> Result<CompiledSession, String> {
     let base = canon::canonicalize(&dag, &weights, &machine).map_err(|e| e.to_string())?;
-    let (plan, solver) = compile_base(&base, &machine, obs);
+    let (plan, solver) = match reusable(lookup, &base, obs) {
+        Some(plan) => (plan, None),
+        None => compile_base(&base, &machine, obs),
+    };
     Ok(pin(base, plan, solver, dag, weights, machine))
+}
+
+/// The shared cache's plan for the mapping `cur` when a session may pin
+/// it without compiling: one [`plan::may_replay`] clears, which no
+/// compile would have left a replay trace for. Counts `incr.plan_reuse`.
+fn reusable(lookup: Lookup, cur: &Canon, obs: &Obs) -> Option<Arc<str>> {
+    let plan = lookup(cur.key, &cur.encoding).filter(|plan| !plan::may_replay(plan))?;
+    obs.add("incr.plan_reuse", 1);
+    Some(plan)
 }
 
 /// The plan of canonical form `base`, and the replay solver when its
 /// trace is replayable: the costly step of a cold compile.
-fn compile_base(base: &Canon, machine: &Machine, obs: &Obs) -> (String, Option<IncrSolver>) {
+fn compile_base(base: &Canon, machine: &Machine, obs: &Obs) -> (Arc<str>, Option<IncrSolver>) {
     let (plan, rec) = plan::compile_plan_traced(base, machine, obs);
     let solver = rec.and_then(|rec| {
         let solver_weights: HashMap<NodeId, Ratio> = base
@@ -362,14 +399,14 @@ fn compile_base(base: &Canon, machine: &Machine, obs: &Obs) -> (String, Option<I
             .collect();
         IncrSolver::new(machine.clone(), solver_weights, rec)
     });
-    (plan, solver)
+    (Arc::from(plan), solver)
 }
 
-/// Pins `plan` and `solver`, compiled from `base`, the canonical form
-/// of `(dag, weights, machine)`, into a fresh [`Session`].
+/// Pins `plan` and `solver`, the plan of `base`, the canonical form of
+/// `(dag, weights, machine)`, into a fresh [`Session`].
 fn pin(
     base: Canon,
-    plan: String,
+    plan: Arc<str>,
     solver: Option<IncrSolver>,
     dag: Dag,
     weights: HashMap<NodeId, u64>,
@@ -381,14 +418,12 @@ fn pin(
     for (client, &canon_idx) in base.node_perm.iter().enumerate() {
         base_inv[canon_idx] = client;
     }
-    let plan: Arc<str> = Arc::from(plan);
     let key = base.key;
     let encoding = Arc::clone(&base.encoding);
     let names = base.names.clone();
     // Prime the mapping memo with the base state, so the first edit
     // away and back (the undo case) already hits.
-    let mut memo = CanonMemo::new();
-    memo.insert(
+    let memo = CanonMemo::primed(
         CanonState::of(&dag, &weights),
         Arc::new(Canon {
             dag: Dag::new(),
@@ -538,12 +573,18 @@ fn parts_field(dag: &Dag, v: Option<&Value>, what: &str) -> Result<Vec<(NodeId, 
 }
 
 /// Applies one parsed edit, preferring the dirty-slice replay and
-/// falling back to a cold compile (with a typed cause) when the edit —
-/// or the trace — cannot support it. Session state is only committed
-/// on success: ratio and output-volume edits are applied to the
-/// session's DAG and weights in place, and [`replan_or_undo`] takes
-/// them back if the replan does not succeed.
-fn apply_edit(s: &mut Session, edit: SessionEdit, obs: &Obs) -> Result<Edited, String> {
+/// falling back (with a typed cause) when the edit — or the trace —
+/// cannot support it; a fallback pins the shared cache's plan for the
+/// edited state when it may, and compiles otherwise. Session state is
+/// only committed on success: ratio and output-volume edits are applied
+/// to the session's DAG and weights in place, and [`replan_or_undo`]
+/// takes them back if the replan does not succeed.
+fn apply_edit(
+    s: &mut Session,
+    edit: SessionEdit,
+    lookup: Lookup,
+    obs: &Obs,
+) -> Result<Edited, String> {
     match edit {
         SessionEdit::SetRatio { node, parts } => {
             let before: Vec<(EdgeId, Ratio)> = s
@@ -570,9 +611,12 @@ fn apply_edit(s: &mut Session, edit: SessionEdit, obs: &Obs) -> Result<Edited, S
                 match lifted {
                     Some(changes) => {
                         let node = s.base_ids[s.base.node_perm[node.index()]];
-                        replay_or_recompile(s, IncrEdit::Fractions { node, changes }, obs)
+                        replay_or_recompile(s, IncrEdit::Fractions { node, changes }, lookup, obs)
                     }
-                    None => full_recompile(s, None, None, None, "divergence", obs),
+                    None => {
+                        let cur = mapping(s, obs)?;
+                        fall_back(s, cur, None, "divergence", lookup, obs)
+                    }
                 }
             })
         }
@@ -586,15 +630,25 @@ fn apply_edit(s: &mut Session, edit: SessionEdit, obs: &Obs) -> Result<Edited, S
             };
             let before = s.weights.insert(node, weight);
             replan_or_undo(s, Prior::Weight(node, before), |s| {
-                replay_or_recompile(s, edit, obs)
+                replay_or_recompile(s, edit, lookup, obs)
             })
         }
         SessionEdit::SetMachine(machine) => {
             // Machine parameters shape every recorded decision (least
             // count, capacity, unit inventory): always a typed full
             // recompile (the paper's feasibility checks are not
-            // machine-monotone, so no slice is sound).
-            full_recompile(s, None, None, Some(machine), "machine_parameter", obs)
+            // machine-monotone, so no slice is sound). The topology
+            // stays, so only the mapping is recomputed.
+            let cur = canon::canonicalize_mapped(&s.dag, &s.weights, &machine)
+                .map_err(|e| e.to_string())?;
+            fall_back(
+                s,
+                Arc::new(cur),
+                Some(machine),
+                "machine_parameter",
+                lookup,
+                obs,
+            )
         }
         SessionEdit::AddNode(new_node) => {
             let mut dag = s.dag.clone();
@@ -621,7 +675,7 @@ fn apply_edit(s: &mut Session, edit: SessionEdit, obs: &Obs) -> Result<Edited, S
                     }
                 }
             }
-            full_recompile(s, Some(dag), Some(weights), None, "structural", obs)
+            restructure(s, dag, weights, lookup, obs)
         }
         SessionEdit::RemoveNode { node } => {
             let (dag, remap) =
@@ -632,7 +686,7 @@ fn apply_edit(s: &mut Session, edit: SessionEdit, obs: &Obs) -> Result<Edited, S
                     weights.insert(new_id, w);
                 }
             }
-            full_recompile(s, Some(dag), Some(weights), None, "structural", obs)
+            restructure(s, dag, weights, lookup, obs)
         }
     }
 }
@@ -701,37 +755,21 @@ fn replan_or_undo(
 }
 
 /// Tries the dirty-slice replay for `edit` (already lifted to base
-/// space); on divergence — or with no retained trace — recompiles cold.
-/// The session's DAG and weights already carry the edit; everything
-/// else still describes the state before it.
-fn replay_or_recompile(s: &mut Session, edit: IncrEdit, obs: &Obs) -> Result<Edited, String> {
+/// space); on divergence — or with no retained trace — falls back
+/// ([`fall_back`]). The session's DAG and weights already carry the
+/// edit; everything else still describes the state before it.
+fn replay_or_recompile(
+    s: &mut Session,
+    edit: IncrEdit,
+    lookup: Lookup,
+    obs: &Obs,
+) -> Result<Edited, String> {
     if s.solver.is_none() {
-        return full_recompile(s, None, None, None, "no_trace", obs);
+        let cur = mapping(s, obs)?;
+        return fall_back(s, cur, None, "no_trace", lookup, obs);
     }
-    // Re-derive the canonical mapping of the *edited* DAG: fractions
-    // and weights participate in canonical ordering, so node ranks can
-    // move under an edit even though the topology is fixed. The memo
-    // short-circuits re-canonicalization when the state was seen
-    // before (exact value compare, so the bytes cannot differ).
     let _span = obs.span("incr.replay");
-    let state = CanonState::of(&s.dag, &s.weights);
-    let cur = match s.memo.lookup(&state) {
-        Some(hit) => {
-            obs.add("incr.canon.hit", 1);
-            hit
-        }
-        None => {
-            obs.add("incr.canon.miss", 1);
-            let canon_span = obs.span("incr.canon");
-            let computed = match canon::canonicalize_mapped(&s.dag, &s.weights, &s.machine) {
-                Ok(cur) => Arc::new(cur),
-                Err(e) => return Err(e.to_string()),
-            };
-            canon_span.end();
-            s.memo.insert(state, Arc::clone(&computed));
-            computed
-        }
-    };
+    let cur = mapping(s, obs)?;
     let solver = s.solver.as_mut().expect("checked above");
     let base_n = solver.base_nodes();
     let mut base_to_cur = vec![0usize; base_n];
@@ -777,9 +815,30 @@ fn replay_or_recompile(s: &mut Session, edit: IncrEdit, obs: &Obs) -> Result<Edi
             // The solver mutated its stored rounds before diverging;
             // it is poisoned by contract.
             s.solver = None;
-            full_recompile(s, None, None, None, "divergence", obs)
+            fall_back(s, cur, None, "divergence", lookup, obs)
         }
     }
+}
+
+/// The canonical mapping (permutations, key, encoding) of the session's
+/// edited state. Fractions and weights participate in canonical
+/// ordering, so node ranks can move under an edit even though the
+/// topology is fixed. The memo short-circuits the mapped
+/// re-canonicalization when the state was seen before (exact value
+/// compare, so the bytes cannot differ).
+fn mapping(s: &mut Session, obs: &Obs) -> Result<Arc<Canon>, String> {
+    let state = CanonState::of(&s.dag, &s.weights);
+    if let Some(hit) = s.memo.lookup(&state) {
+        obs.add("incr.canon.hit", 1);
+        return Ok(hit);
+    }
+    obs.add("incr.canon.miss", 1);
+    let _span = obs.span("incr.canon");
+    let cur =
+        canon::canonicalize_mapped(&s.dag, &s.weights, &s.machine).map_err(|e| e.to_string())?;
+    let cur = Arc::new(cur);
+    s.memo.insert(state, Arc::clone(&cur));
+    Ok(cur)
 }
 
 /// Renders a successful replay outcome as plan bytes, byte-identical
@@ -797,22 +856,8 @@ fn render_replay(s: &Session, cur: &Canon, outcome: ReplayOutcome) -> String {
             node_volumes_nl,
             edge_volumes_nl,
         } => {
-            // Nodes and live edges of `dag` in the edited canonical order.
-            let mut order: Vec<NodeId> = dag.node_ids().collect();
-            for client in dag.node_ids() {
-                order[cur.node_perm[client.index()]] = client;
-            }
-            let mut edges: Vec<(usize, EdgeId)> = dag
-                .edge_ids()
-                .filter_map(|e| cur.edge_perm[e.index()].map(|idx| (idx, e)))
-                .collect();
-            edges.sort_unstable_by_key(|&(idx, _)| idx);
-            let cur_dag = canon::build_canonical_dag(
-                dag,
-                &order,
-                &cur.node_perm,
-                edges.into_iter().map(|(_, e)| e),
-            );
+            let (order, edges) = canon::canonical_order(dag, &cur.node_perm, &cur.edge_perm);
+            let cur_dag = canon::build_canonical_dag(dag, &order, &cur.node_perm, edges);
             let n = dag.num_nodes();
             let zero = Ratio::from_int(0);
             let mut node_vols = vec![zero; n];
@@ -841,45 +886,101 @@ fn render_replay(s: &Session, cur: &Canon, outcome: ReplayOutcome) -> String {
     }
 }
 
-/// Cold-compiles the session's edited state and re-pins everything
-/// (canonical form, plan, trace). `dag` replaces the session's DAG; with
-/// `None` the session's own DAG (already edited in place) is compiled,
-/// and it stays in the session if the compile fails or unwinds. `cause`
-/// names why the fast path was unavailable; it travels back to the
-/// client in the response.
-fn full_recompile(
+/// Falls back for an edit that kept the topology: pins the plan of the
+/// edited state, whose mapping is `cur`, under `machine` (`Some` for a
+/// machine edit, else the session's own). That plan is the shared
+/// cache's when it is reusable ([`reusable`]); otherwise `cur` is
+/// completed into the full canonical form and compiled cold, which
+/// re-pins the base and the trace. `base_ids` and `base_edge_ids`
+/// depend on the topology alone and stay, and so does the memo unless
+/// the machine changed.
+fn fall_back(
     s: &mut Session,
-    dag: Option<Dag>,
-    weights: Option<HashMap<NodeId, u64>>,
+    cur: Arc<Canon>,
     machine: Option<Machine>,
     cause: &'static str,
+    lookup: Lookup,
     obs: &Obs,
 ) -> Result<Edited, String> {
-    obs.add("incr.full_recompile", 1);
-    let weights = weights.unwrap_or_else(|| s.weights.clone());
-    let machine = machine.unwrap_or_else(|| s.machine.clone());
-    let base = canon::canonicalize(dag.as_ref().unwrap_or(&s.dag), &weights, &machine)
-        .map_err(|e| e.to_string())?;
-    let (plan, solver) = compile_base(&base, &machine, obs);
-    // The session's own DAG moves only once the compile has returned,
-    // so a compile that unwinds leaves it in place.
-    let dag = dag.unwrap_or_else(|| std::mem::take(&mut s.dag));
-    let (session, key, encoding, plan, _names) = pin(base, plan, solver, dag, weights, machine);
-    // Full recompiles always carry the fresh plan whole: the client
-    // may be resynchronizing after a structural or machine change and
-    // a member-wise patch against its old plan buys nothing.
-    let delta = format!("{{\"full\":{plan}}}");
+    let plan = match reusable(lookup, &cur, obs) {
+        Some(plan) => {
+            s.solver = None;
+            plan
+        }
+        None => {
+            obs.add("incr.full_recompile", 1);
+            let mut base = Canon::clone(&cur);
+            base.complete(&s.dag, &s.weights);
+            let (plan, solver) = compile_base(&base, machine.as_ref().unwrap_or(&s.machine), obs);
+            for (client, &canon_idx) in base.node_perm.iter().enumerate() {
+                s.base_inv[canon_idx] = client;
+            }
+            s.base = base;
+            s.solver = solver;
+            plan
+        }
+    };
+    if let Some(machine) = machine {
+        s.memo = CanonMemo::primed(CanonState::of(&s.dag, &s.weights), Arc::clone(&cur));
+        s.machine = machine;
+    }
+    Ok(full_edit(
+        s,
+        cur.key,
+        Arc::clone(&cur.encoding),
+        plan,
+        cause,
+    ))
+}
+
+/// Falls back for a structural edit: canonicalizes the new `(dag,
+/// weights)` in full and re-pins the whole session on its plan, reused
+/// or compiled as [`compile_full`] does.
+fn restructure(
+    s: &mut Session,
+    dag: Dag,
+    weights: HashMap<NodeId, u64>,
+    lookup: Lookup,
+    obs: &Obs,
+) -> Result<Edited, String> {
+    let base = canon::canonicalize(&dag, &weights, &s.machine).map_err(|e| e.to_string())?;
+    let (plan, solver) = match reusable(lookup, &base, obs) {
+        Some(plan) => (plan, None),
+        None => {
+            obs.add("incr.full_recompile", 1);
+            compile_base(&base, &s.machine, obs)
+        }
+    };
+    let (session, key, encoding, plan, _names) =
+        pin(base, plan, solver, dag, weights, s.machine.clone());
     *s = session;
-    Ok(Edited {
+    Ok(full_edit(s, key, encoding, plan, "structural"))
+}
+
+/// Makes `plan`, under `(key, encoding)`, the session's plan and answers
+/// the fallback edit with it whole: the client may be resynchronizing
+/// after a structural or machine change, and a member-wise patch
+/// against its old plan buys nothing.
+fn full_edit(
+    s: &mut Session,
+    key: u128,
+    encoding: Arc<[u8]>,
+    plan: Arc<str>,
+    cause: &'static str,
+) -> Edited {
+    s.key = key;
+    s.encoding = Arc::clone(&encoding);
+    s.plan = Arc::clone(&plan);
+    Edited {
         key,
         encoding,
+        delta: format!("{{\"full\":{plan}}}"),
         plan,
-        delta,
         incremental: false,
         cause: Some(cause),
         slice: 0,
         changed: true,
-    })
+    }
 }
 
 /// Renders the member-level difference between two plan documents.
@@ -1044,7 +1145,7 @@ mod tests {
         let flat = aqua_lang::compile_to_flat(src).unwrap();
         let (dag, map) = aqua_compiler::lower_to_dag(&flat).unwrap();
         let machine = Machine::paper_default();
-        compile_full(dag, map.output_weights, machine, &Obs::off())
+        compile_full(dag, map.output_weights, machine, &|_, _| None, &Obs::off())
             .unwrap()
             .0
     }
@@ -1105,12 +1206,13 @@ mod tests {
             node: m,
             parts: parts.to_vec(),
         };
-        let edited = apply_edit(&mut s, edit, &Obs::off()).unwrap();
+        let edited = apply_edit(&mut s, edit, &|_, _| None, &Obs::off()).unwrap();
         assert_eq!(edited.cause, Some("no_trace"));
         let cold = compile_full(
             s.dag.clone(),
             s.weights.clone(),
             s.machine.clone(),
+            &|_, _| None,
             &Obs::off(),
         );
         assert_eq!(edited.plan, cold.unwrap().3);

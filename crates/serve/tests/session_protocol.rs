@@ -391,3 +391,116 @@ fn wire_errors_are_typed() {
     let line = svc.handle_line("{\"id\":3,\"cmd\":\"session.edit\",\"session\":\"s1\"}");
     assert!(line.contains("\"error\":\"bad_request\""), "{line}");
 }
+
+/// The first two-input mix whose inputs have distinct names, as
+/// `(mix, [input, input], registered parts)`.
+fn toggle_target(src: &str) -> (String, [String; 2], [i128; 2]) {
+    let flat = aqua_lang::compile_to_flat(src).unwrap();
+    let (dag, _) = aqua_compiler::lower_to_dag(&flat).unwrap();
+    let mix = dag
+        .node_ids()
+        .find(|&n| {
+            let ins = dag.in_edges(n);
+            ins.len() == 2
+                && dag.node(dag.edge(ins[0]).src).name != dag.node(dag.edge(ins[1]).src).name
+        })
+        .expect("assay has a two-input mix");
+    let [a, b] = [0, 1].map(|i| dag.edge(dag.in_edges(mix)[i]));
+    let name = |e: &aqua_dag::Edge| dag.node(e.src).name.clone();
+    let (fa, fb) = (a.fraction, b.fraction);
+    (
+        dag.node(mix).name.clone(),
+        [name(a), name(b)],
+        [fa.numer() * fb.denom(), fb.numer() * fa.denom()],
+    )
+}
+
+/// Registers `src` on a fresh service and sends `edits` in order,
+/// clearing the shared cache before each edit when `clear`. Returns the
+/// response lines and `serve.plan.compiles` after each edit.
+fn drive(src: &str, edits: &[String], clear: bool) -> (Vec<String>, Vec<u64>) {
+    let (obs, sink) = aqua_obs::Obs::recording();
+    let svc = Service::new(ServiceConfig {
+        obs,
+        ..ServiceConfig::default()
+    });
+    let (sid, _) = register(&svc, src);
+    let mut compiles = Vec::new();
+    let lines = edits
+        .iter()
+        .enumerate()
+        .map(|(i, edit)| {
+            if clear {
+                svc.clear_cache();
+            }
+            let line = svc.handle_line(&format!(
+                "{{\"id\":{},\"cmd\":\"session.edit\",\"session\":\"{sid}\",\"edit\":{edit}}}",
+                i + 2
+            ));
+            assert!(line.contains("\"ok\":true"), "{line}");
+            compiles.push(sink.snapshot().counter("serve.plan.compiles"));
+            line
+        })
+        .collect();
+    (lines, compiles)
+}
+
+/// enzyme4 (solved by LP after rewrites) and glycomics (partitioned)
+/// leave no replay trace, so every edit falls back. A revisited state
+/// pins the plan the session published for it earlier: the answer is
+/// byte-for-byte the one a cleared cache gets by compiling, and only
+/// first visits compile. The script toggles a ratio A→B→A→B, moves the
+/// machine away and back, and adds and removes a node.
+#[test]
+fn revisited_states_reuse_the_cached_plan_byte_for_byte() {
+    let cap = Machine::paper_default().max_capacity_nl();
+    for src in [
+        aqua_assays::enzyme::source_n(4),
+        aqua_assays::glycomics::SOURCE.to_owned(),
+    ] {
+        let (mix, [a, b], [pa, pb]) = toggle_target(&src);
+        let ratio = |second: i128| {
+            format!(
+                "{{\"set_ratio\":{{\"node\":\"{mix}\",\"parts\":[[\"{a}\",{pa}],[\"{b}\",{second}]]}}}}"
+            )
+        };
+        let machine = |cap: &str| format!("{{\"set_machine\":{{\"max_capacity_nl\":{cap}}}}}");
+        let edits = [
+            ratio(pb + 1),
+            ratio(pb),
+            ratio(pb + 1),
+            ratio(pb),
+            machine("200"),
+            machine(&format!("\"{}/{}\"", cap.numer(), cap.denom())),
+            format!(
+                "{{\"add_node\":{{\"name\":\"probe\",\"process\":{{\"op\":\"sense.OD\",\"from\":\"{mix}\"}}}}}}"
+            ),
+            "{\"remove_node\":{\"node\":\"probe\"}}".to_owned(),
+        ];
+        let (warm, compiles) = drive(&src, &edits, false);
+        let (cold, cold_compiles) = drive(&src, &edits, true);
+        assert_eq!(warm, cold);
+        // Registering compiled once; then only B, the 200 nl machine and
+        // the added node are first visits.
+        assert_eq!(compiles, [2, 2, 2, 2, 3, 3, 4, 4], "{}", &warm[0]);
+        assert_eq!(cold_compiles, [2, 3, 4, 5, 6, 7, 8, 9]);
+        for line in &warm {
+            assert!(line.contains("\"incremental\":false"), "{line}");
+        }
+    }
+}
+
+/// A session whose plan replays (TINY: `solved` by DAGSolve) never
+/// swaps its trace for a cached plan: its revisits stay incremental.
+#[test]
+fn replayed_sessions_still_replay_their_revisits() {
+    let edits: Vec<String> = [9, 4, 9, 4]
+        .iter()
+        .map(|b| format!("{{\"set_ratio\":{{\"node\":\"m\",\"parts\":[[\"A\",1],[\"B\",{b}]]}}}}"))
+        .collect();
+    let (lines, compiles) = drive(TINY, &edits, false);
+    for line in &lines {
+        assert!(line.contains("\"incremental\":true"), "{line}");
+    }
+    assert_eq!(compiles, [1, 1, 1, 1]);
+}

@@ -11,13 +11,15 @@
 #   4. the repository benchmark's build (perfbench, --locked: fails when
 #      a public item it uses goes away or an inter-crate dependency list
 #      drifts from perfbench/Cargo.lock)
-#   5. the benchmark's correctness checks: one 1-second run of each
-#      workload (cold, serve, exec) must end on "correct":true — the
-#      status table, warm = cold, delta-chained session plans = cold
-#      compiles, exec conservation, and equal batch digests at 1 and 2
-#      threads — plus one traced exec run, whose staged rerun
-#      (InstrDag::build, plan_jobs, run_job, splice one by one) must
-#      repeat run_batch's exact block
+#   5. the benchmark's correctness checks: one run of each workload
+#      (cold, serve, exec) must end on "correct":true — the status
+#      table, warm = cold, delta-chained session plans = cold compiles,
+#      exec conservation, and equal batch digests at 1 and 2 threads —
+#      plus one traced exec run, whose staged rerun (InstrDag::build,
+#      plan_jobs, run_job, splice one by one) must repeat run_batch's
+#      exact block. Runs last 1 second, serve's 3: at seed 1, 61 of its
+#      96 edits revisit a state (8 of 32 at 1 second), so its
+#      delta-chained checks cover edits that reuse a cached plan
 #   6. every crate's unit and integration tests (cargo test --release
 #      --workspace), timeout-guarded: a hang is a deadlock, not a slow
 #      test. This runs, among the rest, aqua-serve's golden_protocol,
@@ -60,15 +62,15 @@ cargo test -q
 echo "==> repository benchmark builds against today's crates (--locked)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "==> repository benchmark correctness checks (1 s per workload)"
+echo "==> repository benchmark correctness checks (1 s per workload, serve 3 s)"
 # A failed check prints to stderr, sets "correct":false on the run's
-# last line and exits nonzero; timings at 1 s mean nothing, only the
-# checks count.
-for run in cold:0 serve:0 exec:0 exec:1; do
-  workload=${run%:*} trace=${run#*:}
+# last line and exits nonzero; timings this short mean nothing, only
+# the checks count. Each run is workload:trace:seconds.
+for run in cold:0:1 serve:0:3 exec:0:1 exec:1:1; do
+  IFS=: read -r workload trace seconds <<<"$run"
   result=$(timeout 300 cargo run --release --offline --locked --quiet \
     --manifest-path perfbench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+    --workload "$workload" --seed 1 --seconds "$seconds" --trace "$trace" | tail -n 1)
   case "$result" in
     *'"correct":true'*) ;;
     *)

@@ -169,6 +169,29 @@ fn random_edit(rng: &mut XorShift64Star, dag: &Dag) -> Option<Edit> {
     }
 }
 
+/// A revisit-heavy edit: the first or second editable mix, or the first
+/// sink, set to one of two values, so a script keeps coming back to
+/// states it has already been in.
+fn toggle_edit(rng: &mut XorShift64Star, dag: &Dag) -> Option<Edit> {
+    let mixes = editable_mixes(dag);
+    let value = rng.range_u64(1, 2);
+    let pick = rng.index(3);
+    if let Some(&node) = mixes.get(pick) {
+        let parts = dag
+            .in_edges(node)
+            .iter()
+            .enumerate()
+            .map(|(i, &e)| (dag.edge(e).src, if i == 0 { value } else { 1 }))
+            .collect();
+        return Some(Edit::Ratio { node, parts });
+    }
+    let node = dag.node_ids().find(|&n| dag.out_edges(n).is_empty())?;
+    Some(Edit::Weight {
+        node,
+        weight: value,
+    })
+}
+
 /// Renders an edit as the `"edit"` member of a `session.edit` request.
 fn wire_edit(dag: &Dag, edit: &Edit) -> String {
     match edit {
@@ -202,15 +225,18 @@ fn apply_mirror(dag: &mut Dag, weights: &mut HashMap<NodeId, u64>, edit: &Edit) 
     }
 }
 
-/// Registers `src` as a session, drives `steps` seeded edits through
-/// the wire, chains every returned delta, and (when `check_cold`)
-/// asserts the chained plan equals a cold compile after each step.
-/// Returns the final chained plan.
+/// Draws one scripted edit against the current DAG.
+type EditGen = fn(&mut XorShift64Star, &Dag) -> Option<Edit>;
+
+/// Registers `src` as a session, drives `steps` seeded edits from `gen`
+/// through the wire, chains every returned delta, and (when
+/// `check_cold`) asserts the chained plan equals a cold compile after
+/// each step. Returns the final chained plan.
 fn run_script(
     svc: &Service,
     tenant: &str,
     src: &str,
-    seed: u64,
+    (seed, gen): (u64, EditGen),
     steps: usize,
     check_cold: bool,
 ) -> String {
@@ -235,7 +261,7 @@ fn run_script(
     let (mut dag, mut weights) = lower(src);
     let mut rng = XorShift64Star::new(seed);
     for step in 0..steps {
-        let Some(edit) = random_edit(&mut rng, &dag) else {
+        let Some(edit) = gen(&mut rng, &dag) else {
             break;
         };
         let line = svc.handle_line(&format!(
@@ -269,7 +295,7 @@ fn run_script(
 fn fuzz_assay(src: &str, seeds: std::ops::Range<u64>, steps: usize) {
     for seed in seeds {
         let svc = Service::new(ServiceConfig::default());
-        run_script(&svc, "fuzz", src, seed, steps, true);
+        run_script(&svc, "fuzz", src, (seed, random_edit), steps, true);
     }
 }
 
@@ -279,6 +305,34 @@ fn paper_assays_incremental_matches_cold_at_every_step() {
     fuzz_assay(aqua_assays::glucose::SOURCE, 10..13, 8);
     fuzz_assay(aqua_assays::glycomics::SOURCE, 20..23, 8);
     fuzz_assay(&aqua_assays::enzyme::source_n(4), 30..33, 8);
+}
+
+/// Scripts that keep revisiting states on assays that leave no replay
+/// trace (enzyme4 is solved by LP after rewrites, glycomics is
+/// partitioned): their fallbacks pin plans the session published
+/// earlier instead of compiling, and every step still equals a cold
+/// compile.
+#[test]
+fn revisited_fallbacks_match_cold_at_every_step() {
+    let (obs, sink) = aqua_obs::Obs::recording();
+    for (src, seeds) in [
+        (aqua_assays::enzyme::source_n(4), 60..63u64),
+        (aqua_assays::glycomics::SOURCE.to_owned(), 70..73),
+    ] {
+        for seed in seeds {
+            let svc = Service::new(ServiceConfig {
+                obs: obs.clone(),
+                ..ServiceConfig::default()
+            });
+            run_script(&svc, "fuzz", &src, (seed, toggle_edit), 12, true);
+        }
+    }
+    let snap = sink.snapshot();
+    assert!(
+        snap.counter("incr.plan_reuse") > 0,
+        "no fallback reused a plan ({} compiled)",
+        snap.counter("incr.full_recompile")
+    );
 }
 
 #[test]
@@ -302,7 +356,7 @@ fn synthetic_dags_incremental_matches_cold_at_every_step() {
         let dag = aqua_assays::synthetic::layered_dag(seed, &config);
         let src = render(&dag);
         let svc = Service::new(ServiceConfig::default());
-        run_script(&svc, "fuzz", &src, seed, 8, true);
+        run_script(&svc, "fuzz", &src, (seed, random_edit), 8, true);
     }
 }
 
@@ -333,7 +387,14 @@ fn concurrent_final_plans(threads: usize) -> Vec<String> {
             let mut w = t;
             while w < WORKERS {
                 let tenant = format!("t{w}");
-                let plan = run_script(&svc, &tenant, &sources[w], 900 + w as u64, 6, false);
+                let plan = run_script(
+                    &svc,
+                    &tenant,
+                    &sources[w],
+                    (900 + w as u64, random_edit),
+                    6,
+                    false,
+                );
                 out.push((w, plan));
                 w += threads;
             }

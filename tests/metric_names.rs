@@ -60,7 +60,9 @@ fn every_emitted_name_is_in_the_design_table() {
         .collect();
 
     // The plan service: a source read, a key read, a session and both
-    // edit kinds (a ratio edit replays, a machine edit recompiles).
+    // edit kinds (a ratio edit replays, a machine edit recompiles), then
+    // a glycomics session (partitioned, so no replay trace) whose machine
+    // goes away and back: the way back reuses the registered plan.
     let svc = Service::new(ServiceConfig {
         obs: obs.clone(),
         ..ServiceConfig::default()
@@ -90,6 +92,20 @@ fn every_emitted_name_is_in_the_design_table() {
     ok(&svc.handle_line(&format!(
         "{{\"id\":6,\"cmd\":\"session.close\",\"session\":\"{sid}\"}}"
     )));
+    let reg = ok(&svc.handle_line(&format!(
+        "{{\"id\":7,\"cmd\":\"session.register\",\"src\":{}}}",
+        quote(aqua_assays::glycomics::SOURCE)
+    )));
+    let sid = reg
+        .get("session")
+        .and_then(json::Value::as_str)
+        .expect("sid");
+    for (id, cap) in [(8, 200), (9, 100)] {
+        ok(&svc.handle_line(&format!(
+            "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"{sid}\",\
+             \"edit\":{{\"set_machine\":{{\"max_capacity_nl\":{cap}}}}}}}"
+        )));
+    }
     drop(svc);
 
     // A faulted scheduled execution and a small batch.
@@ -150,6 +166,7 @@ fn every_emitted_name_is_in_the_design_table() {
         "lp.backend_chosen.sparse",
         "vol.vnorm_passes",
         "sim.instructions",
+        "incr.plan_reuse",
     ] {
         assert!(snap.counter(name) > 0, "{name} is zero");
     }
