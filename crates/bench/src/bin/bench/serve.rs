@@ -15,8 +15,10 @@
 //!   is dropped (the "kill"); a fresh one over the same directory must
 //!   serve every plan byte-identical without a single compile. Rows
 //!   `{assay}/paper/restart-warm-src`.
-//! * **session edits** — one `session.register`, then `session.edit`
-//!   requests of four kinds, each toggling its value so every request
+//! * **session edits** — `session.edit` requests of four kinds, each
+//!   kind on its own session registered fresh on the paper chip (so no
+//!   kind inherits another's toggled state, such as the `machine`
+//!   kind's 150-nl capacity), each toggling its value so every request
 //!   is a real change: `ratio` (one mix's ratio; dirty-slice replay),
 //!   `weight` (an output volume; replayed), `machine` (capacity; a
 //!   typed full recompile) and `struct` (add/remove a node; full
@@ -187,8 +189,8 @@ pub(crate) fn run(b: &mut Bench) {
     let mut ratio_p50 = Vec::new();
     for case in &cases {
         let svc = Service::new(ServiceConfig::default());
-        let (sid, _) = register(&svc, &case.src);
         for kind in ["ratio", "weight", "revisit", "machine", "struct"] {
+            let (sid, _) = register(&svc, &case.src);
             let mut n = 0usize;
             let mut line = String::new();
             let reset = || {

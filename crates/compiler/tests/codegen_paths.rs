@@ -46,8 +46,10 @@ END";
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     // The final 1:1 mix of x (1:1) and y (1:2) has A:B =
     // (1/2 + 1/3)/2 : (1/2 + 2/3)/2 = 5/12 : 7/12.
-    let s = &report.sense_results[0];
-    let ratio = s.composition["B"] / s.composition["A"];
+    let comp = report
+        .final_state
+        .named(&report.sense_results[0].composition);
+    let ratio = comp["B"] / comp["A"];
     assert!((ratio - 7.0 / 5.0).abs() < 0.02, "B:A {ratio}");
 }
 
@@ -79,8 +81,12 @@ END";
         .iter()
         .find(|s| s.target == "R2")
         .unwrap();
-    assert!(r1.composition.get("C").copied().unwrap_or(0.0) < 1e-9);
-    assert!(r2.composition.get("B").copied().unwrap_or(0.0) < 1e-9);
+    let (r1, r2) = (
+        report.final_state.named(&r1.composition),
+        report.final_state.named(&r2.composition),
+    );
+    assert!(r1.get("C").copied().unwrap_or(0.0) < 1e-9);
+    assert!(r2.get("B").copied().unwrap_or(0.0) < 1e-9);
 }
 
 /// Every emitted instruction has a plan slot, and every metered move's

@@ -5,8 +5,7 @@
 //! partition of a DAG with unknown volumes. This module fans such a
 //! batch out across OS threads with plain `std::thread::scope` (no
 //! external runtime). `aqua_sim::batch_exec` runs its instances on it
-//! (through `aqua_volume::batch`); `aqua_sim::replay` still writes the
-//! same claim loop out by hand, folding per-worker partials:
+//! and `aqua_sim::replay` its runs (both through `aqua_volume::batch`):
 //!
 //! * one shared atomic counter hands out task indices; each worker
 //!   claims the next index until the counter passes the end;

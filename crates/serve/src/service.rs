@@ -188,8 +188,10 @@ pub enum ServeError {
         /// The configured per-tenant session cap.
         max: usize,
     },
-    /// The compile behind this request panicked; the service went on
-    /// serving (`serve.panics`).
+    /// The work behind this request panicked (its compile in a
+    /// batcher, or its parse, lowering, canonicalization or session
+    /// command on the request thread); the service went on serving
+    /// (`serve.panics`).
     Internal,
 }
 
@@ -441,6 +443,8 @@ impl Service {
             aqua_lang::compile_to_flat(src).map_err(|e| ServeError::BadRequest(e.to_string()))?;
         let (dag, map) = aqua_compiler::lower_to_dag(&flat)
             .map_err(|e| ServeError::BadRequest(e.to_string()))?;
+        #[cfg(test)]
+        tests::panic_once_at("src");
         canon::canonicalize(&dag, &map.output_weights, machine)
             .map_err(|e| ServeError::BadRequest(e.to_string()))
     }
@@ -611,8 +615,25 @@ impl Service {
     }
 
     /// Handles one NDJSON request line and renders the response line
-    /// (no trailing newline). Never panics on malformed input.
+    /// (no trailing newline). Never panics: malformed input gets a typed
+    /// error, and a panic in the work the request thread does itself
+    /// (parse, lower, canonicalization, session commands) answers
+    /// [`ServeError::Internal`] and counts `serve.panics`, so every front
+    /// end goes on serving.
     pub fn handle_line(&self, line: &str) -> String {
+        let mut id = String::new();
+        std::panic::catch_unwind(AssertUnwindSafe(|| self.respond(line, &mut id))).unwrap_or_else(
+            |_| {
+                self.obs().add("serve.panics", 1);
+                let id = if id.is_empty() { "null" } else { &id };
+                error_line(id, &ServeError::Internal)
+            },
+        )
+    }
+
+    /// [`Service::handle_line`] inside its panic boundary; `id` receives
+    /// the rendered request id as soon as it is known.
+    fn respond(&self, line: &str, id: &mut String) -> String {
         let parsed = match json::parse(line) {
             Ok(v) => v,
             Err(e) => {
@@ -622,10 +643,11 @@ impl Service {
                 )
             }
         };
-        let id = parsed
+        *id = parsed
             .get("id")
             .map(render_value)
             .unwrap_or_else(|| "null".to_owned());
+        let id = id.as_str();
 
         if let Some(cmd) = parsed.get("cmd").and_then(Value::as_str) {
             return match cmd {
@@ -643,7 +665,7 @@ impl Service {
                         fleet.snapshot().to_json()
                     ),
                     None => error_line(
-                        &id,
+                        id,
                         &ServeError::BadRequest(
                             "no fleet aggregator attached (start with --obs)".to_owned(),
                         ),
@@ -655,17 +677,17 @@ impl Service {
                         format!("{{\"id\":{id},\"ok\":true}}")
                     }
                     None => error_line(
-                        &id,
+                        id,
                         &ServeError::BadRequest(
                             "no fleet aggregator attached (start with --obs)".to_owned(),
                         ),
                     ),
                 },
-                "session.register" => self.session_register(&id, &parsed),
-                "session.edit" => self.session_edit(&id, &parsed),
-                "session.close" => self.session_close(&id, &parsed),
+                "session.register" => self.session_register(id, &parsed),
+                "session.edit" => self.session_edit(id, &parsed),
+                "session.close" => self.session_close(id, &parsed),
                 other => error_line(
-                    &id,
+                    id,
                     &ServeError::BadRequest(format!("unknown command `{other}`")),
                 ),
             };
@@ -679,14 +701,14 @@ impl Service {
                 Some(key) => self.submit_key(key),
             };
             return match result {
-                Ok(served) => success_line(&id, &served),
-                Err(e) => error_line(&id, &e),
+                Ok(served) => success_line(id, &served),
+                Err(e) => error_line(id, &e),
             };
         }
 
         let Some(src) = parsed.get("src").and_then(Value::as_str) else {
             return error_line(
-                &id,
+                id,
                 &ServeError::BadRequest("request needs `src`, `key`, or `cmd`".to_owned()),
             );
         };
@@ -695,7 +717,7 @@ impl Service {
             Some(overrides) => {
                 match machine_with_overrides(&self.inner.config.machine, overrides) {
                     Ok(m) => m,
-                    Err(msg) => return error_line(&id, &ServeError::BadRequest(msg)),
+                    Err(msg) => return error_line(id, &ServeError::BadRequest(msg)),
                 }
             }
         };
@@ -704,7 +726,7 @@ impl Service {
             Some(v) => match v.as_u64() {
                 None => {
                     return error_line(
-                        &id,
+                        id,
                         &ServeError::BadRequest(
                             "`deadline_ms` must be a non-negative integer".to_owned(),
                         ),
@@ -712,7 +734,7 @@ impl Service {
                 }
                 Some(ms) if ms > self.inner.config.max_deadline_ms => {
                     return error_line(
-                        &id,
+                        id,
                         &ServeError::DeadlineTooLarge {
                             max_ms: self.inner.config.max_deadline_ms,
                         },
@@ -727,7 +749,7 @@ impl Service {
                 Some(t) if t.len() <= MAX_TENANT_BYTES && !t.is_empty() => t,
                 _ => {
                     return error_line(
-                        &id,
+                        id,
                         &ServeError::BadRequest(format!(
                         "`tenant` must be a non-empty string of at most {MAX_TENANT_BYTES} bytes"
                     )),
@@ -737,13 +759,13 @@ impl Service {
         };
         let mut canon = match Self::canon_src(src, &machine) {
             Ok(c) => c,
-            Err(e) => return error_line(&id, &e),
+            Err(e) => return error_line(id, &e),
         };
         // The compile never reads the names; the response does.
         let names = std::mem::take(&mut canon.names);
         match self.submit_canon_tenant(canon, machine, deadline, tenant) {
-            Ok(served) => success_line_named(&id, &served, &names),
-            Err(e) => error_line(&id, &e),
+            Ok(served) => success_line_named(id, &served, &names),
+            Err(e) => error_line(id, &e),
         }
     }
 
@@ -1321,8 +1343,9 @@ pub(crate) fn machine_with_overrides(base: &Machine, overrides: &Value) -> Resul
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
 
     const TINY: &str = "
 ASSAY tiny START
@@ -1348,6 +1371,79 @@ END
         {
             panic!("armed compile panic");
         }
+    }
+
+    thread_local! {
+        /// The request-thread site that panics the next time it runs.
+        static PANIC_AT: Cell<Option<&'static str>> = const { Cell::new(None) };
+    }
+
+    /// Panics if `site` is armed on this thread, and disarms it.
+    pub(crate) fn panic_once_at(site: &'static str) {
+        if PANIC_AT.with(|armed| armed.get() == Some(site)) {
+            PANIC_AT.with(|armed| armed.set(None));
+            panic!("armed request panic at {site}");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_request_thread_answers_internal_and_the_next_line_is_served() {
+        let (obs, sink) = Obs::recording();
+        let svc = service(ServiceConfig {
+            obs,
+            ..ServiceConfig::default()
+        });
+        let internal = |id: u32| {
+            format!(
+                "{{\"id\":{id},\"ok\":false,\"error\":\"internal\",\"message\":{}}}",
+                quote(&ServeError::Internal.to_string())
+            )
+        };
+        let src_line = |id: u32| format!("{{\"id\":{id},\"src\":{}}}", quote(TINY));
+        PANIC_AT.with(|armed| armed.set(Some("src")));
+        assert_eq!(svc.handle_line(&src_line(1)), internal(1));
+        let next = svc.handle_line(&src_line(2));
+        assert!(next.starts_with("{\"id\":2,\"ok\":true"), "{next}");
+
+        let registered = svc.handle_line(&format!(
+            "{{\"id\":3,\"cmd\":\"session.register\",\"src\":{}}}",
+            quote(TINY)
+        ));
+        let sid = json::parse(&registered)
+            .unwrap()
+            .get("session")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_owned();
+        let edit = |id: u32| {
+            format!(
+                "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":{},\
+                 \"edit\":{{\"set_ratio\":{{\"node\":\"m\",\"parts\":[[\"A\",1],[\"B\",9]]}}}}}}",
+                quote(&sid)
+            )
+        };
+        PANIC_AT.with(|armed| armed.set(Some("session.edit")));
+        assert_eq!(svc.handle_line(&edit(4)), internal(4));
+        // The unwound edit was taken back: the same edit now falls back
+        // (the unwind dropped the replay trace) and publishes exactly the
+        // plan a cold compile of the edited source gives.
+        let edited = svc.handle_line(&edit(5));
+        assert!(edited.contains("\"cause\":\"no_trace\""), "{edited}");
+        let key = json::parse(&edited)
+            .unwrap()
+            .get("key")
+            .unwrap()
+            .as_str()
+            .and_then(canon::parse_key_hex)
+            .unwrap();
+        let machine = Machine::paper_default();
+        let cold = service(ServiceConfig::default())
+            .submit_src(&TINY.replace("1 : 4", "1 : 9"), &machine, None)
+            .unwrap();
+        assert_eq!(key, cold.key);
+        assert_eq!(svc.submit_key(key).unwrap().plan, cold.plan);
+        assert_eq!(sink.snapshot().counter("serve.panics"), 2);
     }
 
     #[test]

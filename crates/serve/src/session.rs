@@ -764,6 +764,8 @@ fn replay_or_recompile(
     lookup: Lookup,
     obs: &Obs,
 ) -> Result<Edited, String> {
+    #[cfg(test)]
+    crate::service::tests::panic_once_at("session.edit");
     if s.solver.is_none() {
         let cur = mapping(s, obs)?;
         return fall_back(s, cur, None, "no_trace", lookup, obs);

@@ -8,13 +8,15 @@
 //!
 //! Execution runs each instance's program-order replay on the shared
 //! claim-counter pool (`aqua_volume::batch`, one worker on the calling
-//! thread). Replays are independent (each instance owns its chip-state
-//! view — the union schedule proves their physical slot windows are
-//! disjoint), and results land in per-instance slots, so the batch
-//! report is **bit-identical at any thread count**: 1, 2, and 8
+//! thread), beside one more task that hashes the schedule's half of the
+//! batch digest. Replays are independent (each instance owns its
+//! chip-state view — the union schedule proves their physical slot
+//! windows are disjoint), and results land in per-task slots, so the
+//! batch report is **bit-identical at any thread count**: 1, 2, and 8
 //! workers produce the same digest.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use aqua_compiler::CompileOutput;
 use aqua_volume::Machine;
@@ -75,8 +77,10 @@ pub struct BatchReport {
     pub dag_cache_hits: u64,
     /// Distinct canonical keys in the batch.
     pub unique_keys: usize,
-    /// FNV-1a digest over the schedule timing and every instance's
-    /// sense set — the thread-invariance witness.
+    /// The thread-invariance witness: one FNV-1a chain over every
+    /// job's schedule entries (start, duration) and spills (instruction,
+    /// start), then every report's sense volumes, recovered count and
+    /// conservation delta, in job order.
     pub digest: u64,
 }
 
@@ -97,18 +101,13 @@ pub fn run_batch(
     let mut job_dag: Vec<usize> = Vec::with_capacity(jobs.len());
     let mut hits = 0u64;
     for job in jobs {
-        let ix = match by_key.get(&job.key) {
-            Some(&ix) => {
-                hits += 1;
-                ix
-            }
-            None => {
-                let ix = dags.len();
-                dags.push(InstrDag::build(job.out));
-                by_key.insert(job.key, ix);
-                ix
-            }
-        };
+        let next = dags.len();
+        let ix = *by_key.entry(job.key).or_insert(next);
+        if ix == next {
+            dags.push(InstrDag::build(job.out));
+        } else {
+            hits += 1;
+        }
         job_dag.push(ix);
     }
     let refs: Vec<&InstrDag> = job_dag.iter().map(|&i| &dags[i]).collect();
@@ -120,32 +119,30 @@ pub fn run_batch(
         },
     );
 
-    // Replay every instance on the claim-counter pool. Each result
-    // lands in its own slot — no cross-thread data dependence, so the
-    // outcome is independent of thread count.
+    // Replay every instance on the claim-counter pool. Task 0, claimed
+    // first, hashes the schedule's half of the digest, which depends on
+    // the schedule alone. Each result lands in its own slot — no
+    // cross-thread data dependence, so the outcome is independent of
+    // thread count.
     let n = jobs.len();
-    let reports = aqua_volume::batch::run_parallel_threads(n, opts.threads, |i| {
-        Executor::new(machine, jobs[i].config.clone()).run_job(jobs[i].out, &schedule.jobs[i])
+    let schedule_half = OnceLock::new();
+    let reports = aqua_volume::batch::run_parallel_threads(n + 1, opts.threads, |i| {
+        let Some(j) = i.checked_sub(1) else {
+            schedule_half.get_or_init(|| schedule_digest(&schedule));
+            return None;
+        };
+        Some(Executor::new(machine, jobs[j].config.clone()).run_job(jobs[j].out, &schedule.jobs[j]))
     })
     .into_iter()
+    .flatten()
     .collect::<Result<Vec<ExecReport>, ExecError>>()?;
 
     // Splice all observed repairs back into the union schedule.
     let repairs: Vec<&HashMap<usize, u64>> = reports.iter().map(|r| &r.repair_s).collect();
     let splice = schedule.splice(&repairs);
 
-    // The thread-invariance witness: schedule timing + chemistry.
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for js in &schedule.jobs {
-        for e in &js.entries {
-            fnv1a(&mut digest, e.start_s);
-            fnv1a(&mut digest, e.dur_s);
-        }
-        for sp in &js.spills {
-            fnv1a(&mut digest, u64::from(sp.before_instr));
-            fnv1a(&mut digest, sp.start_s);
-        }
-    }
+    // The chain goes on from the schedule's half through the chemistry.
+    let mut digest = *schedule_half.get().expect("task 0 hashed the schedule");
     for r in &reports {
         for s in &r.sense_results {
             fnv1a(&mut digest, s.volume_pl);
@@ -170,6 +167,23 @@ pub fn run_batch(
         schedule,
         reports,
     })
+}
+
+/// The schedule's half of [`BatchReport::digest`]: FNV-1a over every
+/// job's entries and spills.
+fn schedule_digest(schedule: &Schedule) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for js in &schedule.jobs {
+        for e in &js.entries {
+            fnv1a(&mut digest, e.start_s);
+            fnv1a(&mut digest, e.dur_s);
+        }
+        for sp in &js.spills {
+            fnv1a(&mut digest, u64::from(sp.before_instr));
+            fnv1a(&mut digest, sp.start_s);
+        }
+    }
+    digest
 }
 
 #[cfg(test)]
@@ -251,5 +265,64 @@ END",
             .collect();
         assert_eq!(digests[0], digests[1]);
         assert_eq!(digests[0], digests[2]);
+    }
+
+    /// `BatchReport::digest` is one FNV-1a chain over the returned
+    /// schedule's entries and spills, then every report, whichever task
+    /// hashed the schedule's half.
+    #[test]
+    fn digest_is_the_serial_chain_over_schedule_and_reports() {
+        fn fold(h: &mut u64, v: u64) {
+            for b in v.to_le_bytes() {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        let machine = Machine::paper_default();
+        let outs: Vec<CompileOutput> = [
+            aqua_assays::figure2::SOURCE,
+            aqua_assays::glucose::SOURCE,
+            aqua_assays::glycomics::SOURCE,
+        ]
+        .iter()
+        .map(|src| compiled(src, &machine))
+        .collect();
+        let jobs: Vec<BatchJob> = (0..12)
+            .map(|i| BatchJob {
+                out: &outs[i % 3],
+                key: (i % 3) as u128,
+                config: ExecConfig {
+                    faults: crate::fault::FaultPlan::uniform(i as u64, 0.05),
+                    recover: true,
+                    ..ExecConfig::default()
+                },
+            })
+            .collect();
+        for threads in [1usize, 2, 8] {
+            let opts = BatchOptions {
+                threads,
+                ..BatchOptions::default()
+            };
+            let report = run_batch(&machine, &jobs, &opts).unwrap();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for js in &report.schedule.jobs {
+                for e in &js.entries {
+                    fold(&mut h, e.start_s);
+                    fold(&mut h, e.dur_s);
+                }
+                for sp in &js.spills {
+                    fold(&mut h, u64::from(sp.before_instr));
+                    fold(&mut h, sp.start_s);
+                }
+            }
+            for r in &report.reports {
+                for s in &r.sense_results {
+                    fold(&mut h, s.volume_pl);
+                }
+                fold(&mut h, r.recovery.total_recovered());
+                fold(&mut h, r.conservation_delta_pl() as u64);
+            }
+            assert_eq!(report.digest, h, "{threads} threads");
+        }
     }
 }

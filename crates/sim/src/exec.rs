@@ -30,7 +30,7 @@ use crate::fault::{
     FaultCounters, FaultKind, FaultPlan, FaultState, RecoveryCounters, RecoveryTier,
 };
 use crate::sched::{rename_loc, JobSchedule, Rename, Schedule};
-use crate::state::{ChipState, Contents};
+use crate::state::{ChipState, Contents, FluidId};
 use crate::trace::{TraceEvent, TraceKind};
 
 /// Configuration of one execution.
@@ -86,8 +86,13 @@ pub struct SenseResult {
     pub target: String,
     /// Volume sensed, in picoliters.
     pub volume_pl: Picoliters,
-    /// Composition of the sensed fluid (picoliters per input fluid).
-    pub composition: HashMap<String, f64>,
+    /// Composition of the sensed fluid: picoliters per input fluid,
+    /// sorted by id in the run's fluid table. Name it through the
+    /// report's [`ExecReport::final_state`]
+    /// ([`ChipState::named`], [`ChipState::fluid_name`]).
+    pub composition: Vec<(FluidId, f64)>,
+    #[cfg(test)]
+    model: HashMap<String, f64>,
 }
 
 /// A constraint violation observed during execution.
@@ -165,8 +170,8 @@ pub struct ExecReport {
     /// Fluid collected at output ports (pl per port).
     pub collected_pl: HashMap<u32, Picoliters>,
     /// The chip's contents when the program finished (parked products,
-    /// unused leftovers).
-    pub final_state: crate::state::ChipState,
+    /// unused leftovers), and the run's fluid table.
+    pub final_state: ChipState,
     /// Dry (controller) registers after execution. `sense` writes the
     /// reading into its destination register (modeled as the sensed
     /// volume in picoliters); `dry-*` ALU ops compute over them.
@@ -482,7 +487,9 @@ impl Executor {
                     st.report.sense_results.push(SenseResult {
                         target: dst.0.clone(),
                         volume_pl: contents.volume_pl,
-                        composition: st.chip.named(&contents.composition),
+                        composition: contents.composition,
+                        #[cfg(test)]
+                        model: contents.model,
                     });
                 }
             }
@@ -530,10 +537,6 @@ impl Executor {
         let WetLoc::InputPort(port_idx) = port else {
             return Err(ExecError::Structural(format!("bad input port {port}")));
         };
-        let fluid = match st.out.volume_plan.port_fluids.get(&port_idx) {
-            Some(name) => st.chip.fluid(name),
-            None => st.chip.fluid(&format!("ip{port_idx}")),
-        };
         let planned = match self.resolve(st, idx)? {
             Some(v) => v.min(st.cap_pl),
             None => st.cap_pl, // load to capacity
@@ -571,7 +574,11 @@ impl Executor {
             }
         }
         st.report.input_pl += amount;
-        self.deposit_checked(st, idx, dst, Contents::pure(fluid, amount));
+        let load = match st.out.volume_plan.port_fluids.get(&port_idx) {
+            Some(name) => st.chip.load(name, amount),
+            None => st.chip.load(&format!("ip{port_idx}"), amount),
+        };
+        self.deposit_checked(st, idx, dst, load);
         Ok(())
     }
 
@@ -836,14 +843,9 @@ impl Executor {
             let (comp, slice_steps) =
                 crate::regen::slice_makeup(&out.dag, node, |name| st.chip.fluid(name));
             let refill = if comp.is_empty() {
-                Contents::pure(st.chip.fluid(&out.dag.node(node).name), amount)
+                st.chip.load(&out.dag.node(node).name, amount)
             } else {
-                Contents {
-                    volume_pl: amount,
-                    composition: (comp.into_iter())
-                        .map(|(fluid, f)| (fluid, f * amount as f64))
-                        .collect(),
-                }
+                st.chip.mixture(comp, amount)
             };
             st.chip.deposit(src, refill);
             st.report.recovery.regenerate += 1;
@@ -1028,8 +1030,10 @@ MIX A AND B IN RATIOS 1 : 4 FOR 10;
 SENSE OPTICAL it INTO R;
 END");
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        let s = &report.sense_results[0];
-        let ratio = s.composition["B"] / s.composition["A"];
+        let comp = report
+            .final_state
+            .named(&report.sense_results[0].composition);
+        let ratio = comp["B"] / comp["A"];
         assert!((ratio - 4.0).abs() < 1e-9, "ratio {ratio}");
     }
 
@@ -1062,7 +1066,8 @@ END");
                 .iter()
                 .find(|s| s.target == format!("Result[{slot}]"))
                 .expect("slot sensed");
-            let r = s.composition["Reagent"] / s.composition["Glucose"];
+            let comp = report.final_state.named(&s.composition);
+            let r = comp["Reagent"] / comp["Glucose"];
             assert!((r - want).abs() / want < 0.02, "ratio {r} vs {want}");
         }
     }
@@ -1112,7 +1117,8 @@ END");
         assert!(s.volume_pl > 0);
         // The final 1:1 mix: half direct A, half effluent (itself 1/2 A
         // + 1/2 B) => A:B = 3:1.
-        let r = s.composition["A"] / s.composition["B"];
+        let comp = report.final_state.named(&s.composition);
+        let r = comp["A"] / comp["B"];
         assert!((r - 3.0).abs() < 0.05, "A:B = {r}");
     }
 
@@ -1141,8 +1147,10 @@ END",
             .run(&out)
             .unwrap();
         // The second mixture is missing its A component entirely.
-        let second = &report.sense_results[1];
-        let a_part = second.composition.get("A").copied().unwrap_or(0.0);
+        let second = report
+            .final_state
+            .named(&report.sense_results[1].composition);
+        let a_part = second.get("A").copied().unwrap_or(0.0);
         assert!(a_part < 1e-9, "A unexpectedly present: {a_part}");
     }
 
@@ -1376,6 +1384,66 @@ END";
         assert_eq!(report.faults.sensor, 1);
         assert_eq!(report.sense_results.len(), 1);
         assert_eq!(report.conservation_delta_pl(), 0);
+    }
+
+    /// Every reading of the six plans of the `exec` benchmark workload,
+    /// fault free and at seeded 1% and 5% fault rates with recovery,
+    /// sequential and under `plan_jobs`, named through its report's
+    /// fluid table, equals the name-keyed model the test build carries
+    /// through the same loads, splits and merges (`state::Contents`).
+    #[test]
+    fn readings_named_through_the_fluid_table_match_a_name_keyed_model() {
+        use crate::sched::{plan_jobs, InstrDag, SchedOptions};
+        use aqua_assays::{enzyme, figure2, glucose, glycomics};
+        let paper = Machine::paper_default();
+        let big = paper.clone().with_reservoirs(128).with_input_ports(64);
+        let plans = [
+            (figure2::SOURCE.to_owned(), &paper),
+            (glucose::SOURCE.to_owned(), &paper),
+            (glycomics::SOURCE.to_owned(), &paper),
+            (enzyme::source_n(4), &paper),
+            (enzyme::source_n(4), &big),
+            (enzyme::source_n(6), &big),
+        ];
+        let mut rng = aqua_rational::rng::XorShift64Star::new(23);
+        let mut readings = 0;
+        for (src, machine) in plans {
+            let out = compile(&src, machine, &CompileOptions::default()).unwrap();
+            let dag = InstrDag::build(&out);
+            let schedule = plan_jobs(&[&dag], machine, &SchedOptions::default());
+            for rate in [0.0, 0.01, 0.05] {
+                for _ in 0..3 {
+                    let faults = if rate > 0.0 {
+                        FaultPlan::uniform(rng.next_u64(), rate)
+                    } else {
+                        FaultPlan::none()
+                    };
+                    let exec = Executor::new(
+                        machine,
+                        ExecConfig {
+                            faults,
+                            recover: true,
+                            ..ExecConfig::default()
+                        },
+                    );
+                    let runs = [
+                        exec.run(&out).unwrap(),
+                        exec.run_job(&out, &schedule.jobs[0]).unwrap(),
+                    ];
+                    for report in &runs {
+                        for s in &report.sense_results {
+                            let named = report.final_state.named(&s.composition);
+                            assert_eq!(named.len(), s.model.len(), "{}", s.target);
+                            for (fluid, pl) in &s.model {
+                                assert_eq!(named[fluid].to_bits(), pl.to_bits(), "{fluid}");
+                            }
+                            readings += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(readings > 2_000, "{readings} readings");
     }
 }
 

@@ -57,10 +57,11 @@
 //! let report = Executor::new(&machine, ExecConfig::default()).run(&out)?;
 //! assert!(report.violations.is_empty());
 //! assert_eq!(report.sense_results.len(), 1);
-//! // The sensed mixture is 1:4 A:B by volume.
+//! // The sensed mixture is 1:4 A:B by volume. A reading is keyed by
+//! // fluid id; the run's fluid table names it.
 //! let s = &report.sense_results[0];
-//! let a = s.composition["A"];
-//! let b = s.composition["B"];
+//! let composition = report.final_state.named(&s.composition);
+//! let (a, b) = (composition["A"], composition["B"]);
 //! assert!((b / a - 4.0).abs() < 1e-6);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -15,10 +15,11 @@
 //!   crash mid-append can lose the torn tail but can never yield a
 //!   divergent or partial descriptor — recovery replays exactly the
 //!   intact prefix.
-//! * [`replay`] — the fleet engine: replays a descriptor list across a
-//!   worker pool (the `batch_exec` claim-next-index pattern), computing a per-run [`run_digest`] and rolling the fleet
-//!   up into a [`FleetReport`] whose `aggregate_digest` is
-//!   **order-invariant**, hence identical at any thread count.
+//! * [`replay`] — the fleet engine: replays a descriptor list on the
+//!   shared claim-counter pool (`aqua_volume::batch`), folds each run
+//!   into a per-index summary with its [`run_digest`], and sums the
+//!   summaries in index order into a [`FleetReport`], identical at any
+//!   thread count.
 //!
 //! Replays skip compilation entirely — the [`PlanSet`] holds compiled
 //! plans keyed by assay name — which is what makes million-run soaks
@@ -30,15 +31,13 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use aqua_compiler::CompileOutput;
 use aqua_seglog::{LogConfig, RecordSpan, RecoveryReport, SegmentLog};
 use aqua_volume::Machine;
 
 use crate::exec::{ExecConfig, ExecError, ExecReport, Executor};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, RecoveryCounters};
 
 /// Era string for descriptor-log segments. Bump when the descriptor
 /// encoding changes incompatibly: old segments then read as stale and
@@ -294,13 +293,15 @@ pub fn run_digest(report: &ExecReport) -> u64 {
     fnv1a(&mut h, report.sense_results.len() as u64);
     for s in &report.sense_results {
         fnv1a(&mut h, s.volume_pl);
-        let mut fluids: Vec<&String> = s.composition.keys().collect();
-        fluids.sort_unstable();
-        for f in fluids {
-            for b in f.as_bytes() {
+        let mut fluids: Vec<(&str, f64)> = (s.composition.iter())
+            .map(|&(fluid, pl)| (report.final_state.fluid_name(fluid), pl))
+            .collect();
+        fluids.sort_unstable_by_key(|&(name, _)| name);
+        for (name, pl) in fluids {
+            for b in name.as_bytes() {
                 fnv1a(&mut h, u64::from(*b));
             }
-            fnv1a(&mut h, s.composition[f].to_bits());
+            fnv1a(&mut h, pl.to_bits());
         }
     }
     let mut ports: Vec<u32> = report.collected_pl.keys().copied().collect();
@@ -325,9 +326,8 @@ pub fn run_digest(report: &ExecReport) -> u64 {
     h
 }
 
-/// Mixes run `index`'s digest into the order-invariant aggregate: the
-/// fleet digest is the wrapping sum of these, so it is identical for
-/// any execution order and any thread count.
+/// Mixes run `index`'s digest into the fleet's aggregate, the wrapping
+/// sum of these.
 fn indexed_digest(index: usize, digest: u64) -> u64 {
     let mut h = FNV_BASIS;
     fnv1a(&mut h, index as u64);
@@ -444,47 +444,26 @@ pub struct FleetReport {
     pub digests: Vec<u64>,
 }
 
-#[derive(Default)]
-struct Partial {
-    runs: u64,
-    digest_sum: u64,
-    conservation_violations: u64,
-    unrecovered_faults: u64,
+/// What one replayed run adds to its fleet's report.
+struct RunSummary {
+    digest: u64,
+    conservation_violation: bool,
     residual_violations: u64,
     faults_injected: u64,
-    recovery: RecoveryMix,
+    recovery: RecoveryCounters,
     wet_seconds: u64,
 }
 
-impl Partial {
-    fn absorb(&mut self, index: usize, report: &ExecReport, digest: u64) {
-        self.runs += 1;
-        self.digest_sum = self.digest_sum.wrapping_add(indexed_digest(index, digest));
-        if report.conservation_delta_pl() != 0 {
-            self.conservation_violations += 1;
+impl RunSummary {
+    fn of(report: &ExecReport) -> RunSummary {
+        RunSummary {
+            digest: run_digest(report),
+            conservation_violation: report.conservation_delta_pl() != 0,
+            residual_violations: report.violations.len() as u64,
+            faults_injected: report.faults.total(),
+            recovery: report.recovery,
+            wet_seconds: report.wet_seconds,
         }
-        self.unrecovered_faults += report.recovery.failures;
-        self.residual_violations += report.violations.len() as u64;
-        self.faults_injected += report.faults.total();
-        self.recovery.redispense += report.recovery.redispense;
-        self.recovery.regenerate += report.recovery.regenerate;
-        self.recovery.replan += report.recovery.replan;
-        self.recovery.overflow_trims += report.recovery.overflow_trims;
-        self.wet_seconds += report.wet_seconds;
-    }
-
-    fn merge(&mut self, other: &Partial) {
-        self.runs += other.runs;
-        self.digest_sum = self.digest_sum.wrapping_add(other.digest_sum);
-        self.conservation_violations += other.conservation_violations;
-        self.unrecovered_faults += other.unrecovered_faults;
-        self.residual_violations += other.residual_violations;
-        self.faults_injected += other.faults_injected;
-        self.recovery.redispense += other.recovery.redispense;
-        self.recovery.regenerate += other.recovery.regenerate;
-        self.recovery.replan += other.recovery.replan;
-        self.recovery.overflow_trims += other.recovery.overflow_trims;
-        self.wet_seconds += other.wet_seconds;
     }
 }
 
@@ -513,9 +492,10 @@ pub fn run_one(
     Ok((report, digest))
 }
 
-/// Replays every descriptor across a worker pool and rolls the fleet
-/// up. Results are bit-identical at any thread count: per-run work is
-/// independent, and the aggregate digest is order-invariant.
+/// Replays every descriptor on the shared claim-counter pool and rolls
+/// the fleet up. Results are bit-identical at any thread count: each
+/// run folds into its own per-index summary, and the summaries are
+/// summed in index order.
 ///
 /// # Errors
 ///
@@ -526,10 +506,9 @@ pub fn replay(
     descriptors: &[RunDescriptor],
     options: &ReplayOptions,
 ) -> Result<FleetReport, ReplayError> {
-    let n = descriptors.len();
     // Resolve every assay key up front so workers never touch the map
     // and unknown keys fail fast and deterministically.
-    let mut resolved: Vec<(&Machine, &CompileOutput)> = Vec::with_capacity(n);
+    let mut resolved: Vec<(&Machine, &CompileOutput)> = Vec::with_capacity(descriptors.len());
     for (index, d) in descriptors.iter().enumerate() {
         match plans.get(&d.assay) {
             Some(pair) => resolved.push(pair),
@@ -541,86 +520,45 @@ pub fn replay(
             }
         }
     }
-
-    let digest_slots: Vec<AtomicU64> = if options.keep_digests {
-        (0..n).map(|_| AtomicU64::new(0)).collect()
-    } else {
-        Vec::new()
-    };
-    let first_error: Mutex<Option<(usize, ExecError)>> = Mutex::new(None);
-    let total: Mutex<Partial> = Mutex::new(Partial::default());
-    let next = AtomicUsize::new(0);
-    let workers = options.threads.max(1).min(n.max(1));
     let obs = &options.obs;
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut local = Partial::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let (machine, out) = resolved[i];
-                    let exec = Executor::new(machine, descriptors[i].exec_config(obs.clone()));
-                    let t0 = std::time::Instant::now();
-                    match exec.run(out) {
-                        Ok(report) => {
-                            let digest = run_digest(&report);
-                            local.absorb(i, &report, digest);
-                            if options.keep_digests {
-                                digest_slots[i].store(digest, Ordering::Relaxed);
-                            }
-                            if obs.enabled() {
-                                obs.add("replay.runs", 1);
-                                obs.record("replay.run_ns", t0.elapsed().as_nanos() as u64);
-                                if report.conservation_delta_pl() != 0 {
-                                    obs.add("replay.conservation_violations", 1);
-                                }
-                                if report.recovery.failures > 0 {
-                                    obs.add("replay.unrecovered", report.recovery.failures);
-                                }
-                            }
-                        }
-                        Err(error) => {
-                            let mut slot = first_error
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            if slot.as_ref().is_none_or(|(at, _)| i < *at) {
-                                *slot = Some((i, error));
-                            }
-                        }
-                    }
-                }
-                total
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .merge(&local);
-            });
+    let runs = aqua_volume::batch::run_parallel_threads(resolved.len(), options.threads, |i| {
+        let (machine, out) = resolved[i];
+        let t0 = std::time::Instant::now();
+        let report = Executor::new(machine, descriptors[i].exec_config(obs.clone())).run(out)?;
+        let run = RunSummary::of(&report);
+        if obs.enabled() {
+            obs.add("replay.runs", 1);
+            obs.record("replay.run_ns", t0.elapsed().as_nanos() as u64);
+            if run.conservation_violation {
+                obs.add("replay.conservation_violations", 1);
+            }
+            if run.recovery.failures > 0 {
+                obs.add("replay.unrecovered", run.recovery.failures);
+            }
         }
+        Ok::<_, ExecError>(run)
     });
 
-    if let Some((index, error)) = first_error
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        return Err(ReplayError::Exec { index, error });
+    let mut fleet = FleetReport::default();
+    for (index, run) in runs.into_iter().enumerate() {
+        let run = run.map_err(|error| ReplayError::Exec { index, error })?;
+        fleet.runs += 1;
+        fleet.aggregate_digest =
+            (fleet.aggregate_digest).wrapping_add(indexed_digest(index, run.digest));
+        fleet.conservation_violations += u64::from(run.conservation_violation);
+        fleet.unrecovered_faults += run.recovery.failures;
+        fleet.residual_violations += run.residual_violations;
+        fleet.faults_injected += run.faults_injected;
+        fleet.recovery.redispense += run.recovery.redispense;
+        fleet.recovery.regenerate += run.recovery.regenerate;
+        fleet.recovery.replan += run.recovery.replan;
+        fleet.recovery.overflow_trims += run.recovery.overflow_trims;
+        fleet.wet_seconds += run.wet_seconds;
+        if options.keep_digests {
+            fleet.digests.push(run.digest);
+        }
     }
-    let partial = total
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    Ok(FleetReport {
-        runs: partial.runs,
-        aggregate_digest: partial.digest_sum,
-        conservation_violations: partial.conservation_violations,
-        unrecovered_faults: partial.unrecovered_faults,
-        residual_violations: partial.residual_violations,
-        faults_injected: partial.faults_injected,
-        recovery: partial.recovery,
-        wet_seconds: partial.wet_seconds,
-        digests: digest_slots.into_iter().map(|a| a.into_inner()).collect(),
-    })
+    Ok(fleet)
 }
 
 #[cfg(test)]

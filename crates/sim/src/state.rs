@@ -6,7 +6,12 @@
 //! moves plain numbers — no name is cloned or hashed — while each fluid
 //! sees exactly the `f64` operations a map keyed by name would do:
 //! `taken = v * share; v -= taken` on a split, `0.0 + v` for a new
-//! constituent and `acc + v` for a present one on a merge.
+//! constituent and `acc + v` for a present one on a merge. A sense
+//! reading keeps the id-keyed vector; readers name it through the
+//! run's table ([`ChipState::fluid_name`], [`ChipState::named`]).
+//!
+//! Test builds also carry every portion keyed by name, through the
+//! same splits and merges, as a model to check readings against.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -50,17 +55,11 @@ pub struct Contents {
     /// sorted by fluid id. A constituent stays listed once merged in,
     /// even after its share drains to zero.
     pub composition: Vec<(FluidId, f64)>,
+    #[cfg(test)]
+    pub(crate) model: HashMap<String, f64>,
 }
 
 impl Contents {
-    /// A pure volume of one fluid.
-    pub fn pure(fluid: FluidId, volume_pl: Picoliters) -> Contents {
-        Contents {
-            volume_pl,
-            composition: vec![(fluid, volume_pl as f64)],
-        }
-    }
-
     /// Splits off `amount` picoliters, preserving composition
     /// proportions. Callers must check availability first.
     ///
@@ -86,11 +85,23 @@ impl Contents {
         Contents {
             volume_pl: amount,
             composition,
+            #[cfg(test)]
+            model: (self.model.iter_mut())
+                .map(|(name, v)| {
+                    let taken = *v * share;
+                    *v -= taken;
+                    (name.clone(), taken)
+                })
+                .collect(),
         }
     }
 
     /// Merges another portion into this location.
     pub fn merge(&mut self, other: Contents) {
+        #[cfg(test)]
+        for (name, v) in other.model {
+            *self.model.entry(name).or_insert(0.0) += v;
+        }
         self.volume_pl += other.volume_pl;
         if self.composition.is_empty() {
             self.composition = other.composition;
@@ -139,12 +150,41 @@ impl ChipState {
         id as FluidId
     }
 
+    /// The name of a fluid in the table (panics on an id it never
+    /// gave out).
+    pub fn fluid_name(&self, fluid: FluidId) -> &str {
+        &self.fluids[fluid as usize]
+    }
+
     /// A composition keyed by fluid name.
     pub fn named(&self, composition: &[(FluidId, f64)]) -> HashMap<String, f64> {
-        composition
-            .iter()
-            .map(|&(fluid, v)| (self.fluids[fluid as usize].clone(), v))
+        (composition.iter())
+            .map(|&(fluid, v)| (self.fluid_name(fluid).to_owned(), v))
             .collect()
+    }
+
+    /// A pure volume of the named fluid, which joins the table on
+    /// first use.
+    pub fn load(&mut self, name: &str, volume_pl: Picoliters) -> Contents {
+        let fluid = self.fluid(name);
+        Contents {
+            volume_pl,
+            composition: vec![(fluid, volume_pl as f64)],
+            #[cfg(test)]
+            model: HashMap::from([(name.to_owned(), volume_pl as f64)]),
+        }
+    }
+
+    /// `volume_pl` of a mixture, from each fluid's share of it (sorted
+    /// by fluid id).
+    pub fn mixture(&self, shares: Vec<(FluidId, f64)>, volume_pl: Picoliters) -> Contents {
+        let scale = |(fluid, share): (FluidId, f64)| (fluid, share * volume_pl as f64);
+        Contents {
+            volume_pl,
+            #[cfg(test)]
+            model: self.named(&shares.iter().copied().map(scale).collect::<Vec<_>>()),
+            composition: shares.into_iter().map(scale).collect(),
+        }
     }
 
     /// The composition at a location, keyed by fluid name (empty if
@@ -212,8 +252,9 @@ mod tests {
 
     #[test]
     fn split_preserves_proportions() {
-        let mut c = Contents::pure(0, 600);
-        c.merge(Contents::pure(1, 400));
+        let mut chip = ChipState::new();
+        let mut c = chip.load("A", 600);
+        c.merge(chip.load("B", 400));
         let taken = c.split(500);
         assert_eq!(taken.volume_pl, 500);
         assert!((taken.composition[0].1 - 300.0).abs() < 1e-9);
@@ -226,10 +267,13 @@ mod tests {
         let mut chip = ChipState::new();
         let (b, a) = (chip.fluid("B"), chip.fluid("A"));
         assert_eq!((b, a, chip.fluid("B")), (0, 1, 0));
-        chip.deposit(WetLoc::Mixer(1), Contents::pure(a, 100));
-        chip.deposit(WetLoc::Mixer(1), Contents::pure(b, 300));
+        let (a_load, b_load) = (chip.load("A", 100), chip.load("B", 300));
+        assert_eq!((a_load.composition[0].0, b_load.composition[0].0), (a, b));
+        chip.deposit(WetLoc::Mixer(1), a_load);
+        chip.deposit(WetLoc::Mixer(1), b_load);
         let comp = chip.composition(WetLoc::Mixer(1));
         assert_eq!((comp["A"], comp["B"]), (100.0, 300.0));
+        assert_eq!((chip.fluid_name(a), chip.fluid_name(b)), ("A", "B"));
         assert!(chip.composition(WetLoc::Mixer(2)).is_empty());
     }
 
@@ -267,8 +311,8 @@ mod tests {
             if rng.index(3) == 0 {
                 let name = names[rng.index(names.len())];
                 let pl = rng.range_u64(1, 50_000);
-                let fluid = chip.fluid(name);
-                chip.deposit(WetLoc::Reservoir(to as u32), Contents::pure(fluid, pl));
+                let portion = chip.load(name, pl);
+                chip.deposit(WetLoc::Reservoir(to as u32), portion);
                 merge(&mut model[to], (pl, [(name.to_owned(), pl as f64)].into()));
             } else {
                 let from = rng.index(4);
@@ -297,7 +341,8 @@ mod tests {
     #[test]
     fn take_and_deposit_roundtrip() {
         let mut chip = ChipState::new();
-        chip.deposit(WetLoc::Reservoir(1), Contents::pure(0, 1000));
+        let portion = chip.load("A", 1000);
+        chip.deposit(WetLoc::Reservoir(1), portion);
         let portion = chip.take(WetLoc::Reservoir(1), 300);
         chip.deposit(WetLoc::Mixer(1), portion);
         assert_eq!(chip.volume(WetLoc::Reservoir(1)), 700);
@@ -307,7 +352,8 @@ mod tests {
     #[test]
     fn take_all_empties() {
         let mut chip = ChipState::new();
-        chip.deposit(WetLoc::Mixer(1), Contents::pure(0, 123));
+        let portion = chip.load("A", 123);
+        chip.deposit(WetLoc::Mixer(1), portion);
         let c = chip.take_all(WetLoc::Mixer(1));
         assert_eq!(c.volume_pl, 123);
         assert_eq!(chip.volume(WetLoc::Mixer(1)), 0);
@@ -316,12 +362,14 @@ mod tests {
     #[test]
     fn residue_is_cleared_below_least_count() {
         let mut chip = ChipState::new();
-        chip.deposit(WetLoc::Reservoir(2), Contents::pure(0, 40));
+        let portion = chip.load("A", 40);
+        chip.deposit(WetLoc::Reservoir(2), portion);
         chip.clear_residue(WetLoc::Reservoir(2), 100);
         assert_eq!(chip.volume(WetLoc::Reservoir(2)), 0);
         // Dead volume is accounted, not silently lost.
         assert_eq!(chip.residue_pl, 40);
-        chip.deposit(WetLoc::Reservoir(2), Contents::pure(0, 140));
+        let portion = chip.load("A", 140);
+        chip.deposit(WetLoc::Reservoir(2), portion);
         chip.clear_residue(WetLoc::Reservoir(2), 100);
         assert_eq!(chip.volume(WetLoc::Reservoir(2)), 140);
         assert_eq!(chip.residue_pl, 40);
@@ -330,15 +378,17 @@ mod tests {
     #[test]
     fn total_volume_sums_all_locations() {
         let mut chip = ChipState::new();
-        chip.deposit(WetLoc::Reservoir(1), Contents::pure(0, 300));
-        chip.deposit(WetLoc::Mixer(1), Contents::pure(1, 200));
+        let portion = chip.load("A", 300);
+        chip.deposit(WetLoc::Reservoir(1), portion);
+        let portion = chip.load("B", 200);
+        chip.deposit(WetLoc::Mixer(1), portion);
         assert_eq!(chip.total_volume_pl(), 500);
     }
 
     #[test]
     #[should_panic(expected = "split exceeds contents")]
     fn overdraw_panics() {
-        let mut c = Contents::pure(0, 10);
+        let mut c = ChipState::new().load("A", 10);
         let _ = c.split(11);
     }
 }

@@ -6,11 +6,13 @@
 //! scheduled replay's sense set, conservation delta, recovery-tier
 //! counts, and violation count must equal the sequential run's —
 //! while the schedule itself stays valid and its makespan never
-//! exceeds the sequential baseline.
+//! exceeds the sequential baseline. Readings are compared by fluid
+//! name, each named through its own run's fluid table, so the two runs
+//! need not number their fluids alike.
 
 use aqua_assays::Benchmark;
 use aqua_compiler::CompileOutput;
-use aqua_sim::exec::{ExecConfig, ExecReport, Executor};
+use aqua_sim::exec::{ExecConfig, ExecReport, Executor, SenseResult};
 use aqua_sim::fault::FaultPlan;
 use aqua_sim::sched::{plan, InstrDag, SchedOptions, Schedule};
 use aqua_volume::Machine;
@@ -43,6 +45,20 @@ fn schedule_for(out: &CompileOutput, machine: &Machine) -> Schedule {
     sched
 }
 
+/// A reading's composition by fluid name (value bits), sorted.
+fn by_name(report: &ExecReport, s: &SenseResult) -> Vec<(String, u64)> {
+    let mut named: Vec<(String, u64)> = (s.composition.iter())
+        .map(|&(fluid, pl)| {
+            (
+                report.final_state.fluid_name(fluid).to_owned(),
+                pl.to_bits(),
+            )
+        })
+        .collect();
+    named.sort_unstable();
+    named
+}
+
 fn assert_equivalent(case: &str, seq: &ExecReport, sch: &ExecReport) {
     assert_eq!(
         seq.sense_results.len(),
@@ -52,7 +68,11 @@ fn assert_equivalent(case: &str, seq: &ExecReport, sch: &ExecReport) {
     for (a, b) in seq.sense_results.iter().zip(&sch.sense_results) {
         assert_eq!(a.target, b.target, "{case}: sense target");
         assert_eq!(a.volume_pl, b.volume_pl, "{case}: sense volume");
-        assert_eq!(a.composition, b.composition, "{case}: sense composition");
+        assert_eq!(
+            by_name(seq, a),
+            by_name(sch, b),
+            "{case}: sense composition"
+        );
     }
     assert_eq!(
         seq.conservation_delta_pl(),

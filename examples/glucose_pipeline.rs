@@ -37,9 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut results = report.sense_results.clone();
     results.sort_by(|a, b| a.target.cmp(&b.target));
     for s in &results {
-        let glucose_pl = s.composition.get("Glucose").copied().unwrap_or(0.0);
-        let sample_pl = s.composition.get("Sample").copied().unwrap_or(0.0);
-        let reagent_pl = s.composition.get("Reagent").copied().unwrap_or(0.0);
+        // Readings are keyed by fluid id; the run's fluid table names them.
+        let composition = report.final_state.named(&s.composition);
+        let glucose_pl = composition.get("Glucose").copied().unwrap_or(0.0);
+        let sample_pl = composition.get("Sample").copied().unwrap_or(0.0);
+        let reagent_pl = composition.get("Reagent").copied().unwrap_or(0.0);
         let analyte = glucose_pl + sample_pl;
         println!(
             "  {}: {:.1} nl, analyte:reagent = 1:{:.2}",

@@ -44,8 +44,10 @@ END";
     let report = Executor::new(&machine, ExecConfig::default()).run(&out)?;
     assert!(report.violations.is_empty(), "{:?}", report.violations);
     for s in &report.sense_results {
-        let dye = s.composition.get("Dye").copied().unwrap_or(0.0);
-        let buffer = s.composition.get("Buffer").copied().unwrap_or(0.0);
+        // Readings are keyed by fluid id; the run's fluid table names them.
+        let composition = report.final_state.named(&s.composition);
+        let dye = composition.get("Dye").copied().unwrap_or(0.0);
+        let buffer = composition.get("Buffer").copied().unwrap_or(0.0);
         println!(
             "  {}: {:.1} nl sensed, Dye:Buffer = 1:{:.0}",
             s.target,

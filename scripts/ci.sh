@@ -8,10 +8,12 @@
 #      which includes tests/bench_statuses.rs: every compile-path row
 #      of the committed BENCH.json states the status a fresh compile
 #      returns)
-#   4. the repository benchmark's build (perfbench, --locked: fails when
+#   4. the quickstart and glucose_pipeline examples run to completion
+#      (both name sense readings through the run's fluid table)
+#   5. the repository benchmark's build (perfbench, --locked: fails when
 #      a public item it uses goes away or an inter-crate dependency list
 #      drifts from perfbench/Cargo.lock)
-#   5. the benchmark's correctness checks: one run of each workload
+#   6. the benchmark's correctness checks: one run of each workload
 #      (cold, serve, exec) must end on "correct":true — the status
 #      table, warm = cold, delta-chained session plans = cold compiles,
 #      exec conservation, and equal batch digests at 1 and 2 threads —
@@ -20,20 +22,20 @@
 #      exact block. Runs last 1 second, serve's 3: at seed 1, 61 of its
 #      96 edits revisit a state (8 of 32 at 1 second), so its
 #      delta-chained checks cover edits that reuse a cached plan
-#   6. every crate's unit and integration tests (cargo test --release
+#   7. every crate's unit and integration tests (cargo test --release
 #      --workspace), timeout-guarded: a hang is a deadlock, not a slow
 #      test. This runs, among the rest, aqua-serve's golden_protocol,
 #      cache_differential, session_protocol, invalidation, stress,
 #      front_door, store_recovery and obs_endpoints suites, aqua-sim's
 #      sched_differential, replay_differential and replay_log_recovery,
 #      and aqua-obs's fleet_merge
-#   7. rustdoc, deny warnings (cargo doc --no-deps)
-#   8. property suites, which compile to nothing without
+#   8. rustdoc, deny warnings (cargo doc --no-deps)
+#   9. property suites, which compile to nothing without
 #      --features proptests (fault_properties, the pinned
 #      regression_corpus, and incr_differential: session.edit deltas
 #      chained over random edit scripts stay byte-identical to cold
 #      compiles)
-#   9. bench --quick: every gate of the one bench binary (LP oracle
+#  10. bench --quick: every gate of the one bench binary (LP oracle
 #      agreement, fault recovery, warm = cold and warm >= 10x cold,
 #      restart rehydration, session edits = cold and >= 10x, makespan
 #      floors and thread-invariant digests, the replay soak's floors);
@@ -58,6 +60,11 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> examples run: quickstart, glucose_pipeline"
+for example in quickstart glucose_pipeline; do
+  cargo run --release --quiet --example "$example" >/dev/null
+done
 
 echo "==> repository benchmark builds against today's crates (--locked)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml

@@ -179,10 +179,11 @@ fn real_main() -> Result<(), String> {
                 .run(&out)
                 .map_err(|e| e.to_string())?;
             for s in &report.sense_results {
-                let mut parts: Vec<String> = s
-                    .composition
-                    .iter()
-                    .map(|(k, v)| format!("{k} {:.2} nl", v / 1000.0))
+                let mut parts: Vec<String> = (s.composition.iter())
+                    .map(|&(fluid, v)| {
+                        let name = report.final_state.fluid_name(fluid);
+                        format!("{name} {:.2} nl", v / 1000.0)
+                    })
                     .collect();
                 parts.sort();
                 println!(

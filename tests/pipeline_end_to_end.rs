@@ -24,7 +24,8 @@ fn glucose_compiles_and_executes_cleanly() {
             .iter()
             .find(|s| s.target == format!("Result[{slot}]"))
             .unwrap();
-        let got = s.composition["Reagent"] / s.composition["Glucose"];
+        let comp = report.final_state.named(&s.composition);
+        let got = comp["Reagent"] / comp["Glucose"];
         assert!(
             (got - want).abs() / want < 0.02,
             "Result[{slot}]: {got} vs {want}"
@@ -61,7 +62,7 @@ fn enzyme_compiles_via_rewrites_and_executes() {
         .iter()
         .find(|s| s.target == "RESULT[1][1][1]")
         .unwrap();
-    let share = s.composition["enzyme"] / s.volume_pl as f64;
+    let share = report.final_state.named(&s.composition)["enzyme"] / s.volume_pl as f64;
     assert!(
         (share - 1.0 / 6.0).abs() / (1.0 / 6.0) < 0.02,
         "enzyme share {share} at 1:1"
@@ -75,7 +76,7 @@ fn enzyme_compiles_via_rewrites_and_executes() {
         .iter()
         .find(|s| s.target == "RESULT[4][4][4]")
         .unwrap();
-    let share = s.composition["enzyme"] / s.volume_pl as f64;
+    let share = report.final_state.named(&s.composition)["enzyme"] / s.volume_pl as f64;
     let nominal = 1.0 / 3000.0;
     assert!(
         share > nominal / 1.5 && share < nominal * 1.5,
