@@ -35,14 +35,19 @@
 //!   carry the edited plan's status.
 //!
 //! Gates: `warm_equals_cold` (every warm, traffic and cold byte equal),
-//! `warm_over_cold` ≥ 10 (cold p50 over warm-key p50, each pooled over
-//! the suite), `restart_equals_cold`, `restart_recompiles` ≤ 0,
-//! `restart_over_warm` ≤ 10 (pooled p50s against in-memory warm-src),
-//! `incr_divergences` ≤ 0, and `incr_over_cold` ≥ 10 (enzyme10's cold
+//! `warm_over_cold` ≥ 10 (the smallest per-assay ratio of the `cold`
+//! row's p50 to the `warm-key` row's), `restart_equals_cold`,
+//! `restart_recompiles` ≤ 0, `restart_over_warm` ≤ 10 (the largest
+//! per-assay ratio of the `restart-warm-src` row's p50 to the
+//! `warm-src` row's), `incr_divergences` ≤ 0, and `incr_over_cold` ≥ 10
+//! (enzyme10's cold
 //! row over its ratio edit; enzyme10 compiles to `resources_exceeded`
 //! on this chip, so `incr_over_cold_feasible`, the same ratio for the
 //! `solved` enzyme4, whose ratio edits compile in full, is reported
-//! beside it, ungated).
+//! beside it, ungated). Each ratio divides one assay's rows: the
+//! assays' rows differ by orders of magnitude, so a p50 pooled over
+//! them would be a tail sample of one assay. `warm_src_over_cold`, the
+//! smallest per-assay cold to `warm-src` ratio, is reported ungated.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -117,8 +122,7 @@ pub(crate) fn run(b: &mut Bench) {
 
     // ---- front door ----
     let (cold_iters, warm_iters, warmup) = if quick { (3, 20, 0) } else { (15, 400, 2) };
-    let mut pooled: [Vec<u128>; 3] = Default::default();
-    let mut cold_p50 = Vec::new();
+    let (mut cold_p50, mut warm_src_p50, mut warm_key_p50) = (Vec::new(), Vec::new(), Vec::new());
     for (case, status) in cases.iter().zip(&statuses) {
         let cold = sample(warmup, cold_iters, || {
             service.clear_cache();
@@ -136,23 +140,16 @@ pub(crate) fn run(b: &mut Bench) {
                 .submit_src(&case.src, &machine, None)
                 .expect("warm src hit")
         });
-        b.report.row(case.key("warm-src"), status, &warm_src);
+        warm_src_p50.push(b.report.row(case.key("warm-src"), status, &warm_src));
         let warm_key = sample(warmup, warm_iters, || {
             service.submit_key(case.key).expect("warm key hit")
         });
-        b.report.row(case.key("warm-key"), status, &warm_key);
-        for (pool, samples) in pooled.iter_mut().zip([cold, warm_src, warm_key]) {
-            pool.extend(samples);
-        }
+        warm_key_p50.push(b.report.row(case.key("warm-key"), status, &warm_key));
     }
-    for pool in &mut pooled {
-        pool.sort_unstable();
-    }
-    let [cold, warm_src, warm_key] = pooled.map(|p| percentile(&p, 0.50) as f64);
-    b.report
-        .at_least("warm_over_cold", cold / warm_key.max(1.0), 10.0);
-    b.report
-        .figure("warm_src_over_cold", cold / warm_src.max(1.0));
+    let smallest = per_assay(&cold_p50, &warm_key_p50).fold(f64::INFINITY, f64::min);
+    b.report.at_least("warm_over_cold", smallest, 10.0);
+    let smallest = per_assay(&cold_p50, &warm_src_p50).fold(f64::INFINITY, f64::min);
+    b.report.figure("warm_src_over_cold", smallest);
 
     // ---- traffic ----
     let total = if quick { 20_000 } else { 1_000_000 };
@@ -180,8 +177,8 @@ pub(crate) fn run(b: &mut Bench) {
     b.report.holds("restart_equals_cold", equals_cold);
     b.report
         .at_most("restart_recompiles", recompiles as f64, 0.0);
-    b.report
-        .at_most("restart_over_warm", restart_p50 / warm_src.max(1.0), 10.0);
+    let largest = per_assay(&restart_p50, &warm_src_p50).fold(0.0, f64::max);
+    b.report.at_most("restart_over_warm", largest, 10.0);
 
     // ---- session edits ----
     let divergences: usize = cases.iter().map(|c| verify_edits(c, &machine)).sum();
@@ -235,6 +232,13 @@ pub(crate) fn run(b: &mut Bench) {
     b.report.figure("incr_over_cold_feasible", over("enzyme4"));
 }
 
+/// Each assay's p50 in `num` over its p50 in `den`.
+fn per_assay<'a>(num: &'a [u128], den: &'a [u128]) -> impl Iterator<Item = f64> + 'a {
+    num.iter()
+        .zip(den)
+        .map(|(&n, &d)| n as f64 / (d as f64).max(1.0))
+}
+
 struct Traffic {
     /// Sorted latencies of served requests, ns.
     latencies_ns: Vec<u128>,
@@ -256,12 +260,10 @@ fn unique_assay(n: u64) -> Dag {
     d
 }
 
-/// Mixed hot/cold multi-tenant traffic against a quota-bounded sharded
-/// service.
+/// Mixed hot/cold multi-tenant traffic against a quota-bounded service.
 fn run_traffic(cases: &[Case], machine: &Machine, total: usize) -> Traffic {
     let service = Service::new(ServiceConfig {
         cache_capacity: 4096,
-        worker_shards: 4,
         queue_capacity: 512,
         tenant_max_inflight: 2,
         tenant_max_queued: 2,
@@ -344,9 +346,9 @@ fn run_traffic(cases: &[Case], machine: &Machine, total: usize) -> Traffic {
     }
 }
 
-/// Kill-and-restart through the plan store. Returns the pooled warm-src
-/// p50 after the restart, whether every plan came back byte-identical,
-/// and how many plans the restarted service compiled.
+/// Kill-and-restart through the plan store. Returns each assay's
+/// warm-src p50 after the restart, whether every plan came back
+/// byte-identical, and how many plans the restarted service compiled.
 fn run_restart(
     b: &mut Bench,
     cases: &[Case],
@@ -354,7 +356,7 @@ fn run_restart(
     machine: &Machine,
     iters: usize,
     warmup: usize,
-) -> (f64, bool, u64) {
+) -> (Vec<u128>, bool, u64) {
     let dir = std::env::temp_dir().join(format!("aqua-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = || Some(StoreConfig::at(&dir));
@@ -376,7 +378,7 @@ fn run_restart(
     })
     .expect("reopen plan store");
     let mut equals_cold = true;
-    let mut pooled = Vec::new();
+    let mut p50s = Vec::new();
     for (case, status) in cases.iter().zip(statuses) {
         let warm = svc
             .submit_src(&case.src, machine, None)
@@ -387,14 +389,12 @@ fn run_restart(
             svc.submit_src(&case.src, machine, None)
                 .expect("warm after restart")
         });
-        b.report.row(case.key("restart-warm-src"), status, &samples);
-        pooled.extend(samples);
+        p50s.push(b.report.row(case.key("restart-warm-src"), status, &samples));
     }
-    pooled.sort_unstable();
     let recompiles = sink.snapshot().counter("serve.plan.compiles");
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
-    (percentile(&pooled, 0.50) as f64, equals_cold, recompiles)
+    (p50s, equals_cold, recompiles)
 }
 
 /// Extracts the raw bytes of a response's *last* JSON member.

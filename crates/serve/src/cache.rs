@@ -1,12 +1,15 @@
-//! A sharded, collision-checked LRU cache for compiled plans.
+//! A lock-striped, collision-checked LRU cache for compiled plans.
 //!
 //! The cache maps a 128-bit content key (see [`crate::canon`]) to the
 //! rendered plan bytes. Design points:
 //!
-//! * **Sharding** — keys are spread over `shards` independent
-//!   mutex-protected shards, so concurrent hits on different keys never
-//!   contend on one lock. A shard is picked from the key's high bits
-//!   (the key is already a hash, so no re-mixing is needed).
+//! * **Lock stripes** — keys are spread over at most `STRIPES` (8)
+//!   independent mutex-protected shards, so concurrent hits on
+//!   different keys rarely contend on one lock. A shard is picked from
+//!   the key's bits (the key is already a hash, so no re-mixing is
+//!   needed). The capacity is split over the shards, which number no
+//!   more than the capacity, so the cache never holds more than it was
+//!   built for.
 //! * **True LRU per shard** — each shard keeps an index-linked list
 //!   over a slab of slots: `get` unlinks and re-pushes at the front in
 //!   O(1), `insert` evicts the tail in O(1).
@@ -28,6 +31,9 @@ use aqua_obs::Obs;
 use crate::service::Served;
 
 const NIL: usize = usize::MAX;
+
+/// Most lock stripes a cache is split into.
+const STRIPES: usize = 8;
 
 /// Monotonic cache counters (relaxed atomics; read for reporting only).
 #[derive(Debug, Default)]
@@ -66,13 +72,16 @@ struct Shard {
     free: Vec<usize>,
     head: usize,
     tail: usize,
+    /// Most entries this shard holds.
+    capacity: usize,
 }
 
 impl Shard {
-    fn new() -> Shard {
+    fn new(capacity: usize) -> Shard {
         Shard {
             head: NIL,
             tail: NIL,
+            capacity,
             ..Shard::default()
         }
     }
@@ -104,24 +113,25 @@ impl Shard {
     }
 }
 
-/// The sharded LRU plan cache. See the module docs.
+/// The lock-striped LRU plan cache. See the module docs.
 pub struct ShardedLru {
     shards: Vec<Mutex<Shard>>,
-    per_shard_capacity: usize,
     obs: Obs,
     /// Counter block (shared with [`crate::service::Service`] reports).
     pub stats: CacheStats,
 }
 
 impl ShardedLru {
-    /// A cache holding at most ~`capacity` entries over `shards` shards
-    /// (each shard holds `ceil(capacity / shards)`, minimum 1).
-    pub fn new(capacity: usize, shards: usize, obs: Obs) -> ShardedLru {
-        let shards = shards.max(1);
-        let per_shard_capacity = capacity.div_ceil(shards).max(1);
+    /// A cache holding at most `capacity` entries (at least 1), split
+    /// over `min(capacity, STRIPES)` shards whose capacities sum to it.
+    pub fn new(capacity: usize, obs: Obs) -> ShardedLru {
+        let capacity = capacity.max(1);
+        let shards = capacity.min(STRIPES);
+        let (each, extra) = (capacity / shards, capacity % shards);
         ShardedLru {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            per_shard_capacity,
+            shards: (0..shards)
+                .map(|i| Mutex::new(Shard::new(each + usize::from(i < extra))))
+                .collect(),
             obs,
             stats: CacheStats::default(),
         }
@@ -199,7 +209,7 @@ impl ShardedLru {
             shard.push_front(i);
             return;
         }
-        if shard.map.len() >= self.per_shard_capacity {
+        if shard.map.len() >= shard.capacity {
             let tail = shard.tail;
             debug_assert_ne!(tail, NIL);
             let old_key = shard.slots[tail].key;
@@ -249,7 +259,7 @@ impl ShardedLru {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut s = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            *s = Shard::new();
+            *s = Shard::new(s.capacity);
         }
     }
 }
@@ -269,25 +279,33 @@ mod tests {
         Arc::from(vec![tag].into_boxed_slice())
     }
 
+    /// The `i`th key of stripe 0: recency order is per stripe.
+    fn k(i: u128) -> u128 {
+        i * STRIPES as u128
+    }
+
     #[test]
     fn lru_evicts_least_recently_used() {
-        // Single shard, capacity 2, so recency order is observable.
-        let cache = ShardedLru::new(2, 1, Obs::off());
-        cache.insert(1, enc(1), served("one"));
-        cache.insert(2, enc(2), served("two"));
+        // Two entries per stripe, so recency order is observable.
+        let cache = ShardedLru::new(2 * STRIPES, Obs::off());
+        cache.insert(k(1), enc(1), served("one"));
+        cache.insert(k(2), enc(2), served("two"));
         // Touch 1 so 2 becomes the LRU entry.
-        assert!(cache.get(1, &[1]).is_some());
-        cache.insert(3, enc(3), served("three"));
+        assert!(cache.get(k(1), &[1]).is_some());
+        cache.insert(k(3), enc(3), served("three"));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(2, &[2]).is_none(), "2 should have been evicted");
-        assert!(cache.get(1, &[1]).is_some());
-        assert!(cache.get(3, &[3]).is_some());
+        assert!(
+            cache.get(k(2), &[2]).is_none(),
+            "2 should have been evicted"
+        );
+        assert!(cache.get(k(1), &[1]).is_some());
+        assert!(cache.get(k(3), &[3]).is_some());
         assert_eq!(cache.stats.evictions.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn collisions_are_rejected_not_served() {
-        let cache = ShardedLru::new(8, 1, Obs::off());
+        let cache = ShardedLru::new(8, Obs::off());
         cache.insert(7, enc(1), served("first"));
         // Same 128-bit key, different canonical encoding: a true hash
         // collision. The lookup must miss and the insert must refuse.
@@ -300,18 +318,18 @@ mod tests {
 
     #[test]
     fn reinsert_same_encoding_refreshes_value_and_recency() {
-        let cache = ShardedLru::new(2, 1, Obs::off());
-        cache.insert(1, enc(1), served("v1"));
-        cache.insert(2, enc(2), served("v2"));
-        cache.insert(1, enc(1), served("v1b"));
-        cache.insert(3, enc(3), served("v3")); // evicts 2, not 1
-        assert_eq!(&*cache.get(1, &[1]).unwrap().plan, "v1b");
-        assert!(cache.get(2, &[2]).is_none());
+        let cache = ShardedLru::new(2 * STRIPES, Obs::off());
+        cache.insert(k(1), enc(1), served("v1"));
+        cache.insert(k(2), enc(2), served("v2"));
+        cache.insert(k(1), enc(1), served("v1b"));
+        cache.insert(k(3), enc(3), served("v3")); // evicts 2, not 1
+        assert_eq!(&*cache.get(k(1), &[1]).unwrap().plan, "v1b");
+        assert!(cache.get(k(2), &[2]).is_none());
     }
 
     #[test]
     fn clear_empties_all_shards() {
-        let cache = ShardedLru::new(16, 4, Obs::off());
+        let cache = ShardedLru::new(16, Obs::off());
         for k in 0..10u128 {
             cache.insert(k, enc(k as u8), served("x"));
         }
@@ -324,12 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn sharding_distributes_and_caps_per_shard() {
-        let cache = ShardedLru::new(8, 4, Obs::off()); // 2 per shard
-        for k in 0..64u128 {
-            // Spread keys across shards via distinct high bits too.
-            cache.insert(k << 64 | k, enc(k as u8), served("x"));
+    fn a_full_cache_holds_exactly_its_capacity() {
+        for capacity in 1..=20 {
+            let cache = ShardedLru::new(capacity, Obs::off());
+            for k in 0..64u128 {
+                cache.insert(k, enc(k as u8), served("x"));
+            }
+            assert_eq!(cache.len(), capacity);
         }
-        assert!(cache.len() <= 8, "len {} exceeds capacity", cache.len());
     }
 }

@@ -8,17 +8,14 @@
 //! * [`canon`] — canonicalizes a request (deterministic node order,
 //!   fluid-name interning, machine-spec folding) into a
 //!   content-addressed cache key;
-//! * [`cache`] — a sharded LRU over compiled plans with exact-encoding
-//!   collision rejection;
-//! * [`shard`] — consistent-hash routing of content keys onto worker
-//!   shards, each owning its own LRU + single-flight + batcher;
-//! * [`service`] — single-flight admission, bounded queues with typed
-//!   `Overloaded`/`Timeout`/`Shedding` rejections, per-tenant quotas,
-//!   and per-worker batchers feeding `aqua_lp::batch`'s claim-counter
-//!   pool;
+//! * [`cache`] — a lock-striped LRU over compiled plans with
+//!   exact-encoding collision rejection;
+//! * [`service`] — one cache, single-flight admission, one bounded
+//!   queue with typed `Overloaded`/`Timeout`/`Shedding` rejections,
+//!   per-tenant quotas, and one compiler thread per core;
 //! * [`store`] — a disk-backed content-addressed plan store (CRC-guarded
 //!   append-only segment log with torn-tail recovery and compaction)
-//!   that rehydrates the caches across restarts;
+//!   that rehydrates the cache across restarts;
 //! * [`server`] — NDJSON request/response fronts over stdin and TCP,
 //!   with bounded line lengths and a transient-error-tolerant accept
 //!   loop;
@@ -62,7 +59,6 @@ pub mod plan;
 pub mod server;
 pub mod service;
 pub mod session;
-pub mod shard;
 pub mod store;
 
 pub use canon::{canonicalize, key_hex, parse_key_hex, Canon, CanonError};
@@ -70,5 +66,4 @@ pub use plan::compile_plan;
 pub use server::{serve_stdin, spawn_tcp};
 pub use service::{ServeError, Served, Service, ServiceConfig};
 pub use session::apply_delta;
-pub use shard::Ring;
 pub use store::{PlanStore, Record, RecoveryReport, StoreConfig};

@@ -129,10 +129,10 @@ fn push_log(out: &mut String, log: &[String]) {
 /// Compiles one canonical request into its plan document.
 ///
 /// This is the only compile entry point in the crate — both the cold
-/// path (miss → batcher → here) and the bench harness call it, so warm
-/// and cold responses can never diverge. The result is deterministic:
-/// the hierarchy is a pure function of `(canon, machine)` and the JSON
-/// member order is fixed.
+/// path (miss → compiler thread → here) and the bench harness call it,
+/// so warm and cold responses can never diverge. The result is
+/// deterministic: the hierarchy is a pure function of `(canon,
+/// machine)` and the JSON member order is fixed.
 pub fn compile_plan(canon: &Canon, machine: &Machine, obs: &Obs) -> String {
     compile_plan_impl(canon, machine, obs, false).0
 }

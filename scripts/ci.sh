@@ -17,11 +17,14 @@
 #      (cold, serve, exec) must end on "correct":true — the status
 #      table, warm = cold, delta-chained session plans = cold compiles,
 #      exec conservation, and equal batch digests at 1 and 2 threads —
-#      plus one traced exec run, whose staged rerun (InstrDag::build,
-#      plan_jobs, run_job, splice one by one) must repeat run_batch's
-#      exact block. Runs last 1 second, serve's 3: at seed 1, 61 of its
-#      96 edits revisit a state (8 of 32 at 1 second), so its
-#      delta-chained checks cover edits that reuse a cached plan
+#      plus one traced cold run, whose staged rerun (parse, lower,
+#      canonicalize, then submit_canon through the service's compiler
+#      threads) must repeat every plan of the untraced run, and one
+#      traced exec run, whose staged rerun (InstrDag::build, plan_jobs,
+#      run_job, splice one by one) must repeat run_batch's exact block.
+#      Runs last 1 second, serve's 3: at seed 1, 61 of its 96 edits
+#      revisit a state (8 of 32 at 1 second), so its delta-chained
+#      checks cover edits that reuse a cached plan
 #   7. every crate's unit and integration tests (cargo test --release
 #      --workspace), timeout-guarded: a hang is a deadlock, not a slow
 #      test. This runs, among the rest, aqua-serve's golden_protocol,
@@ -73,7 +76,7 @@ echo "==> repository benchmark correctness checks (1 s per workload, serve 3 s)"
 # A failed check prints to stderr, sets "correct":false on the run's
 # last line and exits nonzero; timings this short mean nothing, only
 # the checks count. Each run is workload:trace:seconds.
-for run in cold:0:1 serve:0:3 exec:0:1 exec:1:1; do
+for run in cold:0:1 cold:1:1 serve:0:3 exec:0:1 exec:1:1; do
   IFS=: read -r workload trace seconds <<<"$run"
   result=$(timeout 300 cargo run --release --offline --locked --quiet \
     --manifest-path perfbench/Cargo.toml -- \

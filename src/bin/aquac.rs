@@ -7,11 +7,10 @@
 //! aquac exec    <assay-file> [--machine CAP,LC] [--yield FRACTION]
 //!               [--parallel] [--instances N] [--threads N]
 //! aquac serve   [--tcp ADDR] [--machine CAP,LC] [--cache-cap N]
-//!               [--shards N] [--worker-shards N] [--workers N]
-//!               [--queue-cap N] [--max-batch N] [--deadline-ms N]
+//!               [--queue-cap N] [--deadline-ms N]
 //!               [--max-deadline-ms N] [--max-line-bytes N]
 //!               [--store DIR] [--tenant-inflight N]
-//!               [--tenant-queue N] [--obs]
+//!               [--tenant-queue N] [--tenant-sessions N] [--obs]
 //! aquac replay  record <assay-file> --log DIR [--name NAME]
 //!               [--machine CAP,LC] [--runs N] [--seed-base S]
 //!               [--fault-rate-ppm P]
@@ -32,10 +31,10 @@
 //!   results);
 //! * `serve` starts the plan-compilation service: one JSON request per
 //!   stdin line, one JSON response per stdout line (and the same
-//!   protocol on `--tcp ADDR`), with content-addressed plan caching
-//!   sharded over `--worker-shards` consistent-hash workers. `--store
-//!   DIR` persists every compiled plan to a segment-log store and
-//!   rehydrates the caches on restart; `--tenant-inflight` /
+//!   protocol on `--tcp ADDR`), with content-addressed plan caching of
+//!   up to `--cache-cap` plans and one compiler thread per core.
+//!   `--store DIR` persists every compiled plan to a segment-log store
+//!   and rehydrates the cache on restart; `--tenant-inflight` /
 //!   `--tenant-queue` bound each tenant's share of the service;
 //!   `--max-deadline-ms` and `--max-line-bytes` cap hostile requests.
 //!   `--obs` attaches a lock-sharded fleet aggregator: the wire gains
@@ -387,11 +386,7 @@ fn serve_main(rest: &[String]) -> Result<(), String> {
                 config.machine = parse_machine(it.next().ok_or("--machine needs a value")?)?;
             }
             "--cache-cap" => config.cache_capacity = next_usize(&mut it, "--cache-cap")?,
-            "--shards" => config.cache_shards = next_usize(&mut it, "--shards")?,
-            "--worker-shards" => config.worker_shards = next_usize(&mut it, "--worker-shards")?,
-            "--workers" => config.solver_threads = next_usize(&mut it, "--workers")?,
             "--queue-cap" => config.queue_capacity = next_usize(&mut it, "--queue-cap")?,
-            "--max-batch" => config.max_batch = next_usize(&mut it, "--max-batch")?,
             "--deadline-ms" => {
                 config.default_deadline_ms = next_usize(&mut it, "--deadline-ms")? as u64;
             }
@@ -629,8 +624,7 @@ fn usage() -> String {
      or: aquac exec <assay-file> [--machine CAP,LC] [--yield F] \
      [--parallel] [--instances N] [--threads N]\n   \
      or: aquac serve [--tcp ADDR] [--machine CAP,LC] [--cache-cap N] \
-     [--shards N] [--worker-shards N] [--workers N] [--queue-cap N] \
-     [--max-batch N] [--deadline-ms N] [--max-deadline-ms N] \
+     [--queue-cap N] [--deadline-ms N] [--max-deadline-ms N] \
      [--max-line-bytes N] [--store DIR] [--tenant-inflight N] \
      [--tenant-queue N] [--tenant-sessions N] [--obs]\n   \
      or: aquac replay record <assay-file> --log DIR [--name NAME] \

@@ -97,3 +97,53 @@ fn missing_file_fails_cleanly() {
     let out = aquac(&["check", "/nonexistent/nope.assay"]);
     assert!(!out.status.success());
 }
+
+#[test]
+fn serve_answers_a_source_its_key_and_stats() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_aquac"))
+        .args(["serve", "--cache-cap", "4"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("aquac serve starts");
+    let mut stdin = child.stdin.take().expect("stdin is piped");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
+    let mut ask = |line: String| {
+        writeln!(stdin, "{line}").expect("request written");
+        let mut answer = String::new();
+        stdout.read_line(&mut answer).expect("answer read");
+        let v = aqua_serve::json::parse(&answer).expect("answer is JSON");
+        assert_eq!(
+            v.get("ok"),
+            Some(&aqua_serve::json::Value::Bool(true)),
+            "{answer}"
+        );
+        v
+    };
+    let compiled = ask(format!(
+        "{{\"id\":1,\"src\":{}}}",
+        aqua_serve::json::quote(DEMO)
+    ));
+    let key = compiled.get("key").and_then(|k| k.as_str()).expect("key");
+    let read = ask(format!("{{\"id\":2,\"key\":\"{key}\"}}"));
+    assert_eq!(read.get("plan"), compiled.get("plan"));
+    let stats = ask("{\"id\":3,\"cmd\":\"stats\"}".to_owned());
+    let stats = stats.get("stats").expect("stats member");
+    assert_eq!(stats.get("cached_plans").and_then(|n| n.as_int()), Some(1));
+    assert_eq!(stats.get("hits").and_then(|n| n.as_int()), Some(1));
+    drop(stdin);
+    assert!(child.wait().expect("aquac serve exits").success());
+}
+
+#[test]
+fn serve_rejects_the_removed_sharding_flags() {
+    for flag in ["--worker-shards", "--shards", "--workers", "--max-batch"] {
+        let out = aquac(&["serve", flag, "2"]);
+        assert!(!out.status.success(), "{flag} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown argument"), "{flag}: {err}");
+    }
+}
