@@ -118,6 +118,22 @@ fn backends_agree_on_enzyme_formulations() {
     }
 }
 
+/// A model with no variables (what the hierarchy hands the LP for an
+/// assay with no operations) has one point, the empty one: both
+/// solvers answer it optimal, with no values.
+#[test]
+fn backends_agree_on_a_model_with_no_columns() {
+    for sense in [aqua_lp::Sense::Minimize, aqua_lp::Sense::Maximize] {
+        let m = Model::new(sense);
+        differential(&m, &format!("no columns ({sense:?})"));
+        let sparse = solve_with(&m, &SimplexConfig::default()).status;
+        let dense = solve_dense(&m, &SimplexConfig::default()).status;
+        let (s, d) = (sparse.solution().unwrap(), dense.solution().unwrap());
+        assert!(s.values.is_empty() && d.values.is_empty());
+        assert_eq!(s.objective.to_bits(), d.objective.to_bits(), "{sense:?}");
+    }
+}
+
 /// Seeded random LPs: dense constraint structure, mixed senses, some
 /// bounded and some free variables. Feasibility is guaranteed by
 /// generating constraints satisfied at a random interior point.

@@ -276,6 +276,17 @@ pub(crate) fn solve_sparse(
         }
     };
     let mut solver = Revised::new(std, model, config.clone());
+    // A model with no columns (no variables, every constraint folded)
+    // has one point, the empty one, and pricing would divide by the
+    // zero column count: answer it as the dense oracle does.
+    if solver.ncols == 0 {
+        let values = solver.extract();
+        let objective = model.objective().eval(&values);
+        return (
+            solver.finish(Status::Optimal(Solution { objective, values })),
+            None,
+        );
+    }
     if let Some(ws) = warm {
         if solver.warm_compatible(ws) {
             if let WarmOutcome::Done(out) = solver.run_warm(ws) {

@@ -1,8 +1,9 @@
 //! Regression tests for the front-door bugs: the `deadline_ms`-overflow
 //! panic, the accept loop dying on transient errors, unbounded request
 //! lines, the `FOR`-loop trip count that overflowed into a hang, the
-//! op-free loop nest that ran for days, and the `i128` overflow in plan
-//! rounding that killed a shard's batcher.
+//! op-free loop nest that ran for days, the `i128` overflow in plan
+//! rounding that killed a shard's batcher, and the empty assay that
+//! panicked a compiler thread in the LP.
 //!
 //! Each test exercises the hostile input that used to take the service
 //! (or one of its threads) down, then proves the connection/service
@@ -12,6 +13,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
+use aqua_obs::fleet::FleetSink;
+use aqua_obs::Obs;
 use aqua_serve::json::{self, quote, Value};
 use aqua_serve::server::{accept_error_is_fatal, serve_lines, spawn_tcp};
 use aqua_serve::{ServeError, Service, ServiceConfig};
@@ -351,3 +354,48 @@ fn tenant_quota_sheds_on_the_wire() {
         ServeError::Shedding
     );
 }
+
+/// An assay with no operations reaches the LP as a model with no
+/// variables (DAGSolve does not solve an empty DAG), and the sparse
+/// simplex divided by its zero column count: the compiler thread
+/// caught the panic, the request answered `internal` and
+/// `serve.panics` counted it, as a `src` line and as
+/// `session.register` alike. Now both get the LP's plan of the empty
+/// point, and no panic is counted.
+#[test]
+fn empty_assay_gets_a_plan_not_internal() {
+    let fleet = Arc::new(FleetSink::new());
+    let svc = Service::new(ServiceConfig {
+        obs: Obs::with_sink(fleet.clone()),
+        fleet: Some(fleet),
+        ..ServiceConfig::default()
+    });
+    let mut got = Vec::new();
+    for src in ["ASSAY t START\nEND", "ASSAY t START\nfluid A;\nEND"] {
+        got.push(svc.handle_line(&format!("{{\"id\":1,\"src\":{}}}", quote(src))));
+        got.push(svc.handle_line(&format!(
+            "{{\"id\":2,\"cmd\":\"session.register\",\"src\":{}}}",
+            quote(src)
+        )));
+    }
+    // Both assays canonicalize to the empty DAG: one key, one plan.
+    let want = [
+        format!("{{\"id\":1,\"ok\":true,{EMPTY_PLAN}"),
+        format!("{{\"id\":2,\"ok\":true,\"session\":\"s1\",{EMPTY_PLAN}"),
+        format!("{{\"id\":1,\"ok\":true,{EMPTY_PLAN}"),
+        format!("{{\"id\":2,\"ok\":true,\"session\":\"s2\",{EMPTY_PLAN}"),
+    ];
+    assert_eq!(got, want);
+    let snap = parse(&svc.handle_line("{\"id\":3,\"cmd\":\"obs.snapshot\"}"));
+    let counters = snap.get("obs").and_then(|o| o.get("counters"));
+    let panics = counters.and_then(|c| c.get("serve.panics"));
+    assert_eq!(panics.and_then(Value::as_u64).unwrap_or(0), 0, "{snap:?}");
+}
+
+/// The tail of every response to an empty assay.
+const EMPTY_PLAN: &str = concat!(
+    r#""key":"9e9b9e5448f99242a0b3721de1de2251","names":[],"plan":{"status":"solved","#,
+    r#""method":"LP","nodes":[],"edges":[],"node_volumes_nl":[],"ivol_nl":[],"log":["#,
+    r#""round 0: DAGSolve error: assay DAG has no output node","#,
+    r#""round 0: LP succeeded (0 constraints)"]}}"#
+);

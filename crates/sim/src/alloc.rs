@@ -24,10 +24,10 @@
 //! rejects overlapping same-job allocations; episodes of *different*
 //! jobs never conflict (each assay instance replays independently).
 
-use std::collections::HashMap;
-
 use aqua_ais::ResourceClass;
 use aqua_volume::Machine;
+
+use crate::state::FastMap;
 
 /// Identifies the assay instance an episode belongs to. Slot reuse
 /// across different jobs carries no program-order hazard.
@@ -56,7 +56,7 @@ pub struct ClassPool {
     /// Program-order spans `(first_touch, last_touch)` every past
     /// occupant of a slot covered, per job — the fence data. Sorted by
     /// `first_touch` (same-job spans are pairwise disjoint).
-    spans: HashMap<(u32, JobId), Vec<(u32, u32)>>,
+    spans: FastMap<(u32, JobId), Vec<(u32, u32)>>,
     total: u32,
     in_use: u32,
     /// High-water mark of concurrently allocated slots.
@@ -91,7 +91,7 @@ impl ClassPool {
                     after: None,
                 })
                 .collect(),
-            spans: HashMap::new(),
+            spans: FastMap::default(),
             total,
             in_use: 0,
             peak_in_use: 0,
@@ -129,14 +129,16 @@ impl ClassPool {
         p == 0 || spans[p - 1].1 < span.0
     }
 
-    /// How many free slots a `job` episode covering program-order
-    /// `span = (first_touch, last_touch)` could legally take at
-    /// schedule time `now` (fence-aware feasibility check).
-    pub fn valid_count(&self, job: JobId, span: (u32, u32), now: u64) -> usize {
-        self.free
-            .iter()
+    /// Whether at least `cnt` free slots could legally take a `job`
+    /// episode covering program-order `span = (first_touch,
+    /// last_touch)` at schedule time `now` (fence-aware feasibility
+    /// check); stops at the `cnt`-th.
+    pub(crate) fn has_valid(&self, job: JobId, span: (u32, u32), now: u64, cnt: usize) -> bool {
+        (self.free.iter())
             .filter(|f| self.valid(f, job, span, now))
+            .take(cnt)
             .count()
+            == cnt
     }
 
     /// Allocates a slot for an episode of `job` covering program-order
@@ -290,18 +292,18 @@ mod tests {
         // Released at t=60 by an episode spanning program order 10..50.
         p.release(1, 60, 0, (10, 50), 7, 0);
         // Not physically free before t=60.
-        assert_eq!(p.valid_count(0, (51, 60), 59), 0);
+        assert!(!p.has_valid(0, (51, 60), 59, 1));
         // A same-job episode overlapping 10..50 in program order is
         // rejected even after t=60.
         assert!(p.alloc(0, (20, 55), 60, None).is_none());
-        assert_eq!(p.valid_count(0, (20, 55), 60), 0);
+        assert!(!p.has_valid(0, (20, 55), 60, 1));
         assert!(p.alloc(0, (5, 10), 60, None).is_none());
         // A different job, or a program-order-disjoint same-job
         // episode (either side), is fine — and inherits the
         // serialization edge against the releasing node.
-        assert_eq!(p.valid_count(1, (20, 55), 60), 1);
-        assert_eq!(p.valid_count(0, (51, 60), 60), 1);
-        assert_eq!(p.valid_count(0, (2, 9), 60), 1);
+        assert!(p.has_valid(1, (20, 55), 60, 1));
+        assert!(p.has_valid(0, (51, 60), 60, 1));
+        assert!(p.has_valid(0, (2, 9), 60, 1));
         let g = p.alloc(1, (20, 55), 60, None).unwrap();
         assert_eq!(g.after, Some((7, 0)));
         p.release(1, 80, 1, (20, 55), 9, 1);
@@ -309,10 +311,10 @@ mod tests {
         assert_eq!(g.after, Some((9, 1)));
         // Both spans are now fenced: 10..50 (job 0) and 20..55 (job 1).
         p.release(1, 90, 0, (51, 60), 11, 0);
-        assert_eq!(p.valid_count(0, (2, 9), 90), 1);
-        assert_eq!(p.valid_count(0, (61, 70), 90), 1);
-        assert_eq!(p.valid_count(0, (9, 10), 90), 0);
-        assert_eq!(p.valid_count(1, (55, 70), 90), 0);
+        assert!(p.has_valid(0, (2, 9), 90, 1));
+        assert!(p.has_valid(0, (61, 70), 90, 1));
+        assert!(!p.has_valid(0, (9, 10), 90, 1));
+        assert!(!p.has_valid(1, (55, 70), 90, 1));
     }
 
     #[test]

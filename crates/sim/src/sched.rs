@@ -51,7 +51,8 @@
 //! (a *parked* episode), the scheduler may spill it to a free reservoir
 //! slot to release the unit.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -60,7 +61,6 @@ use aqua_compiler::{CompileOutput, PlannedVolume};
 use aqua_volume::Machine;
 
 use crate::alloc::{ClassPool, SlotPool, POOLED_CLASSES};
-use crate::state::FastMap;
 
 /// Options for schedule construction.
 #[derive(Debug, Clone, Default)]
@@ -70,15 +70,14 @@ pub struct SchedOptions {
     pub obs: aqua_obs::Obs,
 }
 
-/// One occupancy lifetime of a virtual location.
+/// One occupancy lifetime of a virtual location. Its touches are
+/// [`InstrDag::touches`]`[episode]`.
 #[derive(Debug, Clone)]
 pub struct Episode {
     /// Resource class of the location.
     pub class: ResourceClass,
     /// Virtual unit index in the program text.
     pub virt: u32,
-    /// Program indices touching this episode, ascending.
-    pub touches: Vec<u32>,
     /// Ended by a definitely-emptying op (closed episodes release
     /// their slot; open ones hold it to the end of the schedule).
     pub closed: bool,
@@ -94,10 +93,11 @@ pub struct Episode {
     /// episode chains (a later block holding the last slot while an
     /// earlier block, which the chain forces to run first, waits).
     pub class_ord: u32,
-    /// Position in `touches` where a pure-drain suffix begins: from
-    /// here on the episode is only ever a transfer source, so between
-    /// `touches[spill_from - 1]` completing and `touches[spill_from]`
-    /// issuing the fluid is parked and may be spilled to storage.
+    /// Position in the episode's touches where a pure-drain suffix
+    /// begins: from here on the episode is only ever a transfer
+    /// source, so between `touches[spill_from - 1]` completing and
+    /// `touches[spill_from]` issuing the fluid is parked and may be
+    /// spilled to storage.
     pub spill_from: Option<usize>,
 }
 
@@ -119,6 +119,9 @@ pub struct InstrDag {
     pub priority: Vec<u64>,
     /// All episodes, in order of first touch.
     pub episodes: Vec<Episode>,
+    /// Program indices touching each episode, ascending: the transpose
+    /// of `instr_eps`.
+    pub touches: Csr<u32>,
     /// Episodes touched per instruction (deduplicated, operand order).
     pub instr_eps: Csr<u32>,
     /// Units with at least one metered-close episode: each needs a
@@ -132,30 +135,59 @@ pub struct InstrDag {
     pub critical_path_s: u64,
 }
 
-/// Per-node lists stored flat: node `i`'s items are
-/// `items[head[i]..head[i + 1]]`, one allocation for every node.
-#[derive(Debug, Clone, Default)]
+/// Per-row lists stored flat: row `i`'s items are
+/// `items[head[i]..head[i + 1]]`, one allocation for every row.
+#[derive(Debug, Clone)]
 pub struct Csr<T> {
     head: Vec<u32>,
     items: Vec<T>,
 }
 
-impl<T: Copy + Default> Csr<T> {
-    /// Groups `(node, item)` pairs over `n` nodes, keeping each node's
-    /// items in input order.
-    fn grouped(n: usize, pairs: impl Iterator<Item = (u32, T)> + Clone) -> Csr<T> {
-        let mut head = vec![0u32; n + 1];
-        for (node, _) in pairs.clone() {
-            head[node as usize + 1] += 1;
+impl<T> Default for Csr<T> {
+    fn default() -> Csr<T> {
+        Csr {
+            head: Vec::new(),
+            items: Vec::new(),
         }
-        for i in 0..n {
-            head[i + 1] += head[i];
+    }
+}
+
+impl<T> Csr<T> {
+    /// No rows yet, room for `rows` rows of `items` items in all; rows
+    /// are filled in order by pushing to `items` and closing each.
+    fn with_capacity(rows: usize, items: usize) -> Csr<T> {
+        let mut head = Vec::with_capacity(rows + 1);
+        head.push(0);
+        Csr {
+            head,
+            items: Vec::with_capacity(items),
         }
-        let mut fill = head.clone();
-        let mut items = vec![T::default(); head[n] as usize];
-        for (node, item) in pairs {
-            items[fill[node as usize] as usize] = item;
-            fill[node as usize] += 1;
+    }
+
+    /// Ends the row being filled.
+    fn close_row(&mut self) {
+        self.head.push(self.items.len() as u32);
+    }
+}
+
+impl Csr<u32> {
+    /// The transpose over `m` rows: row `r` lists, ascending, every row
+    /// of `self` that holds `r`.
+    fn transpose(&self, m: usize) -> Csr<u32> {
+        let mut head = vec![0u32; m + 1];
+        for &r in &self.items {
+            head[r as usize + 1] += 1;
+        }
+        for k in 0..m {
+            head[k + 1] += head[k];
+        }
+        let mut fill = head[..m].to_vec();
+        let mut items = vec![0u32; self.items.len()];
+        for row in 0..self.head.len().saturating_sub(1) {
+            for &r in &self[row] {
+                items[fill[r as usize] as usize] = row as u32;
+                fill[r as usize] += 1;
+            }
         }
         Csr { head, items }
     }
@@ -216,26 +248,27 @@ fn effects(instr: &Instr, plan: Option<&PlannedVolume>) -> [Option<(WetLoc, Effe
 impl InstrDag {
     /// Analyzes a compiled program: episodes, dependence edges,
     /// durations, and critical-path priorities. Linear but for sorting
-    /// the dependence edges (packed `pred << 32 | succ`) once.
+    /// each instruction's few dependence sources.
     pub fn build(out: &CompileOutput) -> InstrDag {
         const NONE: u32 = u32::MAX;
         let instrs = out.program.instrs();
         let n = instrs.len();
         let plan = &out.volume_plan;
 
-        // Each (class, virtual unit) gets a dense index on first touch;
-        // `units[index]` holds its open and its latest episode.
-        let mut unit_ix: FastMap<(ResourceClass, u32), usize> = FastMap::default();
-        let mut units: Vec<(u32, u32)> = Vec::new();
+        // Per class and virtual unit: its open and its latest episode.
+        let mut units: [Vec<(u32, u32)>; 7] = Default::default();
         let mut carry_units: Vec<(ResourceClass, u32)> = Vec::new();
         let mut class_counts = [0u32; 7];
 
         let mut episodes: Vec<Episode> = Vec::new();
-        // Per episode: where its pure-drain suffix of touches begins.
-        let mut drain_from: Vec<usize> = Vec::new();
-        let mut instr_eps: Vec<(u32, u32)> = Vec::new();
-        let mut edges: Vec<u64> = Vec::new();
-        let edge = |a: u32, b: u32| u64::from(a) << 32 | u64::from(b);
+        // Per episode: its latest touch, its touch count, and where its
+        // pure-drain suffix of touches begins.
+        let mut ep_touch: Vec<(u32, usize, usize)> = Vec::new();
+        let mut instr_eps: Csr<u32> = Csr::with_capacity(n, 2 * n);
+        // Every dependence edge found at an instruction ends there, so
+        // its sources, sorted and deduplicated, are its predecessors.
+        let mut preds: Csr<u32> = Csr::with_capacity(n, 2 * n);
+        let mut sources: Vec<u32> = Vec::new();
         // Register names come from the assay text: default hasher.
         let mut reg_last: HashMap<&DryReg, u32> = HashMap::new();
         let mut seps: Vec<usize> = plan.unknown_separations.keys().copied().collect();
@@ -260,7 +293,7 @@ impl InstrDag {
             for name in regs.into_iter().flatten() {
                 if let Some(last) = reg_last.insert(name, idx) {
                     if last != idx {
-                        edges.push(edge(last, idx));
+                        sources.push(last);
                     }
                 }
             }
@@ -269,14 +302,14 @@ impl InstrDag {
             // depend on every separation emitted before this point.
             if let Some(PlannedVolume::Runtime { .. }) = plan.get(i) {
                 let before = seps.partition_point(|&sep| sep < i);
-                edges.extend(seps[..before].iter().map(|&sep| edge(sep as u32, idx)));
+                sources.extend(seps[..before].iter().map(|&sep| sep as u32));
             }
             for (loc, mut effect) in effects(instr, plan.get(i)).into_iter().flatten() {
                 let class = loc.class();
-                let fresh = units.len();
-                let unit = *unit_ix.entry((class, loc.unit_index())).or_insert(fresh);
-                if unit == fresh {
-                    units.push((NONE, NONE));
+                let units = &mut units[class as usize];
+                let unit = loc.unit_index() as usize;
+                if unit >= units.len() {
+                    units.resize(unit + 1, (NONE, NONE));
                 }
                 // A separator stays occupied by its waste stream even
                 // after an output port is drained: never close it.
@@ -294,7 +327,6 @@ impl InstrDag {
                     episodes.push(Episode {
                         class,
                         virt: loc.unit_index(),
-                        touches: Vec::new(),
                         closed: false,
                         metered_close: false,
                         prev: (*latest != NONE).then_some(*latest),
@@ -302,22 +334,23 @@ impl InstrDag {
                         spill_from: None,
                     });
                     *ord += 1;
-                    drain_from.push(0);
+                    ep_touch.push((NONE, 0, 0));
                     *open = episodes.len() as u32 - 1;
                     *latest = *open;
                 }
                 let ep = *open;
                 let epi = ep as usize;
-                let touches = &mut episodes[epi].touches;
-                if touches.last() != Some(&idx) {
-                    if let Some(&prev) = touches.last() {
-                        edges.push(edge(prev, idx));
+                let (last, count, drain_from) = &mut ep_touch[epi];
+                if *last != idx {
+                    if *last != NONE {
+                        sources.push(*last);
                     }
-                    touches.push(idx);
+                    *last = idx;
+                    *count += 1;
                     if !matches!(effect, Effect::Read | Effect::Empty { .. }) {
-                        drain_from[epi] = touches.len();
+                        *drain_from = *count;
                     }
-                    instr_eps.push((idx, ep));
+                    instr_eps.items.push(ep);
                 }
                 if let Effect::Empty { leftover } = effect {
                     episodes[epi].closed = true;
@@ -328,12 +361,18 @@ impl InstrDag {
                     units[unit].0 = NONE;
                 }
             }
+            instr_eps.close_row();
+            sources.sort_unstable();
+            sources.dedup();
+            debug_assert!(sources.iter().all(|&a| a < idx), "edges run forward");
+            preds.items.append(&mut sources);
+            preds.close_row();
         }
 
         // Port episodes release after their last touch (nothing is
         // stored at a port); spill windows exist only for units whose
         // parked product is purely waiting to drain.
-        for (ep, &p) in episodes.iter_mut().zip(&drain_from) {
+        for (ep, &(_, touches, p)) in episodes.iter_mut().zip(&ep_touch) {
             if matches!(
                 ep.class,
                 ResourceClass::InputPort | ResourceClass::OutputPort
@@ -363,20 +402,15 @@ impl InstrDag {
             }
             if matches!(ep.class, ResourceClass::Mixer | ResourceClass::Heater)
                 && p >= 1
-                && p < ep.touches.len()
+                && p < touches
             {
                 ep.spill_from = Some(p);
             }
         }
 
-        edges.sort_unstable();
-        edges.dedup();
         carry_units.sort_unstable();
         carry_units.dedup();
-        let pairs = edges.iter().map(|&e| ((e >> 32) as u32, e as u32));
-        debug_assert!(pairs.clone().all(|(a, b)| a < b), "edges run forward");
-        let preds = Csr::grouped(n, pairs.clone().map(|(a, b)| (b, a)));
-        let succs = Csr::grouped(n, pairs);
+        let succs = preds.transpose(n);
         let mut priority = vec![0u64; n];
         for i in (0..n).rev() {
             let down = succs[i].iter().map(|&s| priority[s as usize]).max();
@@ -390,12 +424,25 @@ impl InstrDag {
             succs,
             dur_s,
             priority,
+            touches: instr_eps.transpose(episodes.len()),
             episodes,
-            instr_eps: Csr::grouped(n, instr_eps.into_iter()),
+            instr_eps,
             carry_units,
             sequential_s,
             critical_path_s,
         }
+    }
+
+    /// An episode's program-order span for the allocator fence: first
+    /// touch to last touch, unbounded while it never closes.
+    fn span(&self, ep: u32) -> (u32, u32) {
+        let touches = &self.touches[ep as usize];
+        let last = if self.episodes[ep as usize].closed {
+            touches[touches.len() - 1]
+        } else {
+            u32::MAX
+        };
+        (touches[0], last)
     }
 }
 
@@ -475,9 +522,10 @@ pub struct Entry {
 pub struct JobSchedule {
     /// Timing per instruction.
     pub entries: Vec<Entry>,
-    /// Renames per instruction (ports are accounted in the schedule
-    /// but never renamed at execution; they carry no chip fluid).
-    pub renames: Vec<Vec<Rename>>,
+    /// Renames per instruction, `renames[i]` (ports are accounted in
+    /// the schedule but never renamed at execution; they carry no chip
+    /// fluid).
+    pub renames: Csr<Rename>,
     /// Storage relocations (stall spills and leftover carries), sorted
     /// by `before_instr` with carry-ins last among ties.
     pub spills: Vec<SpillMove>,
@@ -584,10 +632,10 @@ pub struct Schedule {
     /// Scheduler statistics.
     pub stats: SchedStats,
     /// All timing constraints (dependences, slot succession, spill
-    /// latency) as `(from, to, extra_s)` over global node ids (each
-    /// job's instructions in order, after the previous job's):
-    /// `start[to] >= finish[from] + extra_s`.
-    edges: Vec<(u32, u32, u64)>,
+    /// latency) grouped by target: `(from, extra_s)` in row `to`, over
+    /// global node ids (each job's instructions in order, after the
+    /// previous job's), means `start[to] >= finish[from] + extra_s`.
+    ins: Csr<(u32, u64)>,
     /// Issue order — a topological order of the constraint graph.
     order: Vec<u32>,
     /// Slot occupancy windows.
@@ -603,13 +651,15 @@ impl Schedule {
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         let entries: Vec<Entry> = (self.jobs.iter()).flat_map(|j| j.entries.clone()).collect();
-        for &(a, b, w) in &self.edges {
-            let (ea, eb) = (entries[a as usize], entries[b as usize]);
-            if eb.start_s < ea.start_s + ea.dur_s + w {
-                return Err(format!(
-                    "edge {a}->{b} violated: {} < {} + {} + {w}",
-                    eb.start_s, ea.start_s, ea.dur_s
-                ));
+        for (b, eb) in entries.iter().enumerate() {
+            for &(a, w) in &self.ins[b] {
+                let ea = entries[a as usize];
+                if eb.start_s < ea.start_s + ea.dur_s + w {
+                    return Err(format!(
+                        "edge {a}->{b} violated: {} < {} + {} + {w}",
+                        eb.start_s, ea.start_s, ea.dur_s
+                    ));
+                }
             }
         }
         // Holds sorted by slot, then time: a double booking shows up
@@ -650,7 +700,10 @@ impl Schedule {
     /// edges) — so with no repairs the schedule is returned unchanged.
     /// `repairs[job]` maps program index → extra seconds.
     pub fn splice(&self, repairs: &[&HashMap<usize, u64>]) -> Splice {
-        // Planned start and repaired duration per node.
+        // Planned start and repaired duration per node. Nodes are
+        // visited in issue order, a topological order of the
+        // constraints, and a visited node's finish replaces its
+        // duration.
         let mut timing: Vec<(u64, u64)> = Vec::with_capacity(self.order.len());
         for (j, job) in self.jobs.iter().enumerate() {
             let base = timing.len();
@@ -661,21 +714,18 @@ impl Schedule {
                 }
             }
         }
-        let n = timing.len();
-        let ins = Csr::grouped(n, self.edges.iter().map(|&(a, b, w)| (b, (a, w))));
-        let mut finish = vec![0u64; n];
         let mut shifted = 0u64;
         let mut makespan = self.makespan_s;
         for &gid in &self.order {
             let g = gid as usize;
             let (planned, dur) = timing[g];
-            let s = ins[g]
+            let s = self.ins[g]
                 .iter()
-                .map(|&(a, w)| finish[a as usize] + w)
+                .map(|&(a, w)| timing[a as usize].1 + w)
                 .max()
                 .unwrap_or(0)
                 .max(planned);
-            finish[g] = s + dur;
+            timing[g].1 = s + dur;
             makespan = makespan.max(s + dur);
             if s != planned {
                 shifted += 1;
@@ -692,30 +742,32 @@ impl Schedule {
     /// the sequential executor does), used when list scheduling stalls.
     pub fn sequential(dags: &[&InstrDag], machine: &Machine) -> Schedule {
         let mut jobs = Vec::with_capacity(dags.len());
-        let mut edges = Vec::new();
-        let mut order = Vec::new();
         let mut t = 0u64;
-        let mut gid = 0u32;
         for dag in dags {
-            let mut entries = Vec::with_capacity(dag.len);
-            for i in 0..dag.len {
-                if gid > 0 {
-                    edges.push((gid - 1, gid, 0));
-                }
-                order.push(gid);
-                entries.push(Entry {
-                    start_s: t,
-                    dur_s: dag.dur_s[i],
-                });
-                t += dag.dur_s[i];
-                gid += 1;
-            }
+            let entries = (dag.dur_s.iter())
+                .map(|&dur_s| {
+                    t += dur_s;
+                    Entry {
+                        start_s: t - dur_s,
+                        dur_s,
+                    }
+                })
+                .collect();
             jobs.push(JobSchedule {
                 entries,
-                renames: vec![Vec::new(); dag.len],
+                renames: Csr {
+                    head: vec![0; dag.len + 1],
+                    items: Vec::new(),
+                },
                 spills: Vec::new(),
             });
         }
+        // One chain: every node waits for the one before it.
+        let n: u32 = dags.iter().map(|d| d.len as u32).sum();
+        let ins = Csr {
+            head: (0..=n).map(|g| g.saturating_sub(1)).collect(),
+            items: (1..n).map(|g| (g - 1, 0)).collect(),
+        };
         let pool = SlotPool::from_machine(machine);
         let utilization = pool
             .iter()
@@ -728,13 +780,13 @@ impl Schedule {
             critical_path_s: dags.iter().map(|d| d.critical_path_s).max().unwrap_or(0),
             utilization,
             stats: SchedStats {
-                nodes: gid as u64,
+                nodes: u64::from(n),
                 episodes: dags.iter().map(|d| d.episodes.len() as u64).sum(),
                 fallback: true,
                 ..SchedStats::default()
             },
-            edges,
-            order,
+            ins,
+            order: (0..n).collect(),
             holds: Vec::new(),
         }
     }
@@ -790,279 +842,426 @@ pub fn plan_jobs(dags: &[&InstrDag], machine: &Machine, opts: &SchedOptions) -> 
 }
 
 /// Per-episode run state inside the engine.
+#[derive(Clone, Copy, Default)]
 struct EpRun {
-    home: Option<WetLoc>,
-    slot: u32,
-    done_upto: usize,
+    /// Holds a slot: opened and not yet closed.
+    live: bool,
+    /// Moved to a reservoir by a spill (at most once).
     spilled: bool,
+    /// The slot the episode opened on, in its own class.
+    slot: u32,
+    /// The reservoir slot a spill moved it to.
+    spill_slot: u32,
+    /// Touches completed so far.
+    done_upto: usize,
+    /// Its current hold in `Engine::holds`.
     hold_ix: usize,
 }
 
 const EV_FINISH: u8 = 0;
 const EV_WAKE: u8 = 1;
 
-/// The list-scheduling engine. Deterministic: single-threaded, total
-/// tie-break order everywhere.
+/// A ready node's place in the issue order: priority desc, job asc,
+/// instruction asc.
+type ReadyKey = (u64, u32, u32);
+
+/// The list-scheduling engine's state. Deterministic: single-threaded,
+/// total tie-break order everywhere.
+struct Engine<'a> {
+    dags: &'a [&'a InstrDag],
+    /// First global node id of each job.
+    job_offsets: Vec<u32>,
+    /// First `eps` index of each job.
+    ep_offsets: Vec<usize>,
+    pool: SlotPool,
+    /// Reservoir slot of each carry home, job by job in
+    /// `carry_units` order, from `carry_offsets[job]` on.
+    carry: Vec<u32>,
+    carry_offsets: Vec<usize>,
+    eps: Vec<EpRun>,
+    /// Episodes opened so far per job and class: openings follow
+    /// first-touch order within a class (see `Episode::class_ord`).
+    opened: Vec<[u32; 7]>,
+    /// Completed predecessors per node.
+    done_preds: Vec<u32>,
+    /// Per node, the earliest start a spill allows until it issues,
+    /// then its start.
+    start: Vec<u64>,
+    ready: BTreeSet<ReadyKey>,
+    heap: BinaryHeap<Reverse<(u64, u8, u32)>>,
+    pending: usize,
+    max_time: u64,
+    order: Vec<u32>,
+    holds: Vec<Hold>,
+    /// Constraints found while scheduling (slot succession, spill
+    /// latency) as `(to, from, extra_s)`, in the order found.
+    found: Vec<(u32, u32, u64)>,
+    spills: Vec<Vec<SpillMove>>,
+    stats: SchedStats,
+}
+
+/// The list-scheduling engine: reserves the carry homes, then issues
+/// ready nodes round by round until every node has run or a stall
+/// cannot be relieved by a spill.
 fn list_schedule(dags: &[&InstrDag], machine: &Machine) -> Result<Schedule, SchedError> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut job_offsets = Vec::with_capacity(dags.len());
-    let mut total = 0u32;
-    for dag in dags {
-        job_offsets.push(total);
-        total += dag.len as u32;
-    }
-    let n = total as usize;
-
+    // Dedicated carry homes first, the cheapest way to fail: one
+    // reservoir per unit whose metered-close remainders must survive
+    // an episode handoff, held for the whole schedule.
     let mut pool = SlotPool::from_machine(machine);
-    let mut eps: Vec<Vec<EpRun>> = dags
-        .iter()
-        .map(|d| {
-            d.episodes
-                .iter()
-                .map(|_| EpRun {
-                    home: None,
-                    slot: 0,
-                    done_upto: 0,
-                    spilled: false,
-                    hold_ix: usize::MAX,
-                })
-                .collect()
-        })
-        .collect();
-    let mut indeg: Vec<Vec<u32>> = dags
-        .iter()
-        .map(|d| (0..d.len).map(|i| d.preds[i].len() as u32).collect())
-        .collect();
-    let mut entries: Vec<Vec<Entry>> = dags.iter().map(|d| vec![Entry::default(); d.len]).collect();
-    let mut renames: Vec<Vec<Vec<Rename>>> = dags.iter().map(|d| vec![Vec::new(); d.len]).collect();
-    let mut spills: Vec<Vec<SpillMove>> = dags.iter().map(|_| Vec::new()).collect();
-    let mut holds: Vec<Hold> = Vec::new();
-    let mut edges: Vec<(u32, u32, u64)> = Vec::new();
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut min_start: HashMap<u32, u64> = HashMap::new();
-    // Episodes opened so far per (job, class): openings must follow
-    // first-touch order within a class (see `Episode::class_ord`).
-    let mut opened: HashMap<(usize, ResourceClass), u32> = HashMap::new();
-    let mut stats = SchedStats {
-        nodes: n as u64,
-        episodes: dags.iter().map(|d| d.episodes.len() as u64).sum(),
-        ..SchedStats::default()
-    };
-
-    // Dependence edges, globalized.
+    let rp = pool
+        .class_mut(ResourceClass::Reservoir)
+        .expect("reservoir pool");
+    let mut carry = Vec::new();
+    let mut carry_offsets = Vec::with_capacity(dags.len());
     for (j, dag) in dags.iter().enumerate() {
-        let off = job_offsets[j];
-        for b in 0..dag.len {
-            for &a in &dag.preds[b] {
-                edges.push((off + a, off + b as u32, 0));
-            }
-        }
-    }
-
-    // Dedicated carry homes: one reservoir per unit whose metered-close
-    // remainders must survive an episode handoff. Held for the whole
-    // schedule.
-    let mut carry_home: HashMap<(usize, ResourceClass, u32), WetLoc> = HashMap::new();
-    for (j, dag) in dags.iter().enumerate() {
-        for &(class, virt) in &dag.carry_units {
-            let rp = pool
-                .class_mut(ResourceClass::Reservoir)
-                .expect("reservoir pool");
+        carry_offsets.push(carry.len());
+        for _ in &dag.carry_units {
             let Some(grant) = rp.alloc(j as u32, (0, u32::MAX), 0, None) else {
                 return Err(SchedError::Stall { at_s: 0 });
             };
-            carry_home.insert((j, class, virt), WetLoc::Reservoir(grant.slot));
-            holds.push(Hold {
-                class: ResourceClass::Reservoir,
-                slot: grant.slot,
-                t0: 0,
-                t1: None,
-            });
+            carry.push(grant.slot);
         }
     }
+    let holds = (carry.iter())
+        .map(|&slot| Hold {
+            class: ResourceClass::Reservoir,
+            slot,
+            t0: 0,
+            t1: None,
+        })
+        .collect();
 
-    // Ready order: priority desc, job asc, instr asc.
-    let key = |j: usize, i: usize| (u64::MAX - dags[j].priority[i], j as u32, i as u32);
-    let mut ready: BTreeSet<(u64, u32, u32)> = BTreeSet::new();
+    let mut job_offsets = Vec::with_capacity(dags.len());
+    let mut ep_offsets = Vec::with_capacity(dags.len());
+    let (mut n, mut n_eps) = (0usize, 0usize);
+    for dag in dags {
+        job_offsets.push(n as u32);
+        ep_offsets.push(n_eps);
+        n += dag.len;
+        n_eps += dag.episodes.len();
+    }
+    let mut engine = Engine {
+        dags,
+        job_offsets,
+        ep_offsets,
+        pool,
+        carry,
+        carry_offsets,
+        eps: vec![EpRun::default(); n_eps],
+        opened: vec![[0; 7]; dags.len()],
+        done_preds: vec![0; n],
+        start: vec![0; n],
+        ready: BTreeSet::new(),
+        heap: BinaryHeap::new(),
+        pending: n,
+        max_time: 0,
+        order: Vec::with_capacity(n),
+        holds,
+        found: Vec::new(),
+        spills: vec![Vec::new(); dags.len()],
+        stats: SchedStats {
+            nodes: n as u64,
+            episodes: n_eps as u64,
+            ..SchedStats::default()
+        },
+    };
     for (j, dag) in dags.iter().enumerate() {
         for i in 0..dag.len {
             if dag.preds[i].is_empty() {
-                ready.insert(key(j, i));
+                engine.ready.insert(engine.key(j, i));
             }
         }
     }
 
-    let mut heap: BinaryHeap<Reverse<(u64, u8, u32)>> = BinaryHeap::new();
-    let mut pending = n;
     let mut t = 0u64;
-    let mut max_time = 0u64;
-
-    // Completion: free episodes, unlock successors.
-    macro_rules! complete {
-        ($gid:expr, $f:expr) => {{
-            let gid: u32 = $gid;
-            let f: u64 = $f;
-            let j = match job_offsets.binary_search(&gid) {
-                Ok(x) => x,
-                Err(x) => x - 1,
-            };
-            let i = (gid - job_offsets[j]) as usize;
-            let dag = dags[j];
-            for &ep in &dag.instr_eps[i] {
-                let epi = ep as usize;
-                let info = &dag.episodes[epi];
-                let run = &mut eps[j][epi];
-                if info.touches.get(run.done_upto) == Some(&(i as u32)) {
-                    run.done_upto += 1;
-                    if run.done_upto == info.touches.len() && info.closed {
-                        if let Some(home) = run.home.take() {
-                            let span = (info.touches[0], i as u32);
-                            if let Some(p) = pool.class_mut(home.class()) {
-                                p.release(run.slot, f, j as u32, span, gid, 0);
-                            }
-                            holds[run.hold_ix].t1 = Some(f);
-                            // A metered close can leave a faulted
-                            // remainder: park it in the unit's carry
-                            // home so the slot is replay-empty for its
-                            // next occupant (and the remainder rejoins
-                            // the unit's next episode, if any).
-                            if info.metered_close {
-                                let home_loc = carry_home[&(j, info.class, info.virt)];
-                                spills[j].push(SpillMove {
-                                    before_instr: i as u32 + 1,
-                                    from: home,
-                                    to: home_loc,
-                                    start_s: f,
-                                    kind: RelocKind::CarryOut,
-                                });
-                                stats.carries += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            for &s in &dag.succs[i] {
-                indeg[j][s as usize] -= 1;
-                if indeg[j][s as usize] == 0 {
-                    ready.insert(key(j, s as usize));
-                }
-            }
-            pending -= 1;
-        }};
-    }
-
+    let mut round: Vec<ReadyKey> = Vec::new();
     loop {
         // Drain all events due now.
-        while let Some(&Reverse((f, kind, gid))) = heap.peek() {
+        while let Some(&Reverse((f, kind, gid))) = engine.heap.peek() {
             if f > t {
                 break;
             }
-            heap.pop();
+            engine.heap.pop();
             if kind == EV_FINISH {
-                complete!(gid, f);
+                engine.complete(gid, f);
             }
         }
 
         // Issue every runnable ready node at time t, in priority order.
+        // A class found without a free slot stays dry for the round:
+        // slots are only released between rounds.
         let mut issued = 0usize;
-        let mut dry: BTreeSet<ResourceClass> = BTreeSet::new();
-        let snapshot: Vec<(u64, u32, u32)> = ready.iter().copied().collect();
-        'nodes: for k in snapshot {
-            let (j, i) = (k.1 as usize, k.2 as usize);
-            let gid = job_offsets[j] + i as u32;
-            if min_start.get(&gid).is_some_and(|&m| m > t) {
+        let mut dry = 0u8;
+        round.clear();
+        round.extend(engine.ready.iter().copied());
+        for &k in &round {
+            if engine.issue(k, t, &mut dry) {
+                engine.ready.remove(&k);
+                issued += 1;
+            }
+        }
+        if issued > 0 {
+            continue;
+        }
+        if let Some(&Reverse((f, _, _))) = engine.heap.peek() {
+            t = f;
+            continue;
+        }
+        if engine.pending == 0 {
+            break;
+        }
+        // Stall: nothing running, nothing issuable. Spill a parked
+        // product to storage to free its unit, or give up.
+        engine.stats.stalls += 1;
+        if !engine.spill_one(t) {
+            return Err(SchedError::Stall { at_s: t });
+        }
+    }
+    Ok(engine.finish())
+}
+
+impl Engine<'_> {
+    fn key(&self, j: usize, i: usize) -> ReadyKey {
+        (u64::MAX - self.dags[j].priority[i], j as u32, i as u32)
+    }
+
+    /// The carry home of a job's unit.
+    fn carry_home(&self, j: usize, class: ResourceClass, virt: u32) -> WetLoc {
+        let k = self.dags[j]
+            .carry_units
+            .binary_search(&(class, virt))
+            .expect("the unit has a carry home");
+        WetLoc::Reservoir(self.carry[self.carry_offsets[j] + k])
+    }
+
+    /// Issues ready node `k` at time `t` if its new episodes can open
+    /// now, opening them.
+    fn issue(&mut self, k: ReadyKey, t: u64, dry: &mut u8) -> bool {
+        let (j, i) = (k.1 as usize, k.2 as usize);
+        let gid = self.job_offsets[j] + i as u32;
+        if self.start[gid as usize] > t {
+            return false;
+        }
+        let dag = self.dags[j];
+        let eo = self.ep_offsets[j];
+        // New-episode allocations this instruction needs (it touches
+        // at most two episodes), and per class their count and widest
+        // last touch.
+        let mut needed = [0u32; 2];
+        let mut n_needed = 0;
+        let mut counts = [(0u32, 0u32); 7];
+        for &ep in &dag.instr_eps[i] {
+            let info = &dag.episodes[ep as usize];
+            if info.class == ResourceClass::OutputPort || self.eps[eo + ep as usize].live {
                 continue;
             }
-            let dag = dags[j];
-            // An episode's program-order span for the allocator fence:
-            // first touch to last touch, unbounded while it never
-            // closes.
-            let ep_span = |info: &Episode| -> (u32, u32) {
-                let last = if info.closed {
-                    info.touches.last().copied().unwrap_or(u32::MAX)
-                } else {
-                    u32::MAX
-                };
-                (info.touches.first().copied().unwrap_or(0), last)
+            let c = info.class as usize;
+            if *dry & 1 << c != 0 || info.class_ord != self.opened[j][c] + counts[c].0 {
+                return false;
+            }
+            needed[n_needed] = ep;
+            n_needed += 1;
+            counts[c].0 += 1;
+            counts[c].1 = counts[c].1.max(dag.span(ep).1);
+        }
+        for &ep in &needed[..n_needed] {
+            let class = dag.episodes[ep as usize].class;
+            let (cnt, max_last) = counts[class as usize];
+            let p = self.pool.class(class).expect("pooled class");
+            if p.free_count() == 0 {
+                *dry |= 1 << class as usize;
+                return false;
+            }
+            // Feasibility against the widest span needed here: a slot
+            // valid for the enclosing span is valid for each episode's
+            // narrower one.
+            if !p.has_valid(j as u32, (i as u32, max_last), t, cnt as usize) {
+                return false;
+            }
+        }
+        for &ep in &needed[..n_needed] {
+            let info = &dag.episodes[ep as usize];
+            let p = self.pool.class_mut(info.class).expect("pooled class");
+            let grant = p
+                .alloc(j as u32, dag.span(ep), t, Some(info.virt))
+                .expect("validated above");
+            if let Some((node, extra)) = grant.after {
+                self.found.push((gid, node, extra));
+            }
+            self.opened[j][info.class as usize] += 1;
+            let run = &mut self.eps[eo + ep as usize];
+            run.live = true;
+            run.slot = grant.slot;
+            run.hold_ix = self.holds.len();
+            self.holds.push(Hold {
+                class: info.class,
+                slot: grant.slot,
+                t0: t,
+                t1: None,
+            });
+            // A predecessor episode closed by a metered drain may
+            // have parked a remainder: bring it back in just before
+            // this episode's first touch.
+            if info
+                .prev
+                .is_some_and(|a| dag.episodes[a as usize].metered_close)
+            {
+                let from = self.carry_home(j, info.class, info.virt);
+                self.spills[j].push(SpillMove {
+                    before_instr: i as u32,
+                    from,
+                    to: loc_for(info.class, grant.slot),
+                    start_s: t,
+                    kind: RelocKind::CarryIn,
+                });
+            }
+        }
+        let start = self.start[gid as usize].max(t);
+        let end = start + dag.dur_s[i];
+        self.start[gid as usize] = start;
+        self.order.push(gid);
+        self.max_time = self.max_time.max(end);
+        self.heap.push(Reverse((end, EV_FINISH, gid)));
+        true
+    }
+
+    /// Completion at time `f`: frees closing episodes, unlocks
+    /// successors.
+    fn complete(&mut self, gid: u32, f: u64) {
+        let j = match self.job_offsets.binary_search(&gid) {
+            Ok(x) => x,
+            Err(x) => x - 1,
+        };
+        let i = gid - self.job_offsets[j];
+        let dag = self.dags[j];
+        let eo = self.ep_offsets[j];
+        for &ep in &dag.instr_eps[i as usize] {
+            let info = &dag.episodes[ep as usize];
+            let touches = &dag.touches[ep as usize];
+            let run = &mut self.eps[eo + ep as usize];
+            if touches.get(run.done_upto) != Some(&i) {
+                continue;
+            }
+            run.done_upto += 1;
+            if run.done_upto < touches.len() || !info.closed || !run.live {
+                continue;
+            }
+            run.live = false;
+            let (class, slot) = if run.spilled {
+                (ResourceClass::Reservoir, run.spill_slot)
+            } else {
+                (info.class, run.slot)
             };
-            // New-episode allocations this instruction needs.
-            let mut needed: Vec<u32> = Vec::new();
-            let mut counts: HashMap<ResourceClass, (usize, u32)> = HashMap::new();
-            for &ep in &dag.instr_eps[i] {
-                let info = &dag.episodes[ep as usize];
-                if info.class == ResourceClass::OutputPort {
+            let hold_ix = run.hold_ix;
+            if let Some(p) = self.pool.class_mut(class) {
+                p.release(slot, f, j as u32, (touches[0], i), gid, 0);
+            }
+            self.holds[hold_ix].t1 = Some(f);
+            // A metered close can leave a faulted remainder: park it in
+            // the unit's carry home so the slot is replay-empty for its
+            // next occupant (and the remainder rejoins the unit's next
+            // episode, if any).
+            if info.metered_close {
+                let to = self.carry_home(j, info.class, info.virt);
+                self.spills[j].push(SpillMove {
+                    before_instr: i + 1,
+                    from: loc_for(class, slot),
+                    to,
+                    start_s: f,
+                    kind: RelocKind::CarryOut,
+                });
+                self.stats.carries += 1;
+            }
+        }
+        let off = gid - i;
+        for &s in &dag.succs[i as usize] {
+            let done = &mut self.done_preds[(off + s) as usize];
+            *done += 1;
+            if *done as usize == dag.preds[s as usize].len() {
+                let k = self.key(j, s as usize);
+                self.ready.insert(k);
+            }
+        }
+        self.pending -= 1;
+    }
+
+    /// Spills the first parked, pure-drain episode to a free reservoir
+    /// slot: a one-second storage transfer that vacates the unit.
+    /// Returns false when nothing is spillable (the caller then falls
+    /// back).
+    fn spill_one(&mut self, t: u64) -> bool {
+        for (j, dag) in self.dags.iter().enumerate() {
+            for (epi, info) in dag.episodes.iter().enumerate() {
+                let Some(p) = info.spill_from else { continue };
+                let run = self.eps[self.ep_offsets[j] + epi];
+                if !run.live || run.spilled || run.done_upto != p {
                     continue;
                 }
-                if eps[j][ep as usize].home.is_none() {
-                    if dry.contains(&info.class) {
-                        continue 'nodes;
-                    }
-                    let e = counts.entry(info.class).or_insert((0, 0));
-                    let next_ord = opened.get(&(j, info.class)).copied().unwrap_or(0) + e.0 as u32;
-                    if info.class_ord != next_ord {
-                        continue 'nodes;
-                    }
-                    needed.push(ep);
-                    e.0 += 1;
-                    e.1 = e.1.max(ep_span(info).1);
+                let touches = &dag.touches[epi];
+                let next_touch = touches[p];
+                let span = (next_touch, dag.span(epi as u32).1);
+                let rp = (self.pool)
+                    .class_mut(ResourceClass::Reservoir)
+                    .expect("reservoir pool");
+                let Some(grant) = rp.alloc(j as u32, span, t, None) else {
+                    continue;
+                };
+                let prev_node = self.job_offsets[j] + touches[p - 1];
+                let next_node = self.job_offsets[j] + next_touch;
+                // The vacated unit is busy for the transfer second; its
+                // next same-job occupant must postdate the spill point
+                // in program order.
+                if let Some(up) = self.pool.class_mut(info.class) {
+                    let fenced = (touches[0], next_touch.saturating_sub(1));
+                    up.release(run.slot, t + 1, j as u32, fenced, prev_node, 1);
                 }
-            }
-            for (&class, &(cnt, max_last)) in &counts {
-                let p = pool.class(class).expect("pooled class");
-                if p.free_count() == 0 {
-                    dry.insert(class);
-                    continue 'nodes;
-                }
-                // Feasibility against the widest span needed here: a
-                // slot valid for the enclosing span is valid for each
-                // episode's narrower one.
-                if p.valid_count(j as u32, (i as u32, max_last), t) < cnt {
-                    continue 'nodes;
-                }
-            }
-            let mut start = t;
-            for &ep in &needed {
-                let info = &dag.episodes[ep as usize];
-                let p = pool.class_mut(info.class).expect("pooled class");
-                let grant = p
-                    .alloc(j as u32, ep_span(info), t, Some(info.virt))
-                    .expect("validated above");
-                if let Some((node, extra)) = grant.after {
-                    edges.push((node, gid, extra));
-                }
-                *opened.entry((j, info.class)).or_insert(0) += 1;
-                let new_home = loc_for(info.class, grant.slot);
-                let run = &mut eps[j][ep as usize];
-                run.slot = grant.slot;
-                run.home = Some(new_home);
-                run.hold_ix = holds.len();
-                holds.push(Hold {
-                    class: info.class,
+                self.holds[run.hold_ix].t1 = Some(t + 1);
+                // The new reservoir hold runs until the episode closes.
+                let hold_ix = self.holds.len();
+                self.holds.push(Hold {
+                    class: ResourceClass::Reservoir,
                     slot: grant.slot,
                     t0: t,
                     t1: None,
                 });
-                // A predecessor episode closed by a metered drain may
-                // have parked a remainder: bring it back in just before
-                // this episode's first touch.
-                if info
-                    .prev
-                    .is_some_and(|a| dag.episodes[a as usize].metered_close)
-                {
-                    let home_loc = carry_home[&(j, info.class, info.virt)];
-                    spills[j].push(SpillMove {
-                        before_instr: i as u32,
-                        from: home_loc,
-                        to: new_home,
-                        start_s: t,
-                        kind: RelocKind::CarryIn,
-                    });
+                if let Some((node, extra)) = grant.after {
+                    self.found.push((next_node, node, extra));
                 }
+                // Timing: the drain cannot start before the transfer
+                // ends.
+                self.found.push((next_node, prev_node, 1));
+                let earliest = &mut self.start[next_node as usize];
+                *earliest = (*earliest).max(t + 1);
+                self.heap.push(Reverse((t + 1, EV_WAKE, next_node)));
+                self.spills[j].push(SpillMove {
+                    before_instr: next_touch,
+                    from: loc_for(info.class, run.slot),
+                    to: WetLoc::Reservoir(grant.slot),
+                    start_s: t,
+                    kind: RelocKind::Spill,
+                });
+                // Remaining touches of the episode drain from the new
+                // home (see `renames`).
+                let run = &mut self.eps[self.ep_offsets[j] + epi];
+                run.spill_slot = grant.slot;
+                run.hold_ix = hold_ix;
+                run.spilled = true;
+                self.stats.spills += 1;
+                return true;
             }
-            // Record renames for every touched unit (ports excluded:
-            // execution keeps virtual port operands).
+        }
+        false
+    }
+
+    /// Job `j`'s renames: every touched unit (ports excluded: execution
+    /// keeps virtual port operands) runs at the home its episode had
+    /// when the touch issued — the slot it opened on, or from the
+    /// spill point on, the reservoir it was spilled to.
+    fn renames(&self, j: usize) -> Csr<Rename> {
+        let dag = self.dags[j];
+        let eo = self.ep_offsets[j];
+        let mut renames = Csr::with_capacity(dag.len, dag.instr_eps.items.len());
+        for i in 0..dag.len {
             for &ep in &dag.instr_eps[i] {
                 let info = &dag.episodes[ep as usize];
                 if matches!(
@@ -1071,99 +1270,86 @@ fn list_schedule(dags: &[&InstrDag], machine: &Machine) -> Result<Schedule, Sche
                 ) {
                     continue;
                 }
-                if let Some(home) = eps[j][ep as usize].home {
-                    renames[j][i].push(Rename {
-                        class: info.class,
-                        virt: info.virt,
-                        to: home,
-                    });
-                }
+                let run = &self.eps[eo + ep as usize];
+                let spilled = run.spilled
+                    && info
+                        .spill_from
+                        .is_some_and(|p| i as u32 >= dag.touches[ep as usize][p]);
+                renames.items.push(Rename {
+                    class: info.class,
+                    virt: info.virt,
+                    to: if spilled {
+                        WetLoc::Reservoir(run.spill_slot)
+                    } else {
+                        loc_for(info.class, run.slot)
+                    },
+                });
             }
-            if let Some(&m) = min_start.get(&gid) {
-                start = start.max(m);
-            }
-            let dur = dag.dur_s[i];
-            entries[j][i] = Entry {
-                start_s: start,
-                dur_s: dur,
-            };
-            order.push(gid);
-            max_time = max_time.max(start + dur);
-            heap.push(Reverse((start + dur, EV_FINISH, gid)));
-            ready.remove(&k);
-            issued += 1;
+            renames.close_row();
         }
-        if issued > 0 {
-            continue;
-        }
-        if let Some(&Reverse((f, _, _))) = heap.peek() {
-            t = f;
-            continue;
-        }
-        if pending == 0 {
-            break;
-        }
-        // Stall: nothing running, nothing issuable. Spill a parked
-        // product to storage to free its unit, or give up.
-        stats.stalls += 1;
-        if spill_one(
-            dags,
-            &mut eps,
-            &mut pool,
-            &job_offsets,
-            t,
-            &mut holds,
-            &mut edges,
-            &mut spills,
-            &mut renames,
-            &mut min_start,
-            &mut heap,
-            &mut stats,
-        ) {
-            continue;
-        }
-        return Err(SchedError::Stall { at_s: t });
+        renames
     }
 
-    // Close utilization accounting.
-    let makespan = max_time;
-    let mut busy: HashMap<ResourceClass, u64> = HashMap::new();
-    for h in &holds {
-        *busy.entry(h.class).or_insert(0) += h.t1.unwrap_or(makespan).saturating_sub(h.t0);
+    /// The schedule, once every node has run.
+    fn finish(mut self) -> Schedule {
+        let makespan = self.max_time;
+        let mut busy = [0u64; 7];
+        for h in &self.holds {
+            busy[h.class as usize] += h.t1.unwrap_or(makespan).saturating_sub(h.t0);
+        }
+        let utilization = POOLED_CLASSES
+            .iter()
+            .map(|&c| {
+                let p = self.pool.class(c).expect("pooled class");
+                ClassPool::util_entry(p, busy[c as usize], makespan)
+            })
+            .collect();
+        // Constraints grouped by target: each node's dependences, then
+        // what the schedule added, in the order found.
+        self.found.sort_by_key(|&(to, _, _)| to);
+        let n = self.start.len();
+        let deps: usize = self.dags.iter().map(|d| d.preds.items.len()).sum();
+        let mut ins = Csr::with_capacity(n, deps + self.found.len());
+        let mut found = self.found.iter().peekable();
+        let mut jobs = Vec::with_capacity(self.dags.len());
+        for (j, dag) in self.dags.iter().enumerate() {
+            let off = self.job_offsets[j];
+            for i in 0..dag.len {
+                let gid = off + i as u32;
+                ins.items.extend(dag.preds[i].iter().map(|&a| (off + a, 0)));
+                while let Some(&(_, from, extra)) = found.next_if(|e| e.0 == gid) {
+                    ins.items.push((from, extra));
+                }
+                ins.close_row();
+            }
+            let starts = &self.start[off as usize..off as usize + dag.len];
+            // Stable by emission within ties; carry-ins last so a
+            // handoff whose out and in land on the same instruction
+            // parks before it rejoins.
+            let mut spills = std::mem::take(&mut self.spills[j]);
+            spills.sort_by_key(|s| (s.before_instr, u8::from(s.kind == RelocKind::CarryIn)));
+            jobs.push(JobSchedule {
+                entries: (starts.iter().zip(&dag.dur_s))
+                    .map(|(&start_s, &dur_s)| Entry { start_s, dur_s })
+                    .collect(),
+                renames: self.renames(j),
+                spills,
+            });
+        }
+        Schedule {
+            jobs,
+            makespan_s: makespan,
+            sequential_s: self.dags.iter().map(|d| d.sequential_s).sum(),
+            critical_path_s: (self.dags.iter().map(|d| d.critical_path_s))
+                .max()
+                .unwrap_or(0),
+            utilization,
+            stats: self.stats,
+            ins,
+            order: self.order,
+            holds: self.holds,
+        }
     }
-    let utilization = POOLED_CLASSES
-        .iter()
-        .map(|&c| {
-            let p = pool.class(c).expect("pooled class");
-            ClassPool::util_entry(p, busy.get(&c).copied().unwrap_or(0), makespan)
-        })
-        .collect();
-    // Stable by emission within ties; carry-ins last so a handoff whose
-    // out and in land on the same instruction parks before it rejoins.
-    for js in &mut spills {
-        js.sort_by_key(|s| (s.before_instr, u8::from(s.kind == RelocKind::CarryIn)));
-    }
-    let jobs = entries
-        .into_iter()
-        .zip(renames)
-        .zip(spills)
-        .map(|((entries, renames), spills)| JobSchedule {
-            entries,
-            renames,
-            spills,
-        })
-        .collect();
-    Ok(Schedule {
-        jobs,
-        makespan_s: makespan,
-        sequential_s: dags.iter().map(|d| d.sequential_s).sum(),
-        critical_path_s: dags.iter().map(|d| d.critical_path_s).max().unwrap_or(0),
-        utilization,
-        stats,
-        edges,
-        order,
-        holds,
-    })
 }
 
 fn loc_for(class: ResourceClass, slot: u32) -> WetLoc {
@@ -1176,104 +1362,6 @@ fn loc_for(class: ResourceClass, slot: u32) -> WetLoc {
         ResourceClass::InputPort => WetLoc::InputPort(slot),
         ResourceClass::OutputPort => WetLoc::OutputPort(slot),
     }
-}
-
-/// Spills the first parked, pure-drain episode to a free reservoir
-/// slot: a one-second storage transfer that vacates the unit. Returns
-/// false when nothing is spillable (the caller then falls back).
-#[allow(clippy::too_many_arguments)]
-fn spill_one(
-    dags: &[&InstrDag],
-    eps: &mut [Vec<EpRun>],
-    pool: &mut SlotPool,
-    job_offsets: &[u32],
-    t: u64,
-    holds: &mut Vec<Hold>,
-    edges: &mut Vec<(u32, u32, u64)>,
-    spills: &mut [Vec<SpillMove>],
-    renames: &mut [Vec<Vec<Rename>>],
-    min_start: &mut HashMap<u32, u64>,
-    heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u8, u32)>>,
-    stats: &mut SchedStats,
-) -> bool {
-    for (j, dag) in dags.iter().enumerate() {
-        for (epi, info) in dag.episodes.iter().enumerate() {
-            let Some(p) = info.spill_from else { continue };
-            let run = &eps[j][epi];
-            if run.home.is_none() || run.spilled || run.done_upto != p {
-                continue;
-            }
-            let next_touch = info.touches[p];
-            let last_touch = if info.closed {
-                info.touches.last().copied().unwrap_or(u32::MAX)
-            } else {
-                u32::MAX
-            };
-            let grant = {
-                let rp = pool
-                    .class_mut(ResourceClass::Reservoir)
-                    .expect("reservoir pool");
-                match rp.alloc(j as u32, (next_touch, last_touch), t, None) {
-                    Some(g) => g,
-                    None => continue,
-                }
-            };
-            let old_home = eps[j][epi].home.expect("checked above");
-            let old_slot = eps[j][epi].slot;
-            let new_home = WetLoc::Reservoir(grant.slot);
-            let prev_node = job_offsets[j] + info.touches[p - 1];
-            let next_node = job_offsets[j] + next_touch;
-            // The vacated unit is busy for the transfer second; its
-            // next same-job occupant must postdate the spill point in
-            // program order.
-            if let Some(up) = pool.class_mut(old_home.class()) {
-                up.release(
-                    old_slot,
-                    t + 1,
-                    j as u32,
-                    (info.touches[0], next_touch.saturating_sub(1)),
-                    prev_node,
-                    1,
-                );
-            }
-            holds[eps[j][epi].hold_ix].t1 = Some(t + 1);
-            // The new reservoir hold runs until the episode closes.
-            let hold_ix = holds.len();
-            holds.push(Hold {
-                class: ResourceClass::Reservoir,
-                slot: grant.slot,
-                t0: t,
-                t1: None,
-            });
-            if let Some((node, extra)) = grant.after {
-                edges.push((node, next_node, extra));
-            }
-            // Timing: the drain cannot start before the transfer ends.
-            edges.push((prev_node, next_node, 1));
-            let e = min_start.entry(next_node).or_insert(0);
-            *e = (*e).max(t + 1);
-            heap.push(std::cmp::Reverse((t + 1, EV_WAKE, next_node)));
-            spills[j].push(SpillMove {
-                before_instr: next_touch,
-                from: old_home,
-                to: new_home,
-                start_s: t,
-                kind: RelocKind::Spill,
-            });
-            // Remaining touches of the episode drain from the new home.
-            let run = &mut eps[j][epi];
-            run.home = Some(new_home);
-            run.slot = grant.slot;
-            run.hold_ix = hold_ix;
-            run.spilled = true;
-            // Renames already recorded for issued touches stay valid;
-            // unissued touches pick up the new home at their issue.
-            let _ = renames;
-            stats.spills += 1;
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1345,8 +1433,8 @@ mod tests {
         let out = compiled(&aqua_assays::Benchmark::EnzymeN(4).source(), &m);
         let dag = InstrDag::build(&out);
         let mut last_first: HashMap<ResourceClass, (u32, u32)> = HashMap::new();
-        for ep in &dag.episodes {
-            let first = *ep.touches.first().expect("episodes are touched");
+        for (e, ep) in dag.episodes.iter().enumerate() {
+            let first = *dag.touches[e].first().expect("episodes are touched");
             if let Some(&(prev_ord, prev_first)) = last_first.get(&ep.class) {
                 assert_eq!(ep.class_ord, prev_ord + 1, "ordinals are dense");
                 assert!(prev_first <= first, "ordinals follow first touches");

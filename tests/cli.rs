@@ -147,3 +147,37 @@ fn serve_rejects_the_removed_sharding_flags() {
         assert!(err.contains("unknown argument"), "{flag}: {err}");
     }
 }
+
+#[test]
+fn exec_parallel_prints_the_speedup() {
+    let path = write_assay("aquac_exec_parallel.assay", aqua_assays::glucose::SOURCE);
+    let out = aquac(&["exec", path.to_str().unwrap(), "--parallel"]);
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.starts_with("glucose: sequential 68s, scheduled 40s (1.70x), critical path 19s\n"),
+        "{text}"
+    );
+    assert!(text.contains("ok: no underflow"), "{text}");
+}
+
+#[test]
+fn exec_batch_digest_does_not_depend_on_threads() {
+    let path = write_assay("aquac_exec_batch.assay", aqua_assays::glucose::SOURCE);
+    let digests: Vec<String> = ["1", "2"]
+        .iter()
+        .map(|threads| {
+            let args = ["exec", path.to_str().unwrap(), "--instances", "4"];
+            let out = aquac(&[&args[..], &["--threads", threads]].concat());
+            assert!(out.status.success(), "{threads} thread(s): {out:?}");
+            let text = String::from_utf8_lossy(&out.stdout).into_owned();
+            assert!(
+                text.contains("ok: 4 instances, no violations"),
+                "{threads} thread(s): {text}"
+            );
+            let digest = text.split("digest ").nth(1).expect("a digest");
+            digest.split_whitespace().next().unwrap().to_owned()
+        })
+        .collect();
+    assert_eq!(digests[0], digests[1]);
+}

@@ -16,6 +16,13 @@
 //! batch digest, the schedule's makespans and every instance's report
 //! digest, at one and at two threads.
 //!
+//! Whole `plan_jobs` schedules are pinned for fleets that list-schedule
+//! (identical instances, a mixed paper batch, one that spills), one
+//! that runs out of carry homes and one that stalls in the issue sweep:
+//! every job's entries, renames and spills, the makespans, the stats
+//! and utilization, and the splice with no repairs and with a seeded
+//! repair map.
+//!
 //! The values were recorded before the executor's state moved from
 //! string-keyed maps to per-run fluid tables, so a change to the
 //! executor, the scheduler or the splice that moves one bit of a run
@@ -28,7 +35,7 @@ use aqua_rational::rng::XorShift64Star;
 use aqua_sim::exec::{ExecConfig, ExecReport, Executor};
 use aqua_sim::fault::FaultPlan;
 use aqua_sim::replay::run_digest;
-use aqua_sim::sched::{plan_jobs, InstrDag, SchedOptions};
+use aqua_sim::sched::{plan_jobs, InstrDag, SchedOptions, Schedule};
 use aqua_sim::state::ChipState;
 use aqua_sim::{run_batch, BatchJob, BatchOptions};
 use aqua_volume::Machine;
@@ -52,6 +59,8 @@ fn machine(chip: &str) -> Machine {
         "big" => Machine::paper_default()
             .with_reservoirs(128)
             .with_input_ports(64),
+        // One mixer and one heater: glycomics parks a product there.
+        "lean" => machine("big").with_mixers(1).with_heaters(1),
         other => panic!("unknown machine {other}"),
     }
 }
@@ -309,6 +318,109 @@ fn batches_are_pinned_at_one_and_two_threads() {
     assert!(
         mismatches.is_empty(),
         "moved batches:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// A whole schedule, hashed: every job's entries, renames and spills,
+/// the makespans, stats and utilization, and the splice with no
+/// repairs and with a repair map drawn from `seed`. Checks `validate`.
+fn schedule_digest(s: &Schedule, seed: u64) -> u64 {
+    s.validate().expect("the schedule is valid");
+    let mut h = BASIS;
+    for js in &s.jobs {
+        fnv_u64(&mut h, js.entries.len() as u64);
+        for (i, e) in js.entries.iter().enumerate() {
+            fnv_u64(&mut h, e.start_s);
+            fnv_u64(&mut h, e.dur_s);
+            for r in js.renames[i].iter() {
+                fnv(&mut h, format!("{r:?}").as_bytes());
+            }
+            fnv_u64(&mut h, js.renames[i].len() as u64);
+        }
+        for sp in &js.spills {
+            fnv(&mut h, format!("{sp:?}").as_bytes());
+        }
+        fnv_u64(&mut h, js.spills.len() as u64);
+    }
+    for v in [s.makespan_s, s.sequential_s, s.critical_path_s] {
+        fnv_u64(&mut h, v);
+    }
+    fnv(&mut h, format!("{:?}", s.stats).as_bytes());
+    fnv(&mut h, format!("{:?}", s.utilization).as_bytes());
+    let none = std::collections::HashMap::new();
+    let splice = s.splice(&vec![&none; s.jobs.len()]);
+    assert_eq!(splice.makespan_s, s.makespan_s, "no repairs, no change");
+    assert_eq!(splice.shifted, 0);
+    let mut rng = XorShift64Star::new(seed);
+    let repairs: Vec<std::collections::HashMap<usize, u64>> = (s.jobs.iter())
+        .map(|js| {
+            (0..3)
+                .map(|_| (rng.index(js.entries.len()), 1 + rng.index(30) as u64))
+                .collect()
+        })
+        .collect();
+    let splice = s.splice(&repairs.iter().collect::<Vec<_>>());
+    fnv_u64(&mut h, splice.makespan_s);
+    fnv_u64(&mut h, splice.shifted);
+    h
+}
+
+/// A fleet: `(assay, instances)` runs, in job order.
+type Fleet = &'static [(&'static str, usize)];
+
+/// `(chip, fleet, fallback, digest)`. The first six
+/// list-schedule (the lean chip's glycomics pair spills once); the
+/// enzyme4 batch reserves more carry homes than the paper chip has
+/// reservoirs, and the figure 2 batch stalls in the issue sweep.
+const SCHEDULES: [(&str, Fleet, bool, u64); 8] = [
+    ("paper", &[("fig2", 4)], false, 0x3dae1aa311ab5e2b),
+    ("paper", &[("glucose", 8)], false, 0x6143d865db31e9d2),
+    ("big", &[("enzyme4", 4)], false, 0x3d580d5c02b93b3d),
+    ("big", &[("enzyme6", 1)], false, 0x309bd285f0d99a8f),
+    (
+        "paper",
+        &[("fig2", 1), ("glucose", 2), ("glycomics", 1), ("fig2", 1)],
+        false,
+        0xc60b030929711c6a,
+    ),
+    ("lean", &[("glycomics", 2)], false, 0x3dbf67eff81b0670),
+    ("paper", &[("enzyme4", 6)], true, 0x1ba505f7af87fd02),
+    ("paper", &[("fig2", 8)], true, 0x002bab9b6d0b3636),
+];
+
+#[test]
+fn list_schedules_are_pinned() {
+    let mut mismatches = Vec::new();
+    for (case, &(chip, fleet, fallback, want)) in SCHEDULES.iter().enumerate() {
+        let m = machine(chip);
+        let dags: Vec<(InstrDag, usize)> = (fleet.iter())
+            .map(|&(assay, n)| {
+                let out = aqua_compiler::compile(&source(assay), &m, &Default::default())
+                    .unwrap_or_else(|e| panic!("{assay}/{chip} compiles: {e}"));
+                (InstrDag::build(&out), n)
+            })
+            .collect();
+        let refs: Vec<&InstrDag> = (dags.iter())
+            .flat_map(|(dag, n)| std::iter::repeat_n(dag, *n))
+            .collect();
+        let carry_homes: usize = refs.iter().map(|d| d.carry_units.len()).sum();
+        let s = plan_jobs(&refs, &m, &SchedOptions::default());
+        assert_eq!(s.stats.fallback, fallback, "case {case}: fallback");
+        // Only the enzyme4 batch asks for more carry homes than the
+        // chip has reservoirs.
+        assert_eq!(carry_homes > m.reservoirs, case == 6, "case {case}");
+        if chip == "lean" {
+            assert!(s.stats.spills > 0, "case {case}: spills");
+        }
+        let h = schedule_digest(&s, 0x5EED ^ case as u64);
+        if h != want {
+            mismatches.push(format!("case {case} ({chip}): {h:#018x}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "moved schedules:\n{}",
         mismatches.join("\n")
     );
 }
