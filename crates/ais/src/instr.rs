@@ -7,7 +7,6 @@ use crate::Picoliters;
 
 /// The flavor of a `separate` instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SeparateKind {
     /// Capillary-electrophoresis separation (`separate.CE`).
     Electrophoresis,
@@ -34,7 +33,6 @@ impl SeparateKind {
 
 /// The flavor of a `sense` instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SenseKind {
     /// Optical-density sensing (`sense.OD`).
     OpticalDensity,
@@ -54,7 +52,6 @@ impl SenseKind {
 
 /// Dry (electronic) ALU operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DryOp {
     /// `dry-mov dst, src`
     Mov,
@@ -79,7 +76,6 @@ impl DryOp {
 
 /// Source operand of a dry instruction: register or immediate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DrySrc {
     /// A controller register.
     Reg(DryReg),
@@ -101,7 +97,6 @@ impl fmt::Display for DrySrc {
 /// Wet instructions follow Table 1 of the paper; dry instructions are
 /// the controller's scalar ALU subset seen in the compiled enzyme assay.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Instr {
     /// `input dst, ipN` — draw fluid from an input port into `dst`.
     Input {

@@ -9,7 +9,6 @@ use std::fmt;
 /// output streams (effluent and waste), following the paper's
 /// `separator2.matrix` / `separator2.pusher` / `separator2.out1` syntax.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SepPort {
     /// The separation chamber itself (load target).
     Main,
@@ -53,7 +52,6 @@ impl SepPort {
 /// );
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WetLoc {
     /// On-chip storage reservoir `sN` (analogous to a register).
     Reservoir(u32),
@@ -77,7 +75,6 @@ pub enum WetLoc {
 /// may *rename* a program's virtual unit indices onto whichever
 /// physical slot of the class is free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ResourceClass {
     /// Storage reservoirs (`sN`).
     Reservoir,
@@ -181,7 +178,6 @@ impl fmt::Display for WetLoc {
 /// registers like `r0`, `temp`, or `inh_dil` and the simulator binds
 /// them on first write.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DryReg(pub String);
 
 impl fmt::Display for DryReg {

@@ -281,6 +281,7 @@ fn parse_wetloc(s: &str) -> Option<WetLoc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqua_rational::rng::XorShift64Star;
 
     #[test]
     fn parses_glucose_fragment() {
@@ -376,6 +377,135 @@ mod tests {
         let printed = p.to_string();
         let reparsed: Program = printed.parse().unwrap();
         assert_eq!(p, reparsed);
+    }
+
+    /// 256 seeded random programs of 0–39 instructions, over every
+    /// instruction form but comments, every location kind and register
+    /// names with up to two subscripts, print and parse back equal.
+    #[test]
+    fn random_programs_print_and_parse_back() {
+        let mut rng = XorShift64Star::new(0xA15);
+        for case in 0..256 {
+            let mut p = Program::new("fuzz");
+            for _ in 0..rng.index(40) {
+                p.push(random_instr(&mut rng));
+            }
+            let printed = p.to_string();
+            let reparsed: Program = printed
+                .parse()
+                .unwrap_or_else(|e| panic!("case {case}: {e}\n{printed}"));
+            assert_eq!(p, reparsed, "case {case}");
+        }
+    }
+
+    fn pick<T: Copy>(rng: &mut XorShift64Star, items: &[T]) -> T {
+        items[rng.index(items.len())]
+    }
+
+    fn wetloc(rng: &mut XorShift64Star) -> WetLoc {
+        let mut n = |hi| rng.range_u64(1, hi) as u32;
+        match n(7) {
+            1 => WetLoc::Reservoir(n(63)),
+            2 => WetLoc::Mixer(n(3)),
+            3 => WetLoc::Heater(n(3)),
+            4 => WetLoc::Sensor(n(3)),
+            5 => WetLoc::InputPort(n(15)),
+            6 => WetLoc::OutputPort(n(15)),
+            _ => {
+                let ports = [
+                    SepPort::Main,
+                    SepPort::Matrix,
+                    SepPort::Pusher,
+                    SepPort::Out1,
+                    SepPort::Out2,
+                ];
+                WetLoc::Separator(n(3), pick(rng, &ports))
+            }
+        }
+    }
+
+    /// A register name matching `[A-Za-z_][A-Za-z0-9_]{0,10}(\[[0-9]{1,2}\]){0,2}`.
+    fn reg(rng: &mut XorShift64Star) -> DryReg {
+        const DIGITS: &[u8] = b"0123456789";
+        const LETTERS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_";
+        let mut s = String::from(pick(rng, LETTERS) as char);
+        for _ in 0..rng.index(11) {
+            let class = if rng.index(6) == 0 { DIGITS } else { LETTERS };
+            s.push(pick(rng, class) as char);
+        }
+        for _ in 0..rng.index(3) {
+            let digits: String = (0..=rng.index(2))
+                .map(|_| pick(rng, DIGITS) as char)
+                .collect();
+            s.push_str(&format!("[{digits}]"));
+        }
+        DryReg(s)
+    }
+
+    fn random_instr(rng: &mut XorShift64Star) -> Instr {
+        let unit = |rng: &mut XorShift64Star| rng.range_u64(1, 3) as u32;
+        let temp = |rng: &mut XorShift64Star| rng.range_u64(0, 219) as i64 - 20;
+        match rng.index(10) {
+            0 => Instr::Input {
+                dst: wetloc(rng),
+                port: WetLoc::InputPort(rng.range_u64(1, 15) as u32),
+            },
+            1 => Instr::Output {
+                port: WetLoc::OutputPort(rng.range_u64(1, 15) as u32),
+                src: wetloc(rng),
+            },
+            2 => Instr::Move {
+                dst: wetloc(rng),
+                src: wetloc(rng),
+                rel_vol: (rng.index(2) == 0).then(|| rng.range_u64(1, 999)),
+            },
+            3 => Instr::MoveAbs {
+                dst: wetloc(rng),
+                src: wetloc(rng),
+                vol: rng.range_u64(1, 99_999),
+            },
+            4 => Instr::Mix {
+                unit: WetLoc::Mixer(unit(rng)),
+                seconds: rng.range_u64(1, 599),
+            },
+            5 => Instr::Incubate {
+                unit: WetLoc::Heater(unit(rng)),
+                temp_c: temp(rng),
+                seconds: rng.range_u64(1, 599),
+            },
+            6 => Instr::Concentrate {
+                unit: WetLoc::Heater(unit(rng)),
+                temp_c: temp(rng),
+                seconds: rng.range_u64(1, 599),
+            },
+            7 => Instr::Separate {
+                unit: WetLoc::Separator(unit(rng), SepPort::Main),
+                kind: pick(
+                    rng,
+                    &[
+                        SeparateKind::Electrophoresis,
+                        SeparateKind::Size,
+                        SeparateKind::Affinity,
+                        SeparateKind::LiquidChromatography,
+                    ],
+                ),
+                seconds: rng.range_u64(1, 3599),
+            },
+            8 => Instr::Sense {
+                unit: WetLoc::Sensor(unit(rng)),
+                kind: pick(rng, &[SenseKind::OpticalDensity, SenseKind::Fluorescence]),
+                dst: reg(rng),
+            },
+            _ => Instr::Dry {
+                op: pick(rng, &[DryOp::Mov, DryOp::Add, DryOp::Sub, DryOp::Mul]),
+                dst: reg(rng),
+                src: if rng.index(2) == 0 {
+                    DrySrc::Imm(rng.range_u64(0, 1999) as i64 - 1000)
+                } else {
+                    DrySrc::Reg(reg(rng))
+                },
+            },
+        }
     }
 
     #[test]

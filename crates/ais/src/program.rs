@@ -20,7 +20,6 @@ use crate::instr::Instr;
 /// assert_eq!(p.to_string(), "demo{\n  input s1, ip1\n}\n");
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Program {
     name: String,
     instrs: Vec<Instr>,

@@ -8,7 +8,6 @@ use crate::validate::DagError;
 
 /// Handle to a node of a [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub(crate) usize);
 
 impl NodeId {
@@ -26,7 +25,6 @@ impl fmt::Display for NodeId {
 
 /// Handle to an edge of a [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeId(pub(crate) usize);
 
 impl EdgeId {
@@ -44,7 +42,6 @@ impl fmt::Display for EdgeId {
 
 /// What operation a node performs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeKind {
     /// An external fluid source: the assay may load up to the machine's
     /// capacity of this fluid.
@@ -94,7 +91,6 @@ impl NodeKind {
 
 /// One node of the assay DAG.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     /// Human-readable name (fluid or operation label).
     pub name: String,
@@ -106,7 +102,6 @@ pub struct Node {
 
 /// One edge of the assay DAG: fluid produced by `src` consumed by `dst`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     /// Producing node.
     pub src: NodeId,
@@ -119,7 +114,6 @@ pub struct Edge {
 
 /// The assay DAG. See the crate docs for the model.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dag {
     pub(crate) nodes: Vec<Node>,
     pub(crate) edges: Vec<Edge>,
@@ -428,6 +422,115 @@ mod tests {
                         assert!(d.edge_is_live(e), "seed {seed}: {id} lists dead {e}");
                     }
                 }
+            }
+        }
+    }
+
+    /// 128 seeded random DAGs: 2–4 inputs, then 1–7 mixes of 2–3 draws
+    /// (parts 1–9) from every node built so far, and a sense step on
+    /// each product nothing consumes.
+    fn random_dags() -> impl Iterator<Item = (u64, Dag)> {
+        use aqua_rational::rng::XorShift64Star;
+        (0..128u64).map(|seed| {
+            let mut rng = XorShift64Star::new(seed);
+            let mut d = Dag::new();
+            let inputs = rng.range_u64(2, 4);
+            let mut pool: Vec<NodeId> =
+                (0..inputs).map(|i| d.add_input(format!("in{i}"))).collect();
+            for i in 0..rng.range_u64(1, 7) {
+                let mut parts: Vec<(NodeId, u64)> = Vec::new();
+                for _ in 0..rng.range_u64(2, 3) {
+                    let (node, w) = (pool[rng.index(pool.len())], rng.range_u64(1, 9));
+                    match parts.iter_mut().find(|(n, _)| *n == node) {
+                        Some(part) => part.1 += w,
+                        None => parts.push((node, w)),
+                    }
+                }
+                pool.push(d.add_mix(format!("m{i}"), &parts, 0).unwrap());
+            }
+            let leaves: Vec<NodeId> = d
+                .node_ids()
+                .filter(|&n| d.out_edges(n).is_empty() && !d.in_edges(n).is_empty())
+                .collect();
+            for (i, l) in leaves.into_iter().enumerate() {
+                d.add_process(format!("s{i}"), "sense.OD", l);
+            }
+            (seed, d)
+        })
+    }
+
+    #[test]
+    fn random_dags_validate() {
+        for (seed, d) in random_dags() {
+            assert!(d.validate().is_ok(), "seed {seed}: {:?}", d.validate());
+        }
+    }
+
+    #[test]
+    fn in_edge_fractions_sum_to_one() {
+        for (seed, d) in random_dags() {
+            for n in d.node_ids().filter(|&n| !d.in_edges(n).is_empty()) {
+                let sum = Ratio::checked_sum(d.in_edges(n).iter().map(|&e| d.edge(e).fraction));
+                assert_eq!(sum, Ok(Ratio::ONE), "seed {seed}, {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn topological_order_is_consistent() {
+        for (seed, d) in random_dags() {
+            let order = d.topological_order().unwrap();
+            assert_eq!(order.len(), d.num_nodes(), "seed {seed}");
+            let mut pos = vec![0; d.num_nodes()];
+            for (i, n) in order.into_iter().enumerate() {
+                pos[n.index()] = i;
+            }
+            for e in d.edge_ids() {
+                let edge = d.edge(e);
+                assert!(
+                    pos[edge.src.index()] < pos[edge.dst.index()],
+                    "seed {seed}, {e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn backward_slice_contains_all_ancestors() {
+        for (seed, d) in random_dags() {
+            for n in d.node_ids() {
+                let slice = d.backward_slice(n);
+                for &e in d.in_edges(n) {
+                    assert!(slice.contains(&d.edge(e).src), "seed {seed}, {n}");
+                }
+                for &m in &slice {
+                    assert!(
+                        m == n || d.reaches(m, n),
+                        "seed {seed}: {m} does not reach {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cut_edges_disappear_from_adjacency() {
+        for (seed, mut d) in random_dags() {
+            let e = d.edge_ids().find(|&e| d.edge_is_live(e)).unwrap();
+            let edge = d.cut_edge(e);
+            assert!(!d.edge_is_live(e), "seed {seed}");
+            assert!(!d.out_edges(edge.src).contains(&e), "seed {seed}");
+            assert!(!d.in_edges(edge.dst).contains(&e), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn dot_mentions_every_node() {
+        for (seed, d) in random_dags() {
+            let dot = d.to_dot("g");
+            for n in d.node_ids() {
+                let needle = format!("label=\"{}\"", d.node(n).name);
+                assert!(dot.contains(&needle), "seed {seed}: missing {needle}");
             }
         }
     }

@@ -463,28 +463,6 @@ impl From<u32> for Ratio {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for Ratio {
-    /// Serializes as the canonical `"n/d"` (or `"n"`) string, keeping
-    /// exactness across any serde format.
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        serializer.collect_str(self)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for Ratio {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Ratio, D::Error> {
-        let text = <String as serde::Deserialize>::deserialize(deserializer)?;
-        text.parse().map_err(serde::de::Error::custom)
-    }
-}
-
 impl fmt::Display for Ratio {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.denom == 1 {
@@ -749,6 +727,124 @@ mod differential {
             assert_eq!(x.checked_mul(y), reference::mul(x, y), "{x:?} * {y:?}");
             assert_eq!(x.checked_div(y), reference::div(x, y), "{x:?} / {y:?}");
             assert_eq!(x.checked_recip(), reference::recip(x), "1 / {x:?}");
+        }
+    }
+}
+
+/// Field axioms, reduction and rounding laws on 256 seeded triples of
+/// small ratios (components within ±10^6, so no law meets overflow).
+#[cfg(test)]
+mod laws {
+    use super::Ratio;
+    use crate::rng::XorShift64Star;
+
+    fn small_triples() -> impl Iterator<Item = [Ratio; 3]> {
+        let mut rng = XorShift64Star::new(0x1A75);
+        (0..256).map(move |_| {
+            [(); 3].map(|_| {
+                let n = rng.range_u64(0, 2_000_000) as i128 - 1_000_000;
+                Ratio::new(n, rng.range_u64(1, 1_000_000) as i128).unwrap()
+            })
+        })
+    }
+
+    #[test]
+    fn addition_commutes() {
+        for [a, b, _] in small_triples() {
+            assert_eq!(a + b, b + a);
+        }
+    }
+
+    #[test]
+    fn addition_associates() {
+        for [a, b, c] in small_triples() {
+            assert_eq!((a + b) + c, a + (b + c));
+        }
+    }
+
+    #[test]
+    fn multiplication_commutes() {
+        for [a, b, _] in small_triples() {
+            assert_eq!(a * b, b * a);
+        }
+    }
+
+    #[test]
+    fn multiplication_distributes() {
+        for [a, b, c] in small_triples() {
+            assert_eq!(a * (b + c), a * b + a * c);
+        }
+    }
+
+    #[test]
+    fn zero_is_additive_identity() {
+        for [a, _, _] in small_triples() {
+            assert_eq!(a + Ratio::ZERO, a);
+            assert_eq!(a - a, Ratio::ZERO);
+        }
+    }
+
+    #[test]
+    fn one_is_multiplicative_identity() {
+        for [a, _, _] in small_triples() {
+            assert_eq!(a * Ratio::ONE, a);
+        }
+    }
+
+    #[test]
+    fn reciprocal_inverts() {
+        for [a, _, _] in small_triples().filter(|[a, _, _]| !a.is_zero()) {
+            assert_eq!(a * a.checked_recip().unwrap(), Ratio::ONE);
+        }
+    }
+
+    /// Results keep a positive denominator and lowest terms:
+    /// re-normalizing yields the same representation.
+    #[test]
+    fn invariants_hold() {
+        for [a, b, _] in small_triples() {
+            for v in [a + b, a - b, a * b] {
+                assert!(v.denom() > 0, "{v:?}");
+                assert_eq!(Ratio::new(v.numer(), v.denom()).unwrap(), v);
+            }
+        }
+    }
+
+    #[test]
+    fn floor_ceil_bracket() {
+        for [a, _, _] in small_triples() {
+            let (f, c) = (Ratio::from_int(a.floor()), Ratio::from_int(a.ceil()));
+            assert!(f <= a && a <= c && c - f <= Ratio::ONE, "{a:?}");
+        }
+    }
+
+    #[test]
+    fn round_is_nearest() {
+        for [a, _, _] in small_triples() {
+            let err = (a - Ratio::from_int(a.round())).abs();
+            assert!(err <= Ratio::new(1, 2).unwrap(), "{a:?}");
+        }
+    }
+
+    #[test]
+    fn ordering_consistent_with_subtraction() {
+        for [a, b, _] in small_triples() {
+            assert_eq!(a < b, (a - b).is_negative());
+            assert_eq!(a == b, (a - b).is_zero());
+        }
+    }
+
+    #[test]
+    fn display_roundtrips() {
+        for [a, _, _] in small_triples() {
+            assert_eq!(a.to_string().parse::<Ratio>().unwrap(), a);
+        }
+    }
+
+    #[test]
+    fn to_f64_tracks_ordering() {
+        for [a, b, _] in small_triples() {
+            assert!(a >= b || a.to_f64() <= b.to_f64(), "{a:?} < {b:?}");
         }
     }
 }

@@ -268,8 +268,8 @@ fn initial_colors(dag: &Dag, weights: &HashMap<NodeId, u64>) -> Vec<u128> {
 /// # Errors
 ///
 /// Returns [`CanonError`] if the DAG fails validation (cycles, empty
-/// graphs, unnormalized fractions) — such requests are rejected before
-/// they reach the cache or the solver.
+/// graphs, unnormalized fractions) or an output weight is 0 — such
+/// requests are rejected before they reach the cache or the solver.
 pub fn canonicalize(
     dag: &Dag,
     weights: &HashMap<NodeId, u64>,
@@ -299,6 +299,11 @@ fn canonicalize_impl(
     machine: &Machine,
     build_dag: bool,
 ) -> Result<Canon, CanonError> {
+    // The encoding writes an absent weight as 0 and the compile reads it
+    // as 1, so a weight of 0 would share a key with a different plan.
+    if weights.values().any(|&w| w == 0) {
+        return Err(CanonError("output weight must be positive".to_owned()));
+    }
     let n = dag.num_nodes();
     let ids: Vec<NodeId> = dag.node_ids().collect();
 

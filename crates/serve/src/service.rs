@@ -1197,12 +1197,31 @@ fn count_field(v: &Value, what: &str) -> Result<usize, String> {
     }
 }
 
+/// The members a `machine` override object may hold.
+const MACHINE_MEMBERS: [&str; 8] = [
+    "max_capacity_nl",
+    "least_count_nl",
+    "reservoirs",
+    "mixers",
+    "heaters",
+    "separators",
+    "sensors",
+    "input_ports",
+];
+
 /// Builds a request machine from the configured base plus a `machine`
 /// override object. Every overridable field participates in the cache
-/// key (see `canon`), so overrides can never be served a stale plan.
+/// key (see `canon`), so overrides can never be served a stale plan; a
+/// member outside [`MACHINE_MEMBERS`] is refused, not ignored.
 pub(crate) fn machine_with_overrides(base: &Machine, overrides: &Value) -> Result<Machine, String> {
-    if !matches!(overrides, Value::Obj(_)) {
+    let Value::Obj(members) = overrides else {
         return Err("`machine` must be an object".to_owned());
+    };
+    if let Some((name, _)) = members
+        .iter()
+        .find(|(name, _)| !MACHINE_MEMBERS.contains(&name.as_str()))
+    {
+        return Err(format!("unknown `machine` member `{name}`"));
     }
     let cap = match overrides.get("max_capacity_nl") {
         Some(v) => ratio_field(v, "machine.max_capacity_nl")?,
@@ -1213,29 +1232,18 @@ pub(crate) fn machine_with_overrides(base: &Machine, overrides: &Value) -> Resul
         None => base.least_count_nl(),
     };
     let mut machine = Machine::new(cap, lc).map_err(|e| e.to_string())?;
-    machine.reservoirs = base.reservoirs;
-    machine.mixers = base.mixers;
-    machine.heaters = base.heaters;
-    machine.separators = base.separators;
-    machine.sensors = base.sensors;
-    machine.input_ports = base.input_ports;
-    if let Some(v) = overrides.get("reservoirs") {
-        machine.reservoirs = count_field(v, "reservoirs")?;
-    }
-    if let Some(v) = overrides.get("mixers") {
-        machine.mixers = count_field(v, "mixers")?;
-    }
-    if let Some(v) = overrides.get("heaters") {
-        machine.heaters = count_field(v, "heaters")?;
-    }
-    if let Some(v) = overrides.get("separators") {
-        machine.separators = count_field(v, "separators")?;
-    }
-    if let Some(v) = overrides.get("sensors") {
-        machine.sensors = count_field(v, "sensors")?;
-    }
-    if let Some(v) = overrides.get("input_ports") {
-        machine.input_ports = count_field(v, "input_ports")?;
+    for (name, count, base_count) in [
+        ("reservoirs", &mut machine.reservoirs, base.reservoirs),
+        ("mixers", &mut machine.mixers, base.mixers),
+        ("heaters", &mut machine.heaters, base.heaters),
+        ("separators", &mut machine.separators, base.separators),
+        ("sensors", &mut machine.sensors, base.sensors),
+        ("input_ports", &mut machine.input_ports, base.input_ports),
+    ] {
+        *count = match overrides.get(name) {
+            Some(v) => count_field(v, name)?,
+            None => base_count,
+        };
     }
     Ok(machine)
 }

@@ -392,6 +392,43 @@ fn empty_assay_gets_a_plan_not_internal() {
     assert_eq!(panics.and_then(Value::as_u64).unwrap_or(0), 0, "{snap:?}");
 }
 
+/// A `machine` member the service does not know used to be ignored,
+/// so a misspelt override compiled on the default chip under the
+/// default key. Now `src`, `session.register` and `set_machine` all
+/// answer `bad_request` naming the member.
+#[test]
+fn unknown_machine_members_are_rejected() {
+    let svc = Service::new(ServiceConfig::default());
+    let members = r#"{"reservoirs":8,"capacity_nl":"0"}"#;
+    let src = format!("{{\"id\":1,\"src\":{},\"machine\":{members}}}", quote(TINY));
+    let register = format!(
+        "{{\"id\":2,\"cmd\":\"session.register\",\"src\":{},\"machine\":{members}}}",
+        quote(TINY)
+    );
+    let line = svc.handle_line(&format!(
+        "{{\"id\":3,\"cmd\":\"session.register\",\"src\":{}}}",
+        quote(TINY)
+    ));
+    let v = parse(&line);
+    let sid = v
+        .get("session")
+        .and_then(Value::as_str)
+        .expect("registered");
+    let edit = format!(
+        "{{\"id\":4,\"cmd\":\"session.edit\",\"session\":\"{sid}\",\"edit\":{{\"set_machine\":{members}}}}}"
+    );
+    for request in [src, register, edit] {
+        let v = parse(&svc.handle_line(&request));
+        assert_eq!(
+            v.get("error").and_then(Value::as_str),
+            Some("bad_request"),
+            "{request}"
+        );
+        let message = v.get("message").and_then(Value::as_str).unwrap_or_default();
+        assert!(message.contains("`capacity_nl`"), "{message}");
+    }
+}
+
 /// The tail of every response to an empty assay.
 const EMPTY_PLAN: &str = concat!(
     r#""key":"9e9b9e5448f99242a0b3721de1de2251","names":[],"plan":{"status":"solved","#,

@@ -236,16 +236,50 @@ fn weight_edit_matches_direct_compile() {
     assert!(line.contains("\"ok\":true"), "{line}");
     assert!(line.contains("\"incremental\":true"), "{line}");
     let edited = apply_delta(&plan, last_member(&line, "delta")).unwrap();
+    assert_eq!(edited, weighted_cold_plan(TINY, "Result[1]", 3));
+}
 
-    // Oracle: compile the lowered DAG with the weight applied directly.
+/// Oracle for weight edits: a cold compile of `src`'s lowered DAG
+/// with `node`'s output weight set directly.
+fn weighted_cold_plan(src: &str, node: &str, weight: u64) -> String {
     let machine = Machine::paper_default();
-    let flat = aqua_lang::compile_to_flat(TINY).unwrap();
+    let flat = aqua_lang::compile_to_flat(src).unwrap();
     let (dag, map) = aqua_compiler::lower_to_dag(&flat).unwrap();
     let mut weights: HashMap<_, _> = map.output_weights.clone();
-    weights.insert(dag.find_node("Result[1]").unwrap(), 3);
+    weights.insert(dag.find_node(node).unwrap(), weight);
     let canon = aqua_serve::canonicalize(&dag, &weights, &machine).unwrap();
-    let cold = compile_plan(&canon, &machine, &aqua_obs::Obs::off());
-    assert_eq!(edited, cold);
+    compile_plan(&canon, &machine, &aqua_obs::Obs::off())
+}
+
+/// Canonicalization used to encode an absent weight as 0 while the
+/// compile reads it as 1, and edits accepted a weight of 0 that the
+/// language refuses. So the zero-weight edit below published a
+/// divergent LP plan under glucose's own key, and glucose's next `src`
+/// request was served that plan. A zero weight is now refused, and the
+/// session stays on its last good state.
+#[test]
+fn zero_weight_edit_is_refused_and_leaves_the_cache_alone() {
+    let svc = service();
+    let glucose = aqua_assays::glucose::SOURCE;
+    let src = format!("{{\"id\":1,\"src\":{}}}", aqua_serve::json::quote(glucose));
+    let cold = svc.handle_line(&src);
+    let (sid, mut plan) = register(&svc, glucose);
+    let weigh = |id: u32, weight: u64| {
+        svc.handle_line(&format!(
+            "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"{sid}\",\
+             \"edit\":{{\"set_output_volume\":{{\"node\":\"Result[1]\",\"weight\":{weight}}}}}}}"
+        ))
+    };
+    let two = weigh(2, 2);
+    assert!(two.contains("\"ok\":true"), "{two}");
+    plan = apply_delta(&plan, last_member(&two, "delta")).unwrap();
+    let zero = weigh(3, 0);
+    assert!(zero.contains("\"error\":\"bad_request\""), "{zero}");
+    assert_eq!(svc.handle_line(&src), cold);
+    let three = weigh(4, 3);
+    assert!(three.contains("\"ok\":true"), "{three}");
+    plan = apply_delta(&plan, last_member(&three, "delta")).unwrap();
+    assert_eq!(plan, weighted_cold_plan(glucose, "Result[1]", 3));
 }
 
 #[test]

@@ -7,9 +7,14 @@
 #   3. tier-1 build + tests  (cargo build --release && cargo test -q,
 #      which includes tests/bench_statuses.rs: every compile-path row
 #      of the committed BENCH.json states the status a fresh compile
-#      returns)
-#   4. the quickstart and glucose_pipeline examples run to completion
-#      (both name sense readings through the run's fluid table)
+#      returns; tests/fault_properties.rs: the paper's volume
+#      invariants and the executor's conservation on seeded random
+#      DAGs; and tests/incr_differential.rs: session.edit deltas
+#      chained over random edit scripts stay byte-identical to cold
+#      compiles)
+#   4. every example runs to completion (quickstart and
+#      glucose_pipeline name sense readings through the run's fluid
+#      table)
 #   5. the repository benchmark's build (perfbench, --locked: fails when
 #      a public item it uses goes away or an inter-crate dependency list
 #      drifts from perfbench/Cargo.lock)
@@ -33,12 +38,7 @@
 #      sched_differential, replay_differential and replay_log_recovery,
 #      and aqua-obs's fleet_merge
 #   8. rustdoc, deny warnings (cargo doc --no-deps)
-#   9. property suites, which compile to nothing without
-#      --features proptests (fault_properties, the pinned
-#      regression_corpus, and incr_differential: session.edit deltas
-#      chained over random edit scripts stay byte-identical to cold
-#      compiles)
-#  10. bench --quick: every gate of the one bench binary (LP oracle
+#   9. bench --quick: every gate of the one bench binary (LP oracle
 #      agreement, fault recovery, warm = cold and warm >= 10x cold,
 #      restart rehydration, session edits = cold and >= 10x, makespan
 #      floors and thread-invariant digests, the replay soak's floors);
@@ -64,8 +64,8 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> examples run: quickstart, glucose_pipeline"
-for example in quickstart glucose_pipeline; do
+echo "==> examples run"
+for example in quickstart glucose_pipeline enzyme_rescue runtime_partitions trace_debug; do
   cargo run --release --quiet --example "$example" >/dev/null
 done
 
@@ -95,14 +95,6 @@ timeout 900 cargo test -q --release --workspace
 
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
-
-echo "==> property suites: cargo test -q --features proptests"
-cargo test -q --release --features proptests --test fault_properties
-# The pinned proptest regression corpus (tests/regression_corpus.rs
-# mirrors tests/proptest_volume.proptest-regressions) replays every
-# historical counterexample deterministically.
-cargo test -q --release --features proptests --test regression_corpus
-timeout 600 cargo test -q --release --features proptests --test incr_differential
 
 echo "==> bench --quick (every gate; exits nonzero when one fails)"
 timeout 900 cargo run --release -p aqua-bench --bin bench -- --quick \

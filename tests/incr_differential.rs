@@ -1,10 +1,3 @@
-// Compiled only with the `proptests` feature: each step of each edit
-// script pays a full cold compile for the oracle, so the default
-// `cargo test` skips the suite; `scripts/ci.sh` runs it. Randomness
-// comes from the in-repo seeded PRNG and every assertion message
-// carries the seed, so a failure replays from that one seed.
-#![cfg(feature = "proptests")]
-
 //! Differential fuzz of the push-mode session layer (DESIGN.md §8.6).
 //!
 //! Random edit scripts — ratio changes and output-volume changes over
@@ -13,7 +6,9 @@
 //! plan, and after *every* step the reconstructed plan must be
 //! byte-identical to a cold compile of the identically-edited DAG.
 //! A second suite drives many sessions concurrently and checks the
-//! final plans are independent of the thread count (1/2/8).
+//! final plans are independent of the thread count (1/2/8). Randomness
+//! comes from the in-repo seeded PRNG, and every assertion message
+//! carries the seed, so a failure replays from that one seed.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,6 +18,9 @@ use aqua_rational::rng::XorShift64Star;
 use aqua_serve::{apply_delta, compile_plan, Service, ServiceConfig};
 use aqua_volume::Machine;
 
+mod common;
+use common::render;
+
 const TINY: &str = "
 ASSAY tiny START
 fluid A, B, m;
@@ -31,68 +29,6 @@ m = MIX A AND B IN RATIOS 1 : 4 FOR 10;
 SENSE OPTICAL it INTO Result[1];
 END
 ";
-
-/// Renders a synthetic layered DAG back into assay source (mixes +
-/// senses only), the same rendering as `fault_properties.rs`.
-fn render(dag: &Dag) -> String {
-    let mut src = String::from("ASSAY fuzz START\n");
-    let inputs: Vec<_> = dag
-        .node_ids()
-        .filter(|&n| dag.node(n).kind == NodeKind::Input)
-        .collect();
-    src.push_str("fluid ");
-    src.push_str(
-        &inputs
-            .iter()
-            .map(|&n| dag.node(n).name.clone())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    src.push_str(";\nfluid ");
-    let mixes: Vec<_> = dag
-        .node_ids()
-        .filter(|&n| matches!(dag.node(n).kind, NodeKind::Mix { .. }))
-        .collect();
-    src.push_str(
-        &mixes
-            .iter()
-            .map(|&n| dag.node(n).name.clone())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    src.push_str(";\n");
-    for (i, &m) in mixes.iter().enumerate() {
-        let parts: Vec<String> = dag
-            .in_edges(m)
-            .iter()
-            .map(|&e| dag.node(dag.edge(e).src).name.clone())
-            .collect();
-        let fracs: Vec<String> = dag
-            .in_edges(m)
-            .iter()
-            .map(|&e| dag.edge(e).fraction.numer().to_string())
-            .collect();
-        let denoms: std::collections::HashSet<i128> = dag
-            .in_edges(m)
-            .iter()
-            .map(|&e| dag.edge(e).fraction.denom())
-            .collect();
-        let ratio_clause = if denoms.len() == 1 {
-            format!(" IN RATIOS {}", fracs.join(" : "))
-        } else {
-            String::new()
-        };
-        src.push_str(&format!(
-            "{} = MIX {}{} FOR 5;\nSENSE OPTICAL {} INTO R{i};\n",
-            dag.node(m).name,
-            parts.join(" AND "),
-            ratio_clause,
-            dag.node(m).name,
-        ));
-    }
-    src.push_str("END\n");
-    src
-}
 
 /// Extracts the raw bytes of a response's *last* JSON member (`plan`
 /// or `delta` — both are rendered last on their respective lines).
