@@ -2,13 +2,13 @@
 //! the sequential baseline, and a 32-instance batch fleet.
 //!
 //! * Enzyme10 on `big` (paper unit counts; storage sized for renaming).
-//!   Rows `enzyme10/big/sched` (list scheduling) and
-//!   `enzyme10/big/exec-scheduled` (running the schedule). Its speedup
+//!   Rows `enzyme10/big/sched` (`InstrDag::build` and list scheduling)
+//!   and `enzyme10/big/exec-scheduled` (running the schedule). Its speedup
 //!   is simulated sequential wet time over scheduled makespan; an
 //!   eight-unit chip (`enzyme10_speedup_8u`) shows inventory scaling.
 //! * A fleet of 32 instances (8 each of fig2, glucose, glycomics and
-//!   enzyme4) union-scheduled on the `fleet` chip; isomorphic instances
-//!   share one DAG analysis through their canonical plan keys. Row
+//!   enzyme4) union-scheduled on the `fleet` chip; the instances of a
+//!   plan share its carried DAG analysis, built by the first run. Row
 //!   `batch32/fleet/plan+exec` (8 threads). The batch runs again at 1,
 //!   2 and 8 threads, and once at a 5% uniform fault rate with
 //!   recovery on.
@@ -20,15 +20,12 @@
 //! none left unrecovered), and in full mode `enzyme10_speedup` and
 //! `batch_speedup` ≥ 2.
 
-use std::collections::HashMap;
-
 use aqua_bench::harness::sample;
 use aqua_compiler::CompileOutput;
-use aqua_serve::canon;
 use aqua_sim::batch_exec::{run_batch, BatchJob, BatchOptions, BatchReport};
 use aqua_sim::exec::{ExecConfig, Executor};
 use aqua_sim::fault::FaultPlan;
-use aqua_sim::sched::{plan, SchedOptions};
+use aqua_sim::sched::{plan, plan_jobs, InstrDag, SchedOptions};
 
 use crate::{status_on, Bench};
 
@@ -62,7 +59,11 @@ pub(crate) fn run(b: &mut Bench) {
     let out = compile(&machine);
     let opts = SchedOptions { obs: obs.clone() };
     let status = status_on("enzyme10", "big");
-    let samples = sample(warmup, iters, || plan(&out, &machine, &opts));
+    // `plan` would reuse the plan's carried analysis after the first
+    // sample; the row times the analysis too.
+    let samples = sample(warmup, iters, || {
+        plan_jobs(&[&InstrDag::build(&out)], &machine, &opts)
+    });
     b.report.row("enzyme10/big/sched".into(), &status, &samples);
     let sched = plan(&out, &machine, &opts);
     sched
@@ -94,23 +95,19 @@ pub(crate) fn run(b: &mut Bench) {
 
     // ---- the 32-instance batch fleet ----
     let fleet = aqua_bench::machine("fleet").expect("known machine");
-    let cases: Vec<(CompileOutput, u128)> = FLEET
+    let cases: Vec<CompileOutput> = FLEET
         .iter()
         .map(|assay| {
             let src = aqua_bench::assay_source(assay).expect("known assay");
-            let out = aqua_compiler::compile(&src, &fleet, &Default::default())
-                .unwrap_or_else(|e| panic!("{assay} does not compile: {e}"));
-            let key = canon::canonicalize(&out.dag, &HashMap::new(), &fleet)
-                .unwrap_or_else(|e| panic!("{assay} does not canonicalize: {e}"))
-                .key;
-            (out, key)
+            aqua_compiler::compile(&src, &fleet, &Default::default())
+                .unwrap_or_else(|e| panic!("{assay} does not compile: {e}"))
         })
         .collect();
     let jobs = |config: &dyn Fn(usize) -> ExecConfig| -> Vec<BatchJob> {
         (0..cases.len() * PER_CASE)
             .map(|i| BatchJob {
-                out: &cases[i / PER_CASE].0,
-                key: cases[i / PER_CASE].1,
+                out: &cases[i / PER_CASE],
+                key: 0,
                 config: config(i),
             })
             .collect()

@@ -16,6 +16,9 @@
 //!    AIS, attaching a [`codegen::VolumePlan`] that gives every metered
 //!    `move` its absolute volume (or its run-time lookup key).
 //!
+//! A compiled plan also carries its scheduling analysis, built on first
+//! use and kept ([`CompileOutput::instr_dag`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -42,7 +45,10 @@
 
 pub mod codegen;
 pub mod error;
+pub mod instr_dag;
 pub mod lower;
+
+use std::sync::OnceLock;
 
 use aqua_ais::Program;
 use aqua_dag::Dag;
@@ -50,6 +56,8 @@ use aqua_lang::FlatAssay;
 use aqua_volume::hierarchy::{ManagedOutcome, VolumeManagerOptions};
 use aqua_volume::unknown::{self, PartitionPlan};
 use aqua_volume::Machine;
+
+use crate::instr_dag::InstrDag;
 
 pub use codegen::{PlannedVolume, VolumePlan};
 pub use error::CompileError;
@@ -97,6 +105,20 @@ pub struct CompileOutput {
     pub volume_plan: VolumePlan,
     /// How volumes were resolved.
     pub resolution: VolumeResolution,
+    /// See [`CompileOutput::instr_dag`].
+    instr_dag: OnceLock<InstrDag>,
+}
+
+impl CompileOutput {
+    /// The plan's scheduling analysis ([`InstrDag::build`]), built on
+    /// the first call and kept for every later one, from any thread. It
+    /// describes `program` and `volume_plan` as compiled: code that
+    /// replaces either must build its own.
+    pub fn instr_dag(&self) -> &InstrDag {
+        let dag = self.instr_dag.get_or_init(|| InstrDag::build(self));
+        debug_assert_eq!(dag.len, self.program.instrs().len(), "stale analysis");
+        dag
+    }
 }
 
 /// Compiles assay source to AIS with automatic volume management.
@@ -186,5 +208,6 @@ pub fn compile_flat(
         program,
         volume_plan,
         resolution,
+        instr_dag: OnceLock::new(),
     })
 }

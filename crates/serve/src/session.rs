@@ -464,6 +464,9 @@ fn parse_edit(dag: &Dag, machine: &Machine, edit: &Value) -> Result<SessionEdit,
     if let Some(v) = edit.get("set_output_volume") {
         let node = node_field(dag, v, "node")?;
         let weight = u64_field(v.get("weight"), "set_output_volume.weight")?;
+        if weight == 0 {
+            return Err("`set_output_volume.weight` must be positive".to_owned());
+        }
         return Ok(SessionEdit::SetOutputVolume { node, weight });
     }
     if let Some(v) = edit.get("set_machine") {

@@ -282,6 +282,32 @@ fn zero_weight_edit_is_refused_and_leaves_the_cache_alone() {
     assert_eq!(plan, weighted_cold_plan(glucose, "Result[1]", 3));
 }
 
+/// A zero weight is refused where the edit is parsed, so the answer
+/// does not depend on the output's history: on TINY's unweighted
+/// output it used to answer `ok` with an empty delta (the no-op check
+/// read an absent weight as 0), and after a weight-2 edit
+/// `bad_request` from canonicalization.
+#[test]
+fn zero_weight_is_refused_whatever_the_outputs_history() {
+    let svc = service();
+    let (sid, _) = register(&svc, TINY);
+    let weigh = |id: u32, weight: u64| {
+        svc.handle_line(&format!(
+            "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"{sid}\",\
+             \"edit\":{{\"set_output_volume\":{{\"node\":\"Result[1]\",\"weight\":{weight}}}}}}}"
+        ))
+    };
+    let refused = |id: u32| {
+        format!(
+            "{{\"id\":{id},\"ok\":false,\"error\":\"bad_request\",\
+             \"message\":\"bad request: `set_output_volume.weight` must be positive\"}}"
+        )
+    };
+    assert_eq!(weigh(2, 0), refused(2), "unweighted");
+    assert!(weigh(3, 2).contains("\"ok\":true"));
+    assert_eq!(weigh(4, 0), refused(4), "after a weight-2 edit");
+}
+
 #[test]
 fn structural_edits_recompile_cold() {
     let svc = service();

@@ -1,10 +1,11 @@
 //! The batch assay executor: many instances, one chip.
 //!
 //! Interleaves a fleet of compiled assay instances on one simulated
-//! chip. Instances tagged with the same canonical key (computed by the
-//! caller, e.g. `aqua-serve`'s content-addressed plan keys) share one
-//! dependency-DAG analysis; the scheduler then renames all instances'
-//! episodes onto the shared slot inventory in a single union schedule.
+//! chip. Each instance's dependency DAG is its plan's carried analysis
+//! ([`CompileOutput::instr_dag`]), built by the plan's first batch and
+//! shared by every instance of it, in this batch and every later one;
+//! the scheduler then renames all instances' episodes onto the shared
+//! slot inventory in a single union schedule.
 //!
 //! Execution runs each instance's program-order replay on the shared
 //! claim-counter pool (`aqua_volume::batch`, one worker on the calling
@@ -30,9 +31,10 @@ use crate::sched::{plan_jobs, InstrDag, SchedOptions, Schedule};
 pub struct BatchJob<'a> {
     /// The compiled program this instance runs.
     pub out: &'a CompileOutput,
-    /// Canonical plan key: instances with equal keys are isomorphic
-    /// and share one DAG analysis. Callers with `aqua-serve` use its
-    /// canonical plan key; any collision-free tag works.
+    /// Unused: [`run_batch`] ignores it, since instances of one plan
+    /// share the plan's carried analysis. It stays only because the
+    /// repository benchmark builds `BatchJob` with struct literals;
+    /// the next benchmark change removes it (ROADMAP item 1).
     pub key: u128,
     /// Per-instance execution config (fault seed, recovery, …).
     pub config: ExecConfig,
@@ -73,10 +75,6 @@ pub struct BatchReport {
     pub realized_makespan_s: u64,
     /// Instructions whose start time the splice moved.
     pub shifted_instrs: u64,
-    /// Instances that reused a previously built DAG analysis.
-    pub dag_cache_hits: u64,
-    /// Distinct canonical keys in the batch.
-    pub unique_keys: usize,
     /// The thread-invariance witness: one FNV-1a chain over every
     /// job's schedule entries (start, duration) and spills (instruction,
     /// start), then every report's sense volumes, recovered count and
@@ -95,24 +93,9 @@ pub fn run_batch(
     jobs: &[BatchJob<'_>],
     opts: &BatchOptions,
 ) -> Result<BatchReport, ExecError> {
-    // Share one DAG analysis per canonical key.
-    let mut dags: Vec<InstrDag> = Vec::new();
-    let mut by_key: HashMap<u128, usize> = HashMap::new();
-    let mut job_dag: Vec<usize> = Vec::with_capacity(jobs.len());
-    let mut hits = 0u64;
-    for job in jobs {
-        let next = dags.len();
-        let ix = *by_key.entry(job.key).or_insert(next);
-        if ix == next {
-            dags.push(InstrDag::build(job.out));
-        } else {
-            hits += 1;
-        }
-        job_dag.push(ix);
-    }
-    let refs: Vec<&InstrDag> = job_dag.iter().map(|&i| &dags[i]).collect();
+    let dags: Vec<&InstrDag> = jobs.iter().map(|job| job.out.instr_dag()).collect();
     let schedule = plan_jobs(
-        &refs,
+        &dags,
         machine,
         &SchedOptions {
             obs: opts.obs.clone(),
@@ -154,15 +137,12 @@ pub fn run_batch(
     let obs = &opts.obs;
     if obs.enabled() {
         obs.add("sim.batch.instances", n as u64);
-        obs.add("sim.batch.dag_cache_hits", hits);
     }
     Ok(BatchReport {
         makespan_s: schedule.makespan_s,
         sequential_s: schedule.sequential_s,
         realized_makespan_s: splice.makespan_s,
         shifted_instrs: splice.shifted,
-        dag_cache_hits: hits,
-        unique_keys: by_key.len(),
         digest,
         schedule,
         reports,
@@ -215,8 +195,6 @@ END",
             })
             .collect();
         let report = run_batch(&machine, &jobs, &BatchOptions::default()).unwrap();
-        assert_eq!(report.unique_keys, 1);
-        assert_eq!(report.dag_cache_hits, 3);
         assert_eq!(report.reports.len(), 4);
         let seq = Executor::new(&machine, ExecConfig::default())
             .run(&out)

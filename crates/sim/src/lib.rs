@@ -26,16 +26,16 @@
 //!   Fig. 6 hierarchy *at run time* — re-dispense, regenerate the
 //!   starved backward slice, re-solve with observed volumes — and
 //!   reports what it did in [`exec::ExecReport::recovery`];
-//! * [`sched`] / [`alloc`] — the chip-as-CPU plan scheduler: lifts a
-//!   compiled program into a dependency DAG, renames virtual unit
-//!   episodes onto the machine's physical slot inventory
+//! * [`sched`] / [`alloc`] — the chip-as-CPU plan scheduler: takes the
+//!   dependency DAG a compiled plan carries ([`InstrDag`]), renames
+//!   virtual unit episodes onto the machine's physical slot inventory
 //!   (RegisterPool-style free lists), and produces a deterministic
 //!   cycle-accurate schedule with a makespan objective. The scheduled
 //!   executor ([`exec::Executor::run_scheduled`]) replays instructions
 //!   in program order under the renames, so sense sets, faults, and
 //!   recovery stay bit-identical to sequential execution;
 //! * [`batch_exec`] — interleaves many assay instances on one
-//!   simulated chip, sharing DAGs across isomorphic instances and
+//!   simulated chip, sharing each plan's DAG across its instances and
 //!   executing on worker threads with bit-identical results at any
 //!   thread count.
 //!
@@ -90,4 +90,4 @@ pub use fault::{
     ScriptedKind,
 };
 pub use regen::{count_regenerations, ProductionPolicy, RegenConfig, RegenReport};
-pub use sched::{InstrDag, SchedError, SchedOptions, Schedule};
+pub use sched::{InstrDag, SchedOptions, Schedule};

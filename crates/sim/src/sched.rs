@@ -4,9 +4,10 @@
 //! Codegen serializes every assay onto one virtual unit per class
 //! (`mixer1`, `heater1`, `sensor2`, …), so an AIS program as emitted has
 //! no instruction-level parallelism at all — exactly like scalar code
-//! before register renaming. This module lifts a compiled program into
-//! a dependency DAG, renames virtual unit *episodes* (occupancy
-//! lifetimes) onto the machine's physical slot inventory
+//! before register renaming. This module takes a compiled plan's
+//! dependency DAG ([`InstrDag`], which the plan builds once and keeps:
+//! [`CompileOutput::instr_dag`]), renames its virtual unit *episodes*
+//! (occupancy lifetimes) onto the machine's physical slot inventory
 //! ([`crate::alloc::SlotPool`]), and list-schedules the result with
 //! critical-path priorities and a makespan objective.
 //!
@@ -53,14 +54,14 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
-use std::error::Error;
-use std::fmt;
 
-use aqua_ais::{DryReg, DrySrc, Instr, ResourceClass, SepPort, WetLoc};
-use aqua_compiler::{CompileOutput, PlannedVolume};
+use aqua_ais::{ResourceClass, SepPort, WetLoc};
+use aqua_compiler::CompileOutput;
 use aqua_volume::Machine;
 
 use crate::alloc::{ClassPool, SlotPool, POOLED_CLASSES};
+
+pub use aqua_compiler::instr_dag::{Csr, Episode, InstrDag};
 
 /// Options for schedule construction.
 #[derive(Debug, Clone, Default)]
@@ -68,382 +69,6 @@ pub struct SchedOptions {
     /// Observability handle: `sim.sched.*` counters and the makespan /
     /// speedup / utilization histograms flow through here.
     pub obs: aqua_obs::Obs,
-}
-
-/// One occupancy lifetime of a virtual location. Its touches are
-/// [`InstrDag::touches`]`[episode]`.
-#[derive(Debug, Clone)]
-pub struct Episode {
-    /// Resource class of the location.
-    pub class: ResourceClass,
-    /// Virtual unit index in the program text.
-    pub virt: u32,
-    /// Ended by a definitely-emptying op (closed episodes release
-    /// their slot; open ones hold it to the end of the schedule).
-    pub closed: bool,
-    /// Closed by a *metered* full drain: the executor moves the planned
-    /// volume, so a faulted remainder can stay behind and must be
-    /// carried to the unit's next episode.
-    pub metered_close: bool,
-    /// The unit's immediately preceding episode, if any.
-    pub prev: Option<u32>,
-    /// Ordinal among same-class episodes, in first-touch order. The
-    /// scheduler opens a class's episodes strictly in this order —
-    /// out-of-order slot acquisition can deadlock against serialized
-    /// episode chains (a later block holding the last slot while an
-    /// earlier block, which the chain forces to run first, waits).
-    pub class_ord: u32,
-    /// Position in the episode's touches where a pure-drain suffix
-    /// begins: from here on the episode is only ever a transfer
-    /// source, so between `touches[spill_from - 1]` completing and
-    /// `touches[spill_from]` issuing the fluid is parked and may be
-    /// spilled to storage.
-    pub spill_from: Option<usize>,
-}
-
-/// The dependency DAG of one compiled program, with everything the
-/// list scheduler needs: durations, critical-path priorities, and the
-/// episode structure. Building it is pure analysis — it can be shared
-/// across any number of isomorphic assay instances.
-#[derive(Debug, Clone)]
-pub struct InstrDag {
-    /// Instruction count (all instructions, wet and dry).
-    pub len: usize,
-    /// Dependence predecessors per instruction (deduplicated).
-    pub preds: Csr<u32>,
-    /// Dependence successors per instruction.
-    pub succs: Csr<u32>,
-    /// Simulated duration per instruction, seconds.
-    pub dur_s: Vec<u64>,
-    /// Critical-path-to-sink priority (includes own duration).
-    pub priority: Vec<u64>,
-    /// All episodes, in order of first touch.
-    pub episodes: Vec<Episode>,
-    /// Program indices touching each episode, ascending: the transpose
-    /// of `instr_eps`.
-    pub touches: Csr<u32>,
-    /// Episodes touched per instruction (deduplicated, operand order).
-    pub instr_eps: Csr<u32>,
-    /// Units with at least one metered-close episode: each needs a
-    /// dedicated carry-home reservoir so faulted leftovers survive the
-    /// episode handoff (and so every closed episode leaves its slot
-    /// replay-empty for reuse). Sorted.
-    pub carry_units: Vec<(ResourceClass, u32)>,
-    /// Sum of wet durations — the sequential executor's `wet_seconds`.
-    pub sequential_s: u64,
-    /// Longest dependence chain — the schedule's lower bound.
-    pub critical_path_s: u64,
-}
-
-/// Per-row lists stored flat: row `i`'s items are
-/// `items[head[i]..head[i + 1]]`, one allocation for every row.
-#[derive(Debug, Clone)]
-pub struct Csr<T> {
-    head: Vec<u32>,
-    items: Vec<T>,
-}
-
-impl<T> Default for Csr<T> {
-    fn default() -> Csr<T> {
-        Csr {
-            head: Vec::new(),
-            items: Vec::new(),
-        }
-    }
-}
-
-impl<T> Csr<T> {
-    /// No rows yet, room for `rows` rows of `items` items in all; rows
-    /// are filled in order by pushing to `items` and closing each.
-    fn with_capacity(rows: usize, items: usize) -> Csr<T> {
-        let mut head = Vec::with_capacity(rows + 1);
-        head.push(0);
-        Csr {
-            head,
-            items: Vec::with_capacity(items),
-        }
-    }
-
-    /// Ends the row being filled.
-    fn close_row(&mut self) {
-        self.head.push(self.items.len() as u32);
-    }
-}
-
-impl Csr<u32> {
-    /// The transpose over `m` rows: row `r` lists, ascending, every row
-    /// of `self` that holds `r`.
-    fn transpose(&self, m: usize) -> Csr<u32> {
-        let mut head = vec![0u32; m + 1];
-        for &r in &self.items {
-            head[r as usize + 1] += 1;
-        }
-        for k in 0..m {
-            head[k + 1] += head[k];
-        }
-        let mut fill = head[..m].to_vec();
-        let mut items = vec![0u32; self.items.len()];
-        for row in 0..self.head.len().saturating_sub(1) {
-            for &r in &self[row] {
-                items[fill[r as usize] as usize] = row as u32;
-                fill[r as usize] += 1;
-            }
-        }
-        Csr { head, items }
-    }
-}
-
-impl<T> std::ops::Index<usize> for Csr<T> {
-    type Output = [T];
-    fn index(&self, i: usize) -> &[T] {
-        &self.items[self.head[i] as usize..self.head[i + 1] as usize]
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Effect {
-    Write,
-    Read,
-    Operate,
-    /// The source is done after this touch. `leftover: true` marks a
-    /// metered full drain (planned volume), which can leave a faulted
-    /// remainder behind; `false` marks an unmetered `take_all` that is
-    /// guaranteed to empty the location.
-    Empty {
-        leftover: bool,
-    },
-}
-
-/// The wet operands an instruction touches (a source, then a
-/// destination), with what it does to each.
-fn effects(instr: &Instr, plan: Option<&PlannedVolume>) -> [Option<(WetLoc, Effect)>; 2] {
-    // The executor drains a source with an unmetered `take_all` only
-    // when the plan says so (entry absent or `All`); a planned volume
-    // is metered and can leave a faulted remainder. A source-level
-    // "move everything" (no relative volume, or an output) still ends
-    // the occupancy either way — any remainder is handed to the next
-    // episode of the unit by a carry move (see the module docs).
-    let drained = |src_all: bool| match plan {
-        None | Some(PlannedVolume::All) => Effect::Empty { leftover: false },
-        _ if src_all => Effect::Empty { leftover: true },
-        _ => Effect::Read,
-    };
-    let pair = |a: (WetLoc, Effect), b: (WetLoc, Effect)| [Some(a), Some(b)];
-    match instr {
-        Instr::Input { dst, port } => pair((*port, Effect::Read), (*dst, Effect::Write)),
-        Instr::Output { port, src } => pair((*src, drained(true)), (*port, Effect::Write)),
-        Instr::Move { dst, src, rel_vol } => {
-            pair((*src, drained(rel_vol.is_none())), (*dst, Effect::Write))
-        }
-        Instr::MoveAbs { dst, src, .. } => pair((*src, Effect::Read), (*dst, Effect::Write)),
-        Instr::Mix { unit, .. }
-        | Instr::Incubate { unit, .. }
-        | Instr::Concentrate { unit, .. }
-        | Instr::Separate { unit, .. } => [Some((*unit, Effect::Operate)), None],
-        Instr::Sense { unit, .. } => [Some((*unit, Effect::Empty { leftover: false })), None],
-        Instr::Dry { .. } | Instr::Comment(_) => [None, None],
-    }
-}
-
-impl InstrDag {
-    /// Analyzes a compiled program: episodes, dependence edges,
-    /// durations, and critical-path priorities. Linear but for sorting
-    /// each instruction's few dependence sources.
-    pub fn build(out: &CompileOutput) -> InstrDag {
-        const NONE: u32 = u32::MAX;
-        let instrs = out.program.instrs();
-        let n = instrs.len();
-        let plan = &out.volume_plan;
-
-        // Per class and virtual unit: its open and its latest episode.
-        let mut units: [Vec<(u32, u32)>; 7] = Default::default();
-        let mut carry_units: Vec<(ResourceClass, u32)> = Vec::new();
-        let mut class_counts = [0u32; 7];
-
-        let mut episodes: Vec<Episode> = Vec::new();
-        // Per episode: its latest touch, its touch count, and where its
-        // pure-drain suffix of touches begins.
-        let mut ep_touch: Vec<(u32, usize, usize)> = Vec::new();
-        let mut instr_eps: Csr<u32> = Csr::with_capacity(n, 2 * n);
-        // Every dependence edge found at an instruction ends there, so
-        // its sources, sorted and deduplicated, are its predecessors.
-        let mut preds: Csr<u32> = Csr::with_capacity(n, 2 * n);
-        let mut sources: Vec<u32> = Vec::new();
-        // Register names come from the assay text: default hasher.
-        let mut reg_last: HashMap<&DryReg, u32> = HashMap::new();
-        let mut seps: Vec<usize> = plan.unknown_separations.keys().copied().collect();
-        seps.sort_unstable();
-        let mut dur_s = vec![0u64; n];
-
-        for (i, instr) in instrs.iter().enumerate() {
-            let idx = i as u32;
-            if instr.is_wet() {
-                dur_s[i] = instr.wet_duration_s();
-            }
-            // Dry-register chains (sense writes a reading; dry ALU ops
-            // read and write registers): serialize touches per name.
-            let regs = match instr {
-                Instr::Dry { dst, src, .. } => match src {
-                    DrySrc::Reg(r) => [Some(r), Some(dst)],
-                    DrySrc::Imm(_) => [None, Some(dst)],
-                },
-                Instr::Sense { dst, .. } => [None, Some(dst)],
-                _ => [None, None],
-            };
-            for name in regs.into_iter().flatten() {
-                if let Some(last) = reg_last.insert(name, idx) {
-                    if last != idx {
-                        sources.push(last);
-                    }
-                }
-            }
-            // Run-time dispensing (§3.5) solves against the volume
-            // measurements of earlier separations: conservatively
-            // depend on every separation emitted before this point.
-            if let Some(PlannedVolume::Runtime { .. }) = plan.get(i) {
-                let before = seps.partition_point(|&sep| sep < i);
-                sources.extend(seps[..before].iter().map(|&sep| sep as u32));
-            }
-            for (loc, mut effect) in effects(instr, plan.get(i)).into_iter().flatten() {
-                let class = loc.class();
-                let units = &mut units[class as usize];
-                let unit = loc.unit_index() as usize;
-                if unit >= units.len() {
-                    units.resize(unit + 1, (NONE, NONE));
-                }
-                // A separator stays occupied by its waste stream even
-                // after an output port is drained: never close it.
-                if class == ResourceClass::Separator && matches!(effect, Effect::Empty { .. }) {
-                    effect = Effect::Read;
-                }
-                // Ports hold no chip fluid; their episodes only model
-                // exclusivity and chain concurrent uses.
-                if matches!(class, ResourceClass::InputPort | ResourceClass::OutputPort) {
-                    effect = Effect::Read;
-                }
-                let (open, latest) = &mut units[unit];
-                if *open == NONE {
-                    let ord = &mut class_counts[class as usize];
-                    episodes.push(Episode {
-                        class,
-                        virt: loc.unit_index(),
-                        closed: false,
-                        metered_close: false,
-                        prev: (*latest != NONE).then_some(*latest),
-                        class_ord: *ord,
-                        spill_from: None,
-                    });
-                    *ord += 1;
-                    ep_touch.push((NONE, 0, 0));
-                    *open = episodes.len() as u32 - 1;
-                    *latest = *open;
-                }
-                let ep = *open;
-                let epi = ep as usize;
-                let (last, count, drain_from) = &mut ep_touch[epi];
-                if *last != idx {
-                    if *last != NONE {
-                        sources.push(*last);
-                    }
-                    *last = idx;
-                    *count += 1;
-                    if !matches!(effect, Effect::Read | Effect::Empty { .. }) {
-                        *drain_from = *count;
-                    }
-                    instr_eps.items.push(ep);
-                }
-                if let Effect::Empty { leftover } = effect {
-                    episodes[epi].closed = true;
-                    episodes[epi].metered_close = leftover;
-                    if leftover {
-                        carry_units.push((class, loc.unit_index()));
-                    }
-                    units[unit].0 = NONE;
-                }
-            }
-            instr_eps.close_row();
-            sources.sort_unstable();
-            sources.dedup();
-            debug_assert!(sources.iter().all(|&a| a < idx), "edges run forward");
-            preds.items.append(&mut sources);
-            preds.close_row();
-        }
-
-        // Port episodes release after their last touch (nothing is
-        // stored at a port); spill windows exist only for units whose
-        // parked product is purely waiting to drain.
-        for (ep, &(_, touches, p)) in episodes.iter_mut().zip(&ep_touch) {
-            if matches!(
-                ep.class,
-                ResourceClass::InputPort | ResourceClass::OutputPort
-            ) {
-                ep.closed = true;
-            }
-            // A unit episode the program abandons (its last touch is a
-            // metered drain or it simply stops being used) would hold
-            // its slot to the end of the schedule — with a one-unit
-            // inventory that wall deadlocks every later consumer of
-            // the class. Close it at its final touch as a metered
-            // close: the carry-out sweeps whatever is left to the
-            // unit's carry-home reservoir, so the slot is replay-empty
-            // for reuse. Sequential execution leaves the abandoned
-            // leftover in the unit instead, but no report aggregate
-            // depends on where residue sits. Separators keep their
-            // waste stream on-column and never close.
-            if !ep.closed
-                && matches!(
-                    ep.class,
-                    ResourceClass::Mixer | ResourceClass::Heater | ResourceClass::Sensor
-                )
-            {
-                ep.closed = true;
-                ep.metered_close = true;
-                carry_units.push((ep.class, ep.virt));
-            }
-            if matches!(ep.class, ResourceClass::Mixer | ResourceClass::Heater)
-                && p >= 1
-                && p < touches
-            {
-                ep.spill_from = Some(p);
-            }
-        }
-
-        carry_units.sort_unstable();
-        carry_units.dedup();
-        let succs = preds.transpose(n);
-        let mut priority = vec![0u64; n];
-        for i in (0..n).rev() {
-            let down = succs[i].iter().map(|&s| priority[s as usize]).max();
-            priority[i] = dur_s[i] + down.unwrap_or(0);
-        }
-        let sequential_s = dur_s.iter().sum();
-        let critical_path_s = priority.iter().copied().max().unwrap_or(0);
-        InstrDag {
-            len: n,
-            preds,
-            succs,
-            dur_s,
-            priority,
-            touches: instr_eps.transpose(episodes.len()),
-            episodes,
-            instr_eps,
-            carry_units,
-            sequential_s,
-            critical_path_s,
-        }
-    }
-
-    /// An episode's program-order span for the allocator fence: first
-    /// touch to last touch, unbounded while it never closes.
-    fn span(&self, ep: u32) -> (u32, u32) {
-        let touches = &self.touches[ep as usize];
-        let last = if self.episodes[ep as usize].closed {
-            touches[touches.len() - 1]
-        } else {
-            u32::MAX
-        };
-        (touches[0], last)
-    }
 }
 
 /// One renaming directive: occurrences of the `(class, virt)` unit in
@@ -518,7 +143,7 @@ pub struct Entry {
 
 /// The per-job (per assay instance) slice of a schedule — everything
 /// the executor needs to replay this instance.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct JobSchedule {
     /// Timing per instruction.
     pub entries: Vec<Entry>,
@@ -578,31 +203,6 @@ pub struct SchedStats {
     /// the schedule degenerated to the sequential order.
     pub fallback: bool,
 }
-
-/// Why list scheduling gave up (callers fall back to sequential).
-#[derive(Debug, Clone)]
-pub enum SchedError {
-    /// No runnable instruction and no spillable episode: the inventory
-    /// cannot host the program's live set.
-    Stall {
-        /// Schedule time of the stall.
-        at_s: u64,
-    },
-}
-
-impl fmt::Display for SchedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchedError::Stall { at_s } => write!(
-                f,
-                "schedule stalled at t={at_s}s: no runnable instruction and no \
-                 spillable episode for this inventory"
-            ),
-        }
-    }
-}
-
-impl Error for SchedError {}
 
 /// The outcome of re-timing a schedule against observed repairs.
 #[derive(Debug, Clone, Copy)]
@@ -755,19 +355,16 @@ impl Schedule {
                 .collect();
             jobs.push(JobSchedule {
                 entries,
-                renames: Csr {
-                    head: vec![0; dag.len + 1],
-                    items: Vec::new(),
-                },
+                renames: Csr::from_parts(vec![0; dag.len + 1], Vec::new()),
                 spills: Vec::new(),
             });
         }
         // One chain: every node waits for the one before it.
         let n: u32 = dags.iter().map(|d| d.len as u32).sum();
-        let ins = Csr {
-            head: (0..=n).map(|g| g.saturating_sub(1)).collect(),
-            items: (1..n).map(|g| (g - 1, 0)).collect(),
-        };
+        let ins = Csr::from_parts(
+            (0..=n).map(|g| g.saturating_sub(1)).collect(),
+            (1..n).map(|g| (g - 1, 0)).collect(),
+        );
         let pool = SlotPool::from_machine(machine);
         let utilization = pool
             .iter()
@@ -805,21 +402,18 @@ impl ClassPool {
     }
 }
 
-/// Builds the schedule for one compiled program, falling back to the
+/// Builds the schedule for one compiled program from its carried
+/// analysis ([`CompileOutput::instr_dag`]), falling back to the
 /// sequential order if the inventory cannot host the live set.
 pub fn plan(out: &CompileOutput, machine: &Machine, opts: &SchedOptions) -> Schedule {
-    let dag = InstrDag::build(out);
-    plan_jobs(&[&dag], machine, opts)
+    plan_jobs(&[out.instr_dag()], machine, opts)
 }
 
 /// Builds the schedule for a fleet of instances (one [`InstrDag`] per
-/// instance; isomorphic instances may share one), falling back to the
-/// sequential concatenation on a stall.
+/// instance; instances of one plan share its analysis), falling back
+/// to the sequential concatenation on a stall.
 pub fn plan_jobs(dags: &[&InstrDag], machine: &Machine, opts: &SchedOptions) -> Schedule {
-    let sched = match list_schedule(dags, machine) {
-        Ok(s) => s,
-        Err(SchedError::Stall { .. }) => Schedule::sequential(dags, machine),
-    };
+    let sched = list_schedule(dags, machine).unwrap_or_else(|| Schedule::sequential(dags, machine));
     let obs = &opts.obs;
     if obs.enabled() {
         obs.add("sim.sched.nodes", sched.stats.nodes);
@@ -901,9 +495,10 @@ struct Engine<'a> {
 }
 
 /// The list-scheduling engine: reserves the carry homes, then issues
-/// ready nodes round by round until every node has run or a stall
-/// cannot be relieved by a spill.
-fn list_schedule(dags: &[&InstrDag], machine: &Machine) -> Result<Schedule, SchedError> {
+/// ready nodes round by round until every node has run. `None` when the
+/// inventory cannot host the live set: no carry home is left, or
+/// nothing is runnable and no episode is spillable.
+fn list_schedule(dags: &[&InstrDag], machine: &Machine) -> Option<Schedule> {
     // Dedicated carry homes first, the cheapest way to fail: one
     // reservoir per unit whose metered-close remainders must survive
     // an episode handoff, held for the whole schedule.
@@ -916,10 +511,7 @@ fn list_schedule(dags: &[&InstrDag], machine: &Machine) -> Result<Schedule, Sche
     for (j, dag) in dags.iter().enumerate() {
         carry_offsets.push(carry.len());
         for _ in &dag.carry_units {
-            let Some(grant) = rp.alloc(j as u32, (0, u32::MAX), 0, None) else {
-                return Err(SchedError::Stall { at_s: 0 });
-            };
-            carry.push(grant.slot);
+            carry.push(rp.alloc(j as u32, (0, u32::MAX), 0, None)?.slot);
         }
     }
     let holds = (carry.iter())
@@ -1014,10 +606,10 @@ fn list_schedule(dags: &[&InstrDag], machine: &Machine) -> Result<Schedule, Sche
         // product to storage to free its unit, or give up.
         engine.stats.stalls += 1;
         if !engine.spill_one(t) {
-            return Err(SchedError::Stall { at_s: t });
+            return None;
         }
     }
-    Ok(engine.finish())
+    Some(engine.finish())
 }
 
 impl Engine<'_> {
@@ -1260,7 +852,7 @@ impl Engine<'_> {
     fn renames(&self, j: usize) -> Csr<Rename> {
         let dag = self.dags[j];
         let eo = self.ep_offsets[j];
-        let mut renames = Csr::with_capacity(dag.len, dag.instr_eps.items.len());
+        let mut renames = Csr::with_capacity(dag.len, dag.instr_eps.item_count());
         for i in 0..dag.len {
             for &ep in &dag.instr_eps[i] {
                 let info = &dag.episodes[ep as usize];
@@ -1275,7 +867,7 @@ impl Engine<'_> {
                     && info
                         .spill_from
                         .is_some_and(|p| i as u32 >= dag.touches[ep as usize][p]);
-                renames.items.push(Rename {
+                renames.push(Rename {
                     class: info.class,
                     virt: info.virt,
                     to: if spilled {
@@ -1308,7 +900,7 @@ impl Engine<'_> {
         // what the schedule added, in the order found.
         self.found.sort_by_key(|&(to, _, _)| to);
         let n = self.start.len();
-        let deps: usize = self.dags.iter().map(|d| d.preds.items.len()).sum();
+        let deps: usize = self.dags.iter().map(|d| d.preds.item_count()).sum();
         let mut ins = Csr::with_capacity(n, deps + self.found.len());
         let mut found = self.found.iter().peekable();
         let mut jobs = Vec::with_capacity(self.dags.len());
@@ -1316,9 +908,11 @@ impl Engine<'_> {
             let off = self.job_offsets[j];
             for i in 0..dag.len {
                 let gid = off + i as u32;
-                ins.items.extend(dag.preds[i].iter().map(|&a| (off + a, 0)));
+                for &a in &dag.preds[i] {
+                    ins.push((off + a, 0));
+                }
                 while let Some(&(_, from, extra)) = found.next_if(|e| e.0 == gid) {
-                    ins.items.push((from, extra));
+                    ins.push((from, extra));
                 }
                 ins.close_row();
             }
@@ -1377,72 +971,6 @@ mod tests {
     fn compiled(src: &str, machine: &Machine) -> CompileOutput {
         aqua_compiler::compile(src, machine, &aqua_compiler::CompileOptions::default())
             .expect("test program compiles")
-    }
-
-    #[test]
-    fn enzyme_episodes_close_and_carry() {
-        let m = machine();
-        let out = compiled(&aqua_assays::Benchmark::Enzyme.source(), &m);
-        let dag = InstrDag::build(&out);
-        // Every mixer/heater/sensor episode closes (no unit holds its
-        // slot to the end of the schedule), and the Static-planned
-        // textual-all drains are metered closes, so both hot units get
-        // a carry home.
-        for ep in &dag.episodes {
-            if matches!(
-                ep.class,
-                ResourceClass::Mixer | ResourceClass::Heater | ResourceClass::Sensor
-            ) {
-                assert!(ep.closed, "{:?}#{} left open", ep.class, ep.virt);
-            }
-        }
-        assert!(dag.carry_units.contains(&(ResourceClass::Mixer, 1)));
-        assert!(dag.carry_units.contains(&(ResourceClass::Heater, 1)));
-        // Sense empties the sensor outright: closed, not metered.
-        let sensed = dag
-            .episodes
-            .iter()
-            .filter(|e| e.class == ResourceClass::Sensor && !e.metered_close)
-            .count();
-        assert!(sensed > 0, "sense should close sensor episodes unmetered");
-    }
-
-    #[test]
-    fn separator_episodes_never_close() {
-        let m = machine();
-        let out = compiled(&aqua_assays::Benchmark::Glycomics.source(), &m);
-        let dag = InstrDag::build(&out);
-        let seps: Vec<_> = dag
-            .episodes
-            .iter()
-            .filter(|e| e.class == ResourceClass::Separator)
-            .collect();
-        assert!(!seps.is_empty(), "glycomics uses a separator");
-        for ep in &seps {
-            assert!(!ep.closed, "the waste stream keeps the column occupied");
-        }
-        assert!(!dag
-            .carry_units
-            .iter()
-            .any(|&(c, _)| c == ResourceClass::Separator));
-    }
-
-    #[test]
-    fn class_ord_follows_first_touch_order() {
-        let m = machine();
-        let out = compiled(&aqua_assays::Benchmark::EnzymeN(4).source(), &m);
-        let dag = InstrDag::build(&out);
-        let mut last_first: HashMap<ResourceClass, (u32, u32)> = HashMap::new();
-        for (e, ep) in dag.episodes.iter().enumerate() {
-            let first = *dag.touches[e].first().expect("episodes are touched");
-            if let Some(&(prev_ord, prev_first)) = last_first.get(&ep.class) {
-                assert_eq!(ep.class_ord, prev_ord + 1, "ordinals are dense");
-                assert!(prev_first <= first, "ordinals follow first touches");
-            } else {
-                assert_eq!(ep.class_ord, 0);
-            }
-            last_first.insert(ep.class, (ep.class_ord, first));
-        }
     }
 
     #[test]

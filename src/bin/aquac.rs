@@ -210,7 +210,6 @@ fn real_main() -> Result<(), String> {
 /// under the plan schedule (`--parallel`), optionally as a batch of
 /// identical instances (`--instances N` on `--threads` workers).
 fn exec_main(rest: &[String]) -> Result<(), String> {
-    use aqua_serve::canon;
     use aqua_sim::batch_exec::{run_batch, BatchJob, BatchOptions};
     use aqua_sim::sched::{plan, SchedOptions};
 
@@ -263,13 +262,10 @@ fn exec_main(rest: &[String]) -> Result<(), String> {
     };
 
     if instances > 1 {
-        let key = canon::canonicalize(&out.dag, &std::collections::HashMap::new(), &machine)
-            .map_err(|e| e.to_string())?
-            .key;
         let jobs: Vec<BatchJob> = (0..instances)
             .map(|_| BatchJob {
                 out: &out,
-                key,
+                key: 0,
                 config: config.clone(),
             })
             .collect();
@@ -291,9 +287,7 @@ fn exec_main(rest: &[String]) -> Result<(), String> {
             batch.sequential_s as f64 / batch.makespan_s.max(1) as f64,
         );
         println!(
-            "schedule: {} unique DAG(s), {} cache hits, {} spills, {} carries, digest {:016x}{}",
-            batch.unique_keys,
-            batch.dag_cache_hits,
+            "schedule: {} spills, {} carries, digest {:016x}{}",
             batch.schedule.stats.spills,
             batch.schedule.stats.carries,
             batch.digest,

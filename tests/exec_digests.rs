@@ -16,6 +16,10 @@
 //! batch digest, the schedule's makespans and every instance's report
 //! digest, at one and at two threads.
 //!
+//! Schedules are built from a fresh `InstrDag::build` and from the
+//! analysis each compiled plan carries (`CompileOutput::instr_dag`),
+//! and both must hit the same pins.
+//!
 //! Whole `plan_jobs` schedules are pinned for fleets that list-schedule
 //! (identical instances, a mixed paper batch, one that spills), one
 //! that runs out of carry homes and one that stalls in the issue sweep:
@@ -229,23 +233,27 @@ fn executor_runs_are_pinned() {
     for (assay, chip, want) in RUNS {
         let m = machine(chip);
         let out = compiled(assay, chip);
-        let dag = InstrDag::build(&out);
-        let schedule = plan_jobs(&[&dag], &m, &SchedOptions::default());
+        let built = plan_jobs(&[&InstrDag::build(&out)], &m, &SchedOptions::default());
+        let carried = plan_jobs(&[out.instr_dag()], &m, &SchedOptions::default());
         for (r, &rate) in RATES.iter().enumerate() {
             let seeds: &[u64] = if rate > 0.0 { &SEEDS } else { &SEEDS[..1] };
-            let mut h = BASIS;
+            let mut h = [BASIS; 2];
             for &seed in seeds {
                 let seq = Executor::new(&m, config(rate, seed, true))
                     .run(&out)
                     .expect("sequential run");
-                let job = Executor::new(&m, config(rate, seed, true))
-                    .run_job(&out, &schedule.jobs[0])
-                    .expect("scheduled run");
-                fnv_u64(&mut h, report_digest(&seq, &m));
-                fnv_u64(&mut h, report_digest(&job, &m));
+                for (h, schedule) in h.iter_mut().zip([&built, &carried]) {
+                    let job = Executor::new(&m, config(rate, seed, true))
+                        .run_job(&out, &schedule.jobs[0])
+                        .expect("scheduled run");
+                    fnv_u64(h, report_digest(&seq, &m));
+                    fnv_u64(h, report_digest(&job, &m));
+                }
             }
-            if h != want[r] {
-                mismatches.push(format!("{assay}/{chip} at rate {rate}: {h:#018x}"));
+            for (h, dag) in h.iter().zip(["built", "carried"]) {
+                if *h != want[r] {
+                    mismatches.push(format!("{assay}/{chip} at rate {rate} ({dag}): {h:#018x}"));
+                }
             }
         }
     }
@@ -394,28 +402,34 @@ fn list_schedules_are_pinned() {
     let mut mismatches = Vec::new();
     for (case, &(chip, fleet, fallback, want)) in SCHEDULES.iter().enumerate() {
         let m = machine(chip);
-        let dags: Vec<(InstrDag, usize)> = (fleet.iter())
+        let plans: Vec<(CompileOutput, InstrDag, usize)> = (fleet.iter())
             .map(|&(assay, n)| {
                 let out = aqua_compiler::compile(&source(assay), &m, &Default::default())
                     .unwrap_or_else(|e| panic!("{assay}/{chip} compiles: {e}"));
-                (InstrDag::build(&out), n)
+                let dag = InstrDag::build(&out);
+                (out, dag, n)
             })
             .collect();
-        let refs: Vec<&InstrDag> = (dags.iter())
-            .flat_map(|(dag, n)| std::iter::repeat_n(dag, *n))
+        let built: Vec<&InstrDag> = (plans.iter())
+            .flat_map(|(_, dag, n)| std::iter::repeat_n(dag, *n))
             .collect();
-        let carry_homes: usize = refs.iter().map(|d| d.carry_units.len()).sum();
-        let s = plan_jobs(&refs, &m, &SchedOptions::default());
-        assert_eq!(s.stats.fallback, fallback, "case {case}: fallback");
+        let carried: Vec<&InstrDag> = (plans.iter())
+            .flat_map(|(out, _, n)| std::iter::repeat_n(out.instr_dag(), *n))
+            .collect();
+        let carry_homes: usize = built.iter().map(|d| d.carry_units.len()).sum();
         // Only the enzyme4 batch asks for more carry homes than the
         // chip has reservoirs.
         assert_eq!(carry_homes > m.reservoirs, case == 6, "case {case}");
-        if chip == "lean" {
-            assert!(s.stats.spills > 0, "case {case}: spills");
-        }
-        let h = schedule_digest(&s, 0x5EED ^ case as u64);
-        if h != want {
-            mismatches.push(format!("case {case} ({chip}): {h:#018x}"));
+        for (refs, dag) in [(&built, "built"), (&carried, "carried")] {
+            let s = plan_jobs(refs, &m, &SchedOptions::default());
+            assert_eq!(s.stats.fallback, fallback, "case {case} ({dag}): fallback");
+            if chip == "lean" {
+                assert!(s.stats.spills > 0, "case {case} ({dag}): spills");
+            }
+            let h = schedule_digest(&s, 0x5EED ^ case as u64);
+            if h != want {
+                mismatches.push(format!("case {case} ({chip}, {dag}): {h:#018x}"));
+            }
         }
     }
     assert!(
@@ -423,4 +437,38 @@ fn list_schedules_are_pinned() {
         "moved schedules:\n{}",
         mismatches.join("\n")
     );
+}
+
+/// `run_batch` schedules from each plan's carried analysis: a second
+/// call over the same plans rebuilds none of them and returns the
+/// same digest and schedule, and clones of the plans, taken before and
+/// after the analyses were built, schedule exactly as the originals.
+#[test]
+fn repeated_batches_reuse_each_plans_analysis() {
+    let m = machine("paper");
+    let plans: Vec<CompileOutput> = (RUNS.iter())
+        .filter(|&&(_, chip, _)| chip == "paper")
+        .map(|&(assay, chip, _)| compiled(assay, chip))
+        .collect();
+    let early = plans.clone();
+    let analyses: Vec<&InstrDag> = plans.iter().map(CompileOutput::instr_dag).collect();
+    let batch = |plans: &[CompileOutput]| {
+        let jobs: Vec<BatchJob> = (0..12)
+            .map(|i| BatchJob {
+                out: &plans[i % plans.len()],
+                key: 0,
+                config: config(RATES[i % RATES.len()], SEEDS[i % SEEDS.len()], false),
+            })
+            .collect();
+        let report = run_batch(&m, &jobs, &BatchOptions::default()).expect("batch runs");
+        (report.digest, schedule_digest(&report.schedule, 0x5EED))
+    };
+    let first = batch(&plans);
+    assert_eq!(batch(&plans), first, "a second call");
+    for (p, (out, &dag)) in plans.iter().zip(&analyses).enumerate() {
+        assert!(std::ptr::eq(out.instr_dag(), dag), "plan {p} was rebuilt");
+    }
+    let late = plans.clone();
+    assert_eq!(batch(&early), first, "clones taken before the analyses");
+    assert_eq!(batch(&late), first, "clones taken after the analyses");
 }
