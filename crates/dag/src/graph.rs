@@ -153,6 +153,19 @@ impl Dag {
         &self.nodes[id.0]
     }
 
+    /// Moves the names of `ids` out of the DAG, in that order, leaving
+    /// those nodes unnamed: a caller done with the DAG keeps its names
+    /// without copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id does not belong to this DAG.
+    pub fn take_names(&mut self, ids: &[NodeId]) -> Vec<String> {
+        ids.iter()
+            .map(|id| std::mem::take(&mut self.nodes[id.0].name))
+            .collect()
+    }
+
     /// The edge behind a handle.
     ///
     /// # Panics

@@ -4,14 +4,26 @@ use crate::ast::*;
 use crate::diag::{LangError, Span};
 use crate::lexer::{Token, TokenKind};
 
+/// Deepest nesting of parentheses, index brackets and `FOR`, `WHILE`
+/// and `IF` blocks, counted together, that the parser accepts. The
+/// repository's assays nest 3 blocks; the parser recurses once per
+/// level, and 30,000 nested parentheses used to overflow its stack.
+pub(crate) const MAX_NESTING: usize = 64;
+
 pub(crate) fn parse_tokens(tokens: &[Token<'_>]) -> Result<Assay, LangError> {
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     p.parse_assay()
 }
 
 struct Parser<'a> {
     tokens: &'a [Token<'a>],
     pos: usize,
+    /// Levels of nesting around the current token.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -51,6 +63,31 @@ impl<'a> Parser<'a> {
             )),
             None => Err(self.error(format!("expected {what}, found end of input"))),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, at the token that opens
+    /// the level, or refuses past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// `[ expr ]`, at its `[`.
+    fn parse_index(&mut self) -> Result<Expr, LangError> {
+        self.nested(|p| {
+            p.pos += 1;
+            let index = p.parse_expr()?;
+            p.expect_kind(&TokenKind::RBracket, "`]`")?;
+            Ok(index)
+        })
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<Span, LangError> {
@@ -206,13 +243,13 @@ impl<'a> Parser<'a> {
 
     fn parse_stmt(&mut self) -> Result<Stmt, LangError> {
         if self.at_keyword("FOR") {
-            return self.parse_for();
+            return self.nested(Self::parse_for);
         }
         if self.at_keyword("WHILE") {
-            return self.parse_while();
+            return self.nested(Self::parse_while);
         }
         if self.at_keyword("IF") {
-            return self.parse_if();
+            return self.nested(Self::parse_if);
         }
         for (kw, kind) in [
             ("SEPARATE", SepKind::Affinity),
@@ -243,9 +280,7 @@ impl<'a> Parser<'a> {
         let (name, span) = self.expect_ident("statement")?;
         let mut indices = Vec::new();
         while matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LBracket)) {
-            self.pos += 1;
-            indices.push(self.parse_expr()?);
-            self.expect_kind(&TokenKind::RBracket, "`]`")?;
+            indices.push(self.parse_index()?);
         }
         self.expect_kind(&TokenKind::Equals, "`=`")?;
         if self.at_keyword("MIX") {
@@ -270,9 +305,7 @@ impl<'a> Parser<'a> {
         let (name, span) = self.expect_ident("fluid name")?;
         let mut indices = Vec::new();
         while matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LBracket)) {
-            self.pos += 1;
-            indices.push(self.parse_expr()?);
-            self.expect_kind(&TokenKind::RBracket, "`]`")?;
+            indices.push(self.parse_index()?);
         }
         Ok(FluidExpr {
             name,
@@ -576,12 +609,12 @@ impl<'a> Parser<'a> {
             Some(Token {
                 kind: TokenKind::LParen,
                 ..
-            }) => {
-                self.pos += 1;
-                let e = self.parse_expr()?;
-                self.expect_kind(&TokenKind::RParen, "`)`")?;
+            }) => self.nested(|p| {
+                p.pos += 1;
+                let e = p.parse_expr()?;
+                p.expect_kind(&TokenKind::RParen, "`)`")?;
                 Ok(e)
-            }
+            }),
             Some(Token {
                 kind: TokenKind::Ident(name),
                 span,
@@ -589,9 +622,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 let mut indices = Vec::new();
                 while matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LBracket)) {
-                    self.pos += 1;
-                    indices.push(self.parse_expr()?);
-                    self.expect_kind(&TokenKind::RBracket, "`]`")?;
+                    indices.push(self.parse_index()?);
                 }
                 Ok(Expr::Var(name.to_owned(), indices, span))
             }
@@ -731,6 +762,42 @@ mod tests {
             },
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Parentheses, index brackets and blocks share one nesting cap: a
+    /// program at the cap parses, and one level more is refused at the
+    /// token that opens it.
+    #[test]
+    fn nesting_is_capped() {
+        let parses = |depth: usize, body: &dyn Fn(usize) -> String| {
+            let src = format!("ASSAY n START\nVAR x, R[1];\n{}\nEND", body(depth));
+            parse_tokens(&lex(&src).unwrap())
+        };
+        let parens = |d: usize| format!("x = {}1{};", "(".repeat(d), ")".repeat(d));
+        let blocks = |d: usize| {
+            format!(
+                "{}x = 1;\n{}",
+                "FOR i FROM 1 TO 2 START\n".repeat(d),
+                "ENDFOR\n".repeat(d)
+            )
+        };
+        // Blocks around an index bracket around parentheses.
+        let mixed = |d: usize| {
+            format!(
+                "{}R[{}1{}] = 1;\n{}",
+                "IF 1 < 2 START\n".repeat(d / 2),
+                "(".repeat(d - d / 2 - 1),
+                ")".repeat(d - d / 2 - 1),
+                "ENDIF\n".repeat(d / 2)
+            )
+        };
+        for body in [&parens as &dyn Fn(usize) -> String, &blocks, &mixed] {
+            assert!(parses(MAX_NESTING, body).is_ok(), "{}", body(MAX_NESTING));
+            let err = parses(MAX_NESTING + 1, body).unwrap_err();
+            assert_eq!(err.message, "nesting deeper than 64 levels");
+        }
+        let err = parses(MAX_NESTING + 1, &blocks).unwrap_err();
+        assert_eq!(err.span.line, 3 + MAX_NESTING);
     }
 
     #[test]

@@ -45,9 +45,14 @@
 //!    The exact encoding is kept alongside the key so the cache can
 //!    reject true hash collisions by comparing bytes (see `cache`).
 //! 5. **Rebuild + interning** — the DAG is rebuilt with nodes in
-//!    canonical order and fluid names interned to `f0..fN`. The edit
-//!    path stops after step 4 (`canonicalize_mapped`) and runs this step
-//!    from the permutations (`Canon::complete`) only when it compiles.
+//!    canonical order and fluid names interned to `f0..fN`. Only a
+//!    compile reads it, so every path runs this step only to compile: a
+//!    `src` request runs the key pass (validation and steps 1–4,
+//!    `key_pass`), probes the cache, and completes it
+//!    (`KeyPass::complete`) only if it leads a miss; a session edit
+//!    stops after step 4 (`canonicalize_mapped`) and completes from the
+//!    permutations (`Canon::complete`) when it compiles. [`canonicalize`]
+//!    is the key pass and its completion.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -73,8 +78,9 @@ pub struct Canon {
     /// `names[i]` is what the request called canonical node `i`. Not
     /// part of the encoding or key (keys are rename-invariant); the
     /// protocol layer attaches it to responses so clients can map plan
-    /// node ids back to their own fluid names. Empty when produced by
-    /// the mapping-only path.
+    /// node ids back to their own fluid names. Only [`canonicalize`]
+    /// fills it: the service's own paths write a response's names from
+    /// the lowered DAG, and a compile never reads them.
     pub names: Vec<String>,
     /// Node permutation: `node_perm[i]` is the canonical index of the
     /// request's node `i`. Incremental replanning uses it to rename
@@ -113,9 +119,10 @@ pub fn key_hex(key: u128) -> String {
     format!("{key:032x}")
 }
 
-/// Parses the 32-hex-digit wire form of a key.
+/// Parses the 32-hex-digit wire form of a key. Every byte must be a
+/// hex digit: `from_str_radix` alone would also take a leading `+`.
 pub fn parse_key_hex(s: &str) -> Option<u128> {
-    if s.len() != 32 {
+    if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     u128::from_str_radix(s, 16).ok()
@@ -275,8 +282,32 @@ pub fn canonicalize(
     weights: &HashMap<NodeId, u64>,
     machine: &Machine,
 ) -> Result<Canon, CanonError> {
+    let pass = key_pass(dag, weights, machine)?;
+    let names = pass
+        .order
+        .iter()
+        .map(|&old| dag.node(old).name.clone())
+        .collect();
+    Ok(Canon {
+        names,
+        ..pass.complete(dag, weights)
+    })
+}
+
+/// The key pass of a request: validation, then steps 1–4. Every `src`
+/// request runs it and probes the cache with its key and encoding; only
+/// the leader of a miss completes it ([`KeyPass::complete`]).
+///
+/// # Errors
+///
+/// As [`canonicalize`]: validation reports before the weight check.
+pub(crate) fn key_pass(
+    dag: &Dag,
+    weights: &HashMap<NodeId, u64>,
+    machine: &Machine,
+) -> Result<KeyPass, CanonError> {
     dag.validate().map_err(|e| CanonError(e.to_string()))?;
-    canonicalize_impl(dag, weights, machine, true)
+    key_steps(dag, weights, machine)
 }
 
 /// Mapping-only canonicalization for *pre-validated* DAGs: computes the
@@ -290,15 +321,43 @@ pub(crate) fn canonicalize_mapped(
     weights: &HashMap<NodeId, u64>,
     machine: &Machine,
 ) -> Result<Canon, CanonError> {
-    canonicalize_impl(dag, weights, machine, false)
+    let pass = key_steps(dag, weights, machine)?;
+    Ok(Canon {
+        dag: Dag::new(),
+        names: Vec::new(),
+        node_perm: pass.node_perm,
+        edge_perm: pass.edge_perm,
+        weights: HashMap::new(),
+        encoding: Arc::from(pass.encoding),
+        key: pass.key,
+    })
 }
 
-fn canonicalize_impl(
+/// Steps 1–4 of a canonicalization: the canonical node order, both
+/// permutations, the encoding and its key. The encoding stays a plain
+/// vector: a request that hits the cache or joins a compile in flight
+/// compares it and drops it.
+pub(crate) struct KeyPass {
+    /// The request's nodes in canonical order (the inverse of
+    /// `node_perm`), as Kahn's sort emitted them.
+    pub(crate) order: Vec<NodeId>,
+    /// As [`Canon::node_perm`].
+    pub(crate) node_perm: Vec<usize>,
+    /// As [`Canon::edge_perm`].
+    pub(crate) edge_perm: Vec<Option<usize>>,
+    /// As [`Canon::encoding`].
+    pub(crate) encoding: Vec<u8>,
+    /// As [`Canon::key`].
+    pub(crate) key: u128,
+}
+
+/// Steps 1–4 of `(dag, weights, machine)` for a DAG that passed
+/// validation: the key pass without it.
+fn key_steps(
     dag: &Dag,
     weights: &HashMap<NodeId, u64>,
     machine: &Machine,
-    build_dag: bool,
-) -> Result<Canon, CanonError> {
+) -> Result<KeyPass, CanonError> {
     // The encoding writes an absent weight as 0 and the compile reads it
     // as 1, so a weight of 0 would share a key with a different plan.
     if weights.values().any(|&w| w == 0) {
@@ -564,58 +623,57 @@ fn canonicalize_impl(
         buf.extend_from_slice(&rec);
     }
     let key = hash_words(&buf);
-
-    // --- 5. rebuild (full path only) -----------------------------------
-    // The encoding moves into its long-lived `Arc` only after the
-    // rebuild's many small allocations: in the other order the `cold`
-    // benchmark's peak RSS read 178-210 MiB instead of 165-171.
-    let (canon_dag, names, canon_weights) = if build_dag {
-        let edges = sorted_edges
-            .iter()
-            .map(|&(_, orig)| orig_edges[orig as usize]);
-        rebuild(dag, weights, &order, &old_to_new, edges)
-    } else {
-        (Dag::new(), Vec::new(), HashMap::new())
-    };
-    Ok(Canon {
-        dag: canon_dag,
-        names,
+    Ok(KeyPass {
+        order,
         node_perm: old_to_new,
         edge_perm,
-        weights: canon_weights,
-        encoding: Arc::from(buf.into_boxed_slice()),
+        encoding: buf,
         key,
     })
 }
 
+impl KeyPass {
+    /// Step 5: the complete canonical form, without `names`. The
+    /// encoding moves into its long-lived `Arc` only after the rebuild's
+    /// many small allocations: in the other order the `cold` benchmark's
+    /// peak RSS read 178-210 MiB instead of 165-171.
+    pub(crate) fn complete(self, dag: &Dag, weights: &HashMap<NodeId, u64>) -> Canon {
+        let edges = canonical_edges(dag, &self.edge_perm);
+        let (canon_dag, canon_weights) = rebuild(dag, weights, &self.order, &self.node_perm, edges);
+        Canon {
+            dag: canon_dag,
+            names: Vec::new(),
+            node_perm: self.node_perm,
+            edge_perm: self.edge_perm,
+            weights: canon_weights,
+            encoding: Arc::from(self.encoding),
+            key: self.key,
+        }
+    }
+}
+
 impl Canon {
-    /// Completes a mapping-only canonical form of `(dag, weights)` into
-    /// the one [`canonicalize`] returns: step 5 with the node order and
-    /// edge list derived from the permutations. A session completes a
+    /// Completes a mapping-only canonical form of `(dag, weights)` with
+    /// step 5, as [`KeyPass::complete`] does, the node order scattered
+    /// from the permutation; `names` stays empty. A session completes a
     /// mapping it already holds only when it has to compile.
     pub(crate) fn complete(&mut self, dag: &Dag, weights: &HashMap<NodeId, u64>) {
         let (order, edges) = canonical_order(dag, &self.node_perm, &self.edge_perm);
-        (self.dag, self.names, self.weights) =
-            rebuild(dag, weights, &order, &self.node_perm, edges);
+        (self.dag, self.weights) = rebuild(dag, weights, &order, &self.node_perm, edges);
     }
 }
 
 /// Step 5 of canonicalization: the canonical DAG of `dag` (the nodes of
 /// `order`, in canonical order, and the live `edges` in canonical edge
-/// order), the request's names in canonical order, and the output
-/// weights re-keyed to canonical node ids.
+/// order) and the output weights re-keyed to canonical node ids.
 fn rebuild(
     dag: &Dag,
     weights: &HashMap<NodeId, u64>,
     order: &[NodeId],
     node_perm: &[usize],
     edges: impl ExactSizeIterator<Item = EdgeId>,
-) -> (Dag, Vec<String>, HashMap<NodeId, u64>) {
+) -> (Dag, HashMap<NodeId, u64>) {
     let canon_dag = build_canonical_dag(dag, order, node_perm, edges);
-    let names = order
-        .iter()
-        .map(|&old| dag.node(old).name.clone())
-        .collect();
     let new_ids: Vec<NodeId> = canon_dag.node_ids().collect();
     let mut canon_weights = HashMap::with_capacity(weights.len());
     for (&old, &w) in weights {
@@ -623,7 +681,7 @@ fn rebuild(
             canon_weights.insert(new_ids[new_idx], w);
         }
     }
-    (canon_dag, names, canon_weights)
+    (canon_dag, canon_weights)
 }
 
 /// The nodes of `dag` in the canonical order of a mapping (`node_perm`,
@@ -638,12 +696,24 @@ pub(crate) fn canonical_order(
     for old in dag.node_ids() {
         order[node_perm[old.index()]] = old;
     }
-    let mut edges: Vec<(usize, EdgeId)> = dag
-        .edge_ids()
-        .filter_map(|e| edge_perm[e.index()].map(|idx| (idx, e)))
-        .collect();
-    edges.sort_unstable_by_key(|&(idx, _)| idx);
-    (order, edges.into_iter().map(|(_, e)| e))
+    (order, canonical_edges(dag, edge_perm))
+}
+
+/// The live edges of `dag` in canonical edge order: `edge_perm` gives
+/// each its slot, so a scatter orders them without a sort.
+fn canonical_edges(
+    dag: &Dag,
+    edge_perm: &[Option<usize>],
+) -> impl ExactSizeIterator<Item = EdgeId> {
+    let mut slots: Vec<Option<EdgeId>> = vec![None; edge_perm.iter().flatten().count()];
+    for (e, slot) in dag.edge_ids().zip(edge_perm) {
+        if let Some(idx) = *slot {
+            slots[idx] = Some(e);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|e| e.expect("edge_perm numbers the live edges 0..live"))
 }
 
 /// The only builder of a canonical DAG: the nodes of `order` (canonical
@@ -821,18 +891,90 @@ mod tests {
         assert_eq!(order.len(), canon.dag.num_nodes());
     }
 
+    /// The key pass completed (a `src` leader's path) and a mapping
+    /// completed (a session compile's path) both equal [`canonicalize`]
+    /// field by field, and the scattered edge order puts each live edge
+    /// where `edge_perm` says: over seeded random DAGs with weighted
+    /// outputs, and a DAG whose cut edge sits before live ones.
     #[test]
     fn mapped_variant_matches_full_canonicalization() {
-        let dag = mix_assay(&[(1, 4), (2, 3), (1, 999)]);
-        let weights = HashMap::new();
+        use aqua_assays::synthetic::{layered_dag, LayeredConfig};
+
         let machine = Machine::paper_default();
-        let full = canonicalize(&dag, &weights, &machine).unwrap();
-        let mapped = canonicalize_mapped(&dag, &weights, &machine).unwrap();
-        assert_eq!(full.key, mapped.key);
-        assert_eq!(full.encoding, mapped.encoding);
-        assert_eq!(full.node_perm, mapped.node_perm);
-        assert_eq!(full.edge_perm, mapped.edge_perm);
-        assert!(mapped.dag.num_nodes() == 0 && mapped.names.is_empty());
+        let mut cases: Vec<(Dag, HashMap<NodeId, u64>)> = (0..16u64)
+            .map(|seed| {
+                let config = LayeredConfig {
+                    inputs: 2 + (seed as usize % 4),
+                    layers: 1 + (seed as usize % 4),
+                    width: 2 + (seed as usize % 3),
+                    ..LayeredConfig::default()
+                };
+                let dag = layered_dag(seed * 13 + 5, &config);
+                let weights = dag
+                    .outputs()
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(i, _)| !(i as u64 + seed).is_multiple_of(3))
+                    .map(|(i, o)| (o, 1 + (i as u64 + seed) % 4))
+                    .collect();
+                (dag, weights)
+            })
+            .collect();
+        let mut cut = Dag::new();
+        let a = cut.add_input("A");
+        let b = cut.add_input("B");
+        let p = cut.add_node(
+            "p",
+            NodeKind::Process {
+                op: "incubate".into(),
+            },
+        );
+        let dead = cut.add_edge(a, p, Ratio::ONE);
+        cut.add_edge(b, p, Ratio::ONE);
+        cut.cut_edge(dead);
+        let m = cut.add_mix("m", &[(a, 1), (p, 3)], 10).unwrap();
+        cut.add_output("out", m);
+        let cut_case = cases.len();
+        cases.push((cut, HashMap::new()));
+        cases.push((mix_assay(&[(1, 4), (2, 3), (1, 999)]), HashMap::new()));
+
+        for (i, (dag, weights)) in cases.iter().enumerate() {
+            let full = canonicalize(dag, weights, &machine).unwrap();
+            let pass = key_pass(dag, weights, &machine).unwrap();
+            let names: Vec<String> = pass
+                .order
+                .iter()
+                .map(|&n| dag.node(n).name.clone())
+                .collect();
+            let keyed = pass.complete(dag, weights);
+            let mut mapped = canonicalize_mapped(dag, weights, &machine).unwrap();
+            assert!(mapped.dag.num_nodes() == 0 && mapped.names.is_empty());
+            mapped.complete(dag, weights);
+            assert_eq!(names, full.names, "case {i}");
+            if i == cut_case {
+                assert_eq!(full.edge_perm[dead.index()], None);
+            }
+            for completed in [&keyed, &mapped] {
+                assert_eq!(completed.dag, full.dag, "case {i}");
+                assert_eq!(completed.weights, full.weights, "case {i}");
+                assert_eq!(completed.node_perm, full.node_perm, "case {i}");
+                assert_eq!(completed.edge_perm, full.edge_perm, "case {i}");
+                assert_eq!(completed.encoding, full.encoding, "case {i}");
+                assert_eq!(completed.key, full.key, "case {i}");
+            }
+            let canon_edges: Vec<EdgeId> = full.dag.edge_ids().collect();
+            for e in dag.edge_ids() {
+                match full.edge_perm[e.index()] {
+                    None => assert!(!dag.edge_is_live(e), "case {i}: live edge {e} unmapped"),
+                    Some(idx) => {
+                        let (ce, oe) = (full.dag.edge(canon_edges[idx]), dag.edge(e));
+                        assert_eq!(ce.fraction, oe.fraction, "case {i}");
+                        assert_eq!(ce.src.index(), full.node_perm[oe.src.index()], "case {i}");
+                        assert_eq!(ce.dst.index(), full.node_perm[oe.dst.index()], "case {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -870,5 +1012,6 @@ mod tests {
         assert_eq!(parse_key_hex(&key_hex(k)), Some(k));
         assert_eq!(parse_key_hex("zz"), None);
         assert_eq!(parse_key_hex("123"), None);
+        assert_eq!(parse_key_hex("+0000000000000000000000000000001"), None);
     }
 }

@@ -3,21 +3,27 @@
 //!
 //! Request lifecycle (every stage is spanned through `aqua-obs`):
 //!
-//! 1. **Canonicalize** — the request's DAG, output weights, and machine
-//!    are folded into a [`Canon`] whose key addresses the cache.
+//! 1. **Key pass** — the request's DAG, output weights, and machine
+//!    are validated and folded into a content key and the canonical
+//!    encoding it hashes (steps 1–4 of [`crate::canon`]). A request
+//!    that arrives canonicalized ([`Service::submit_canon`]) has both.
 //! 2. **Cache probe** — the service's one LRU (lock-striped, see
 //!    [`crate::cache`]) is probed; a hit (with encoding verification)
-//!    returns the cached plan bytes immediately. Hits bypass tenant
-//!    admission: they cost nanoseconds and shedding them would punish
-//!    warm tenants for cold ones.
+//!    returns the cached plan bytes immediately. A `src` hit builds no
+//!    canonical DAG: its response reads `names` from its own lowered
+//!    DAG. Hits bypass tenant admission: they cost nanoseconds and
+//!    shedding them would punish warm tenants for cold ones.
 //! 3. **Tenant admission** — a miss is charged against its tenant's
 //!    concurrency quota, and a leader enqueue against the tenant's
 //!    queue quota; exceeding either sheds the request with the typed
 //!    [`ServeError::Shedding`] rejection (`serve.tenant.*` counters).
 //! 4. **Single-flight admission** — concurrent misses for the *same*
 //!    key coalesce onto one in-flight compile; only the first becomes a
-//!    queued job, the rest wait on its in-flight entry. Distinct misses
-//!    enter the service's bounded queue of
+//!    queued job, the rest wait on its in-flight entry. A miss that
+//!    finds no compile of its key in flight completes its canonical
+//!    form (step 5 of [`crate::canon`]) outside the in-flight lock, so
+//!    only a leader ever builds the canonical DAG its job compiles.
+//!    Distinct misses enter the service's bounded queue of
 //!    [`ServiceConfig::queue_capacity`] jobs; a full queue rejects with
 //!    [`ServeError::Overloaded`] instead of building unbounded backlog.
 //! 5. **Compile** — one compiler thread per available core (counted
@@ -54,7 +60,7 @@ use aqua_rational::Ratio;
 use aqua_volume::Machine;
 
 use crate::cache::ShardedLru;
-use crate::canon::{self, Canon};
+use crate::canon::{self, Canon, KeyPass};
 use crate::json::{self, push_quoted, quote, Value};
 use crate::plan::compile_plan;
 use crate::session::SessionStore;
@@ -235,11 +241,101 @@ impl Flight {
     }
 }
 
+/// Waits on `flight` until its compile finishes or `deadline_at` passes.
+fn wait(inner: &Inner, flight: &Flight, deadline_at: Instant) -> Result<Served, ServeError> {
+    let mut done = flight.done.lock().unwrap_or_else(PoisonError::into_inner);
+    loop {
+        if let Some(result) = done.clone() {
+            return result;
+        }
+        let now = Instant::now();
+        if now >= deadline_at {
+            inner.timeouts.fetch_add(1, Ordering::Relaxed);
+            inner.config.obs.add("serve.timeout", 1);
+            return Err(ServeError::Timeout);
+        }
+        let (guard, _) = flight
+            .cv
+            .wait_timeout(done, deadline_at - now)
+            .unwrap_or_else(PoisonError::into_inner);
+        done = guard;
+    }
+}
+
 struct Job {
     canon: Canon,
     machine: Machine,
     tenant: String,
     flight: Arc<Flight>,
+}
+
+/// What the cache is probed with: a request's content key and the
+/// canonical encoding a hit must match byte for byte.
+trait Probe {
+    fn key(&self) -> u128;
+    fn encoding(&self) -> &[u8];
+}
+
+impl Probe for Canon {
+    fn key(&self) -> u128 {
+        self.key
+    }
+
+    fn encoding(&self) -> &[u8] {
+        &self.encoding
+    }
+}
+
+impl Probe for KeyPass {
+    fn key(&self) -> u128 {
+        self.key
+    }
+
+    fn encoding(&self) -> &[u8] {
+        &self.encoding
+    }
+}
+
+/// A lowered `src` request past its key pass.
+struct Lowered {
+    dag: Dag,
+    weights: HashMap<NodeId, u64>,
+    pass: KeyPass,
+}
+
+impl Probe for Lowered {
+    fn key(&self) -> u128 {
+        self.pass.key
+    }
+
+    fn encoding(&self) -> &[u8] {
+        &self.pass.encoding
+    }
+}
+
+/// Where a `src` response's `names` come from.
+enum Names {
+    /// A hit's or a follower's own lowered DAG, read in the canonical
+    /// node order of its key pass.
+    Lowered(Dag, Vec<NodeId>),
+    /// A leader's names, moved out of its lowered DAG in canonical order.
+    Moved(Vec<String>),
+}
+
+/// Parses and lowers assay source text: the front half of every `src`
+/// request.
+fn lower_src(src: &str) -> Result<(Dag, HashMap<NodeId, u64>), ServeError> {
+    let flat =
+        aqua_lang::compile_to_flat(src).map_err(|e| ServeError::BadRequest(e.to_string()))?;
+    let (dag, map) =
+        aqua_compiler::lower_to_dag(&flat).map_err(|e| ServeError::BadRequest(e.to_string()))?;
+    #[cfg(test)]
+    tests::panic_once_at("src");
+    Ok((dag, map.output_weights))
+}
+
+fn bad_canon(e: canon::CanonError) -> ServeError {
+    ServeError::BadRequest(e.to_string())
 }
 
 #[derive(Default)]
@@ -388,14 +484,8 @@ impl Service {
     /// [`ServeError::BadRequest`] on parse/lower/canonicalization
     /// failures.
     pub fn canon_src(src: &str, machine: &Machine) -> Result<Canon, ServeError> {
-        let flat =
-            aqua_lang::compile_to_flat(src).map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        let (dag, map) = aqua_compiler::lower_to_dag(&flat)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        #[cfg(test)]
-        tests::panic_once_at("src");
-        canon::canonicalize(&dag, &map.output_weights, machine)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))
+        let (dag, weights) = lower_src(src)?;
+        canon::canonicalize(&dag, &weights, machine).map_err(bad_canon)
     }
 
     /// Compiles (or serves from cache) a plan for assay source text.
@@ -409,8 +499,10 @@ impl Service {
         machine: &Machine,
         deadline: Option<Duration>,
     ) -> Result<Served, ServeError> {
-        let canon = Self::canon_src(src, machine)?;
-        self.submit_canon(canon, machine.clone(), deadline)
+        let (dag, weights) = lower_src(src)?;
+        let (served, _) =
+            self.submit_lowered(dag, weights, machine.clone(), deadline, DEFAULT_TENANT)?;
+        Ok(served)
     }
 
     /// Compiles (or serves from cache) a plan for an explicit DAG and
@@ -426,9 +518,37 @@ impl Service {
         machine: &Machine,
         deadline: Option<Duration>,
     ) -> Result<Served, ServeError> {
-        let canon = canon::canonicalize(dag, weights, machine)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        self.submit_canon(canon, machine.clone(), deadline)
+        let pass = canon::key_pass(dag, weights, machine).map_err(bad_canon)?;
+        let lead = |pass: KeyPass| pass.complete(dag, weights);
+        let (served, _) = self.submit(pass, lead, machine.clone(), deadline, DEFAULT_TENANT)?;
+        Ok(served)
+    }
+
+    /// A lowered `src` request from its key pass on: a hit or a request
+    /// that joins its key's compile answers with the lowered DAG, which
+    /// its `names` are read from; a leader moves the names out of the DAG
+    /// and drops it before it waits.
+    fn submit_lowered(
+        &self,
+        dag: Dag,
+        weights: HashMap<NodeId, u64>,
+        machine: Machine,
+        deadline: Option<Duration>,
+        tenant: &str,
+    ) -> Result<(Served, Names), ServeError> {
+        let pass = canon::key_pass(&dag, &weights, &machine).map_err(bad_canon)?;
+        let mut moved = Vec::new();
+        let lead = |mut lowered: Lowered| {
+            moved = lowered.dag.take_names(&lowered.pass.order);
+            lowered.pass.complete(&lowered.dag, &lowered.weights)
+        };
+        let request = Lowered { dag, weights, pass };
+        let (served, unled) = self.submit(request, lead, machine, deadline, tenant)?;
+        let names = match unled {
+            Some(lowered) => Names::Lowered(lowered.dag, lowered.pass.order),
+            None => Names::Moved(moved),
+        };
+        Ok((served, names))
     }
 
     /// Key-addressed lookup: serves a previously compiled plan without
@@ -472,6 +592,24 @@ impl Service {
         deadline: Option<Duration>,
         tenant: &str,
     ) -> Result<Served, ServeError> {
+        let (served, _) = self.submit(canon, |canon| canon, machine, deadline, tenant)?;
+        Ok(served)
+    }
+
+    /// Stages 2–6 of the lifecycle (see the module docs) for a request
+    /// probed by its key and encoding. Only the leader of a miss calls
+    /// `lead` for the canonical form its job compiles: after its first
+    /// probe misses and it finds no compile of the key in flight, and
+    /// outside the in-flight lock (one that then finds a flight begun in
+    /// between joins it). Any other request comes back beside its plan.
+    fn submit<R: Probe>(
+        &self,
+        request: R,
+        lead: impl FnOnce(R) -> Canon,
+        machine: Machine,
+        deadline: Option<Duration>,
+        tenant: &str,
+    ) -> Result<(Served, Option<R>), ServeError> {
         let inner = &*self.inner;
         let obs = &inner.config.obs;
         let _span = obs.span("serve.submit");
@@ -484,15 +622,37 @@ impl Service {
         let deadline_at = Instant::now()
             .checked_add(Duration::from_millis(deadline_ms))
             .unwrap_or_else(Instant::now);
-        let key = canon.key;
+        let key = request.key();
 
-        if let Some(hit) = inner.cache.get(key, &canon.encoding) {
-            return Ok(hit);
+        if let Some(hit) = inner.cache.get(key, request.encoding()) {
+            return Ok((hit, Some(request)));
         }
 
         // Miss path: charge the tenant's concurrency quota for the
         // whole wait (the guard releases it on every exit path).
         let _tenant_guard = inner.admit_tenant(tenant)?;
+
+        // Join the key's compile if one is in flight; only a request that
+        // finds none completes its canonical form.
+        let joined = {
+            let inflight = inner
+                .inflight
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            match inflight.get(&key) {
+                None => None,
+                Some(flight) => {
+                    if let Some(hit) = inner.cache.get(key, request.encoding()) {
+                        return Ok((hit, Some(request)));
+                    }
+                    Some(inner.follow(flight))
+                }
+            }
+        };
+        if let Some(flight) = joined {
+            return wait(inner, &flight, deadline_at).map(|served| (served, Some(request)));
+        }
+        let canon = lead(request);
 
         let flight = {
             let mut inflight = inner
@@ -502,12 +662,10 @@ impl Service {
             // Re-probe under the lock: a compiler thread publishes
             // cache-first, so a just-finished compile is visible here.
             if let Some(hit) = inner.cache.get(key, &canon.encoding) {
-                return Ok(hit);
+                return Ok((hit, None));
             }
             if let Some(flight) = inflight.get(&key) {
-                inner.dedups.fetch_add(1, Ordering::Relaxed);
-                obs.add("serve.singleflight.dedup", 1);
-                Arc::clone(flight)
+                inner.follow(flight)
             } else {
                 // The leader for this key. An already-expired deadline
                 // cannot wait for any compile: reject before admitting.
@@ -541,24 +699,7 @@ impl Service {
                 flight
             }
         };
-
-        let mut done = flight.done.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(result) = done.clone() {
-                return result;
-            }
-            let now = Instant::now();
-            if now >= deadline_at {
-                inner.timeouts.fetch_add(1, Ordering::Relaxed);
-                obs.add("serve.timeout", 1);
-                return Err(ServeError::Timeout);
-            }
-            let (guard, _) = flight
-                .cv
-                .wait_timeout(done, deadline_at - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            done = guard;
-        }
+        wait(inner, &flight, deadline_at).map(|served| (served, None))
     }
 
     /// Handles one NDJSON request line and renders the response line
@@ -704,14 +845,17 @@ impl Service {
                 }
             },
         };
-        let mut canon = match Self::canon_src(src, &machine) {
-            Ok(c) => c,
-            Err(e) => return error_line(id, &e),
-        };
-        // The compile never reads the names; the response does.
-        let names = std::mem::take(&mut canon.names);
-        match self.submit_canon_tenant(canon, machine, deadline, tenant) {
-            Ok(served) => success_line_named(id, &served, &names),
+        let result = lower_src(src).and_then(|(dag, weights)| {
+            self.submit_lowered(dag, weights, machine, deadline, tenant)
+        });
+        match result {
+            Ok((served, Names::Lowered(dag, order))) => {
+                let names = order.iter().map(|&n| dag.node(n).name.as_str());
+                success_line_named(id, &served, names)
+            }
+            Ok((served, Names::Moved(names))) => {
+                success_line_named(id, &served, names.iter().map(String::as_str))
+            }
             Err(e) => error_line(id, &e),
         }
     }
@@ -759,7 +903,7 @@ impl Service {
                 self.inner
                     .publish(reg.key, &reg.encoding, Arc::clone(&reg.plan));
                 let mut names = String::new();
-                push_names(&mut names, &reg.names);
+                push_names(&mut names, reg.names.iter().map(String::as_str));
                 format!(
                     "{{\"id\":{id},\"ok\":true,\"session\":{},\"key\":\"{}\",\
                      \"names\":{names},\"plan\":{}}}",
@@ -925,6 +1069,13 @@ impl Service {
 }
 
 impl Inner {
+    /// Joins the compile `flight` of a key in flight as one more waiter.
+    fn follow(&self, flight: &Arc<Flight>) -> Arc<Flight> {
+        self.dedups.fetch_add(1, Ordering::Relaxed);
+        self.config.obs.add("serve.singleflight.dedup", 1);
+        Arc::clone(flight)
+    }
+
     /// Appends a compiled plan to the persistent store (when
     /// configured), then inserts it into the cache, so key-addressed
     /// requests for the same canonical form hit without recompiling.
@@ -1062,18 +1213,20 @@ fn compile_loop(inner: &Inner) {
     }
 }
 
+/// A key response, written into one string sized up front.
 fn success_line(id: &str, served: &Served) -> String {
-    format!(
-        "{{\"id\":{id},\"ok\":true,\"key\":\"{}\",\"plan\":{}}}",
-        canon::key_hex(served.key),
-        served.plan
-    )
+    let mut out = String::with_capacity(id.len() + served.plan.len() + 80);
+    let key = canon::key_hex(served.key);
+    let _ = write!(out, "{{\"id\":{id},\"ok\":true,\"key\":\"{key}\",\"plan\":");
+    out.push_str(&served.plan);
+    out.push('}');
+    out
 }
 
 /// Appends `names` as a JSON array of strings.
-fn push_names(out: &mut String, names: &[String]) {
+fn push_names<'a>(out: &mut String, names: impl Iterator<Item = &'a str>) {
     out.push('[');
-    for (i, name) in names.iter().enumerate() {
+    for (i, name) in names.enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -1086,8 +1239,12 @@ fn push_names(out: &mut String, names: &[String]) {
 /// the request's own name for it). Attached outside the cached plan, so
 /// renamed-but-isomorphic requests share plan bytes while each client
 /// still gets its own mapping. Written into one string sized up front.
-fn success_line_named(id: &str, served: &Served, names: &[String]) -> String {
-    let names_len: usize = names.iter().map(|n| n.len() + 3).sum();
+fn success_line_named<'a>(
+    id: &str,
+    served: &Served,
+    names: impl Iterator<Item = &'a str> + Clone,
+) -> String {
+    let names_len: usize = names.clone().map(|n| n.len() + 3).sum();
     let mut out = String::with_capacity(id.len() + names_len + served.plan.len() + 96);
     out.push_str("{\"id\":");
     out.push_str(id);
@@ -1389,6 +1546,106 @@ END
         let snap = sink.snapshot();
         assert_eq!(snap.counter("serve.panics"), 2);
         assert_eq!(snap.counter("serve.plan.compiles"), 1);
+    }
+
+    /// TINY with ratio `1 : parts` and its fluids named `a`, `b` and
+    /// `m`; `swapped` lists the mix's parts in the other order.
+    fn tiny_as(parts: u64, a: &str, b: &str, m: &str, swapped: bool) -> String {
+        let mix = if swapped {
+            format!("{m} = MIX {b} AND {a} IN RATIOS {parts} : 1 FOR 10;")
+        } else {
+            format!("{m} = MIX {a} AND {b} IN RATIOS 1 : {parts} FOR 10;")
+        };
+        format!(
+            "\nASSAY tiny START\nfluid {a}, {b}, {m};\nVAR Result[1];\n{mix}\n\
+             SENSE OPTICAL it INTO Result[1];\nEND\n"
+        )
+    }
+
+    /// A `src` response's key and plan bytes, and its `names`.
+    fn key_plan_names(resp: &str) -> (String, String, Vec<String>) {
+        let (_, plan) = resp.split_once(",\"plan\":").expect("a success line");
+        let v = json::parse(resp).expect("valid JSON");
+        let Some(Value::Arr(names)) = v.get("names") else {
+            panic!("no names in {resp}");
+        };
+        (
+            v.get("key").and_then(Value::as_str).unwrap().to_owned(),
+            plan.to_owned(),
+            names
+                .iter()
+                .map(|n| n.as_str().unwrap().to_owned())
+                .collect(),
+        )
+    }
+
+    /// Renamed `src` requests that hit the cache, and renamed requests
+    /// that join a compile in flight, answer the cold response's key and
+    /// plan bytes with their own names: the names a full
+    /// canonicalization of their own source gives.
+    #[test]
+    fn renamed_hits_and_followers_answer_their_own_names() {
+        assert_eq!(tiny_as(4, "A", "B", "m", false), TINY);
+        let (obs, sink) = Obs::recording();
+        let svc = service(ServiceConfig {
+            obs,
+            ..ServiceConfig::default()
+        });
+        let machine = Machine::paper_default();
+        let src_line = |id: usize, src: &str| format!("{{\"id\":{id},\"src\":{}}}", quote(src));
+        let renamed = |parts: u64| {
+            [
+                tiny_as(parts, "Sample", "Buffer", "mixed", false),
+                tiny_as(parts, "x", "y", "z", true),
+                tiny_as(parts, "B", "A", "m", true),
+            ]
+        };
+        let check = |resp: &str, src: &str, cold: &(String, String, Vec<String>)| {
+            let (key, plan, names) = key_plan_names(resp);
+            assert_eq!((&key, &plan), (&cold.0, &cold.1), "{resp}");
+            assert_eq!(names, Service::canon_src(src, &machine).unwrap().names);
+        };
+
+        let cold = key_plan_names(&svc.handle_line(&src_line(0, TINY)));
+        for (i, src) in renamed(4).iter().enumerate() {
+            check(&svc.handle_line(&src_line(i + 1, src)), src, &cold);
+        }
+
+        // A compile of another key, held in flight until every follower
+        // has joined it, then finished as a compiler thread finishes one.
+        let held = tiny_as(7, "A", "B", "m", false);
+        let cold =
+            key_plan_names(&service(ServiceConfig::default()).handle_line(&src_line(0, &held)));
+        let canon = Service::canon_src(&held, &machine).unwrap();
+        let flight = Arc::new(Flight::new());
+        svc.inner
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(canon.key, Arc::clone(&flight));
+        let followers = renamed(7);
+        let responses: Vec<String> = std::thread::scope(|scope| {
+            let waiting: Vec<_> = followers
+                .iter()
+                .enumerate()
+                .map(|(i, src)| {
+                    let (svc, line) = (&svc, src_line(i + 10, src));
+                    scope.spawn(move || svc.handle_line(&line))
+                })
+                .collect();
+            while svc.dedup_count() < followers.len() as u64 {
+                std::thread::yield_now();
+            }
+            let plan: Arc<str> = Arc::from(cold.1.strip_suffix('}').unwrap());
+            let served = svc.inner.publish(canon.key, &canon.encoding, plan);
+            svc.inner.inflight.lock().unwrap().remove(&canon.key);
+            flight.complete(Ok(served));
+            waiting.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (resp, src) in responses.iter().zip(&followers) {
+            check(resp, src, &cold);
+        }
+        assert_eq!(sink.snapshot().counter("serve.plan.compiles"), 1);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Regression tests for the front-door bugs: the `deadline_ms`-overflow
 //! panic, the accept loop dying on transient errors, unbounded request
 //! lines, the `FOR`-loop trip count that overflowed into a hang, the
-//! op-free loop nest that ran for days, the `i128` overflow in plan
-//! rounding that killed a shard's batcher, and the empty assay that
-//! panicked a compiler thread in the LP.
+//! op-free loop nest that ran for days, the requests nested deep enough
+//! to overflow a parser's stack, the `i128` overflow in plan rounding
+//! that killed a shard's batcher, and the empty assay that panicked a
+//! compiler thread in the LP.
 //!
 //! Each test exercises the hostile input that used to take the service
 //! (or one of its threads) down, then proves the connection/service
@@ -276,6 +277,51 @@ END
     }
     let glucose = parse(lines[2]);
     assert_eq!(glucose.get("ok"), Some(&Value::Bool(true)), "{}", lines[2]);
+}
+
+/// A request nested deeper than its parser recurses used to overflow
+/// the request thread's stack, which is no panic: `aquac serve` aborted
+/// and the line after it went unanswered. A line of 100,000 `[`, a
+/// source with 30,000 nested parentheses and one with 20,000 nested
+/// `FOR` blocks (620 KB, under the 1 MiB line cap) now each answer
+/// `bad_request`, and the `stats` line behind them is answered.
+#[test]
+fn deeply_nested_requests_get_bad_request_and_the_front_moves_on() {
+    let assay = |body: &str| {
+        quote(&format!(
+            "ASSAY deep START\nfluid A, B;\nVAR x;\n{body}\nMIX A AND B FOR 5;\nEND\n"
+        ))
+    };
+    let parens = assay(&format!(
+        "x = {}1{};",
+        "(".repeat(30_000),
+        ")".repeat(30_000)
+    ));
+    let blocks = assay(&format!(
+        "{}x = 1;\n{}",
+        "FOR i FROM 1 TO 1 START\n".repeat(20_000),
+        "ENDFOR\n".repeat(20_000)
+    ));
+    let input = format!(
+        "{}\n{{\"id\":2,\"src\":{parens}}}\n{{\"id\":3,\"src\":{blocks}}}\n\
+         {{\"id\":4,\"cmd\":\"stats\"}}\n",
+        "[".repeat(100_000)
+    );
+    let svc = Service::new(ServiceConfig::default());
+    assert!(input.lines().all(|line| line.len() < svc.max_line_bytes()));
+    let mut out = Vec::new();
+    serve_lines(&svc, input.as_bytes(), &mut out).expect("serve");
+    let text = String::from_utf8(out).expect("utf8 responses");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "{text}");
+    for resp in &lines[..3] {
+        let v = parse(resp);
+        assert_eq!(v.get("error").and_then(Value::as_str), Some("bad_request"));
+        assert!(resp.contains("nesting deeper than 64 levels"), "{resp}");
+    }
+    let stats = parse(lines[3]);
+    assert_eq!(stats.get("id").and_then(Value::as_int), Some(4));
+    assert_eq!(stats.get("ok"), Some(&Value::Bool(true)), "{}", lines[3]);
 }
 
 /// An assay whose LP solution rounds to mix-ratio errors beyond `i128`

@@ -25,8 +25,13 @@
 #      exec conservation, and equal batch digests at 1 and 2 threads —
 #      plus one traced cold run, whose staged rerun (parse, lower,
 #      canonicalize, then submit_canon through the service's compiler
-#      threads) must repeat every plan of the untraced run, and one
-#      traced exec run, whose staged rerun (InstrDag::build, plan_jobs,
+#      threads) must repeat every plan of the untraced run, one traced
+#      serve run, whose staged rerun sends every source read through
+#      the full canonicalize + submit_canon and checks it against the
+#      warm plan, and whose exact block must equal that of the untraced
+#      run, which reads through handle_line's key-first path (so the
+#      two source paths are compared on every CI run), and one traced
+#      exec run, whose staged rerun (InstrDag::build, plan_jobs,
 #      run_job, splice one by one) must repeat run_batch's exact block.
 #      Runs last 1 second, serve's 3: at seed 1, 61 of its 96 edits
 #      revisit a state (8 of 32 at 1 second), so its delta-chained
@@ -80,7 +85,7 @@ echo "==> repository benchmark correctness checks (1 s per workload, serve 3 s)"
 # A failed check prints to stderr, sets "correct":false on the run's
 # last line and exits nonzero; timings this short mean nothing, only
 # the checks count. Each run is workload:trace:seconds.
-for run in cold:0:1 cold:1:1 serve:0:3 exec:0:1 exec:1:1; do
+for run in cold:0:1 cold:1:1 serve:0:3 serve:1:3 exec:0:1 exec:1:1; do
   IFS=: read -r workload trace seconds <<<"$run"
   result=$(timeout 300 cargo run --release --offline --locked --quiet \
     --manifest-path perfbench/Cargo.toml -- \
