@@ -216,25 +216,6 @@ impl Instr {
             Instr::MoveAbs { .. } => 1,
         }
     }
-
-    /// Wet locations this instruction touches (reads, writes, or
-    /// operates on), in operand order — the instruction's resource
-    /// footprint for scheduling. Separator operations implicitly touch
-    /// their matrix/pusher/out sub-ports, but those share the unit's
-    /// allocation, so listing the named operand suffices.
-    pub fn touched_locs(&self) -> Vec<WetLoc> {
-        match self {
-            Instr::Input { dst, port } => vec![*dst, *port],
-            Instr::Output { port, src } => vec![*port, *src],
-            Instr::Move { dst, src, .. } | Instr::MoveAbs { dst, src, .. } => vec![*dst, *src],
-            Instr::Mix { unit, .. }
-            | Instr::Incubate { unit, .. }
-            | Instr::Concentrate { unit, .. }
-            | Instr::Separate { unit, .. }
-            | Instr::Sense { unit, .. } => vec![*unit],
-            Instr::Dry { .. } | Instr::Comment(_) => Vec::new(),
-        }
-    }
 }
 
 impl fmt::Display for Instr {

@@ -17,6 +17,7 @@ use aqua_dag::{Dag, DagError, NodeId, Ratio};
 use crate::cascade;
 use crate::dagsolve::{self, DagSolveError, Verdict, VolumeAssignment};
 use crate::feascheck::{self, DemandTable};
+use crate::incr::Recording;
 use crate::lpform::{self, LpOptions};
 use crate::machine::Machine;
 use crate::replicate;
@@ -170,19 +171,19 @@ impl ManagedOutcome {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn manage_volumes(dag: &Dag, machine: &Machine, opts: &VolumeManagerOptions) -> ManagedOutcome {
-    manage_volumes_impl(dag, machine, opts, None)
+    manage_volumes_impl(dag, machine, opts, &mut Recording::off())
 }
 
-/// [`manage_volumes`] with an optional decision-trace recorder for
-/// incremental replay ([`crate::incr`]). The recorder observes the real
-/// loop — there is no shadow interpreter — so a recorded trace is by
-/// construction the trace of the returned outcome. Passing `None`
-/// reduces every hook to one branch.
+/// [`manage_volumes`] with a decision-trace recorder for incremental
+/// replay ([`crate::incr`]). The recorder observes the real loop — there
+/// is no shadow interpreter — so a recorded trace is by construction the
+/// trace of the returned outcome. Every hook of a recording that is not
+/// (or no longer) replayable returns at its first branch.
 pub(crate) fn manage_volumes_impl(
     dag: &Dag,
     machine: &Machine,
     opts: &VolumeManagerOptions,
-    mut rec: Option<&mut crate::incr::Recording>,
+    rec: &mut Recording,
 ) -> ManagedOutcome {
     let _manage_span = opts.obs.span("vol.manage");
     let mut work = dag.clone();
@@ -194,9 +195,7 @@ pub(crate) fn manage_volumes_impl(
     let mut best: Option<Verdict> = None;
 
     for round in 0..=opts.max_rewrite_rounds {
-        if let Some(r) = rec.as_deref_mut() {
-            r.begin_round(&work);
-        }
+        rec.begin_round(&work);
         // --- 1. DAGSolve ---
         let verdict = {
             let _span = opts.obs.span("vol.dagsolve");
@@ -214,49 +213,41 @@ pub(crate) fn manage_volumes_impl(
                         None => Some(v.volumes(t)?),
                         Some(_) => None,
                     };
+                    rec.on_dagsolve(t, v.underflow.is_some());
                     Ok((v, volumes))
                 })
         };
         match verdict {
-            Ok((v, volumes)) => {
-                if let Some(r) = rec.as_deref_mut() {
-                    r.on_dagsolve(tables.weighted(), v.underflow.is_some());
+            Ok((v, volumes)) => match (&v.underflow, volumes) {
+                (None, Some((node_volumes_nl, edge_volumes_nl))) => {
+                    rec.on_solved(round);
+                    log.push(format!("round {round}: DAGSolve succeeded"));
+                    let method = if rewritten {
+                        Method::DagSolveAfterRewrites
+                    } else {
+                        Method::DagSolve
+                    };
+                    return ManagedOutcome::Solved {
+                        volumes: ManagedVolumes {
+                            edge_volumes_nl,
+                            node_volumes_nl,
+                            method,
+                        },
+                        dag: work,
+                        log,
+                    };
                 }
-                match (&v.underflow, volumes) {
-                    (None, Some((node_volumes_nl, edge_volumes_nl))) => {
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.on_solved(round);
-                        }
-                        log.push(format!("round {round}: DAGSolve succeeded"));
-                        let method = if rewritten {
-                            Method::DagSolveAfterRewrites
-                        } else {
-                            Method::DagSolve
-                        };
-                        return ManagedOutcome::Solved {
-                            volumes: ManagedVolumes {
-                                edge_volumes_nl,
-                                node_volumes_nl,
-                                method,
-                            },
-                            dag: work,
-                            log,
-                        };
-                    }
-                    (Some(under), _) => {
-                        log.push(format!(
-                            "round {round}: DAGSolve underflowed ({})",
-                            under.volume_nl
-                        ));
-                        best = Some(v);
-                    }
-                    (None, None) => unreachable!("volumes are read with every solved verdict"),
+                (Some(under), _) => {
+                    log.push(format!(
+                        "round {round}: DAGSolve underflowed ({})",
+                        under.volume_nl
+                    ));
+                    best = Some(v);
                 }
-            }
+                (None, None) => unreachable!("volumes are read with every solved verdict"),
+            },
             Err(e) => {
-                if let Some(r) = rec.as_deref_mut() {
-                    r.invalidate();
-                }
+                rec.invalidate();
                 log.push(format!("round {round}: DAGSolve error: {e}"));
                 best = None;
             }
@@ -275,13 +266,11 @@ pub(crate) fn manage_volumes_impl(
                 let demand = tables.demand(&work, machine);
                 (demand, demand.is_some_and(DemandTable::infeasible))
             };
-            if let Some(r) = rec.as_deref_mut() {
-                // The simplex path (and hence any LP success) depends
-                // on state a dirty-slice replay does not carry.
-                match demand {
-                    Some(table) if proven_infeasible => r.on_proven_infeasible(table),
-                    _ => r.invalidate(),
-                }
+            // The simplex path (and hence any LP success) depends on
+            // state a dirty-slice replay does not carry.
+            match demand {
+                Some(table) if proven_infeasible => rec.on_proven_infeasible(table),
+                _ => rec.invalidate(),
             }
             if proven_infeasible {
                 opts.obs.add("vol.precheck_infeasible", 1);
@@ -389,9 +378,7 @@ pub(crate) fn manage_volumes_impl(
         let mut changed = false;
         if opts.allow_excess {
             let extremes = cascade::find_extreme_mixes(&work, machine);
-            if let Some(r) = rec.as_deref_mut() {
-                r.on_extremes(&extremes);
-            }
+            rec.on_extremes(&extremes);
             for node in extremes {
                 // Respect per-fluid excess bans: skip mixes consuming a
                 // protected fluid (their rescue must come from
@@ -401,9 +388,7 @@ pub(crate) fn manage_volumes_impl(
                         .contains(&work.node(work.edge(e).src).name)
                 });
                 if protected {
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.invalidate();
-                    }
+                    rec.invalidate();
                     log.push(format!(
                         "round {round}: `{}` consumes a no-excess fluid; cascade skipped",
                         work.node(node).name
@@ -415,9 +400,7 @@ pub(crate) fn manage_volumes_impl(
                     Ok(info) => {
                         tables.touch(&work, info.node, before);
                         opts.obs.add("vol.cascade_rewrites", 1);
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.on_cascade(&info);
-                        }
+                        rec.on_cascade(&info);
                         log.push(format!(
                             "round {round}: cascaded `{}` into {} stages",
                             work.node(info.node).name,
@@ -434,9 +417,7 @@ pub(crate) fn manage_volumes_impl(
                             tables.touch(&work, node, before);
                             best = None;
                         }
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.invalidate();
-                        }
+                        rec.invalidate();
                         log.push(format!("round {round}: cascade failed: {e}"));
                     }
                 }
@@ -447,9 +428,7 @@ pub(crate) fn manage_volumes_impl(
             opts.obs.add("vol.vnorm_passes", 1);
             match tables.bottleneck_vnorms(&work, &opts.output_weights) {
                 Ok(t) => {
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.on_bottleneck(t);
-                    }
+                    rec.on_bottleneck(t);
                     match replicate::bottleneck_candidate(&work, t) {
                         Some(node) => {
                             let name = work.node(node).name.clone();
@@ -458,39 +437,29 @@ pub(crate) fn manage_volumes_impl(
                                 Ok(info) => {
                                     tables.touch(&work, info.node, before);
                                     opts.obs.add("vol.replicate_rewrites", 1);
-                                    if let Some(r) = rec.as_deref_mut() {
-                                        r.invalidate();
-                                    }
+                                    rec.invalidate();
                                     log.push(format!("round {round}: replicated `{name}` x2"));
                                     changed = true;
                                 }
                                 Err(replicate::ReplicateError::ResourcesExceeded { what }) => {
-                                    if let Some(r) = rec.as_deref_mut() {
-                                        r.on_blocked(&what);
-                                    }
+                                    rec.on_blocked(&what);
                                     log.push(format!("round {round}: replication blocked: {what}"));
                                     return ManagedOutcome::ResourcesExceeded { reason: what, log };
                                 }
                                 Err(e) => {
-                                    if let Some(r) = rec.as_deref_mut() {
-                                        r.invalidate();
-                                    }
+                                    rec.invalidate();
                                     log.push(format!("round {round}: replication failed: {e}"));
                                 }
                             }
                         }
                         None => {
-                            if let Some(r) = rec.as_deref_mut() {
-                                r.invalidate();
-                            }
+                            rec.invalidate();
                             log.push(format!("round {round}: no replication candidate"));
                         }
                     }
                 }
                 Err(e) => {
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.invalidate();
-                    }
+                    rec.invalidate();
                     log.push(format!("round {round}: vnorm failed: {e}"));
                 }
             }
@@ -501,9 +470,7 @@ pub(crate) fn manage_volumes_impl(
         rewritten = true;
     }
 
-    if let Some(r) = rec {
-        r.invalidate();
-    }
+    rec.invalidate();
     opts.obs.add("vol.escalations", 1);
     log.push("falling back to run-time regeneration".into());
     ManagedOutcome::NeedsRegeneration {
@@ -602,14 +569,6 @@ impl Tables {
             &mut self.unweighted
         };
         read_vnorms(carried, &mut self.pos, work, &HashMap::new())
-    }
-
-    /// The table the last [`Tables::vnorms`] read returned.
-    fn weighted(&self) -> &VnormTable {
-        self.weighted
-            .table
-            .as_ref()
-            .expect("read by this round's DAGSolve")
     }
 
     /// The demand table of `work`; `None` where the reduction does not

@@ -79,7 +79,8 @@ enum Shape {
 
 /// A decision trace of one [`crate::manage_volumes`] run.
 ///
-/// Built by [`compile_with_trace`]; consumed by [`IncrSolver`].
+/// Filled in by the hierarchy loop [`compile_with_trace`] runs, and
+/// owned by the [`IncrSolver`] it returns when replayable.
 #[derive(Debug, Clone)]
 pub struct Recording {
     /// Per-round records, in round order.
@@ -94,13 +95,23 @@ pub struct Recording {
 }
 
 impl Recording {
-    fn new() -> Recording {
+    /// A recorder for one hierarchy run.
+    pub fn on() -> Recording {
         Recording {
             rounds: Vec::new(),
             final_vnorms: None,
             reason: None,
             replayable: true,
             shape: Shape::Pending,
+        }
+    }
+
+    /// A recording that records nothing: every hook returns at its first
+    /// branch, as it does once a trace stops being replayable.
+    pub fn off() -> Recording {
+        Recording {
+            replayable: false,
+            ..Recording::on()
         }
     }
 
@@ -166,7 +177,10 @@ impl Recording {
     }
 
     pub(crate) fn on_solved(&mut self, round: usize) {
-        if round == 0 && self.replayable {
+        if !self.replayable {
+            return;
+        }
+        if round == 0 {
             self.shape = Shape::SolvedRound0;
         } else {
             self.invalidate();
@@ -186,6 +200,9 @@ impl Recording {
     }
 
     pub(crate) fn on_cascade(&mut self, info: &CascadeInfo) {
+        if !self.replayable {
+            return;
+        }
         // Cascading a node that an earlier cascade generated would make
         // cold-order reconstruction recursive; punt those traces.
         let base_nodes = self.rounds.first().map_or(0, |r| r.dag.num_nodes());
@@ -199,11 +216,10 @@ impl Recording {
             .zip(&info.excess_nodes)
             .flat_map(|(&m, &x)| [m, x])
             .collect();
-        let depth = info.plan.depth();
         if let Some(r) = self.cur() {
             r.cascades.push(CascadeRec {
                 target: info.node,
-                depth,
+                depth: info.plan.depth(),
                 generated,
             });
         }
@@ -223,18 +239,25 @@ impl Recording {
     }
 }
 
-/// Runs the hierarchy once, recording a decision trace alongside the
-/// normal outcome. The trace is returned only when it is replayable;
-/// the outcome is identical to [`crate::manage_volumes`] either way.
+/// Runs the hierarchy once with `rec` ([`Recording::on`] or
+/// [`Recording::off`]) observing the loop. The outcome is identical to
+/// [`crate::manage_volumes`] either way; the replay solver comes back
+/// only when the trace ended replayable, and holds the machine and
+/// output weights it was recorded with.
 pub fn compile_with_trace(
     dag: &Dag,
     machine: &Machine,
     opts: &VolumeManagerOptions,
-) -> (ManagedOutcome, Option<Recording>) {
-    let mut rec = Recording::new();
-    let out = manage_volumes_impl(dag, machine, opts, Some(&mut rec));
-    let rec = rec.is_replayable().then_some(rec);
-    (out, rec)
+    mut rec: Recording,
+) -> (ManagedOutcome, Option<IncrSolver>) {
+    let out = manage_volumes_impl(dag, machine, opts, &mut rec);
+    let solver = rec.is_replayable().then(|| IncrSolver {
+        machine: machine.clone(),
+        weights: opts.output_weights.clone(),
+        topo: vec![None; rec.rounds.len()],
+        rec,
+    });
+    (out, solver)
 }
 
 /// An edit expressed against the trace's *base* DAG (the canonical DAG
@@ -311,25 +334,6 @@ pub struct IncrSolver {
 }
 
 impl IncrSolver {
-    /// Wraps a replayable recording. `weights` must be the output
-    /// weights the trace was compiled with (base-DAG node ids).
-    pub fn new(
-        machine: Machine,
-        weights: HashMap<NodeId, Ratio>,
-        rec: Recording,
-    ) -> Option<IncrSolver> {
-        if !rec.is_replayable() {
-            return None;
-        }
-        let topo = vec![None; rec.rounds.len()];
-        Some(IncrSolver {
-            machine,
-            weights,
-            rec,
-            topo,
-        })
-    }
-
     /// Number of nodes in the base (round 0) DAG.
     pub fn base_nodes(&self) -> usize {
         self.rec.rounds[0].dag.num_nodes()
@@ -575,10 +579,9 @@ mod tests {
         let m = d.add_mix("f2", &[(a, 1), (b, 4)], 0).unwrap();
         d.add_process("f3", "sense.OD", m);
         let opts = VolumeManagerOptions::default();
-        let (out, rec) = compile_with_trace(&d, &machine(), &opts);
+        let (out, solver) = compile_with_trace(&d, &machine(), &opts, Recording::on());
         assert!(out.is_solved());
-        let rec = rec.expect("shape A is replayable");
-        let mut solver = IncrSolver::new(machine(), HashMap::new(), rec).unwrap();
+        let mut solver = solver.expect("shape A is replayable");
 
         // Edit 1:4 -> 3:7 and replay.
         let mut edited = d.clone();
@@ -616,8 +619,8 @@ mod tests {
         let m = d.add_mix("f2", &[(a, 1), (b, 4)], 0).unwrap();
         d.add_process("f3", "sense.OD", m);
         let opts = VolumeManagerOptions::default();
-        let (_, rec) = compile_with_trace(&d, &machine(), &opts);
-        let mut solver = IncrSolver::new(machine(), HashMap::new(), rec.unwrap()).unwrap();
+        let (_, solver) = compile_with_trace(&d, &machine(), &opts, Recording::on());
+        let mut solver = solver.unwrap();
         let ident = identity(d.num_nodes());
 
         let mut edited = d.clone();
@@ -649,8 +652,8 @@ mod tests {
         let m = d.add_mix("f2", &[(a, 1), (b, 1)], 0).unwrap();
         let o = d.add_output("f3", m);
         let opts = VolumeManagerOptions::default();
-        let (_, rec) = compile_with_trace(&d, &machine(), &opts);
-        let mut solver = IncrSolver::new(machine(), HashMap::new(), rec.unwrap()).unwrap();
+        let (_, solver) = compile_with_trace(&d, &machine(), &opts, Recording::on());
+        let mut solver = solver.unwrap();
 
         let w = Ratio::from_int(3);
         let (outcome, _) = solver
@@ -684,8 +687,8 @@ mod tests {
         let m = d.add_mix("f2", &[(a, 1), (b, 4)], 0).unwrap();
         d.add_process("f3", "sense.OD", m);
         let opts = VolumeManagerOptions::default();
-        let (_, rec) = compile_with_trace(&d, &machine(), &opts);
-        let mut solver = IncrSolver::new(machine(), HashMap::new(), rec.unwrap()).unwrap();
+        let (_, solver) = compile_with_trace(&d, &machine(), &opts, Recording::on());
+        let mut solver = solver.unwrap();
         let mut edited = d.clone();
         let changes = aqua_dag::set_mix_ratio(&mut edited, m, &[(a, 1), (b, 1500)]).unwrap();
         let err = solver
@@ -705,13 +708,12 @@ mod tests {
         let opts = VolumeManagerOptions::default();
         let mut machine = machine();
         machine.reservoirs = 8;
-        let (out, rec) = compile_with_trace(&d, &machine, &opts);
+        let (out, solver) = compile_with_trace(&d, &machine, &opts, Recording::on());
         assert!(
             matches!(out, ManagedOutcome::ResourcesExceeded { .. }),
             "{out:?}"
         );
-        let rec = rec.expect("shape B is replayable");
-        let mut solver = IncrSolver::new(machine.clone(), HashMap::new(), rec).unwrap();
+        let mut solver = solver.expect("shape B is replayable");
 
         let mut edited = d.clone();
         let changes =

@@ -75,17 +75,6 @@ impl LpOptions {
         }
     }
 
-    /// RVol LP with the least-count floor relaxed to nonnegativity:
-    /// always feasible, possibly underflowing (used to reproduce the
-    /// paper's "LP also fails to avoid this underflow" observation with
-    /// a concrete solution in hand).
-    pub fn rvol_relaxed_min() -> LpOptions {
-        LpOptions {
-            min_volume: false,
-            ..LpOptions::default()
-        }
-    }
-
     /// The paper's IVol ILP.
     pub fn ivol() -> LpOptions {
         LpOptions {

@@ -147,12 +147,6 @@ impl Machine {
         self.max_capacity_nl / self.least_count_nl
     }
 
-    /// Rounds a volume down to the nearest least-count multiple.
-    pub fn floor_to_least_count(&self, vol_nl: Ratio) -> Ratio {
-        let counts = (vol_nl / self.least_count_nl).floor();
-        Ratio::from_int(counts) * self.least_count_nl
-    }
-
     /// Rounds a volume to the nearest least-count multiple (half away
     /// from zero), the paper's RVol -> IVol rounding.
     pub fn round_to_least_count(&self, vol_nl: Ratio) -> Ratio {
@@ -213,7 +207,6 @@ mod tests {
     #[test]
     fn rounding_to_least_count() {
         let m = Machine::paper_default();
-        assert_eq!(m.floor_to_least_count(r(333, 100)), r(33, 10)); // 3.33 -> 3.3
         assert_eq!(m.round_to_least_count(r(337, 100)), r(34, 10)); // 3.37 -> 3.4
         assert_eq!(m.round_to_least_count(r(335, 100)), r(34, 10)); // 3.35 -> 3.4
         assert!(m.is_least_count_multiple(r(33, 10)));

@@ -15,6 +15,12 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0
     }
+
+    /// The handle of node `index`: a DAG numbers its nodes in the order
+    /// they were added.
+    pub fn from_index(index: usize) -> NodeId {
+        NodeId(index)
+    }
 }
 
 impl fmt::Display for NodeId {
@@ -31,6 +37,12 @@ impl EdgeId {
     /// Zero-based index of the edge.
     pub fn index(self) -> usize {
         self.0
+    }
+
+    /// The handle of edge `index`: a DAG numbers its edges in the order
+    /// they were added.
+    pub fn from_index(index: usize) -> EdgeId {
+        EdgeId(index)
     }
 }
 

@@ -8,6 +8,11 @@ use crate::lexer::{Token, TokenKind};
 /// and `IF` blocks, counted together, that the parser accepts. The
 /// repository's assays nest 3 blocks; the parser recurses once per
 /// level, and 30,000 nested parentheses used to overflow its stack.
+/// Operators nest too: whatever walks an expression tree (the unroller,
+/// `Display`, drop) recurses once per level of it, and a chain
+/// `1+1+…+1` is one level per term without any parenthesis (50,000
+/// terms used to overflow those walkers). So a tree's height counts
+/// toward the cap on top of the levels around it.
 pub(crate) const MAX_NESTING: usize = 64;
 
 pub(crate) fn parse_tokens(tokens: &[Token<'_>]) -> Result<Assay, LangError> {
@@ -72,7 +77,7 @@ impl<'a> Parser<'a> {
         parse: impl FnOnce(&mut Self) -> Result<T, LangError>,
     ) -> Result<T, LangError> {
         if self.depth == MAX_NESTING {
-            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+            return Err(too_deep(self.span_here()));
         }
         self.depth += 1;
         let parsed = parse(self);
@@ -80,14 +85,22 @@ impl<'a> Parser<'a> {
         parsed
     }
 
-    /// `[ expr ]`, at its `[`.
-    fn parse_index(&mut self) -> Result<Expr, LangError> {
-        self.nested(|p| {
-            p.pos += 1;
-            let index = p.parse_expr()?;
-            p.expect_kind(&TokenKind::RBracket, "`]`")?;
-            Ok(index)
-        })
+    /// The `[ expr ]` indices after a name, and the height they give its
+    /// expression node (0 without any).
+    fn parse_indices(&mut self) -> Result<(Vec<Expr>, usize), LangError> {
+        let mut indices = Vec::new();
+        let mut height = 0;
+        while matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LBracket)) {
+            let (index, h) = self.nested(|p| {
+                p.pos += 1;
+                let index = p.parse_sum()?;
+                p.expect_kind(&TokenKind::RBracket, "`]`")?;
+                Ok(index)
+            })?;
+            indices.push(index);
+            height = height.max(h + 1);
+        }
+        Ok((indices, height))
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<Span, LangError> {
@@ -278,10 +291,7 @@ impl<'a> Parser<'a> {
         }
         // `name[...] = MIX ...` or scalar assignment.
         let (name, span) = self.expect_ident("statement")?;
-        let mut indices = Vec::new();
-        while matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LBracket)) {
-            indices.push(self.parse_index()?);
-        }
+        let (indices, _) = self.parse_indices()?;
         self.expect_kind(&TokenKind::Equals, "`=`")?;
         if self.at_keyword("MIX") {
             let dst = FluidExpr {
@@ -303,10 +313,7 @@ impl<'a> Parser<'a> {
 
     fn parse_fluid_expr(&mut self) -> Result<FluidExpr, LangError> {
         let (name, span) = self.expect_ident("fluid name")?;
-        let mut indices = Vec::new();
-        while matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LBracket)) {
-            indices.push(self.parse_index()?);
-        }
+        let (indices, _) = self.parse_indices()?;
         Ok(FluidExpr {
             name,
             indices,
@@ -555,37 +562,47 @@ impl<'a> Parser<'a> {
 
     /// expr := term (("+"|"-") term)*
     fn parse_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.parse_term()?;
-        loop {
-            let op = match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Plus) => BinOp::Add,
-                Some(TokenKind::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let rhs = self.parse_term()?;
-            let span = lhs.span().merge(rhs.span());
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                span,
-            };
-        }
-        Ok(lhs)
+        Ok(self.parse_sum()?.0)
+    }
+
+    /// An expression and the height of its tree.
+    fn parse_sum(&mut self) -> Result<(Expr, usize), LangError> {
+        self.parse_chain(Self::parse_term, |kind| match kind {
+            TokenKind::Plus => Some(BinOp::Add),
+            TokenKind::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     /// term := atom (("*"|"/") atom)*
-    fn parse_term(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.parse_atom()?;
-        loop {
-            let op = match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Star) => BinOp::Mul,
-                Some(TokenKind::Slash) => BinOp::Div,
-                _ => break,
+    fn parse_term(&mut self) -> Result<(Expr, usize), LangError> {
+        self.parse_chain(Self::parse_atom, |kind| match kind {
+            TokenKind::Star => Some(BinOp::Mul),
+            TokenKind::Slash => Some(BinOp::Div),
+            _ => None,
+        })
+    }
+
+    /// A left-associative chain of `operand`s joined by the operators
+    /// `op` reads, and its height: each operator is one level over the
+    /// taller of its operands, refused past [`MAX_NESTING`] at its token.
+    fn parse_chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<(Expr, usize), LangError>,
+        op: fn(&TokenKind<'_>) -> Option<BinOp>,
+    ) -> Result<(Expr, usize), LangError> {
+        let (mut lhs, mut height) = operand(self)?;
+        while let Some(token) = self.peek() {
+            let Some(op) = op(&token.kind) else {
+                break;
             };
+            let at = token.span;
             self.pos += 1;
-            let rhs = self.parse_atom()?;
+            let (rhs, rhs_height) = operand(self)?;
+            height = 1 + height.max(rhs_height);
+            if self.depth + height > MAX_NESTING {
+                return Err(too_deep(at));
+            }
             let span = lhs.span().merge(rhs.span());
             lhs = Expr::Binary {
                 op,
@@ -594,24 +611,24 @@ impl<'a> Parser<'a> {
                 span,
             };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, LangError> {
+    fn parse_atom(&mut self) -> Result<(Expr, usize), LangError> {
         match self.peek().cloned() {
             Some(Token {
                 kind: TokenKind::Int(v),
                 span,
             }) => {
                 self.pos += 1;
-                Ok(Expr::Int(v, span))
+                Ok((Expr::Int(v, span), 0))
             }
             Some(Token {
                 kind: TokenKind::LParen,
                 ..
             }) => self.nested(|p| {
                 p.pos += 1;
-                let e = p.parse_expr()?;
+                let e = p.parse_sum()?;
                 p.expect_kind(&TokenKind::RParen, "`)`")?;
                 Ok(e)
             }),
@@ -620,11 +637,8 @@ impl<'a> Parser<'a> {
                 span,
             }) => {
                 self.pos += 1;
-                let mut indices = Vec::new();
-                while matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LBracket)) {
-                    indices.push(self.parse_index()?);
-                }
-                Ok(Expr::Var(name.to_owned(), indices, span))
+                let (indices, height) = self.parse_indices()?;
+                Ok((Expr::Var(name.to_owned(), indices, span), height))
             }
             Some(t) => Err(LangError::new(
                 t.span,
@@ -633,6 +647,12 @@ impl<'a> Parser<'a> {
             None => Err(self.error("expected expression, found end of input")),
         }
     }
+}
+
+/// The error for nesting past [`MAX_NESTING`], at the token `at` that
+/// would open one level more.
+fn too_deep(at: Span) -> LangError {
+    LangError::new(at, format!("nesting deeper than {MAX_NESTING} levels"))
 }
 
 #[cfg(test)]
@@ -764,9 +784,9 @@ mod tests {
         }
     }
 
-    /// Parentheses, index brackets and blocks share one nesting cap: a
-    /// program at the cap parses, and one level more is refused at the
-    /// token that opens it.
+    /// Parentheses, index brackets, blocks and chained operators share
+    /// one nesting cap: a program at the cap parses, and one level more
+    /// is refused at the token that opens it.
     #[test]
     fn nesting_is_capped() {
         let parses = |depth: usize, body: &dyn Fn(usize) -> String| {
@@ -791,7 +811,9 @@ mod tests {
                 "ENDIF\n".repeat(d / 2)
             )
         };
-        for body in [&parens as &dyn Fn(usize) -> String, &blocks, &mixed] {
+        // A left-deep chain of operators inside a block.
+        let chain = |d: usize| format!("IF 1 < 2 START\nx = 1{};\nENDIF\n", " - 1".repeat(d - 1));
+        for body in [&parens as &dyn Fn(usize) -> String, &blocks, &mixed, &chain] {
             assert!(parses(MAX_NESTING, body).is_ok(), "{}", body(MAX_NESTING));
             let err = parses(MAX_NESTING + 1, body).unwrap_err();
             assert_eq!(err.message, "nesting deeper than 64 levels");

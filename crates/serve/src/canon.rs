@@ -49,10 +49,10 @@
 //!    compile reads it, so every path runs this step only to compile: a
 //!    `src` request runs the key pass (validation and steps 1–4,
 //!    `key_pass`), probes the cache, and completes it
-//!    (`KeyPass::complete`) only if it leads a miss; a session edit
-//!    stops after step 4 (`canonicalize_mapped`) and completes from the
-//!    permutations (`Canon::complete`) when it compiles. [`canonicalize`]
-//!    is the key pass and its completion.
+//!    (`KeyPass::complete`) only if it leads a miss; a session keeps
+//!    only a state's `Mapping` and completes it (`Mapping::complete`)
+//!    when it compiles. [`canonicalize`] is the key pass and its
+//!    completion.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -71,16 +71,15 @@ pub(crate) const KEY_VERSION: &str = "aqua-serve-key/v2";
 #[derive(Debug, Clone)]
 pub struct Canon {
     /// The relabeled DAG: nodes in canonical order named `f0..fN`,
-    /// edges sorted by `(dst, src, fraction)`. Empty when produced by
-    /// the mapping-only path.
+    /// edges sorted by `(dst, src, fraction)`.
     pub dag: Dag,
     /// The request's original node names in canonical order:
     /// `names[i]` is what the request called canonical node `i`. Not
     /// part of the encoding or key (keys are rename-invariant); the
     /// protocol layer attaches it to responses so clients can map plan
     /// node ids back to their own fluid names. Only [`canonicalize`]
-    /// fills it: the service's own paths write a response's names from
-    /// the lowered DAG, and a compile never reads them.
+    /// fills it: the service's own paths and sessions write a response's
+    /// names from the lowered DAG, and a compile never reads them.
     pub names: Vec<String>,
     /// Node permutation: `node_perm[i]` is the canonical index of the
     /// request's node `i`. Incremental replanning uses it to rename
@@ -90,9 +89,7 @@ pub struct Canon {
     /// the request's edge `e`, or `None` for dead (cut) edges, which
     /// the canonical DAG omits.
     pub edge_perm: Vec<Option<usize>>,
-    /// Output weights, re-keyed to canonical node ids. Empty when
-    /// produced by the mapping-only path (replay works in client
-    /// coordinates and never needs them).
+    /// Output weights, re-keyed to canonical node ids.
     pub weights: HashMap<NodeId, u64>,
     /// The exact canonical encoding the key was hashed from; the cache
     /// compares this on lookup to reject 128-bit hash collisions.
@@ -310,27 +307,56 @@ pub(crate) fn key_pass(
     key_steps(dag, weights, machine)
 }
 
-/// Mapping-only canonicalization for *pre-validated* DAGs: computes the
-/// key, encoding, and node/edge permutations but leaves `Canon::dag`,
-/// `Canon::names`, and `Canon::weights` empty. The session edit path
-/// runs this on every push edit — the canonical DAG itself is only
-/// needed when a session compiles, and rebuilding it costs more than
-/// the rest of the pipeline combined; [`Canon::complete`] adds it then.
+/// The mapping of a *pre-validated* DAG: steps 1–4 without
+/// validation. A session runs this on push edits that keep its
+/// topology; the canonical DAG itself is only needed when a session
+/// compiles, and rebuilding it costs more than the rest of the pipeline
+/// combined, so [`Mapping::complete`] adds it then.
 pub(crate) fn canonicalize_mapped(
     dag: &Dag,
     weights: &HashMap<NodeId, u64>,
     machine: &Machine,
-) -> Result<Canon, CanonError> {
-    let pass = key_steps(dag, weights, machine)?;
-    Ok(Canon {
-        dag: Dag::new(),
-        names: Vec::new(),
-        node_perm: pass.node_perm,
-        edge_perm: pass.edge_perm,
-        weights: HashMap::new(),
-        encoding: Arc::from(pass.encoding),
-        key: pass.key,
-    })
+) -> Result<Mapping, CanonError> {
+    key_steps(dag, weights, machine).map(Mapping::from)
+}
+
+/// What a session keeps of one state's canonicalization: both
+/// permutations, the key, and the encoding in the `Arc` the session
+/// publishes its plan under.
+pub(crate) struct Mapping {
+    /// As [`Canon::node_perm`].
+    pub(crate) node_perm: Vec<usize>,
+    /// As [`Canon::edge_perm`].
+    pub(crate) edge_perm: Vec<Option<usize>>,
+    /// As [`Canon::encoding`].
+    pub(crate) encoding: Arc<[u8]>,
+    /// As [`Canon::key`].
+    pub(crate) key: u128,
+}
+
+impl From<KeyPass> for Mapping {
+    fn from(pass: KeyPass) -> Mapping {
+        Mapping {
+            node_perm: pass.node_perm,
+            edge_perm: pass.edge_perm,
+            encoding: Arc::from(pass.encoding),
+            key: pass.key,
+        }
+    }
+}
+
+impl Mapping {
+    /// Step 5 of `(dag, weights)`, the state this maps: the canonical
+    /// DAG and output weights [`KeyPass::complete`] builds, with the node
+    /// order scattered from the permutation.
+    pub(crate) fn complete(
+        &self,
+        dag: &Dag,
+        weights: &HashMap<NodeId, u64>,
+    ) -> (Dag, HashMap<NodeId, u64>) {
+        let (order, edges) = canonical_order(dag, &self.node_perm, &self.edge_perm);
+        rebuild(dag, weights, &order, &self.node_perm, edges)
+    }
 }
 
 /// Steps 1–4 of a canonicalization: the canonical node order, both
@@ -652,17 +678,6 @@ impl KeyPass {
     }
 }
 
-impl Canon {
-    /// Completes a mapping-only canonical form of `(dag, weights)` with
-    /// step 5, as [`KeyPass::complete`] does, the node order scattered
-    /// from the permutation; `names` stays empty. A session completes a
-    /// mapping it already holds only when it has to compile.
-    pub(crate) fn complete(&mut self, dag: &Dag, weights: &HashMap<NodeId, u64>) {
-        let (order, edges) = canonical_order(dag, &self.node_perm, &self.edge_perm);
-        (self.dag, self.weights) = rebuild(dag, weights, &order, &self.node_perm, edges);
-    }
-}
-
 /// Step 5 of canonicalization: the canonical DAG of `dag` (the nodes of
 /// `order`, in canonical order, and the live `edges` in canonical edge
 /// order) and the output weights re-keyed to canonical node ids.
@@ -947,20 +962,41 @@ mod tests {
                 .map(|&n| dag.node(n).name.clone())
                 .collect();
             let keyed = pass.complete(dag, weights);
-            let mut mapped = canonicalize_mapped(dag, weights, &machine).unwrap();
-            assert!(mapped.dag.num_nodes() == 0 && mapped.names.is_empty());
-            mapped.complete(dag, weights);
+            let mapped = canonicalize_mapped(dag, weights, &machine).unwrap();
+            let (mapped_dag, mapped_weights) = mapped.complete(dag, weights);
             assert_eq!(names, full.names, "case {i}");
             if i == cut_case {
                 assert_eq!(full.edge_perm[dead.index()], None);
             }
-            for completed in [&keyed, &mapped] {
-                assert_eq!(completed.dag, full.dag, "case {i}");
-                assert_eq!(completed.weights, full.weights, "case {i}");
-                assert_eq!(completed.node_perm, full.node_perm, "case {i}");
-                assert_eq!(completed.edge_perm, full.edge_perm, "case {i}");
-                assert_eq!(completed.encoding, full.encoding, "case {i}");
-                assert_eq!(completed.key, full.key, "case {i}");
+            for (dag, weights) in [(&keyed.dag, &keyed.weights), (&mapped_dag, &mapped_weights)] {
+                assert_eq!(dag, &full.dag, "case {i}");
+                assert_eq!(weights, &full.weights, "case {i}");
+            }
+            let mapped_keyed = Mapping::from(key_pass(dag, weights, &machine).unwrap());
+            for (node_perm, edge_perm, encoding, key) in [
+                (
+                    &keyed.node_perm,
+                    &keyed.edge_perm,
+                    &keyed.encoding,
+                    keyed.key,
+                ),
+                (
+                    &mapped.node_perm,
+                    &mapped.edge_perm,
+                    &mapped.encoding,
+                    mapped.key,
+                ),
+                (
+                    &mapped_keyed.node_perm,
+                    &mapped_keyed.edge_perm,
+                    &mapped_keyed.encoding,
+                    mapped_keyed.key,
+                ),
+            ] {
+                assert_eq!(node_perm, &full.node_perm, "case {i}");
+                assert_eq!(edge_perm, &full.edge_perm, "case {i}");
+                assert_eq!(encoding, &full.encoding, "case {i}");
+                assert_eq!(key, full.key, "case {i}");
             }
             let canon_edges: Vec<EdgeId> = full.dag.edge_ids().collect();
             for e in dag.edge_ids() {

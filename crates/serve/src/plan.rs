@@ -19,12 +19,12 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use aqua_dag::{Dag, NodeKind};
+use aqua_dag::{Dag, NodeId, NodeKind};
 use aqua_obs::Obs;
 use aqua_rational::Ratio;
 use aqua_volume::unknown::{self, Binding};
 use aqua_volume::{
-    compile_with_trace, manage_volumes, Machine, ManagedOutcome, Recording, VolumeManagerOptions,
+    compile_with_trace, IncrSolver, Machine, ManagedOutcome, Recording, VolumeManagerOptions,
 };
 
 use crate::canon::Canon;
@@ -134,36 +134,30 @@ fn push_log(out: &mut String, log: &[String]) {
 /// deterministic: the hierarchy is a pure function of `(canon,
 /// machine)` and the JSON member order is fixed.
 pub fn compile_plan(canon: &Canon, machine: &Machine, obs: &Obs) -> String {
-    compile_plan_impl(canon, machine, obs, false).0
+    compile_plan_traced(&canon.dag, &canon.weights, machine, obs, Recording::off()).0
 }
 
-/// Like [`compile_plan`], but also returns the hierarchy's round trace
-/// when the outcome is replayable (see [`aqua_volume::incr`]). Sessions
-/// register through this so edits can be replanned incrementally; the
-/// plan bytes are identical to [`compile_plan`]'s because both render
-/// through [`render_outcome`].
+/// The plan of the canonical DAG `dag` with canonical output `weights`,
+/// as [`compile_plan`] renders it, with `rec` observing the hierarchy
+/// ([`aqua_volume::compile_with_trace`]): the replay solver comes back
+/// when `rec` is on and the outcome is replayable (see
+/// [`aqua_volume::incr`]). Sessions compile through this with a
+/// recording on, so edits can be replanned incrementally.
 pub(crate) fn compile_plan_traced(
-    canon: &Canon,
+    dag: &Dag,
+    weights: &HashMap<NodeId, u64>,
     machine: &Machine,
     obs: &Obs,
-) -> (String, Option<Recording>) {
-    compile_plan_impl(canon, machine, obs, true)
-}
-
-fn compile_plan_impl(
-    canon: &Canon,
-    machine: &Machine,
-    obs: &Obs,
-    trace: bool,
-) -> (String, Option<Recording>) {
+    rec: Recording,
+) -> (String, Option<IncrSolver>) {
     let _span = obs.span("serve.plan.compile");
     obs.add("serve.plan.compiles", 1);
 
     // §3.5: statically-unknown volumes go down the partition path — the
     // final dispensing step is deferred to run time, so the "plan" is
     // the partition table with its bindings.
-    if unknown::has_unknown_volumes(&canon.dag) {
-        let rendered = match unknown::partition(&canon.dag, machine) {
+    if unknown::has_unknown_volumes(dag) {
+        let rendered = match unknown::partition(dag, machine) {
             Ok(plan) => {
                 let mut out = String::from("{\"status\":\"partitioned\",\"partitions\":[");
                 for (pi, part) in plan.partitions.iter().enumerate() {
@@ -224,21 +218,14 @@ fn compile_plan_impl(
 
     let opts = VolumeManagerOptions {
         obs: obs.clone(),
-        output_weights: canon
-            .weights
+        output_weights: weights
             .iter()
             .map(|(&id, &w)| (id, Ratio::from_int(w as i128)))
-            .collect::<HashMap<_, _>>(),
+            .collect(),
         ..VolumeManagerOptions::default()
     };
-
-    if trace {
-        let (outcome, rec) = compile_with_trace(&canon.dag, machine, &opts);
-        (render_outcome(&outcome, machine), rec)
-    } else {
-        let outcome = manage_volumes(&canon.dag, machine, &opts);
-        (render_outcome(&outcome, machine), None)
-    }
+    let (outcome, solver) = compile_with_trace(dag, machine, &opts, rec);
+    (render_outcome(&outcome, machine), solver)
 }
 
 /// A first guess at a rendered plan's length, so the output string does
@@ -449,8 +436,14 @@ mod tests {
         for (dag, weights) in &cases {
             for machine in &machines {
                 let canon = canonicalize(dag, weights, machine).expect("canonicalizes");
-                let (plan, rec) = compile_plan_traced(&canon, machine, &Obs::off());
-                if rec.is_some() {
+                let (plan, solver) = compile_plan_traced(
+                    &canon.dag,
+                    &canon.weights,
+                    machine,
+                    &Obs::off(),
+                    Recording::on(),
+                );
+                if solver.is_some() {
                     traced += 1;
                     assert!(may_replay(&plan), "traced plan not flagged: {plan:.120}");
                 }

@@ -747,28 +747,20 @@ impl Service {
                     self.clear_cache();
                     format!("{{\"id\":{id},\"ok\":true}}")
                 }
-                "obs.snapshot" => match &self.inner.config.fleet {
-                    Some(fleet) => format!(
-                        "{{\"id\":{id},\"ok\":true,\"obs\":{}}}",
-                        fleet.snapshot().to_json()
-                    ),
+                "obs.snapshot" | "obs.reset" => match &self.inner.config.fleet {
                     None => error_line(
                         id,
                         &ServeError::BadRequest(
                             "no fleet aggregator attached (start with --obs)".to_owned(),
                         ),
                     ),
-                },
-                "obs.reset" => match &self.inner.config.fleet {
-                    Some(fleet) => {
+                    Some(fleet) if cmd == "obs.reset" => {
                         fleet.reset();
                         format!("{{\"id\":{id},\"ok\":true}}")
                     }
-                    None => error_line(
-                        id,
-                        &ServeError::BadRequest(
-                            "no fleet aggregator attached (start with --obs)".to_owned(),
-                        ),
+                    Some(fleet) => format!(
+                        "{{\"id\":{id},\"ok\":true,\"obs\":{}}}",
+                        fleet.snapshot().to_json()
                     ),
                 },
                 "session.register" => self.session_register(id, &parsed),
@@ -800,14 +792,9 @@ impl Service {
                 &ServeError::BadRequest("request needs `src`, `key`, or `cmd`".to_owned()),
             );
         };
-        let machine = match parsed.get("machine") {
-            None => self.inner.config.machine.clone(),
-            Some(overrides) => {
-                match machine_with_overrides(&self.inner.config.machine, overrides) {
-                    Ok(m) => m,
-                    Err(msg) => return error_line(id, &ServeError::BadRequest(msg)),
-                }
-            }
+        let machine = match self.machine_field(&parsed) {
+            Ok(m) => m,
+            Err(e) => return error_line(id, &e),
         };
         let deadline = match parsed.get("deadline_ms") {
             None => None,
@@ -831,19 +818,9 @@ impl Service {
                 Some(ms) => Some(Duration::from_millis(ms)),
             },
         };
-        let tenant = match parsed.get("tenant") {
-            None => DEFAULT_TENANT,
-            Some(v) => match v.as_str() {
-                Some(t) if t.len() <= MAX_TENANT_BYTES && !t.is_empty() => t,
-                _ => {
-                    return error_line(
-                        id,
-                        &ServeError::BadRequest(format!(
-                        "`tenant` must be a non-empty string of at most {MAX_TENANT_BYTES} bytes"
-                    )),
-                    )
-                }
-            },
+        let tenant = match tenant_field(&parsed) {
+            Ok(t) => t,
+            Err(e) => return error_line(id, &e),
         };
         let result = lower_src(src).and_then(|(dag, weights)| {
             self.submit_lowered(dag, weights, machine, deadline, tenant)
@@ -874,31 +851,13 @@ impl Service {
                 &ServeError::BadRequest("`session.register` needs `src`".to_owned()),
             );
         };
-        let machine = match parsed.get("machine") {
-            None => self.inner.config.machine.clone(),
-            Some(overrides) => {
-                match machine_with_overrides(&self.inner.config.machine, overrides) {
-                    Ok(m) => m,
-                    Err(msg) => return error_line(id, &ServeError::BadRequest(msg)),
-                }
-            }
-        };
-        let flat = match aqua_lang::compile_to_flat(src) {
-            Ok(f) => f,
-            Err(e) => return error_line(id, &ServeError::BadRequest(e.to_string())),
-        };
-        let (dag, map) = match aqua_compiler::lower_to_dag(&flat) {
-            Ok(x) => x,
-            Err(e) => return error_line(id, &ServeError::BadRequest(e.to_string())),
-        };
-        match self.inner.sessions.register(
-            tenant,
-            dag,
-            map.output_weights,
-            machine,
-            &|key, encoding| self.cached_plan(key, encoding),
-            self.obs(),
-        ) {
+        let registered = self.machine_field(parsed).and_then(|machine| {
+            let (dag, weights) = lower_src(src)?;
+            let lookup = |key, encoding: &[u8]| self.cached_plan(key, encoding);
+            let sessions = &self.inner.sessions;
+            sessions.register(tenant, dag, weights, machine, &lookup, self.obs())
+        });
+        match registered {
             Ok(reg) => {
                 self.inner
                     .publish(reg.key, &reg.encoding, Arc::clone(&reg.plan));
@@ -984,6 +943,18 @@ impl Service {
         }
     }
 
+    /// The request's machine: the configured one, with the request's
+    /// `machine` overrides applied.
+    fn machine_field(&self, parsed: &Value) -> Result<Machine, ServeError> {
+        let base = &self.inner.config.machine;
+        match parsed.get("machine") {
+            None => Ok(base.clone()),
+            Some(overrides) => {
+                machine_with_overrides(base, overrides).map_err(ServeError::BadRequest)
+            }
+        }
+    }
+
     /// Number of live push-mode sessions across all tenants.
     pub fn session_count(&self) -> usize {
         self.inner.sessions.len()
@@ -1001,30 +972,6 @@ impl Service {
     /// and the persistent store survive — a restart would rehydrate).
     pub fn clear_cache(&self) {
         self.inner.cache.clear();
-    }
-
-    /// Number of plans held by the persistent store (`0` without one).
-    pub fn store_len(&self) -> usize {
-        match &self.inner.store {
-            None => 0,
-            Some(store) => store.lock().unwrap_or_else(PoisonError::into_inner).len(),
-        }
-    }
-
-    /// Compacts the persistent store's segments, if one is configured.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Store`] on I/O failure.
-    pub fn compact_store(&self) -> Result<usize, ServeError> {
-        match &self.inner.store {
-            None => Ok(0),
-            Some(store) => store
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .compact()
-                .map_err(|e| ServeError::Store(e.to_string())),
-        }
     }
 
     /// Current counters as a JSON object (fixed member order).

@@ -2,8 +2,8 @@
 //! plan deltas back.
 //!
 //! The cold front door recompiles from scratch on every request. A
-//! *session* instead retains the client's DAG, the canonical form it
-//! was compiled under, the compiled plan bytes, and (when the solve was
+//! *session* instead retains the client's DAG, the canonical mapping of
+//! its state, the compiled plan bytes, and (when the solve was
 //! replayable) the hierarchy's round trace ([`aqua_volume::incr`]).
 //! Pushing an edit then costs a dirty-slice replay plus a mapped
 //! re-canonicalization instead of a full compile — and the resulting
@@ -16,12 +16,13 @@
 //! a cold compile *inside the session* and say so with a typed
 //! `"cause"`; the client still gets a correct plan either way.
 //!
-//! Every session compile (a register or a fallback) first looks its
-//! canonical key and encoding up in the shared plan cache. A cached plan
-//! that cannot have come with a replayable trace (`plan::may_replay`)
-//! is pinned as is: a compile would produce the same bytes and leave
-//! the session no solver either, so editors revisiting a state skip the
-//! Fig. 6 hierarchy entirely.
+//! Every session compile (a register or a fallback) runs through one
+//! function, `pin`, which first looks the state's canonical key and
+//! encoding up in the shared plan cache. A cached plan that cannot have
+//! come with a replayable trace (`plan::may_replay`) is pinned as is: a
+//! compile would produce the same bytes and leave the session no solver
+//! either, so editors revisiting a state skip the Fig. 6 hierarchy
+//! entirely.
 //!
 //! Session state is pinned here, not in the plan LRU: cache pressure
 //! from other tenants can evict a session's plan bytes from the shared
@@ -36,42 +37,73 @@ use aqua_dag::{set_mix_ratio, Dag, EdgeId, NodeId};
 use aqua_obs::Obs;
 use aqua_rational::Ratio;
 use aqua_volume::hierarchy::ManagedVolumes;
-use aqua_volume::{IncrEdit, IncrSolver, Machine, ManagedOutcome, Method, ReplayOutcome};
+use aqua_volume::{
+    IncrEdit, IncrSolver, Machine, ManagedOutcome, Method, Recording, ReplayOutcome,
+};
 
-use crate::canon::{self, Canon};
+use crate::canon::{self, Mapping};
 use crate::json::{quote, Value};
 use crate::plan;
 use crate::service::ServeError;
 
 /// One registered session: the client's DAG in its own node numbering,
-/// the pinned canonical form + plan of the last full compile, and the
-/// incremental solver when the last full compile left a replayable
-/// trace.
+/// the pinned plan of its current state with that state's canonical
+/// mapping, and the replay state when the last compile left a
+/// replayable trace.
 struct Session {
     machine: Machine,
     /// The client's DAG, current (edits are applied here first).
     dag: Dag,
     /// Client-space output weights.
     weights: HashMap<NodeId, u64>,
-    /// Canonical mapping (permutations, key, encoding; no DAG, names
-    /// or weights) at the last compile: the solver's base when there is
-    /// one. A plan reused from the shared cache leaves it as it was,
-    /// since a reuse never keeps a solver.
-    base: Arc<Canon>,
-    /// Base-canonical index → node id in the base's canonical DAG.
-    base_ids: Vec<NodeId>,
-    /// Base-canonical index → edge id in the base's canonical DAG.
-    base_edge_ids: Vec<EdgeId>,
     /// Pinned plan bytes for the session's current DAG.
     plan: Arc<str>,
-    /// Content key of the pinned plan.
-    key: u128,
-    /// Encoding behind `key` (for publishing into the shared cache).
-    encoding: Arc<[u8]>,
-    /// Replay solver; `None` when the last compile wasn't replayable.
-    solver: Option<IncrSolver>,
+    /// Canonical mapping of the current state: the key and encoding the
+    /// pinned plan is published under.
+    mapping: Arc<Mapping>,
+    /// Replay state; `None` when the last compile left no replayable
+    /// trace, or the session pinned a cached plan instead.
+    replay: Option<Replay>,
     /// Memoized canonical mappings for this topology (see [`CanonMemo`]).
     memo: CanonMemo,
+}
+
+/// What a replayable compile leaves a session: the solver that owns its
+/// trace, and the mapping of the state the trace was recorded on. That
+/// state's canonical DAG is the trace's base, and it numbers canonical
+/// node `i` as `NodeId` `i` and edge `i` as `EdgeId` `i`, so the mapping
+/// addresses the base directly.
+struct Replay {
+    base: Arc<Mapping>,
+    solver: IncrSolver,
+}
+
+impl Session {
+    /// A session pinned on the plan of `(dag, weights)` under `machine`,
+    /// whose mapping is `cur` ([`pin`]). The memo is primed with that
+    /// state, so the first edit away and back (the undo case) already
+    /// hits.
+    fn new(
+        dag: Dag,
+        weights: HashMap<NodeId, u64>,
+        machine: Machine,
+        cur: Arc<Mapping>,
+        cause: Option<&'static str>,
+        lookup: Lookup,
+        obs: &Obs,
+    ) -> Session {
+        let (plan, replay) = pin(&dag, &weights, &machine, &cur, cause, lookup, obs);
+        let memo = CanonMemo::primed(CanonState::of(&dag, &weights), Arc::clone(&cur));
+        Session {
+            machine,
+            dag,
+            weights,
+            plan,
+            mapping: cur,
+            replay,
+            memo,
+        }
+    }
 }
 
 /// The exact client-DAG state a memoized canonical mapping was
@@ -118,7 +150,7 @@ impl CanonState {
 /// fraction and weight — never by hash, so a hit cannot alias a
 /// different state and byte-identity is preserved unconditionally.
 struct CanonMemo {
-    entries: Vec<(CanonState, Arc<Canon>)>,
+    entries: Vec<(CanonState, Arc<Mapping>)>,
 }
 
 /// Distinct recent states a session retains mappings for. Editors flip
@@ -129,14 +161,14 @@ const CANON_MEMO_CAPACITY: usize = 4;
 
 impl CanonMemo {
     /// A memo holding one state's mapping.
-    fn primed(state: CanonState, canon: Arc<Canon>) -> CanonMemo {
+    fn primed(state: CanonState, canon: Arc<Mapping>) -> CanonMemo {
         CanonMemo {
             entries: vec![(state, canon)],
         }
     }
 
     /// Exact-match lookup; a hit moves the entry to the front.
-    fn lookup(&mut self, state: &CanonState) -> Option<Arc<Canon>> {
+    fn lookup(&mut self, state: &CanonState) -> Option<Arc<Mapping>> {
         let at = self.entries.iter().position(|(s, _)| s == state)?;
         let hit = self.entries.remove(at);
         let canon = Arc::clone(&hit.1);
@@ -144,7 +176,7 @@ impl CanonMemo {
         Some(canon)
     }
 
-    fn insert(&mut self, state: CanonState, canon: Arc<Canon>) {
+    fn insert(&mut self, state: CanonState, canon: Arc<Mapping>) {
         self.entries.insert(0, (state, canon));
         self.entries.truncate(CANON_MEMO_CAPACITY);
     }
@@ -284,8 +316,24 @@ impl SessionStore {
                 });
             }
         }
-        let (session, key, encoding, plan, names) =
-            compile_full(dag, weights, machine, lookup, obs).map_err(ServeError::BadRequest)?;
+        let pass = canon::key_pass(&dag, &weights, &machine)
+            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
+        let names = pass
+            .order
+            .iter()
+            .map(|&n| dag.node(n).name.clone())
+            .collect();
+        let session = Session::new(
+            dag,
+            weights,
+            machine,
+            Arc::new(pass.into()),
+            None,
+            lookup,
+            obs,
+        );
+        let (key, encoding) = (session.mapping.key, Arc::clone(&session.mapping.encoding));
+        let plan = Arc::clone(&session.plan);
         let id = format!("s{}", self.next.fetch_add(1, Ordering::Relaxed) + 1);
         {
             // Re-check under the lock: two racing registers both passed
@@ -354,100 +402,38 @@ impl SessionStore {
     }
 }
 
-/// What [`compile_full`] produces: the session plus the
-/// `(key, encoding, plan, names)` quadruple the wire layer returns.
-type CompiledSession = (Session, u128, Arc<[u8]>, Arc<str>, Vec<String>);
-
-/// Canonicalizes `(dag, weights, machine)` and pins its plan into a
-/// fresh [`Session`]: the shared cache's plan when it is reusable
-/// ([`reusable`]), else a cold compile that retains the trace when
-/// replayable.
-fn compile_full(
-    dag: Dag,
-    weights: HashMap<NodeId, u64>,
-    machine: Machine,
+/// Pins the plan of the state `(dag, weights)` under `machine`, whose
+/// canonical mapping is `cur`, and returns it with the replay state it
+/// leaves. Every session compile runs here: a register, and a fallback
+/// edit, whose `cause` is `Some`. The plan is the shared cache's when
+/// [`plan::may_replay`] clears it, as no compile would have left a
+/// replay trace for it (counted as `incr.plan_reuse`); otherwise the
+/// mapping is completed into the canonical DAG and compiled with a
+/// trace (a fallback's compile counts as `incr.full_recompile`).
+fn pin(
+    dag: &Dag,
+    weights: &HashMap<NodeId, u64>,
+    machine: &Machine,
+    cur: &Arc<Mapping>,
+    cause: Option<&'static str>,
     lookup: Lookup,
     obs: &Obs,
-) -> Result<CompiledSession, String> {
-    let base = canon::canonicalize(&dag, &weights, &machine).map_err(|e| e.to_string())?;
-    let (plan, solver) = match reusable(lookup, &base, obs) {
-        Some(plan) => (plan, None),
-        None => compile_base(&base, &machine, obs),
-    };
-    Ok(pin(base, plan, solver, dag, weights, machine))
-}
-
-/// The shared cache's plan for the mapping `cur` when a session may pin
-/// it without compiling: one [`plan::may_replay`] clears, which no
-/// compile would have left a replay trace for. Counts `incr.plan_reuse`.
-fn reusable(lookup: Lookup, cur: &Canon, obs: &Obs) -> Option<Arc<str>> {
-    let plan = lookup(cur.key, &cur.encoding).filter(|plan| !plan::may_replay(plan))?;
-    obs.add("incr.plan_reuse", 1);
-    Some(plan)
-}
-
-/// The plan of canonical form `base`, and the replay solver when its
-/// trace is replayable: the costly step of a cold compile.
-fn compile_base(base: &Canon, machine: &Machine, obs: &Obs) -> (Arc<str>, Option<IncrSolver>) {
-    let (plan, rec) = plan::compile_plan_traced(base, machine, obs);
-    let solver = rec.and_then(|rec| {
-        let solver_weights: HashMap<NodeId, Ratio> = base
-            .weights
-            .iter()
-            .map(|(&n, &w)| (n, Ratio::from_int(w as i128)))
-            .collect();
-        IncrSolver::new(machine.clone(), solver_weights, rec)
+) -> (Arc<str>, Option<Replay>) {
+    if let Some(plan) = lookup(cur.key, &cur.encoding).filter(|plan| !plan::may_replay(plan)) {
+        obs.add("incr.plan_reuse", 1);
+        return (plan, None);
+    }
+    if cause.is_some() {
+        obs.add("incr.full_recompile", 1);
+    }
+    let (canon_dag, canon_weights) = cur.complete(dag, weights);
+    let (plan, solver) =
+        plan::compile_plan_traced(&canon_dag, &canon_weights, machine, obs, Recording::on());
+    let replay = solver.map(|solver| Replay {
+        base: Arc::clone(cur),
+        solver,
     });
-    (Arc::from(plan), solver)
-}
-
-/// Pins `plan` and `solver`, the plan of `base`, the canonical form of
-/// `(dag, weights, machine)`, into a fresh [`Session`]. The session keeps
-/// only `base`'s mapping; its canonical DAG, names and weights drop here.
-fn pin(
-    base: Canon,
-    plan: Arc<str>,
-    solver: Option<IncrSolver>,
-    dag: Dag,
-    weights: HashMap<NodeId, u64>,
-    machine: Machine,
-) -> CompiledSession {
-    let base_ids: Vec<NodeId> = base.dag.node_ids().collect();
-    let base_edge_ids: Vec<EdgeId> = base.dag.edge_ids().collect();
-    let key = base.key;
-    let encoding = Arc::clone(&base.encoding);
-    let names = base.names;
-    let base = Arc::new(Canon {
-        dag: Dag::new(),
-        names: Vec::new(),
-        node_perm: base.node_perm,
-        edge_perm: base.edge_perm,
-        weights: HashMap::new(),
-        encoding: base.encoding,
-        key,
-    });
-    // Prime the mapping memo with the base state, so the first edit
-    // away and back (the undo case) already hits.
-    let memo = CanonMemo::primed(CanonState::of(&dag, &weights), Arc::clone(&base));
-    (
-        Session {
-            machine,
-            dag,
-            weights,
-            base,
-            base_ids,
-            base_edge_ids,
-            plan: Arc::clone(&plan),
-            key,
-            encoding: Arc::clone(&encoding),
-            solver,
-            memo,
-        },
-        key,
-        encoding,
-        plan,
-        names,
-    )
+    (Arc::from(plan), replay)
 }
 
 /// Parses the wire `edit` object against the session's current DAG
@@ -570,18 +556,17 @@ fn parts_field(dag: &Dag, v: Option<&Value>, what: &str) -> Result<Vec<(NodeId, 
 
 /// Applies one parsed edit, preferring the dirty-slice replay and
 /// falling back (with a typed cause) when the edit — or the trace —
-/// cannot support it; a fallback pins the shared cache's plan for the
-/// edited state when it may, and compiles otherwise. Session state is
-/// only committed on success: ratio and output-volume edits are applied
-/// to the session's DAG and weights in place, and [`replan_or_undo`]
-/// takes them back if the replan does not succeed.
+/// cannot support it; a fallback pins its state's plan ([`pin`]).
+/// Session state is only committed on success: ratio and output-volume
+/// edits are applied to the session's DAG and weights in place, and
+/// [`replan_or_undo`] takes them back if the replan does not succeed.
 fn apply_edit(
     s: &mut Session,
     edit: SessionEdit,
     lookup: Lookup,
     obs: &Obs,
 ) -> Result<Edited, String> {
-    match edit {
+    let (dag, weights) = match edit {
         SessionEdit::SetRatio { node, parts } => {
             let before: Vec<(EdgeId, Ratio)> = s
                 .dag
@@ -594,40 +579,34 @@ fn apply_edit(
             if changed.is_empty() {
                 return Ok(noop_response(s));
             }
-            replan_or_undo(s, Prior::Fractions(before), |s| {
+            return replan_or_undo(s, Prior::Fractions(before), |s| {
                 // Lift the client-space edge edits into the base
                 // canonical namespace the trace was recorded in.
-                let lifted: Option<Vec<(EdgeId, Ratio)>> = changed
-                    .iter()
-                    .map(|&(e, f)| {
-                        let be = s.base.edge_perm.get(e.index()).copied().flatten()?;
-                        Some((s.base_edge_ids[be], f))
-                    })
-                    .collect();
-                match lifted {
-                    Some(changes) => {
-                        let node = s.base_ids[s.base.node_perm[node.index()]];
-                        replay_or_recompile(s, IncrEdit::Fractions { node, changes }, lookup, obs)
-                    }
-                    None => {
-                        let cur = mapping(s, obs)?;
-                        fall_back(s, cur, None, "divergence", lookup, obs)
-                    }
-                }
-            })
+                let lift = |base: &Mapping| IncrEdit::Fractions {
+                    node: NodeId::from_index(base.node_perm[node.index()]),
+                    changes: changed
+                        .iter()
+                        .map(|&(e, f)| {
+                            let be = base.edge_perm[e.index()].expect("an edited in-edge is live");
+                            (EdgeId::from_index(be), f)
+                        })
+                        .collect(),
+                };
+                replay_or_recompile(s, lift, lookup, obs)
+            });
         }
         SessionEdit::SetOutputVolume { node, weight } => {
             if s.weights.get(&node).copied().unwrap_or(0) == weight {
                 return Ok(noop_response(s));
             }
-            let edit = IncrEdit::Weight {
-                node: s.base_ids[s.base.node_perm[node.index()]],
-                weight: Ratio::from_int(weight as i128),
-            };
             let before = s.weights.insert(node, weight);
-            replan_or_undo(s, Prior::Weight(node, before), |s| {
-                replay_or_recompile(s, edit, lookup, obs)
-            })
+            return replan_or_undo(s, Prior::Weight(node, before), |s| {
+                let lift = |base: &Mapping| IncrEdit::Weight {
+                    node: NodeId::from_index(base.node_perm[node.index()]),
+                    weight: Ratio::from_int(weight as i128),
+                };
+                replay_or_recompile(s, lift, lookup, obs)
+            });
         }
         SessionEdit::SetMachine(machine) => {
             // Machine parameters shape every recorded decision (least
@@ -637,14 +616,14 @@ fn apply_edit(
             // stays, so only the mapping is recomputed.
             let cur = canon::canonicalize_mapped(&s.dag, &s.weights, &machine)
                 .map_err(|e| e.to_string())?;
-            fall_back(
+            return Ok(fall_back(
                 s,
                 Arc::new(cur),
                 Some(machine),
                 "machine_parameter",
                 lookup,
                 obs,
-            )
+            ));
         }
         SessionEdit::AddNode(new_node) => {
             let mut dag = s.dag.clone();
@@ -671,7 +650,7 @@ fn apply_edit(
                     }
                 }
             }
-            restructure(s, dag, weights, lookup, obs)
+            (dag, weights)
         }
         SessionEdit::RemoveNode { node } => {
             let (dag, remap) =
@@ -682,16 +661,30 @@ fn apply_edit(
                     weights.insert(new_id, w);
                 }
             }
-            restructure(s, dag, weights, lookup, obs)
+            (dag, weights)
         }
-    }
+    };
+    // A structural edit canonicalizes the new DAG in full and re-pins
+    // the whole session on its plan.
+    let cur = canon::key_pass(&dag, &weights, &s.machine).map_err(|e| e.to_string())?;
+    let machine = s.machine.clone();
+    *s = Session::new(
+        dag,
+        weights,
+        machine,
+        Arc::new(cur.into()),
+        Some("structural"),
+        lookup,
+        obs,
+    );
+    Ok(full_edit(s, "structural"))
 }
 
 /// The response for an edit that changed nothing.
 fn noop_response(s: &Session) -> Edited {
     Edited {
-        key: s.key,
-        encoding: Arc::clone(&s.encoding),
+        key: s.mapping.key,
+        encoding: Arc::clone(&s.mapping.encoding),
         plan: Arc::clone(&s.plan),
         delta: "{\"replace\":{}}".to_owned(),
         incremental: true,
@@ -738,7 +731,7 @@ fn replan_or_undo(
                 }
             }
             if std::thread::panicking() {
-                s.solver = None;
+                s.replay = None;
             }
         }
     }
@@ -750,27 +743,28 @@ fn replan_or_undo(
     edited
 }
 
-/// Tries the dirty-slice replay for `edit` (already lifted to base
-/// space); on divergence — or with no retained trace — falls back
-/// ([`fall_back`]). The session's DAG and weights already carry the
-/// edit; everything else still describes the state before it.
+/// Tries the dirty-slice replay for the edit `lift` expresses against
+/// the replay's base mapping; on divergence — or with no retained trace
+/// — falls back ([`fall_back`]). The session's DAG and weights already
+/// carry the edit; everything else still describes the state before it.
 fn replay_or_recompile(
     s: &mut Session,
-    edit: IncrEdit,
+    lift: impl FnOnce(&Mapping) -> IncrEdit,
     lookup: Lookup,
     obs: &Obs,
 ) -> Result<Edited, String> {
     #[cfg(test)]
     crate::service::tests::panic_once_at("session.edit");
-    if s.solver.is_none() {
+    let Some(base) = s.replay.as_ref().map(|replay| Arc::clone(&replay.base)) else {
         let cur = mapping(s, obs)?;
-        return fall_back(s, cur, None, "no_trace", lookup, obs);
-    }
+        return Ok(fall_back(s, cur, None, "no_trace", lookup, obs));
+    };
+    let edit = lift(&base);
     let _span = obs.span("incr.replay");
     let cur = mapping(s, obs)?;
-    let solver = s.solver.as_mut().expect("checked above");
+    let solver = &mut s.replay.as_mut().expect("checked above").solver;
     let mut base_to_cur = vec![0usize; solver.base_nodes()];
-    for (client, &b) in s.base.node_perm.iter().enumerate() {
+    for (client, &b) in base.node_perm.iter().enumerate() {
         base_to_cur[b] = cur.node_perm[client];
     }
     let solve_span = obs.span("incr.solve");
@@ -781,14 +775,12 @@ fn replay_or_recompile(
             obs.add("incr.fast_path", 1);
             obs.record("incr.slice_nodes", slice as u64);
             let render_span = obs.span("incr.render");
-            let rendered = render_replay(s, &cur, outcome);
+            let rendered = render_replay(s, &base, &cur, outcome);
             let plan: Arc<str> = Arc::from(rendered);
             let delta = render_delta(&s.plan, &plan);
             render_span.end();
-            s.key = cur.key;
-            s.encoding = Arc::clone(&cur.encoding);
             s.plan = Arc::clone(&plan);
-            Ok(Edited {
+            let edited = Edited {
                 key: cur.key,
                 encoding: Arc::clone(&cur.encoding),
                 plan,
@@ -797,7 +789,9 @@ fn replay_or_recompile(
                 cause: None,
                 slice,
                 changed: true,
-            })
+            };
+            s.mapping = cur;
+            Ok(edited)
         }
         Err(divergence) => {
             obs.add("incr.divergence_fallback", 1);
@@ -811,8 +805,8 @@ fn replay_or_recompile(
             );
             // The solver mutated its stored rounds before diverging;
             // it is poisoned by contract.
-            s.solver = None;
-            fall_back(s, cur, None, "divergence", lookup, obs)
+            s.replay = None;
+            Ok(fall_back(s, cur, None, "divergence", lookup, obs))
         }
     }
 }
@@ -823,7 +817,7 @@ fn replay_or_recompile(
 /// topology is fixed. The memo short-circuits the mapped
 /// re-canonicalization when the state was seen before (exact value
 /// compare, so the bytes cannot differ).
-fn mapping(s: &mut Session, obs: &Obs) -> Result<Arc<Canon>, String> {
+fn mapping(s: &mut Session, obs: &Obs) -> Result<Arc<Mapping>, String> {
     let state = CanonState::of(&s.dag, &s.weights);
     if let Some(hit) = s.memo.lookup(&state) {
         obs.add("incr.canon.hit", 1);
@@ -840,9 +834,10 @@ fn mapping(s: &mut Session, obs: &Obs) -> Result<Arc<Canon>, String> {
 
 /// Renders a successful replay outcome as plan bytes, byte-identical
 /// to a cold compile of the session's (edited) DAG: the replay's
-/// base-space volumes are permuted into its canonical namespace and
-/// pushed through the shared [`plan::render_outcome`] path.
-fn render_replay(s: &Session, cur: &Canon, outcome: ReplayOutcome) -> String {
+/// volumes, indexed by the canonical ids of the `base` mapping, are
+/// permuted into the `cur` mapping's and pushed through the shared
+/// [`plan::render_outcome`] path.
+fn render_replay(s: &Session, base: &Mapping, cur: &Mapping, outcome: ReplayOutcome) -> String {
     let dag = &s.dag;
     match outcome {
         ReplayOutcome::Blocked { reason, log } => {
@@ -859,14 +854,14 @@ fn render_replay(s: &Session, cur: &Canon, outcome: ReplayOutcome) -> String {
             let zero = Ratio::from_int(0);
             let mut node_vols = vec![zero; n];
             for client in 0..n {
-                node_vols[cur.node_perm[client]] = node_volumes_nl[s.base.node_perm[client]];
+                node_vols[cur.node_perm[client]] = node_volumes_nl[base.node_perm[client]];
             }
             let mut edge_vols = vec![zero; cur_dag.num_edges()];
             for e in dag.edge_ids() {
                 if let Some(cur_idx) = cur.edge_perm[e.index()] {
                     let base_idx =
-                        s.base.edge_perm[e.index()].expect("base and edited DAG share live edges");
-                    edge_vols[cur_idx] = edge_volumes_nl[s.base_edge_ids[base_idx].index()];
+                        base.edge_perm[e.index()].expect("base and edited DAG share live edges");
+                    edge_vols[cur_idx] = edge_volumes_nl[base_idx];
                 }
             }
             let outcome = ManagedOutcome::Solved {
@@ -884,92 +879,38 @@ fn render_replay(s: &Session, cur: &Canon, outcome: ReplayOutcome) -> String {
 }
 
 /// Falls back for an edit that kept the topology: pins the plan of the
-/// edited state, whose mapping is `cur`, under `machine` (`Some` for a
-/// machine edit, else the session's own). That plan is the shared
-/// cache's when it is reusable ([`reusable`]); otherwise a copy of `cur`
-/// is completed into the full canonical form and compiled cold, and
-/// `cur` becomes the base beside the new trace. `base_ids` and
-/// `base_edge_ids` depend on the topology alone and stay, and so does
-/// the memo unless the machine changed.
+/// edited state ([`pin`]), whose mapping is `cur`, under `machine`
+/// (`Some` for a machine edit, else the session's own). The memo stays
+/// unless the machine changed.
 fn fall_back(
     s: &mut Session,
-    cur: Arc<Canon>,
+    cur: Arc<Mapping>,
     machine: Option<Machine>,
     cause: &'static str,
     lookup: Lookup,
     obs: &Obs,
-) -> Result<Edited, String> {
-    let plan = match reusable(lookup, &cur, obs) {
-        Some(plan) => {
-            s.solver = None;
-            plan
-        }
-        None => {
-            obs.add("incr.full_recompile", 1);
-            let mut full = Canon::clone(&cur);
-            full.complete(&s.dag, &s.weights);
-            let (plan, solver) = compile_base(&full, machine.as_ref().unwrap_or(&s.machine), obs);
-            s.base = Arc::clone(&cur);
-            s.solver = solver;
-            plan
-        }
-    };
+) -> Edited {
+    let on = machine.as_ref().unwrap_or(&s.machine);
+    let (plan, replay) = pin(&s.dag, &s.weights, on, &cur, Some(cause), lookup, obs);
     if let Some(machine) = machine {
         s.memo = CanonMemo::primed(CanonState::of(&s.dag, &s.weights), Arc::clone(&cur));
         s.machine = machine;
     }
-    Ok(full_edit(
-        s,
-        cur.key,
-        Arc::clone(&cur.encoding),
-        plan,
-        cause,
-    ))
+    s.plan = plan;
+    s.mapping = cur;
+    s.replay = replay;
+    full_edit(s, cause)
 }
 
-/// Falls back for a structural edit: canonicalizes the new `(dag,
-/// weights)` in full and re-pins the whole session on its plan, reused
-/// or compiled as [`compile_full`] does.
-fn restructure(
-    s: &mut Session,
-    dag: Dag,
-    weights: HashMap<NodeId, u64>,
-    lookup: Lookup,
-    obs: &Obs,
-) -> Result<Edited, String> {
-    let base = canon::canonicalize(&dag, &weights, &s.machine).map_err(|e| e.to_string())?;
-    let (plan, solver) = match reusable(lookup, &base, obs) {
-        Some(plan) => (plan, None),
-        None => {
-            obs.add("incr.full_recompile", 1);
-            compile_base(&base, &s.machine, obs)
-        }
-    };
-    let (session, key, encoding, plan, _names) =
-        pin(base, plan, solver, dag, weights, s.machine.clone());
-    *s = session;
-    Ok(full_edit(s, key, encoding, plan, "structural"))
-}
-
-/// Makes `plan`, under `(key, encoding)`, the session's plan and answers
-/// the fallback edit with it whole: the client may be resynchronizing
-/// after a structural or machine change, and a member-wise patch
-/// against its old plan buys nothing.
-fn full_edit(
-    s: &mut Session,
-    key: u128,
-    encoding: Arc<[u8]>,
-    plan: Arc<str>,
-    cause: &'static str,
-) -> Edited {
-    s.key = key;
-    s.encoding = Arc::clone(&encoding);
-    s.plan = Arc::clone(&plan);
+/// Answers a fallback edit with the session's newly pinned plan whole:
+/// the client may be resynchronizing after a structural or machine
+/// change, and a member-wise patch against its old plan buys nothing.
+fn full_edit(s: &Session, cause: &'static str) -> Edited {
     Edited {
-        key,
-        encoding,
-        delta: format!("{{\"full\":{plan}}}"),
-        plan,
+        key: s.mapping.key,
+        encoding: Arc::clone(&s.mapping.encoding),
+        delta: format!("{{\"full\":{}}}", s.plan),
+        plan: Arc::clone(&s.plan),
         incremental: false,
         cause: Some(cause),
         slice: 0,
@@ -1131,6 +1072,22 @@ mod tests {
         assert_eq!(apply_delta(old, &delta).unwrap(), new);
     }
 
+    /// A session registered on `(dag, weights, machine)` with nothing
+    /// cached.
+    fn pinned(dag: Dag, weights: HashMap<NodeId, u64>, machine: Machine) -> Session {
+        let cur = canon::key_pass(&dag, &weights, &machine).unwrap();
+        let (lookup, obs) = (&|_, _: &[u8]| None, &Obs::off());
+        Session::new(
+            dag,
+            weights,
+            machine,
+            Arc::new(cur.into()),
+            None,
+            lookup,
+            obs,
+        )
+    }
+
     /// A session over `m = MIX A AND B IN RATIOS 1 : 4`.
     fn tiny_session() -> Session {
         let src = "ASSAY tiny START\nfluid A, B, m;\nVAR Result[1];\n\
@@ -1138,10 +1095,7 @@ mod tests {
                    SENSE OPTICAL it INTO Result[1];\nEND\n";
         let flat = aqua_lang::compile_to_flat(src).unwrap();
         let (dag, map) = aqua_compiler::lower_to_dag(&flat).unwrap();
-        let machine = Machine::paper_default();
-        compile_full(dag, map.output_weights, machine, &|_, _| None, &Obs::off())
-            .unwrap()
-            .0
+        pinned(dag, map.output_weights, Machine::paper_default())
     }
 
     #[test]
@@ -1166,7 +1120,7 @@ mod tests {
         });
         assert!(failed.is_err());
         assert_eq!(fractions(&s), registered.0);
-        assert!(s.solver.is_some(), "an error keeps the trace");
+        assert!(s.replay.is_some(), "an error keeps the trace");
 
         // A weight edit on a node without a weight, then on one with.
         for had in [None, Some(3)] {
@@ -1192,7 +1146,7 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(fractions(&s), registered.0);
-        assert!(s.solver.is_none(), "an unwind drops the trace");
+        assert!(s.replay.is_none(), "an unwind drops the trace");
         assert_eq!(s.plan, registered.2);
 
         // The session still plans its next edit as a cold compile does.
@@ -1202,14 +1156,8 @@ mod tests {
         };
         let edited = apply_edit(&mut s, edit, &|_, _| None, &Obs::off()).unwrap();
         assert_eq!(edited.cause, Some("no_trace"));
-        let cold = compile_full(
-            s.dag.clone(),
-            s.weights.clone(),
-            s.machine.clone(),
-            &|_, _| None,
-            &Obs::off(),
-        );
-        assert_eq!(edited.plan, cold.unwrap().3);
+        let cold = pinned(s.dag.clone(), s.weights.clone(), s.machine.clone());
+        assert_eq!(edited.plan, cold.plan);
     }
 
     #[test]

@@ -322,6 +322,40 @@ fn deeply_nested_requests_get_bad_request_and_the_front_moves_on() {
     let stats = parse(lines[3]);
     assert_eq!(stats.get("id").and_then(Value::as_int), Some(4));
     assert_eq!(stats.get("ok"), Some(&Value::Bool(true)), "{}", lines[3]);
+
+    // A left-deep chain `1+1+…+1` nests one operator per term without a
+    // parenthesis. 50,000 terms used to overflow the unroller's stack;
+    // served on a thread with a TCP connection thread's 2 MiB stack, the
+    // request now gets `bad_request` and the next line is answered.
+    let chain = assay(&format!("x = 1{};", "+1".repeat(49_999)));
+    let input = format!("{{\"id\":5,\"src\":{chain}}}\n{{\"id\":6,\"cmd\":\"stats\"}}\n");
+    assert!(input.lines().all(|line| line.len() < svc.max_line_bytes()));
+    let text = std::thread::scope(|scope| {
+        let served = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(scope, || {
+                let mut out = Vec::new();
+                serve_lines(&svc, input.as_bytes(), &mut out).expect("serve");
+                String::from_utf8(out).expect("utf8 responses")
+            })
+            .expect("spawn a serving thread");
+        served.join().expect("the serving thread returns")
+    });
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    let refused = parse(lines[0]);
+    assert_eq!(
+        refused.get("error").and_then(Value::as_str),
+        Some("bad_request")
+    );
+    assert!(
+        lines[0].contains("nesting deeper than 64 levels"),
+        "{}",
+        lines[0]
+    );
+    let stats = parse(lines[1]);
+    assert_eq!(stats.get("id").and_then(Value::as_int), Some(6));
+    assert_eq!(stats.get("ok"), Some(&Value::Bool(true)), "{}", lines[1]);
 }
 
 /// An assay whose LP solution rounds to mix-ratio errors beyond `i128`

@@ -571,3 +571,43 @@ fn replayed_sessions_still_replay_their_revisits() {
     }
     assert_eq!(compiles, [1, 1, 1, 1]);
 }
+
+/// An edit whose replay diverges falls back as `divergence` and pins a
+/// plan that keeps no trace (TINY at 1:9999 is `solved`, but not by a
+/// round-0 DAGSolve). The edit back to 1:4 is then `no_trace`; the
+/// cached 1:4 plan may replay, so it is compiled again, this time with a
+/// trace, and the next edit replays.
+#[test]
+fn a_diverged_session_recompiles_and_replays_again() {
+    let (obs, sink) = aqua_obs::Obs::recording();
+    let svc = Service::new(ServiceConfig {
+        obs,
+        ..ServiceConfig::default()
+    });
+    let (sid, mut plan) = register(&svc, TINY);
+    let mut compiles = Vec::new();
+    for (id, b, answer) in [
+        (2, 9999, "\"incremental\":false,\"cause\":\"divergence\""),
+        (3, 4, "\"incremental\":false,\"cause\":\"no_trace\""),
+        (4, 9, "\"incremental\":true,\"slice\":3"),
+    ] {
+        let line = svc.handle_line(&format!(
+            "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"{sid}\",\
+             \"edit\":{{\"set_ratio\":{{\"node\":\"m\",\"parts\":[[\"A\",1],[\"B\",{b}]]}}}}}}"
+        ));
+        assert!(line.contains(answer), "{line}");
+        plan = apply_delta(&plan, last_member(&line, "delta")).expect("delta applies");
+        let edited = TINY.replace("1 : 4", &format!("1 : {b}"));
+        assert_eq!(plan, cold_plan(&edited, ""), "1:{b}");
+        compiles.push(sink.snapshot().counter("serve.plan.compiles"));
+    }
+    assert_eq!(compiles, [2, 3, 3]);
+    let counters = sink.snapshot();
+    for (name, n) in [
+        ("incr.divergence_fallback", 1),
+        ("incr.full_recompile", 2),
+        ("incr.fast_path", 1),
+    ] {
+        assert_eq!(counters.counter(name), n, "{name}");
+    }
+}
