@@ -108,14 +108,6 @@ impl fmt::Display for ResourceClass {
 }
 
 impl WetLoc {
-    /// Whether this location is a functional unit (not storage or port).
-    pub fn is_functional_unit(self) -> bool {
-        matches!(
-            self,
-            WetLoc::Mixer(_) | WetLoc::Heater(_) | WetLoc::Separator(..) | WetLoc::Sensor(_)
-        )
-    }
-
     /// The resource class this location allocates from.
     pub fn class(self) -> ResourceClass {
         match self {
@@ -212,14 +204,6 @@ mod tests {
             WetLoc::Separator(1, SepPort::Main).to_string(),
             "separator1"
         );
-    }
-
-    #[test]
-    fn functional_unit_classification() {
-        assert!(WetLoc::Mixer(1).is_functional_unit());
-        assert!(WetLoc::Separator(1, SepPort::Main).is_functional_unit());
-        assert!(!WetLoc::Reservoir(1).is_functional_unit());
-        assert!(!WetLoc::InputPort(1).is_functional_unit());
     }
 
     #[test]

@@ -46,13 +46,6 @@ pub enum Analysis {
     Unsupported,
 }
 
-impl Analysis {
-    /// Whether infeasibility was proven.
-    pub fn is_proven(&self) -> bool {
-        matches!(self, Analysis::Proven(_))
-    }
-}
-
 /// Minimal-inflow table in least-count units, one entry per node.
 ///
 /// `lb[n]` is a valid lower bound on node `n`'s total inflow (its load
@@ -339,7 +332,7 @@ mod tests {
             let verdict = analyze(&d, &machine);
             let form = lpform::build(&d, &machine, &LpOptions::rvol());
             let lp = aqua_lp::solve(&form.model);
-            if verdict.is_proven() {
+            if matches!(verdict, Analysis::Proven(_)) {
                 assert!(
                     matches!(lp.status, aqua_lp::Status::Infeasible),
                     "1:{parts}: precheck proved infeasible but LP said {:?}",
@@ -348,7 +341,10 @@ mod tests {
             }
             if parts >= 1999 {
                 // Strictly past the span: the certificate must be found.
-                assert!(verdict.is_proven(), "1:{parts} should be proven");
+                assert!(
+                    matches!(verdict, Analysis::Proven(_)),
+                    "1:{parts} should be proven"
+                );
             }
         }
     }
@@ -377,7 +373,7 @@ mod tests {
         // Each mix needs inflow >= 2 (two edges, each >= 1 count), so
         // stock >= 2001 > 1000 = span.
         let verdict = analyze(&d, &machine);
-        assert!(verdict.is_proven(), "{verdict:?}");
+        assert!(matches!(verdict, Analysis::Proven(_)), "{verdict:?}");
         let form = lpform::build(&d, &machine, &LpOptions::rvol());
         assert!(matches!(
             aqua_lp::solve(&form.model).status,
@@ -398,7 +394,7 @@ mod tests {
         d.add_output("o", p);
         // useful >= 1, keep = 1/10000 => t >= 10000 > span.
         let verdict = analyze(&d, &machine);
-        assert!(verdict.is_proven(), "{verdict:?}");
+        assert!(matches!(verdict, Analysis::Proven(_)), "{verdict:?}");
         let form = lpform::build(&d, &machine, &LpOptions::rvol());
         assert!(matches!(
             aqua_lp::solve(&form.model).status,

@@ -44,30 +44,30 @@ use crate::vnorm::{self, VnormTable};
 
 /// One cascade rewrite applied during a recorded round.
 #[derive(Debug, Clone)]
-pub struct CascadeRec {
+struct CascadeRec {
     /// The cascaded (extreme) mix node.
-    pub target: NodeId,
+    target: NodeId,
     /// Stage count reported in the solve log.
-    pub depth: usize,
+    depth: usize,
     /// Nodes the rewrite created, in creation order.
-    pub generated: Vec<NodeId>,
+    generated: Vec<NodeId>,
 }
 
 /// Everything the replay needs about one hierarchy round.
 #[derive(Debug, Clone)]
-pub struct RoundRec {
+struct RoundRec {
     /// The working DAG as the round began (mutated in place by edits).
-    pub dag: Dag,
+    dag: Dag,
     /// The weighted Vnorm table DAGSolve computed this round.
-    pub vnorms: Option<VnormTable>,
+    vnorms: Option<VnormTable>,
     /// Whether DAGSolve underflowed this round.
-    pub underflow: bool,
+    underflow: bool,
     /// The exact demand table that proved the LP infeasible, if it did.
-    pub demand: Option<DemandTable>,
+    demand: Option<DemandTable>,
     /// Extreme mixes found this round (empty in the final round).
-    pub extremes: Vec<NodeId>,
+    extremes: Vec<NodeId>,
     /// Cascades applied, in application order.
-    pub cascades: Vec<CascadeRec>,
+    cascades: Vec<CascadeRec>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,12 +84,12 @@ enum Shape {
 #[derive(Debug, Clone)]
 pub struct Recording {
     /// Per-round records, in round order.
-    pub rounds: Vec<RoundRec>,
+    rounds: Vec<RoundRec>,
     /// The *unweighted* Vnorm table behind the final round's bottleneck
     /// scan (the hierarchy ranks replication candidates unweighted).
-    pub final_vnorms: Option<VnormTable>,
+    final_vnorms: Option<VnormTable>,
     /// The resource-exhaustion reason, verbatim (Shape B).
-    pub reason: Option<String>,
+    reason: Option<String>,
     replayable: bool,
     shape: Shape,
 }

@@ -6,9 +6,6 @@
 //! chemistry tolerates small errors (the paper measured ≤ 2% on its
 //! benchmarks), and this module measures exactly that error.
 
-use std::error::Error;
-use std::fmt;
-
 use aqua_dag::{Dag, NodeKind, Ratio};
 
 use crate::dagsolve::VolumeAssignment;
@@ -60,31 +57,6 @@ pub fn paper_ratio_tolerance() -> Ratio {
 
 /// Constant alias for documentation; see [`paper_ratio_tolerance`].
 pub const PAPER_RATIO_TOLERANCE: &str = "2%";
-
-/// Typed error from [`round_assignment_strict`]: a productive transfer
-/// rounds below the machine's least count, so the plan as given cannot
-/// be metered without perturbation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundingError {
-    /// Index of the underflowing edge.
-    pub edge: usize,
-    /// The exact (pre-rounding) transfer volume in nl.
-    pub volume_nl: Ratio,
-    /// The least count it fails to reach, in nl.
-    pub least_count_nl: Ratio,
-}
-
-impl fmt::Display for RoundingError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "transfer of {} nl on edge {} rounds below the least count of {} nl",
-            self.volume_nl, self.edge, self.least_count_nl
-        )
-    }
-}
-
-impl Error for RoundingError {}
 
 /// Rounds a rational assignment to least-count multiples and measures
 /// the resulting mix-ratio error.
@@ -143,30 +115,6 @@ fn clamp_and_finish(
         mean_ratio_error,
         underflows,
     }
-}
-
-/// Like [`round_assignment`] but *strict*: instead of clamping, the
-/// first productive transfer that rounds below the least count is
-/// surfaced as a typed [`RoundingError`]. For callers that must not
-/// perturb volumes (e.g. plans already committed to hardware).
-///
-/// # Errors
-///
-/// Returns [`RoundingError`] for the first underflowing edge.
-pub fn round_assignment_strict(
-    dag: &Dag,
-    machine: &Machine,
-    assignment: &VolumeAssignment,
-) -> Result<RoundedAssignment, RoundingError> {
-    let (edge_volumes_nl, underflows) = rounded_edges(dag, machine, assignment);
-    if let Some(&e) = underflows.first() {
-        return Err(RoundingError {
-            edge: e,
-            volume_nl: assignment.edge_volumes_nl[e],
-            least_count_nl: machine.least_count_nl(),
-        });
-    }
-    Ok(finish_rounding(dag, edge_volumes_nl, underflows))
 }
 
 /// Rounds each live edge independently; returns the rounded table plus
@@ -326,31 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_rounding_surfaces_typed_error_on_underflow() {
-        let mut d = Dag::new();
-        let a = d.add_input("A");
-        let b = d.add_input("B");
-        let m = d.add_mix("mx", &[(a, 1), (b, 2999)], 0).unwrap();
-        d.add_output("o", m);
-        let machine = Machine::paper_default();
-        let sol = dagsolve::solve(&d, &machine).unwrap();
-        let err = round_assignment_strict(&d, &machine, &sol).unwrap_err();
-        assert_eq!(err.least_count_nl, machine.least_count_nl());
-        assert!(err.volume_nl.is_positive());
-        assert!(err.volume_nl < machine.least_count_nl());
-        let msg = err.to_string();
-        assert!(msg.contains("least count"), "message: {msg}");
-        // A clean mix passes strict rounding.
-        let mut ok = Dag::new();
-        let x = ok.add_input("X");
-        let y = ok.add_input("Y");
-        let mx = ok.add_mix("mx", &[(x, 1), (y, 3)], 0).unwrap();
-        ok.add_output("o", mx);
-        let sol = dagsolve::solve(&ok, &machine).unwrap();
-        assert!(round_assignment_strict(&ok, &machine, &sol).is_ok());
-    }
-
-    #[test]
     fn lp_edge_rounding_clamps_and_ignores_float_noise() {
         let mut d = Dag::new();
         let a = d.add_input("A");
@@ -448,17 +371,7 @@ pub fn round_apportioned(
         }
     }
 
-    // Shared tail with round_assignment: node totals + error metrics.
-    finish_rounding(dag, edge_volumes_nl, underflows)
-}
-
-/// Computes node totals and mix-ratio error for a rounded edge table
-/// (no clamping — the strict and apportioned paths).
-fn finish_rounding(
-    dag: &Dag,
-    edge_volumes_nl: Vec<Ratio>,
-    underflows: Vec<usize>,
-) -> RoundedAssignment {
+    // Node totals and error metrics, with no clamping.
     let node_volumes_nl = node_totals(dag, &edge_volumes_nl);
     let (max_ratio_error, mean_ratio_error) = ratio_errors(dag, &edge_volumes_nl);
     RoundedAssignment {

@@ -126,13 +126,10 @@ fn push_log(out: &mut String, log: &[String]) {
     out.push(']');
 }
 
-/// Compiles one canonical request into its plan document.
-///
-/// This is the only compile entry point in the crate — both the cold
-/// path (miss → compiler thread → here) and the bench harness call it,
-/// so warm and cold responses can never diverge. The result is
-/// deterministic: the hierarchy is a pure function of `(canon,
-/// machine)` and the JSON member order is fixed.
+/// Compiles one canonical request into its plan document: the bytes a
+/// compiler thread renders for it, for the bench harness and tests. The
+/// result is deterministic: the hierarchy is a pure function of
+/// `(canon, machine)` and the JSON member order is fixed.
 pub fn compile_plan(canon: &Canon, machine: &Machine, obs: &Obs) -> String {
     compile_plan_traced(&canon.dag, &canon.weights, machine, obs, Recording::off()).0
 }
@@ -141,8 +138,9 @@ pub fn compile_plan(canon: &Canon, machine: &Machine, obs: &Obs) -> String {
 /// as [`compile_plan`] renders it, with `rec` observing the hierarchy
 /// ([`aqua_volume::compile_with_trace`]): the replay solver comes back
 /// when `rec` is on and the outcome is replayable (see
-/// [`aqua_volume::incr`]). Sessions compile through this with a
-/// recording on, so edits can be replanned incrementally.
+/// [`aqua_volume::incr`]). The service's one compile site: the compiler
+/// threads run every job through it, a session's with a recording on,
+/// so its edits can be replanned incrementally.
 pub(crate) fn compile_plan_traced(
     dag: &Dag,
     weights: &HashMap<NodeId, u64>,

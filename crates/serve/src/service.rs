@@ -6,7 +6,12 @@
 //! 1. **Key pass** — the request's DAG, output weights, and machine
 //!    are validated and folded into a content key and the canonical
 //!    encoding it hashes (steps 1–4 of [`crate::canon`]). A request
-//!    that arrives canonicalized ([`Service::submit_canon`]) has both.
+//!    that arrives canonicalized ([`Service::submit_canon`]) has both,
+//!    and so does a session's register or fallback, which enters at
+//!    stage 2 with its state's mapping as a *traced* request: it takes
+//!    no plan that `plan::may_replay` flags from the cache, its compile
+//!    keeps the hierarchy's trace, and the compiler thread hands the
+//!    replay solver to it alone.
 //! 2. **Cache probe** — the service's one LRU (lock-striped, see
 //!    [`crate::cache`]) is probed; a hit (with encoding verification)
 //!    returns the cached plan bytes immediately. A `src` hit builds no
@@ -32,9 +37,10 @@
 //!    publishes it cache-first so later requests hit before the
 //!    in-flight entry is retired, and wakes that job's waiters. No
 //!    waiter waits for another job's compile.
-//! 6. **Deadlines** — every request carries a deadline, clamped to
-//!    [`ServiceConfig::max_deadline_ms`] (a hostile `deadline_ms` can
-//!    therefore never overflow `Instant + Duration`); waiting past it
+//! 6. **Deadlines** — every request, session commands included, carries
+//!    a deadline, clamped to [`ServiceConfig::max_deadline_ms`] (a
+//!    hostile `deadline_ms` can therefore never overflow
+//!    `Instant + Duration`); waiting past it
 //!    returns [`ServeError::Timeout`]. A request admitted with an
 //!    already-expired deadline times out deterministically *before*
 //!    enqueueing, which the golden protocol tests rely on.
@@ -57,12 +63,12 @@ use aqua_dag::{Dag, NodeId};
 use aqua_obs::fleet::FleetSink;
 use aqua_obs::Obs;
 use aqua_rational::Ratio;
-use aqua_volume::Machine;
+use aqua_volume::{IncrSolver, Machine, Recording};
 
 use crate::cache::ShardedLru;
-use crate::canon::{self, Canon, KeyPass};
+use crate::canon::{self, Canon, KeyPass, Mapping};
 use crate::json::{self, push_quoted, quote, Value};
-use crate::plan::compile_plan;
+use crate::plan::{compile_plan_traced, may_replay};
 use crate::session::SessionStore;
 use crate::store::{PlanStore, StoreConfig};
 
@@ -178,7 +184,7 @@ pub enum ServeError {
     },
     /// The work behind this request panicked (its compile on a compiler
     /// thread, or its parse, lowering, canonicalization or session
-    /// command on the request thread); the service went on serving
+    /// replay on the request thread); the service went on serving
     /// (`serve.panics`).
     Internal,
 }
@@ -223,6 +229,8 @@ pub struct Served {
 /// on.
 struct Flight {
     done: Mutex<Option<Result<Served, ServeError>>>,
+    /// The replay solver a traced compile left, for its leader alone.
+    solver: Mutex<Option<Box<IncrSolver>>>,
     cv: Condvar,
 }
 
@@ -230,11 +238,13 @@ impl Flight {
     fn new() -> Flight {
         Flight {
             done: Mutex::new(None),
+            solver: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
 
-    fn complete(&self, result: Result<Served, ServeError>) {
+    fn complete(&self, result: Result<Served, ServeError>, solver: Option<Box<IncrSolver>>) {
+        *self.solver.lock().unwrap_or_else(PoisonError::into_inner) = solver;
         let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         *done = Some(result);
         self.cv.notify_all();
@@ -262,37 +272,87 @@ fn wait(inner: &Inner, flight: &Flight, deadline_at: Instant) -> Result<Served, 
     }
 }
 
+/// What a compile reads besides its key and machine: the canonical DAG,
+/// its output weights, and the encoding its plan is published under.
+type Canonical = (Dag, HashMap<NodeId, u64>, Arc<[u8]>);
+
+/// The part of a canonical form that its compile reads.
+fn canonical(canon: Canon) -> Canonical {
+    (canon.dag, canon.weights, canon.encoding)
+}
+
+/// A queued compile and the flight its waiters block on.
 struct Job {
-    canon: Canon,
+    key: u128,
+    canonical: Canonical,
     machine: Machine,
+    /// Compile with a recording on and leave the replay solver in the
+    /// flight for its leader: a session's compile.
+    trace: bool,
     tenant: String,
     flight: Arc<Flight>,
+}
+
+/// Where a submitted request's plan came from.
+pub(crate) enum Got<R> {
+    /// The cache, or a compile another request leads. The request comes
+    /// back unless it was completed first (it then found that compile
+    /// begun in between).
+    Shared(Option<R>),
+    /// A compile this request leads, with the replay solver a traced
+    /// compile left.
+    Led(Option<Box<IncrSolver>>),
 }
 
 /// What the cache is probed with: a request's content key and the
 /// canonical encoding a hit must match byte for byte.
 trait Probe {
-    fn key(&self) -> u128;
-    fn encoding(&self) -> &[u8];
+    fn probe(&self) -> (u128, &[u8]);
 }
 
 impl Probe for Canon {
-    fn key(&self) -> u128 {
-        self.key
-    }
-
-    fn encoding(&self) -> &[u8] {
-        &self.encoding
+    fn probe(&self) -> (u128, &[u8]) {
+        (self.key, &self.encoding)
     }
 }
 
 impl Probe for KeyPass {
-    fn key(&self) -> u128 {
-        self.key
+    fn probe(&self) -> (u128, &[u8]) {
+        (self.key, &self.encoding)
     }
+}
 
-    fn encoding(&self) -> &[u8] {
-        &self.encoding
+impl Probe for &Mapping {
+    fn probe(&self) -> (u128, &[u8]) {
+        (self.key, &self.encoding)
+    }
+}
+
+/// A session command's way onto the service's one compile path: the
+/// tenant its compiles are charged to, and its deadline.
+pub(crate) struct Submitter<'a> {
+    service: &'a Service,
+    tenant: &'a str,
+    deadline_at: Instant,
+}
+
+impl Submitter<'_> {
+    /// Submits the session state `(dag, weights)` under `machine`, whose
+    /// mapping is `cur`, as a traced request: a leader completes the
+    /// mapping into the canonical DAG its job compiles.
+    pub(crate) fn submit<'m>(
+        &self,
+        cur: &'m Mapping,
+        dag: &Dag,
+        weights: &HashMap<NodeId, u64>,
+        machine: &Machine,
+    ) -> Result<(Served, Got<&'m Mapping>), ServeError> {
+        let lead = |cur: &'m Mapping| {
+            let (dag, weights) = cur.complete(dag, weights);
+            (dag, weights, Arc::clone(&cur.encoding))
+        };
+        let (service, tenant) = (self.service, self.tenant);
+        service.submit(cur, lead, machine.clone(), self.deadline_at, tenant, true)
     }
 }
 
@@ -304,12 +364,8 @@ struct Lowered {
 }
 
 impl Probe for Lowered {
-    fn key(&self) -> u128 {
-        self.pass.key
-    }
-
-    fn encoding(&self) -> &[u8] {
-        &self.pass.encoding
+    fn probe(&self) -> (u128, &[u8]) {
+        (self.pass.key, &self.pass.encoding)
     }
 }
 
@@ -519,8 +575,9 @@ impl Service {
         deadline: Option<Duration>,
     ) -> Result<Served, ServeError> {
         let pass = canon::key_pass(dag, weights, machine).map_err(bad_canon)?;
-        let lead = |pass: KeyPass| pass.complete(dag, weights);
-        let (served, _) = self.submit(pass, lead, machine.clone(), deadline, DEFAULT_TENANT)?;
+        let lead = |pass: KeyPass| canonical(pass.complete(dag, weights));
+        let (machine, deadline_at) = (machine.clone(), self.inner.deadline_at(deadline));
+        let (served, _) = self.submit(pass, lead, machine, deadline_at, DEFAULT_TENANT, false)?;
         Ok(served)
     }
 
@@ -540,13 +597,14 @@ impl Service {
         let mut moved = Vec::new();
         let lead = |mut lowered: Lowered| {
             moved = lowered.dag.take_names(&lowered.pass.order);
-            lowered.pass.complete(&lowered.dag, &lowered.weights)
+            canonical(lowered.pass.complete(&lowered.dag, &lowered.weights))
         };
         let request = Lowered { dag, weights, pass };
-        let (served, unled) = self.submit(request, lead, machine, deadline, tenant)?;
-        let names = match unled {
-            Some(lowered) => Names::Lowered(lowered.dag, lowered.pass.order),
-            None => Names::Moved(moved),
+        let deadline_at = self.inner.deadline_at(deadline);
+        let (served, got) = self.submit(request, lead, machine, deadline_at, tenant, false)?;
+        let names = match got {
+            Got::Shared(Some(lowered)) => Names::Lowered(lowered.dag, lowered.pass.order),
+            _ => Names::Moved(moved),
         };
         Ok((served, names))
     }
@@ -592,40 +650,37 @@ impl Service {
         deadline: Option<Duration>,
         tenant: &str,
     ) -> Result<Served, ServeError> {
-        let (served, _) = self.submit(canon, |canon| canon, machine, deadline, tenant)?;
+        let deadline_at = self.inner.deadline_at(deadline);
+        let (served, _) = self.submit(canon, canonical, machine, deadline_at, tenant, false)?;
         Ok(served)
     }
 
     /// Stages 2–6 of the lifecycle (see the module docs) for a request
-    /// probed by its key and encoding. Only the leader of a miss calls
-    /// `lead` for the canonical form its job compiles: after its first
-    /// probe misses and it finds no compile of the key in flight, and
-    /// outside the in-flight lock (one that then finds a flight begun in
-    /// between joins it). Any other request comes back beside its plan.
+    /// probed by its key and encoding, compiled on `machine` and charged
+    /// to `tenant`. Only the leader of a miss calls `lead` for what its
+    /// job compiles: after its first probe misses and it finds no compile
+    /// of the key in flight, and outside the in-flight lock (one that then
+    /// finds a flight begun in between joins it). A `traced` request (a
+    /// session's) takes no cached plan that [`may_replay`], since only its
+    /// own compile can leave it that plan's replay solver; it may still
+    /// join a flight, and its caller decides what a shared plan is worth.
     fn submit<R: Probe>(
         &self,
         request: R,
-        lead: impl FnOnce(R) -> Canon,
+        lead: impl FnOnce(R) -> Canonical,
         machine: Machine,
-        deadline: Option<Duration>,
+        deadline_at: Instant,
         tenant: &str,
-    ) -> Result<(Served, Option<R>), ServeError> {
+        traced: bool,
+    ) -> Result<(Served, Got<R>), ServeError> {
         let inner = &*self.inner;
         let obs = &inner.config.obs;
         let _span = obs.span("serve.submit");
-        // Clamp before the Instant addition: `now + huge Duration`
-        // panics, and a wire client controls `deadline_ms`.
-        let deadline_ms = deadline
-            .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-            .unwrap_or(inner.config.default_deadline_ms)
-            .min(inner.config.max_deadline_ms);
-        let deadline_at = Instant::now()
-            .checked_add(Duration::from_millis(deadline_ms))
-            .unwrap_or_else(Instant::now);
-        let key = request.key();
+        let key = request.probe().0;
+        let pinnable = |hit: &Served| !traced || !may_replay(&hit.plan);
 
-        if let Some(hit) = inner.cache.get(key, request.encoding()) {
-            return Ok((hit, Some(request)));
+        if let Some(hit) = inner.cache.get(key, request.probe().1).filter(pinnable) {
+            return Ok((hit, Got::Shared(Some(request))));
         }
 
         // Miss path: charge the tenant's concurrency quota for the
@@ -642,30 +697,32 @@ impl Service {
             match inflight.get(&key) {
                 None => None,
                 Some(flight) => {
-                    if let Some(hit) = inner.cache.get(key, request.encoding()) {
-                        return Ok((hit, Some(request)));
+                    let hit = inner.cache.get(key, request.probe().1).filter(pinnable);
+                    if let Some(hit) = hit {
+                        return Ok((hit, Got::Shared(Some(request))));
                     }
                     Some(inner.follow(flight))
                 }
             }
         };
         if let Some(flight) = joined {
-            return wait(inner, &flight, deadline_at).map(|served| (served, Some(request)));
+            let served = wait(inner, &flight, deadline_at)?;
+            return Ok((served, Got::Shared(Some(request))));
         }
-        let canon = lead(request);
+        let canonical = lead(request);
 
-        let flight = {
+        let (flight, led) = {
             let mut inflight = inner
                 .inflight
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             // Re-probe under the lock: a compiler thread publishes
             // cache-first, so a just-finished compile is visible here.
-            if let Some(hit) = inner.cache.get(key, &canon.encoding) {
-                return Ok((hit, None));
+            if let Some(hit) = inner.cache.get(key, &canonical.2).filter(pinnable) {
+                return Ok((hit, Got::Shared(None)));
             }
             if let Some(flight) = inflight.get(&key) {
-                inner.follow(flight)
+                (inner.follow(flight), false)
             } else {
                 // The leader for this key. An already-expired deadline
                 // cannot wait for any compile: reject before admitting.
@@ -688,18 +745,25 @@ impl Service {
                         return Err(ServeError::Overloaded);
                     }
                     queue.push_back(Job {
-                        canon,
+                        key,
+                        canonical,
                         machine,
+                        trace: traced,
                         tenant: tenant.to_owned(),
                         flight: Arc::clone(&flight),
                     });
                 }
                 inner.queue_cv.notify_one();
                 inflight.insert(key, Arc::clone(&flight));
-                flight
+                (flight, true)
             }
         };
-        wait(inner, &flight, deadline_at).map(|served| (served, None))
+        let served = wait(inner, &flight, deadline_at)?;
+        if !led {
+            return Ok((served, Got::Shared(None)));
+        }
+        let mut solver = flight.solver.lock().unwrap_or_else(PoisonError::into_inner);
+        Ok((served, Got::Led(solver.take())))
     }
 
     /// Handles one NDJSON request line and renders the response line
@@ -738,39 +802,34 @@ impl Service {
         let id = id.as_str();
 
         if let Some(cmd) = parsed.get("cmd").and_then(Value::as_str) {
-            return match cmd {
-                "stats" => format!(
+            let answered = match cmd {
+                "stats" => Ok(format!(
                     "{{\"id\":{id},\"ok\":true,\"stats\":{}}}",
                     self.stats_json()
-                ),
+                )),
                 "clear_cache" => {
                     self.clear_cache();
-                    format!("{{\"id\":{id},\"ok\":true}}")
+                    Ok(format!("{{\"id\":{id},\"ok\":true}}"))
                 }
                 "obs.snapshot" | "obs.reset" => match &self.inner.config.fleet {
-                    None => error_line(
-                        id,
-                        &ServeError::BadRequest(
-                            "no fleet aggregator attached (start with --obs)".to_owned(),
-                        ),
-                    ),
+                    None => Err(ServeError::BadRequest(
+                        "no fleet aggregator attached (start with --obs)".to_owned(),
+                    )),
                     Some(fleet) if cmd == "obs.reset" => {
                         fleet.reset();
-                        format!("{{\"id\":{id},\"ok\":true}}")
+                        Ok(format!("{{\"id\":{id},\"ok\":true}}"))
                     }
-                    Some(fleet) => format!(
+                    Some(fleet) => Ok(format!(
                         "{{\"id\":{id},\"ok\":true,\"obs\":{}}}",
                         fleet.snapshot().to_json()
-                    ),
+                    )),
                 },
                 "session.register" => self.session_register(id, &parsed),
                 "session.edit" => self.session_edit(id, &parsed),
                 "session.close" => self.session_close(id, &parsed),
-                other => error_line(
-                    id,
-                    &ServeError::BadRequest(format!("unknown command `{other}`")),
-                ),
+                other => Err(ServeError::BadRequest(format!("unknown command `{other}`"))),
             };
+            return answered.unwrap_or_else(|e| error_line(id, &e));
         }
 
         if let Some(key_field) = parsed.get("key") {
@@ -796,27 +855,9 @@ impl Service {
             Ok(m) => m,
             Err(e) => return error_line(id, &e),
         };
-        let deadline = match parsed.get("deadline_ms") {
-            None => None,
-            Some(v) => match v.as_u64() {
-                None => {
-                    return error_line(
-                        id,
-                        &ServeError::BadRequest(
-                            "`deadline_ms` must be a non-negative integer".to_owned(),
-                        ),
-                    )
-                }
-                Some(ms) if ms > self.inner.config.max_deadline_ms => {
-                    return error_line(
-                        id,
-                        &ServeError::DeadlineTooLarge {
-                            max_ms: self.inner.config.max_deadline_ms,
-                        },
-                    )
-                }
-                Some(ms) => Some(Duration::from_millis(ms)),
-            },
+        let deadline = match self.deadline_field(&parsed) {
+            Ok(d) => d,
+            Err(e) => return error_line(id, &e),
         };
         let tenant = match tenant_field(&parsed) {
             Ok(t) => t,
@@ -837,110 +878,81 @@ impl Service {
         }
     }
 
-    /// Handles `session.register`: parse + lower the source, compile it
-    /// cold (retaining the solve trace), pin the session, and publish
-    /// the plan into the shared cache.
-    fn session_register(&self, id: &str, parsed: &Value) -> String {
-        let tenant = match tenant_field(parsed) {
-            Ok(t) => t,
-            Err(e) => return error_line(id, &e),
-        };
-        let Some(src) = parsed.get("src").and_then(Value::as_str) else {
-            return error_line(
-                id,
-                &ServeError::BadRequest("`session.register` needs `src`".to_owned()),
-            );
-        };
-        let registered = self.machine_field(parsed).and_then(|machine| {
-            let (dag, weights) = lower_src(src)?;
-            let lookup = |key, encoding: &[u8]| self.cached_plan(key, encoding);
-            let sessions = &self.inner.sessions;
-            sessions.register(tenant, dag, weights, machine, &lookup, self.obs())
-        });
-        match registered {
-            Ok(reg) => {
-                self.inner
-                    .publish(reg.key, &reg.encoding, Arc::clone(&reg.plan));
-                let mut names = String::new();
-                push_names(&mut names, reg.names.iter().map(String::as_str));
-                format!(
-                    "{{\"id\":{id},\"ok\":true,\"session\":{},\"key\":\"{}\",\
-                     \"names\":{names},\"plan\":{}}}",
-                    quote(&reg.id),
-                    canon::key_hex(reg.key),
-                    reg.plan
-                )
-            }
-            Err(e) => error_line(id, &e),
-        }
+    /// Handles `session.register`: parse + lower the source and pin the
+    /// session on its plan, which the service's compile path gives it
+    /// (a traced compile unless the cache or a flight holds a plan that
+    /// leaves no replay trace).
+    fn session_register(&self, id: &str, parsed: &Value) -> Result<String, ServeError> {
+        let tenant = tenant_field(parsed)?;
+        let src = parsed.get("src").and_then(Value::as_str);
+        let src = needs(src, "session.register", "src")?;
+        let machine = self.machine_field(parsed)?;
+        let via = self.submitter(tenant, parsed)?;
+        let (dag, weights) = lower_src(src)?;
+        let sessions = &self.inner.sessions;
+        let reg = sessions.register(tenant, dag, weights, machine, &via, self.obs())?;
+        let mut names = String::new();
+        push_names(&mut names, reg.names.iter().map(String::as_str));
+        Ok(format!(
+            "{{\"id\":{id},\"ok\":true,\"session\":{},\"key\":\"{}\",\
+             \"names\":{names},\"plan\":{}}}",
+            quote(&reg.id),
+            canon::key_hex(reg.key),
+            reg.plan
+        ))
     }
 
     /// Handles `session.edit`: replan the session's DAG under one edit
     /// (dirty-slice replay when possible, typed cold fallback
-    /// otherwise) and answer with a plan delta.
-    fn session_edit(&self, id: &str, parsed: &Value) -> String {
-        let tenant = match tenant_field(parsed) {
-            Ok(t) => t,
-            Err(e) => return error_line(id, &e),
-        };
-        let Some(sid) = parsed.get("session").and_then(Value::as_str) else {
-            return error_line(
-                id,
-                &ServeError::BadRequest("`session.edit` needs `session`".to_owned()),
-            );
-        };
-        let Some(edit) = parsed.get("edit") else {
-            return error_line(
-                id,
-                &ServeError::BadRequest("`session.edit` needs `edit`".to_owned()),
-            );
-        };
-        let lookup = |key, encoding: &[u8]| self.cached_plan(key, encoding);
-        match self
+    /// otherwise) and answer with a plan delta. A replayed plan is
+    /// published here; a compiled one was published by its compiler
+    /// thread.
+    fn session_edit(&self, id: &str, parsed: &Value) -> Result<String, ServeError> {
+        let tenant = tenant_field(parsed)?;
+        let sid = needs(
+            parsed.get("session").and_then(Value::as_str),
+            "session.edit",
+            "session",
+        )?;
+        let edit = needs(parsed.get("edit"), "session.edit", "edit")?;
+        let via = self.submitter(tenant, parsed)?;
+        let ed = self
             .inner
             .sessions
-            .edit(sid, tenant, edit, &lookup, self.obs())
-        {
-            Ok(ed) => {
-                if ed.changed {
-                    self.inner
-                        .publish(ed.key, &ed.encoding, Arc::clone(&ed.plan));
-                }
-                let mut out = format!(
-                    "{{\"id\":{id},\"ok\":true,\"session\":{},\"key\":\"{}\",\"incremental\":{}",
-                    quote(sid),
-                    canon::key_hex(ed.key),
-                    ed.incremental
-                );
-                if ed.incremental {
-                    let _ = write!(out, ",\"slice\":{}", ed.slice);
-                } else if let Some(cause) = ed.cause {
-                    let _ = write!(out, ",\"cause\":\"{cause}\"");
-                }
-                let _ = write!(out, ",\"delta\":{}", ed.delta);
-                out.push('}');
-                out
-            }
-            Err(e) => error_line(id, &e),
+            .edit(sid, tenant, edit, &via, self.obs())?;
+        if ed.replayed {
+            self.inner
+                .publish(ed.key, &ed.encoding, Arc::clone(&ed.plan));
         }
+        let mut out = format!(
+            "{{\"id\":{id},\"ok\":true,\"session\":{},\"key\":\"{}\",\"incremental\":{}",
+            quote(sid),
+            canon::key_hex(ed.key),
+            ed.incremental
+        );
+        if ed.incremental {
+            let _ = write!(out, ",\"slice\":{}", ed.slice);
+        } else if let Some(cause) = ed.cause {
+            let _ = write!(out, ",\"cause\":\"{cause}\"");
+        }
+        let _ = write!(out, ",\"delta\":{}", ed.delta);
+        out.push('}');
+        Ok(out)
     }
 
     /// Handles `session.close`: drop the session's pinned state.
-    fn session_close(&self, id: &str, parsed: &Value) -> String {
-        let tenant = match tenant_field(parsed) {
-            Ok(t) => t,
-            Err(e) => return error_line(id, &e),
-        };
-        let Some(sid) = parsed.get("session").and_then(Value::as_str) else {
-            return error_line(
-                id,
-                &ServeError::BadRequest("`session.close` needs `session`".to_owned()),
-            );
-        };
-        match self.inner.sessions.close(sid, tenant, self.obs()) {
-            Ok(()) => format!("{{\"id\":{id},\"ok\":true,\"closed\":{}}}", quote(sid)),
-            Err(e) => error_line(id, &e),
-        }
+    fn session_close(&self, id: &str, parsed: &Value) -> Result<String, ServeError> {
+        let tenant = tenant_field(parsed)?;
+        let sid = needs(
+            parsed.get("session").and_then(Value::as_str),
+            "session.close",
+            "session",
+        )?;
+        self.inner.sessions.close(sid, tenant, self.obs())?;
+        Ok(format!(
+            "{{\"id\":{id},\"ok\":true,\"closed\":{}}}",
+            quote(sid)
+        ))
     }
 
     /// The request's machine: the configured one, with the request's
@@ -955,17 +967,38 @@ impl Service {
         }
     }
 
+    /// The request's `deadline_ms`, if it carries one: a non-negative
+    /// integer no larger than [`ServiceConfig::max_deadline_ms`].
+    fn deadline_field(&self, parsed: &Value) -> Result<Option<Duration>, ServeError> {
+        let max_ms = self.inner.config.max_deadline_ms;
+        match parsed.get("deadline_ms").map(Value::as_u64) {
+            None => Ok(None),
+            Some(None) => Err(ServeError::BadRequest(
+                "`deadline_ms` must be a non-negative integer".to_owned(),
+            )),
+            Some(Some(ms)) if ms > max_ms => Err(ServeError::DeadlineTooLarge { max_ms }),
+            Some(Some(ms)) => Ok(Some(Duration::from_millis(ms))),
+        }
+    }
+
+    /// A session command's way onto the compile path, charged to
+    /// `tenant` and bound by the request's `deadline_ms`, which runs from
+    /// here.
+    pub(crate) fn submitter<'a>(
+        &'a self,
+        tenant: &'a str,
+        parsed: &Value,
+    ) -> Result<Submitter<'a>, ServeError> {
+        Ok(Submitter {
+            service: self,
+            tenant,
+            deadline_at: self.inner.deadline_at(self.deadline_field(parsed)?),
+        })
+    }
+
     /// Number of live push-mode sessions across all tenants.
     pub fn session_count(&self) -> usize {
         self.inner.sessions.len()
-    }
-
-    /// The plan cached under `(key, encoding)`: the sessions' read of
-    /// the shared cache, counted as `serve.cache.hit` or
-    /// `serve.cache.miss` like any other lookup.
-    fn cached_plan(&self, key: u128, encoding: &[u8]) -> Option<Arc<str>> {
-        let served = self.inner.cache.get(key, encoding)?;
-        Some(served.plan)
     }
 
     /// Drops every cached plan from memory (bench cold path; counters
@@ -1016,6 +1049,20 @@ impl Service {
 }
 
 impl Inner {
+    /// When a request with `deadline` must be answered by. The deadline
+    /// is clamped to [`ServiceConfig::max_deadline_ms`] before the
+    /// `Instant` addition, which panics on overflow, and a wire client
+    /// controls `deadline_ms`.
+    fn deadline_at(&self, deadline: Option<Duration>) -> Instant {
+        let deadline_ms = deadline
+            .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
+            .unwrap_or(self.config.default_deadline_ms)
+            .min(self.config.max_deadline_ms);
+        Instant::now()
+            .checked_add(Duration::from_millis(deadline_ms))
+            .unwrap_or_else(Instant::now)
+    }
+
     /// Joins the compile `flight` of a key in flight as one more waiter.
     fn follow(&self, flight: &Arc<Flight>) -> Arc<Flight> {
         self.dedups.fetch_add(1, Ordering::Relaxed);
@@ -1023,12 +1070,12 @@ impl Inner {
         Arc::clone(flight)
     }
 
-    /// Appends a compiled plan to the persistent store (when
-    /// configured), then inserts it into the cache, so key-addressed
-    /// requests for the same canonical form hit without recompiling.
-    /// Compiler threads publish every plan they compile; sessions publish
-    /// theirs too, though a session's own state is pinned in the
-    /// registry, so evicting its plan never degrades the session.
+    /// Appends a plan to the persistent store (when configured), then
+    /// inserts it into the cache, so key-addressed requests for the same
+    /// canonical form hit without recompiling. Compiler threads publish
+    /// every plan they compile, and `session.edit` every plan a replay
+    /// renders, though a session's own state is pinned in the registry,
+    /// so evicting its plan never degrades the session.
     fn publish(&self, key: u128, encoding: &Arc<[u8]>, plan: Arc<str>) -> Served {
         let obs = &self.config.obs;
         if let Some(store) = &self.store {
@@ -1110,14 +1157,16 @@ impl Drop for Service {
     }
 }
 
-/// One compiler thread: takes the oldest queued job and compiles it.
-/// The plan is published ([`Inner::publish`]: store, then cache), then
-/// the in-flight entry is retired, then the job's waiters are woken —
-/// so at every instant a request either hits the cache or finds the
-/// flight. A compile that panics fails only its
-/// own flight, with [`ServeError::Internal`]: its in-flight entry is
-/// retired, the panic is counted (`serve.panics`) and the thread goes
-/// on draining. On shutdown the thread returns once the queue is empty.
+/// One compiler thread: takes the oldest queued job and compiles it,
+/// with a recording on for a traced job. The plan is published
+/// ([`Inner::publish`]: store, then cache), then the in-flight entry is
+/// retired, then the job's waiters are woken — so at every instant a
+/// request either hits the cache or finds the flight. A traced compile
+/// leaves its replay solver in the flight for the leader. A compile
+/// that panics fails only its own flight, with [`ServeError::Internal`]:
+/// its in-flight entry is retired, the panic is counted (`serve.panics`)
+/// and the thread goes on draining. A compiler thread takes no session
+/// lock. On shutdown the thread returns once the queue is empty.
 fn compile_loop(inner: &Inner) {
     let obs = &inner.config.obs;
     loop {
@@ -1138,17 +1187,25 @@ fn compile_loop(inner: &Inner) {
         };
         // The taken job no longer occupies a tenant queue slot.
         inner.release_tenant_queue(&job.tenant);
-        let key = job.canon.key;
+        let (key, (dag, weights, encoding)) = (job.key, &job.canonical);
         let compiled = std::panic::catch_unwind(AssertUnwindSafe(|| {
             #[cfg(test)]
             tests::panic_if_armed(key);
-            compile_plan(&job.canon, &job.machine, obs)
+            let rec = if job.trace {
+                Recording::on()
+            } else {
+                Recording::off()
+            };
+            compile_plan_traced(dag, weights, &job.machine, obs, rec)
         }));
-        let result = match compiled {
-            Ok(plan) => Ok(inner.publish(key, &job.canon.encoding, Arc::from(plan))),
+        let (result, solver) = match compiled {
+            Ok((plan, solver)) => {
+                let served = inner.publish(key, encoding, Arc::from(plan));
+                (Ok(served), solver.map(Box::new))
+            }
             Err(_) => {
                 obs.add("serve.panics", 1);
-                Err(ServeError::Internal)
+                (Err(ServeError::Internal), None)
             }
         };
         inner
@@ -1156,7 +1213,7 @@ fn compile_loop(inner: &Inner) {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(&key);
-        job.flight.complete(result);
+        job.flight.complete(result, solver);
     }
 }
 
@@ -1203,6 +1260,11 @@ fn success_line_named<'a>(
     out.push_str(&served.plan);
     out.push('}');
     out
+}
+
+/// `member` of a `cmd` request, or the `bad_request` that names it.
+fn needs<T>(member: Option<T>, cmd: &str, name: &str) -> Result<T, ServeError> {
+    member.ok_or_else(|| ServeError::BadRequest(format!("`{cmd}` needs `{name}`")))
 }
 
 /// Extracts the request's tenant (same rules as the compile front
@@ -1586,7 +1648,7 @@ END
             let plan: Arc<str> = Arc::from(cold.1.strip_suffix('}').unwrap());
             let served = svc.inner.publish(canon.key, &canon.encoding, plan);
             svc.inner.inflight.lock().unwrap().remove(&canon.key);
-            flight.complete(Ok(served));
+            flight.complete(Ok(served), None);
             waiting.into_iter().map(|w| w.join().unwrap()).collect()
         });
         for (resp, src) in responses.iter().zip(&followers) {
@@ -1771,5 +1833,118 @@ END
             field("cached_plans")
         );
         assert_eq!(field("cached_plans") + field("evictions"), 10);
+    }
+
+    /// A session command's line for session `s1`.
+    fn edit_line(id: u32, edit: &str) -> String {
+        format!("{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"s1\",\"edit\":{edit}}}")
+    }
+
+    /// A TINY ratio edit to `1 : b`.
+    fn ratio(b: u32) -> String {
+        format!("{{\"set_ratio\":{{\"node\":\"m\",\"parts\":[[\"A\",1],[\"B\",{b}]]}}}}")
+    }
+
+    /// A machine edit whose compile panics (an unchecked `Ratio`
+    /// division overflows in the exact precheck) is caught on the
+    /// compiler thread that ran it: the request thread never unwinds
+    /// while it holds the session's lock, so the lock is not poisoned,
+    /// the flight is retired, and the session keeps its key, plan and
+    /// trace, and replays its next edit to the bytes of a cold compile.
+    #[test]
+    fn a_session_compile_that_panics_is_caught_on_a_compiler_thread() {
+        let (obs, sink) = Obs::recording();
+        let svc = service(ServiceConfig {
+            obs,
+            ..ServiceConfig::default()
+        });
+        let registered = svc.handle_line(&format!(
+            "{{\"id\":1,\"cmd\":\"session.register\",\"src\":{}}}",
+            quote(TINY)
+        ));
+        let (key, plan, _) = key_plan_names(&registered);
+        let huge =
+            "{\"set_machine\":{\"max_capacity_nl\":\"170141183460469231731687303715884105727\"}}";
+        let answer = svc.handle_line(&edit_line(2, huge));
+        assert!(answer.contains("\"error\":\"internal\""), "{answer}");
+        assert_eq!(sink.snapshot().counter("serve.panics"), 1);
+        let session = svc.inner.sessions.lookup("s1", DEFAULT_TENANT).unwrap();
+        assert!(!session.is_poisoned(), "the request thread unwound");
+        assert!(svc.inner.inflight.lock().unwrap().is_empty());
+
+        let noop = svc.handle_line(&edit_line(3, &ratio(4)));
+        assert!(
+            noop.contains(&format!("\"key\":\"{key}\""))
+                && noop.ends_with(",\"delta\":{\"replace\":{}}}"),
+            "{noop}"
+        );
+        let edited = svc.handle_line(&edit_line(4, &ratio(9)));
+        assert!(edited.contains("\"incremental\":true"), "{edited}");
+        let (_, delta) = edited.split_once(",\"delta\":").unwrap();
+        let plan = crate::session::apply_delta(&plan[..plan.len() - 1], &delta[..delta.len() - 1]);
+        let cold = service(ServiceConfig::default())
+            .submit_src(
+                &TINY.replace("1 : 4", "1 : 9"),
+                &Machine::paper_default(),
+                None,
+            )
+            .unwrap();
+        assert_eq!(plan.as_deref(), Some(&*cold.plan));
+        assert_eq!(sink.snapshot().counter("serve.panics"), 1);
+    }
+
+    /// A `session.register` that finds its state's compile in flight
+    /// joins it. glycomics is `partitioned`, a plan no compile leaves a
+    /// replay trace for, so the register pins the flight's plan and
+    /// compiles nothing. TINY's plan may replay, so its register waits,
+    /// then leads its own traced compile, and its first edit replays.
+    #[test]
+    fn a_session_register_joins_a_compile_in_flight() {
+        let machine = Machine::paper_default();
+        for (src, replays) in [(aqua_assays::glycomics::SOURCE, false), (TINY, true)] {
+            let (obs, sink) = Obs::recording();
+            let svc = service(ServiceConfig {
+                obs,
+                ..ServiceConfig::default()
+            });
+            let cold = service(ServiceConfig::default())
+                .submit_src(src, &machine, None)
+                .unwrap();
+            assert_eq!(may_replay(&cold.plan), replays, "{}", &cold.plan[..40]);
+            let canon = Service::canon_src(src, &machine).unwrap();
+            let flight = Arc::new(Flight::new());
+            svc.inner
+                .inflight
+                .lock()
+                .unwrap()
+                .insert(canon.key, Arc::clone(&flight));
+            let line = format!(
+                "{{\"id\":1,\"cmd\":\"session.register\",\"src\":{}}}",
+                quote(src)
+            );
+            let registered = std::thread::scope(|scope| {
+                let waiting = scope.spawn(|| svc.handle_line(&line));
+                // A register that never joins the flight finishes alone.
+                while svc.dedup_count() < 1 && !waiting.is_finished() {
+                    std::thread::yield_now();
+                }
+                let served = svc
+                    .inner
+                    .publish(canon.key, &canon.encoding, Arc::clone(&cold.plan));
+                svc.inner.inflight.lock().unwrap().remove(&canon.key);
+                flight.complete(Ok(served), None);
+                waiting.join().unwrap()
+            });
+            let (_, plan) = registered.split_once(",\"plan\":").expect("registered");
+            assert_eq!(plan.strip_suffix('}'), Some(&*cold.plan));
+            let snap = sink.snapshot();
+            assert_eq!(svc.dedup_count(), 1);
+            assert_eq!(snap.counter("serve.plan.compiles"), u64::from(replays));
+            assert_eq!(snap.counter("incr.plan_reuse"), u64::from(!replays));
+            if replays {
+                let edited = svc.handle_line(&edit_line(2, &ratio(9)));
+                assert!(edited.contains("\"incremental\":true"), "{edited}");
+            }
+        }
     }
 }

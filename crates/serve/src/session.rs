@@ -17,12 +17,16 @@
 //! `"cause"`; the client still gets a correct plan either way.
 //!
 //! Every session compile (a register or a fallback) runs through one
-//! function, `pin`, which first looks the state's canonical key and
-//! encoding up in the shared plan cache. A cached plan that cannot have
-//! come with a replayable trace (`plan::may_replay`) is pinned as is: a
-//! compile would produce the same bytes and leave the session no solver
-//! either, so editors revisiting a state skip the Fig. 6 hierarchy
-//! entirely.
+//! function, `pin`, which submits the state's canonical key and
+//! encoding to the service's one compile path: cache probe, tenant
+//! admission, single-flight, the bounded queue, the request's deadline
+//! and a compiler thread. A cached plan, or one a compile in flight
+//! gives, that cannot have come with a replayable trace
+//! (`plan::may_replay`) is pinned as is: a compile would produce the
+//! same bytes and leave the session no solver either, so editors
+//! revisiting a state skip the Fig. 6 hierarchy entirely. Otherwise the
+//! session leads its own traced compile, and the compiler thread hands
+//! the replay solver back to it alone.
 //!
 //! Session state is pinned here, not in the plan LRU: cache pressure
 //! from other tenants can evict a session's plan bytes from the shared
@@ -37,20 +41,18 @@ use aqua_dag::{set_mix_ratio, Dag, EdgeId, NodeId};
 use aqua_obs::Obs;
 use aqua_rational::Ratio;
 use aqua_volume::hierarchy::ManagedVolumes;
-use aqua_volume::{
-    IncrEdit, IncrSolver, Machine, ManagedOutcome, Method, Recording, ReplayOutcome,
-};
+use aqua_volume::{IncrEdit, IncrSolver, Machine, ManagedOutcome, Method, ReplayOutcome};
 
 use crate::canon::{self, Mapping};
 use crate::json::{quote, Value};
 use crate::plan;
-use crate::service::ServeError;
+use crate::service::{Got, ServeError, Submitter};
 
 /// One registered session: the client's DAG in its own node numbering,
 /// the pinned plan of its current state with that state's canonical
 /// mapping, and the replay state when the last compile left a
 /// replayable trace.
-struct Session {
+pub(crate) struct Session {
     machine: Machine,
     /// The client's DAG, current (edits are applied here first).
     dag: Dag,
@@ -75,7 +77,7 @@ struct Session {
 /// addresses the base directly.
 struct Replay {
     base: Arc<Mapping>,
-    solver: IncrSolver,
+    solver: Box<IncrSolver>,
 }
 
 impl Session {
@@ -89,12 +91,12 @@ impl Session {
         machine: Machine,
         cur: Arc<Mapping>,
         cause: Option<&'static str>,
-        lookup: Lookup,
+        via: &Submitter,
         obs: &Obs,
-    ) -> Session {
-        let (plan, replay) = pin(&dag, &weights, &machine, &cur, cause, lookup, obs);
+    ) -> Result<Session, ServeError> {
+        let (plan, replay) = pin(&dag, &weights, &machine, &cur, cause, via, obs)?;
         let memo = CanonMemo::primed(CanonState::of(&dag, &weights), Arc::clone(&cur));
-        Session {
+        Ok(Session {
             machine,
             dag,
             weights,
@@ -102,7 +104,7 @@ impl Session {
             mapping: cur,
             replay,
             memo,
-        }
+        })
     }
 }
 
@@ -227,8 +229,6 @@ pub(crate) struct Registered {
     pub id: String,
     /// Content key of the compiled plan.
     pub key: u128,
-    /// Encoding behind `key` (for cache publication).
-    pub encoding: Arc<[u8]>,
     /// The compiled plan bytes.
     pub plan: Arc<str>,
     /// Canonical node index → the request's own fluid name.
@@ -239,7 +239,7 @@ pub(crate) struct Registered {
 pub(crate) struct Edited {
     /// Content key of the session's plan after the edit.
     pub key: u128,
-    /// Encoding behind `key`.
+    /// Encoding behind `key` (for a replayed plan's publication).
     pub encoding: Arc<[u8]>,
     /// The full plan bytes after the edit (pinned; also the delta base
     /// for the next edit).
@@ -252,14 +252,11 @@ pub(crate) struct Edited {
     pub cause: Option<&'static str>,
     /// Dirty-slice size in nodes (0 on the full-recompile path).
     pub slice: usize,
-    /// Whether the plan changed (no-op edits skip cache publication).
-    pub changed: bool,
+    /// Whether a replay rendered a new plan, which no compiler thread
+    /// published (a fallback's plan came from the compile path, and a
+    /// no-op edit's is the session's own).
+    pub replayed: bool,
 }
-
-/// A session's read of the shared plan cache: the plan cached under
-/// `(key, encoding)`, if any. Edits call it under their session's lock,
-/// which is always taken before a cache shard's lock, never after.
-pub(crate) type Lookup<'a> = &'a dyn Fn(u128, &[u8]) -> Option<Arc<str>>;
 
 /// Registry slot: owning tenant + the session behind its own lock.
 type SessionSlot = (String, Arc<Mutex<Session>>);
@@ -293,16 +290,16 @@ impl SessionStore {
             .len()
     }
 
-    /// Registers `dag` (+ client-space `weights`) under `tenant` and
-    /// compiles it cold, retaining the trace when replayable, unless
-    /// `lookup` holds a plan it may reuse.
+    /// Registers `dag` (+ client-space `weights`) under `tenant` and pins
+    /// the plan `via` gives it ([`pin`]), retaining the trace when
+    /// replayable.
     pub(crate) fn register(
         &self,
         tenant: &str,
         dag: Dag,
         weights: HashMap<NodeId, u64>,
         machine: Machine,
-        lookup: Lookup,
+        via: &Submitter,
         obs: &Obs,
     ) -> Result<Registered, ServeError> {
         let max_per_tenant = self.max_per_tenant;
@@ -323,16 +320,8 @@ impl SessionStore {
             .iter()
             .map(|&n| dag.node(n).name.clone())
             .collect();
-        let session = Session::new(
-            dag,
-            weights,
-            machine,
-            Arc::new(pass.into()),
-            None,
-            lookup,
-            obs,
-        );
-        let (key, encoding) = (session.mapping.key, Arc::clone(&session.mapping.encoding));
+        let session = Session::new(dag, weights, machine, Arc::new(pass.into()), None, via, obs)?;
+        let key = session.mapping.key;
         let plan = Arc::clone(&session.plan);
         let id = format!("s{}", self.next.fetch_add(1, Ordering::Relaxed) + 1);
         {
@@ -355,21 +344,21 @@ impl SessionStore {
         Ok(Registered {
             id,
             key,
-            encoding,
             plan,
             names,
         })
     }
 
     /// Applies one edit to session `id`, replanning incrementally when
-    /// the retained trace allows it; a fallback pins a plan `lookup`
-    /// holds for the edited state when it may.
+    /// the retained trace allows it; a fallback pins the plan `via` gives
+    /// the edited state ([`pin`]). The session's lock is held throughout,
+    /// also while a fallback waits on its compile.
     pub(crate) fn edit(
         &self,
         id: &str,
         tenant: &str,
         edit: &Value,
-        lookup: Lookup,
+        via: &Submitter,
         obs: &Obs,
     ) -> Result<Edited, ServeError> {
         let session = self.lookup(id, tenant)?;
@@ -377,7 +366,7 @@ impl SessionStore {
         obs.add("serve.session.edits", 1);
         let parsed =
             parse_edit(&session.dag, &session.machine, edit).map_err(ServeError::BadRequest)?;
-        apply_edit(&mut session, parsed, lookup, obs).map_err(ServeError::BadRequest)
+        apply_edit(&mut session, parsed, via, obs)
     }
 
     /// Closes session `id`, dropping its pinned state.
@@ -393,7 +382,7 @@ impl SessionStore {
         }
     }
 
-    fn lookup(&self, id: &str, tenant: &str) -> Result<Arc<Mutex<Session>>, ServeError> {
+    pub(crate) fn lookup(&self, id: &str, tenant: &str) -> Result<Arc<Mutex<Session>>, ServeError> {
         let sessions = self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
         match sessions.get(id) {
             Some((t, s)) if t == tenant => Ok(Arc::clone(s)),
@@ -405,35 +394,48 @@ impl SessionStore {
 /// Pins the plan of the state `(dag, weights)` under `machine`, whose
 /// canonical mapping is `cur`, and returns it with the replay state it
 /// leaves. Every session compile runs here: a register, and a fallback
-/// edit, whose `cause` is `Some`. The plan is the shared cache's when
-/// [`plan::may_replay`] clears it, as no compile would have left a
-/// replay trace for it (counted as `incr.plan_reuse`); otherwise the
-/// mapping is completed into the canonical DAG and compiled with a
-/// trace (a fallback's compile counts as `incr.full_recompile`).
+/// edit, whose `cause` is `Some`. The state goes through the service's
+/// compile path (`via`) as a traced request. A plan from the cache or
+/// from another request's compile is pinned when [`plan::may_replay`]
+/// clears it, as no compile would have left a replay trace for it
+/// (counted as `incr.plan_reuse`); a shared plan the guard flags sends
+/// the state through again, to lead its own compile. Only a compile the
+/// session leads completes the mapping into the canonical DAG, and only
+/// it leaves a replay solver (a fallback's compile counts as
+/// `incr.full_recompile`).
+///
+/// # Errors
+///
+/// What the compile path answers: `overloaded`, `shedding`, `timeout`,
+/// or `internal` when the compile panicked.
 fn pin(
     dag: &Dag,
     weights: &HashMap<NodeId, u64>,
     machine: &Machine,
     cur: &Arc<Mapping>,
     cause: Option<&'static str>,
-    lookup: Lookup,
+    via: &Submitter,
     obs: &Obs,
-) -> (Arc<str>, Option<Replay>) {
-    if let Some(plan) = lookup(cur.key, &cur.encoding).filter(|plan| !plan::may_replay(plan)) {
-        obs.add("incr.plan_reuse", 1);
-        return (plan, None);
+) -> Result<(Arc<str>, Option<Replay>), ServeError> {
+    loop {
+        match via.submit(cur, dag, weights, machine)? {
+            (served, Got::Led(solver)) => {
+                if cause.is_some() {
+                    obs.add("incr.full_recompile", 1);
+                }
+                let replay = solver.map(|solver| Replay {
+                    base: Arc::clone(cur),
+                    solver,
+                });
+                return Ok((served.plan, replay));
+            }
+            (served, Got::Shared(_)) if !plan::may_replay(&served.plan) => {
+                obs.add("incr.plan_reuse", 1);
+                return Ok((served.plan, None));
+            }
+            (_, Got::Shared(_)) => {}
+        }
     }
-    if cause.is_some() {
-        obs.add("incr.full_recompile", 1);
-    }
-    let (canon_dag, canon_weights) = cur.complete(dag, weights);
-    let (plan, solver) =
-        plan::compile_plan_traced(&canon_dag, &canon_weights, machine, obs, Recording::on());
-    let replay = solver.map(|solver| Replay {
-        base: Arc::clone(cur),
-        solver,
-    });
-    (Arc::from(plan), replay)
 }
 
 /// Parses the wire `edit` object against the session's current DAG
@@ -554,6 +556,11 @@ fn parts_field(dag: &Dag, v: Option<&Value>, what: &str) -> Result<Vec<(NodeId, 
     Ok(parts)
 }
 
+/// The wire error for an edit the session cannot take.
+fn bad(e: impl ToString) -> ServeError {
+    ServeError::BadRequest(e.to_string())
+}
+
 /// Applies one parsed edit, preferring the dirty-slice replay and
 /// falling back (with a typed cause) when the edit — or the trace —
 /// cannot support it; a fallback pins its state's plan ([`pin`]).
@@ -563,9 +570,9 @@ fn parts_field(dag: &Dag, v: Option<&Value>, what: &str) -> Result<Vec<(NodeId, 
 fn apply_edit(
     s: &mut Session,
     edit: SessionEdit,
-    lookup: Lookup,
+    via: &Submitter,
     obs: &Obs,
-) -> Result<Edited, String> {
+) -> Result<Edited, ServeError> {
     let (dag, weights) = match edit {
         SessionEdit::SetRatio { node, parts } => {
             let before: Vec<(EdgeId, Ratio)> = s
@@ -575,7 +582,7 @@ fn apply_edit(
                 .map(|&e| (e, s.dag.edge(e).fraction))
                 .collect();
             // Validates before it writes: an error leaves the DAG as is.
-            let changed = set_mix_ratio(&mut s.dag, node, &parts).map_err(|e| e.to_string())?;
+            let changed = set_mix_ratio(&mut s.dag, node, &parts).map_err(bad)?;
             if changed.is_empty() {
                 return Ok(noop_response(s));
             }
@@ -592,7 +599,7 @@ fn apply_edit(
                         })
                         .collect(),
                 };
-                replay_or_recompile(s, lift, lookup, obs)
+                replay_or_recompile(s, lift, via, obs)
             });
         }
         SessionEdit::SetOutputVolume { node, weight } => {
@@ -605,7 +612,7 @@ fn apply_edit(
                     node: NodeId::from_index(base.node_perm[node.index()]),
                     weight: Ratio::from_int(weight as i128),
                 };
-                replay_or_recompile(s, lift, lookup, obs)
+                replay_or_recompile(s, lift, via, obs)
             });
         }
         SessionEdit::SetMachine(machine) => {
@@ -614,16 +621,9 @@ fn apply_edit(
             // recompile (the paper's feasibility checks are not
             // machine-monotone, so no slice is sound). The topology
             // stays, so only the mapping is recomputed.
-            let cur = canon::canonicalize_mapped(&s.dag, &s.weights, &machine)
-                .map_err(|e| e.to_string())?;
-            return Ok(fall_back(
-                s,
-                Arc::new(cur),
-                Some(machine),
-                "machine_parameter",
-                lookup,
-                obs,
-            ));
+            let cur = canon::canonicalize_mapped(&s.dag, &s.weights, &machine).map_err(bad)?;
+            let cur = Arc::new(cur);
+            return fall_back(s, cur, Some(machine), "machine_parameter", via, obs);
         }
         SessionEdit::AddNode(new_node) => {
             let mut dag = s.dag.clone();
@@ -637,8 +637,7 @@ fn apply_edit(
                     parts,
                     seconds,
                 } => {
-                    dag.add_mix(name, &parts, seconds)
-                        .map_err(|e| e.to_string())?;
+                    dag.add_mix(name, &parts, seconds).map_err(bad)?;
                 }
                 NewNode::Process { name, op, from } => {
                     dag.add_process(name, op, from);
@@ -653,8 +652,7 @@ fn apply_edit(
             (dag, weights)
         }
         SessionEdit::RemoveNode { node } => {
-            let (dag, remap) =
-                aqua_dag::rebuild_without(&s.dag, node).map_err(|e| e.to_string())?;
+            let (dag, remap) = aqua_dag::rebuild_without(&s.dag, node).map_err(bad)?;
             let mut weights = HashMap::with_capacity(s.weights.len());
             for (&id, &w) in &s.weights {
                 if let Some(new_id) = remap[id.index()] {
@@ -666,17 +664,10 @@ fn apply_edit(
     };
     // A structural edit canonicalizes the new DAG in full and re-pins
     // the whole session on its plan.
-    let cur = canon::key_pass(&dag, &weights, &s.machine).map_err(|e| e.to_string())?;
+    let cur = canon::key_pass(&dag, &weights, &s.machine).map_err(bad)?;
     let machine = s.machine.clone();
-    *s = Session::new(
-        dag,
-        weights,
-        machine,
-        Arc::new(cur.into()),
-        Some("structural"),
-        lookup,
-        obs,
-    );
+    let cur = Arc::new(cur.into());
+    *s = Session::new(dag, weights, machine, cur, Some("structural"), via, obs)?;
     Ok(full_edit(s, "structural"))
 }
 
@@ -690,7 +681,7 @@ fn noop_response(s: &Session) -> Edited {
         incremental: true,
         cause: None,
         slice: 0,
-        changed: false,
+        replayed: false,
     }
 }
 
@@ -710,8 +701,8 @@ enum Prior {
 fn replan_or_undo(
     s: &mut Session,
     prior: Prior,
-    replan: impl FnOnce(&mut Session) -> Result<Edited, String>,
-) -> Result<Edited, String> {
+    replan: impl FnOnce(&mut Session) -> Result<Edited, ServeError>,
+) -> Result<Edited, ServeError> {
     struct Undo<'a>(&'a mut Session, Option<Prior>);
     impl Drop for Undo<'_> {
         fn drop(&mut self) {
@@ -750,14 +741,14 @@ fn replan_or_undo(
 fn replay_or_recompile(
     s: &mut Session,
     lift: impl FnOnce(&Mapping) -> IncrEdit,
-    lookup: Lookup,
+    via: &Submitter,
     obs: &Obs,
-) -> Result<Edited, String> {
+) -> Result<Edited, ServeError> {
     #[cfg(test)]
     crate::service::tests::panic_once_at("session.edit");
     let Some(base) = s.replay.as_ref().map(|replay| Arc::clone(&replay.base)) else {
         let cur = mapping(s, obs)?;
-        return Ok(fall_back(s, cur, None, "no_trace", lookup, obs));
+        return fall_back(s, cur, None, "no_trace", via, obs);
     };
     let edit = lift(&base);
     let _span = obs.span("incr.replay");
@@ -788,7 +779,7 @@ fn replay_or_recompile(
                 incremental: true,
                 cause: None,
                 slice,
-                changed: true,
+                replayed: true,
             };
             s.mapping = cur;
             Ok(edited)
@@ -806,7 +797,7 @@ fn replay_or_recompile(
             // The solver mutated its stored rounds before diverging;
             // it is poisoned by contract.
             s.replay = None;
-            Ok(fall_back(s, cur, None, "divergence", lookup, obs))
+            fall_back(s, cur, None, "divergence", via, obs)
         }
     }
 }
@@ -817,7 +808,7 @@ fn replay_or_recompile(
 /// topology is fixed. The memo short-circuits the mapped
 /// re-canonicalization when the state was seen before (exact value
 /// compare, so the bytes cannot differ).
-fn mapping(s: &mut Session, obs: &Obs) -> Result<Arc<Mapping>, String> {
+fn mapping(s: &mut Session, obs: &Obs) -> Result<Arc<Mapping>, ServeError> {
     let state = CanonState::of(&s.dag, &s.weights);
     if let Some(hit) = s.memo.lookup(&state) {
         obs.add("incr.canon.hit", 1);
@@ -825,8 +816,7 @@ fn mapping(s: &mut Session, obs: &Obs) -> Result<Arc<Mapping>, String> {
     }
     obs.add("incr.canon.miss", 1);
     let _span = obs.span("incr.canon");
-    let cur =
-        canon::canonicalize_mapped(&s.dag, &s.weights, &s.machine).map_err(|e| e.to_string())?;
+    let cur = canon::canonicalize_mapped(&s.dag, &s.weights, &s.machine).map_err(bad)?;
     let cur = Arc::new(cur);
     s.memo.insert(state, Arc::clone(&cur));
     Ok(cur)
@@ -881,17 +871,17 @@ fn render_replay(s: &Session, base: &Mapping, cur: &Mapping, outcome: ReplayOutc
 /// Falls back for an edit that kept the topology: pins the plan of the
 /// edited state ([`pin`]), whose mapping is `cur`, under `machine`
 /// (`Some` for a machine edit, else the session's own). The memo stays
-/// unless the machine changed.
+/// unless the machine changed; a failed pin changes nothing.
 fn fall_back(
     s: &mut Session,
     cur: Arc<Mapping>,
     machine: Option<Machine>,
     cause: &'static str,
-    lookup: Lookup,
+    via: &Submitter,
     obs: &Obs,
-) -> Edited {
+) -> Result<Edited, ServeError> {
     let on = machine.as_ref().unwrap_or(&s.machine);
-    let (plan, replay) = pin(&s.dag, &s.weights, on, &cur, Some(cause), lookup, obs);
+    let (plan, replay) = pin(&s.dag, &s.weights, on, &cur, Some(cause), via, obs)?;
     if let Some(machine) = machine {
         s.memo = CanonMemo::primed(CanonState::of(&s.dag, &s.weights), Arc::clone(&cur));
         s.machine = machine;
@@ -899,7 +889,7 @@ fn fall_back(
     s.plan = plan;
     s.mapping = cur;
     s.replay = replay;
-    full_edit(s, cause)
+    Ok(full_edit(s, cause))
 }
 
 /// Answers a fallback edit with the session's newly pinned plan whole:
@@ -914,7 +904,7 @@ fn full_edit(s: &Session, cause: &'static str) -> Edited {
         incremental: false,
         cause: Some(cause),
         slice: 0,
-        changed: true,
+        replayed: false,
     }
 }
 
@@ -1038,6 +1028,7 @@ fn scan_string(bytes: &[u8], start: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{Service, ServiceConfig, DEFAULT_TENANT};
 
     #[test]
     fn top_level_members_splits_compact_objects() {
@@ -1072,20 +1063,20 @@ mod tests {
         assert_eq!(apply_delta(old, &delta).unwrap(), new);
     }
 
+    /// `f` on the compile path of a fresh service, which caches nothing.
+    fn on_fresh_service<T>(f: impl FnOnce(&Submitter) -> T) -> T {
+        let svc = Service::new(ServiceConfig::default());
+        let no_fields = crate::json::parse("{}").unwrap();
+        f(&svc.submitter(DEFAULT_TENANT, &no_fields).unwrap())
+    }
+
     /// A session registered on `(dag, weights, machine)` with nothing
     /// cached.
     fn pinned(dag: Dag, weights: HashMap<NodeId, u64>, machine: Machine) -> Session {
-        let cur = canon::key_pass(&dag, &weights, &machine).unwrap();
-        let (lookup, obs) = (&|_, _: &[u8]| None, &Obs::off());
-        Session::new(
-            dag,
-            weights,
-            machine,
-            Arc::new(cur.into()),
-            None,
-            lookup,
-            obs,
-        )
+        let cur = Arc::new(canon::key_pass(&dag, &weights, &machine).unwrap().into());
+        on_fresh_service(|via| {
+            Session::new(dag, weights, machine, cur, None, via, &Obs::off()).unwrap()
+        })
     }
 
     /// A session over `m = MIX A AND B IN RATIOS 1 : 4`.
@@ -1116,7 +1107,7 @@ mod tests {
 
         set_mix_ratio(&mut s.dag, m, &parts).unwrap();
         let failed = replan_or_undo(&mut s, Prior::Fractions(before.clone()), |_| {
-            Err("replan failed".to_owned())
+            Err(bad("replan failed"))
         });
         assert!(failed.is_err());
         assert_eq!(fractions(&s), registered.0);
@@ -1129,9 +1120,8 @@ mod tests {
             }
             let expected = s.weights.clone();
             let old = s.weights.insert(m, 7);
-            let failed = replan_or_undo(&mut s, Prior::Weight(m, old), |_| {
-                Err("replan failed".to_owned())
-            });
+            let failed =
+                replan_or_undo(&mut s, Prior::Weight(m, old), |_| Err(bad("replan failed")));
             assert!(failed.is_err());
             assert_eq!(s.weights, expected);
         }
@@ -1154,7 +1144,7 @@ mod tests {
             node: m,
             parts: parts.to_vec(),
         };
-        let edited = apply_edit(&mut s, edit, &|_, _| None, &Obs::off()).unwrap();
+        let edited = on_fresh_service(|via| apply_edit(&mut s, edit, via, &Obs::off())).unwrap();
         assert_eq!(edited.cause, Some("no_trace"));
         let cold = pinned(s.dag.clone(), s.weights.clone(), s.machine.clone());
         assert_eq!(edited.plan, cold.plan);

@@ -611,3 +611,132 @@ fn a_diverged_session_recompiles_and_replays_again() {
         assert_eq!(counters.counter(name), n, "{name}");
     }
 }
+
+/// The error tag of a response line, or `None` for a success.
+fn error_tag(line: &str) -> Option<String> {
+    let v = aqua_serve::json::parse(line).expect("response is JSON");
+    v.get("error").and_then(|e| e.as_str()).map(str::to_owned)
+}
+
+/// A session compile is a miss like any other: it is charged to the
+/// service's queue and its tenant's quota, so a register that would
+/// compile answers `overloaded` on a zero-slot queue and `shedding`
+/// past its tenant's in-flight quota, and no session is left behind.
+#[test]
+fn session_compiles_are_admitted_like_source_misses() {
+    for (config, error) in [
+        (
+            ServiceConfig {
+                queue_capacity: 0,
+                ..ServiceConfig::default()
+            },
+            "overloaded",
+        ),
+        (
+            ServiceConfig {
+                tenant_max_inflight: 0,
+                ..ServiceConfig::default()
+            },
+            "shedding",
+        ),
+    ] {
+        let svc = Service::new(config);
+        let line = svc.handle_line(&format!(
+            "{{\"id\":1,\"cmd\":\"session.register\",\"src\":{}}}",
+            aqua_serve::json::quote(TINY)
+        ));
+        assert_eq!(error_tag(&line).as_deref(), Some(error), "{line}");
+        assert_eq!(svc.session_count(), 0);
+    }
+}
+
+/// Session commands read `deadline_ms` as `src` requests do: a negative
+/// value is a bad request, one above the service cap is refused, and an
+/// expired deadline times out the compile a register would lead.
+#[test]
+fn session_commands_honour_deadline_ms() {
+    let svc = service();
+    let register_by = |id: u32, deadline: &str| {
+        svc.handle_line(&format!(
+            "{{\"id\":{id},\"cmd\":\"session.register\",\"src\":{},\"deadline_ms\":{deadline}}}",
+            aqua_serve::json::quote(TINY)
+        ))
+    };
+    let too_large = (ServiceConfig::default().max_deadline_ms + 1).to_string();
+    for (id, deadline, error) in [
+        (1, "-1", "bad_request"),
+        (2, too_large.as_str(), "deadline_too_large"),
+        (3, "0", "timeout"),
+    ] {
+        let line = register_by(id, deadline);
+        assert_eq!(error_tag(&line).as_deref(), Some(error), "{line}");
+    }
+    assert_eq!(svc.session_count(), 0);
+
+    let (sid, _) = register(&svc, TINY);
+    for (id, deadline, error) in [
+        (4, "-1", "bad_request"),
+        (5, &*too_large, "deadline_too_large"),
+    ] {
+        let line = svc.handle_line(&format!(
+            "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"{sid}\",\"deadline_ms\":{deadline},\
+             \"edit\":{{\"set_ratio\":{{\"node\":\"m\",\"parts\":[[\"A\",1],[\"B\",9]]}}}}}}"
+        ));
+        assert_eq!(error_tag(&line).as_deref(), Some(error), "{line}");
+    }
+}
+
+/// A machine edit whose compile cannot meet its deadline answers
+/// `timeout` and leaves the session as it was: the same key and plan,
+/// the same machine and the same canonical-mapping memo, and a trace its
+/// next ratio edits still replay.
+#[test]
+fn a_timed_out_machine_edit_leaves_the_session_as_it_was() {
+    let (obs, sink) = aqua_obs::Obs::recording();
+    let svc = Service::new(ServiceConfig {
+        obs,
+        ..ServiceConfig::default()
+    });
+    let (sid, mut plan) = register(&svc, TINY);
+    let edit = |id: u32, edit: &str, extra: &str| {
+        svc.handle_line(&format!(
+            "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"{sid}\"{extra},\"edit\":{edit}}}"
+        ))
+    };
+    let ratio =
+        |b: u32| format!("{{\"set_ratio\":{{\"node\":\"m\",\"parts\":[[\"A\",1],[\"B\",{b}]]}}}}");
+    let key = |line: &str| {
+        let v = aqua_serve::json::parse(line).unwrap();
+        v.get("key").unwrap().as_str().unwrap().to_owned()
+    };
+
+    let nine = edit(2, &ratio(9), "");
+    assert!(nine.contains("\"incremental\":true"), "{nine}");
+    plan = apply_delta(&plan, last_member(&nine, "delta")).unwrap();
+    let machine = "{\"set_machine\":{\"max_capacity_nl\":200}}";
+    let timed_out = edit(3, machine, ",\"deadline_ms\":0");
+    assert_eq!(
+        error_tag(&timed_out).as_deref(),
+        Some("timeout"),
+        "{timed_out}"
+    );
+
+    // The same key and plan: re-sending the current ratio is a no-op.
+    let noop = edit(4, &ratio(9), "");
+    assert_eq!(key(&noop), key(&nine));
+    assert_eq!(last_member(&noop, "delta"), "{\"replace\":{}}");
+
+    // The same machine and memo: both earlier states replay and map
+    // from the memo, and the plans are the paper machine's.
+    let hits = sink.snapshot().counter("incr.canon.hit");
+    for (id, b) in [(5, 4), (6, 9)] {
+        let line = edit(id, &ratio(b), "");
+        assert!(line.contains("\"incremental\":true"), "{line}");
+        plan = apply_delta(&plan, last_member(&line, "delta")).unwrap();
+        assert_eq!(
+            plan,
+            cold_plan(&TINY.replace("1 : 4", &format!("1 : {b}")), "")
+        );
+    }
+    assert_eq!(sink.snapshot().counter("incr.canon.hit"), hits + 2);
+}

@@ -176,8 +176,8 @@ fn compaction_preserves_every_live_record() {
     {
         let (mut store, recovered, _) = PlanStore::open(StoreConfig::at(&dir)).expect("open");
         assert_eq!(recovered.len(), appended.len());
-        store.compact().expect("compact");
-        assert_eq!(store.len(), appended.len());
+        assert_eq!(store.compact().expect("compact"), appended.len());
+        assert!(appended.iter().all(|a| store.contains(a.key)));
     }
     let (_store, recovered, _) = PlanStore::open(StoreConfig::at(&dir)).expect("reopen");
     assert_eq!(recovered.len(), appended.len());

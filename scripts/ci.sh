@@ -12,7 +12,10 @@
 #      invariants and the executor's conservation on seeded random
 #      DAGs; and tests/incr_differential.rs: session.edit deltas
 #      chained over random edit scripts stay byte-identical to cold
-#      compiles)
+#      compiles). The tests run timeout-guarded, as step 7 does:
+#      incr_differential's concurrent sessions (1, 2 and 8 threads)
+#      and tests/cli.rs's `aquac serve` runs wait on compiler threads,
+#      so a lost wake-up must fail CI, not hang it
 #   4. every example runs to completion (quickstart and
 #      glucose_pipeline name sense readings through the run's fluid
 #      table)
@@ -70,8 +73,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
+echo "==> tier-1: cargo test -q (timeout-guarded)"
+timeout 900 cargo test -q
 
 echo "==> examples run"
 for example in quickstart glucose_pipeline enzyme_rescue runtime_partitions trace_debug; do

@@ -138,6 +138,50 @@ fn serve_answers_a_source_its_key_and_stats() {
     assert!(child.wait().expect("aquac serve exits").success());
 }
 
+/// An uncached `session.register` compiles through the service's queue
+/// and tenant quota, as a `src` miss does: `--queue-cap 0` answers it
+/// `overloaded`, `--tenant-inflight 0` answers it `shedding`, and the
+/// `stats` line behind it is answered.
+#[test]
+fn serve_admits_session_compiles_like_source_misses() {
+    use std::process::Stdio;
+
+    for (flag, error) in [
+        ("--queue-cap", "overloaded"),
+        ("--tenant-inflight", "shedding"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_aquac"))
+            .args(["serve", flag, "0"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("aquac serve starts");
+        let mut stdin = child.stdin.take().expect("stdin is piped");
+        writeln!(
+            stdin,
+            "{{\"id\":1,\"cmd\":\"session.register\",\"src\":{}}}\n{{\"id\":2,\"cmd\":\"stats\"}}",
+            aqua_serve::json::quote(DEMO)
+        )
+        .expect("requests written");
+        drop(stdin);
+        let out = child.wait_with_output().expect("aquac serve exits");
+        assert!(out.status.success(), "{flag}: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{flag}: {text}");
+        assert!(
+            lines[0].starts_with(&format!("{{\"id\":1,\"ok\":false,\"error\":\"{error}\"")),
+            "{flag}: {}",
+            lines[0]
+        );
+        assert!(
+            lines[1].starts_with("{\"id\":2,\"ok\":true,\"stats\":"),
+            "{flag}: {}",
+            lines[1]
+        );
+    }
+}
+
 #[test]
 fn serve_rejects_the_removed_sharding_flags() {
     for flag in ["--worker-shards", "--shards", "--workers", "--max-batch"] {
