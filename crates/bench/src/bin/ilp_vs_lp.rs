@@ -35,7 +35,6 @@ fn main() {
         let cfg = IlpConfig {
             time_budget: budget,
             max_nodes: 1_000_000,
-            ..IlpConfig::default()
         };
         let start = std::time::Instant::now();
         let out = solve_ilp(&form.model, &cfg);

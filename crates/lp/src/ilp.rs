@@ -10,28 +10,25 @@
 //! The search is sequential and deterministic: nodes are expanded
 //! best-first with ties broken by creation order, and branching picks
 //! the most fractional variable with ties broken by smallest variable
-//! index. Each child's relaxation is warm-started from its parent's
-//! optimal basis (see [`crate::solve_with_warm`]).
+//! index. Each node's relaxation is its bound-tightened model, solved
+//! from scratch by [`crate::solve`].
 
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use crate::model::{Model, Sense};
-use crate::simplex::{solve_with_warm, SimplexConfig, Status};
+use crate::simplex::{solve, Status};
 use crate::solution::Solution;
-use crate::sparse::WarmStart;
 
-/// Budgets and tolerances for [`solve_ilp`].
+/// A value within this distance of an integer counts as integral.
+const INT_TOL: f64 = 1e-6;
+
+/// Budgets for [`solve_ilp`].
 #[derive(Debug, Clone)]
 pub struct IlpConfig {
     /// Maximum branch-and-bound nodes to expand.
     pub max_nodes: u64,
     /// Wall-clock budget, checked before each node.
     pub time_budget: Duration,
-    /// A value within this distance of an integer counts as integral.
-    pub int_tol: f64,
-    /// Configuration for the relaxation solves.
-    pub simplex: SimplexConfig,
 }
 
 impl Default for IlpConfig {
@@ -39,8 +36,6 @@ impl Default for IlpConfig {
         IlpConfig {
             max_nodes: 100_000,
             time_budget: Duration::from_secs(60),
-            int_tol: 1e-6,
-            simplex: SimplexConfig::default(),
         }
     }
 }
@@ -106,20 +101,17 @@ pub struct IlpOutcome {
 /// }
 /// ```
 pub fn solve_ilp(model: &Model, config: &IlpConfig) -> IlpOutcome {
-    let _span = config.simplex.obs.span("ilp.solve");
     let start = Instant::now();
     let mut stats = IlpStats::default();
     let int_vars = model.integer_vars();
 
     // Each open node is a set of tightened bounds plus the parent's
-    // relaxation bound (best-first ordering), a creation sequence number
-    // (deterministic tie-breaking), and the parent's optimal basis
-    // (warm-starting the child's relaxation).
+    // relaxation bound (best-first ordering) and a creation sequence
+    // number (deterministic tie-breaking).
     struct Node {
         bounds: Vec<(usize, f64, f64)>, // (var index, lb, ub)
         bound: f64,                     // relaxation objective (internal min)
         seq: u64,                       // creation order, unique
-        warm: Option<Rc<WarmStart>>,
     }
     // Internally minimize: for Maximize, compare negated objectives.
     let to_internal = |obj: f64| match model.sense() {
@@ -131,7 +123,6 @@ pub fn solve_ilp(model: &Model, config: &IlpConfig) -> IlpOutcome {
         bounds: Vec::new(),
         bound: f64::NEG_INFINITY,
         seq: 0,
-        warm: None,
     }];
     let mut next_seq: u64 = 1;
     let mut incumbent: Option<Solution> = None;
@@ -170,7 +161,7 @@ pub fn solve_ilp(model: &Model, config: &IlpConfig) -> IlpOutcome {
         for &(vi, lb, ub) in &node.bounds {
             sub.tighten_bounds(crate::model::VarId(vi), lb, ub);
         }
-        let (out, warm_out) = solve_with_warm(&sub, &config.simplex, node.warm.as_deref());
+        let out = solve(&sub);
         stats.nodes += 1;
         stats.simplex_iterations += out.stats.iterations;
         let sol = match out.status {
@@ -198,7 +189,7 @@ pub fn solve_ilp(model: &Model, config: &IlpConfig) -> IlpOutcome {
         // `>` keeps the smallest variable index on exact fractionality
         // ties.
         let mut branch: Option<(usize, f64)> = None;
-        let mut best_frac = config.int_tol;
+        let mut best_frac = INT_TOL;
         for v in &int_vars {
             let val = sol.values[v.index()];
             let frac = (val - val.round()).abs();
@@ -214,21 +205,15 @@ pub fn solve_ilp(model: &Model, config: &IlpConfig) -> IlpOutcome {
                 incumbent = Some(sol);
             }
             Some((vi, val)) => {
-                // Children inherit this node's optimal basis: tightening
-                // a bound keeps it dual feasible, so the child re-solve
-                // is a short dual-simplex run instead of a cold start.
-                let warm = warm_out.map(Rc::new);
                 open.push(Node {
                     bounds: with_bound(&node.bounds, vi, f64::NEG_INFINITY, val.floor()),
                     bound: internal_obj,
                     seq: next_seq,
-                    warm: warm.clone(),
                 });
                 open.push(Node {
                     bounds: with_bound(&node.bounds, vi, val.ceil(), f64::INFINITY),
                     bound: internal_obj,
                     seq: next_seq + 1,
-                    warm,
                 });
                 next_seq += 2;
             }
@@ -236,7 +221,6 @@ pub fn solve_ilp(model: &Model, config: &IlpConfig) -> IlpOutcome {
     }
 
     stats.elapsed = start.elapsed();
-    config.simplex.obs.add("ilp.nodes", stats.nodes);
     let status = if saw_budget_stop {
         IlpStatus::BudgetExhausted { incumbent }
     } else if let Some(s) = incumbent {
@@ -421,8 +405,8 @@ mod tests {
 
     /// The whole search is pinned: node and iteration counts, the
     /// objective and every incumbent value, bit for bit. A change to
-    /// node selection, branching, pruning or warm starts moves one of
-    /// these.
+    /// node selection, branching, pruning or the relaxation solves
+    /// moves one of these.
     #[test]
     fn bushy_search_is_pinned() {
         let out = solve_ilp(
@@ -430,11 +414,10 @@ mod tests {
             &IlpConfig {
                 max_nodes: 200,
                 time_budget: Duration::from_secs(3600),
-                ..IlpConfig::default()
             },
         );
         assert_eq!(out.stats.nodes, 65);
-        assert_eq!(out.stats.simplex_iterations, 108);
+        assert_eq!(out.stats.simplex_iterations, 205);
         let s = match &out.status {
             IlpStatus::Optimal(s) => s,
             other => panic!("unexpected {other:?}"),

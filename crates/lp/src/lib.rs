@@ -15,8 +15,8 @@
 //! * [`solve_ilp`] — sequential best-first branch-and-bound integer
 //!   programming on top of the relaxation, with node- and time-budgets
 //!   (the paper's ILP "ran for hours"; budgets turn that into a
-//!   reportable outcome). Every child node is warm-started from its
-//!   parent's optimal basis via a bounded-variable dual simplex;
+//!   reportable outcome). Every node's relaxation is a cold [`solve`]
+//!   of its bound-tightened model;
 //! * [`batch`] — an index-ordered parallel map over independent tasks
 //!   (one compile per queued request, one Vnorm table per partition).
 //!
@@ -55,8 +55,6 @@ pub use expr::LinExpr;
 pub use ilp::{solve_ilp, IlpConfig, IlpOutcome, IlpStats, IlpStatus};
 pub use model::{Constraint, ConstraintSense, Model, ModelError, Sense, VarId};
 pub use simplex::{
-    solve, solve_dense, solve_with, solve_with_warm, PricingRule, SimplexConfig, SolveOutput,
-    SolveStats, Status,
+    solve, solve_dense, solve_with, PricingRule, SimplexConfig, SolveOutput, SolveStats, Status,
 };
 pub use solution::Solution;
-pub use sparse::WarmStart;

@@ -2,9 +2,9 @@
 //!
 //! [`solve_with`] runs the sparse revised simplex of [`crate::sparse`]:
 //! CSC column storage, a product-form eta basis with periodic
-//! refactorization, devex pricing ([`PricingRule::Devex`]), and warm
-//! starts for branch-and-bound. Work per iteration is proportional to
-//! the basis/eta sizes rather than to `rows x cols`.
+//! refactorization and devex pricing ([`PricingRule::Devex`]). Work per
+//! iteration is proportional to the basis/eta sizes rather than to
+//! `rows x cols`.
 //!
 //! [`solve_dense`] runs the original dense tableau over the same
 //! standardization pipeline. No production path calls it: it is the
@@ -21,8 +21,8 @@
 //!    an internal variable with bounds `[0, u]` (`u` possibly infinite);
 //!    every constraint becomes an equality via a slack. (The dense
 //!    tableau additionally sign-normalizes rows so the right-hand side
-//!    is nonnegative; the sparse solver keeps rows as formulated so the
-//!    matrix is bound-independent and can be reused across warm starts.)
+//!    is nonnegative; the sparse solver keeps rows as formulated and
+//!    signs each row's artificial instead.)
 //! 3. **Phase 1** — artificial variables are added where a slack cannot
 //!    serve as the initial basis and `sum(artificials)` is minimized;
 //!    a positive optimum means the model is infeasible. Artificials are
@@ -31,11 +31,18 @@
 //!    bounded-variable pivoting rules (entering variables may rise from
 //!    their lower bound or fall from their upper bound; the ratio test
 //!    admits bound flips). Dantzig pricing is used until the objective
-//!    stalls, after which Bland's rule guarantees termination.
+//!    stalls for [`STALL_LIMIT`] iterations, after which Bland's rule
+//!    guarantees termination.
 
 use crate::model::{ConstraintSense, Model, Sense};
 use crate::solution::Solution;
-use crate::sparse::WarmStart;
+
+/// Feasibility and reduced-cost tolerance of both backends.
+pub(crate) const TOL: f64 = 1e-7;
+
+/// Iterations without objective progress before pricing switches to
+/// Bland's rule.
+pub(crate) const STALL_LIMIT: u64 = 256;
 
 /// Entering-variable pricing rule for the sparse solver. The dense
 /// oracle ([`solve_dense`]) always prices by Dantzig's rule, so its
@@ -53,16 +60,11 @@ pub enum PricingRule {
 }
 
 /// Tuning knobs for [`solve_with`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimplexConfig {
-    /// Feasibility / reduced-cost tolerance.
-    pub tol: f64,
     /// Hard cap on simplex iterations per phase; `None` derives a cap
     /// from the problem size.
     pub max_iters: Option<u64>,
-    /// Iterations without objective progress before switching to Bland's
-    /// rule.
-    pub stall_limit: u64,
     /// Entering-variable pricing for the sparse solver.
     pub pricing: PricingRule,
     /// Instrumentation handle: spans (`lp.solve`, `lp.phase1`,
@@ -70,18 +72,6 @@ pub struct SimplexConfig {
     /// `lp.backend_chosen.sparse`, `lp.pricing.*`). Off by default — the
     /// default handle records nothing.
     pub obs: aqua_obs::Obs,
-}
-
-impl Default for SimplexConfig {
-    fn default() -> SimplexConfig {
-        SimplexConfig {
-            tol: 1e-7,
-            max_iters: None,
-            stall_limit: 256,
-            pricing: PricingRule::default(),
-            obs: aqua_obs::Obs::default(),
-        }
-    }
 }
 
 /// Outcome of a solve: status plus statistics.
@@ -160,34 +150,15 @@ pub fn solve(model: &Model) -> SolveOutput {
 
 /// Solves a model with an explicit configuration. See [`solve`].
 pub fn solve_with(model: &Model, config: &SimplexConfig) -> SolveOutput {
-    solve_with_warm(model, config, None).0
-}
-
-/// Solves a model, optionally warm-starting from the basis of a
-/// previous solve of a *bound-tightened variant* of the same model (the
-/// branch-and-bound case: costs and coefficients unchanged, variable
-/// bounds only tightened).
-///
-/// Returns the outcome plus, when the solve ended [`Status::Optimal`],
-/// an opaque [`WarmStart`] capturing the optimal basis for reuse.
-///
-/// An incompatible warm start (different model shape) is detected and
-/// ignored — the solve falls back to a cold start, never to a wrong
-/// answer.
-pub fn solve_with_warm(
-    model: &Model,
-    config: &SimplexConfig,
-    warm: Option<&WarmStart>,
-) -> (SolveOutput, Option<WarmStart>) {
     if model.validate().is_err() {
-        return (infeasible(), None);
+        return infeasible();
     }
     let span = config.obs.span("lp.solve");
-    let (out, ws) = crate::sparse::solve_sparse(model, config, warm);
+    let out = crate::sparse::solve_sparse(model, config);
     config.obs.add("lp.backend_chosen.sparse", 1);
     config.obs.add("lp.pivots", out.stats.iterations);
     span.end();
-    (out, ws)
+    out
 }
 
 /// Solves a model on the dense tableau, the differential-testing oracle
@@ -208,7 +179,7 @@ pub fn solve_dense(model: &Model, config: &SimplexConfig) -> SolveOutput {
 
 /// The zero-work [`Status::Infeasible`] outcome: the model failed
 /// validation, or presolve already proved it infeasible.
-fn infeasible() -> SolveOutput {
+pub(crate) fn infeasible() -> SolveOutput {
     SolveOutput {
         status: Status::Infeasible,
         stats: SolveStats::default(),
@@ -226,7 +197,7 @@ pub(crate) enum BuildVerdict {
 /// How a model variable maps onto internal column(s):
 /// `x_model = offset + sign * x_col` (plus a second negated column for
 /// free variables).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct VarMap {
     pub(crate) col: usize,
     pub(crate) offset: f64,
@@ -253,7 +224,7 @@ pub(crate) struct Presolved {
 
 /// Folds single-variable constraints into variable bounds (shared by
 /// both backends so they standardize identically).
-pub(crate) fn presolve(model: &Model, tol: f64) -> Result<Presolved, BuildVerdict> {
+pub(crate) fn presolve(model: &Model) -> Result<Presolved, BuildVerdict> {
     let n = model.num_vars();
     let mut lb: Vec<f64> = (0..n).map(|i| model.vars[i].lb).collect();
     let mut ub: Vec<f64> = (0..n).map(|i| model.vars[i].ub).collect();
@@ -264,9 +235,9 @@ pub(crate) fn presolve(model: &Model, tol: f64) -> Result<Presolved, BuildVerdic
         match terms.len() {
             0 => {
                 let ok = match c.sense {
-                    ConstraintSense::Le => 0.0 <= c.rhs + tol,
-                    ConstraintSense::Ge => 0.0 >= c.rhs - tol,
-                    ConstraintSense::Eq => c.rhs.abs() <= tol,
+                    ConstraintSense::Le => 0.0 <= c.rhs + TOL,
+                    ConstraintSense::Ge => 0.0 >= c.rhs - TOL,
+                    ConstraintSense::Eq => c.rhs.abs() <= TOL,
                 };
                 if !ok {
                     return Err(BuildVerdict::Infeasible);
@@ -298,7 +269,7 @@ pub(crate) fn presolve(model: &Model, tol: f64) -> Result<Presolved, BuildVerdic
         }
     }
     for i in 0..n {
-        if lb[i] > ub[i] + tol {
+        if lb[i] > ub[i] + TOL {
             return Err(BuildVerdict::Infeasible);
         }
         // Numerical cross-over from folding: clamp.
@@ -404,7 +375,7 @@ struct Tableau {
 impl Tableau {
     fn build(model: &Model, config: &SimplexConfig) -> Result<Tableau, BuildVerdict> {
         // --- Presolve + variable mapping (shared with the sparse backend). ---
-        let pre = presolve(model, config.tol)?;
+        let pre = presolve(model)?;
         let (var_maps, mut upper, nstruct) = build_var_maps(&pre.lb, &pre.ub);
         let folded = pre.folded;
         let kept_rows: Vec<&crate::model::Constraint> = pre
@@ -555,7 +526,6 @@ impl Tableau {
     /// Runs simplex iterations until optimal/unbounded/limit for the
     /// current reduced costs. Returns the termination kind.
     fn iterate(&mut self, costs: &[f64], phase1: bool) -> IterEnd {
-        let tol = self.config.tol;
         let cap = self.iteration_cap();
         let mut local_iters: u64 = 0;
         let mut bland = false;
@@ -567,7 +537,7 @@ impl Tableau {
             }
             // --- Pricing ---
             let mut entering: Option<usize> = None;
-            let mut best_score = tol;
+            let mut best_score = TOL;
             for j in 0..self.cols {
                 if self.status[j] == ColStatus::Basic || self.upper[j] <= 0.0 {
                     continue;
@@ -606,7 +576,7 @@ impl Tableau {
             for r in 0..self.rows {
                 let arj = self.at(r, jin);
                 let change = sigma * arj; // basic value changes by -t*change
-                if change > tol {
+                if change > TOL {
                     let limit = (self.beta[r].max(0.0)) / change;
                     if limit < tmax - 1e-12
                         || (limit < tmax + 1e-12 && better_leaving(arj, leave_pivot, bland))
@@ -615,7 +585,7 @@ impl Tableau {
                         leaving = Some((r, ColStatus::AtLower));
                         leave_pivot = arj;
                     }
-                } else if change < -tol {
+                } else if change < -TOL {
                     let ub = self.upper[self.basic[r]];
                     if ub.is_finite() {
                         let limit = (ub - self.beta[r]).max(0.0) / (-change);
@@ -684,7 +654,7 @@ impl Tableau {
                 stall = 0;
             } else {
                 stall += 1;
-                if stall > self.config.stall_limit {
+                if stall > STALL_LIMIT {
                     bland = true;
                 }
             }
@@ -731,8 +701,6 @@ impl Tableau {
     }
 
     fn run(&mut self, model: &Model) -> SolveOutput {
-        let tol = self.config.tol;
-
         // --- Phase 1 ---
         if self.art_start < self.cols {
             let _phase1 = self.config.obs.span("lp.phase1");
@@ -751,7 +719,7 @@ impl Tableau {
                 IterEnd::IterationLimit => return self.finish(Status::IterationLimit),
             }
             let infeas = self.phase_objective(&phase1_cost);
-            if infeas > tol * (1.0 + self.rows as f64) {
+            if infeas > TOL * (1.0 + self.rows as f64) {
                 return self.finish(Status::Infeasible);
             }
             // Clamp artificials to zero so they can never re-activate.

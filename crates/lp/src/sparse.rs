@@ -1,5 +1,5 @@
-//! Sparse revised simplex: CSC column storage, a product-form eta basis
-//! ([`crate::basis`]), and warm-started re-solves for branch-and-bound.
+//! Sparse revised simplex: CSC column storage and a product-form eta
+//! basis ([`crate::basis`]).
 //!
 //! The dense tableau of [`crate::simplex`] updates `B^-1 A` in full on
 //! every pivot — `O(rows x cols)` per iteration, which is what makes the
@@ -8,29 +8,18 @@
 //! iteration does one BTRAN, one pricing sweep over the nonzeros, and
 //! one FTRAN — `O(nnz + m + eta file)`.
 //!
-//! Differences from the dense standardization that make warm starts
-//! possible:
+//! Differences from the dense standardization:
 //!
-//! * rows are **not** sign-normalized (the matrix is then independent of
-//!   the variable bounds, so a parent and a bound-tightened child in
-//!   branch-and-bound share the exact same column structure);
+//! * rows are **not** sign-normalized; instead,
 //! * artificial variables are **virtual**: one per row, never stored,
-//!   materialized as `±e_r` on the fly with the sign chosen per solve
-//!   from the right-hand side. Column numbering therefore never shifts.
-//!
-//! Warm starts: [`solve_sparse`] accepts the optimal basis of a previous
-//! solve of a bound-tightened variant of the same model. The parent's
-//! optimal basis stays *dual* feasible when only bounds change, so a
-//! bounded-variable dual simplex restores primal feasibility in a few
-//! pivots, followed by a primal phase-2 cleanup. Any incompatibility or
-//! numerical trouble falls back to a cold start — never to a wrong
-//! answer.
+//!   materialized as `±e_r` on the fly with the sign chosen from the
+//!   row's right-hand side. Column numbering therefore never shifts.
 
 use crate::basis::EtaBasis;
 use crate::model::{ConstraintSense, Model};
 use crate::simplex::{
-    better_leaving, build_var_maps, internal_costs, presolve, BuildVerdict, ColStatus, IterEnd,
-    PricingRule, SimplexConfig, SolveOutput, SolveStats, Status, VarMap,
+    better_leaving, build_var_maps, infeasible, internal_costs, presolve, BuildVerdict, ColStatus,
+    IterEnd, PricingRule, SimplexConfig, SolveOutput, SolveStats, Status, VarMap, STALL_LIMIT, TOL,
 };
 use crate::solution::Solution;
 
@@ -154,8 +143,8 @@ pub(crate) struct Standardized {
 }
 
 impl Standardized {
-    fn build(model: &Model, tol: f64) -> Result<Standardized, BuildVerdict> {
-        let pre = presolve(model, tol)?;
+    fn build(model: &Model) -> Result<Standardized, BuildVerdict> {
+        let pre = presolve(model)?;
         let (var_maps, mut upper, nstruct) = build_var_maps(&pre.lb, &pre.ub);
         let m = pre.kept.len();
         let art_start = nstruct + m;
@@ -214,29 +203,6 @@ impl Standardized {
 }
 
 // ---------------------------------------------------------------------
-// Warm starts
-// ---------------------------------------------------------------------
-
-/// Opaque optimal-basis snapshot from a sparse solve, reusable to
-/// warm-start a solve of a bound-tightened variant of the same model
-/// (see [`crate::solve_with_warm`]).
-#[derive(Debug, Clone)]
-pub struct WarmStart {
-    ncols: usize,
-    basic: Vec<usize>,
-    status: Vec<ColStatus>,
-    /// Structural signature: bound tightening that changes a variable's
-    /// *mapping* (e.g. free -> bounded) changes column structure, which
-    /// this detects.
-    var_maps: Vec<VarMap>,
-}
-
-enum WarmOutcome {
-    Done(SolveOutput),
-    Fallback,
-}
-
-// ---------------------------------------------------------------------
 // The revised simplex
 // ---------------------------------------------------------------------
 
@@ -258,22 +224,11 @@ struct Revised<'a> {
     basis: EtaBasis,
 }
 
-/// Entry point used by [`crate::solve_with_warm`] for the sparse
-/// backend. The model must already be validated.
-pub(crate) fn solve_sparse(
-    model: &Model,
-    config: &SimplexConfig,
-    warm: Option<&WarmStart>,
-) -> (SolveOutput, Option<WarmStart>) {
-    let std = match Standardized::build(model, config.tol) {
-        Ok(s) => s,
-        Err(BuildVerdict::Infeasible) => {
-            let out = SolveOutput {
-                status: Status::Infeasible,
-                stats: SolveStats::default(),
-            };
-            return (out, None);
-        }
+/// Entry point used by [`crate::solve_with`]. The model must already
+/// be validated.
+pub(crate) fn solve_sparse(model: &Model, config: &SimplexConfig) -> SolveOutput {
+    let Ok(std) = Standardized::build(model) else {
+        return infeasible();
     };
     let mut solver = Revised::new(std, model, config.clone());
     // A model with no columns (no variables, every constraint folded)
@@ -282,23 +237,9 @@ pub(crate) fn solve_sparse(
     if solver.ncols == 0 {
         let values = solver.extract();
         let objective = model.objective().eval(&values);
-        return (
-            solver.finish(Status::Optimal(Solution { objective, values })),
-            None,
-        );
+        return solver.finish(Status::Optimal(Solution { objective, values }));
     }
-    if let Some(ws) = warm {
-        if solver.warm_compatible(ws) {
-            if let WarmOutcome::Done(out) = solver.run_warm(ws) {
-                let snapshot = solver.snapshot_if_optimal(&out);
-                return (out, snapshot);
-            }
-            // Incompatible numerics: fall through to a cold start.
-        }
-    }
-    let out = solver.run_cold();
-    let snapshot = solver.snapshot_if_optimal(&out);
-    (out, snapshot)
+    solver.run()
 }
 
 impl<'a> Revised<'a> {
@@ -482,7 +423,6 @@ impl<'a> Revised<'a> {
     }
 
     fn iterate_dantzig(&mut self, costs: &[f64], phase1: bool) -> IterEnd {
-        let tol = self.config.tol;
         let cap = self.iteration_cap();
         let mut local_iters: u64 = 0;
         let mut bland = false;
@@ -502,7 +442,7 @@ impl<'a> Revised<'a> {
             }
             self.basis.btran(&mut y);
             let mut entering: Option<usize> = None;
-            let mut best_score = tol;
+            let mut best_score = TOL;
             for (j, &cj) in costs.iter().enumerate().take(self.ncols) {
                 if self.status[j] == ColStatus::Basic || self.upper[j] <= 0.0 {
                     continue;
@@ -545,7 +485,7 @@ impl<'a> Revised<'a> {
             let mut leave_pivot = 0.0f64;
             for (r, &arj) in w.iter().enumerate() {
                 let change = sigma * arj; // basic value changes by -t*change
-                if change > tol {
+                if change > TOL {
                     let limit = (self.beta[r].max(0.0)) / change;
                     if limit < tmax - 1e-12
                         || (limit < tmax + 1e-12 && better_leaving(arj, leave_pivot, bland))
@@ -554,7 +494,7 @@ impl<'a> Revised<'a> {
                         leaving = Some((r, ColStatus::AtLower));
                         leave_pivot = arj;
                     }
-                } else if change < -tol {
+                } else if change < -TOL {
                     let ub = self.upper[self.basic[r]];
                     if ub.is_finite() {
                         let limit = (ub - self.beta[r]).max(0.0) / (-change);
@@ -623,7 +563,7 @@ impl<'a> Revised<'a> {
                 stall = 0;
             } else {
                 stall += 1;
-                if stall > self.config.stall_limit {
+                if stall > STALL_LIMIT {
                     bland = true;
                 }
             }
@@ -647,7 +587,7 @@ impl<'a> Revised<'a> {
 
     /// Improving-direction score of nonbasic column `j` under reduced
     /// costs `d`, or `None` when the column is not eligible to enter.
-    fn price_eligible(&self, j: usize, d: &[f64], phase1: bool, tol: f64) -> Option<f64> {
+    fn price_eligible(&self, j: usize, d: &[f64], phase1: bool) -> Option<f64> {
         if self.status[j] == ColStatus::Basic || self.upper[j] <= 0.0 {
             return None;
         }
@@ -660,7 +600,7 @@ impl<'a> Revised<'a> {
             ColStatus::AtUpper => d[j],
             ColStatus::Basic => unreachable!(),
         };
-        (score > tol).then_some(score)
+        (score > TOL).then_some(score)
     }
 
     /// Picks the entering column. Under Bland's rule: the smallest
@@ -679,14 +619,13 @@ impl<'a> Revised<'a> {
         phase1: bool,
         bland: bool,
     ) -> Option<usize> {
-        let tol = self.config.tol;
         if bland {
-            return (0..self.ncols).find(|&j| self.price_eligible(j, d, phase1, tol).is_some());
+            return (0..self.ncols).find(|&j| self.price_eligible(j, d, phase1).is_some());
         }
         let best_of = |list: &[usize]| -> Option<usize> {
             let mut best: Option<(usize, f64)> = None;
             for &j in list {
-                if let Some(score) = self.price_eligible(j, d, phase1, tol) {
+                if let Some(score) = self.price_eligible(j, d, phase1) {
                     let merit = score * score / weights[j];
                     if best.is_none_or(|(_, bm)| merit > bm) {
                         best = Some((j, merit));
@@ -708,7 +647,7 @@ impl<'a> Revised<'a> {
         while k < n {
             let j = (start + k) % n;
             k += 1;
-            if self.price_eligible(j, d, phase1, tol).is_some() {
+            if self.price_eligible(j, d, phase1).is_some() {
                 cands.push(j);
                 if cands.len() >= CAND_LIMIT {
                     break;
@@ -730,7 +669,6 @@ impl<'a> Revised<'a> {
     /// reduced costs drift, optimality and unboundedness are always
     /// re-verified against freshly computed ones before returning.
     fn iterate_devex(&mut self, costs: &[f64], phase1: bool) -> IterEnd {
-        let tol = self.config.tol;
         let cap = self.iteration_cap();
         let mut local_iters: u64 = 0;
         let mut bland = false;
@@ -755,7 +693,7 @@ impl<'a> Revised<'a> {
                 // confirm against fresh ones before declaring optimal.
                 let fresh = self.compute_reduced_costs(costs);
                 let drifted =
-                    (0..self.ncols).any(|j| self.price_eligible(j, &fresh, phase1, tol).is_some());
+                    (0..self.ncols).any(|j| self.price_eligible(j, &fresh, phase1).is_some());
                 d = fresh;
                 cands.clear();
                 if !drifted {
@@ -781,7 +719,7 @@ impl<'a> Revised<'a> {
             let mut leave_pivot = 0.0f64;
             for (r, &arj) in w.iter().enumerate() {
                 let change = sigma * arj;
-                if change > tol {
+                if change > TOL {
                     let limit = (self.beta[r].max(0.0)) / change;
                     if limit < tmax - 1e-12
                         || (limit < tmax + 1e-12 && better_leaving(arj, leave_pivot, bland))
@@ -790,7 +728,7 @@ impl<'a> Revised<'a> {
                         leaving = Some((r, ColStatus::AtLower));
                         leave_pivot = arj;
                     }
-                } else if change < -tol {
+                } else if change < -TOL {
                     let ub = self.upper[self.basic[r]];
                     if ub.is_finite() {
                         let limit = (ub - self.beta[r]).max(0.0) / (-change);
@@ -808,7 +746,7 @@ impl<'a> Revised<'a> {
                 // A drifted reduced cost can make a non-improving column
                 // look like an unbounded ray; re-verify before giving up.
                 let fresh = self.compute_reduced_costs(costs);
-                if self.price_eligible(jin, &fresh, phase1, tol).is_some() {
+                if self.price_eligible(jin, &fresh, phase1).is_some() {
                     return IterEnd::Unbounded;
                 }
                 d = fresh;
@@ -905,7 +843,7 @@ impl<'a> Revised<'a> {
                 stall = 0;
             } else {
                 stall += 1;
-                if stall > self.config.stall_limit && !bland {
+                if stall > STALL_LIMIT && !bland {
                     bland = true;
                     // Bland's anti-cycling argument needs trustworthy
                     // reduced-cost signs; refresh once at the switch.
@@ -917,18 +855,13 @@ impl<'a> Revised<'a> {
         }
     }
 
-    // --- cold start ---
+    // --- the two phases ---
 
-    fn run_cold(&mut self) -> SolveOutput {
-        let tol = self.config.tol;
+    fn run(&mut self) -> SolveOutput {
         let art_start = self.std.art_start;
 
         // Initial basis: the row's slack when it can sit at a feasible
         // value, otherwise the row's (activated) artificial.
-        self.status.iter_mut().for_each(|s| *s = ColStatus::AtLower);
-        for j in art_start..self.ncols {
-            self.upper[j] = 0.0;
-        }
         let mut any_artificial = false;
         for r in 0..self.m {
             let s = self.std.slack[r];
@@ -966,7 +899,7 @@ impl<'a> Revised<'a> {
                 IterEnd::IterationLimit => return self.finish(Status::IterationLimit),
             }
             let infeas = self.phase_objective(&phase1_cost, &priced_columns(&phase1_cost));
-            if infeas > tol * (1.0 + self.m as f64) {
+            if infeas > TOL * (1.0 + self.m as f64) {
                 return self.finish(Status::Infeasible);
             }
             // Clamp artificials so they can never re-activate.
@@ -975,10 +908,7 @@ impl<'a> Revised<'a> {
             }
         }
 
-        self.run_phase2()
-    }
-
-    fn run_phase2(&mut self) -> SolveOutput {
+        // --- Phase 2 ---
         let _phase2 = self.config.obs.span("lp.phase2");
         let mut phase2_cost = self.std.cost.clone();
         phase2_cost.resize(self.ncols, 0.0);
@@ -991,185 +921,6 @@ impl<'a> Revised<'a> {
             IterEnd::Unbounded => self.finish(Status::Unbounded),
             IterEnd::IterationLimit => self.finish(Status::IterationLimit),
         }
-    }
-
-    // --- warm start + dual simplex ---
-
-    fn warm_compatible(&self, ws: &WarmStart) -> bool {
-        ws.ncols == self.ncols
-            && ws.basic.len() == self.m
-            && ws.status.len() == self.ncols
-            && ws.var_maps == self.std.var_maps
-            && ws.basic.iter().all(|&j| j < self.std.art_start)
-    }
-
-    fn run_warm(&mut self, ws: &WarmStart) -> WarmOutcome {
-        self.basic.copy_from_slice(&ws.basic);
-        self.status.copy_from_slice(&ws.status);
-        for j in self.std.art_start..self.ncols {
-            self.upper[j] = 0.0;
-            self.status[j] = ColStatus::AtLower;
-        }
-        // A bound that was finite in the parent may have tightened; one
-        // that was infinite stays infinite (tightening only). Demote any
-        // nonbasic-at-upper column whose span is no longer usable.
-        for j in 0..self.std.art_start {
-            if self.status[j] == ColStatus::AtUpper
-                && !(self.upper[j].is_finite() && self.upper[j] > 0.0)
-            {
-                self.status[j] = ColStatus::AtLower;
-            }
-        }
-        if self.refactor().is_err() {
-            return WarmOutcome::Fallback;
-        }
-        let mut phase2_cost = self.std.cost.clone();
-        phase2_cost.resize(self.ncols, 0.0);
-        self.config.obs.add("lp.warm_restores", 1);
-        match self.dual_restore(&phase2_cost) {
-            DualEnd::Feasible => WarmOutcome::Done(self.run_phase2()),
-            DualEnd::Infeasible => WarmOutcome::Done(self.finish(Status::Infeasible)),
-            DualEnd::GiveUp => WarmOutcome::Fallback,
-        }
-    }
-
-    /// Bounded-variable dual simplex: drives primal-infeasible basic
-    /// variables to their violated bound while keeping reduced costs
-    /// dual feasible. Used to re-optimize after bound tightening.
-    fn dual_restore(&mut self, costs: &[f64]) -> DualEnd {
-        let tol = self.config.tol;
-        let cap = 200 + 2 * self.m as u64;
-        let mut iters: u64 = 0;
-        let mut y = vec![0.0; self.m];
-        let mut rho = vec![0.0; self.m];
-        let mut w = vec![0.0; self.m];
-        loop {
-            // --- Leaving: most primal-infeasible basic variable ---
-            let mut leave: Option<(usize, f64, bool)> = None; // (row, violation, below_lower)
-            for r in 0..self.m {
-                let q = self.basic[r];
-                let below = -self.beta[r];
-                let above = if self.upper[q].is_finite() {
-                    self.beta[r] - self.upper[q]
-                } else {
-                    f64::NEG_INFINITY
-                };
-                let (viol, is_low) = if below >= above {
-                    (below, true)
-                } else {
-                    (above, false)
-                };
-                if viol > tol && leave.as_ref().is_none_or(|&(_, v, _)| viol > v) {
-                    leave = Some((r, viol, is_low));
-                }
-            }
-            let Some((r, _, below_lower)) = leave else {
-                return DualEnd::Feasible;
-            };
-            if iters >= cap {
-                return DualEnd::GiveUp;
-            }
-
-            // Reduced costs (recomputed; dual re-solves take few pivots).
-            y.iter_mut().for_each(|v| *v = 0.0);
-            for i in 0..self.m {
-                y[i] = costs[self.basic[i]];
-            }
-            self.basis.btran(&mut y);
-            // Row r of B^-1 A: rho = B^-T e_r, alpha_j = rho . a_j.
-            rho.iter_mut().for_each(|v| *v = 0.0);
-            rho[r] = 1.0;
-            self.basis.btran(&mut rho);
-
-            // --- Entering: dual ratio test, min |d_j / alpha_j| ---
-            let mut enter: Option<(usize, f64, f64)> = None; // (col, ratio, alpha)
-            for (j, &cj) in costs.iter().enumerate().take(self.ncols) {
-                if self.status[j] == ColStatus::Basic || self.upper[j] <= 0.0 {
-                    continue;
-                }
-                let alpha = self.col_dot(j, &rho);
-                let admissible = match (below_lower, self.status[j]) {
-                    // x_q must rise to 0: entering from lower needs
-                    // alpha < 0, from upper needs alpha > 0.
-                    (true, ColStatus::AtLower) => alpha < -tol,
-                    (true, ColStatus::AtUpper) => alpha > tol,
-                    // x_q must fall to its upper bound: signs reverse.
-                    (false, ColStatus::AtLower) => alpha > tol,
-                    (false, ColStatus::AtUpper) => alpha < -tol,
-                    (_, ColStatus::Basic) => false,
-                };
-                if !admissible {
-                    continue;
-                }
-                let dj = cj - self.col_dot(j, &y);
-                let ratio = (dj / alpha).abs();
-                if enter
-                    .as_ref()
-                    .is_none_or(|&(_, best, _)| ratio < best - 1e-12)
-                {
-                    enter = Some((j, ratio, alpha));
-                }
-            }
-            let Some((jin, _, _)) = enter else {
-                // Dual unbounded: the tightened model is infeasible.
-                return DualEnd::Infeasible;
-            };
-
-            // --- Pivot ---
-            w.iter_mut().for_each(|v| *v = 0.0);
-            self.scatter_col(jin, &mut w);
-            self.basis.ftran(&mut w);
-            if w[r].abs() < 1e-11 {
-                return DualEnd::GiveUp; // numerically degenerate pivot
-            }
-            let q = self.basic[r];
-            let target = if below_lower { 0.0 } else { self.upper[q] };
-            // w[r] is alpha_r,jin computed through the (fresher) FTRAN.
-            let delta = (self.beta[r] - target) / w[r];
-            for (i, (b, &wi)) in self.beta.iter_mut().zip(&w).enumerate() {
-                if i != r && wi != 0.0 {
-                    *b -= delta * wi;
-                }
-            }
-            self.beta[r] = match self.status[jin] {
-                ColStatus::AtLower => delta,
-                ColStatus::AtUpper => self.upper[jin] + delta,
-                ColStatus::Basic => unreachable!(),
-            };
-            self.status[q] = if below_lower {
-                ColStatus::AtLower
-            } else {
-                ColStatus::AtUpper
-            };
-            self.status[jin] = ColStatus::Basic;
-            self.basic[r] = jin;
-            self.basis.push(r, &w);
-            iters += 1;
-            self.stats.iterations += 1;
-            if self.basis.updates_since_refactor() >= EtaBasis::REFACTOR_LIMIT
-                && self.refactor().is_err()
-            {
-                return DualEnd::GiveUp;
-            }
-        }
-    }
-
-    fn snapshot_if_optimal(&self, out: &SolveOutput) -> Option<WarmStart> {
-        if !out.status.is_optimal() {
-            return None;
-        }
-        // A basic artificial (possible at value 0 after a degenerate
-        // phase 1) would pin the child's basis to this solve's artificial
-        // signs; skip the snapshot in that rare case.
-        if self.basic.iter().any(|&j| j >= self.std.art_start) {
-            return None;
-        }
-        Some(WarmStart {
-            ncols: self.ncols,
-            basic: self.basic.clone(),
-            status: self.status.clone(),
-            var_maps: self.std.var_maps.clone(),
-        })
     }
 
     /// Reconstructs model-space values from the internal state.
@@ -1224,17 +975,11 @@ impl PivotRow {
     }
 }
 
-enum DualEnd {
-    Feasible,
-    Infeasible,
-    GiveUp,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::Sense;
-    use crate::simplex::{solve_with, solve_with_warm};
+    use crate::simplex::solve_with;
 
     fn optimal(out: &SolveOutput) -> &Solution {
         match &out.status {
@@ -1265,66 +1010,6 @@ mod tests {
         let out = solve_with(&m, &SimplexConfig::default());
         let s = optimal(&out);
         assert!((s.objective - 36.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn warm_start_resolves_after_tightening() {
-        // maximize x + y s.t. x + y <= 10, x - y <= 4.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, 20.0);
-        let y = m.add_var("y", 0.0, 20.0);
-        m.set_objective([(x, 2.0), (y, 1.0)]);
-        m.add_le("cap", [(x, 1.0), (y, 1.0)], 10.0);
-        m.add_le("gap", [(x, 1.0), (y, -1.0)], 4.0);
-        let (out, warm) = solve_with_warm(&m, &SimplexConfig::default(), None);
-        let parent_obj = optimal(&out).objective;
-        assert!((parent_obj - 17.0).abs() < 1e-6, "obj={parent_obj}");
-        let warm = warm.expect("optimal solve yields a warm start");
-
-        // Child: tighten x <= 5 (as branch-and-bound would).
-        let mut child = m.clone();
-        child.tighten_bounds(x, f64::NEG_INFINITY, 5.0);
-        let (warm_out, _) = solve_with_warm(&child, &SimplexConfig::default(), Some(&warm));
-        let (cold_out, _) = solve_with_warm(&child, &SimplexConfig::default(), None);
-        let wobj = optimal(&warm_out).objective;
-        let cobj = optimal(&cold_out).objective;
-        assert!((wobj - cobj).abs() < 1e-6, "warm {wobj} vs cold {cobj}");
-        assert!(optimal(&warm_out).is_feasible_for(&child, 1e-6));
-    }
-
-    #[test]
-    fn warm_start_detects_child_infeasibility() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, 10.0);
-        let y = m.add_var("y", 0.0, 10.0);
-        m.set_objective([(x, 1.0), (y, 1.0)]);
-        m.add_ge("floor", [(x, 1.0), (y, 1.0)], 8.0);
-        let (_, warm) = solve_with_warm(&m, &SimplexConfig::default(), None);
-        let warm = warm.expect("warm start");
-        let mut child = m.clone();
-        child.tighten_bounds(x, f64::NEG_INFINITY, 2.0);
-        child.tighten_bounds(y, f64::NEG_INFINITY, 2.0);
-        let (out, _) = solve_with_warm(&child, &SimplexConfig::default(), Some(&warm));
-        assert!(matches!(out.status, Status::Infeasible), "{:?}", out.status);
-    }
-
-    #[test]
-    fn incompatible_warm_start_falls_back_to_cold() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", 0.0, 4.0);
-        m.set_objective([(x, 1.0)]);
-        m.add_le("c", [(x, 2.0)], 6.0);
-        let (_, warm) = solve_with_warm(&m, &SimplexConfig::default(), None);
-        let warm = warm.expect("warm start");
-
-        // A structurally different model: the stale basis must be ignored.
-        let mut other = Model::new(Sense::Maximize);
-        let a = other.add_var("a", 0.0, 4.0);
-        let b = other.add_var("b", 0.0, 4.0);
-        other.set_objective([(a, 1.0), (b, 1.0)]);
-        other.add_le("c", [(a, 1.0), (b, 1.0)], 5.0);
-        let (out, _) = solve_with_warm(&other, &SimplexConfig::default(), Some(&warm));
-        assert!((optimal(&out).objective - 5.0).abs() < 1e-6);
     }
 
     #[test]

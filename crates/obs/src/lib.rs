@@ -301,7 +301,7 @@ mod tests {
         let off = Obs::default();
         {
             let _s = off.span("vol.manage");
-            off.add("ilp.nodes", 3);
+            off.add("lp.eta_refactors", 3);
             off.record("h", 9);
         }
         let snap = sink.snapshot();

@@ -23,7 +23,7 @@ fn deterministic_recording() -> Arc<FleetSink> {
             obs.add("lp.pivots", 12);
         } // ends at 4000 ns
     } // ends at 5000 ns
-    obs.add("ilp.nodes", 3);
+    obs.add("lp.eta_refactors", 3);
     sink
 }
 
@@ -34,7 +34,7 @@ fn chrome_trace_is_byte_stable_under_a_fake_clock() {
   {\"name\": \"vol.manage\", \"cat\": \"aqua\", \"ph\": \"X\", \"ts\": 0.000, \"dur\": 5.000, \"pid\": 1, \"tid\": 1},
   {\"name\": \"vol.dagsolve\", \"cat\": \"aqua\", \"ph\": \"X\", \"ts\": 1.000, \"dur\": 1.000, \"pid\": 1, \"tid\": 1},
   {\"name\": \"lp.solve\", \"cat\": \"aqua\", \"ph\": \"X\", \"ts\": 3.000, \"dur\": 1.000, \"pid\": 1, \"tid\": 1},
-  {\"name\": \"ilp.nodes\", \"cat\": \"aqua\", \"ph\": \"C\", \"ts\": 5.000, \"pid\": 1, \"tid\": 1, \"args\": {\"value\": 3}},
+  {\"name\": \"lp.eta_refactors\", \"cat\": \"aqua\", \"ph\": \"C\", \"ts\": 5.000, \"pid\": 1, \"tid\": 1, \"args\": {\"value\": 3}},
   {\"name\": \"lp.pivots\", \"cat\": \"aqua\", \"ph\": \"C\", \"ts\": 5.000, \"pid\": 1, \"tid\": 1, \"args\": {\"value\": 12}}
 ], \"displayTimeUnit\": \"ms\"}
 ";

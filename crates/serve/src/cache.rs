@@ -144,31 +144,25 @@ impl ShardedLru {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up `key`, verifying the canonical `encoding` byte-for-byte.
-    /// A hit refreshes recency.
-    pub fn get(&self, key: u128, encoding: &[u8]) -> Option<Served> {
+    /// Looks up `key`, verifying the canonical `encoding` byte-for-byte,
+    /// and serves the entry only if `take` accepts it. A served entry is
+    /// a hit and refreshes recency; a refused one counts as a miss.
+    pub fn get(
+        &self,
+        key: u128,
+        encoding: &[u8],
+        take: impl FnOnce(&Served) -> bool,
+    ) -> Option<Served> {
         let mut shard = self.shard(key);
-        match shard.map.get(&key).copied() {
-            None => {
-                CacheStats::bump(&self.stats.misses);
-                self.obs.add("serve.cache.miss", 1);
-                None
-            }
+        let found = match shard.map.get(&key).copied() {
             Some(i) if shard.slots[i].encoding.as_ref() != encoding => {
                 CacheStats::bump(&self.stats.collisions);
-                CacheStats::bump(&self.stats.misses);
                 self.obs.add("serve.cache.collision", 1);
-                self.obs.add("serve.cache.miss", 1);
                 None
             }
-            Some(i) => {
-                shard.unlink(i);
-                shard.push_front(i);
-                CacheStats::bump(&self.stats.hits);
-                self.obs.add("serve.cache.hit", 1);
-                Some(shard.slots[i].value.clone())
-            }
-        }
+            found => found.filter(|&i| take(&shard.slots[i].value)),
+        };
+        self.serve(&mut shard, found)
     }
 
     /// Looks up `key` without an encoding to verify (the key-addressed
@@ -176,20 +170,23 @@ impl ShardedLru {
     /// previous response). A hit refreshes recency.
     pub fn get_by_key(&self, key: u128) -> Option<Served> {
         let mut shard = self.shard(key);
-        match shard.map.get(&key).copied() {
-            None => {
-                CacheStats::bump(&self.stats.misses);
-                self.obs.add("serve.cache.miss", 1);
-                None
-            }
-            Some(i) => {
-                shard.unlink(i);
-                shard.push_front(i);
-                CacheStats::bump(&self.stats.hits);
-                self.obs.add("serve.cache.hit", 1);
-                Some(shard.slots[i].value.clone())
-            }
-        }
+        let found = shard.map.get(&key).copied();
+        self.serve(&mut shard, found)
+    }
+
+    /// Finishes a lookup: a found slot is a hit, which refreshes its
+    /// recency and returns a copy of its entry; `None` is a miss.
+    fn serve(&self, shard: &mut Shard, found: Option<usize>) -> Option<Served> {
+        let Some(i) = found else {
+            CacheStats::bump(&self.stats.misses);
+            self.obs.add("serve.cache.miss", 1);
+            return None;
+        };
+        shard.unlink(i);
+        shard.push_front(i);
+        CacheStats::bump(&self.stats.hits);
+        self.obs.add("serve.cache.hit", 1);
+        Some(shard.slots[i].value.clone())
     }
 
     /// Stores `value` under `key`, evicting the shard's LRU entry if
@@ -291,15 +288,15 @@ mod tests {
         cache.insert(k(1), enc(1), served("one"));
         cache.insert(k(2), enc(2), served("two"));
         // Touch 1 so 2 becomes the LRU entry.
-        assert!(cache.get(k(1), &[1]).is_some());
+        assert!(cache.get(k(1), &[1], |_| true).is_some());
         cache.insert(k(3), enc(3), served("three"));
         assert_eq!(cache.len(), 2);
         assert!(
-            cache.get(k(2), &[2]).is_none(),
+            cache.get(k(2), &[2], |_| true).is_none(),
             "2 should have been evicted"
         );
-        assert!(cache.get(k(1), &[1]).is_some());
-        assert!(cache.get(k(3), &[3]).is_some());
+        assert!(cache.get(k(1), &[1], |_| true).is_some());
+        assert!(cache.get(k(3), &[3], |_| true).is_some());
         assert_eq!(cache.stats.evictions.load(Ordering::Relaxed), 1);
     }
 
@@ -309,9 +306,9 @@ mod tests {
         cache.insert(7, enc(1), served("first"));
         // Same 128-bit key, different canonical encoding: a true hash
         // collision. The lookup must miss and the insert must refuse.
-        assert!(cache.get(7, &[2]).is_none());
+        assert!(cache.get(7, &[2], |_| true).is_none());
         cache.insert(7, enc(2), served("impostor"));
-        let hit = cache.get(7, &[1]).expect("original entry intact");
+        let hit = cache.get(7, &[1], |_| true).expect("original entry intact");
         assert_eq!(&*hit.plan, "first");
         assert_eq!(cache.stats.collisions.load(Ordering::Relaxed), 2);
     }
@@ -323,8 +320,8 @@ mod tests {
         cache.insert(k(2), enc(2), served("v2"));
         cache.insert(k(1), enc(1), served("v1b"));
         cache.insert(k(3), enc(3), served("v3")); // evicts 2, not 1
-        assert_eq!(&*cache.get(k(1), &[1]).unwrap().plan, "v1b");
-        assert!(cache.get(k(2), &[2]).is_none());
+        assert_eq!(&*cache.get(k(1), &[1], |_| true).unwrap().plan, "v1b");
+        assert!(cache.get(k(2), &[2], |_| true).is_none());
     }
 
     #[test]

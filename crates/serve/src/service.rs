@@ -662,8 +662,9 @@ impl Service {
     /// of the key in flight, and outside the in-flight lock (one that then
     /// finds a flight begun in between joins it). A `traced` request (a
     /// session's) takes no cached plan that [`may_replay`], since only its
-    /// own compile can leave it that plan's replay solver; it may still
-    /// join a flight, and its caller decides what a shared plan is worth.
+    /// own compile can leave it that plan's replay solver, and its probe
+    /// counts such a plan as a miss; it may still join a flight, and its
+    /// caller decides what a shared plan is worth.
     fn submit<R: Probe>(
         &self,
         request: R,
@@ -679,7 +680,7 @@ impl Service {
         let key = request.probe().0;
         let pinnable = |hit: &Served| !traced || !may_replay(&hit.plan);
 
-        if let Some(hit) = inner.cache.get(key, request.probe().1).filter(pinnable) {
+        if let Some(hit) = inner.cache.get(key, request.probe().1, pinnable) {
             return Ok((hit, Got::Shared(Some(request))));
         }
 
@@ -697,8 +698,7 @@ impl Service {
             match inflight.get(&key) {
                 None => None,
                 Some(flight) => {
-                    let hit = inner.cache.get(key, request.probe().1).filter(pinnable);
-                    if let Some(hit) = hit {
+                    if let Some(hit) = inner.cache.get(key, request.probe().1, pinnable) {
                         return Ok((hit, Got::Shared(Some(request))));
                     }
                     Some(inner.follow(flight))
@@ -718,7 +718,7 @@ impl Service {
                 .unwrap_or_else(PoisonError::into_inner);
             // Re-probe under the lock: a compiler thread publishes
             // cache-first, so a just-finished compile is visible here.
-            if let Some(hit) = inner.cache.get(key, &canonical.2).filter(pinnable) {
+            if let Some(hit) = inner.cache.get(key, &canonical.2, pinnable) {
                 return Ok((hit, Got::Shared(None)));
             }
             if let Some(flight) = inflight.get(&key) {
@@ -1891,6 +1891,33 @@ END
             .unwrap();
         assert_eq!(plan.as_deref(), Some(&*cold.plan));
         assert_eq!(sink.snapshot().counter("serve.panics"), 1);
+    }
+
+    /// A probe counts a hit only for a plan its request takes: after a
+    /// `src` request caches TINY's DAGSolve plan, which a session may not
+    /// pin, a TINY `session.register` counts the two misses of any
+    /// compile and no hit.
+    #[test]
+    fn a_session_register_counts_no_hit_for_a_plan_it_cannot_take() {
+        let svc = service(ServiceConfig::default());
+        let (_, plan, _) =
+            key_plan_names(&svc.handle_line(&format!("{{\"id\":1,\"src\":{}}}", quote(TINY))));
+        assert!(may_replay(&plan), "{plan}");
+        let stats = &svc.inner.cache.stats;
+        let counts = || {
+            (
+                stats.hits.load(Ordering::Relaxed),
+                stats.misses.load(Ordering::Relaxed),
+            )
+        };
+        let before = counts();
+        let registered = svc.handle_line(&format!(
+            "{{\"id\":2,\"cmd\":\"session.register\",\"src\":{}}}",
+            quote(TINY)
+        ));
+        assert!(registered.contains("\"ok\":true"), "{registered}");
+        let after = counts();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (0, 2));
     }
 
     /// A `session.register` that finds its state's compile in flight

@@ -18,7 +18,12 @@
 #      so a lost wake-up must fail CI, not hang it
 #   4. every example runs to completion (quickstart and
 #      glucose_pipeline name sense readings through the run's fluid
-#      table)
+#      table), and so does every paper-figure binary of aqua-bench
+#      (fig2_example, fig12_glucose, fig13_glycomics, fig14_enzyme,
+#      table2, lp_constrained, machine_sensitivity, rounding_ablation,
+#      rounding_error, biostream_comparison), so a panic in one fails
+#      CI; ilp_vs_lp is left out, as its Enzyme* row spends its whole
+#      30-s budget
 #   5. the repository benchmark's build (perfbench, --locked: fails when
 #      a public item it uses goes away or an inter-crate dependency list
 #      drifts from perfbench/Cargo.lock)
@@ -79,6 +84,12 @@ timeout 900 cargo test -q
 echo "==> examples run"
 for example in quickstart glucose_pipeline enzyme_rescue runtime_partitions trace_debug; do
   cargo run --release --quiet --example "$example" >/dev/null
+done
+
+echo "==> paper-figure binaries run"
+for bin in fig2_example fig12_glucose fig13_glycomics fig14_enzyme table2 lp_constrained \
+  machine_sensitivity rounding_ablation rounding_error biostream_comparison; do
+  cargo run --release --quiet -p aqua-bench --bin "$bin" >/dev/null
 done
 
 echo "==> repository benchmark builds against today's crates (--locked)"

@@ -4,7 +4,8 @@
 //! computes on the four paper assays and on seeded synthetic DAGs.
 //! Objectives are compared within 1e-6 (alternative optima can
 //! legitimately move vertex coordinates; the optimum value cannot).
-//! The IVol branch-and-bound search on glucose is pinned as well.
+//! The IVol branch-and-bound searches on glucose and enzyme are pinned
+//! as well.
 
 use aqua_assays::synthetic::{layered_dag, LayeredConfig};
 use aqua_assays::{figure2, Benchmark};
@@ -99,30 +100,40 @@ fn paper_assays_agree_across_rules() {
     assert!(assert_all_rules_agree("enzyme10", &form.model).is_none());
 }
 
-/// Glucose's IVol model under a 200-node budget: node and iteration
-/// counts, the incumbent objective and every incumbent value are pinned
-/// bit for bit, so any change to node selection, branching, pruning or
-/// the warm-started relaxation solves shows up here.
+/// The IVol branch-and-bound searches under a 200-node budget: glucose
+/// proves its incumbent optimal, with the node and iteration counts, the
+/// objective and every value pinned bit for bit, and enzyme's relaxation
+/// is infeasible at the root. Any change to node selection, branching,
+/// pruning or the relaxation solves shows up here.
 #[test]
 fn glucose_ivol_search_is_pinned() {
-    let form = lpform::build(
-        &dag_of(Benchmark::Glucose),
-        &Machine::paper_default(),
-        &LpOptions::ivol(),
+    let search = |b: Benchmark| {
+        let form = lpform::build(&dag_of(b), &Machine::paper_default(), &LpOptions::ivol());
+        aqua_lp::solve_ilp(
+            &form.model,
+            &IlpConfig {
+                max_nodes: 200,
+                time_budget: std::time::Duration::from_secs(3600),
+            },
+        )
+    };
+    let enzyme = search(Benchmark::Enzyme);
+    assert!(
+        matches!(enzyme.status, IlpStatus::Infeasible),
+        "enzyme: {:?}",
+        enzyme.status
     );
-    let out = aqua_lp::solve_ilp(
-        &form.model,
-        &IlpConfig {
-            max_nodes: 200,
-            time_budget: std::time::Duration::from_secs(3600),
-            ..IlpConfig::default()
-        },
+    assert_eq!(
+        (enzyme.stats.nodes, enzyme.stats.simplex_iterations),
+        (1, 154)
     );
-    assert_eq!(out.stats.nodes, 200);
-    assert_eq!(out.stats.simplex_iterations, 2271);
+
+    let out = search(Benchmark::Glucose);
+    assert_eq!(out.stats.nodes, 153);
+    assert_eq!(out.stats.simplex_iterations, 3334);
     let incumbent = match &out.status {
-        IlpStatus::BudgetExhausted { incumbent: Some(s) } => s,
-        other => panic!("expected the node budget to stop the search: {other:?}"),
+        IlpStatus::Optimal(s) => s,
+        other => panic!("expected the search to prove its incumbent optimal: {other:?}"),
     };
     assert_eq!(incumbent.objective.to_bits(), 0x4097_a400_0000_0000); // 1513
     let values: Vec<u64> = incumbent.values.iter().map(|v| v.to_bits()).collect();

@@ -1,9 +1,11 @@
 //! The metric names are a closed list: every span, counter and
 //! histogram name one recording sink sees across the compiler, the
 //! plan service, sessions, the scheduler and the batch executor must
-//! be a row of the table in DESIGN.md §7.2, with the same kind.
+//! be a row of the table in DESIGN.md §7.2, with the same kind; and
+//! every row's name must still be written somewhere in non-test source.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use aqua_assays::{figure2, Benchmark};
 use aqua_compiler::CompileOptions;
@@ -170,4 +172,46 @@ fn every_emitted_name_is_in_the_design_table() {
     ] {
         assert!(snap.counter(name) > 0, "{name} is zero");
     }
+}
+
+/// Appends the non-test part of every `.rs` file under `dir`: each file
+/// up to its first line starting with `#[cfg(test)]`, the part
+/// `scripts/loc.sh` counts.
+fn non_test_source(dir: &Path, out: &mut String) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            non_test_source(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).expect("readable source file");
+            for line in text.lines() {
+                if line.starts_with("#[cfg(test)]") {
+                    break;
+                }
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+}
+
+#[test]
+fn every_design_row_is_named_in_non_test_source() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut source = String::new();
+    non_test_source(&root.join("src"), &mut source);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let src = krate.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            non_test_source(&src, &mut source);
+        }
+    }
+    let stale: Vec<String> = documented()
+        .into_keys()
+        .filter(|name| !source.contains(&format!("\"{name}\"")))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "DESIGN.md §7.2 rows no non-test source names: {stale:?}"
+    );
 }
