@@ -1,7 +1,7 @@
 //! Exact feasibility pre-check for the RVol LP (the perfect-mixability
 //! direction of arXiv:1806.08875, specialized to Figure 3's formulation).
 //!
-//! The LP's ratio rows force every live in-edge of a node to carry a
+//! The LP's ratio rows force every in-edge of a node to carry a
 //! fixed share of that node's total inflow, so the whole system reduces
 //! to one variable per node: its total inflow `t` in least-count units
 //! (for sources, the load variable). All remaining constraint classes
@@ -16,7 +16,7 @@
 //! anti-skew output band (dropping constraints can only shrink the set
 //! of provable infeasibilities) and bails out as [`Unsupported`] on
 //! structures whose reduction is not a pure lower-bound system (an
-//! excess node with several live in-edges couples its producers through
+//! excess node with several in-edges couples its producers through
 //! the ratio rows). A `Proven` verdict is a constructive certificate
 //! that the exact rational LP — and hence the f64 LP the simplex sees —
 //! has no solution; anything else means "run the solver".
@@ -164,22 +164,21 @@ fn node_bounds(
     let span = machine.span();
     let is_source = node.kind.is_source();
 
-    // Every edge a node lists is live (see `Dag::edge_is_live`).
-    let live_in = dag.in_edges(id);
-    let live_out = dag.out_edges(id);
+    let ins = dag.in_edges(id);
+    let outs = dag.out_edges(id);
 
     if node.kind == NodeKind::Excess {
         // An excess sink's inflow is fixed by its producer's excess
         // rows; with one in-edge every constraint on it is already
         // expressed at the producer. Several in-edges would couple the
         // producers through the ratio rows — outside the reduction.
-        return if live_in.len() > 1 {
+        return if ins.len() > 1 {
             Err(Unsupported)
         } else {
             Ok(None)
         };
     }
-    if !is_source && live_in.is_empty() && live_out.is_empty() {
+    if !is_source && ins.is_empty() && outs.is_empty() {
         return Ok(None);
     }
 
@@ -191,7 +190,7 @@ fn node_bounds(
             }
             *f
         }
-        NodeKind::Separate { fraction: None } if !live_out.is_empty() => {
+        NodeKind::Separate { fraction: None } if !outs.is_empty() => {
             // Interior unknown volume: the hierarchy rejects this DAG
             // before any LP, but stay conservative.
             return Err(Unsupported);
@@ -201,13 +200,13 @@ fn node_bounds(
 
     let mut bound = Ratio::ZERO;
 
-    // Class 1 (minimum transfer) through the ratio rows: every live
-    // in-edge carries fraction/sum(fractions) of the inflow, so the
+    // Class 1 (minimum transfer) through the ratio rows: every in-edge
+    // carries fraction/sum(fractions) of the inflow, so the
     // smallest-fraction edge pins the floor.
-    if !live_in.is_empty() {
+    if !ins.is_empty() {
         let mut frac_sum = Ratio::ZERO;
         let mut min_frac: Option<Ratio> = None;
-        for &e in live_in {
+        for &e in ins {
             let f = dag.edge(e).fraction;
             if !f.is_positive() {
                 return Err(Unsupported);
@@ -223,7 +222,7 @@ fn node_bounds(
     let mut useful = Ratio::ZERO;
     let mut discard_share = Ratio::ZERO;
     let mut excess_cap: Option<Ratio> = None;
-    for &e in live_out {
+    for &e in outs {
         let edge = dag.edge(e);
         if dag.node(edge.dst).kind == NodeKind::Excess {
             let share = edge.fraction;
@@ -259,7 +258,7 @@ fn node_bounds(
             useful = useful.checked_add(need).map_err(|_| Unsupported)?;
         }
     }
-    if !live_out.is_empty() {
+    if !outs.is_empty() {
         // Non-deficit: useful + discard_share * prod <= prod.
         let keep = Ratio::ONE
             .checked_sub(discard_share)
@@ -277,7 +276,7 @@ fn node_bounds(
             let denom = prod_factor.checked_mul(keep).map_err(|_| Unsupported)?;
             bound = bound.max(useful.checked_div(denom).map_err(|_| Unsupported)?);
         }
-        if !is_source && live_in.is_empty() && bound.is_positive() {
+        if !is_source && ins.is_empty() && bound.is_positive() {
             // No inflow variable exists (t = 0), yet consumers demand
             // fluid: the non-deficit row is unsatisfiable.
             return Ok(Some((
@@ -287,9 +286,9 @@ fn node_bounds(
         }
     }
 
-    // Class 2: capacity rows exist for sources and for nodes with live
+    // Class 2: capacity rows exist for sources and for nodes with
     // inflow; excess out-edges tighten the ceiling further.
-    let cap = if is_source || !live_in.is_empty() {
+    let cap = if is_source || !ins.is_empty() {
         Some(excess_cap.map_or(span, |c| c.min(span)))
     } else {
         excess_cap

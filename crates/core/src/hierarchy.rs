@@ -48,12 +48,13 @@ impl fmt::Display for Method {
     }
 }
 
+/// Rewrite rounds the hierarchy runs at most (each round cascades
+/// every extreme mix or replicates one bottleneck).
+const MAX_REWRITE_ROUNDS: usize = 6;
+
 /// Budgets for the hierarchy.
 #[derive(Debug, Clone)]
 pub struct VolumeManagerOptions {
-    /// Maximum rewrite rounds (each round cascades every extreme mix or
-    /// replicates one bottleneck).
-    pub max_rewrite_rounds: usize,
     /// Whether excess production (and hence cascading) is allowed; some
     /// fluids forbid discarding for safety/cost/regulatory reasons.
     pub allow_excess: bool,
@@ -85,7 +86,6 @@ pub struct VolumeManagerOptions {
 impl Default for VolumeManagerOptions {
     fn default() -> VolumeManagerOptions {
         VolumeManagerOptions {
-            max_rewrite_rounds: 6,
             allow_excess: true,
             use_lp: true,
             output_weights: std::collections::HashMap::new(),
@@ -194,7 +194,7 @@ pub(crate) fn manage_volumes_impl(
     // assignment, read off `tables` only if the hierarchy gives up.
     let mut best: Option<Verdict> = None;
 
-    for round in 0..=opts.max_rewrite_rounds {
+    for round in 0..=MAX_REWRITE_ROUNDS {
         rec.begin_round(&work);
         // --- 1. DAGSolve ---
         let verdict = {
@@ -368,7 +368,7 @@ pub(crate) fn manage_volumes_impl(
             }
         }
 
-        if round == opts.max_rewrite_rounds {
+        if round == MAX_REWRITE_ROUNDS {
             break;
         }
 
@@ -667,8 +667,9 @@ mod oracle {
 }
 
 /// Run-time re-entry of the hierarchy (§3.5 + Fig. 6's regeneration
-/// tier): re-solves an assay's volumes with *observed* node
-/// availability (in nl) as hard production caps.
+/// tier): re-solves an assay's volumes under its relative output
+/// weights (absent = 1, as in [`VolumeManagerOptions::output_weights`])
+/// with *observed* node availability (in nl) as hard production caps.
 ///
 /// This is the DAGSolve-only fast path — no LP and no rewrites, since
 /// it runs mid-execution where a rewritten DAG could no longer be
@@ -680,14 +681,14 @@ mod oracle {
 pub fn replan_with_observations(
     dag: &Dag,
     machine: &Machine,
-    opts: &VolumeManagerOptions,
-    observed_nl: &std::collections::HashMap<aqua_dag::NodeId, Ratio>,
+    output_weights: &HashMap<NodeId, Ratio>,
+    observed_nl: &HashMap<NodeId, Ratio>,
 ) -> ManagedOutcome {
     let mut log = vec![format!(
         "run-time replan with {} observed volumes",
         observed_nl.len()
     )];
-    match dagsolve::solve_capped(dag, machine, &opts.output_weights, observed_nl) {
+    match dagsolve::solve_capped(dag, machine, output_weights, observed_nl) {
         Ok(sol) => match sol.underflow {
             None => {
                 log.push("replan: DAGSolve (capped) succeeded".into());
@@ -930,7 +931,7 @@ mod replan_tests {
         let machine = Machine::paper_default();
         let mut obs = HashMap::new();
         obs.insert(b, Ratio::from_int(40));
-        let out = replan_with_observations(&d, &machine, &Default::default(), &obs);
+        let out = replan_with_observations(&d, &machine, &HashMap::new(), &obs);
         match out {
             ManagedOutcome::Solved { volumes, .. } => {
                 assert_eq!(volumes.method, Method::DagSolve);
@@ -948,7 +949,7 @@ mod replan_tests {
         let machine = Machine::paper_default();
         let mut obs = HashMap::new();
         obs.insert(b, Ratio::new(1, 100).unwrap());
-        let out = replan_with_observations(&d, &machine, &Default::default(), &obs);
+        let out = replan_with_observations(&d, &machine, &HashMap::new(), &obs);
         assert!(matches!(out, ManagedOutcome::NeedsRegeneration { .. }));
     }
 }
@@ -1142,9 +1143,6 @@ mod weighted_lp_tests {
                 // count everywhere.
                 let lc = Machine::paper_default().least_count_nl();
                 for e in dag.edge_ids() {
-                    if !dag.edge_is_live(e) {
-                        continue;
-                    }
                     if dag.node(dag.edge(e).dst).kind == aqua_dag::NodeKind::Excess {
                         continue;
                     }

@@ -90,8 +90,8 @@ impl LpOptions {
 pub struct LpFormulation {
     /// The assembled model (least-count units).
     pub model: Model,
-    /// Per-edge variable (dead/cut edges have none).
-    pub edge_vars: Vec<Option<VarId>>,
+    /// Per-edge variable, by edge id.
+    pub edge_vars: Vec<VarId>,
     /// Load variable per source node.
     pub source_vars: HashMap<NodeId, VarId>,
     /// Number of constraints as formulated (Table 2's "LP constraints").
@@ -125,17 +125,16 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
     let mut model = Model::new(Sense::Maximize);
 
     // --- Variables ---
-    let mut edge_vars: Vec<Option<VarId>> = vec![None; dag.num_edges()];
-    for e in dag.edge_ids() {
-        if dag.edge_is_live(e) {
-            let v = if opts.integer {
+    let edge_vars: Vec<VarId> = dag
+        .edge_ids()
+        .map(|e| {
+            if opts.integer {
                 model.add_int_var(format!("e{}", e.index()), 0.0, f64::INFINITY)
             } else {
                 model.add_var(format!("e{}", e.index()), 0.0, f64::INFINITY)
-            };
-            edge_vars[e.index()] = Some(v);
-        }
-    }
+            }
+        })
+        .collect();
     let mut source_vars = HashMap::new();
     for n in dag.node_ids() {
         if dag.node(n).kind.is_source() {
@@ -148,25 +147,14 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
         }
     }
 
-    let live_in = |n: NodeId| -> Vec<VarId> {
-        dag.in_edges(n)
-            .iter()
-            .filter_map(|&e| edge_vars[e.index()])
-            .collect()
-    };
-    let live_out = |n: NodeId| -> Vec<VarId> {
-        dag.out_edges(n)
-            .iter()
-            .filter_map(|&e| edge_vars[e.index()])
-            .collect()
-    };
+    let vars =
+        |edges: &[EdgeId]| -> Vec<VarId> { edges.iter().map(|&e| edge_vars[e.index()]).collect() };
+    let in_vars = |n: NodeId| vars(dag.in_edges(n));
 
     // --- (1) minimum volume per edge ---
-    for e in dag.edge_ids() {
-        if let Some(v) = edge_vars[e.index()] {
-            let floor = if opts.min_volume { 1.0 } else { 0.0 };
-            model.add_ge(format!("min_e{}", e.index()), [(v, 1.0)], floor);
-        }
+    let floor = if opts.min_volume { 1.0 } else { 0.0 };
+    for (e, &v) in dag.edge_ids().zip(&edge_vars) {
+        model.add_ge(format!("min_e{}", e.index()), [(v, 1.0)], floor);
     }
 
     // --- (2) maximum capacity per node ---
@@ -175,7 +163,7 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
         if let Some(&lv) = source_vars.get(&n) {
             model.add_le(name, [(lv, 1.0)], span);
         } else {
-            let ins = live_in(n);
+            let ins = in_vars(n);
             if !ins.is_empty() {
                 model.add_le(name, ins.iter().map(|&v| (v, 1.0)), span);
             }
@@ -185,7 +173,7 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
     // --- (3) non-deficit / flow conservation per non-sink node ---
     for n in dag.node_ids() {
         let node = dag.node(n);
-        let outs = live_out(n);
+        let outs = vars(dag.out_edges(n));
         if outs.is_empty() {
             continue;
         }
@@ -197,7 +185,7 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
         if let Some(&lv) = source_vars.get(&n) {
             terms.push((lv, -1.0));
         } else {
-            terms.extend(live_in(n).iter().map(|&v| (v, -1.0)));
+            terms.extend(in_vars(n).iter().map(|&v| (v, -1.0)));
         }
         let name = format!("nondeficit_{}", node.name);
         if opts.flow_conservation {
@@ -209,20 +197,15 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
 
     // --- (4) ratio constraints: k-1 per multi-input node ---
     for n in dag.node_ids() {
-        let ins: Vec<EdgeId> = dag
-            .in_edges(n)
-            .iter()
-            .copied()
-            .filter(|&e| edge_vars[e.index()].is_some())
-            .collect();
+        let ins = dag.in_edges(n);
         if ins.len() < 2 {
             continue;
         }
         let f0 = dag.edge(ins[0]).fraction.to_f64();
-        let v0 = edge_vars[ins[0].index()].expect("live");
+        let v0 = edge_vars[ins[0].index()];
         for (i, &e) in ins.iter().enumerate().skip(1) {
             let fi = dag.edge(e).fraction.to_f64();
-            let vi = edge_vars[e.index()].expect("live");
+            let vi = edge_vars[e.index()];
             // f0 * e_i - f_i * e_0 = 0
             model.add_eq(
                 format!("ratio_{}_{i}", dag.node(n).name),
@@ -235,12 +218,12 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
     // --- (5) relative output-to-input for known-fraction separations ---
     for n in dag.node_ids() {
         if let NodeKind::Separate { fraction: Some(f) } = &dag.node(n).kind {
-            let outs = live_out(n);
+            let outs = vars(dag.out_edges(n));
             if outs.is_empty() {
                 continue;
             }
             let mut terms: Vec<(VarId, f64)> = outs.iter().map(|&v| (v, 1.0)).collect();
-            terms.extend(live_in(n).iter().map(|&v| (v, -f.to_f64())));
+            terms.extend(in_vars(n).iter().map(|&v| (v, -f.to_f64())));
             let name = format!("sep_o2i_{}", dag.node(n).name);
             if opts.flow_conservation {
                 model.add_eq(name, terms, 0.0);
@@ -252,9 +235,6 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
 
     // --- (7) excess-edge definition (cascading) ---
     for e in dag.edge_ids() {
-        if edge_vars[e.index()].is_none() {
-            continue;
-        }
         let edge = dag.edge(e);
         if dag.node(edge.dst).kind != NodeKind::Excess {
             continue;
@@ -262,12 +242,12 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
         // excess = share * production, production = sum of in-edges of
         // the producer (or its load variable for sources).
         let share = edge.fraction.to_f64();
-        let ev = edge_vars[e.index()].expect("live");
+        let ev = edge_vars[e.index()];
         let mut terms: Vec<(VarId, f64)> = vec![(ev, 1.0)];
         if let Some(&lv) = source_vars.get(&edge.src) {
             terms.push((lv, -share));
         } else {
-            terms.extend(live_in(edge.src).iter().map(|&v| (v, -share)));
+            terms.extend(in_vars(edge.src).iter().map(|&v| (v, -share)));
         }
         model.add_eq(format!("excess_e{}", e.index()), terms, 0.0);
     }
@@ -276,20 +256,18 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
     let leaves: Vec<NodeId> = dag
         .node_ids()
         .filter(|&n| {
-            dag.out_edges(n)
-                .iter()
-                .all(|&e| edge_vars[e.index()].is_none())
+            dag.out_edges(n).is_empty()
                 && dag.node(n).kind != NodeKind::Excess
-                && !live_in(n).is_empty()
+                && !dag.in_edges(n).is_empty()
         })
         .collect();
 
     // --- (6) output-to-output ---
     if leaves.len() > 1 && (opts.equalize_outputs || opts.output_band.is_some()) {
         let first = leaves[0];
-        let first_terms: Vec<(VarId, f64)> = live_in(first).iter().map(|&v| (v, 1.0)).collect();
+        let first_terms: Vec<(VarId, f64)> = in_vars(first).iter().map(|&v| (v, 1.0)).collect();
         for (i, &leaf) in leaves.iter().enumerate().skip(1) {
-            let leaf_terms: Vec<(VarId, f64)> = live_in(leaf).iter().map(|&v| (v, 1.0)).collect();
+            let leaf_terms: Vec<(VarId, f64)> = in_vars(leaf).iter().map(|&v| (v, 1.0)).collect();
             if opts.equalize_outputs {
                 let mut terms = leaf_terms.clone();
                 terms.extend(first_terms.iter().map(|&(v, c)| (v, -c)));
@@ -309,7 +287,7 @@ pub fn build(dag: &Dag, machine: &Machine, opts: &LpOptions) -> LpFormulation {
     // --- Objective: maximize total output volume ---
     let mut obj: Vec<(VarId, f64)> = Vec::new();
     for &leaf in &leaves {
-        obj.extend(live_in(leaf).iter().map(|&v| (v, 1.0)));
+        obj.extend(in_vars(leaf).iter().map(|&v| (v, 1.0)));
     }
     model.set_objective(obj);
 
@@ -331,7 +309,7 @@ pub struct LpVolumes {
     /// Production per node in nl (sum of in-edges, separation fractions
     /// applied; source nodes report their load variable).
     pub node_nl: Vec<f64>,
-    /// The smallest live productive transfer.
+    /// The smallest productive transfer.
     pub min_edge_nl: Option<(EdgeId, f64)>,
 }
 
@@ -340,12 +318,7 @@ impl LpFormulation {
     /// volumes in nanoliters.
     pub fn volumes(&self, dag: &Dag, machine: &Machine, sol: &aqua_lp::Solution) -> LpVolumes {
         let lc = machine.least_count_nl().to_f64();
-        let mut edge_nl = vec![0.0; dag.num_edges()];
-        for e in dag.edge_ids() {
-            if let Some(v) = self.edge_vars[e.index()] {
-                edge_nl[e.index()] = sol.value(v) * lc;
-            }
-        }
+        let edge_nl: Vec<f64> = self.edge_vars.iter().map(|&v| sol.value(v) * lc).collect();
         let mut node_nl = vec![0.0; dag.num_nodes()];
         for n in dag.node_ids() {
             node_nl[n.index()] = if let Some(&lv) = self.source_vars.get(&n) {
@@ -360,9 +333,6 @@ impl LpFormulation {
         }
         let mut min_edge = None;
         for e in dag.edge_ids() {
-            if self.edge_vars[e.index()].is_none() {
-                continue;
-            }
             if dag.node(dag.edge(e).dst).kind == NodeKind::Excess {
                 continue;
             }

@@ -117,7 +117,7 @@ fn clamp_and_finish(
     }
 }
 
-/// Rounds each live edge independently; returns the rounded table plus
+/// Rounds each edge independently; returns the rounded table plus
 /// the indices of productive transfers that fell below the least count
 /// (only transfers the plan actually needs: positive exact volume,
 /// destination not an excess node).
@@ -129,9 +129,6 @@ fn rounded_edges(
     let mut edge_volumes_nl = vec![Ratio::ZERO; dag.num_edges()];
     let mut underflows = Vec::new();
     for e in dag.edge_ids() {
-        if !dag.edge_is_live(e) {
-            continue;
-        }
         let exact = assignment.edge_volumes_nl[e.index()];
         let rounded = machine.round_to_least_count(exact);
         edge_volumes_nl[e.index()] = rounded;
@@ -158,9 +155,6 @@ pub fn round_lp_edges(dag: &Dag, machine: &Machine, edge_nl: &[f64]) -> RoundedA
     let mut edge_volumes_nl = vec![Ratio::ZERO; dag.num_edges()];
     let mut underflows = Vec::new();
     for e in dag.edge_ids() {
-        if !dag.edge_is_live(e) {
-            continue;
-        }
         let exact = edge_nl[e.index()];
         let counts = (exact / lc_f).round() as i128;
         let rounded = Ratio::from_int(counts.max(0)) * lc;

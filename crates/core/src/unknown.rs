@@ -233,9 +233,6 @@ pub fn partition(dag: &Dag, machine: &Machine) -> Result<PartitionPlan, Partitio
         }
         let mut edge_map = HashMap::new();
         for e in dag.edge_ids() {
-            if !dag.edge_is_live(e) {
-                continue;
-            }
             let edge = dag.edge(e);
             if cut_source[edge.src.index()] {
                 continue; // cut edge: becomes a constrained input below

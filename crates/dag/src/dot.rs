@@ -51,9 +51,6 @@ impl Dag {
             );
         }
         for eid in self.edge_ids() {
-            if !self.edge_is_live(eid) {
-                continue;
-            }
             let e = self.edge(eid);
             let _ = writeln!(
                 out,
@@ -73,7 +70,7 @@ mod tests {
     use crate::graph::Dag;
 
     #[test]
-    fn dot_includes_all_live_edges() {
+    fn dot_includes_every_edge() {
         let mut d = Dag::new();
         let a = d.add_input("A");
         let b = d.add_input("B");
@@ -83,18 +80,5 @@ mod tests {
         assert!(dot.contains("label=\"1/5\""));
         assert!(dot.contains("label=\"4/5\""));
         assert!(dot.contains("doublecircle"));
-    }
-
-    #[test]
-    fn cut_edges_are_omitted() {
-        let mut d = Dag::new();
-        let a = d.add_input("A");
-        let p = d.add_process("p", "incubate", a);
-        d.add_output("o", p);
-        let e = d.in_edges(p)[0];
-        d.cut_edge(e);
-        let dot = d.to_dot("g");
-        // Only the p->o edge remains.
-        assert_eq!(dot.matches(" -> ").count(), 1);
     }
 }

@@ -124,12 +124,11 @@ pub fn set_mix_ratio(
 /// Rebuilds the DAG without `node` (which must have no consumers) and
 /// without its in-edges. Returns the new DAG and the node remap:
 /// `remap[old.index()]` is the node's id in the new graph, `None` for
-/// the removed node. Live edges are compacted; dead (cut) edge slots
-/// are dropped.
+/// the removed node. The other edges keep their order.
 ///
 /// # Errors
 ///
-/// Returns [`EditError::HasConsumers`] if the node has live out-edges.
+/// Returns [`EditError::HasConsumers`] if the node has out-edges.
 pub fn rebuild_without(dag: &Dag, node: NodeId) -> Result<(Dag, Vec<Option<NodeId>>), EditError> {
     if !dag.out_edges(node).is_empty() {
         return Err(EditError::HasConsumers {
@@ -147,17 +146,10 @@ pub fn rebuild_without(dag: &Dag, node: NodeId) -> Result<(Dag, Vec<Option<NodeI
         }
     }
     for e in dag.edge_ids() {
-        if !dag.edge_is_live(e) {
-            continue;
-        }
         let edge = dag.edge(e);
-        if edge.dst == node {
-            continue;
+        if let (Some(src), Some(dst)) = (remap[edge.src.index()], remap[edge.dst.index()]) {
+            out.add_edge(src, dst, edge.fraction);
         }
-        let (Some(src), Some(dst)) = (remap[edge.src.index()], remap[edge.dst.index()]) else {
-            continue;
-        };
-        out.add_edge(src, dst, edge.fraction);
     }
     Ok((out, remap))
 }

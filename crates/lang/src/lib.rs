@@ -25,9 +25,6 @@
 //! hint is a compile error), `IF`/`ELSE` over compile-time conditions,
 //! and the `it` pseudo-fluid naming the previous statement's product.
 //!
-//! [`Assay`] implements `Display`, so parsed or programmatically built
-//! assays can be formatted back to source text.
-//!
 //! The crate lowers source text to a [`FlatAssay`] — a fully unrolled,
 //! constant-folded sequence of fluid operations with exact rational
 //! ratios — which `aqua-compiler` turns into an assay DAG and AIS code.
@@ -57,7 +54,6 @@ mod eval;
 mod flat;
 mod lexer;
 mod parser;
-mod print;
 
 pub use ast::{Assay, Expr, SenseMode, SepKind, Stmt};
 pub use diag::{LangError, Span};

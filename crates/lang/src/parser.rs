@@ -9,7 +9,7 @@ use crate::lexer::{Token, TokenKind};
 /// repository's assays nest 3 blocks; the parser recurses once per
 /// level, and 30,000 nested parentheses used to overflow its stack.
 /// Operators nest too: whatever walks an expression tree (the unroller,
-/// `Display`, drop) recurses once per level of it, and a chain
+/// drop) recurses once per level of it, and a chain
 /// `1+1+…+1` is one level per term without any parenthesis (50,000
 /// terms used to overflow those walkers). So a tree's height counts
 /// toward the cap on top of the levels around it.

@@ -73,22 +73,13 @@ pub struct Canon {
     /// The relabeled DAG: nodes in canonical order named `f0..fN`,
     /// edges sorted by `(dst, src, fraction)`.
     pub dag: Dag,
-    /// The request's original node names in canonical order:
-    /// `names[i]` is what the request called canonical node `i`. Not
-    /// part of the encoding or key (keys are rename-invariant); the
-    /// protocol layer attaches it to responses so clients can map plan
-    /// node ids back to their own fluid names. Only [`canonicalize`]
-    /// fills it: the service's own paths and sessions write a response's
-    /// names from the lowered DAG, and a compile never reads them.
-    pub names: Vec<String>,
     /// Node permutation: `node_perm[i]` is the canonical index of the
     /// request's node `i`. Incremental replanning uses it to rename
     /// client-space solve artifacts into canonical plan coordinates.
     pub node_perm: Vec<usize>,
     /// Edge permutation: `edge_perm[e]` is the canonical edge index of
-    /// the request's edge `e`, or `None` for dead (cut) edges, which
-    /// the canonical DAG omits.
-    pub edge_perm: Vec<Option<usize>>,
+    /// the request's edge `e`.
+    pub edge_perm: Vec<usize>,
     /// Output weights, re-keyed to canonical node ids.
     pub weights: HashMap<NodeId, u64>,
     /// The exact canonical encoding the key was hashed from; the cache
@@ -236,6 +227,25 @@ fn push_kind(buf: &mut Vec<u8>, kind: &NodeKind) {
     }
 }
 
+/// Whether node `id` keeps an entry for output weight `w`, by
+/// lowering's rule: an `OUTPUT` node always does, any other node only
+/// for a weight that is not 1 (the compile reads no entry as 1).
+/// Sessions store weights by it and canonicalization reads them by it,
+/// so one state has one key however a caller spells it.
+pub(crate) fn keeps_weight(dag: &Dag, id: NodeId, w: u64) -> bool {
+    w != 1 || dag.node(id).kind == NodeKind::Output
+}
+
+/// The output weight canonicalization reads for node `id`: its entry
+/// when the node [`keeps_weight`] it, else 0.
+fn weight_of(dag: &Dag, weights: &HashMap<NodeId, u64>, id: NodeId) -> u64 {
+    weights
+        .get(&id)
+        .copied()
+        .filter(|&w| keeps_weight(dag, id, w))
+        .unwrap_or(0)
+}
+
 /// Each node's initial color: the FNV-128 digest of its kind payload and
 /// output weight. Lowered assays repeat a few `(kind, weight)` pairs
 /// over thousands of nodes (2 to 5 in each of the repository's assays;
@@ -249,7 +259,7 @@ fn initial_colors(dag: &Dag, weights: &HashMap<NodeId, u64>) -> Vec<u128> {
     dag.node_ids()
         .map(|id| {
             let kind = &dag.node(id).kind;
-            let weight = weights.get(&id).copied().unwrap_or(0);
+            let weight = weight_of(dag, weights, id);
             if let Some(&(_, _, color)) = memo.iter().find(|&&(k, w, _)| w == weight && k == kind) {
                 return color;
             }
@@ -279,16 +289,7 @@ pub fn canonicalize(
     weights: &HashMap<NodeId, u64>,
     machine: &Machine,
 ) -> Result<Canon, CanonError> {
-    let pass = key_pass(dag, weights, machine)?;
-    let names = pass
-        .order
-        .iter()
-        .map(|&old| dag.node(old).name.clone())
-        .collect();
-    Ok(Canon {
-        names,
-        ..pass.complete(dag, weights)
-    })
+    Ok(key_pass(dag, weights, machine)?.complete(dag, weights))
 }
 
 /// The key pass of a request: validation, then steps 1–4. Every `src`
@@ -327,7 +328,7 @@ pub(crate) struct Mapping {
     /// As [`Canon::node_perm`].
     pub(crate) node_perm: Vec<usize>,
     /// As [`Canon::edge_perm`].
-    pub(crate) edge_perm: Vec<Option<usize>>,
+    pub(crate) edge_perm: Vec<usize>,
     /// As [`Canon::encoding`].
     pub(crate) encoding: Arc<[u8]>,
     /// As [`Canon::key`].
@@ -370,7 +371,7 @@ pub(crate) struct KeyPass {
     /// As [`Canon::node_perm`].
     pub(crate) node_perm: Vec<usize>,
     /// As [`Canon::edge_perm`].
-    pub(crate) edge_perm: Vec<Option<usize>>,
+    pub(crate) edge_perm: Vec<usize>,
     /// As [`Canon::encoding`].
     pub(crate) encoding: Vec<u8>,
     /// As [`Canon::key`].
@@ -588,7 +589,6 @@ fn key_steps(
     let orig_edges: Vec<EdgeId> = dag.edge_ids().collect();
     let mut sorted_edges: Vec<(u64, u32)> = orig_edges
         .iter()
-        .filter(|&&e| dag.edge_is_live(e))
         .map(|&e| {
             let edge = dag.edge(e);
             (
@@ -604,9 +604,9 @@ fn key_steps(
             (fa.numer(), fa.denom(), a.1).cmp(&(fb.numer(), fb.denom(), b.1))
         })
     });
-    let mut edge_perm: Vec<Option<usize>> = vec![None; dag.num_edges()];
+    let mut edge_perm: Vec<usize> = vec![0; dag.num_edges()];
     for (canon_idx, &(_, orig)) in sorted_edges.iter().enumerate() {
-        edge_perm[orig as usize] = Some(canon_idx);
+        edge_perm[orig as usize] = canon_idx;
     }
 
     // --- 4. encode and hash --------------------------------------------
@@ -635,8 +635,7 @@ fn key_steps(
     buf.extend_from_slice(&(n as u64).to_le_bytes());
     for &old in &order {
         push_kind(&mut buf, &dag.node(old).kind);
-        let w = weights.get(&old).copied().unwrap_or(0);
-        buf.extend_from_slice(&w.to_le_bytes());
+        buf.extend_from_slice(&weight_of(dag, weights, old).to_le_bytes());
     }
     buf.extend_from_slice(&(sorted_edges.len() as u64).to_le_bytes());
     for &(key, orig) in &sorted_edges {
@@ -659,16 +658,15 @@ fn key_steps(
 }
 
 impl KeyPass {
-    /// Step 5: the complete canonical form, without `names`. The
-    /// encoding moves into its long-lived `Arc` only after the rebuild's
-    /// many small allocations: in the other order the `cold` benchmark's
-    /// peak RSS read 178-210 MiB instead of 165-171.
+    /// Step 5: the complete canonical form. The encoding moves into its
+    /// long-lived `Arc` only after the rebuild's many small allocations:
+    /// in the other order the `cold` benchmark's peak RSS read 178-210
+    /// MiB instead of 165-171.
     pub(crate) fn complete(self, dag: &Dag, weights: &HashMap<NodeId, u64>) -> Canon {
         let edges = canonical_edges(dag, &self.edge_perm);
         let (canon_dag, canon_weights) = rebuild(dag, weights, &self.order, &self.node_perm, edges);
         Canon {
             dag: canon_dag,
-            names: Vec::new(),
             node_perm: self.node_perm,
             edge_perm: self.edge_perm,
             weights: canon_weights,
@@ -679,7 +677,7 @@ impl KeyPass {
 }
 
 /// Step 5 of canonicalization: the canonical DAG of `dag` (the nodes of
-/// `order`, in canonical order, and the live `edges` in canonical edge
+/// `order`, in canonical order, and its `edges` in canonical edge
 /// order) and the output weights re-keyed to canonical node ids.
 fn rebuild(
     dag: &Dag,
@@ -693,19 +691,21 @@ fn rebuild(
     let mut canon_weights = HashMap::with_capacity(weights.len());
     for (&old, &w) in weights {
         if let Some(&new_idx) = node_perm.get(old.index()) {
-            canon_weights.insert(new_ids[new_idx], w);
+            if keeps_weight(dag, old, w) {
+                canon_weights.insert(new_ids[new_idx], w);
+            }
         }
     }
     (canon_dag, canon_weights)
 }
 
 /// The nodes of `dag` in the canonical order of a mapping (`node_perm`,
-/// `edge_perm`), and its live edges in canonical edge order: the inputs
+/// `edge_perm`), and its edges in canonical edge order: the inputs
 /// of [`build_canonical_dag`] when only the mapping is at hand.
 pub(crate) fn canonical_order(
     dag: &Dag,
     node_perm: &[usize],
-    edge_perm: &[Option<usize>],
+    edge_perm: &[usize],
 ) -> (Vec<NodeId>, impl ExactSizeIterator<Item = EdgeId>) {
     let mut order: Vec<NodeId> = dag.node_ids().collect();
     for old in dag.node_ids() {
@@ -714,25 +714,18 @@ pub(crate) fn canonical_order(
     (order, canonical_edges(dag, edge_perm))
 }
 
-/// The live edges of `dag` in canonical edge order: `edge_perm` gives
-/// each its slot, so a scatter orders them without a sort.
-fn canonical_edges(
-    dag: &Dag,
-    edge_perm: &[Option<usize>],
-) -> impl ExactSizeIterator<Item = EdgeId> {
-    let mut slots: Vec<Option<EdgeId>> = vec![None; edge_perm.iter().flatten().count()];
-    for (e, slot) in dag.edge_ids().zip(edge_perm) {
-        if let Some(idx) = *slot {
-            slots[idx] = Some(e);
-        }
+/// The edges of `dag` in canonical edge order: `edge_perm` gives each
+/// its slot, so a scatter orders them without a sort.
+fn canonical_edges(dag: &Dag, edge_perm: &[usize]) -> impl ExactSizeIterator<Item = EdgeId> {
+    let mut slots = vec![EdgeId::from_index(0); edge_perm.len()];
+    for (e, &idx) in dag.edge_ids().zip(edge_perm) {
+        slots[idx] = e;
     }
-    slots
-        .into_iter()
-        .map(|e| e.expect("edge_perm numbers the live edges 0..live"))
+    slots.into_iter()
 }
 
 /// The only builder of a canonical DAG: the nodes of `order` (canonical
-/// order) named `f0..fN`, and the live `edges` in canonical edge order;
+/// order) named `f0..fN`, and the `edges` in canonical edge order;
 /// `node_perm` maps a node of `dag` to its canonical index. Step 5 of a
 /// full canonicalization and a session's replayed plan build on it.
 pub(crate) fn build_canonical_dag(
@@ -826,9 +819,14 @@ mod tests {
         let b = d.add_input("ReagentQ");
         let m = d.add_mix("weird", &[(a, 1), (b, 4)], 10).unwrap();
         d.add_process("out", "sense.OD", m);
-        let canon = canonicalize(&d, &HashMap::new(), &Machine::paper_default()).unwrap();
-        assert_eq!(canon.names.len(), canon.dag.num_nodes());
-        let mut sorted = canon.names.clone();
+        let pass = key_pass(&d, &HashMap::new(), &Machine::paper_default()).unwrap();
+        let names: Vec<&str> = pass
+            .order
+            .iter()
+            .map(|&n| d.node(n).name.as_str())
+            .collect();
+        assert_eq!(names.len(), d.num_nodes());
+        let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(
             sorted,
@@ -889,6 +887,34 @@ mod tests {
         assert_ne!(unweighted.key, weighted.key);
     }
 
+    /// A weight of 1 keys as no weight on a node that is not an
+    /// `OUTPUT`, as lowering gives it, and the compile reads no canonical
+    /// weight for it; on an `OUTPUT` node, where lowering always writes
+    /// one, it keys as 1.
+    #[test]
+    fn a_unit_weight_keys_as_lowering_gives_it() {
+        let machine = Machine::paper_default();
+        let sense = mix_assay(&[(1, 4)]);
+        let s0 = sense.find_node("s0").unwrap();
+        let none = canonicalize(&sense, &HashMap::new(), &machine).unwrap();
+        let one = canonicalize(&sense, &HashMap::from([(s0, 1)]), &machine).unwrap();
+        let two = canonicalize(&sense, &HashMap::from([(s0, 2)]), &machine).unwrap();
+        assert_eq!(
+            (one.key, &one.encoding, &one.dag),
+            (none.key, &none.encoding, &none.dag)
+        );
+        assert!(one.weights.is_empty());
+        assert_ne!(two.key, none.key);
+
+        let mut d = Dag::new();
+        let a = d.add_input("A");
+        let o = d.add_output("out", a);
+        let none = canonicalize(&d, &HashMap::new(), &machine).unwrap();
+        let one = canonicalize(&d, &HashMap::from([(o, 1)]), &machine).unwrap();
+        assert_ne!(one.key, none.key);
+        assert_eq!(one.weights.len(), 1);
+    }
+
     #[test]
     fn canonical_dag_is_valid_and_interned() {
         let canon = canonicalize(
@@ -908,9 +934,8 @@ mod tests {
 
     /// The key pass completed (a `src` leader's path) and a mapping
     /// completed (a session compile's path) both equal [`canonicalize`]
-    /// field by field, and the scattered edge order puts each live edge
-    /// where `edge_perm` says: over seeded random DAGs with weighted
-    /// outputs, and a DAG whose cut edge sits before live ones.
+    /// field by field, and the scattered edge order puts each edge where
+    /// `edge_perm` says: over seeded random DAGs with weighted outputs.
     #[test]
     fn mapped_variant_matches_full_canonicalization() {
         use aqua_assays::synthetic::{layered_dag, LayeredConfig};
@@ -935,39 +960,15 @@ mod tests {
                 (dag, weights)
             })
             .collect();
-        let mut cut = Dag::new();
-        let a = cut.add_input("A");
-        let b = cut.add_input("B");
-        let p = cut.add_node(
-            "p",
-            NodeKind::Process {
-                op: "incubate".into(),
-            },
-        );
-        let dead = cut.add_edge(a, p, Ratio::ONE);
-        cut.add_edge(b, p, Ratio::ONE);
-        cut.cut_edge(dead);
-        let m = cut.add_mix("m", &[(a, 1), (p, 3)], 10).unwrap();
-        cut.add_output("out", m);
-        let cut_case = cases.len();
-        cases.push((cut, HashMap::new()));
         cases.push((mix_assay(&[(1, 4), (2, 3), (1, 999)]), HashMap::new()));
 
         for (i, (dag, weights)) in cases.iter().enumerate() {
             let full = canonicalize(dag, weights, &machine).unwrap();
-            let pass = key_pass(dag, weights, &machine).unwrap();
-            let names: Vec<String> = pass
-                .order
-                .iter()
-                .map(|&n| dag.node(n).name.clone())
-                .collect();
-            let keyed = pass.complete(dag, weights);
+            let keyed = key_pass(dag, weights, &machine)
+                .unwrap()
+                .complete(dag, weights);
             let mapped = canonicalize_mapped(dag, weights, &machine).unwrap();
             let (mapped_dag, mapped_weights) = mapped.complete(dag, weights);
-            assert_eq!(names, full.names, "case {i}");
-            if i == cut_case {
-                assert_eq!(full.edge_perm[dead.index()], None);
-            }
             for (dag, weights) in [(&keyed.dag, &keyed.weights), (&mapped_dag, &mapped_weights)] {
                 assert_eq!(dag, &full.dag, "case {i}");
                 assert_eq!(weights, &full.weights, "case {i}");
@@ -1000,15 +1001,13 @@ mod tests {
             }
             let canon_edges: Vec<EdgeId> = full.dag.edge_ids().collect();
             for e in dag.edge_ids() {
-                match full.edge_perm[e.index()] {
-                    None => assert!(!dag.edge_is_live(e), "case {i}: live edge {e} unmapped"),
-                    Some(idx) => {
-                        let (ce, oe) = (full.dag.edge(canon_edges[idx]), dag.edge(e));
-                        assert_eq!(ce.fraction, oe.fraction, "case {i}");
-                        assert_eq!(ce.src.index(), full.node_perm[oe.src.index()], "case {i}");
-                        assert_eq!(ce.dst.index(), full.node_perm[oe.dst.index()], "case {i}");
-                    }
-                }
+                let (ce, oe) = (
+                    full.dag.edge(canon_edges[full.edge_perm[e.index()]]),
+                    dag.edge(e),
+                );
+                assert_eq!(ce.fraction, oe.fraction, "case {i}");
+                assert_eq!(ce.src.index(), full.node_perm[oe.src.index()], "case {i}");
+                assert_eq!(ce.dst.index(), full.node_perm[oe.dst.index()], "case {i}");
             }
         }
     }
@@ -1021,19 +1020,17 @@ mod tests {
         let m = d.add_mix("m", &[(a, 1), (b, 4)], 10).unwrap();
         d.add_process("s", "sense.OD", m);
         let canon = canonicalize(&d, &HashMap::new(), &Machine::paper_default()).unwrap();
-        // node_perm: canonical node node_perm[i] must have the client's
-        // name for node i in `names`.
+        // node_perm: canonical node node_perm[i] must be the client's
+        // node i in the key pass's order, the order of `names`.
+        let pass = key_pass(&d, &HashMap::new(), &Machine::paper_default()).unwrap();
         for (client_idx, &canon_idx) in canon.node_perm.iter().enumerate() {
-            assert_eq!(
-                canon.names[canon_idx],
-                d.node(d.node_ids().nth(client_idx).unwrap()).name
-            );
+            assert_eq!(pass.order[canon_idx].index(), client_idx);
         }
         // edge_perm: the mapped canonical edge must carry the same
         // fraction and map endpoints through node_perm.
         let canon_edges: Vec<_> = canon.dag.edge_ids().collect();
         for (client_idx, e) in d.edge_ids().enumerate() {
-            let mapped = canon.edge_perm[client_idx].unwrap();
+            let mapped = canon.edge_perm[client_idx];
             let ce = canon.dag.edge(canon_edges[mapped]);
             let oe = d.edge(e);
             assert_eq!(ce.fraction, oe.fraction);

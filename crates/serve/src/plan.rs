@@ -73,19 +73,14 @@ fn push_nodes(out: &mut String, dag: &Dag) {
     out.push(']');
 }
 
-/// Renders the live edges of `dag` as `[src,dst,"fraction"]` triples,
-/// with per-edge volumes appended when `vols` is provided.
+/// Renders the edges of `dag` as `[src,dst,"fraction"]` triples, with
+/// per-edge volumes appended when `vols` is provided.
 fn push_edges(out: &mut String, dag: &Dag, vols: Option<&[Ratio]>) {
     out.push('[');
-    let mut first = true;
     for e in dag.edge_ids() {
-        if !dag.edge_is_live(e) {
-            continue;
-        }
-        if !first {
+        if e.index() > 0 {
             out.push(',');
         }
-        first = false;
         let edge = dag.edge(e);
         out.push('[');
         push_u64(out, edge.src.index() as u64);

@@ -1590,8 +1590,8 @@ END
 
     /// Renamed `src` requests that hit the cache, and renamed requests
     /// that join a compile in flight, answer the cold response's key and
-    /// plan bytes with their own names: the names a full
-    /// canonicalization of their own source gives.
+    /// plan bytes with their own names: their own lowered DAG's names in
+    /// the canonical order of their own key pass.
     #[test]
     fn renamed_hits_and_followers_answer_their_own_names() {
         assert_eq!(tiny_as(4, "A", "B", "m", false), TINY);
@@ -1612,7 +1612,14 @@ END
         let check = |resp: &str, src: &str, cold: &(String, String, Vec<String>)| {
             let (key, plan, names) = key_plan_names(resp);
             assert_eq!((&key, &plan), (&cold.0, &cold.1), "{resp}");
-            assert_eq!(names, Service::canon_src(src, &machine).unwrap().names);
+            let (dag, weights) = lower_src(src).unwrap();
+            let pass = canon::key_pass(&dag, &weights, &machine).unwrap();
+            let own: Vec<&str> = pass
+                .order
+                .iter()
+                .map(|&n| dag.node(n).name.as_str())
+                .collect();
+            assert_eq!(names, own);
         };
 
         let cold = key_plan_names(&svc.handle_line(&src_line(0, TINY)));

@@ -109,8 +109,8 @@ impl Session {
 }
 
 /// The exact client-DAG state a memoized canonical mapping was
-/// computed from: every live edge's fraction (in edge-id order; dead
-/// edges pinned to `(0, 0)`) plus the sorted output weights.
+/// computed from: every edge's fraction (in edge-id order) plus the
+/// sorted output weights.
 #[derive(PartialEq)]
 struct CanonState {
     fractions: Vec<(i128, i128)>,
@@ -122,12 +122,8 @@ impl CanonState {
         let fractions = dag
             .edge_ids()
             .map(|e| {
-                if dag.edge_is_live(e) {
-                    let f = dag.edge(e).fraction;
-                    (f.numer(), f.denom())
-                } else {
-                    (0, 0)
-                }
+                let f = dag.edge(e).fraction;
+                (f.numer(), f.denom())
             })
             .collect();
         let mut w: Vec<(usize, u64)> = weights.iter().map(|(&n, &v)| (n.index(), v)).collect();
@@ -219,7 +215,7 @@ enum NewNode {
     Output {
         name: String,
         from: NodeId,
-        weight: Option<u64>,
+        weight: u64,
     },
 }
 
@@ -506,8 +502,8 @@ fn parse_new_node(dag: &Dag, v: &Value) -> Result<NewNode, String> {
     if let Some(o) = v.get("output") {
         let from = node_field(dag, o, "from")?;
         let weight = match o.get("weight") {
-            None => None,
-            Some(w) => Some(u64_field(Some(w), "add_node.output.weight")?),
+            None => 1,
+            Some(w) => u64_field(Some(w), "add_node.output.weight")?,
         };
         return Ok(NewNode::Output { name, from, weight });
     }
@@ -593,20 +589,21 @@ fn apply_edit(
                     node: NodeId::from_index(base.node_perm[node.index()]),
                     changes: changed
                         .iter()
-                        .map(|&(e, f)| {
-                            let be = base.edge_perm[e.index()].expect("an edited in-edge is live");
-                            (EdgeId::from_index(be), f)
-                        })
+                        .map(|&(e, f)| (EdgeId::from_index(base.edge_perm[e.index()]), f))
                         .collect(),
                 };
                 replay_or_recompile(s, lift, via, obs)
             });
         }
         SessionEdit::SetOutputVolume { node, weight } => {
-            if s.weights.get(&node).copied().unwrap_or(0) == weight {
+            if s.weights.get(&node).copied().unwrap_or(1) == weight {
                 return Ok(noop_response(s));
             }
-            let before = s.weights.insert(node, weight);
+            let before = if canon::keeps_weight(&s.dag, node, weight) {
+                s.weights.insert(node, weight)
+            } else {
+                s.weights.remove(&node)
+            };
             return replan_or_undo(s, Prior::Weight(node, before), |s| {
                 let lift = |base: &Mapping| IncrEdit::Weight {
                     node: NodeId::from_index(base.node_perm[node.index()]),
@@ -644,9 +641,7 @@ fn apply_edit(
                 }
                 NewNode::Output { name, from, weight } => {
                     let id = dag.add_output(name, from);
-                    if let Some(w) = weight {
-                        weights.insert(id, w);
-                    }
+                    weights.insert(id, weight);
                 }
             }
             (dag, weights)
@@ -847,12 +842,8 @@ fn render_replay(s: &Session, base: &Mapping, cur: &Mapping, outcome: ReplayOutc
                 node_vols[cur.node_perm[client]] = node_volumes_nl[base.node_perm[client]];
             }
             let mut edge_vols = vec![zero; cur_dag.num_edges()];
-            for e in dag.edge_ids() {
-                if let Some(cur_idx) = cur.edge_perm[e.index()] {
-                    let base_idx =
-                        base.edge_perm[e.index()].expect("base and edited DAG share live edges");
-                    edge_vols[cur_idx] = edge_volumes_nl[base_idx];
-                }
+            for (&cur_idx, &base_idx) in cur.edge_perm.iter().zip(&base.edge_perm) {
+                edge_vols[cur_idx] = edge_volumes_nl[base_idx];
             }
             let outcome = ManagedOutcome::Solved {
                 dag: cur_dag,

@@ -34,7 +34,7 @@ fn permuted_renamed_rebuild(dag: &Dag, seed: u64) -> Dag {
             Some(rebuilt.add_node(format!("renamed_{}_{}", seed, old_idx), node.kind.clone()));
     }
     // Edges in a scrambled order too.
-    let mut edges: Vec<_> = dag.edge_ids().filter(|&e| dag.edge_is_live(e)).collect();
+    let mut edges: Vec<_> = dag.edge_ids().collect();
     for i in (1..edges.len()).rev() {
         edges.swap(i, rng.index(i + 1));
     }

@@ -308,6 +308,86 @@ fn zero_weight_is_refused_whatever_the_outputs_history() {
     assert_eq!(weigh(4, 0), refused(4), "after a weight-2 edit");
 }
 
+/// The `key` member of a response line.
+fn key_of(line: &str) -> String {
+    let v = aqua_serve::json::parse(line).unwrap();
+    v.get("key").unwrap().as_str().unwrap().to_owned()
+}
+
+/// An edit the session applies to `sid` with request id `id`.
+fn edit(svc: &Service, sid: &str, id: u32, edit: &str) -> String {
+    let line = svc.handle_line(&format!(
+        "{{\"id\":{id},\"cmd\":\"session.edit\",\"session\":\"{sid}\",\"edit\":{edit}}}"
+    ));
+    assert!(line.contains("\"ok\":true"), "{line}");
+    line
+}
+
+fn weigh(svc: &Service, sid: &str, id: u32, weight: u64) -> String {
+    edit(
+        svc,
+        sid,
+        id,
+        &format!("{{\"set_output_volume\":{{\"node\":\"Result[1]\",\"weight\":{weight}}}}}"),
+    )
+}
+
+/// The compile reads an absent weight as 1, so a weight of 1 on TINY's
+/// unweighted sense sink is no edit: it answers the registered key with
+/// an empty delta. It used to store the 1, and the encoding, which
+/// writes an absent weight as 0, moved the session to a second key for
+/// the same plan.
+#[test]
+fn a_unit_weight_on_an_unweighted_sink_is_a_noop() {
+    let svc = service();
+    let (sid, _) = register(&svc, TINY);
+    let registered = key_of(&svc.handle_line(&format!(
+        "{{\"id\":9,\"src\":{}}}",
+        aqua_serve::json::quote(TINY)
+    )));
+    let line = weigh(&svc, &sid, 2, 1);
+    assert_eq!(key_of(&line), registered, "{line}");
+    assert_eq!(last_member(&line, "delta"), "{\"replace\":{}}");
+}
+
+/// Weight 2 and then 1 on a sense sink returns the session to its
+/// registered state: the registered key and plan bytes.
+#[test]
+fn weight_two_then_one_returns_to_the_registered_key_and_plan() {
+    let svc = service();
+    let (sid, registered_plan) = register(&svc, TINY);
+    let registered = key_of(&svc.handle_line(&format!(
+        "{{\"id\":9,\"src\":{}}}",
+        aqua_serve::json::quote(TINY)
+    )));
+    let two = weigh(&svc, &sid, 2, 2);
+    assert_ne!(key_of(&two), registered);
+    let mut plan = apply_delta(&registered_plan, last_member(&two, "delta")).unwrap();
+    let one = weigh(&svc, &sid, 3, 1);
+    assert_eq!(key_of(&one), registered, "{one}");
+    plan = apply_delta(&plan, last_member(&one, "delta")).unwrap();
+    assert_eq!(plan, registered_plan);
+}
+
+/// An OUTPUT node always carries a weight, 1 by default, as lowering
+/// gives it: an `add_node` output without a weight answers the key of
+/// the same edit with `"weight":1`.
+#[test]
+fn an_added_output_without_a_weight_weighs_one() {
+    let svc = service();
+    let add = |weight: &str| {
+        let (sid, _) = register(&svc, TINY);
+        let line = edit(
+            &svc,
+            &sid,
+            2,
+            &format!("{{\"add_node\":{{\"name\":\"o\",\"output\":{{\"from\":\"m\"{weight}}}}}}}"),
+        );
+        key_of(&line)
+    };
+    assert_eq!(add(""), add(",\"weight\":1"));
+}
+
 #[test]
 fn structural_edits_recompile_cold() {
     let svc = service();

@@ -24,7 +24,7 @@ use aqua_compiler::{CompileOutput, PlannedVolume, VolumeResolution};
 use aqua_dag::{EdgeId, NodeId, Ratio};
 use aqua_volume::dagsolve::VolumeAssignment;
 use aqua_volume::unknown::PartitionError;
-use aqua_volume::{Machine, ManagedOutcome, VolumeManagerOptions};
+use aqua_volume::{Machine, ManagedOutcome};
 
 use crate::fault::{
     FaultCounters, FaultKind, FaultPlan, FaultState, RecoveryCounters, RecoveryTier,
@@ -353,15 +353,10 @@ impl Executor {
         self.run_with(out, Some(job))
     }
 
-    fn run_with(
-        &self,
-        out: &CompileOutput,
-        sched: Option<&JobSchedule>,
-    ) -> Result<ExecReport, ExecError> {
-        let _run_span = self.config.obs.span("sim.run");
-        let lc_pl = (self.machine.least_count_nl() * Ratio::from_int(1000)).round() as u64;
-        let cap_pl = (self.machine.max_capacity_nl() * Ratio::from_int(1000)).round() as u64;
-        let mut st = RunState {
+    /// The state a run of `out` starts from: an empty chip, no faults
+    /// drawn yet.
+    fn start<'a>(&self, out: &'a CompileOutput) -> RunState<'a> {
+        RunState {
             out,
             chip: ChipState::new(),
             report: ExecReport::default(),
@@ -375,9 +370,18 @@ impl Executor {
             replanned_edges: HashMap::new(),
             node_shortfall_pl: HashMap::new(),
             node_regens: HashMap::new(),
-            lc_pl,
-            cap_pl,
-        };
+            lc_pl: (self.machine.least_count_nl() * Ratio::from_int(1000)).round() as u64,
+            cap_pl: (self.machine.max_capacity_nl() * Ratio::from_int(1000)).round() as u64,
+        }
+    }
+
+    fn run_with(
+        &self,
+        out: &CompileOutput,
+        sched: Option<&JobSchedule>,
+    ) -> Result<ExecReport, ExecError> {
+        let _run_span = self.config.obs.span("sim.run");
+        let mut st = self.start(out);
 
         let mut spill_ptr = 0usize;
         for (idx, instr) in out.program.instrs().iter().enumerate() {
@@ -435,7 +439,7 @@ impl Executor {
                     let src = at(*src);
                     let portion = self.metered_take(&mut st, idx, src, None)?;
                     *st.report.collected_pl.entry(port_idx).or_insert(0) += portion.volume_pl;
-                    st.chip.clear_residue(src, lc_pl);
+                    st.chip.clear_residue(src, st.lc_pl);
                 }
                 Instr::Move { dst, src, .. } | Instr::MoveAbs { dst, src, .. } => {
                     // `move-abs` carries its volume inline; it wins over
@@ -457,7 +461,7 @@ impl Executor {
                         });
                     }
                     self.deposit_checked(&mut st, idx, dst, portion);
-                    st.chip.clear_residue(src, lc_pl);
+                    st.chip.clear_residue(src, st.lc_pl);
                 }
                 Instr::Mix { unit, .. }
                 | Instr::Incubate { unit, .. }
@@ -887,9 +891,9 @@ impl Executor {
         Ok(gathered)
     }
 
-    /// Tier-3 re-entry for static plans: capped DAGSolve with the
-    /// observed node availability (planned production minus cumulative
-    /// shortfall) as constraints. On success, installs replacement
+    /// Tier-3 re-entry for static plans: capped DAGSolve under the
+    /// plan's output weights, with the observed node availability
+    /// (planned production minus cumulative shortfall) as constraints. On success, installs replacement
     /// volumes for every edge; future [`Executor::resolve`] calls use
     /// them via the plan's `instr_edges` map.
     fn replan_static(&self, st: &mut RunState, idx: usize, src: WetLoc) {
@@ -911,13 +915,14 @@ impl Executor {
             let short_nl = Ratio::new(short_pl as i128, 1000).unwrap_or(Ratio::ZERO);
             observed.insert(node, (planned - short_nl).max(Ratio::ZERO));
         }
-        let opts = VolumeManagerOptions {
-            use_lp: false,         // run-time must be fast (§3.5)
-            max_rewrite_rounds: 0, // rewrites can't map back onto emitted code
-            ..Default::default()
-        };
+        let weights: HashMap<NodeId, Ratio> = out
+            .dag_map
+            .output_weights
+            .iter()
+            .map(|(&node, &w)| (node, Ratio::from_int(w as i128)))
+            .collect();
         let outcome =
-            aqua_volume::replan_with_observations(&out.dag, &self.machine, &opts, &observed);
+            aqua_volume::replan_with_observations(&out.dag, &self.machine, &weights, &observed);
         if let ManagedOutcome::Solved { volumes: v, .. } = outcome {
             let lc = self.machine.least_count_nl();
             st.replanned_edges = out
@@ -1313,6 +1318,59 @@ END";
             recovered,
             "no scripted over-meter ever forced a tier-2 regen"
         );
+    }
+
+    /// Tier 3 re-solves a static plan under the plan's own output
+    /// weights: on a weighted assay, the replanned edge volumes are a
+    /// capped DAGSolve under those weights, rounded to the least count,
+    /// and differ from the unweighted solve.
+    #[test]
+    fn static_replan_keeps_the_plans_output_weights() {
+        let machine = Machine::paper_default();
+        let src = "
+ASSAY w START
+fluid A, B, C, heavy, light;
+heavy = MIX A AND B IN RATIOS 1 : 2 FOR 10;
+light = MIX A AND C IN RATIOS 1 : 3 FOR 10;
+OUTPUT heavy WEIGHT 3;
+OUTPUT light;
+END";
+        let out = compile(src, &machine, &CompileOptions::default()).unwrap();
+        let VolumeResolution::Static(ManagedOutcome::Solved { volumes, .. }) = &out.resolution
+        else {
+            panic!("expected a static plan: {:?}", out.resolution);
+        };
+        let a = out.dag.find_node("A").unwrap();
+        let executor = Executor::new(&machine, ExecConfig::default());
+        let mut st = executor.start(&out);
+        st.node_shortfall_pl.insert(a, 20_000);
+        executor.replan_static(&mut st, 0, WetLoc::Reservoir(1));
+        assert_eq!(st.report.recovery.replan, 1);
+
+        let observed =
+            HashMap::from([(a, volumes.node_volumes_nl[a.index()] - Ratio::from_int(20))]);
+        let lc = machine.least_count_nl();
+        let capped = |weights: &HashMap<NodeId, Ratio>| -> HashMap<EdgeId, Picoliters> {
+            let sol = aqua_volume::dagsolve::solve_capped(&out.dag, &machine, weights, &observed)
+                .unwrap();
+            out.dag
+                .edge_ids()
+                .map(|e| {
+                    let rounded =
+                        Ratio::from_int((sol.edge_volumes_nl[e.index()] / lc).round()) * lc;
+                    (e, (rounded * Ratio::from_int(1000)).round() as Picoliters)
+                })
+                .collect()
+        };
+        let weights: HashMap<NodeId, Ratio> = out
+            .dag_map
+            .output_weights
+            .iter()
+            .map(|(&node, &w)| (node, Ratio::from_int(w as i128)))
+            .collect();
+        assert!(weights.values().any(|&w| w == Ratio::from_int(3)));
+        assert_eq!(st.replanned_edges, capped(&weights));
+        assert_ne!(st.replanned_edges, capped(&HashMap::new()));
     }
 
     #[test]

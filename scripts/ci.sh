@@ -2,7 +2,8 @@
 # Pre-merge gate. Run from the repo root: scripts/ci.sh
 #
 # Mirrors what reviewers expect to be green before a PR lands:
-#   0. the non-test line count (scripts/loc.sh), printed, not gated
+#   0. the line counts (scripts/loc.sh): non-test and test lines per
+#      package, printed, not gated
 #   1. formatting            (cargo fmt --check)
 #   2. lints, deny warnings  (cargo clippy --workspace --all-targets)
 #   3. tier-1 build + tests  (cargo build --release && cargo test -q,
@@ -66,7 +67,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> non-test lines (scripts/loc.sh)"
+echo "==> line counts, code and tests (scripts/loc.sh)"
 scripts/loc.sh
 
 echo "==> cargo fmt --check"

@@ -392,8 +392,8 @@ fn cascading_preserves_composition() {
 }
 
 /// The full Fig. 6 hierarchy returns on every DAG, and a `Solved`
-/// outcome moves at least one least count along every live edge that
-/// feeds a product.
+/// outcome moves at least one least count along every edge that feeds
+/// a product.
 #[test]
 fn hierarchy_is_total_and_sound() {
     let machine = Machine::paper_default();
@@ -404,7 +404,7 @@ fn hierarchy_is_total_and_sound() {
             continue;
         };
         for e in dag.edge_ids() {
-            if !dag.edge_is_live(e) || dag.node(dag.edge(e).dst).kind == NodeKind::Excess {
+            if dag.node(dag.edge(e).dst).kind == NodeKind::Excess {
                 continue;
             }
             let v = volumes.edge_volumes_nl[e.index()];
